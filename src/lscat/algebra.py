@@ -175,10 +175,6 @@ class Algebra:
         return self.element(self.parse_monomial(t) for t in monomial_texts)
 
 
-def make_algebra(presentation: AlgebraPresentation) -> Algebra:
-    return Algebra(presentation)
-
-
 @dataclass(frozen=True)
 class Monomial:
     algebra: Algebra = field(compare=False, repr=False)
@@ -193,10 +189,6 @@ class Monomial:
     @property
     def degree(self) -> int:
         return self.algebra.monomial_degree(self.exps)
-
-    @property
-    def factor_count(self) -> int:
-        return sum(self.exps)
 
     def __str__(self) -> str:
         return format_exps(self.algebra.generators, self.exps)

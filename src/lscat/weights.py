@@ -16,6 +16,13 @@ All truncated-model computations happen in the associated graded; a
 witness is only reported when residual ("annihilated-summand") classes in
 the target degree cannot absorb the identity, exactly when the preimage
 degree has dimension zero and no residual class shares the target degree.
+
+The search saturates.  Every E2 lattice monomial lies in a column at most
+s_sat, the largest E2 column, so past s_sat the column cap never binds
+and each truncation is E-infinity itself; a partial class then has at most
+s_sat - 1 permanent factors, fewer than m - h for m >= s_sat + h (h the
+extension height), so every stage from s_sat + h on has the same report
+and the same witnesses up to the stage label.
 """
 
 from __future__ import annotations
@@ -96,6 +103,7 @@ class LoopSpaceModel:
         self._truncations: dict[int, BigradedPage] = {}
         self._reports: dict[int, list[TruncationClass]] = {}
         self._witnesses: dict[int, ObstructionWitness | None] = {}
+        self._squares: dict[tuple[int, ...], dict[int, frozenset]] = {}
 
     # -- spectral sequence --------------------------------------------------
 
@@ -128,20 +136,45 @@ class LoopSpaceModel:
     def surviving(self) -> set:
         return self.e_infinity.surviving_leading_monomials()
 
+    @cached_property
+    def saturation_column(self) -> int:
+        """Largest E2 column: the column cap of any later stage never binds."""
+        return max(s for s, _ in self.e2.basis)
+
+    @cached_property
+    def stable_stage(self) -> int:
+        """First stage whose report every later stage repeats."""
+        # A nonpositive extension height leaves no class partial at any stage.
+        return self.saturation_column + max(self._extension_height, 0)
+
+    @cached_property
+    def _extension_height(self) -> int:
+        extra = self._partial_extra
+        return extra.extension_height if extra else 3
+
     def truncation(self, m: int) -> BigradedPage:
         if m not in self._truncations:
-            self._truncations[m] = truncate(self.e2, m, self.differentials)
+            s_sat = self.saturation_column
+            if m > s_sat:
+                sat = self.truncation(s_sat)
+                self._truncations[m] = BigradedPage(
+                    sat.generators, sat.r, sat.basis, sat.degree_cap, m,
+                    sat.scratch, at_infinity=True,
+                )
+            else:
+                self._truncations[m] = truncate(self.e2, m, self.differentials)
         return self._truncations[m]
 
     def stage_report(self, m: int) -> list[TruncationClass]:
+        m = min(m, self.stable_stage)
         if m not in self._reports:
             extra = self._partial_extra
             self._reports[m] = classify_truncation(
-                self.truncation(m),
+                self.truncation(min(m, self.saturation_column)),
                 m,
                 self.surviving,
                 partial_gen=self._koszul_name_of_extra(extra) if extra else None,
-                extension_height=extra.extension_height if extra else 3,
+                extension_height=self._extension_height,
             )
         return self._reports[m]
 
@@ -262,37 +295,65 @@ class LoopSpaceModel:
                 table[(extra.name, k)] = ext.parse_element(value)
         return SteenrodAction(ext, table)
 
+    @cached_property
+    def _lattice_to_extended(self) -> list[int | None]:
+        """Extended-algebra index of each E2 generator's match (None: unmatched)."""
+        idx = {g.name: i for i, g in enumerate(self._extended_algebra.generators)}
+        return [
+            idx[self.gen_match[g.name][1]] if g.name in self.gen_match else None
+            for g in self.e2.generators
+        ]
+
     def _extended_exps_of_lattice(self, exps: tuple[int, ...]) -> tuple[int, ...]:
-        ext = self._extended_algebra
-        out = [0] * len(ext.generators)
-        idx = {g.name: i for i, g in enumerate(ext.generators)}
-        for kname, e in zip((g.name for g in self.e2.generators), exps):
+        out = [0] * len(self._extended_algebra.generators)
+        for g, i, e in zip(self.e2.generators, self._lattice_to_extended, exps):
             if not e:
                 continue
-            if kname not in self.gen_match:
-                raise WeightError(f"{kname} matches no cohomology class")
-            _, target = self.gen_match[kname]
-            out[idx[target]] = e
+            if i is None:
+                raise WeightError(f"{g.name} matches no cohomology class")
+            out[i] = e
         return tuple(out)
+
+    def _graded_square(self, lattice_exps: tuple[int, ...]) -> dict[int, frozenset]:
+        """Total square of a lattice monomial's class, by degree (cached)."""
+        graded = self._squares.get(lattice_exps)
+        if graded is None:
+            ext = self._extended_algebra
+            z = ext.element([self._extended_exps_of_lattice(lattice_exps)])
+            parts: dict[int, set] = {}
+            for exps in self._extended_action.total_square(z).terms:
+                parts.setdefault(ext.monomial_degree(exps), set()).add(exps)
+            graded = {d: frozenset(terms) for d, terms in parts.items()}
+            self._squares[lattice_exps] = graded
+        return graded
 
     def find_obstruction(self, m: int) -> ObstructionWitness | None:
         """First Steenrod witness against a retraction at stage m, or None.
 
         Absence of a witness proves nothing.
         """
-        if m in self._witnesses:
-            return self._witnesses[m]
-        witness = self._find_obstruction(m)
-        self._witnesses[m] = witness
-        return witness
+        if m not in self._witnesses:
+            stable = self.stable_stage
+            if m > stable and self.find_obstruction(stable) is None:
+                self._witnesses[m] = None
+            else:
+                self._witnesses[m] = self._find_obstruction(m)
+        return self._witnesses[m]
 
     def _find_obstruction(self, m: int) -> ObstructionWitness | None:
-        try:
-            report = self.stage_report(m)
-        except WeightError:
+        report = self.stage_report(m)
+        computable = [cls for cls in report if cls.bucket != BUCKET_RESIDUAL]
+        # Every computable class must map into the extended algebra, even
+        # one the degree test below skips: an unmatched generator raises.
+        for cls in computable:
+            self._extended_exps_of_lattice(cls.leading)
+        # Hard form: the preimage degree vanishes identically.
+        candidates = [
+            cls for cls in computable if not self.algebra.basis(cls.degree)
+        ]
+        if not candidates:
             return None
         ext = self._extended_algebra
-        ext_action = self._extended_action
         extra = self._partial_extra
         extra_idx = (
             [i for i, g in enumerate(ext.generators) if extra and g.name == extra.name]
@@ -303,22 +364,16 @@ class LoopSpaceModel:
         residual_degrees = {
             cls.degree for cls in report if cls.bucket == BUCKET_RESIDUAL
         }
-        computable = [cls for cls in report if cls.bucket != BUCKET_RESIDUAL]
-
-        squares = {}
-        for cls in computable:
-            z_ext = ext.element([self._extended_exps_of_lattice(cls.leading)])
-            squares[cls.leading] = ext_action.total_square(z_ext)
 
         max_k = max((g.degree for g in ext.generators), default=0)
         for k in range(1, max_k + 1):
-            for cls in computable:
-                value = squares[cls.leading].homogeneous_part(cls.degree + k)
+            for cls in candidates:
+                value = self._graded_square(cls.leading).get(cls.degree + k)
                 if not value:
                     continue
                 plain = []
                 mixed = []
-                for exps in value.terms:
+                for exps in value:
                     if any(exps[i] for i in extra_idx):
                         mixed.append(exps)
                     else:
@@ -342,13 +397,14 @@ class LoopSpaceModel:
                     self._lattice_exps_of_monomial(e) in alive for e in u.terms
                 ):
                     continue
-                # Hard form: the preimage degree vanishes identically.
-                if self.algebra.basis(cls.degree):
-                    continue
                 # No residual class can absorb the identity at the target.
                 if degree in residual_degrees:
                     continue
-                assert not self.action.image_of_sq(k, degree)
+                if self.action.image_of_sq(k, degree):
+                    raise WeightError(
+                        f"Sq^{k} maps onto degree {degree} from degree "
+                        f"{cls.degree}, where the cohomology vanishes"
+                    )
                 witness = ObstructionWitness(
                     m=m,
                     k=k,

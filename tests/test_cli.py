@@ -2,12 +2,17 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import lscat
 from lscat.cli import main
 from lscat.spaces import builtin
 
@@ -88,6 +93,39 @@ def test_report_on_invalid_fixture_exits_3(tmp_path):
     rep = json.loads(out)
     assert rep["validation"]["ok"] is False
     jsonschema.validate(rep, report_schema())
+
+
+def test_second_partial_generator_exits_3(tmp_path):
+    """An unsupported presentation fails loudly, never as "no witness"."""
+    data = builtin("spin9").to_dict()
+    data["extra_generators"].append(
+        {"name": "y13", "t": 12, "extension_height": 3, "steenrod": []}
+    )
+    path = tmp_path / "two_extras.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run_cli("report", str(path), "--format", "json")
+    assert code == 3
+    assert "at most one partial-product generator supported" in err
+
+
+def test_optimised_interpreter_gives_same_report():
+    """`python -O` strips asserts; no certified number may depend on one."""
+    src = str(Path(lscat.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    runs = [
+        subprocess.run(
+            [sys.executable, *flags, "-m", "lscat.cli", "report", "spin9",
+             "--format", "json"],
+            capture_output=True, env=env, timeout=120,
+        )
+        for flags in ([], ["-O"])
+    ]
+    assert [r.returncode for r in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout
+    assert json.loads(runs[1].stdout)["bounds"]["bracket"]["lo"] == 8
 
 
 def test_missing_file_exits_3():

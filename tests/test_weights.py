@@ -1,9 +1,113 @@
 """Category weight and the module-weight obstruction on the fixtures."""
 
+from math import comb
+
 import pytest
 
-from lscat.spaces import builtin
-from lscat.weights import LoopSpaceModel, WeightError
+from lscat import weights
+from lscat.algebra import AlgebraPresentation, Generator
+from lscat.report import build_report
+from lscat.spaces import ExtraGenerator, SpacePresentation, builtin
+from lscat.specseq import BUCKET_RESIDUAL, classify_truncation, truncate
+from lscat.steenrod import SteenrodAction
+from lscat.weights import LoopSpaceModel, ObstructionWitness, WeightError
+
+
+def su_space(n: int) -> SpacePresentation:
+    """SU(n): Lambda(x3, ..., x(2n-1)) with Borel's squares
+    Sq^(2i) x(2j-1) = C(j-1, i) x(2i+2j-1), loop homology polynomial on
+    u2, ..., u(2n-2) (Bott), every suspension class permanent."""
+    cap = n * n - 1
+    top = 2 * n - 1
+    return SpacePresentation(
+        name=f"su{n}",
+        degree_cap=cap,
+        cohomology=AlgebraPresentation(
+            tuple(Generator(f"x{d}", d, 2) for d in range(3, top + 1, 2)), cap
+        ),
+        steenrod=[
+            (f"x{2 * j - 1}", 2 * i, [f"x{2 * i + 2 * j - 1}"])
+            for j in range(2, n + 1)
+            for i in range(1, j)
+            if 2 * i + 2 * j - 1 <= top and comb(j - 1, i) % 2
+        ],
+        loop_homology=AlgebraPresentation(
+            tuple(Generator(f"u{d}", d, None) for d in range(2, 2 * n, 2)), cap
+        ),
+        permanent_cycles=[f"x1_{d}" for d in range(2, 2 * n, 2)],
+    )
+
+
+def reference_stage(model: LoopSpaceModel, m: int):
+    """Stage m with no pruning or reuse: (page, report, first witness).
+
+    Truncates and classifies from scratch, squares every computable class
+    and scans k ascending, then the classes in report order.
+    """
+    extra = model._partial_extra
+    page = truncate(model.e2, m, model.differentials)
+    report = classify_truncation(
+        page,
+        m,
+        model.surviving,
+        partial_gen=model._koszul_name_of_extra(extra) if extra else None,
+        extension_height=extra.extension_height if extra else 3,
+    )
+    ext = model._extended_algebra
+    extra_idx = [
+        i for i, g in enumerate(ext.generators) if extra and g.name == extra.name
+    ]
+    alive = {cls.leading for cls in report}
+    residual_degrees = {
+        cls.degree for cls in report if cls.bucket == BUCKET_RESIDUAL
+    }
+    computable = [cls for cls in report if cls.bucket != BUCKET_RESIDUAL]
+    z = {
+        cls.leading: ext.element([model._extended_exps_of_lattice(cls.leading)])
+        for cls in computable
+    }
+    squares = {
+        lead: model._extended_action.total_square(zc) for lead, zc in z.items()
+    }
+    max_k = max((g.degree for g in ext.generators), default=0)
+    for k in range(1, max_k + 1):
+        for cls in computable:
+            value = squares[cls.leading].homogeneous_part(cls.degree + k)
+            plain = [e for e in value.terms if not any(e[i] for i in extra_idx)]
+            if not plain or len(plain) < len(value.terms):
+                continue
+            u = model.algebra.element(
+                tuple(e for i, e in enumerate(exps) if i not in extra_idx)
+                for exps in plain
+            )
+            degree = cls.degree + k
+            if (
+                not u
+                or not any(
+                    model._lattice_exps_of_monomial(e) in alive for e in u.terms
+                )
+                or model.algebra.basis(cls.degree)
+                or degree in residual_degrees
+            ):
+                continue
+            assert not model.action.image_of_sq(k, degree)
+            return page, report, ObstructionWitness(
+                m=m,
+                k=k,
+                z_label=str(z[cls.leading]),
+                u=str(u),
+                u_degree=degree,
+                vanishing_degree=cls.degree,
+                facts=(
+                    f"Sq^{k} of the stage-{m} class equals the restriction "
+                    f"of a nonzero degree-{degree} class",
+                    f"the cohomology of the space vanishes in degree "
+                    f"{cls.degree}, so nothing upstairs can map onto it "
+                    f"under Sq^{k}",
+                    f"no residual stage-{m} class lives in degree {degree}",
+                ),
+            )
+    return page, report, None
 
 
 @pytest.fixture(scope="module")
@@ -63,8 +167,6 @@ def test_witness_at_stage_seven(spin9):
 def test_no_witness_at_stage_eight(spin9):
     """The stage-8 model has a residual class in the target degree."""
     assert spin9.find_obstruction(8) is None
-    from lscat.specseq import BUCKET_RESIDUAL
-
     residual_36 = [
         c
         for c in spin9.stage_report(8)
@@ -109,3 +211,85 @@ def test_degree_cap_override():
     assert model.algebra.degree_cap == 20
     # the forced differential is still found under the smaller cap
     assert model.differentials[0].r == 3
+
+
+@pytest.mark.parametrize(
+    "space",
+    [
+        pytest.param((builtin("spin9"), 36), id="spin9-36"),
+        pytest.param((builtin("spin9"), 52), id="spin9-52"),
+        pytest.param((builtin("toy-trunc-poly"), None), id="toy-trunc-poly"),
+        *(pytest.param((su_space(n), None), id=f"su{n}") for n in (4, 5, 6)),
+    ],
+)
+def test_pruned_search_matches_reference(space):
+    """Filtering, square caching and stage reuse change no stage or witness."""
+    presentation, cap = space
+    model = LoopSpaceModel(presentation, degree_cap=cap)
+    cap = model.space.degree_cap
+    assert model.stable_stage < cap  # the reuse is exercised
+    witnessed = []
+    # Descending, so later stages are asked for before the stable one.
+    for m in range(cap, -1, -1):
+        page, report, witness = reference_stage(model, m)
+        assert model.find_obstruction(m) == witness
+        assert model.stage_report(m) == report
+        assert model.truncation(m).to_json() == page.to_json()
+        assert (
+            model.truncation(m).surviving_leading_monomials()
+            == page.surviving_leading_monomials()
+        )
+        if witness is not None:
+            witnessed.append(m)
+    assert model.mwgt_lower_bound() == (max(witnessed) + 1 if witnessed else 0)
+
+
+def count_search_work(monkeypatch, space):
+    """Report on `space`; return (model, truncate stages, squared classes)."""
+    stages, squared = [], []
+    real_truncate = weights.truncate
+    real_square = SteenrodAction.total_square
+
+    def counting_truncate(e2, m, specs):
+        stages.append(m)
+        return real_truncate(e2, m, specs)
+
+    def counting_square(self, e):
+        squared.append(e.terms)
+        return real_square(self, e)
+
+    monkeypatch.setattr(weights, "truncate", counting_truncate)
+    monkeypatch.setattr(SteenrodAction, "total_square", counting_square)
+    model = LoopSpaceModel(space)
+    _, code = build_report(model, truncations=[0, 7, 8, 20, 36])
+    assert code == 0
+    return model, stages, squared
+
+
+def test_spin9_search_work_is_bounded(monkeypatch):
+    """Stages past the largest E2 column reuse it; each class is squared once."""
+    model, stages, squared = count_search_work(monkeypatch, builtin("spin9"))
+    assert model.saturation_column == 13
+    assert sorted(stages) == list(range(13 + 1))
+    assert len(squared) == len(set(squared)) <= 6
+
+
+def test_su_search_squares_nothing(monkeypatch):
+    """No SU(5) class sits in a degree where the cohomology vanishes."""
+    model, stages, squared = count_search_work(monkeypatch, su_space(5))
+    assert model.saturation_column == 4
+    assert sorted(stages) == list(range(4 + 1))
+    assert squared == []
+    assert model.mwgt_lower_bound() == 0
+
+
+def test_failed_stage_is_not_reported_as_no_witness():
+    """A stage that cannot be classified raises instead of returning None."""
+    space = su_space(4)
+    space.extra_generators = [
+        ExtraGenerator("y9", 8, 3), ExtraGenerator("y13", 12, 3)
+    ]
+    model = LoopSpaceModel(space)
+    assert model.wgt_space() == 3  # all suspension classes still match
+    with pytest.raises(WeightError, match="at most one partial-product"):
+        model.find_obstruction(2)
