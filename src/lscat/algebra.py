@@ -14,7 +14,7 @@ ascending exponent tuple.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable, Iterator
 
 
@@ -68,28 +68,32 @@ class Algebra:
 
     # -- basis ------------------------------------------------------------
 
-    @lru_cache(maxsize=None)
+    @cached_property
+    def _basis_by_degree(self) -> tuple[tuple["Monomial", ...], ...]:
+        """Every monomial up to the cap, bucketed by degree, in canonical order.
+
+        Exponent vectors grow one generator at a time, pruned by the degree
+        left under the cap; extending a sorted list with ascending exponents
+        keeps it sorted, so each bucket is already in ascending-tuple order.
+        """
+        cap = self.degree_cap
+        partial = [((), 0)]
+        for d, max_e in zip(self._degrees, self._max_exp):
+            partial = [
+                (exps + (e,), degree + e * d)
+                for exps, degree in partial
+                for e in range(min(max_e, (cap - degree) // d) + 1)
+            ]
+        buckets: list[list[Monomial]] = [[] for _ in range(cap + 1)]
+        for exps, degree in partial:
+            buckets[degree].append(Monomial(self, exps))
+        return tuple(tuple(b) for b in buckets)
+
     def basis(self, degree: int) -> tuple["Monomial", ...]:
         """All monomials of exactly this total degree, in canonical order."""
         if not 0 <= degree <= self.degree_cap:
             raise AlgebraError(f"degree {degree} out of range [0, {self.degree_cap}]")
-        out = []
-        n = len(self.generators)
-
-        def rec(i: int, remaining: int, exps: list[int]):
-            if i == n:
-                if remaining == 0:
-                    out.append(Monomial(self, tuple(exps)))
-                return
-            d = self._degrees[i]
-            for e in range(min(self._max_exp[i], remaining // d) + 1):
-                exps.append(e)
-                rec(i + 1, remaining - e * d, exps)
-                exps.pop()
-
-        rec(0, degree, [])
-        out.sort(key=lambda m: m.exps)
-        return tuple(out)
+        return self._basis_by_degree[degree]
 
     def monomials(self) -> Iterator["Monomial"]:
         for d in range(self.degree_cap + 1):

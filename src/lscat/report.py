@@ -169,9 +169,9 @@ def build_report(
             for m in (truncations or [])
         ]
         report["witnesses"] = [
-            model.find_obstruction(m).to_json()
+            witness.to_json()
             for m in range(space.degree_cap + 1)
-            if model.find_obstruction(m) is not None
+            if (witness := model.find_obstruction(m)) is not None
         ]
         mark("stages")
     report["invariants"] = invariants

@@ -12,6 +12,21 @@ Truncating the column filtration at m models the m-th projective-space
 stage of the loop space: differentials landing past column m vanish and
 sources past column m are gone.
 
+All truncations share their work (`TruncationTower`).  d_r raises the
+column by exactly r, so in the column-m truncation the classes at (s, t)
+after folding d_r1, ..., d_rj (r ascending) depend on m only through
+which of those d_r act out of column s, i.e. have s + r <= m.  Those form
+a prefix, and the d_rj-sources at s - rj have every earlier differential
+alive, since (s - rj) + r < s <= m.  So each bidegree has at most j + 1
+states after j pages (two with one differential, one with none), and
+each state is computed once and shared by every m.  The tower does not repeat the
+`_check_spec` / `_check_d_squared` guards of the untruncated fold, and
+loses nothing by it.  Truncation only drops products, so d_r on a
+truncated page is the full d_r restricted to columns <= m.  A monomial
+in column s with s + 2r <= m lies in a class whose earlier differentials
+are all alive, a class of the full E_r, where d_r^2 is the full one; for
+s + 2r > m, d_r^2 lands past m and vanishes outright.
+
 The internal lattice is enumerated a few total degrees past the report
 cap (`scratch`) so that differentials out of top-degree classes are still
 visible; reported data never includes scratch degrees.
@@ -340,6 +355,55 @@ def _check_d_squared(page: BigradedPage, spec: DifferentialSpec):
                 )
 
 
+def homology_at(
+    page: BigradedPage,
+    spec: DifferentialSpec,
+    vecs: tuple[frozenset, ...],
+    incoming: tuple[frozenset, ...],
+    alive: bool = True,
+) -> tuple[frozenset, ...]:
+    """Homology of one bidegree under d_r, with monomial-pivot representatives.
+
+    `vecs` are the classes of the bidegree and `incoming` those of its
+    d_r-source bidegree; `page` supplies the lattice products.  With
+    `alive` false, d_r out of the bidegree is zero (it lands past a column
+    cap) and every class is a cycle.
+    """
+    out_images = [_d_of_vec(page, spec, v) for v in vecs] if alive else []
+    in_images = [b for u in incoming if (b := _d_of_vec(page, spec, u))]
+
+    # out_images live in the target bidegree and get their own index.
+    own = sorted(set().union(*vecs, *in_images)) if (vecs or in_images) else []
+    own_idx = {m: i for i, m in enumerate(own)}
+    tgt = sorted(set().union(*out_images)) if out_images else []
+    tgt_idx = {m: i for i, m in enumerate(tgt)}
+
+    out_rows = [
+        sum(1 << tgt_idx[m] for m in img) for img in out_images
+    ]
+    coeffs = gf2.left_kernel(out_rows, len(tgt)) if any(out_rows) else None
+    if coeffs is None:
+        cycles = [sum(1 << own_idx[m] for m in v) for v in vecs]
+    else:
+        vec_rows = [sum(1 << own_idx[m] for m in v) for v in vecs]
+        cycles = []
+        for c in coeffs:
+            acc = 0
+            for i in range(len(vec_rows)):
+                if (c >> i) & 1:
+                    acc ^= vec_rows[i]
+            if acc:
+                cycles.append(acc)
+
+    boundary_rows = [sum(1 << own_idx[m] for m in b) for b in in_images]
+    reps, _ = gf2.quotient_basis(cycles, boundary_rows, len(own))
+    new_vecs = [
+        frozenset(own[i] for i in range(len(own)) if (row >> i) & 1)
+        for row in reps
+    ]
+    return tuple(sorted(new_vecs, key=min))
+
+
 def apply_differential(page: BigradedPage, spec: DifferentialSpec) -> BigradedPage:
     """Homology of the page under d_r, with monomial-pivot representatives."""
     _check_spec(page, spec)
@@ -348,46 +412,10 @@ def apply_differential(page: BigradedPage, spec: DifferentialSpec) -> BigradedPa
 
     new_basis: dict[tuple[int, int], tuple[frozenset, ...]] = {}
     for (s, t) in sorted(page.basis):
-        vecs = page.basis[(s, t)]
-        out_images = [_d_of_vec(page, spec, v) for v in vecs]
-        in_images = [
-            b
-            for u in page.basis.get((s - r, t + r - 1), ())
-            if (b := _d_of_vec(page, spec, u))
-        ]
-
-        # out_images live in the target bidegree and get their own index.
-        own = sorted(set().union(*vecs, *in_images)) if (vecs or in_images) else []
-        own_idx = {m: i for i, m in enumerate(own)}
-        tgt = sorted(set().union(*out_images)) if out_images else []
-        tgt_idx = {m: i for i, m in enumerate(tgt)}
-
-        out_rows = [
-            sum(1 << tgt_idx[m] for m in img) for img in out_images
-        ]
-        coeffs = gf2.left_kernel(out_rows, len(tgt)) if any(out_rows) else None
-        if coeffs is None:
-            cycles = [sum(1 << own_idx[m] for m in v) for v in vecs]
-        else:
-            vec_rows = [sum(1 << own_idx[m] for m in v) for v in vecs]
-            cycles = []
-            for c in coeffs:
-                acc = 0
-                for i in range(len(vec_rows)):
-                    if (c >> i) & 1:
-                        acc ^= vec_rows[i]
-                if acc:
-                    cycles.append(acc)
-
-        boundary_rows = [sum(1 << own_idx[m] for m in b) for b in in_images]
-        reps, _ = gf2.quotient_basis(cycles, boundary_rows, len(own))
-        new_vecs = []
-        for row in reps:
-            new_vecs.append(
-                frozenset(own[i] for i in range(len(own)) if (row >> i) & 1)
-            )
+        incoming = page.basis.get((s - r, t + r - 1), ())
+        new_vecs = homology_at(page, spec, page.basis[(s, t)], incoming)
         if new_vecs:
-            new_basis[(s, t)] = tuple(sorted(new_vecs, key=min))
+            new_basis[(s, t)] = new_vecs
 
     return BigradedPage(
         page.generators, r + 1, new_basis, page.degree_cap,
@@ -415,6 +443,62 @@ def truncate(
 ) -> BigradedPage:
     """E-infinity of the column-m truncation (model of the m-th projective stage)."""
     return run_to_e_infinity(e2.restricted_to_columns(m), specs)
+
+
+class TruncationTower:
+    """`truncate(e2, m, specs)` for every m, each bidegree state computed once.
+
+    The specs are taken as already checked: fold them once with
+    `run_to_e_infinity` first (see the module docstring for why that
+    check covers every truncation).
+    """
+
+    def __init__(self, e2: BigradedPage, specs: list[DifferentialSpec]):
+        self.e2 = e2
+        self.specs = sorted(
+            (spec for spec in specs if not spec.is_trivial()), key=lambda d: d.r
+        )
+        # No column cap: a live d_r lands in column s + r <= m anyway.
+        self._lattice = BigradedPage(
+            e2.generators, e2.r, e2.basis, e2.degree_cap, None, e2.scratch
+        )
+        self._states: dict[tuple[int, int, int, int], tuple[frozenset, ...]] = {}
+
+    def state(self, j: int, s: int, t: int, alive: int) -> tuple[frozenset, ...]:
+        """Basis at (s, t) after folding the first j specs, of which the
+        first `alive` (a prefix, as r ascends) act out of column s."""
+        if j == 0:
+            return self.e2.basis.get((s, t), ())
+        key = (j, s, t, alive)
+        if key not in self._states:
+            spec = self.specs[j - 1]
+            r = spec.r
+            here = self.state(j - 1, s, t, min(alive, j - 1))
+            if here:
+                # Every earlier d out of column s - r lands below s <= m.
+                incoming = self.state(j - 1, s - r, t + r - 1, j - 1)
+                here = homology_at(self._lattice, spec, here, incoming, alive == j)
+            self._states[key] = here
+        return self._states[key]
+
+    def page(self, m: int) -> BigradedPage:
+        """E-infinity of the column-m truncation, equal to `truncate(e2, m, specs)`."""
+        if m < 0:
+            raise SpectralSequenceError("column cap must be >= 0")
+        j = len(self.specs)
+        basis = {}
+        for (s, t) in sorted(self.e2.basis):
+            if s > m:
+                continue
+            alive = sum(1 for spec in self.specs if s + spec.r <= m)
+            vecs = self.state(j, s, t, alive)
+            if vecs:
+                basis[(s, t)] = vecs
+        r = self.specs[-1].r + 1 if self.specs else self.e2.r
+        return BigradedPage(
+            self.e2.generators, r, basis, self.e2.degree_cap, m,
+            self.e2.scratch, at_infinity=True,
+        )
 
 
 def _powerset(items):

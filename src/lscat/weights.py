@@ -18,11 +18,12 @@ the target degree cannot absorb the identity, exactly when the preimage
 degree has dimension zero and no residual class shares the target degree.
 
 The search saturates.  Every E2 lattice monomial lies in a column at most
-s_sat, the largest E2 column, so past s_sat the column cap never binds
-and each truncation is E-infinity itself; a partial class then has at most
-s_sat - 1 permanent factors, fewer than m - h for m >= s_sat + h (h the
-extension height), so every stage from s_sat + h on has the same report
-and the same witnesses up to the stage label.
+s_sat, the largest E2 column, so every stage past s_sat has the classes
+of stage s_sat (the truncations themselves share their work in
+`specseq.TruncationTower`); a partial class then has at most s_sat - 1
+permanent factors, fewer than m - h for m >= s_sat + h (h the extension
+height), so every stage from s_sat + h on has the same report and the
+same witnesses up to the stage label.
 """
 
 from __future__ import annotations
@@ -36,11 +37,11 @@ from lscat.specseq import (
     BigradedPage,
     DifferentialSpec,
     TruncationClass,
+    TruncationTower,
     classify_truncation,
     infer_differentials,
     koszul_e2,
     run_to_e_infinity,
-    truncate,
 )
 from lscat.spaces import SpacePresentation
 from lscat.steenrod import SteenrodAction
@@ -100,7 +101,6 @@ class LoopSpaceModel:
         self.max_candidates_per_gen = max_candidates_per_gen
         self.algebra: Algebra = space.algebra()
         self.action: SteenrodAction = space.action(self.algebra)
-        self._truncations: dict[int, BigradedPage] = {}
         self._reports: dict[int, list[TruncationClass]] = {}
         self._witnesses: dict[int, ObstructionWitness | None] = {}
         self._squares: dict[tuple[int, ...], dict[int, frozenset]] = {}
@@ -152,23 +152,21 @@ class LoopSpaceModel:
         extra = self._partial_extra
         return extra.extension_height if extra else 3
 
+    @cached_property
+    def _tower(self) -> TruncationTower:
+        self.e_infinity  # the checked fold the tower relies on
+        return TruncationTower(self.e2, self.differentials)
+
     def truncation(self, m: int) -> BigradedPage:
-        if m not in self._truncations:
-            s_sat = self.saturation_column
-            if m > s_sat:
-                sat = self.truncation(s_sat)
-                self._truncations[m] = BigradedPage(
-                    sat.generators, sat.r, sat.basis, sat.degree_cap, m,
-                    sat.scratch, at_infinity=True,
-                )
-            else:
-                self._truncations[m] = truncate(self.e2, m, self.differentials)
-        return self._truncations[m]
+        return self._tower.page(m)
 
     def stage_report(self, m: int) -> list[TruncationClass]:
         m = min(m, self.stable_stage)
         if m not in self._reports:
             extra = self._partial_extra
+            # Past s_sat the classes are those of stage s_sat; reading that
+            # page spares the tower folding d_r out of the columns within r
+            # of s_sat, whose targets are empty.
             self._reports[m] = classify_truncation(
                 self.truncation(min(m, self.saturation_column)),
                 m,

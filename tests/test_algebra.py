@@ -60,6 +60,32 @@ def test_spin9_dimensions():
     assert str(b36[0]) == "x3^3*x5*x7*x15"
 
 
+def test_basis_matches_brute_force():
+    """Every monomial of each degree, in ascending exponent order."""
+    gens = (
+        Generator("a2", 2, None),
+        Generator("b3", 3, 4),
+        Generator("c5", 5, 2),
+        Generator("d4", 4, None),
+    )
+    cap = 23
+    alg = Algebra(AlgebraPresentation(gens, cap))
+    bounds = [
+        range(min(g.height - 1 if g.height else cap, cap // g.degree) + 1)
+        for g in gens
+    ]
+    for degree in range(cap + 1):
+        want = [
+            exps
+            for exps in itertools.product(*bounds)
+            if sum(e * g.degree for e, g in zip(exps, gens)) == degree
+        ]
+        assert [m.exps for m in alg.basis(degree)] == want
+    for bad in (-1, cap + 1):
+        with pytest.raises(AlgebraError, match="out of range"):
+            alg.basis(bad)
+
+
 def test_cup_length_exhaustive_oracle():
     """Longest nonzero product of positive-degree classes, by brute force."""
     alg = spin9_algebra()

@@ -11,6 +11,7 @@ from lscat.specseq import (
     DifferentialSpec,
     InferenceError,
     SpectralSequenceError,
+    TruncationTower,
     apply_differential,
     classify_truncation,
     infer_differentials,
@@ -250,3 +251,39 @@ def test_page_json(spin9_model):
     data = spin9_model.e_infinity.to_json()
     assert data["r"] == "infinity"
     assert all(b["s"] + b["t"] <= 36 for b in data["bidegrees"])
+
+
+def test_tower_matches_truncate_on_two_differentials():
+    """Synthetic d_2-then-d_3 space: the shared-state tower gives every
+    column truncation exactly as a from-scratch fold does."""
+    pres = AlgebraPresentation(
+        (
+            Generator("u2", 2, 2),
+            Generator("u4", 4, 2),
+            Generator("u7", 7, None),
+            Generator("u18", 18, None),
+        ),
+        40,
+    )
+    e2 = koszul_e2(pres)  # x1_2, x1_4 polynomial; x1_7, x1_18 exterior
+    specs = [
+        DifferentialSpec(2, {"x1_7": e2.parse_class(["x1_2^3"])}),
+        DifferentialSpec(3, {"x1_18": e2.parse_class(["x1_4^4"])}),
+    ]
+    e_inf = run_to_e_infinity(e2, specs)  # the checked untruncated fold
+    assert e_inf.dims_by_total_degree() != e2.dims_by_total_degree()
+    tower = TruncationTower(e2, specs)
+    for m in range(pres.degree_cap + 1):
+        page = truncate(e2, m, specs)
+        assert tower.page(m).to_json() == page.to_json()
+        assert (
+            tower.page(m).surviving_leading_monomials()
+            == page.surviving_leading_monomials()
+        )
+    # Some bidegree meets all three states after two pages: neither,
+    # only d_2, and both differentials acting out of its column.
+    states: dict = {}
+    for j, s, t, alive in tower._states:
+        if j == 2:
+            states.setdefault((s, t), set()).add(alive)
+    assert {0, 1, 2} in states.values()

@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from lscat import weights
+from lscat import specseq
 from lscat.algebra import AlgebraPresentation, Generator
 from lscat.report import build_report
 from lscat.spaces import ExtraGenerator, SpacePresentation, builtin
@@ -245,40 +245,49 @@ def test_pruned_search_matches_reference(space):
 
 
 def count_search_work(monkeypatch, space):
-    """Report on `space`; return (model, truncate stages, squared classes)."""
-    stages, squared = [], []
-    real_truncate = weights.truncate
+    """Report on `space`; return (model, truncation homology steps, squared
+    classes).
+
+    A step is one `homology_at` call, keyed by (r, s, t, d_r alive).  The
+    untruncated fold runs before counting starts, so the steps are the
+    stage truncations' own.
+    """
+    steps, squared = [], []
+    real_homology = specseq.homology_at
     real_square = SteenrodAction.total_square
 
-    def counting_truncate(e2, m, specs):
-        stages.append(m)
-        return real_truncate(e2, m, specs)
+    def counting_homology(page, spec, vecs, incoming, alive=True):
+        steps.append((spec.r, *page.bidegree(min(vecs[0])), alive))
+        return real_homology(page, spec, vecs, incoming, alive)
 
     def counting_square(self, e):
         squared.append(e.terms)
         return real_square(self, e)
 
-    monkeypatch.setattr(weights, "truncate", counting_truncate)
-    monkeypatch.setattr(SteenrodAction, "total_square", counting_square)
     model = LoopSpaceModel(space)
+    model.e_infinity
+    monkeypatch.setattr(specseq, "homology_at", counting_homology)
+    monkeypatch.setattr(SteenrodAction, "total_square", counting_square)
     _, code = build_report(model, truncations=[0, 7, 8, 20, 36])
     assert code == 0
-    return model, stages, squared
+    return model, steps, squared
 
 
 def test_spin9_search_work_is_bounded(monkeypatch):
-    """Stages past the largest E2 column reuse it; each class is squared once."""
-    model, stages, squared = count_search_work(monkeypatch, builtin("spin9"))
+    """Each bidegree state of the truncations is folded once; each class is
+    squared once."""
+    model, steps, squared = count_search_work(monkeypatch, builtin("spin9"))
     assert model.saturation_column == 13
-    assert sorted(stages) == list(range(13 + 1))
+    # One differential: at most two states (d_3 alive or not) per bidegree.
+    assert len(steps) == len(set(steps)) <= 2 * len(model.e2.basis)
     assert len(squared) == len(set(squared)) <= 6
 
 
 def test_su_search_squares_nothing(monkeypatch):
     """No SU(5) class sits in a degree where the cohomology vanishes."""
-    model, stages, squared = count_search_work(monkeypatch, su_space(5))
+    model, steps, squared = count_search_work(monkeypatch, su_space(5))
     assert model.saturation_column == 4
-    assert sorted(stages) == list(range(4 + 1))
+    assert steps == []  # no differential: every truncation is read off E2
     assert squared == []
     assert model.mwgt_lower_bound() == 0
 
