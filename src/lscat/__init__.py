@@ -24,7 +24,6 @@ from lscat.bounds import (
     strong_category_fallback,
 )
 from lscat.cells import CellComplex, CellError, smash, sphere, suspend
-from lscat.gf2 import BACKEND as GF2_BACKEND
 from lscat.report import build_ledger, build_report, format_text, page_at
 from lscat.spaces import (
     BUILTIN_NAMES,
@@ -50,6 +49,10 @@ from lscat.steenrod import SteenrodAction
 from lscat.weights import LoopSpaceModel, ObstructionWitness, WeightError
 
 __version__ = "0.1.0"
+
+# Name of the GF(2) kernel (`lscat.gf2`), which benchmark runs record; the
+# pure-Python one is the only one.
+GF2_BACKEND = "py"
 
 __all__ = [
     "Algebra",

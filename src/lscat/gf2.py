@@ -1,57 +1,40 @@
-"""GF(2) linear algebra on int bitsets, with a compiled core when available.
+"""GF(2) linear algebra on int bitsets.
 
-Vectors are Python ints (bit j = coordinate j).  The row-reduction
-primitive is dispatched at import time: the Cython kernel ``_gf2c`` if it
-was built, otherwise the pure-Python twin ``_gf2py``.  Set
-``LSCAT_GF2_BACKEND=py`` (or ``c``) to force a backend.
+Vectors are Python ints (bit j = coordinate j), of arbitrary width.
 """
 
 from __future__ import annotations
 
-import os
-from array import array
 
-from lscat import _gf2py
-
-try:
-    from lscat import _gf2c
-except ImportError:
-    _gf2c = None
-
-_choice = os.environ.get("LSCAT_GF2_BACKEND", "auto")
-if _choice == "c" and _gf2c is None:
-    raise ImportError("LSCAT_GF2_BACKEND=c but the compiled kernel is not built")
-if _choice not in ("auto", "c", "py"):
-    raise ValueError(f"bad LSCAT_GF2_BACKEND value: {_choice!r}")
-
-BACKEND = "c" if (_gf2c is not None and _choice != "py") else "py"
-
-
-def _rref_c(rows: list[int], pivot_limit: int, total_bits: int) -> list[int]:
-    nwords = max(1, (total_bits + 63) >> 6)
-    data = array("Q")
-    for row in rows:
-        data.frombytes(row.to_bytes(nwords * 8, "little"))
-    pivots = _gf2c.rref_words(data, len(rows), nwords, pivot_limit)
-    raw = data.tobytes()
-    for r in range(len(rows)):
-        rows[r] = int.from_bytes(raw[r * nwords * 8:(r + 1) * nwords * 8], "little")
-    return pivots
-
-
-def rref(rows: list[int], pivot_limit: int, total_bits: int | None = None) -> list[int]:
+def rref(rows: list[int], pivot_limit: int) -> list[int]:
     """Reduced row echelon form of `rows`, in place.
 
     Pivots only in columns [0, pivot_limit); higher bits ride along as
-    tags.  `total_bits` bounds the full row width (tags included) and is
-    only needed by the packed backend; it defaults to pivot_limit.
-    Returns the pivot columns.
+    tags.  Returns the pivot columns; rows 0..rank-1 end up as the pivot
+    rows in ascending pivot order.
     """
-    if total_bits is None:
-        total_bits = pivot_limit
-    if BACKEND == "c":
-        return _rref_c(rows, pivot_limit, total_bits)
-    return _gf2py.rref_ints(rows, pivot_limit)
+    rank = 0
+    nrows = len(rows)
+    pivots: list[int] = []
+    for col in range(pivot_limit):
+        if rank == nrows:
+            break
+        mask = 1 << col
+        pivot = -1
+        for r in range(rank, nrows):
+            if rows[r] & mask:
+                pivot = r
+                break
+        if pivot < 0:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        piv_row = rows[rank]
+        for r in range(nrows):
+            if r != rank and (rows[r] & mask):
+                rows[r] ^= piv_row
+        pivots.append(col)
+        rank += 1
+    return pivots
 
 
 def rank(rows: list[int], ncols: int) -> int:
@@ -88,7 +71,7 @@ def left_kernel(rows: list[int], ncols: int) -> list[int]:
     if n == 0:
         return []
     tagged = [rows[i] | (1 << (ncols + i)) for i in range(n)]
-    npiv = len(rref(tagged, ncols, ncols + n))
+    npiv = len(rref(tagged, ncols))
     kernel = [row >> ncols for row in tagged[npiv:]]
     return [c for c in kernel if c]
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import time
 
 from lscat import bounds as bounds_mod
+from lscat.algebra import AlgebraError
 from lscat.bounds import BoundsLedger, InconsistentLedger, LedgerError
 from lscat.spaces import SpacePresentation, validate
 from lscat.specseq import BigradedPage, SpectralSequenceError
@@ -98,7 +99,11 @@ def build_report(
         "degree_cap": space.degree_cap,
     }
 
-    vreport = validate(space)
+    try:
+        e2 = model.e2 if space.loop_homology is not None else None
+    except (SpectralSequenceError, AlgebraError):
+        e2 = None  # validate builds it again and records why it failed
+    vreport = validate(space, e2)
     if not vreport.ok:
         report["validation"] = {"ok": False, "problems": vreport.problems}
         return report, 3
@@ -221,6 +226,13 @@ def page_at(
 
     if r < 2:
         raise SpectralSequenceError("pages start at r = 2")
+    if all(spec.r < r for spec in model.differentials if not spec.is_trivial()):
+        # Every differential is folded: this is E-infinity, read from the
+        # model's one checked fold (for a truncation, from its tower).
+        tower = model._tower
+        if truncate_at is None:
+            return tower.e_infinity.advanced(r)
+        return tower.page(truncate_at).advanced(r)
     page = model.e2
     if truncate_at is not None:
         page = page.restricted_to_columns(truncate_at)

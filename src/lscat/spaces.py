@@ -32,7 +32,7 @@ from lscat.algebra import (
     AlgebraPresentation,
     Generator,
 )
-from lscat.specseq import SpectralSequenceError, koszul_e2
+from lscat.specseq import BigradedPage, SpectralSequenceError, koszul_e2
 from lscat.steenrod import SteenrodAction
 
 BUILTIN_NAMES = ("spin9", "toy-trunc-poly", "unit")
@@ -303,8 +303,13 @@ class ValidationReport:
         return not self.problems
 
 
-def validate(sp: SpacePresentation) -> ValidationReport:
-    """Aggregate preflight: Steenrod axioms, loop freeness, conservation."""
+def validate(
+    sp: SpacePresentation, e2: BigradedPage | None = None
+) -> ValidationReport:
+    """Aggregate preflight: Steenrod axioms, loop freeness, conservation.
+
+    `e2`, when given, is `koszul_e2(sp.loop_homology)` already built.
+    """
     report = ValidationReport(sp.name)
     try:
         algebra = sp.algebra()
@@ -337,7 +342,8 @@ def validate(sp: SpacePresentation) -> ValidationReport:
 
     if sp.loop_homology is not None:
         try:
-            e2 = koszul_e2(sp.loop_homology)
+            if e2 is None:
+                e2 = koszul_e2(sp.loop_homology)
         except (SpectralSequenceError, AlgebraError) as exc:
             report.problems.append(f"loop homology: {exc}")
             e2 = None

@@ -19,7 +19,11 @@ which of those d_r act out of column s, i.e. have s + r <= m.  Those form
 a prefix, and the d_rj-sources at s - rj have every earlier differential
 alive, since (s - rj) + r < s <= m.  So each bidegree has at most j + 1
 states after j pages (two with one differential, one with none), and
-each state is computed once and shared by every m.  The tower does not repeat the
+each state is computed once and shared by every m.  The state with every
+differential alive at every page is the untruncated fold's, so the tower
+reads those top states from that fold's E-infinity page, which inference
+already computed and checked (`infer_differentials` returns each kept
+assignment with its page).  The tower does not repeat the
 `_check_spec` / `_check_d_squared` guards of the untruncated fold, and
 loses nothing by it.  Truncation only drops products, so d_r on a
 truncated page is the full d_r restricted to columns <= m.  A monomial
@@ -203,6 +207,13 @@ class BigradedPage:
         return BigradedPage(
             self.generators, r, self.basis, self.degree_cap,
             self.column_cap, self.scratch,
+        )
+
+    def as_e_infinity(self) -> "BigradedPage":
+        """Same basis and index, marked E-infinity; this page is not changed."""
+        return BigradedPage(
+            self.generators, self.r, self.basis, self.degree_cap,
+            self.column_cap, self.scratch, at_infinity=True,
         )
 
     def restricted_to_columns(self, m: int) -> "BigradedPage":
@@ -434,8 +445,7 @@ def run_to_e_infinity(
             raise SpectralSequenceError("differentials out of order")
         page = page.advanced(spec.r)
         page = apply_differential(page, spec)
-    page.at_infinity = True
-    return page
+    return page.as_e_infinity()
 
 
 def truncate(
@@ -448,13 +458,31 @@ def truncate(
 class TruncationTower:
     """`truncate(e2, m, specs)` for every m, each bidegree state computed once.
 
-    The specs are taken as already checked: fold them once with
-    `run_to_e_infinity` first (see the module docstring for why that
-    check covers every truncation).
+    The specs are taken as already checked: fold them once over the whole
+    E2 page first (see the module docstring for why that check covers
+    every truncation).  Given that fold as `e_infinity`, the tower reads
+    its all-alive top states from it instead of computing them again:
+    the fold ran `homology_at` on the same lattice, spec, classes and
+    incoming classes.
     """
 
-    def __init__(self, e2: BigradedPage, specs: list[DifferentialSpec]):
+    def __init__(
+        self,
+        e2: BigradedPage,
+        specs: list[DifferentialSpec],
+        e_infinity: BigradedPage | None = None,
+    ):
+        if e_infinity is not None and (
+            e2.column_cap is not None
+            or e_infinity.column_cap is not None
+            or (e_infinity.generators, e_infinity.degree_cap, e_infinity.scratch)
+            != (e2.generators, e2.degree_cap, e2.scratch)
+        ):
+            raise SpectralSequenceError(
+                "the seed page is not the untruncated fold of this E2"
+            )
         self.e2 = e2
+        self.e_infinity = e_infinity
         self.specs = sorted(
             (spec for spec in specs if not spec.is_trivial()), key=lambda d: d.r
         )
@@ -469,6 +497,9 @@ class TruncationTower:
         first `alive` (a prefix, as r ascends) act out of column s."""
         if j == 0:
             return self.e2.basis.get((s, t), ())
+        if self.e_infinity is not None and j == alive == len(self.specs):
+            # The fold drops empty bidegrees.
+            return self.e_infinity.basis.get((s, t), ())
         key = (j, s, t, alive)
         if key not in self._states:
             spec = self.specs[j - 1]
@@ -511,14 +542,16 @@ def infer_differentials(
     permanent: list[str],
     target: Algebra,
     max_candidates_per_gen: int = 10**6,
-) -> list[DifferentialSpec]:
+) -> list[tuple[DifferentialSpec, BigradedPage]]:
     """Exhaustive search for the differentials forced by the abutment.
 
     Unknowns are exactly the generators not listed as permanent cycles.
     For each page index r and each assignment of a target-bidegree value
     (possibly zero) to every unknown, keep the assignments whose
     E-infinity matches the target algebra's dimensions in every total
-    degree up to the cap.  A one-element result certifies the deduction.
+    degree up to the cap.  Each kept assignment comes with that
+    E-infinity page, the checked fold `run_to_e_infinity` would give.  A
+    one-element result certifies the deduction.
     """
     known = set(permanent)
     for name in permanent:
@@ -537,13 +570,14 @@ def infer_differentials(
                 return False
         return True
 
+    trivial = (DifferentialSpec(2, {}), e2.as_e_infinity())
     trivial_ok = dims_match(e2)
     if not unknowns:
         if trivial_ok:
-            return [DifferentialSpec(2, {})]
+            return [trivial]
         raise InferenceError("no consistent assignment: fixture/target mismatch")
 
-    results: list[DifferentialSpec] = []
+    results: list[tuple[DifferentialSpec, BigradedPage]] = []
     r_max = e2.column_cap if e2.column_cap is not None else e2.degree_cap
     for r in range(2, r_max + 1):
         candidate_lists = []
@@ -576,10 +610,10 @@ def infer_differentials(
             except SpectralSequenceError:
                 continue  # d^2 != 0 or bad bidegree: not a differential
             if dims_match(page):
-                results.append(spec)
+                results.append((spec, page.as_e_infinity()))
 
     if trivial_ok:
-        results.insert(0, DifferentialSpec(2, {}))
+        results.insert(0, trivial)
     if not results:
         raise InferenceError("no consistent assignment: fixture/target mismatch")
     return results

@@ -17,6 +17,11 @@ witness is only reported when residual ("annihilated-summand") classes in
 the target degree cannot absorb the identity, exactly when the preimage
 degree has dimension zero and no residual class shares the target degree.
 
+The accepted differential is folded over E2 once per model: inference
+returns it with its checked E-infinity page, which the model keeps as
+`e_infinity` and from which the stage truncations (`specseq.TruncationTower`)
+read every state that has all differentials alive.
+
 The search saturates.  Every E2 lattice monomial lies in a column at most
 s_sat, the largest E2 column, so every stage past s_sat has the classes
 of stage s_sat (the truncations themselves share their work in
@@ -41,7 +46,6 @@ from lscat.specseq import (
     classify_truncation,
     infer_differentials,
     koszul_e2,
-    run_to_e_infinity,
 )
 from lscat.spaces import SpacePresentation
 from lscat.steenrod import SteenrodAction
@@ -114,23 +118,28 @@ class LoopSpaceModel:
         return koszul_e2(self.space.loop_homology)
 
     @cached_property
-    def differentials(self) -> list[DifferentialSpec]:
-        specs = infer_differentials(
+    def _inference(self) -> tuple[DifferentialSpec, BigradedPage]:
+        """The unique consistent assignment and its checked E-infinity fold."""
+        found = infer_differentials(
             self.e2,
             self.space.permanent_cycles,
             self.algebra,
             self.max_candidates_per_gen,
         )
-        if len(specs) != 1:
+        if len(found) != 1:
             raise WeightError(
                 f"{self.space.name}: differential inference is ambiguous "
-                f"({len(specs)} consistent assignments)"
+                f"({len(found)} consistent assignments)"
             )
-        return specs
+        return found[0]
+
+    @cached_property
+    def differentials(self) -> list[DifferentialSpec]:
+        return [self._inference[0]]
 
     @cached_property
     def e_infinity(self) -> BigradedPage:
-        return run_to_e_infinity(self.e2, self.differentials)
+        return self._inference[1]
 
     @cached_property
     def surviving(self) -> set:
@@ -154,8 +163,8 @@ class LoopSpaceModel:
 
     @cached_property
     def _tower(self) -> TruncationTower:
-        self.e_infinity  # the checked fold the tower relies on
-        return TruncationTower(self.e2, self.differentials)
+        spec, e_infinity = self._inference
+        return TruncationTower(self.e2, [spec], e_infinity)
 
     def truncation(self, m: int) -> BigradedPage:
         return self._tower.page(m)

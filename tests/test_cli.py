@@ -13,8 +13,11 @@ import jsonschema
 import pytest
 
 import lscat
+from lscat import report as report_mod
 from lscat.cli import main
 from lscat.spaces import builtin
+from lscat.specseq import run_to_e_infinity
+from lscat.weights import LoopSpaceModel
 
 
 def run_cli(*argv):
@@ -95,6 +98,22 @@ def test_report_on_invalid_fixture_exits_3(tmp_path):
     jsonschema.validate(rep, report_schema())
 
 
+def test_report_on_non_free_loop_algebra_exits_3(tmp_path):
+    """A loop presentation `koszul_e2` rejects is a validation problem
+    inside a printed report, not a bare error."""
+    data = builtin("spin9").to_dict()
+    data["loop_homology"]["generators"][0]["height"] = 3
+    bad = tmp_path / "height3.json"
+    bad.write_text(json.dumps(data))
+    code, out, err = run_cli("report", str(bad), "--format", "json")
+    assert code == 3
+    assert err == ""
+    rep = json.loads(out)
+    jsonschema.validate(rep, report_schema())
+    assert rep["validation"]["ok"] is False
+    assert any("not free" in p for p in rep["validation"]["problems"])
+
+
 def test_second_partial_generator_exits_3(tmp_path):
     """An unsupported presentation fails loudly, never as "no witness"."""
     data = builtin("spin9").to_dict()
@@ -171,6 +190,21 @@ def test_dump_page():
     )
     assert code == 0
     assert all(b["s"] <= 8 for b in json.loads(out_t)["bidegrees"])
+
+
+@pytest.mark.parametrize("truncate_at", [None, 4, 8])
+def test_pages_past_the_last_differential_match_a_refold(truncate_at):
+    """Past d_3, `page_at` reads the model's fold; it equals folding again.
+    E3 is still E2."""
+    model = LoopSpaceModel(builtin("spin9"))
+    e2 = model.e2
+    if truncate_at is not None:
+        e2 = e2.restricted_to_columns(truncate_at)
+    refold = run_to_e_infinity(e2, model.differentials)
+    for r in (3, 4, 5, 9):
+        page = report_mod.page_at(model, r, truncate_at)
+        want = refold.advanced(r) if r > 3 else e2.advanced(r)
+        assert page.to_json() == want.to_json()
 
 
 def test_degree_cap_override():

@@ -1,11 +1,10 @@
-"""GF(2) kernels: both backends against a naive numpy oracle."""
+"""GF(2) kernel against a naive numpy oracle."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lscat import _gf2py, gf2
+from lscat import gf2
 
 
 def _to_matrix(rows, ncols):
@@ -31,17 +30,6 @@ def _naive_rank(rows, ncols):
     return rank
 
 
-BACKENDS = ["py"] + (["c"] if gf2._gf2c is not None else [])
-
-
-def _rref_via(backend, rows, pivot_limit, total_bits=None):
-    if total_bits is None:
-        total_bits = pivot_limit
-    if backend == "py":
-        return _gf2py.rref_ints(rows, pivot_limit)
-    return gf2._rref_c(rows, pivot_limit, total_bits)
-
-
 matrices = st.integers(1, 8).flatmap(
     lambda ncols: st.lists(
         st.integers(0, 2**ncols - 1), min_size=0, max_size=10
@@ -49,13 +37,12 @@ matrices = st.integers(1, 8).flatmap(
 )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @settings(max_examples=200, deadline=None)
 @given(data=matrices)
-def test_rref_matches_naive_rank(backend, data):
+def test_rref_matches_naive_rank(data):
     rows, ncols = data
     work = list(rows)
-    pivots = _rref_via(backend, work, ncols)
+    pivots = gf2.rref(work, ncols)
     assert len(pivots) == _naive_rank(rows, ncols)
     # pivots strictly increasing, pivot columns cleared elsewhere
     assert pivots == sorted(set(pivots))
@@ -69,23 +56,10 @@ def test_rref_matches_naive_rank(backend, data):
         assert gf2.in_span(r, list(rows), ncols)
 
 
-@settings(max_examples=100, deadline=None)
-@given(data=matrices)
-def test_backends_agree(data):
-    if gf2._gf2c is None:
-        pytest.skip("compiled kernel not built")
-    rows, ncols = data
-    a, b = list(rows), list(rows)
-    pa = _gf2py.rref_ints(a, ncols)
-    pb = gf2._rref_c(b, ncols, ncols)
-    assert pa == pb
-    assert a == b
-
-
 def test_rref_wide_rows_with_tags():
     # 3 rows over 2 pivot columns with tag bits above.
     rows = [0b01 | (1 << 2), 0b11 | (1 << 3), 0b10 | (1 << 4)]
-    pivots = gf2.rref(rows, 2, total_bits=5)
+    pivots = gf2.rref(rows, 2)
     assert pivots == [0, 1]
     # third row is the sum of the first two: its tag part records that.
     assert rows[2] >> 2 == 0b111
@@ -128,6 +102,6 @@ def test_large_widths_cross_word_boundary():
     cols = [0, 63, 64, 127, 128, 200]
     rows = [1 << c for c in cols]
     work = list(rows)
-    pivots = gf2.rref(work, 201, total_bits=201)
+    pivots = gf2.rref(work, 201)
     assert pivots == cols
     assert work[: len(pivots)] == rows

@@ -273,13 +273,21 @@ def test_tower_matches_truncate_on_two_differentials():
     e_inf = run_to_e_infinity(e2, specs)  # the checked untruncated fold
     assert e_inf.dims_by_total_degree() != e2.dims_by_total_degree()
     tower = TruncationTower(e2, specs)
+    seeded = TruncationTower(e2, specs, e_inf)
     for m in range(pres.degree_cap + 1):
         page = truncate(e2, m, specs)
         assert tower.page(m).to_json() == page.to_json()
+        assert seeded.page(m).to_json() == page.to_json()
         assert (
             tower.page(m).surviving_leading_monomials()
+            == seeded.page(m).surviving_leading_monomials()
             == page.surviving_leading_monomials()
         )
+    # The seeded tower computes only the states the fold does not hold.
+    assert set(seeded._states) == {
+        key for key in tower._states if key[0] != 2 or key[3] != 2
+    }
+    assert len(seeded._states) < len(tower._states)
     # Some bidegree meets all three states after two pages: neither,
     # only d_2, and both differentials acting out of its column.
     states: dict = {}
@@ -287,3 +295,36 @@ def test_tower_matches_truncate_on_two_differentials():
         if j == 2:
             states.setdefault((s, t), set()).add(alive)
     assert {0, 1, 2} in states.values()
+
+
+@pytest.mark.parametrize("cap", [36, 52])
+def test_seeded_tower_matches_unseeded_on_spin9(cap):
+    """The model's tower, seeded from the inference fold, gives every stage
+    as a tower that computes all its states (`truncate` is compared with
+    the model in test_weights)."""
+    model = LoopSpaceModel(builtin("spin9"), degree_cap=cap)
+    unseeded = TruncationTower(model.e2, model.differentials)
+    for m in range(cap + 1):
+        assert model.truncation(m).to_json() == unseeded.page(m).to_json()
+    assert model.e_infinity.basis == run_to_e_infinity(
+        model.e2, model.differentials
+    ).basis
+
+
+def test_tower_rejects_a_foreign_seed(spin9_model):
+    e2 = spin9_model.e2
+    specs = spin9_model.differentials
+    capped = run_to_e_infinity(e2.restricted_to_columns(8), specs)
+    with pytest.raises(SpectralSequenceError):
+        TruncationTower(e2, specs, capped)
+    toy = LoopSpaceModel(builtin("toy-trunc-poly"))
+    with pytest.raises(SpectralSequenceError):
+        TruncationTower(e2, specs, toy.e_infinity)
+
+
+def test_run_to_e_infinity_returns_a_new_page():
+    e2 = koszul_e2(AlgebraPresentation((Generator("u2", 2, None),), 10))
+    e_inf = run_to_e_infinity(e2, [DifferentialSpec(2, {})])
+    assert e_inf is not e2
+    assert not e2.at_infinity and e2.to_json()["r"] == 2
+    assert e_inf.to_json() == {**e2.to_json(), "r": "infinity"}

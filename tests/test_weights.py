@@ -283,6 +283,43 @@ def test_spin9_search_work_is_bounded(monkeypatch):
     assert len(squared) == len(set(squared)) <= 6
 
 
+def test_spin9_report_folds_once(monkeypatch):
+    """A report folds d_3 over E2 once (inference); E-infinity and the
+    all-alive truncation states are read from that fold."""
+    calls = {"apply": 0, "homology": 0}
+    real_apply = specseq.apply_differential
+    real_homology = specseq.homology_at
+
+    def counting_apply(*args, **kwargs):
+        calls["apply"] += 1
+        return real_apply(*args, **kwargs)
+
+    def counting_homology(*args, **kwargs):
+        calls["homology"] += 1
+        return real_homology(*args, **kwargs)
+
+    monkeypatch.setattr(specseq, "apply_differential", counting_apply)
+    monkeypatch.setattr(specseq, "homology_at", counting_homology)
+    model = LoopSpaceModel(builtin("spin9"))
+    _, code = build_report(model, truncations=[0, 7, 8, 20, 36])
+    assert code == 0
+    assert calls["apply"] == 1
+    # 108 E2 bidegrees for the fold, 108 truncation states past it.
+    assert calls["homology"] <= 216
+
+
+def test_trivial_e_infinity_leaves_e2_alone():
+    """With no differential, E-infinity shares E2's classes but not its
+    page object, so E2 still reads as page 2."""
+    model = LoopSpaceModel(su_space(4))
+    _, code = build_report(model, truncations=[0, 3])
+    assert code == 0
+    assert model.e_infinity is not model.e2
+    assert model.e_infinity.basis is model.e2.basis
+    assert model.e2.to_json()["r"] == 2
+    assert model.e_infinity.to_json()["r"] == "infinity"
+
+
 def test_su_search_squares_nothing(monkeypatch):
     """No SU(5) class sits in a degree where the cohomology vanishes."""
     model, steps, squared = count_search_work(monkeypatch, su_space(5))
