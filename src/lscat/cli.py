@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 inconsistent bounds ledger, 3 invalid input
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -133,12 +134,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first call, not at import, and shared by later calls.
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FixtureError, FileNotFoundError, AlgebraError,
+    except (FixtureError, AlgebraError,
             SpectralSequenceError, WeightError,
             report_mod.ReportError) as exc:
         sys.stderr.write(f"lscat: {exc}\n")

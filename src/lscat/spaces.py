@@ -205,8 +205,19 @@ class SpacePresentation:
 
     @classmethod
     def load(cls, path) -> "SpacePresentation":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.loads(fh.read())
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise FixtureError(
+                f"cannot read fixture {path}: {exc.strerror or exc}"
+            ) from exc
+        except UnicodeDecodeError as exc:
+            raise FixtureError(
+                f"cannot read fixture {path}: not UTF-8 ({exc.reason} at "
+                f"byte {exc.start})"
+            ) from exc
+        return cls.loads(text)
 
 
 def builtin(name: str) -> SpacePresentation:

@@ -38,6 +38,7 @@ visible; reported data never includes scratch degrees.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, field
 
@@ -464,6 +465,12 @@ class TruncationTower:
     its all-alive top states from it instead of computing them again:
     the fold ran `homology_at` on the same lattice, spec, classes and
     incoming classes.
+
+    `stage(m)` lists the nonempty states of the column-m truncation as
+    (s, t, alive): its bidegrees are a prefix of the column-sorted E2
+    bidegrees, and `alive` counts the specs with r <= m - s.  `page(m)` is
+    built from that list, and a caller that keys its own per-class work
+    by (s, t, alive) does that work once per state, not once per stage.
     """
 
     def __init__(
@@ -491,6 +498,10 @@ class TruncationTower:
             e2.generators, e2.r, e2.basis, e2.degree_cap, None, e2.scratch
         )
         self._states: dict[tuple[int, int, int, int], tuple[frozenset, ...]] = {}
+        # Column-sorted bidegrees: a stage's are a prefix.
+        self._keys = sorted(e2.basis)
+        self._columns = [s for s, _ in self._keys]
+        self._rs = [spec.r for spec in self.specs]
 
     def state(self, j: int, s: int, t: int, alive: int) -> tuple[frozenset, ...]:
         """Basis at (s, t) after folding the first j specs, of which the
@@ -512,19 +523,27 @@ class TruncationTower:
             self._states[key] = here
         return self._states[key]
 
+    def stage(self, m: int) -> list[tuple[int, int, int]]:
+        """The nonempty states (s, t, alive) of the column-m truncation, in
+        (s, t) order: `page(m)` holds `state(len(specs), s, t, alive)` at
+        each listed (s, t)."""
+        j = len(self.specs)
+        out = []
+        for s, t in self._keys[: bisect.bisect_right(self._columns, m)]:
+            # d_r acts out of column s when s + r <= m; the r ascend.
+            alive = bisect.bisect_right(self._rs, m - s)
+            if self.state(j, s, t, alive):
+                out.append((s, t, alive))
+        return out
+
     def page(self, m: int) -> BigradedPage:
         """E-infinity of the column-m truncation, equal to `truncate(e2, m, specs)`."""
         if m < 0:
             raise SpectralSequenceError("column cap must be >= 0")
         j = len(self.specs)
-        basis = {}
-        for (s, t) in sorted(self.e2.basis):
-            if s > m:
-                continue
-            alive = sum(1 for spec in self.specs if s + spec.r <= m)
-            vecs = self.state(j, s, t, alive)
-            if vecs:
-                basis[(s, t)] = vecs
+        basis = {
+            (s, t): self.state(j, s, t, alive) for s, t, alive in self.stage(m)
+        }
         r = self.specs[-1].r + 1 if self.specs else self.e2.r
         return BigradedPage(
             self.e2.generators, r, basis, self.e2.degree_cap, m,
@@ -636,6 +655,62 @@ class TruncationClass:
     bucket: str
 
 
+class ClassFacts:
+    """What `classify_truncation` reads of one class, all but the stage.
+
+    Only `bucket` takes the stage m: it holds the one stage-dependent
+    test, the partial window on the permanent-factor count.
+    """
+
+    # A plain class: a dataclass or NamedTuple takes far longer to define,
+    # and this one is defined at every import of the package.
+    __slots__ = ("s", "t", "leading", "label", "partial", "factors", "rest_alive")
+
+    def __init__(self, s, t, leading, label, partial, factors, rest_alive):
+        self.s = s
+        self.t = t
+        self.leading = leading
+        self.label = label
+        self.partial = partial  # exponent of the partial-product generator
+        self.factors = factors  # permanent factors: the other exponents' sum
+        self.rest_alive = rest_alive  # those factors survive untruncated
+
+    def bucket(self, m: int, extension_height: int) -> str:
+        if self.partial == 1 and self.rest_alive:
+            lo = max(0, m - extension_height)
+            in_window = lo <= self.factors <= m - 1
+            return BUCKET_PARTIAL if in_window else BUCKET_RESIDUAL
+        if self.partial == 0 and self.rest_alive:
+            return BUCKET_PRODUCT
+        return BUCKET_RESIDUAL
+
+    def labelled(self, bucket: str) -> TruncationClass:
+        return TruncationClass(
+            self.s, self.t, self.s + self.t, self.leading, self.label, bucket
+        )
+
+
+def class_facts(
+    page: BigradedPage,
+    s: int,
+    t: int,
+    vec: frozenset,
+    surviving_untruncated: set,
+    partial_idx: int | None,
+) -> ClassFacts:
+    """The stage-independent facts of the class `vec` at (s, t).
+
+    `partial_idx` is the lattice index of the partial-product generator.
+    """
+    lead = page.leading(vec)
+    pe = lead[partial_idx] if partial_idx is not None else 0
+    rest = tuple(0 if i == partial_idx else e for i, e in enumerate(lead))
+    return ClassFacts(
+        s, t, lead, page.monomial_str(lead), pe, sum(rest),
+        rest in surviving_untruncated,
+    )
+
+
 def classify_truncation(
     page: BigradedPage,
     m: int,
@@ -655,22 +730,7 @@ def classify_truncation(
     """
     p_idx = page._index.get(partial_gen) if partial_gen else None
     out = []
-    lo = max(0, m - extension_height)
     for s, t, vec in page.classes():
-        lead = page.leading(vec)
-        pe = lead[p_idx] if p_idx is not None else 0
-        rest = tuple(
-            0 if i == p_idx else e for i, e in enumerate(lead)
-        )
-        count = sum(rest)
-        rest_alive = rest in surviving_untruncated
-        if pe == 0:
-            bucket = BUCKET_PRODUCT if rest_alive else BUCKET_RESIDUAL
-        elif pe == 1 and rest_alive and lo <= count <= m - 1:
-            bucket = BUCKET_PARTIAL
-        else:
-            bucket = BUCKET_RESIDUAL
-        out.append(
-            TruncationClass(s, t, s + t, lead, page.monomial_str(lead), bucket)
-        )
+        facts = class_facts(page, s, t, vec, surviving_untruncated, p_idx)
+        out.append(facts.labelled(facts.bucket(m, extension_height)))
     return out

@@ -22,6 +22,17 @@ returns it with its checked E-infinity page, which the model keeps as
 `e_infinity` and from which the stage truncations (`specseq.TruncationTower`)
 read every state that has all differentials alive.
 
+Each class is classified once per model, not once per stage.  A stage's
+classes are those of its tower states (s, t, alive), and what the stages
+read of a class does not depend on the stage: its leading monomial,
+label and degree, its partial-generator exponent and permanent-factor
+count, whether those factors survive untruncated (`specseq.class_facts`),
+whether the cohomology vanishes in its degree, and its image in the
+extended algebra (kept per leading monomial).  The model keeps these per
+tower state.  Per stage, only the partial window is tested (a class with
+one partial factor is partial inside it, residual outside), and the
+stage's report concatenates its states' classes in (s, t) order.
+
 The search saturates.  Every E2 lattice monomial lies in a column at most
 s_sat, the largest E2 column, so every stage past s_sat has the classes
 of stage s_sat (the truncations themselves share their work in
@@ -33,17 +44,18 @@ same witnesses up to the stage label.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from lscat.algebra import Algebra, AlgebraPresentation, Element, Generator
 from lscat.specseq import (
     BUCKET_RESIDUAL,
     BigradedPage,
+    ClassFacts,
     DifferentialSpec,
     TruncationClass,
     TruncationTower,
-    classify_truncation,
+    class_facts,
     infer_differentials,
     koszul_e2,
 )
@@ -77,6 +89,21 @@ class ObstructionWitness:
         }
 
 
+class _StateClass:
+    """One reported class of a truncation-tower state, with the facts the
+    stages read of it; none of them depends on the stage."""
+
+    __slots__ = ("facts", "vanishing", "entries")
+
+    def __init__(self, facts: ClassFacts, vanishing: bool):
+        self.facts = facts
+        self.vanishing = vanishing  # the cohomology vanishes in its degree
+        # Report entry per bucket the class has taken; only a class with
+        # one partial factor takes two (partial inside its window, else
+        # residual).
+        self.entries: dict[str, TruncationClass] = {}
+
+
 class LoopSpaceModel:
     """All spectral-sequence-derived data for one space presentation.
 
@@ -105,8 +132,12 @@ class LoopSpaceModel:
         self.max_candidates_per_gen = max_candidates_per_gen
         self.algebra: Algebra = space.algebra()
         self.action: SteenrodAction = space.action(self.algebra)
-        self._reports: dict[int, list[TruncationClass]] = {}
+        self._state_classes: dict[tuple[int, int, int], list[_StateClass]] = {}
+        self._stages: dict[
+            int, tuple[list[_StateClass], list[TruncationClass]]
+        ] = {}
         self._witnesses: dict[int, ObstructionWitness | None] = {}
+        self._ext_exps: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._squares: dict[tuple[int, ...], dict[int, frozenset]] = {}
 
     # -- spectral sequence --------------------------------------------------
@@ -170,20 +201,47 @@ class LoopSpaceModel:
         return self._tower.page(m)
 
     def stage_report(self, m: int) -> list[TruncationClass]:
+        return self._stage(m)[1]
+
+    def _stage(self, m: int) -> tuple[list[_StateClass], list[TruncationClass]]:
+        """Stage m's classes and their report entries, in page order."""
         m = min(m, self.stable_stage)
-        if m not in self._reports:
-            extra = self._partial_extra
-            # Past s_sat the classes are those of stage s_sat; reading that
-            # page spares the tower folding d_r out of the columns within r
-            # of s_sat, whose targets are empty.
-            self._reports[m] = classify_truncation(
-                self.truncation(min(m, self.saturation_column)),
-                m,
-                self.surviving,
-                partial_gen=self._koszul_name_of_extra(extra) if extra else None,
-                extension_height=self._extension_height,
-            )
-        return self._reports[m]
+        if m not in self._stages:
+            h = self._extension_height
+            # Past s_sat the classes are those of stage s_sat; reading its
+            # states spares the tower folding d_r out of the columns within
+            # r of s_sat, whose targets are empty.
+            classes = [
+                cls
+                for state in self._tower.stage(min(m, self.saturation_column))
+                for cls in self._classes_of_state(*state)
+            ]
+            entries = []
+            for cls in classes:
+                bucket = cls.facts.bucket(m, h)
+                entry = cls.entries.get(bucket)
+                if entry is None:
+                    entry = cls.entries[bucket] = cls.facts.labelled(bucket)
+                entries.append(entry)
+            self._stages[m] = classes, entries
+        return self._stages[m]
+
+    def _classes_of_state(self, s: int, t: int, alive: int) -> list[_StateClass]:
+        """The reported classes of one tower state, classified once."""
+        key = (s, t, alive)
+        if key not in self._state_classes:
+            out = []
+            if s + t <= self.e2.degree_cap:
+                extra = self._partial_extra
+                name = self._koszul_name_of_extra(extra) if extra else None
+                p_idx = self.e2._index.get(name) if name else None
+                vanishing = not self.algebra.basis(s + t)
+                j = len(self._tower.specs)
+                for vec in self._tower.state(j, s, t, alive):
+                    facts = class_facts(self.e2, s, t, vec, self.surviving, p_idx)
+                    out.append(_StateClass(facts, vanishing))
+            self._state_classes[key] = out
+        return self._state_classes[key]
 
     # -- generator matching -------------------------------------------------
 
@@ -321,12 +379,21 @@ class LoopSpaceModel:
             out[i] = e
         return tuple(out)
 
+    def _extended_exps(self, lattice_exps: tuple[int, ...]) -> tuple[int, ...]:
+        """`_extended_exps_of_lattice`, kept per monomial.  A failure is
+        not kept: every stage that computes with the class raises."""
+        ext = self._ext_exps.get(lattice_exps)
+        if ext is None:
+            ext = self._extended_exps_of_lattice(lattice_exps)
+            self._ext_exps[lattice_exps] = ext
+        return ext
+
     def _graded_square(self, lattice_exps: tuple[int, ...]) -> dict[int, frozenset]:
         """Total square of a lattice monomial's class, by degree (cached)."""
         graded = self._squares.get(lattice_exps)
         if graded is None:
             ext = self._extended_algebra
-            z = ext.element([self._extended_exps_of_lattice(lattice_exps)])
+            z = ext.element([self._extended_exps(lattice_exps)])
             parts: dict[int, set] = {}
             for exps in self._extended_action.total_square(z).terms:
                 parts.setdefault(ext.monomial_degree(exps), set()).add(exps)
@@ -348,16 +415,18 @@ class LoopSpaceModel:
         return self._witnesses[m]
 
     def _find_obstruction(self, m: int) -> ObstructionWitness | None:
-        report = self.stage_report(m)
-        computable = [cls for cls in report if cls.bucket != BUCKET_RESIDUAL]
+        classes, report = self._stage(m)
+        computable = [
+            (state_class.vanishing, cls)
+            for state_class, cls in zip(classes, report)
+            if cls.bucket != BUCKET_RESIDUAL
+        ]
         # Every computable class must map into the extended algebra, even
         # one the degree test below skips: an unmatched generator raises.
-        for cls in computable:
-            self._extended_exps_of_lattice(cls.leading)
+        for _, cls in computable:
+            self._extended_exps(cls.leading)
         # Hard form: the preimage degree vanishes identically.
-        candidates = [
-            cls for cls in computable if not self.algebra.basis(cls.degree)
-        ]
+        candidates = [cls for vanishing, cls in computable if vanishing]
         if not candidates:
             return None
         ext = self._extended_algebra
@@ -416,7 +485,7 @@ class LoopSpaceModel:
                     m=m,
                     k=k,
                     z_label=str(
-                        ext.element([self._extended_exps_of_lattice(cls.leading)])
+                        ext.element([self._extended_exps(cls.leading)])
                     ),
                     u=str(u),
                     u_degree=degree,

@@ -13,6 +13,7 @@ import jsonschema
 import pytest
 
 import lscat
+from lscat import cli
 from lscat import report as report_mod
 from lscat.cli import main
 from lscat.spaces import builtin
@@ -147,10 +148,47 @@ def test_optimised_interpreter_gives_same_report():
     assert json.loads(runs[1].stdout)["bounds"]["bracket"]["lo"] == 8
 
 
-def test_missing_file_exits_3():
-    code, _, err = run_cli("report", "no-such-file.json")
+def assert_unreadable(path):
+    """`report` on an unreadable fixture: exit 3 and one `lscat:` line
+    naming the path (an uncaught exception would fail the test)."""
+    code, out, err = run_cli("report", str(path))
     assert code == 3
-    assert "lscat:" in err
+    assert out == ""
+    assert err.startswith("lscat: ") and err.count("\n") == 1
+    assert str(path) in err
+
+
+def test_missing_file_exits_3():
+    assert_unreadable("no-such-file.json")
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_unreadable_fixture_exits_3(tmp_path, kind):
+    path = tmp_path / "fixture.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe\x00")
+    assert_unreadable(path)
+
+
+def test_calls_in_one_process_do_not_share_state():
+    """The parser is built once per process; each call still prints what
+    it prints when it is the process's first."""
+    calls = [
+        ("report", "spin9", "--truncate", "7", "--format", "json"),
+        ("report", "spin9"),
+        ("dump-page", "spin9", "--page", "3"),
+    ]
+    first = {}
+    for argv in calls:
+        cli._parser.cache_clear()
+        first[argv] = run_cli(*argv)
+        assert first[argv][0] == 0
+    cli._parser.cache_clear()
+    for argv in calls:
+        assert run_cli(*argv) == first[argv]
+    assert cli._parser.cache_info().misses == 1
 
 
 def test_inconsistent_ledger_exits_2(tmp_path):

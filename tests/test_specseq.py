@@ -277,6 +277,12 @@ def test_tower_matches_truncate_on_two_differentials():
     for m in range(pres.degree_cap + 1):
         page = truncate(e2, m, specs)
         assert tower.page(m).to_json() == page.to_json()
+        # The stage listing: the page's bidegrees, each with the number
+        # of differentials acting out of its column.
+        assert seeded.stage(m) == [
+            (s, t, sum(s + spec.r <= m for spec in specs))
+            for s, t in sorted(page.basis)
+        ]
         assert seeded.page(m).to_json() == page.to_json()
         assert (
             tower.page(m).surviving_leading_monomials()

@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from lscat import specseq
+from lscat import specseq, weights
 from lscat.algebra import AlgebraPresentation, Generator
 from lscat.report import build_report
 from lscat.spaces import ExtraGenerator, SpacePresentation, builtin
@@ -339,3 +339,54 @@ def test_failed_stage_is_not_reported_as_no_witness():
     assert model.wgt_space() == 3  # all suspension classes still match
     with pytest.raises(WeightError, match="at most one partial-product"):
         model.find_obstruction(2)
+
+
+def test_spin9_classifies_each_state_once(monkeypatch):
+    """A report classifies each tower state's classes once and maps each
+    leading monomial into the extended algebra once, not once per stage."""
+    facts, mapped = [], []
+    real_facts = weights.class_facts
+    real_map = LoopSpaceModel._extended_exps_of_lattice
+
+    def counting_facts(*args):
+        facts.append(args)
+        return real_facts(*args)
+
+    def counting_map(self, exps):
+        mapped.append(exps)
+        return real_map(self, exps)
+
+    monkeypatch.setattr(weights, "class_facts", counting_facts)
+    monkeypatch.setattr(
+        LoopSpaceModel, "_extended_exps_of_lattice", counting_map
+    )
+    model = LoopSpaceModel(builtin("spin9"))
+    _, code = build_report(model, truncations=[0, 7, 8, 20, 36])
+    assert code == 0
+    tower = model._tower
+    j = len(tower.specs)
+    states = {
+        state
+        for m in range(model.saturation_column + 1)
+        for state in tower.stage(m)
+        if state[0] + state[1] <= model.space.degree_cap
+    }
+    assert len(facts) <= sum(len(tower.state(j, *state)) for state in states)
+    assert len(mapped) == len(set(mapped))
+
+
+def test_su_labels_each_class_once(monkeypatch):
+    """SU(7) has no differential: each of its 64 classes is labelled once
+    for the whole report."""
+    labels = []
+    real_str = specseq.BigradedPage.monomial_str
+
+    def counting_str(self, exps):
+        labels.append(exps)
+        return real_str(self, exps)
+
+    monkeypatch.setattr(specseq.BigradedPage, "monomial_str", counting_str)
+    model = LoopSpaceModel(su_space(7))
+    _, code = build_report(model, truncations=[0, 3, 7, 20])
+    assert code == 0
+    assert len(labels) == len(set(labels)) == 64
