@@ -1,0 +1,135 @@
+"""Golden digests: CLI output pinned across commits, not just across runs.
+
+Each case is one `lscat` invocation; its digest is the sha256 of stdout
+followed by the exit code.  A refactor that claims identical output must
+leave every digest unchanged.  After a deliberate output change, print
+the new table with `PYTHONPATH=src python tests/test_golden.py` and
+paste it over `DIGESTS`.
+"""
+
+import hashlib
+import io
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from lscat.cli import main
+from test_weights import su_space
+
+STAGES = "0,3,7,8,9,13,20,36"
+SU_RANGE = range(3, 8)
+
+
+def cases() -> dict[str, list[str]]:
+    """Case id -> argv; an `{su<n>}` argument is that SU(n) fixture's path."""
+    out = {}
+    for cap in (36, 52):
+        for fmt in ("json", "text"):
+            out[f"spin9-cap{cap}-{fmt}"] = [
+                "report", "spin9", "--degree-cap", str(cap),
+                "--truncate", STAGES, "--format", fmt,
+            ]
+    for name in ("toy-trunc-poly", "unit"):
+        for fmt in ("json", "text"):
+            out[f"{name}-{fmt}"] = ["report", name, "--format", fmt]
+    for n in SU_RANGE:
+        out[f"su{n}-json"] = ["report", f"{{su{n}}}", "--format", "json"]
+    for r in (2, 3, 4):
+        for t in (None, 4, 8):
+            argv = ["dump-page", "spin9", "--page", str(r)]
+            if t is not None:
+                argv += ["--truncate", str(t)]
+            out[f"dump-page-r{r}-t{t}"] = argv
+    out["validate-spin9"] = ["validate", "spin9"]
+    return out
+
+
+def digest(argv: list[str], fixtures: Path) -> str:
+    paths = {f"{{su{n}}}": str(fixtures / f"su{n}.json") for n in SU_RANGE}
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([paths.get(a, a) for a in argv])
+    return hashlib.sha256(f"{out.getvalue()}\nexit={code}".encode()).hexdigest()
+
+
+def write_fixtures(directory: Path):
+    for n in SU_RANGE:
+        (directory / f"su{n}.json").write_text(su_space(n).dumps())
+
+
+DIGESTS = {
+    "dump-page-r2-t4":
+        "53298d96aeed8daeb1bc60aaf586f1e814ae60591fa72dc2f2e3249973cb80ba",
+    "dump-page-r2-t8":
+        "d29d762d4c51713e9c999338075dab4ae24490c284b9bda23b52db8ee902a2e6",
+    "dump-page-r2-tNone":
+        "e3a797eaee8958c9691dad025f7f4721d4479e8d150b224d2c6a4e8b74766564",
+    "dump-page-r3-t4":
+        "189c3df04eaf8fa901625cfd20d7be831e7f3193c5a008edf402dbf4590bfb68",
+    "dump-page-r3-t8":
+        "2a1c1a3cf295e4fcc483772c1c407dd55a509fecc456a68fbb4f01cedd45e3d4",
+    "dump-page-r3-tNone":
+        "0b2c50585cb21cebebcb06c1525800f36f3a0ede70f7c05957d3b9b476f8c8f9",
+    "dump-page-r4-t4":
+        "bea320b725d643cc65e81489d763f708b48922640a2a87f947071b78d09ed7b6",
+    "dump-page-r4-t8":
+        "d592d123e1297799e06cce1d9ef88e1c880ea000d0762c9a058882df05c6b701",
+    "dump-page-r4-tNone":
+        "7b0d18401d27ea0ebaa8e6e69369eec9033de1ccbe7b2ebdf398e46915c8de26",
+    "spin9-cap36-json":
+        "7b6babbc9acaa8b431982682ec2b00d18193a40e2d8e676ca9f26954f2e75e44",
+    "spin9-cap36-text":
+        "74f65c69b8cc2f0985d56883abe6393ed68a4333567e22740699d961dc872f3a",
+    "spin9-cap52-json":
+        "dd822ef368fc20076c00a2f7a20ac14399ba71656fb922536665e883d6c8f34f",
+    "spin9-cap52-text":
+        "af893aab355efbbbf8eff3a1422aeb788b1da2e7604e5e5e7f7fa627b74ed55b",
+    "su3-json":
+        "201862c16e4b29ca4617ce2a6c578ad53bec7084b967e6328ca451fd0f4d2dda",
+    "su4-json":
+        "65ea1dfbda90d8ce8f9551cd0e35928bf353a9bfada10e064985791ad148ec5c",
+    "su5-json":
+        "527d4828a4fd82b068f19f28f2775f70b03e7bf01dbc6e2b5455a8afd546ea97",
+    "su6-json":
+        "881570ced3f296344164c528cb988dd61980a1bc765a2d7af6f922fcc342327b",
+    "su7-json":
+        "fc2923d3979df2ff0d1993959eb9169de8857f42364d5bd4962ebfffc145a5c6",
+    "toy-trunc-poly-json":
+        "e75b7a5650caf900f9e6b1f84b68f2fdcd870575f06532ecc25734e80707c9e8",
+    "toy-trunc-poly-text":
+        "7df1341059bbdec753f0270f64ff7bc818e8e283aa5ecaaf1827a0eb97452536",
+    "unit-json":
+        "b3dc7d6bc15e4cf291cbacb48d5ca30694f9e694e7bf6dff26345200d760f1f9",
+    "unit-text":
+        "05f4040d67140d7d45562e9c0b6b8357d8b9b5933b314a211296551c9dd100e0",
+    "validate-spin9":
+        "e5a55c3cca76ca72710f3b84cb7df0c51dd66837463a39e53e65f5a8977c7456",
+}
+
+
+@pytest.fixture(scope="module")
+def fixtures(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("golden")
+    write_fixtures(directory)
+    return directory
+
+
+def test_case_set_is_pinned():
+    assert set(DIGESTS) == set(cases())
+
+
+@pytest.mark.parametrize("case", sorted(cases()))
+def test_output_matches_golden_digest(case, fixtures):
+    assert digest(cases()[case], fixtures) == DIGESTS[case]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        write_fixtures(Path(tmp))
+        print("DIGESTS = {")
+        for case, argv in sorted(cases().items()):
+            print(f'    "{case}":\n        "{digest(argv, Path(tmp))}",')
+        print("}")
