@@ -6,14 +6,14 @@ g**h == 0 (h = 2 is an exterior generator, None is polynomial, silently
 capped by the degree cap).  Elements are finite sets of monomials; a
 monomial present in the set has coefficient 1.
 
-Monomials are stored as exponent tuples aligned with the declared
-generator order, which also fixes the deterministic basis order:
-ascending exponent tuple.
+A monomial is its exponent tuple, aligned with the declared generator
+order, which also fixes the deterministic basis order: ascending
+exponent tuple.  `Algebra.monomial_str` is its one text form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
@@ -49,7 +49,7 @@ class AlgebraPresentation:
 
 
 class Algebra:
-    """Monomial-basis arithmetic for one presentation.  Immutable."""
+    """Arithmetic in the monomial basis of one presentation.  Immutable."""
 
     def __init__(self, presentation: AlgebraPresentation):
         self.presentation = presentation
@@ -69,7 +69,7 @@ class Algebra:
     # -- basis ------------------------------------------------------------
 
     @cached_property
-    def _basis_by_degree(self) -> tuple[tuple["Monomial", ...], ...]:
+    def _basis_by_degree(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """Every monomial up to the cap, bucketed by degree, in canonical order.
 
         Exponent vectors grow one generator at a time, pruned by the degree
@@ -84,18 +84,18 @@ class Algebra:
                 for exps, degree in partial
                 for e in range(min(max_e, (cap - degree) // d) + 1)
             ]
-        buckets: list[list[Monomial]] = [[] for _ in range(cap + 1)]
+        buckets: list[list[tuple[int, ...]]] = [[] for _ in range(cap + 1)]
         for exps, degree in partial:
-            buckets[degree].append(Monomial(self, exps))
+            buckets[degree].append(exps)
         return tuple(tuple(b) for b in buckets)
 
-    def basis(self, degree: int) -> tuple["Monomial", ...]:
+    def basis(self, degree: int) -> tuple[tuple[int, ...], ...]:
         """All monomials of exactly this total degree, in canonical order."""
         if not 0 <= degree <= self.degree_cap:
             raise AlgebraError(f"degree {degree} out of range [0, {self.degree_cap}]")
         return self._basis_by_degree[degree]
 
-    def monomials(self) -> Iterator["Monomial"]:
+    def monomials(self) -> Iterator[tuple[int, ...]]:
         for d in range(self.degree_cap + 1):
             yield from self.basis(d)
 
@@ -112,7 +112,7 @@ class Algebra:
         In a monomial algebra this is the largest exponent sum among
         nonzero monomials.
         """
-        return max(sum(m.exps) for m in self.monomials())
+        return max(sum(m) for m in self.monomials())
 
     # -- element constructors ---------------------------------------------
 
@@ -129,11 +129,10 @@ class Algebra:
         exps[self._index[name]] = 1
         return Element(self, frozenset({tuple(exps)}))
 
-    def element(self, monomials: Iterable["Monomial | tuple[int, ...]"]) -> "Element":
+    def element(self, monomials: Iterable[tuple[int, ...]]) -> "Element":
         terms = set()
         for m in monomials:
-            exps = m.exps if isinstance(m, Monomial) else tuple(m)
-            terms ^= {exps}
+            terms ^= {m}
         return Element(self, frozenset(terms))
 
     # -- monomial arithmetic ----------------------------------------------
@@ -156,7 +155,16 @@ class Algebra:
     def monomial_degree(self, exps: tuple[int, ...]) -> int:
         return sum(e * d for e, d in zip(exps, self._degrees))
 
-    def parse_monomial(self, text: str) -> "Monomial":
+    def monomial_str(self, exps: tuple[int, ...]) -> str:
+        """'x3^2*x5' (or '1' for the unit); `parse_monomial` reads it back."""
+        parts = [
+            g.name if e == 1 else f"{g.name}^{e}"
+            for g, e in zip(self.generators, exps)
+            if e
+        ]
+        return "*".join(parts) if parts else "1"
+
+    def parse_monomial(self, text: str) -> tuple[int, ...]:
         """Parse 'x3^2*x5' (or '1' for the unit)."""
         exps = [0] * len(self.generators)
         text = text.strip()
@@ -167,44 +175,17 @@ class Algebra:
                 if name not in self._index:
                     raise AlgebraError(f"unknown generator {name!r} in {text!r}")
                 exps[self._index[name]] += int(power) if power else 1
-        mono = Monomial(self, tuple(exps))
         for i, e in enumerate(exps):
             if e > self._max_exp[i]:
                 raise AlgebraError(f"{text!r}: exponent of {self.generators[i].name} too high")
-        if mono.degree > self.degree_cap:
-            raise AlgebraError(f"{text!r}: degree {mono.degree} above cap")
+        mono = tuple(exps)
+        degree = self.monomial_degree(mono)
+        if degree > self.degree_cap:
+            raise AlgebraError(f"{text!r}: degree {degree} above cap")
         return mono
 
     def parse_element(self, monomial_texts: Iterable[str]) -> "Element":
         return self.element(self.parse_monomial(t) for t in monomial_texts)
-
-
-@dataclass(frozen=True)
-class Monomial:
-    algebra: Algebra = field(compare=False, repr=False)
-    exps: tuple[int, ...] = ()
-
-    @property
-    def exponents(self) -> dict[str, int]:
-        return {
-            g.name: e for g, e in zip(self.algebra.generators, self.exps) if e
-        }
-
-    @property
-    def degree(self) -> int:
-        return self.algebra.monomial_degree(self.exps)
-
-    def __str__(self) -> str:
-        return format_exps(self.algebra.generators, self.exps)
-
-
-def format_exps(generators, exps) -> str:
-    parts = [
-        g.name if e == 1 else f"{g.name}^{e}"
-        for g, e in zip(generators, exps)
-        if e
-    ]
-    return "*".join(parts) if parts else "1"
 
 
 class Element:
@@ -247,10 +228,6 @@ class Element:
         if self.algebra is not other.algebra:
             raise AlgebraError("elements of different algebras")
 
-    @property
-    def monomials(self) -> list[Monomial]:
-        return [Monomial(self.algebra, e) for e in sorted(self.terms)]
-
     def is_homogeneous(self) -> bool:
         degs = {self.algebra.monomial_degree(e) for e in self.terms}
         return len(degs) <= 1
@@ -272,7 +249,8 @@ class Element:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        return " + ".join(str(m) for m in self.monomials)
+        monomial_str = self.algebra.monomial_str
+        return " + ".join(monomial_str(e) for e in sorted(self.terms))
 
     def __repr__(self) -> str:
         return f"<Element {self}>"

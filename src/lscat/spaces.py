@@ -359,7 +359,7 @@ def validate(
             report.problems.append(f"loop homology: {exc}")
             e2 = None
         if e2 is not None:
-            names = {g.name for g in e2.generators}
+            names = {g.name for g in e2.lattice.generators}
             for p in sp.permanent_cycles:
                 if p not in names:
                     report.problems.append(f"permanent cycle {p!r} not in E2")

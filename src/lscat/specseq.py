@@ -31,9 +31,11 @@ in column s with s + 2r <= m lies in a class whose earlier differentials
 are all alive, a class of the full E_r, where d_r^2 is the full one; for
 s + 2r > m, d_r^2 lands past m and vanishes outright.
 
-The internal lattice is enumerated a few total degrees past the report
-cap (`scratch`) so that differentials out of top-degree classes are still
-visible; reported data never includes scratch degrees.
+The E2 lattice is an `Algebra`: x1_t has total degree 1 + t, and a
+lattice monomial is its exponent tuple, in filtration s = its exponent
+sum.  The lattice algebra's cap is the report cap + `DEFAULT_SCRATCH`, so
+that differentials out of top-degree classes are still visible; reported
+data never includes scratch degrees.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from lscat import gf2
-from lscat.algebra import Algebra, AlgebraPresentation, format_exps
+from lscat.algebra import Algebra, AlgebraPresentation, Generator
 
 DEFAULT_SCRATCH = 4
 
@@ -54,23 +56,6 @@ class SpectralSequenceError(ValueError):
 
 class InferenceError(SpectralSequenceError):
     pass
-
-
-@dataclass(frozen=True)
-class PageGenerator:
-    """A filtration-1 generator of the E2 lattice."""
-
-    name: str
-    t: int
-    height: int | None  # None = polynomial
-
-    @property
-    def s(self) -> int:
-        return 1
-
-    @property
-    def total_degree(self) -> int:
-        return 1 + self.t
 
 
 @dataclass(frozen=True)
@@ -95,61 +80,42 @@ class DifferentialSpec:
 class BigradedPage:
     """One page of the spectral sequence: per-(s,t) class representatives.
 
-    Each class is a frozenset of exponent tuples over `generators` (an
-    F2 sum of lattice monomials).  At E2 every class is a single
-    monomial; later pages keep monomial-pivot representatives.
+    Each class is a frozenset of `lattice` monomials (an F2 sum).  At E2
+    every class is a single monomial; later pages keep monomial-pivot
+    representatives.
     """
 
     def __init__(
         self,
-        generators: tuple[PageGenerator, ...],
+        lattice: Algebra,
         r: int,
         basis: dict[tuple[int, int], tuple[frozenset, ...]],
         degree_cap: int,
         column_cap: int | None = None,
-        scratch: int = DEFAULT_SCRATCH,
         at_infinity: bool = False,
     ):
-        self.generators = generators
+        self.lattice = lattice
         self.r = r
         self.basis = basis
         self.degree_cap = degree_cap
         self.column_cap = column_cap
-        self.scratch = scratch
         self.at_infinity = at_infinity
-        self._index = {g.name: i for i, g in enumerate(generators)}
 
     # -- monomial helpers --------------------------------------------------
 
     def bidegree(self, exps: tuple[int, ...]) -> tuple[int, int]:
         s = sum(exps)
-        t = sum(e * g.t for e, g in zip(exps, self.generators))
-        return s, t
-
-    def total_degree(self, exps: tuple[int, ...]) -> int:
-        return sum(e * (1 + g.t) for e, g in zip(exps, self.generators))
+        return s, self.lattice.monomial_degree(exps) - s
 
     def _mul_exps(self, a: tuple[int, ...], b: tuple[int, ...]):
-        """Monomial product; None when killed by height or caps."""
-        out = []
-        total = 0
-        col = 0
-        for i, (ea, eb) in enumerate(zip(a, b)):
-            e = ea + eb
-            g = self.generators[i]
-            if g.height is not None and e >= g.height:
-                return None
-            total += e * (1 + g.t)
-            col += e
-            out.append(e)
-        if total > self.degree_cap + self.scratch:
-            return None
-        if self.column_cap is not None and col > self.column_cap:
-            return None
-        return tuple(out)
+        """Lattice product; None when it dies there or past the column cap."""
+        p = self.lattice._mul_exps(a, b)
+        if p is None or self.column_cap is None or sum(p) <= self.column_cap:
+            return p
+        return None
 
     def monomial_str(self, exps: tuple[int, ...]) -> str:
-        return format_exps(self.generators, exps)
+        return self.lattice.monomial_str(exps)
 
     def class_str(self, vec: frozenset) -> str:
         if not vec:
@@ -157,21 +123,10 @@ class BigradedPage:
         return " + ".join(self.monomial_str(e) for e in sorted(vec))
 
     def parse_monomial(self, text: str) -> tuple[int, ...]:
-        exps = [0] * len(self.generators)
-        text = text.strip()
-        if text != "1":
-            for factor in text.split("*"):
-                name, _, power = factor.strip().partition("^")
-                if name not in self._index:
-                    raise SpectralSequenceError(f"unknown lattice generator {name!r}")
-                exps[self._index[name]] += int(power) if power else 1
-        return tuple(exps)
+        return self.lattice.parse_monomial(text)
 
     def parse_class(self, monomial_texts) -> frozenset:
-        acc: set = set()
-        for t in monomial_texts:
-            acc ^= {self.parse_monomial(t)}
-        return frozenset(acc)
+        return self.lattice.parse_element(monomial_texts).terms
 
     # -- views -------------------------------------------------------------
 
@@ -206,15 +161,14 @@ class BigradedPage:
         if r < self.r:
             raise SpectralSequenceError("cannot move to an earlier page")
         return BigradedPage(
-            self.generators, r, self.basis, self.degree_cap,
-            self.column_cap, self.scratch,
+            self.lattice, r, self.basis, self.degree_cap, self.column_cap
         )
 
     def as_e_infinity(self) -> "BigradedPage":
         """Same basis and index, marked E-infinity; this page is not changed."""
         return BigradedPage(
-            self.generators, self.r, self.basis, self.degree_cap,
-            self.column_cap, self.scratch, at_infinity=True,
+            self.lattice, self.r, self.basis, self.degree_cap,
+            self.column_cap, at_infinity=True,
         )
 
     def restricted_to_columns(self, m: int) -> "BigradedPage":
@@ -223,9 +177,7 @@ class BigradedPage:
         basis = {
             (s, t): vecs for (s, t), vecs in self.basis.items() if s <= m
         }
-        return BigradedPage(
-            self.generators, self.r, basis, self.degree_cap, m, self.scratch
-        )
+        return BigradedPage(self.lattice, self.r, basis, self.degree_cap, m)
 
     def to_json(self) -> dict:
         bidegrees = []
@@ -247,11 +199,7 @@ class BigradedPage:
         }
 
 
-def koszul_e2(
-    loop: AlgebraPresentation,
-    column_cap: int | None = None,
-    scratch: int = DEFAULT_SCRATCH,
-) -> BigradedPage:
+def koszul_e2(loop: AlgebraPresentation) -> BigradedPage:
     """E2 page from free graded-commutative loop homology.
 
     Requires every loop generator purely exterior (height 2) or purely
@@ -275,44 +223,27 @@ def koszul_e2(
                 f"two loop generators in degree {g.degree}: cannot name classes"
             )
         names.add(name)
-        gens.append(PageGenerator(name, g.degree, dual_height))
-    gens = tuple(gens)
+        gens.append(Generator(name, 1 + g.degree, dual_height))
+    lattice = Algebra(
+        AlgebraPresentation(tuple(gens), loop.degree_cap + DEFAULT_SCRATCH)
+    )
 
-    cap = loop.degree_cap + scratch
+    # Each degree's basis is in ascending order, so each bidegree's is.
     basis: dict[tuple[int, int], list] = {}
-    n = len(gens)
-
-    def rec(i: int, exps: list[int], total: int, col: int):
-        if i == n:
-            s = col
-            t = total - col
-            basis.setdefault((s, t), []).append(frozenset({tuple(exps)}))
-            return
-        g = gens[i]
-        step = 1 + g.t
-        max_e = (cap - total) // step
-        if g.height is not None:
-            max_e = min(max_e, g.height - 1)
-        if column_cap is not None:
-            max_e = min(max_e, column_cap - col)
-        for e in range(max_e + 1):
-            exps.append(e)
-            rec(i + 1, exps, total + e * step, col + e)
-            exps.pop()
-
-    rec(0, [], 0, 0)
-    sorted_basis = {
-        key: tuple(sorted(vecs, key=min)) for key, vecs in basis.items()
-    }
+    for degree in range(lattice.degree_cap + 1):
+        for exps in lattice.basis(degree):
+            s = sum(exps)
+            basis.setdefault((s, degree - s), []).append(frozenset({exps}))
     return BigradedPage(
-        gens, 2, sorted_basis, loop.degree_cap, column_cap, scratch
+        lattice, 2, {key: tuple(vecs) for key, vecs in basis.items()},
+        loop.degree_cap,
     )
 
 
 def leibniz(page: BigradedPage, spec: DifferentialSpec, exps: tuple[int, ...]) -> frozenset:
     """d(monomial) by the Leibniz rule; assignment targets past the caps die."""
     acc: set = set()
-    for i, g in enumerate(page.generators):
+    for i, g in enumerate(page.lattice.generators):
         if exps[i] % 2 == 0:
             continue
         value = spec.assignments.get(g.name)
@@ -341,10 +272,10 @@ def _check_spec(page: BigradedPage, spec: DifferentialSpec):
             f"differential is for page {spec.r}, current page is {page.r}"
         )
     for name, value in spec.assignments.items():
-        if name not in page._index:
+        if name not in page.lattice._index:
             raise SpectralSequenceError(f"unknown generator {name!r} in differential")
-        g = page.generators[page._index[name]]
-        want = (1 + spec.r, g.t - spec.r + 1)
+        g = page.lattice.generators[page.lattice._index[name]]
+        want = (1 + spec.r, g.degree - spec.r)
         for exps in value:
             if page.bidegree(exps) != want:
                 raise SpectralSequenceError(
@@ -430,8 +361,7 @@ def apply_differential(page: BigradedPage, spec: DifferentialSpec) -> BigradedPa
             new_basis[(s, t)] = new_vecs
 
     return BigradedPage(
-        page.generators, r + 1, new_basis, page.degree_cap,
-        page.column_cap, page.scratch,
+        page.lattice, r + 1, new_basis, page.degree_cap, page.column_cap
     )
 
 
@@ -482,8 +412,8 @@ class TruncationTower:
         if e_infinity is not None and (
             e2.column_cap is not None
             or e_infinity.column_cap is not None
-            or (e_infinity.generators, e_infinity.degree_cap, e_infinity.scratch)
-            != (e2.generators, e2.degree_cap, e2.scratch)
+            or (e_infinity.lattice.presentation, e_infinity.degree_cap)
+            != (e2.lattice.presentation, e2.degree_cap)
         ):
             raise SpectralSequenceError(
                 "the seed page is not the untruncated fold of this E2"
@@ -494,9 +424,7 @@ class TruncationTower:
             (spec for spec in specs if not spec.is_trivial()), key=lambda d: d.r
         )
         # No column cap: a live d_r lands in column s + r <= m anyway.
-        self._lattice = BigradedPage(
-            e2.generators, e2.r, e2.basis, e2.degree_cap, None, e2.scratch
-        )
+        self._lattice = BigradedPage(e2.lattice, e2.r, e2.basis, e2.degree_cap)
         self._states: dict[tuple[int, int, int, int], tuple[frozenset, ...]] = {}
         # Column-sorted bidegrees: a stage's are a prefix.
         self._keys = sorted(e2.basis)
@@ -546,8 +474,7 @@ class TruncationTower:
         }
         r = self.specs[-1].r + 1 if self.specs else self.e2.r
         return BigradedPage(
-            self.e2.generators, r, basis, self.e2.degree_cap, m,
-            self.e2.scratch, at_infinity=True,
+            self.e2.lattice, r, basis, self.e2.degree_cap, m, at_infinity=True
         )
 
 
@@ -574,9 +501,9 @@ def infer_differentials(
     """
     known = set(permanent)
     for name in permanent:
-        if name not in e2._index:
+        if name not in e2.lattice._index:
             raise SpectralSequenceError(f"unknown permanent cycle {name!r}")
-    unknowns = [g for g in e2.generators if g.name not in known]
+    unknowns = [g for g in e2.lattice.generators if g.name not in known]
     target_dims = target.poincare_series()
 
     def dims_match(page: BigradedPage) -> bool:
@@ -601,7 +528,7 @@ def infer_differentials(
     for r in range(2, r_max + 1):
         candidate_lists = []
         for g in unknowns:
-            bidegree = (1 + r, g.t - r + 1)
+            bidegree = (1 + r, g.degree - r)
             monos = sorted(
                 {
                     m
@@ -728,7 +655,7 @@ def classify_truncation(
     annihilated top summand, whose module structure is not determined
     here).
     """
-    p_idx = page._index.get(partial_gen) if partial_gen else None
+    p_idx = page.lattice._index.get(partial_gen) if partial_gen else None
     out = []
     for s, t, vec in page.classes():
         facts = class_facts(page, s, t, vec, surviving_untruncated, p_idx)

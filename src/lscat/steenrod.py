@@ -41,9 +41,9 @@ class SteenrodAction:
     def total_square(self, e: Element) -> Element:
         """Multiplicative extension of Sq to any element."""
         out = self.algebra.zero()
-        for mono in e.monomials:
+        for mono in e.terms:
             term = self.algebra.one()
-            for gen, exp in zip(self.algebra.generators, mono.exps):
+            for gen, exp in zip(self.algebra.generators, mono):
                 if exp:
                     sq_g = self.total_square_of_gen(gen.name)
                     for _ in range(exp):
@@ -70,7 +70,7 @@ class SteenrodAction:
         source = target_degree - k
         if source < 0:
             return []
-        ambient = {m.exps: i for i, m in enumerate(self.algebra.basis(target_degree))}
+        ambient = {m: i for i, m in enumerate(self.algebra.basis(target_degree))}
         rows = []
         for mono in self.algebra.basis(source):
             img = self.apply_sq(k, self.algebra.element([mono]))

@@ -234,7 +234,7 @@ class LoopSpaceModel:
             if s + t <= self.e2.degree_cap:
                 extra = self._partial_extra
                 name = self._koszul_name_of_extra(extra) if extra else None
-                p_idx = self.e2._index.get(name) if name else None
+                p_idx = self.e2.lattice._index.get(name) if name else None
                 vanishing = not self.algebra.basis(s + t)
                 j = len(self._tower.specs)
                 for vec in self._tower.state(j, s, t, alive):
@@ -256,52 +256,56 @@ class LoopSpaceModel:
 
     def _koszul_name_of_extra(self, extra) -> str | None:
         name = f"x1_{extra.t}"
-        return name if name in self.e2._index else None
+        return name if name in self.e2.lattice._index else None
 
     @cached_property
-    def gen_match(self) -> dict[str, tuple[str, str]]:
-        """Koszul generator name -> ("coh" | "extra", matched name).
+    def _lattice_to_extended(self) -> list[int | None]:
+        """Extended-algebra index of each E2 generator's match (None: unmatched).
 
-        A suspension class in bidegree (1, t) matches the unique
-        cohomology generator of degree t + 1, else the declared extra
-        generator with that internal degree.
+        A suspension class x1_t, of degree t + 1, matches the unique
+        cohomology generator of that degree, else the declared extra
+        generator of that degree.  The cohomology generators are the
+        extended algebra's prefix and the extra generator its last, so
+        this one list maps the lattice into both algebras.
         """
-        match: dict[str, tuple[str, str]] = {}
-        for g in self.e2.generators:
-            coh = [c for c in self.algebra.generators if c.degree == g.t + 1]
-            if len(coh) == 1:
-                match[g.name] = ("coh", coh[0].name)
-                continue
-            if len(coh) > 1:
+        coh = self.algebra.generators
+        out: list[int | None] = []
+        for g in self.e2.lattice.generators:
+            hits = [c for c in coh if c.degree == g.degree]
+            if len(hits) > 1:
                 raise WeightError(
-                    f"ambiguous suspension match for {g.name}: {coh}"
+                    f"ambiguous suspension match for {g.name}: {hits}"
                 )
+            if hits:
+                out.append(coh.index(hits[0]))
+                continue
+            # Unmatched (None) is only an error if something needs it.
             extra = self._partial_extra
-            if extra is not None and extra.t == g.t:
-                match[g.name] = ("extra", extra.name)
-            # else: unmatched; only an error if something needs it.
-        return match
+            matched = extra is not None and extra.degree == g.degree
+            out.append(len(coh) if matched else None)
+        return out
 
     @cached_property
-    def _coh_to_koszul(self) -> dict[str, int]:
-        out = {}
-        for kname, (kind, target) in self.gen_match.items():
-            if kind == "coh":
-                out[target] = self.e2._index[kname]
+    def _coh_to_lattice(self) -> list[int | None]:
+        """Lattice index of each cohomology generator's suspension class
+        (None: none), the inverse of `_lattice_to_extended` on its prefix."""
+        out: list[int | None] = [None] * len(self.algebra.generators)
+        for i, j in enumerate(self._lattice_to_extended):
+            if j is not None and j < len(out):
+                out[j] = i
         return out
 
     def _lattice_exps_of_monomial(self, exps: tuple[int, ...]) -> tuple[int, ...]:
         """Cohomology monomial -> its E-infinity representative monomial."""
-        out = [0] * len(self.e2.generators)
-        for i, e in enumerate(exps):
+        out = [0] * len(self.e2.lattice.generators)
+        for g, i, e in zip(self.algebra.generators, self._coh_to_lattice, exps):
             if not e:
                 continue
-            name = self.algebra.generators[i].name
-            if name not in self._coh_to_koszul:
+            if i is None:
                 raise WeightError(
-                    f"cohomology generator {name} has no suspension class"
+                    f"cohomology generator {g.name} has no suspension class"
                 )
-            out[self._coh_to_koszul[name]] = e
+            out[i] = e
         return tuple(out)
 
     # -- weights ------------------------------------------------------------
@@ -311,14 +315,15 @@ class LoopSpaceModel:
         """Filtration of every positive-degree cohomology basis monomial."""
         out = {}
         for mono in self.algebra.monomials():
-            if mono.degree == 0:
+            if not any(mono):
                 continue
-            lattice = self._lattice_exps_of_monomial(mono.exps)
+            lattice = self._lattice_exps_of_monomial(mono)
             if lattice not in self.surviving:
                 raise WeightError(
-                    f"{mono} has no surviving E-infinity representative"
+                    f"{self.algebra.monomial_str(mono)} has no surviving "
+                    f"E-infinity representative"
                 )
-            out[mono.exps] = sum(lattice)
+            out[mono] = sum(lattice)
         return out
 
     def wgt(self, u: Element) -> int:
@@ -360,18 +365,11 @@ class LoopSpaceModel:
                 table[(extra.name, k)] = ext.parse_element(value)
         return SteenrodAction(ext, table)
 
-    @cached_property
-    def _lattice_to_extended(self) -> list[int | None]:
-        """Extended-algebra index of each E2 generator's match (None: unmatched)."""
-        idx = {g.name: i for i, g in enumerate(self._extended_algebra.generators)}
-        return [
-            idx[self.gen_match[g.name][1]] if g.name in self.gen_match else None
-            for g in self.e2.generators
-        ]
-
     def _extended_exps_of_lattice(self, exps: tuple[int, ...]) -> tuple[int, ...]:
         out = [0] * len(self._extended_algebra.generators)
-        for g, i, e in zip(self.e2.generators, self._lattice_to_extended, exps):
+        for g, i, e in zip(
+            self.e2.lattice.generators, self._lattice_to_extended, exps
+        ):
             if not e:
                 continue
             if i is None:

@@ -1,4 +1,4 @@
-"""Monomial algebra arithmetic against independent series/product oracles."""
+"""Arithmetic of monomial algebras against independent series/product oracles."""
 
 import itertools
 import random
@@ -57,7 +57,7 @@ def test_spin9_dimensions():
     assert len(alg.basis(32)) == 0
     b36 = alg.basis(36)
     assert len(b36) == 1
-    assert str(b36[0]) == "x3^3*x5*x7*x15"
+    assert alg.monomial_str(b36[0]) == "x3^3*x5*x7*x15"
 
 
 def test_basis_matches_brute_force():
@@ -80,7 +80,7 @@ def test_basis_matches_brute_force():
             for exps in itertools.product(*bounds)
             if sum(e * g.degree for e, g in zip(exps, gens)) == degree
         ]
-        assert [m.exps for m in alg.basis(degree)] == want
+        assert list(alg.basis(degree)) == want
     for bad in (-1, cap + 1):
         with pytest.raises(AlgebraError, match="out of range"):
             alg.basis(bad)
@@ -90,7 +90,7 @@ def test_cup_length_exhaustive_oracle():
     """Longest nonzero product of positive-degree classes, by brute force."""
     alg = spin9_algebra()
     positive = [
-        alg.element([m]) for m in alg.monomials() if m.degree > 0
+        alg.element([m]) for m in alg.monomials() if alg.monomial_degree(m) > 0
     ]
     gens = [alg.gen(g.name) for g in alg.generators]
     best = 0
@@ -132,12 +132,12 @@ def test_ring_axioms_randomized():
 
 def test_degree_additivity():
     alg = spin9_algebra()
-    monos = [m for m in alg.monomials() if m.degree > 0]
+    monos = [m for m in alg.monomials() if alg.monomial_degree(m) > 0]
     for a in monos:
         for b in monos:
             p = alg.element([a]) * alg.element([b])
             if p:
-                assert p.degree == a.degree + b.degree
+                assert p.degree == alg.monomial_degree(a) + alg.monomial_degree(b)
 
 
 def test_heights_enforced():
@@ -151,12 +151,12 @@ def test_heights_enforced():
 def test_parse_round_trip():
     alg = spin9_algebra()
     for m in alg.monomials():
-        assert alg.parse_monomial(str(m)).exps == m.exps
+        assert alg.parse_monomial(alg.monomial_str(m)) == m
     e = alg.parse_element(["x3^2*x5", "x7"])
     # canonical term order is ascending exponent tuple: x7 = (0,0,1,0) first
     assert str(e) == "x7 + x3^2*x5"
     assert alg.parse_element([]) == alg.zero()
-    assert alg.parse_monomial("1").degree == 0
+    assert alg.monomial_degree(alg.parse_monomial("1")) == 0
 
 
 def test_parse_errors():

@@ -128,6 +128,57 @@ def test_second_partial_generator_exits_3(tmp_path):
     assert "at most one partial-product generator supported" in err
 
 
+def unmatched_space(name, cap, cohomology, loop, permanent):
+    """A fixture dict that passes `validate` and whose E2 matches its
+    cohomology with no differential."""
+    def gens(spec):
+        return [{"name": n, "degree": d, "height": h} for n, d, h in spec]
+
+    return {
+        "name": name,
+        "degree_cap": cap,
+        "cohomology": {"generators": gens(cohomology)},
+        "steenrod": [],
+        "loop_homology": {"generators": gens(loop)},
+        "permanent_cycles": permanent,
+        "extra_generators": [],
+        "attestations": [],
+    }
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        # x1_2 has degree 3, as do a3 and b3; they lie above the cap, so
+        # E2 still matches the cohomology.
+        (
+            unmatched_space(
+                "ambiguous", 2, [("a3", 3, 2), ("b3", 3, 2)],
+                [("u2", 2, "unbounded")], ["x1_2"],
+            ),
+            "ambiguous suspension match for x1_2",
+        ),
+        # Lambda(x2, y3, w4) and F2[x1_1] (x) Lambda(x1_2) agree up to
+        # degree 7, but no suspension class has degree 4.
+        (
+            unmatched_space(
+                "no-suspension", 7, [("x2", 2, 2), ("y3", 3, 2), ("w4", 4, 2)],
+                [("u1", 1, 2), ("u2", 2, "unbounded")], ["x1_1", "x1_2"],
+            ),
+            "cohomology generator w4 has no suspension class",
+        ),
+    ],
+)
+def test_unmatched_suspension_exits_3(tmp_path, data, message):
+    """A generator the suspension map cannot match fails the report."""
+    path = tmp_path / "unmatched.json"
+    path.write_text(json.dumps(data))
+    assert run_cli("validate", str(path))[0] == 0
+    code, _, err = run_cli("report", str(path), "--format", "json")
+    assert code == 3
+    assert err.startswith(f"lscat: {message}")
+
+
 def test_optimised_interpreter_gives_same_report():
     """`python -O` strips asserts; no certified number may depend on one."""
     src = str(Path(lscat.__file__).resolve().parent.parent)

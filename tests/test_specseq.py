@@ -2,7 +2,7 @@
 
 import pytest
 
-from lscat.algebra import AlgebraPresentation, Generator
+from lscat.algebra import AlgebraError, AlgebraPresentation, Generator
 from lscat.spaces import builtin
 from lscat.specseq import (
     BUCKET_PARTIAL,
@@ -33,7 +33,7 @@ def lattice_series_oracle(gens, cap):
     dims = [0] * (cap + 1)
     dims[0] = 1
     for g in gens:
-        step = 1 + g.t
+        step = g.degree
         max_e = (g.height - 1) if g.height is not None else cap // step
         new = [0] * (cap + 1)
         for d in range(cap + 1):
@@ -51,7 +51,7 @@ def lattice_series_oracle(gens, cap):
 def test_koszul_e2_spin9_series(spin9_model):
     """Criterion 3: E2 dims match the independent series expansion."""
     e2 = spin9_model.e2
-    names = {(g.name, g.t, g.height) for g in e2.generators}
+    names = {(g.name, g.degree - 1, g.height) for g in e2.lattice.generators}
     assert names == {
         ("x1_2", 2, None),
         ("x1_4", 4, 2),
@@ -60,7 +60,7 @@ def test_koszul_e2_spin9_series(spin9_model):
         ("x1_14", 14, 2),
     }
     assert e2.dims_by_total_degree() == lattice_series_oracle(
-        e2.generators, 36
+        e2.lattice.generators, 36
     )
 
 
@@ -76,6 +76,21 @@ def test_koszul_rejects_degree_collision():
     )
     with pytest.raises(SpectralSequenceError):
         koszul_e2(pres)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x1_4^2",  # x1_4 is exterior
+        "x1_2^40",  # degree 120, past the lattice cap 40
+        "x1_3",  # no such generator
+    ],
+)
+def test_lattice_parsing_validates(spin9_model, text):
+    with pytest.raises(AlgebraError):
+        spin9_model.e2.parse_monomial(text)
+    with pytest.raises(AlgebraError):
+        spin9_model.e2.parse_class([text])
 
 
 def test_inference_unique_spin9(spin9_model):
@@ -217,7 +232,7 @@ def test_classification_accounts_for_everything(spin9_model):
                 BUCKET_RESIDUAL,
             )
         # partial bucket: factor count within [m-3, m-1]
-        p_idx = spin9_model.e2._index["x1_10"]
+        p_idx = spin9_model.e2.lattice._index["x1_10"]
         for cls in report:
             if cls.bucket == BUCKET_PARTIAL:
                 count = sum(

@@ -1,5 +1,7 @@
 """Category weight and the module-weight obstruction on the fixtures."""
 
+import gc
+import weakref
 from math import comb
 
 import pytest
@@ -390,3 +392,18 @@ def test_su_labels_each_class_once(monkeypatch):
     _, code = build_report(model, truncations=[0, 3, 7, 20])
     assert code == 0
     assert len(labels) == len(set(labels)) == 64
+
+
+def test_model_algebras_are_freed_by_refcount():
+    """No reference cycle keeps an algebra alive: with the cyclic collector
+    off, dropping the model frees its cohomology and E2 lattice algebras."""
+    gc.disable()
+    try:
+        model = LoopSpaceModel(builtin("spin9"))
+        _, code = build_report(model, truncations=[0, 7, 8, 20])
+        assert code == 0
+        refs = [weakref.ref(model.algebra), weakref.ref(model.e2.lattice)]
+        del model
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
