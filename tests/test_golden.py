@@ -1,7 +1,7 @@
 """Golden digests: CLI output pinned across commits, not just across runs.
 
 Each case is one `lscat` invocation; its digest is the sha256 of stdout
-followed by the exit code.  A refactor that claims identical output must
+followed by the exit code, and by stderr when there is any.  A refactor that claims identical output must
 leave every digest unchanged.  After a deliberate output change, print
 the new table with `PYTHONPATH=src python tests/test_golden.py` and
 paste it over `DIGESTS`.
@@ -41,6 +41,21 @@ def cases() -> dict[str, list[str]]:
             if t is not None:
                 argv += ["--truncate", str(t)]
             out[f"dump-page-r{r}-t{t}"] = argv
+    for space, cap, pages, truncs in (
+        ("toy-trunc-poly", None, (2, 3, 4), (None, 0, 4)),
+        ("spin9", 52, (3, 4), (None, 0, 13)),
+    ):
+        for r in pages:
+            for t in truncs:
+                argv = ["dump-page", space, "--page", str(r)]
+                if cap is not None:
+                    argv += ["--degree-cap", str(cap)]
+                if t is not None:
+                    argv += ["--truncate", str(t)]
+                out[f"dump-page-{space}-cap{cap}-r{r}-t{t}"] = argv
+    out["dump-page-negative-truncate"] = [
+        "dump-page", "spin9", "--page", "3", "--truncate", "-1",
+    ]
     out["validate-spin9"] = ["validate", "spin9"]
     return out
 
@@ -50,7 +65,10 @@ def digest(argv: list[str], fixtures: Path) -> str:
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main([paths.get(a, a) for a in argv])
-    return hashlib.sha256(f"{out.getvalue()}\nexit={code}".encode()).hexdigest()
+    text = f"{out.getvalue()}\nexit={code}"
+    if err.getvalue():
+        text += f"\nstderr={err.getvalue()}"
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def write_fixtures(directory: Path):
@@ -59,6 +77,8 @@ def write_fixtures(directory: Path):
 
 
 DIGESTS = {
+    "dump-page-negative-truncate":
+        "47f26b0e7ce62cd11b54db8e4d68e972e455f7944705771849c8899838344884",
     "dump-page-r2-t4":
         "53298d96aeed8daeb1bc60aaf586f1e814ae60591fa72dc2f2e3249973cb80ba",
     "dump-page-r2-t8":
@@ -77,6 +97,36 @@ DIGESTS = {
         "d592d123e1297799e06cce1d9ef88e1c880ea000d0762c9a058882df05c6b701",
     "dump-page-r4-tNone":
         "7b0d18401d27ea0ebaa8e6e69369eec9033de1ccbe7b2ebdf398e46915c8de26",
+    "dump-page-spin9-cap52-r3-t0":
+        "1d643f5c3ccdf58c6f5f7d06529564c793f54a54c7f1afd9865a9db641857b77",
+    "dump-page-spin9-cap52-r3-t13":
+        "c2868ce3ba3e1ddf9cae5b3d118042625b3e7a612a4c0a87e71c6dd7a0e1715a",
+    "dump-page-spin9-cap52-r3-tNone":
+        "1a684f58adce9d4997464d65837e41f03bfeea4833d6b24536c29091bff2ee45",
+    "dump-page-spin9-cap52-r4-t0":
+        "3e02eca55574eb41269079a10f77a26a6b3d06148298e4e27ee4cfaebe8a5441",
+    "dump-page-spin9-cap52-r4-t13":
+        "63cdfad798f8741fef8cdb5ccd78e9d422310cc4a3a9975d2239222ec4643421",
+    "dump-page-spin9-cap52-r4-tNone":
+        "dc8d9a45576db73ca545092dfbd11c0f059b91f06b92d1dbeac7c658cd053702",
+    "dump-page-toy-trunc-poly-capNone-r2-t0":
+        "2ad8ddde54796c5b9484f151e059a1b8211e249965bf198ff85a80a712dce015",
+    "dump-page-toy-trunc-poly-capNone-r2-t4":
+        "5ace1bfbe826d56899c238c6648481150ce805a47169de14b93e3072d6500c27",
+    "dump-page-toy-trunc-poly-capNone-r2-tNone":
+        "accbdfbf8777324eddb85ee93b8b9cd84d01c794877951d814487cd7d61994f9",
+    "dump-page-toy-trunc-poly-capNone-r3-t0":
+        "aad2029149cf95cae6ddde4d2dda164d40148e7f47086e858930dc5c32142099",
+    "dump-page-toy-trunc-poly-capNone-r3-t4":
+        "3c9cfdaa6f2eace1af850fb2dfdb11a2ba22c863cbf73256175be781014501ae",
+    "dump-page-toy-trunc-poly-capNone-r3-tNone":
+        "72ecc44756b6fa61697f1854b17c4950551253755fdb7655eb4249c22b02455c",
+    "dump-page-toy-trunc-poly-capNone-r4-t0":
+        "376432c3e9c1aa72775503ec232c024ca06027e7101ef9e973645ff6f5b5ce58",
+    "dump-page-toy-trunc-poly-capNone-r4-t4":
+        "5ba70092c81ffc874d3fd5b0c03c8beda54a9f8a45faae083ec00b785c917c84",
+    "dump-page-toy-trunc-poly-capNone-r4-tNone":
+        "284c43906f2a40ea3f74610aeb1053c2dc6aa06a16d4ea3a8d492ef8ad2fff5e",
     "spin9-cap36-json":
         "7b6babbc9acaa8b431982682ec2b00d18193a40e2d8e676ca9f26954f2e75e44",
     "spin9-cap36-text":
