@@ -18,7 +18,8 @@ for the unit):
                          steenrod: [{k, value: [monomial, ...]}]}],
      attestations: [{claim, provenance, bound?, rule?}]}
 
-height is a positive integer >= 2 or "unbounded".
+height is a positive integer >= 2 or "unbounded".  Integer fields take
+JSON integers only, not floats or booleans.
 """
 
 from __future__ import annotations
@@ -40,6 +41,13 @@ BUILTIN_NAMES = ("spin9", "toy-trunc-poly", "unit")
 
 class FixtureError(ValueError):
     pass
+
+
+def _int(value, field_name: str) -> int:
+    """`value` if it is an int and not a bool, else a FixtureError naming it."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FixtureError(f"{field_name} must be an integer, got {value!r}")
+    return value
 
 
 @dataclass
@@ -141,18 +149,18 @@ class SpacePresentation:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SpacePresentation":
-        def height_py(h):
-            if h == "unbounded":
-                return None
-            if not isinstance(h, int):
-                raise FixtureError(f"bad height {h!r}")
-            return h
+        def height_py(h, name):
+            return None if h == "unbounded" else _int(h, f"{name} height")
 
         def pres_py(p, cap):
             try:
                 return AlgebraPresentation(
                     tuple(
-                        Generator(g["name"], g["degree"], height_py(g["height"]))
+                        Generator(
+                            g["name"],
+                            _int(g["degree"], f"{g['name']} degree"),
+                            height_py(g["height"], g["name"]),
+                        )
                         for g in p["generators"]
                     ),
                     cap,
@@ -161,24 +169,42 @@ class SpacePresentation:
                 raise FixtureError(f"malformed presentation: {exc}") from exc
 
         try:
-            cap = data["degree_cap"]
+            cap = _int(data["degree_cap"], "degree_cap")
             loop = data.get("loop_homology")
+            permanent = data.get("permanent_cycles", [])
+            if not isinstance(permanent, list) or not all(
+                isinstance(p, str) for p in permanent
+            ):
+                raise FixtureError(
+                    f"permanent_cycles must be a list of names, got {permanent!r}"
+                )
             return cls(
                 name=data["name"],
                 degree_cap=cap,
                 cohomology=pres_py(data["cohomology"], cap),
                 steenrod=[
-                    (s["gen"], s["k"], list(s["value"]))
+                    (
+                        s["gen"],
+                        _int(s["k"], f"steenrod k of {s['gen']}"),
+                        list(s["value"]),
+                    )
                     for s in data.get("steenrod", [])
                 ],
                 loop_homology=pres_py(loop, cap) if loop else None,
-                permanent_cycles=list(data.get("permanent_cycles", [])),
+                permanent_cycles=list(permanent),
                 extra_generators=[
                     ExtraGenerator(
                         x["name"],
-                        x["t"],
-                        x["extension_height"],
-                        {s["k"]: list(s["value"]) for s in x.get("steenrod", [])},
+                        _int(x["t"], f"{x['name']} t"),
+                        _int(
+                            x["extension_height"],
+                            f"{x['name']} extension_height",
+                        ),
+                        {
+                            _int(s["k"], f"steenrod k of {x['name']}"):
+                                list(s["value"])
+                            for s in x.get("steenrod", [])
+                        },
                     )
                     for x in data.get("extra_generators", [])
                 ],

@@ -12,35 +12,39 @@ Truncating the column filtration at m models the m-th projective-space
 stage of the loop space: differentials landing past column m vanish and
 sources past column m are gone.
 
-All truncations share their work (`TruncationTower`).  d_r raises the
-column by exactly r, so in the column-m truncation the classes at (s, t)
-after folding d_r1, ..., d_rj (r ascending) depend on m only through
-which of those d_r act out of column s, i.e. have s + r <= m.  Those form
-a prefix, and the d_rj-sources at s - rj have every earlier differential
-alive, since (s - rj) + r < s <= m.  So each bidegree has at most j + 1
-states after j pages (two with one differential, one with none), and
-each state is computed once and shared by every m.  The state with every
-differential alive at every page is the untruncated fold's, so the tower
-reads those top states from that fold's E-infinity page, which inference
-already computed and checked (`infer_differentials` returns each kept
-assignment with its page).  The tower does not repeat the
-`_check_spec` / `_check_d_squared` guards of the untruncated fold, and
-loses nothing by it.  Truncation only drops products, so d_r on a
-truncated page is the full d_r restricted to columns <= m.  A monomial
-in column s with s + 2r <= m lies in a class whose earlier differentials
-are all alive, a class of the full E_r, where d_r^2 is the full one; for
-s + 2r > m, d_r^2 lands past m and vanishes outright.
+Every page, truncated or not, is a state of one fold (`TruncationTower`).
+d_r raises the column by exactly r, so in the column-m truncation the
+classes at (s, t) after folding d_r1, ..., d_rj (r ascending) depend on m
+only through which of those d_r act out of column s, i.e. have s + r <= m.
+Those form a prefix, and the d_rj-sources at s - rj have every earlier
+differential alive, since (s - rj) + r < s <= m.  So each bidegree has at
+most j + 1 states after j pages (two with one differential, one with
+none), and each state is computed once and shared by every m.  The state
+with every differential alive at every page is the untruncated fold's.
+The tower checks each spec once (`_check_spec`, `_check_d_squared`), on
+the untruncated page it acts on, and that check covers every truncation.
+Truncation only drops products, so d_r on a truncated page is the full
+d_r restricted to columns <= m.  A monomial in column s with s + 2r <= m
+lies in a class whose earlier differentials are all alive, a class of the
+full E_r, where d_r^2 is the full one; for s + 2r > m, d_r^2 lands past m
+and vanishes outright.
 
 The E2 lattice is an `Algebra`: x1_t has total degree 1 + t, and a
 lattice monomial is its exponent tuple, in filtration s = its exponent
 sum.  The lattice algebra's cap is the report cap + `DEFAULT_SCRATCH`, so
 that differentials out of top-degree classes are still visible; reported
 data never includes scratch degrees.
+
+A class at (s, t) is an int over `cells[(s, t)]`, the ascending E2
+monomials of that bidegree (bit i is the i-th), which is gf2's row
+format: homology passes classes and boundaries to gf2 unchanged, and a
+representative's lowest set bit is its leading monomial.
 """
 
 from __future__ import annotations
 
 import bisect
+import copy
 import itertools
 from dataclasses import dataclass, field
 
@@ -48,6 +52,8 @@ from lscat import gf2
 from lscat.algebra import Algebra, AlgebraPresentation, Generator
 
 DEFAULT_SCRATCH = 4
+# Most assignments inference tries per unknown generator and page.
+SEARCH_BUDGET = 10**6
 
 
 class SpectralSequenceError(ValueError):
@@ -80,26 +86,36 @@ class DifferentialSpec:
 class BigradedPage:
     """One page of the spectral sequence: per-(s,t) class representatives.
 
-    Each class is a frozenset of `lattice` monomials (an F2 sum).  At E2
-    every class is a single monomial; later pages keep monomial-pivot
-    representatives.
+    Each class is an F2 sum of `lattice` monomials, held as an int over
+    its bidegree's cell.  At E2 every class is a single monomial; later
+    pages keep monomial-pivot representatives.
     """
 
     def __init__(
         self,
         lattice: Algebra,
+        cells: dict[tuple[int, int], tuple[tuple[int, ...], ...]],
         r: int,
-        basis: dict[tuple[int, int], tuple[frozenset, ...]],
+        basis: dict[tuple[int, int], tuple[int, ...]],
         degree_cap: int,
-        column_cap: int | None = None,
-        at_infinity: bool = False,
     ):
         self.lattice = lattice
+        self.cells = cells
+        # Each lattice monomial's bit in its cell.
+        self._bit = {m: i for cell in cells.values() for i, m in enumerate(cell)}
         self.r = r
         self.basis = basis
         self.degree_cap = degree_cap
-        self.column_cap = column_cap
-        self.at_infinity = at_infinity
+        self.column_cap: int | None = None
+        self.at_infinity = False
+
+    def _derived(self, **fields) -> "BigradedPage":
+        """A page over this page's lattice and cells, with `fields` in
+        place of the rest; it is not E-infinity unless `fields` say so."""
+        page = copy.copy(self)
+        page.at_infinity = False
+        page.__dict__.update(fields)
+        return page
 
     # -- monomial helpers --------------------------------------------------
 
@@ -117,10 +133,20 @@ class BigradedPage:
     def monomial_str(self, exps: tuple[int, ...]) -> str:
         return self.lattice.monomial_str(exps)
 
-    def class_str(self, vec: frozenset) -> str:
+    def monomials(self, s: int, t: int, vec: int) -> list[tuple[int, ...]]:
+        """The monomials of the class `vec` at (s, t), ascending."""
+        cell = self.cells.get((s, t), ())
+        out = []
+        while vec:
+            low = vec & -vec
+            out.append(cell[low.bit_length() - 1])
+            vec ^= low
+        return out
+
+    def class_str(self, s: int, t: int, vec: int) -> str:
         if not vec:
             return "0"
-        return " + ".join(self.monomial_str(e) for e in sorted(vec))
+        return " + ".join(self.monomial_str(e) for e in self.monomials(s, t, vec))
 
     def parse_monomial(self, text: str) -> tuple[int, ...]:
         return self.lattice.parse_monomial(text)
@@ -130,8 +156,8 @@ class BigradedPage:
 
     # -- views -------------------------------------------------------------
 
-    def leading(self, vec: frozenset) -> tuple[int, ...]:
-        return min(vec)
+    def leading(self, s: int, t: int, vec: int) -> tuple[int, ...]:
+        return self.cells[(s, t)][(vec & -vec).bit_length() - 1]
 
     def dims_by_total_degree(self) -> list[int]:
         """Class count per total degree, 0..degree_cap (scratch excluded)."""
@@ -151,7 +177,8 @@ class BigradedPage:
 
     def surviving_leading_monomials(self) -> set:
         return {
-            self.leading(vec) for _, _, vec in self.classes(report_only=False)
+            self.leading(s, t, vec)
+            for s, t, vec in self.classes(report_only=False)
         }
 
     # -- page transformations ---------------------------------------------
@@ -160,16 +187,11 @@ class BigradedPage:
         """Same basis at a later page index (intervening differentials zero)."""
         if r < self.r:
             raise SpectralSequenceError("cannot move to an earlier page")
-        return BigradedPage(
-            self.lattice, r, self.basis, self.degree_cap, self.column_cap
-        )
+        return self._derived(r=r)
 
     def as_e_infinity(self) -> "BigradedPage":
         """Same basis and index, marked E-infinity; this page is not changed."""
-        return BigradedPage(
-            self.lattice, self.r, self.basis, self.degree_cap,
-            self.column_cap, at_infinity=True,
-        )
+        return self._derived(at_infinity=True)
 
     def restricted_to_columns(self, m: int) -> "BigradedPage":
         if m < 0:
@@ -177,7 +199,7 @@ class BigradedPage:
         basis = {
             (s, t): vecs for (s, t), vecs in self.basis.items() if s <= m
         }
-        return BigradedPage(self.lattice, self.r, basis, self.degree_cap, m)
+        return self._derived(basis=basis, column_cap=m)
 
     def to_json(self) -> dict:
         bidegrees = []
@@ -188,7 +210,9 @@ class BigradedPage:
                 {
                     "s": s,
                     "t": t,
-                    "classes": [self.class_str(v) for v in self.basis[(s, t)]],
+                    "classes": [
+                        self.class_str(s, t, v) for v in self.basis[(s, t)]
+                    ],
                 }
             )
         return {
@@ -229,20 +253,21 @@ def koszul_e2(loop: AlgebraPresentation) -> BigradedPage:
     )
 
     # Each degree's basis is in ascending order, so each bidegree's is.
-    basis: dict[tuple[int, int], list] = {}
+    monomials: dict[tuple[int, int], list] = {}
     for degree in range(lattice.degree_cap + 1):
         for exps in lattice.basis(degree):
             s = sum(exps)
-            basis.setdefault((s, degree - s), []).append(frozenset({exps}))
-    return BigradedPage(
-        lattice, 2, {key: tuple(vecs) for key, vecs in basis.items()},
-        loop.degree_cap,
-    )
+            monomials.setdefault((s, degree - s), []).append(exps)
+    cells = {key: tuple(cell) for key, cell in monomials.items()}
+    # Every E2 class is one monomial: one bit of its cell.
+    basis = {key: tuple(1 << i for i in range(len(c))) for key, c in cells.items()}
+    return BigradedPage(lattice, cells, 2, basis, loop.degree_cap)
 
 
-def leibniz(page: BigradedPage, spec: DifferentialSpec, exps: tuple[int, ...]) -> frozenset:
-    """d(monomial) by the Leibniz rule; assignment targets past the caps die."""
-    acc: set = set()
+def leibniz(page: BigradedPage, spec: DifferentialSpec, exps: tuple[int, ...]) -> int:
+    """d(monomial) by the Leibniz rule, as an int over its target cell;
+    assignment targets past the caps die."""
+    acc = 0
     for i, g in enumerate(page.lattice.generators):
         if exps[i] % 2 == 0:
             continue
@@ -255,15 +280,15 @@ def leibniz(page: BigradedPage, spec: DifferentialSpec, exps: tuple[int, ...]) -
         for v in value:
             p = page._mul_exps(rest, v)
             if p is not None:
-                acc ^= {p}
-    return frozenset(acc)
+                acc ^= 1 << page._bit[p]
+    return acc
 
 
-def _d_of_vec(page, spec, vec: frozenset) -> frozenset:
-    acc: set = set()
-    for exps in vec:
+def _d_of_vec(page, spec, s: int, t: int, vec: int) -> int:
+    acc = 0
+    for exps in page.monomials(s, t, vec):
         acc ^= leibniz(page, spec, exps)
-    return frozenset(acc)
+    return acc
 
 
 def _check_spec(page: BigradedPage, spec: DifferentialSpec):
@@ -285,13 +310,11 @@ def _check_spec(page: BigradedPage, spec: DifferentialSpec):
 
 
 def _check_d_squared(page: BigradedPage, spec: DifferentialSpec):
-    for _, _, vec in page.classes(report_only=False):
-        for exps in vec:
+    r = spec.r
+    for s, t, vec in page.classes(report_only=False):
+        for exps in page.monomials(s, t, vec):
             image = leibniz(page, spec, exps)
-            again: set = set()
-            for e2 in image:
-                again ^= leibniz(page, spec, e2)
-            if again:
+            if _d_of_vec(page, spec, s + r, t - r + 1, image):
                 raise SpectralSequenceError(
                     f"d_{spec.r} does not square to zero on "
                     f"{page.monomial_str(exps)}"
@@ -301,50 +324,37 @@ def _check_d_squared(page: BigradedPage, spec: DifferentialSpec):
 def homology_at(
     page: BigradedPage,
     spec: DifferentialSpec,
-    vecs: tuple[frozenset, ...],
-    incoming: tuple[frozenset, ...],
+    s: int,
+    t: int,
+    vecs: tuple[int, ...],
+    incoming: tuple[int, ...],
     alive: bool = True,
-) -> tuple[frozenset, ...]:
-    """Homology of one bidegree under d_r, with monomial-pivot representatives.
+) -> tuple[int, ...]:
+    """Homology at (s, t) under d_r, with monomial-pivot representatives.
 
-    `vecs` are the classes of the bidegree and `incoming` those of its
-    d_r-source bidegree; `page` supplies the lattice products.  With
-    `alive` false, d_r out of the bidegree is zero (it lands past a column
-    cap) and every class is a cycle.
+    `vecs` are the classes at (s, t) and `incoming` those of its d_r-source
+    bidegree, each an int over its cell; `page` supplies the lattice
+    products and the cells.  With `alive` false, d_r out of the bidegree is
+    zero (it lands past a column cap) and every class is a cycle.
     """
-    out_images = [_d_of_vec(page, spec, v) for v in vecs] if alive else []
-    in_images = [b for u in incoming if (b := _d_of_vec(page, spec, u))]
-
-    # out_images live in the target bidegree and get their own index.
-    own = sorted(set().union(*vecs, *in_images)) if (vecs or in_images) else []
-    own_idx = {m: i for i, m in enumerate(own)}
-    tgt = sorted(set().union(*out_images)) if out_images else []
-    tgt_idx = {m: i for i, m in enumerate(tgt)}
-
-    out_rows = [
-        sum(1 << tgt_idx[m] for m in img) for img in out_images
+    r = spec.r
+    out_rows = [_d_of_vec(page, spec, s, t, v) for v in vecs] if alive else []
+    boundaries = [
+        b for u in incoming if (b := _d_of_vec(page, spec, s - r, t + r - 1, u))
     ]
-    coeffs = gf2.left_kernel(out_rows, len(tgt)) if any(out_rows) else None
-    if coeffs is None:
-        cycles = [sum(1 << own_idx[m] for m in v) for v in vecs]
-    else:
-        vec_rows = [sum(1 << own_idx[m] for m in v) for v in vecs]
+    cycles = list(vecs)
+    if any(out_rows):
         cycles = []
-        for c in coeffs:
+        for c in gf2.left_kernel(out_rows, len(page.cells[(s + r, t - r + 1)])):
             acc = 0
-            for i in range(len(vec_rows)):
+            for i, v in enumerate(vecs):
                 if (c >> i) & 1:
-                    acc ^= vec_rows[i]
+                    acc ^= v
             if acc:
                 cycles.append(acc)
-
-    boundary_rows = [sum(1 << own_idx[m] for m in b) for b in in_images]
-    reps, _ = gf2.quotient_basis(cycles, boundary_rows, len(own))
-    new_vecs = [
-        frozenset(own[i] for i in range(len(own)) if (row >> i) & 1)
-        for row in reps
-    ]
-    return tuple(sorted(new_vecs, key=min))
+    reps, _ = gf2.quotient_basis(cycles, boundaries, len(page.cells[(s, t)]))
+    # The lowest set bit is the leading monomial.
+    return tuple(sorted(reps, key=lambda v: v & -v))
 
 
 def apply_differential(page: BigradedPage, spec: DifferentialSpec) -> BigradedPage:
@@ -353,16 +363,13 @@ def apply_differential(page: BigradedPage, spec: DifferentialSpec) -> BigradedPa
     _check_d_squared(page, spec)
     r = spec.r
 
-    new_basis: dict[tuple[int, int], tuple[frozenset, ...]] = {}
+    new_basis: dict[tuple[int, int], tuple[int, ...]] = {}
     for (s, t) in sorted(page.basis):
         incoming = page.basis.get((s - r, t + r - 1), ())
-        new_vecs = homology_at(page, spec, page.basis[(s, t)], incoming)
+        new_vecs = homology_at(page, spec, s, t, page.basis[(s, t)], incoming)
         if new_vecs:
             new_basis[(s, t)] = new_vecs
-
-    return BigradedPage(
-        page.lattice, r + 1, new_basis, page.degree_cap, page.column_cap
-    )
+    return page._derived(r=r + 1, basis=new_basis)
 
 
 def run_to_e_infinity(
@@ -387,58 +394,43 @@ def truncate(
 
 
 class TruncationTower:
-    """`truncate(e2, m, specs)` for every m, each bidegree state computed once.
+    """The fold of `specs` over `e2`, for every column truncation at once.
 
-    The specs are taken as already checked: fold them once over the whole
-    E2 page first (see the module docstring for why that check covers
-    every truncation).  Given that fold as `e_infinity`, the tower reads
-    its all-alive top states from it instead of computing them again:
-    the fold ran `homology_at` on the same lattice, spec, classes and
-    incoming classes.
+    `page(m, j)` equals `run_to_e_infinity(e2.restricted_to_columns(m),
+    specs[:j])`, with each bidegree state computed once and shared by
+    every m and every later j.  The tower checks each spec once, on the
+    untruncated page it acts on (see the module docstring for why that
+    check covers every truncation).
 
-    `stage(m)` lists the nonempty states of the column-m truncation as
-    (s, t, alive): its bidegrees are a prefix of the column-sorted E2
-    bidegrees, and `alive` counts the specs with r <= m - s.  `page(m)` is
-    built from that list, and a caller that keys its own per-class work
-    by (s, t, alive) does that work once per state, not once per stage.
+    `stage(m, j)` lists the nonempty states of the column-m truncation
+    after j specs as (s, t, alive): its bidegrees are a prefix of the
+    column-sorted E2 bidegrees, and `alive` counts the specs among the
+    first j with r <= m - s.  `page(m, j)` is built from that list, and a
+    caller that keys its own per-class work by (s, t, alive) does that
+    work once per state, not once per stage.  m = None means untruncated,
+    and j defaults to every spec.
     """
 
-    def __init__(
-        self,
-        e2: BigradedPage,
-        specs: list[DifferentialSpec],
-        e_infinity: BigradedPage | None = None,
-    ):
-        if e_infinity is not None and (
-            e2.column_cap is not None
-            or e_infinity.column_cap is not None
-            or (e_infinity.lattice.presentation, e_infinity.degree_cap)
-            != (e2.lattice.presentation, e2.degree_cap)
-        ):
-            raise SpectralSequenceError(
-                "the seed page is not the untruncated fold of this E2"
-            )
+    def __init__(self, e2: BigradedPage, specs: list[DifferentialSpec]):
         self.e2 = e2
-        self.e_infinity = e_infinity
         self.specs = sorted(
             (spec for spec in specs if not spec.is_trivial()), key=lambda d: d.r
         )
-        # No column cap: a live d_r lands in column s + r <= m anyway.
-        self._lattice = BigradedPage(e2.lattice, e2.r, e2.basis, e2.degree_cap)
-        self._states: dict[tuple[int, int, int, int], tuple[frozenset, ...]] = {}
+        self._states: dict[tuple[int, int, int, int], tuple[int, ...]] = {}
         # Column-sorted bidegrees: a stage's are a prefix.
         self._keys = sorted(e2.basis)
         self._columns = [s for s, _ in self._keys]
         self._rs = [spec.r for spec in self.specs]
+        for j, spec in enumerate(self.specs):
+            page = self.page(None, j).advanced(spec.r)
+            _check_spec(page, spec)
+            _check_d_squared(page, spec)
 
-    def state(self, j: int, s: int, t: int, alive: int) -> tuple[frozenset, ...]:
+    def state(self, j: int, s: int, t: int, alive: int) -> tuple[int, ...]:
         """Basis at (s, t) after folding the first j specs, of which the
         first `alive` (a prefix, as r ascends) act out of column s."""
         if j == 0:
             return self.e2.basis.get((s, t), ())
-        if self.e_infinity is not None and j == alive == len(self.specs):
-            # The fold drops empty bidegrees.
-            return self.e_infinity.basis.get((s, t), ())
         key = (j, s, t, alive)
         if key not in self._states:
             spec = self.specs[j - 1]
@@ -447,35 +439,39 @@ class TruncationTower:
             if here:
                 # Every earlier d out of column s - r lands below s <= m.
                 incoming = self.state(j - 1, s - r, t + r - 1, j - 1)
-                here = homology_at(self._lattice, spec, here, incoming, alive == j)
+                here = homology_at(self.e2, spec, s, t, here, incoming, alive == j)
             self._states[key] = here
         return self._states[key]
 
-    def stage(self, m: int) -> list[tuple[int, int, int]]:
-        """The nonempty states (s, t, alive) of the column-m truncation, in
-        (s, t) order: `page(m)` holds `state(len(specs), s, t, alive)` at
-        each listed (s, t)."""
-        j = len(self.specs)
+    def stage(
+        self, m: int | None = None, j: int | None = None
+    ) -> list[tuple[int, int, int]]:
+        """The nonempty states (s, t, alive) of the column-m truncation
+        after j specs, in (s, t) order: `page(m, j)` holds
+        `state(j, s, t, alive)` at each listed (s, t)."""
+        j = len(self.specs) if j is None else j
+        keys = self._keys
+        if m is not None:
+            keys = keys[: bisect.bisect_right(self._columns, m)]
         out = []
-        for s, t in self._keys[: bisect.bisect_right(self._columns, m)]:
+        for s, t in keys:
             # d_r acts out of column s when s + r <= m; the r ascend.
-            alive = bisect.bisect_right(self._rs, m - s)
+            alive = j if m is None else bisect.bisect_right(self._rs, m - s, 0, j)
             if self.state(j, s, t, alive):
                 out.append((s, t, alive))
         return out
 
-    def page(self, m: int) -> BigradedPage:
-        """E-infinity of the column-m truncation, equal to `truncate(e2, m, specs)`."""
-        if m < 0:
+    def page(self, m: int | None = None, j: int | None = None) -> BigradedPage:
+        """The column-m truncation after the first j specs, marked
+        E-infinity as `run_to_e_infinity` marks it."""
+        if m is not None and m < 0:
             raise SpectralSequenceError("column cap must be >= 0")
-        j = len(self.specs)
+        j = len(self.specs) if j is None else j
         basis = {
-            (s, t): self.state(j, s, t, alive) for s, t, alive in self.stage(m)
+            (s, t): self.state(j, s, t, alive) for s, t, alive in self.stage(m, j)
         }
-        r = self.specs[-1].r + 1 if self.specs else self.e2.r
-        return BigradedPage(
-            self.e2.lattice, r, basis, self.e2.degree_cap, m, at_infinity=True
-        )
+        r = self.specs[j - 1].r + 1 if j else self.e2.r
+        return self.e2._derived(r=r, basis=basis, column_cap=m, at_infinity=True)
 
 
 def _powerset(items):
@@ -487,16 +483,15 @@ def infer_differentials(
     e2: BigradedPage,
     permanent: list[str],
     target: Algebra,
-    max_candidates_per_gen: int = 10**6,
-) -> list[tuple[DifferentialSpec, BigradedPage]]:
+) -> list[tuple[DifferentialSpec, TruncationTower]]:
     """Exhaustive search for the differentials forced by the abutment.
 
     Unknowns are exactly the generators not listed as permanent cycles.
     For each page index r and each assignment of a target-bidegree value
     (possibly zero) to every unknown, keep the assignments whose
     E-infinity matches the target algebra's dimensions in every total
-    degree up to the cap.  Each kept assignment comes with that
-    E-infinity page, the checked fold `run_to_e_infinity` would give.  A
+    degree up to the cap.  Each kept assignment comes with its checked
+    fold, a `TruncationTower` whose `page()` is that E-infinity.  A
     one-element result certifies the deduction.
     """
     known = set(permanent)
@@ -516,27 +511,22 @@ def infer_differentials(
                 return False
         return True
 
-    trivial = (DifferentialSpec(2, {}), e2.as_e_infinity())
+    trivial = (DifferentialSpec(2, {}), TruncationTower(e2, []))
     trivial_ok = dims_match(e2)
     if not unknowns:
         if trivial_ok:
             return [trivial]
         raise InferenceError("no consistent assignment: fixture/target mismatch")
 
-    results: list[tuple[DifferentialSpec, BigradedPage]] = []
+    results: list[tuple[DifferentialSpec, TruncationTower]] = []
     r_max = e2.column_cap if e2.column_cap is not None else e2.degree_cap
     for r in range(2, r_max + 1):
         candidate_lists = []
         for g in unknowns:
             bidegree = (1 + r, g.degree - r)
-            monos = sorted(
-                {
-                    m
-                    for vec in e2.basis.get(bidegree, ())
-                    for m in vec
-                }
-            )
-            if 2 ** len(monos) > max_candidates_per_gen:
+            # Each E2 class is one monomial, its leading one.
+            monos = [e2.leading(*bidegree, v) for v in e2.basis.get(bidegree, ())]
+            if 2 ** len(monos) > SEARCH_BUDGET:
                 raise InferenceError(
                     f"search budget exceeded for {g.name} at r={r}: "
                     f"2^{len(monos)} candidates"
@@ -550,13 +540,12 @@ def infer_differentials(
             spec = DifferentialSpec(
                 r, {g.name: frozenset(v) for g, v in zip(unknowns, combo)}
             )
-            page = e2.advanced(r)
             try:
-                page = apply_differential(page, spec)
+                tower = TruncationTower(e2, [spec])
             except SpectralSequenceError:
                 continue  # d^2 != 0 or bad bidegree: not a differential
-            if dims_match(page):
-                results.append((spec, page.as_e_infinity()))
+            if dims_match(tower.page()):
+                results.append((spec, tower))
 
     if trivial_ok:
         results.insert(0, trivial)
@@ -621,7 +610,7 @@ def class_facts(
     page: BigradedPage,
     s: int,
     t: int,
-    vec: frozenset,
+    vec: int,
     surviving_untruncated: set,
     partial_idx: int | None,
 ) -> ClassFacts:
@@ -629,7 +618,7 @@ def class_facts(
 
     `partial_idx` is the lattice index of the partial-product generator.
     """
-    lead = page.leading(vec)
+    lead = page.leading(s, t, vec)
     pe = lead[partial_idx] if partial_idx is not None else 0
     rest = tuple(0 if i == partial_idx else e for i, e in enumerate(lead))
     return ClassFacts(

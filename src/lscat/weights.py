@@ -18,9 +18,9 @@ the target degree cannot absorb the identity, exactly when the preimage
 degree has dimension zero and no residual class shares the target degree.
 
 The accepted differential is folded over E2 once per model: inference
-returns it with its checked E-infinity page, which the model keeps as
-`e_infinity` and from which the stage truncations (`specseq.TruncationTower`)
-read every state that has all differentials alive.
+returns it with its checked fold, a `specseq.TruncationTower`, and the
+model keeps that tower.  E-infinity is the tower's untruncated page, and
+every stage truncation shares the tower's states.
 
 Each class is classified once per model, not once per stage.  A stage's
 classes are those of its tower states (s, t, alive), and what the stages
@@ -115,7 +115,6 @@ class LoopSpaceModel:
         self,
         space: SpacePresentation,
         degree_cap: int | None = None,
-        max_candidates_per_gen: int = 10**6,
     ):
         if degree_cap is not None and degree_cap != space.degree_cap:
             space = replace(
@@ -129,7 +128,6 @@ class LoopSpaceModel:
                 ),
             )
         self.space = space
-        self.max_candidates_per_gen = max_candidates_per_gen
         self.algebra: Algebra = space.algebra()
         self.action: SteenrodAction = space.action(self.algebra)
         self._state_classes: dict[tuple[int, int, int], list[_StateClass]] = {}
@@ -149,13 +147,10 @@ class LoopSpaceModel:
         return koszul_e2(self.space.loop_homology)
 
     @cached_property
-    def _inference(self) -> tuple[DifferentialSpec, BigradedPage]:
-        """The unique consistent assignment and its checked E-infinity fold."""
+    def _inference(self) -> tuple[DifferentialSpec, TruncationTower]:
+        """The unique consistent assignment and its checked fold."""
         found = infer_differentials(
-            self.e2,
-            self.space.permanent_cycles,
-            self.algebra,
-            self.max_candidates_per_gen,
+            self.e2, self.space.permanent_cycles, self.algebra
         )
         if len(found) != 1:
             raise WeightError(
@@ -170,7 +165,7 @@ class LoopSpaceModel:
 
     @cached_property
     def e_infinity(self) -> BigradedPage:
-        return self._inference[1]
+        return self._tower.page()
 
     @cached_property
     def surviving(self) -> set:
@@ -194,8 +189,7 @@ class LoopSpaceModel:
 
     @cached_property
     def _tower(self) -> TruncationTower:
-        spec, e_infinity = self._inference
-        return TruncationTower(self.e2, [spec], e_infinity)
+        return self._inference[1]
 
     def truncation(self, m: int) -> BigradedPage:
         return self._tower.page(m)

@@ -15,6 +15,7 @@ import pytest
 import lscat
 from lscat import cli
 from lscat import report as report_mod
+from lscat import specseq
 from lscat.cli import main
 from lscat.spaces import builtin
 from lscat.specseq import run_to_e_infinity
@@ -179,6 +180,61 @@ def test_unmatched_suspension_exits_3(tmp_path, data, message):
     assert err.startswith(f"lscat: {message}")
 
 
+@pytest.mark.parametrize("command", ["report", "validate"])
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        pytest.param(
+            ["degree_cap"], 36.0, "degree_cap must be an integer, got 36.0",
+            id="cap-float",
+        ),
+        pytest.param(
+            ["degree_cap"], True, "degree_cap must be an integer, got True",
+            id="cap-bool",
+        ),
+        pytest.param(
+            ["cohomology", "generators", 0, "degree"], 3.0,
+            "x3 degree must be an integer, got 3.0",
+            id="degree-float",
+        ),
+        pytest.param(
+            ["steenrod", 0, "k"], "2",
+            "steenrod k of x3 must be an integer, got '2'",
+            id="k-str",
+        ),
+        pytest.param(
+            ["extra_generators", 0, "t"], 2.5,
+            "x11 t must be an integer, got 2.5",
+            id="extra-t-float",
+        ),
+        pytest.param(
+            ["permanent_cycles"], "x1_2",
+            "permanent_cycles must be a list of names, got 'x1_2'",
+            id="permanent-str",
+        ),
+        pytest.param(
+            ["permanent_cycles"], ["x1_2", 4],
+            "permanent_cycles must be a list of names, got ['x1_2', 4]",
+            id="permanent-int-entry",
+        ),
+    ],
+)
+def test_mistyped_fixture_field_exits_3(tmp_path, command, path, value, message):
+    """A mistyped fixture field is named in a FixtureError, never a
+    traceback and never silently misread."""
+    data = builtin("spin9").to_dict()
+    *parents, last = path
+    node = data
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    fixture = tmp_path / "mistyped.json"
+    fixture.write_text(json.dumps(data))
+    code, out, err = run_cli(command, str(fixture))
+    assert (code, out) == (3, "")
+    assert err == f"lscat: {message}\n"
+
+
 def test_optimised_interpreter_gives_same_report():
     """`python -O` strips asserts; no certified number may depend on one."""
     src = str(Path(lscat.__file__).resolve().parent.parent)
@@ -311,9 +367,8 @@ def test_bad_truncate_value():
     assert code == 3 and "truncate" in err
 
 
-def test_budget_flag():
-    code, _, err = run_cli(
-        "report", "spin9", "--max-search-per-generator", "1"
-    )
+def test_search_budget_exits_3(monkeypatch):
+    monkeypatch.setattr(specseq, "SEARCH_BUDGET", 1)
+    code, _, err = run_cli("report", "spin9")
     assert code == 3
     assert "budget" in err

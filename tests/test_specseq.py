@@ -2,6 +2,7 @@
 
 import pytest
 
+from lscat import specseq
 from lscat.algebra import AlgebraError, AlgebraPresentation, Generator
 from lscat.spaces import builtin
 from lscat.specseq import (
@@ -118,9 +119,10 @@ def test_inference_unique_toy():
     )
 
 
-def test_inference_budget():
-    with pytest.raises(InferenceError):
-        LoopSpaceModel(builtin("spin9"), max_candidates_per_gen=1).differentials
+def test_inference_budget(monkeypatch):
+    monkeypatch.setattr(specseq, "SEARCH_BUDGET", 1)
+    with pytest.raises(InferenceError, match="search budget exceeded"):
+        LoopSpaceModel(builtin("spin9")).differentials
 
 
 def test_inference_mismatch_raises():
@@ -142,8 +144,9 @@ def test_leibniz_filtration_class(spin9_model):
     src = e2.parse_monomial("x1_2^3*x1_4*x1_6*x1_10")
     assert e2.bidegree(src) == (6, 26)
     img = leibniz(e2.advanced(3), spec, src)
-    assert img == frozenset({e2.parse_monomial("x1_2^7*x1_4*x1_6")})
-    assert e2.bidegree(next(iter(img))) == (9, 24)
+    tgt = e2.parse_monomial("x1_2^7*x1_4*x1_6")
+    assert e2.monomials(9, 24, img) == [tgt]
+    assert e2.bidegree(tgt) == (9, 24)
 
 
 def test_truncation_survival(spin9_model):
@@ -268,9 +271,8 @@ def test_page_json(spin9_model):
     assert all(b["s"] + b["t"] <= 36 for b in data["bidegrees"])
 
 
-def test_tower_matches_truncate_on_two_differentials():
-    """Synthetic d_2-then-d_3 space: the shared-state tower gives every
-    column truncation exactly as a from-scratch fold does."""
+def two_page_synthetic():
+    """E2 and [d_2(x1_7) = x1_2^3, d_3(x1_18) = x1_4^4], cap 40."""
     pres = AlgebraPresentation(
         (
             Generator("u2", 2, 2),
@@ -285,30 +287,29 @@ def test_tower_matches_truncate_on_two_differentials():
         DifferentialSpec(2, {"x1_7": e2.parse_class(["x1_2^3"])}),
         DifferentialSpec(3, {"x1_18": e2.parse_class(["x1_4^4"])}),
     ]
+    return e2, specs
+
+
+def test_tower_matches_truncate_on_two_differentials():
+    """Synthetic d_2-then-d_3 space: the shared-state tower gives every
+    column truncation exactly as a from-scratch fold does."""
+    e2, specs = two_page_synthetic()
     e_inf = run_to_e_infinity(e2, specs)  # the checked untruncated fold
     assert e_inf.dims_by_total_degree() != e2.dims_by_total_degree()
     tower = TruncationTower(e2, specs)
-    seeded = TruncationTower(e2, specs, e_inf)
-    for m in range(pres.degree_cap + 1):
+    for m in range(e2.degree_cap + 1):
         page = truncate(e2, m, specs)
         assert tower.page(m).to_json() == page.to_json()
         # The stage listing: the page's bidegrees, each with the number
         # of differentials acting out of its column.
-        assert seeded.stage(m) == [
+        assert tower.stage(m) == [
             (s, t, sum(s + spec.r <= m for spec in specs))
             for s, t in sorted(page.basis)
         ]
-        assert seeded.page(m).to_json() == page.to_json()
         assert (
             tower.page(m).surviving_leading_monomials()
-            == seeded.page(m).surviving_leading_monomials()
             == page.surviving_leading_monomials()
         )
-    # The seeded tower computes only the states the fold does not hold.
-    assert set(seeded._states) == {
-        key for key in tower._states if key[0] != 2 or key[3] != 2
-    }
-    assert len(seeded._states) < len(tower._states)
     # Some bidegree meets all three states after two pages: neither,
     # only d_2, and both differentials acting out of its column.
     states: dict = {}
@@ -320,27 +321,58 @@ def test_tower_matches_truncate_on_two_differentials():
 
 @pytest.mark.parametrize("cap", [36, 52])
 def test_seeded_tower_matches_unseeded_on_spin9(cap):
-    """The model's tower, seeded from the inference fold, gives every stage
-    as a tower that computes all its states (`truncate` is compared with
-    the model in test_weights)."""
+    """The model's tower, kept from inference, gives every stage as a fresh
+    tower does (`truncate` is compared with the model in test_weights)."""
     model = LoopSpaceModel(builtin("spin9"), degree_cap=cap)
-    unseeded = TruncationTower(model.e2, model.differentials)
+    fresh = TruncationTower(model.e2, model.differentials)
     for m in range(cap + 1):
-        assert model.truncation(m).to_json() == unseeded.page(m).to_json()
+        assert model.truncation(m).to_json() == fresh.page(m).to_json()
     assert model.e_infinity.basis == run_to_e_infinity(
         model.e2, model.differentials
     ).basis
 
 
-def test_tower_rejects_a_foreign_seed(spin9_model):
-    e2 = spin9_model.e2
-    specs = spin9_model.differentials
-    capped = run_to_e_infinity(e2.restricted_to_columns(8), specs)
-    with pytest.raises(SpectralSequenceError):
-        TruncationTower(e2, specs, capped)
-    toy = LoopSpaceModel(builtin("toy-trunc-poly"))
-    with pytest.raises(SpectralSequenceError):
-        TruncationTower(e2, specs, toy.e_infinity)
+def test_tower_pages_match_folds_after_each_spec():
+    """`page(m, j)`, for every truncation and every number of specs folded,
+    is the checked fold of the first j specs over the column-m E2."""
+    e2, specs = two_page_synthetic()
+    tower = TruncationTower(e2, specs)
+    for m in [None, *range(e2.degree_cap + 1)]:
+        page = e2 if m is None else e2.restricted_to_columns(m)
+        for j in range(len(specs) + 1):
+            want = run_to_e_infinity(page, specs[:j])
+            got = tower.page(m, j)
+            assert got.basis == want.basis
+            assert got.column_cap == want.column_cap == m
+
+
+@pytest.mark.parametrize(
+    "assignments, message",
+    [
+        pytest.param(
+            {"x1_7": ["x1_2^3"], "x1_12": ["x1_7*x1_2^2"]},
+            "does not square to zero on x1_12",
+            id="d-squared",
+        ),
+        pytest.param({"x1_7": ["x1_2"]}, "has a term of bidegree", id="bidegree"),
+    ],
+)
+def test_tower_checks_its_specs(assignments, message):
+    """A tower refuses a d_2 that is not a differential."""
+    pres = AlgebraPresentation(
+        (
+            Generator("u2", 2, 2),
+            Generator("u7", 7, None),
+            Generator("u12", 12, None),
+        ),
+        40,
+    )
+    e2 = koszul_e2(pres)  # x1_2 polynomial; x1_7, x1_12 exterior
+    spec = DifferentialSpec(
+        2, {name: e2.parse_class(value) for name, value in assignments.items()}
+    )
+    with pytest.raises(SpectralSequenceError, match=message):
+        TruncationTower(e2, [spec])
 
 
 def test_run_to_e_infinity_returns_a_new_page():
