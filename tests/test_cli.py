@@ -180,6 +180,42 @@ def test_unmatched_suspension_exits_3(tmp_path, data, message):
     assert err.startswith(f"lscat: {message}")
 
 
+def unmatched_lattice():
+    """F2[x2]/(x2^4) against the E2 of F2[u1] (x) F2[u3], cap 6: the
+    dimensions agree, but x1_3 (degree 4) matches no cohomology generator."""
+    return unmatched_space(
+        "unmatched-lattice", 6, [("x2", 2, 4)],
+        [("u1", 1, "unbounded"), ("u3", 3, "unbounded")], ["x1_1", "x1_3"],
+    )
+
+
+def test_unmatched_lattice_generator_raises_where_it_is_used(tmp_path):
+    """An unmatched E2 generator raises at the first stage with a
+    computable class containing it, never reads as "no witness"; stage 0
+    holds only the unit, so it has no witness and raises nothing."""
+    from lscat.spaces import SpacePresentation, validate
+    from lscat.weights import WeightError
+
+    space = SpacePresentation.from_dict(unmatched_lattice())
+    assert validate(space).ok
+    model = LoopSpaceModel(space)
+    assert model.find_obstruction(0) is None
+    for m in range(1, 8):
+        with pytest.raises(WeightError) as info:
+            model.find_obstruction(m)
+        assert str(info.value) == "x1_3 matches no cohomology class"
+    with pytest.raises(WeightError) as info:
+        LoopSpaceModel(space).mwgt_lower_bound()
+    assert str(info.value) == "x1_3 matches no cohomology class"
+
+    path = tmp_path / "unmatched.json"
+    path.write_text(json.dumps(unmatched_lattice()))
+    assert run_cli("validate", str(path)) == (0, "unmatched-lattice: ok\n", "")
+    code, out, err = run_cli("report", str(path), "--format", "json")
+    assert (code, out) == (3, "")
+    assert err == "lscat: x2^2 has no surviving E-infinity representative\n"
+
+
 @pytest.mark.parametrize("command", ["report", "validate"])
 @pytest.mark.parametrize(
     "path, value, message",

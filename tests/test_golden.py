@@ -9,20 +9,23 @@ paste it over `DIGESTS`.
 
 import hashlib
 import io
+import json
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
 from lscat.cli import main
+from test_cli import unmatched_lattice
 from test_weights import su_space
 
 STAGES = "0,3,7,8,9,13,20,36"
-SU_RANGE = range(3, 8)
+SU_SIZES = (3, 4, 5, 6, 7, 8, 10)
 
 
 def cases() -> dict[str, list[str]]:
-    """Case id -> argv; an `{su<n>}` argument is that SU(n) fixture's path."""
+    """Case id -> argv; an `{su<n>}` argument is that SU(n) fixture's path,
+    and `{unmatched}` the path of `test_cli.unmatched_lattice()`."""
     out = {}
     for cap in (36, 52):
         for fmt in ("json", "text"):
@@ -33,8 +36,9 @@ def cases() -> dict[str, list[str]]:
     for name in ("toy-trunc-poly", "unit"):
         for fmt in ("json", "text"):
             out[f"{name}-{fmt}"] = ["report", name, "--format", fmt]
-    for n in SU_RANGE:
+    for n in SU_SIZES:
         out[f"su{n}-json"] = ["report", f"{{su{n}}}", "--format", "json"]
+    out["unmatched-lattice-json"] = ["report", "{unmatched}", "--format", "json"]
     for r in (2, 3, 4):
         for t in (None, 4, 8):
             argv = ["dump-page", "spin9", "--page", str(r)]
@@ -61,7 +65,8 @@ def cases() -> dict[str, list[str]]:
 
 
 def digest(argv: list[str], fixtures: Path) -> str:
-    paths = {f"{{su{n}}}": str(fixtures / f"su{n}.json") for n in SU_RANGE}
+    paths = {f"{{su{n}}}": str(fixtures / f"su{n}.json") for n in SU_SIZES}
+    paths["{unmatched}"] = str(fixtures / "unmatched.json")
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main([paths.get(a, a) for a in argv])
@@ -72,8 +77,9 @@ def digest(argv: list[str], fixtures: Path) -> str:
 
 
 def write_fixtures(directory: Path):
-    for n in SU_RANGE:
+    for n in SU_SIZES:
         (directory / f"su{n}.json").write_text(su_space(n).dumps())
+    (directory / "unmatched.json").write_text(json.dumps(unmatched_lattice()))
 
 
 DIGESTS = {
@@ -135,6 +141,8 @@ DIGESTS = {
         "dd822ef368fc20076c00a2f7a20ac14399ba71656fb922536665e883d6c8f34f",
     "spin9-cap52-text":
         "af893aab355efbbbf8eff3a1422aeb788b1da2e7604e5e5e7f7fa627b74ed55b",
+    "su10-json":
+        "3dcee9ad0cf57320e88c8a12cb164ac00361f49cb982f23ba572674c9343ba55",
     "su3-json":
         "201862c16e4b29ca4617ce2a6c578ad53bec7084b967e6328ca451fd0f4d2dda",
     "su4-json":
@@ -145,6 +153,8 @@ DIGESTS = {
         "881570ced3f296344164c528cb988dd61980a1bc765a2d7af6f922fcc342327b",
     "su7-json":
         "fc2923d3979df2ff0d1993959eb9169de8857f42364d5bd4962ebfffc145a5c6",
+    "su8-json":
+        "49487fe2b7cee3b3c03e99ccbd056d0d81a901d77e0f9a6bc2dd74a1984883a9",
     "toy-trunc-poly-json":
         "e75b7a5650caf900f9e6b1f84b68f2fdcd870575f06532ecc25734e80707c9e8",
     "toy-trunc-poly-text":
@@ -153,6 +163,8 @@ DIGESTS = {
         "b3dc7d6bc15e4cf291cbacb48d5ca30694f9e694e7bf6dff26345200d760f1f9",
     "unit-text":
         "05f4040d67140d7d45562e9c0b6b8357d8b9b5933b314a211296551c9dd100e0",
+    "unmatched-lattice-json":
+        "a5495cc892c98ecc61027b9bbea8639ba5a1f14451ee8173f4f334d6ebab783e",
     "validate-spin9":
         "e5a55c3cca76ca72710f3b84cb7df0c51dd66837463a39e53e65f5a8977c7456",
 }
