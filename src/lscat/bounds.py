@@ -8,6 +8,7 @@ entry gives a cat upper bound (cat <= Cat).
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 
 QUANTITIES = ("cat", "Cat", "cuplen", "wgt", "Mwgt")
@@ -102,6 +103,29 @@ def strong_category_fallback(cat_strong_g: int) -> int:
     if cat_strong_g < 0:
         raise LedgerError("Cat input must be >= 0")
     return 2 * cat_strong_g + 1
+
+
+# Attestation rules: name -> (function, the quantity and kind it bounds).
+RULES = {
+    "bundle_upper_bound": (bundle_upper_bound, "cat", "upper"),
+    "ganea_product_bound": (ganea_product_bound, "cat", "upper"),
+    "strong_category_fallback": (strong_category_fallback, "Cat", "upper"),
+}
+
+
+def rule_problem(name: str, args: list[int]) -> str | None:
+    """Why the attested rule `name(*args)` gives no bound, or None."""
+    if name not in RULES:
+        return f"unknown bound rule {name!r}"
+    fn = RULES[name][0]
+    arity = len(inspect.signature(fn).parameters)
+    if len(args) != arity:
+        return f"{name} takes {arity} arguments, got {len(args)}"
+    try:
+        fn(*args)
+    except LedgerError as exc:
+        return f"{name}{tuple(args)}: {exc}"
+    return None
 
 
 def assemble_bracket(ledger: BoundsLedger) -> tuple[int, int]:

@@ -18,16 +18,6 @@ from lscat.weights import LoopSpaceModel
 
 SCHEMA_VERSION = 1
 
-_RULES = {
-    "bundle_upper_bound": (bounds_mod.bundle_upper_bound, "cat", "upper"),
-    "ganea_product_bound": (bounds_mod.ganea_product_bound, "cat", "upper"),
-    "strong_category_fallback": (
-        bounds_mod.strong_category_fallback,
-        "Cat",
-        "upper",
-    ),
-}
-
 
 class ReportError(ValueError):
     pass
@@ -45,9 +35,9 @@ def attested_entries(space: SpacePresentation, ledger: BoundsLedger):
             )
         if att.rule:
             name = att.rule["name"]
-            if name not in _RULES:
+            if name not in bounds_mod.RULES:
                 raise ReportError(f"unknown bound rule {name!r}")
-            fn, quantity, kind = _RULES[name]
+            fn, quantity, kind = bounds_mod.RULES[name]
             value = fn(*att.rule["args"])
             ledger.add(
                 quantity,

@@ -33,6 +33,7 @@ from lscat.algebra import (
     AlgebraPresentation,
     Generator,
 )
+from lscat.bounds import BoundEntry, LedgerError, rule_problem
 from lscat.specseq import BigradedPage, SpectralSequenceError, koszul_e2
 from lscat.steenrod import SteenrodAction
 
@@ -168,6 +169,32 @@ class SpacePresentation:
             except (KeyError, TypeError) as exc:
                 raise FixtureError(f"malformed presentation: {exc}") from exc
 
+        def attestation_py(i, a):
+            where = f"attestations[{i}]"
+            bound, rule = a.get("bound"), a.get("rule")
+            if bound is not None:
+                if not isinstance(bound, dict) or not (
+                    {"quantity", "kind", "value"} <= bound.keys()
+                ):
+                    raise FixtureError(
+                        f"{where}.bound must have a quantity, kind and "
+                        f"value, got {bound!r}"
+                    )
+                _int(bound["value"], f"{where}.bound.value")
+            if rule is not None:
+                if not (
+                    isinstance(rule, dict)
+                    and isinstance(rule.get("name"), str)
+                    and isinstance(rule.get("args"), list)
+                ):
+                    raise FixtureError(
+                        f"{where}.rule must have a name and a list of args, "
+                        f"got {rule!r}"
+                    )
+                for k, arg in enumerate(rule["args"]):
+                    _int(arg, f"{where}.rule.args[{k}]")
+            return Attestation(a["claim"], a["provenance"], bound, rule)
+
         try:
             cap = _int(data["degree_cap"], "degree_cap")
             loop = data.get("loop_homology")
@@ -209,13 +236,8 @@ class SpacePresentation:
                     for x in data.get("extra_generators", [])
                 ],
                 attestations=[
-                    Attestation(
-                        a["claim"],
-                        a["provenance"],
-                        a.get("bound"),
-                        a.get("rule"),
-                    )
-                    for a in data.get("attestations", [])
+                    attestation_py(i, a)
+                    for i, a in enumerate(data.get("attestations", []))
                 ],
             )
         except (KeyError, TypeError, AlgebraError) as exc:
@@ -343,7 +365,8 @@ class ValidationReport:
 def validate(
     sp: SpacePresentation, e2: BigradedPage | None = None
 ) -> ValidationReport:
-    """Aggregate preflight: Steenrod axioms, loop freeness, conservation.
+    """Aggregate preflight: Steenrod axioms, loop freeness, conservation,
+    and attested bounds the ledger can take.
 
     `e2`, when given, is `koszul_e2(sp.loop_homology)` already built.
     """
@@ -376,6 +399,19 @@ def validate(
                     f"Sq^{k} {x.name}: value not homogeneous of degree "
                     f"{x.degree + k}"
                 )
+
+    for i, att in enumerate(sp.attestations):
+        where = f"attestations[{i}]"
+        if att.bound:
+            b = att.bound
+            try:
+                BoundEntry(b["quantity"], b["kind"], b["value"], att.claim)
+            except LedgerError as exc:
+                report.problems.append(f"{where}.bound: {exc}")
+        if att.rule:
+            problem = rule_problem(att.rule["name"], att.rule["args"])
+            if problem:
+                report.problems.append(f"{where}.rule: {problem}")
 
     if sp.loop_homology is not None:
         try:

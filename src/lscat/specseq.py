@@ -408,7 +408,10 @@ class TruncationTower:
     first j with r <= m - s.  `page(m, j)` is built from that list, and a
     caller that keys its own per-class work by (s, t, alive) does that
     work once per state, not once per stage.  m = None means untruncated,
-    and j defaults to every spec.
+    and j defaults to every spec.  In the columns s <= m - r, r the largest
+    of the first j specs, every one of them is alive, so that part of the
+    listing is a prefix of the untruncated one, which the tower keeps per
+    j; only the last r columns are listed afresh for each m.
     """
 
     def __init__(self, e2: BigradedPage, specs: list[DifferentialSpec]):
@@ -417,6 +420,8 @@ class TruncationTower:
             (spec for spec in specs if not spec.is_trivial()), key=lambda d: d.r
         )
         self._states: dict[tuple[int, int, int, int], tuple[int, ...]] = {}
+        # Per j: the untruncated listing so far, its columns, keys scanned.
+        self._listings: dict[int, tuple[list, list[int], int]] = {}
         # Column-sorted bidegrees: a stage's are a prefix.
         self._keys = sorted(e2.basis)
         self._columns = [s for s, _ in self._keys]
@@ -443,6 +448,12 @@ class TruncationTower:
             self._states[key] = here
         return self._states[key]
 
+    def alive(self, s: int, m: int | None, j: int | None = None) -> int:
+        """How many of the first j specs act out of column s in the
+        column-m truncation: those with s + r <= m, a prefix as r ascends."""
+        j = len(self.specs) if j is None else j
+        return j if m is None else bisect.bisect_right(self._rs, m - s, 0, j)
+
     def stage(
         self, m: int | None = None, j: int | None = None
     ) -> list[tuple[int, int, int]]:
@@ -450,16 +461,37 @@ class TruncationTower:
         after j specs, in (s, t) order: `page(m, j)` holds
         `state(j, s, t, alive)` at each listed (s, t)."""
         j = len(self.specs) if j is None else j
-        keys = self._keys
-        if m is not None:
-            keys = keys[: bisect.bisect_right(self._columns, m)]
-        out = []
-        for s, t in keys:
-            # d_r acts out of column s when s + r <= m; the r ascend.
-            alive = j if m is None else bisect.bisect_right(self._rs, m - s, 0, j)
+        if m is None:
+            return self._untruncated(j, None)
+        # Every spec folded acts out of a column s <= m - r, r the largest
+        # of them, so those columns list as untruncated; only the last r
+        # columns are listed here.
+        r = self._rs[j - 1] if j else 0
+        out = self._untruncated(j, m - r)
+        lo = bisect.bisect_right(self._columns, m - r)
+        hi = bisect.bisect_right(self._columns, m)
+        for s, t in self._keys[lo:hi]:
+            alive = self.alive(s, m, j)
             if self.state(j, s, t, alive):
                 out.append((s, t, alive))
         return out
+
+    def _untruncated(self, j: int, top: int | None) -> list[tuple[int, int, int]]:
+        """The untruncated listing after j specs through column `top` (None:
+        every column).  The tower keeps it per j and scans each E2
+        bidegree for it once, when a column that far is first asked for."""
+        listing, columns, scanned = self._listings.get(j, ([], [], 0))
+        end = len(self._keys) if top is None else bisect.bisect_right(
+            self._columns, top
+        )
+        for s, t in self._keys[scanned:end]:
+            if self.state(j, s, t, j):
+                listing.append((s, t, j))
+                columns.append(s)
+        self._listings[j] = listing, columns, max(scanned, end)
+        if top is None:
+            return listing[:]
+        return listing[: bisect.bisect_right(columns, top)]
 
     def page(self, m: int | None = None, j: int | None = None) -> BigradedPage:
         """The column-m truncation after the first j specs, marked

@@ -27,11 +27,25 @@ classes are those of its tower states (s, t, alive), and what the stages
 read of a class does not depend on the stage: its leading monomial,
 label and degree, its partial-generator exponent and permanent-factor
 count, whether those factors survive untruncated (`specseq.class_facts`),
-whether the cohomology vanishes in its degree, and its image in the
-extended algebra (kept per leading monomial).  The model keeps these per
-tower state.  Per stage, only the partial window is tested (a class with
-one partial factor is partial inside it, residual outside), and the
-stage's report concatenates its states' classes in (s, t) order.
+and its image in the extended algebra (kept per leading monomial).  The
+model keeps these per tower state.  Per stage, only the partial window is
+tested (a class with one partial factor is partial inside it, residual
+outside), and the stage's report concatenates its states' classes in
+(s, t) order.
+
+The search reads only the states where a witness can lie.  A witness
+class sits in a degree where the cohomology vanishes, and whether a
+degree vanishes is a property of the state, so a stage's candidates are
+the non-residual classes of its states in such degrees, in page order.
+A stage without one has no witness: the search returns None without
+listing the stage.  Only a stage with a candidate is listed in full, for
+the monomials alive in it and its residual degrees.  The one error
+particular to a skipped stage is a computable class that does not map into
+the extended algebra, and that takes an E2 generator matching no
+cohomology class.  So the model checks the generator match once, and
+only when some generator is unmatched does it walk each stage's
+computable classes: the first stage holding such a class raises, naming
+the generator.
 
 The search saturates.  Every E2 lattice monomial lies in a column at most
 s_sat, the largest E2 column, so every stage past s_sat has the classes
@@ -93,11 +107,10 @@ class _StateClass:
     """One reported class of a truncation-tower state, with the facts the
     stages read of it; none of them depends on the stage."""
 
-    __slots__ = ("facts", "vanishing", "entries")
+    __slots__ = ("facts", "entries")
 
-    def __init__(self, facts: ClassFacts, vanishing: bool):
+    def __init__(self, facts: ClassFacts):
         self.facts = facts
-        self.vanishing = vanishing  # the cohomology vanishes in its degree
         # Report entry per bucket the class has taken; only a class with
         # one partial factor takes two (partial inside its window, else
         # residual).
@@ -131,9 +144,7 @@ class LoopSpaceModel:
         self.algebra: Algebra = space.algebra()
         self.action: SteenrodAction = space.action(self.algebra)
         self._state_classes: dict[tuple[int, int, int], list[_StateClass]] = {}
-        self._stages: dict[
-            int, tuple[list[_StateClass], list[TruncationClass]]
-        ] = {}
+        self._stages: dict[int, list[TruncationClass]] = {}
         self._witnesses: dict[int, ObstructionWitness | None] = {}
         self._ext_exps: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._squares: dict[tuple[int, ...], dict[int, frozenset]] = {}
@@ -195,30 +206,56 @@ class LoopSpaceModel:
         return self._tower.page(m)
 
     def stage_report(self, m: int) -> list[TruncationClass]:
-        return self._stage(m)[1]
+        return self._stage(m)
 
-    def _stage(self, m: int) -> tuple[list[_StateClass], list[TruncationClass]]:
-        """Stage m's classes and their report entries, in page order."""
+    def _stage(self, m: int) -> list[TruncationClass]:
+        """Stage m's report entries, in page order."""
         m = min(m, self.stable_stage)
         if m not in self._stages:
-            h = self._extension_height
             # Past s_sat the classes are those of stage s_sat; reading its
             # states spares the tower folding d_r out of the columns within
             # r of s_sat, whose targets are empty.
-            classes = [
-                cls
+            self._stages[m] = [
+                self._entry(cls, m)
                 for state in self._tower.stage(min(m, self.saturation_column))
                 for cls in self._classes_of_state(*state)
             ]
-            entries = []
-            for cls in classes:
-                bucket = cls.facts.bucket(m, h)
-                entry = cls.entries.get(bucket)
-                if entry is None:
-                    entry = cls.entries[bucket] = cls.facts.labelled(bucket)
-                entries.append(entry)
-            self._stages[m] = classes, entries
         return self._stages[m]
+
+    def _entry(self, cls: _StateClass, m: int) -> TruncationClass:
+        """The report entry of `cls` at stage m (at most the stable stage)."""
+        bucket = cls.facts.bucket(m, self._extension_height)
+        entry = cls.entries.get(bucket)
+        if entry is None:
+            entry = cls.entries[bucket] = cls.facts.labelled(bucket)
+        return entry
+
+    @cached_property
+    def _vanishing_keys(self) -> list[tuple[int, int]]:
+        """The reported E2 bidegrees, in (s, t) order, whose total degree
+        has no cohomology: the only states a witness class can lie in."""
+        cap = self.e2.degree_cap
+        return [
+            (s, t)
+            for s, t in sorted(self.e2.basis)
+            if s + t <= cap and not self.algebra.basis(s + t)
+        ]
+
+    def _candidates(self, m: int) -> list[TruncationClass]:
+        """Stage m's non-residual classes in vanishing degrees, in page
+        order: the classes the witness search squares."""
+        m = min(m, self.stable_stage)
+        top = min(m, self.saturation_column)
+        out = []
+        for s, t in self._vanishing_keys:
+            if s > top:
+                break
+            alive = self._tower.alive(s, top)
+            for cls in self._classes_of_state(s, t, alive):
+                entry = self._entry(cls, m)
+                if entry.bucket != BUCKET_RESIDUAL:
+                    out.append(entry)
+        return out
 
     def _classes_of_state(self, s: int, t: int, alive: int) -> list[_StateClass]:
         """The reported classes of one tower state, classified once."""
@@ -229,11 +266,10 @@ class LoopSpaceModel:
                 extra = self._partial_extra
                 name = self._koszul_name_of_extra(extra) if extra else None
                 p_idx = self.e2.lattice._index.get(name) if name else None
-                vanishing = not self.algebra.basis(s + t)
                 j = len(self._tower.specs)
                 for vec in self._tower.state(j, s, t, alive):
                     facts = class_facts(self.e2, s, t, vec, self.surviving, p_idx)
-                    out.append(_StateClass(facts, vanishing))
+                    out.append(_StateClass(facts))
             self._state_classes[key] = out
         return self._state_classes[key]
 
@@ -407,20 +443,27 @@ class LoopSpaceModel:
         return self._witnesses[m]
 
     def _find_obstruction(self, m: int) -> ObstructionWitness | None:
-        classes, report = self._stage(m)
-        computable = [
-            (state_class.vanishing, cls)
-            for state_class, cls in zip(classes, report)
-            if cls.bucket != BUCKET_RESIDUAL
-        ]
-        # Every computable class must map into the extended algebra, even
-        # one the degree test below skips: an unmatched generator raises.
-        for _, cls in computable:
-            self._extended_exps(cls.leading)
+        # Stage m's classes are states of the fold: a model whose
+        # inference fails raises here, before anything else.
+        self._tower
+        if m < 0:
+            return None  # no column, so no class
+        # Stage m's first class is the unit, which is computable; mapping
+        # it builds the extended algebra and the generator match, either
+        # of which may raise.
+        self._extended_exps((0,) * len(self.e2.lattice.generators))
+        if None in self._lattice_to_extended:
+            # Every computable class must map into the extended algebra,
+            # even one the degree test skips: a class with an unmatched
+            # generator raises, at the first stage that holds one.
+            for cls in self._stage(m):
+                if cls.bucket != BUCKET_RESIDUAL:
+                    self._extended_exps(cls.leading)
         # Hard form: the preimage degree vanishes identically.
-        candidates = [cls for vanishing, cls in computable if vanishing]
+        candidates = self._candidates(m)
         if not candidates:
             return None
+        report = self._stage(m)
         ext = self._extended_algebra
         extra = self._partial_extra
         extra_idx = (

@@ -271,6 +271,114 @@ def test_mistyped_fixture_field_exits_3(tmp_path, command, path, value, message)
     assert err == f"lscat: {message}\n"
 
 
+def set_rule_args(args):
+    def edit(data):
+        data["attestations"][1]["rule"]["args"] = args
+    return edit
+
+
+def set_bound(**fields):
+    """Give spin9's first attestation the bound cat <= 8, with `fields`
+    replaced (a None value drops the field)."""
+    def edit(data):
+        bound = {"quantity": "cat", "kind": "upper", "value": 8, **fields}
+        data["attestations"][0]["bound"] = {
+            k: v for k, v in bound.items() if v is not None
+        }
+    return edit
+
+
+def drop_rule_name(data):
+    del data["attestations"][1]["rule"]["name"]
+
+
+@pytest.mark.parametrize("command", ["report", "validate"])
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param(
+            set_rule_args([5.0, 3]),
+            "attestations[1].rule.args[0] must be an integer, got 5.0",
+            id="args-float",
+        ),
+        pytest.param(
+            set_rule_args([True, 3]),
+            "attestations[1].rule.args[0] must be an integer, got True",
+            id="args-bool",
+        ),
+        pytest.param(
+            set_rule_args(["5", 3]),
+            "attestations[1].rule.args[0] must be an integer, got '5'",
+            id="args-str",
+        ),
+        pytest.param(
+            set_rule_args([5]),
+            "attestations[1].rule: bundle_upper_bound takes 2 arguments, got 1",
+            id="args-short",
+        ),
+        pytest.param(
+            set_rule_args([5, 0]),
+            "attestations[1].rule: bundle_upper_bound(5, 0): compression "
+            "stage must be >= 1",
+            id="args-range",
+        ),
+        pytest.param(
+            drop_rule_name,
+            "attestations[1].rule must have a name and a list of args, "
+            "got {'args': [5, 3]}",
+            id="rule-no-name",
+        ),
+        pytest.param(
+            set_bound(value="8"),
+            "attestations[0].bound.value must be an integer, got '8'",
+            id="value-str",
+        ),
+        pytest.param(
+            set_bound(value=8.5),
+            "attestations[0].bound.value must be an integer, got 8.5",
+            id="value-float",
+        ),
+        pytest.param(
+            set_bound(value=True),
+            "attestations[0].bound.value must be an integer, got True",
+            id="value-bool",
+        ),
+        pytest.param(
+            set_bound(value=-1),
+            "attestations[0].bound: bound values must be >= 0",
+            id="value-negative",
+        ),
+        pytest.param(
+            set_bound(quantity="kat"),
+            "attestations[0].bound: unknown quantity 'kat'",
+            id="quantity",
+        ),
+        pytest.param(
+            set_bound(kind="sideways"),
+            "attestations[0].bound: unknown kind 'sideways'",
+            id="kind",
+        ),
+        pytest.param(
+            set_bound(value=None),
+            "attestations[0].bound must have a quantity, kind and value, "
+            "got {'quantity': 'cat', 'kind': 'upper'}",
+            id="bound-no-value",
+        ),
+    ],
+)
+def test_bad_attestation_exits_3(tmp_path, command, edit, message):
+    """An attested bound the ledger cannot take exits 3 with a message
+    naming the field, never a traceback, a misread value or a bracket."""
+    data = builtin("spin9").to_dict()
+    edit(data)
+    fixture = tmp_path / "attested.json"
+    fixture.write_text(json.dumps(data))
+    code, out, err = run_cli(command, str(fixture))
+    assert code == 3
+    assert message in out + err
+    assert "cat bracket" not in out
+
+
 def test_optimised_interpreter_gives_same_report():
     """`python -O` strips asserts; no certified number may depend on one."""
     src = str(Path(lscat.__file__).resolve().parent.parent)

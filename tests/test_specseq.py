@@ -332,6 +332,38 @@ def test_seeded_tower_matches_unseeded_on_spin9(cap):
     ).basis
 
 
+def scratch_listing(tower, m, j):
+    """`tower.stage(m, j)` listed column by column from scratch."""
+    rs = [spec.r for spec in tower.specs[:j]]
+    out = []
+    for s, t in sorted(tower.e2.basis):
+        if m is not None and s > m:
+            continue
+        alive = len(rs) if m is None else sum(s + r <= m for r in rs)
+        if tower.state(j, s, t, alive):
+            out.append((s, t, alive))
+    return out
+
+
+@pytest.mark.parametrize("space", ["spin9", "two-page"])
+def test_stage_listing_matches_a_scratch_listing(space):
+    """The listing shares its all-alive columns with the untruncated one
+    and lists the same states as a column-by-column scan, for every m,
+    truncated or not, and every number of specs folded, whichever m the
+    tower is asked for first."""
+    if space == "spin9":
+        model = LoopSpaceModel(builtin("spin9"))
+        e2, specs = model.e2, model.differentials
+    else:
+        e2, specs = two_page_synthetic()
+    ms = [*range(-1, e2.degree_cap + 4), None]
+    for order in (ms, ms[::-1]):
+        tower = TruncationTower(e2, specs)
+        for m in order:
+            for j in range(len(specs) + 1):
+                assert tower.stage(m, j) == scratch_listing(tower, m, j)
+
+
 def test_tower_pages_match_folds_after_each_spec():
     """`page(m, j)`, for every truncation and every number of specs folded,
     is the checked fold of the first j specs over the column-m E2."""

@@ -397,6 +397,44 @@ def test_su_labels_each_class_once(monkeypatch):
     assert len(labels) == len(set(labels)) == 64
 
 
+def test_su_report_lists_no_stage(monkeypatch):
+    """No SU(7) class lies in a degree where the cohomology vanishes, and
+    every E2 generator matches: a report classifies no class and lists
+    no stage."""
+    facts = []
+    real_facts = weights.class_facts
+
+    def counting_facts(*args):
+        facts.append(args)
+        return real_facts(*args)
+
+    monkeypatch.setattr(weights, "class_facts", counting_facts)
+    model = LoopSpaceModel(su_space(7))
+    _, code = build_report(model)
+    assert code == 0
+    assert facts == []
+    assert model._stages == {}
+
+
+def test_spin9_report_lists_only_candidate_stages(monkeypatch):
+    """Stages 3..8 are the only spin9 stages with a non-residual class in
+    a degree where the cohomology vanishes; a report with no truncations
+    lists no other stage."""
+    listed = []
+    real_stage = specseq.TruncationTower.stage
+
+    def counting_stage(self, m=None, j=None):
+        listed.append(m)
+        return real_stage(self, m, j)
+
+    monkeypatch.setattr(specseq.TruncationTower, "stage", counting_stage)
+    model = LoopSpaceModel(builtin("spin9"))
+    _, code = build_report(model)
+    assert code == 0
+    assert {m for m in listed if m is not None} == set(range(3, 9))
+    assert sorted(model._stages) == list(range(3, 9))
+
+
 def test_model_algebras_are_freed_by_refcount():
     """No reference cycle keeps an algebra alive: with the cyclic collector
     off, dropping the model frees its cohomology and E2 lattice algebras."""
