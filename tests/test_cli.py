@@ -17,9 +17,9 @@ from lscat import cli
 from lscat import report as report_mod
 from lscat import specseq
 from lscat.cli import main
-from lscat.spaces import builtin
+from lscat.spaces import SpacePresentation, builtin, validate
 from lscat.specseq import run_to_e_infinity
-from lscat.weights import LoopSpaceModel
+from lscat.weights import LoopSpaceModel, WeightError
 
 
 def run_cli(*argv):
@@ -193,9 +193,6 @@ def test_unmatched_lattice_generator_raises_where_it_is_used(tmp_path):
     """An unmatched E2 generator raises at the first stage with a
     computable class containing it, never reads as "no witness"; stage 0
     holds only the unit, so it has no witness and raises nothing."""
-    from lscat.spaces import SpacePresentation, validate
-    from lscat.weights import WeightError
-
     space = SpacePresentation.from_dict(unmatched_lattice())
     assert validate(space).ok
     model = LoopSpaceModel(space)
