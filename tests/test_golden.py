@@ -27,7 +27,7 @@ def cases() -> dict[str, list[str]]:
     """Case id -> argv; an `{su<n>}` argument is that SU(n) fixture's path,
     and `{unmatched}` the path of `test_cli.unmatched_lattice()`."""
     out = {}
-    for cap in (36, 52):
+    for cap in (36, 44, 52):
         for fmt in ("json", "text"):
             out[f"spin9-cap{cap}-{fmt}"] = [
                 "report", "spin9", "--degree-cap", str(cap),
@@ -137,6 +137,10 @@ DIGESTS = {
         "7b6babbc9acaa8b431982682ec2b00d18193a40e2d8e676ca9f26954f2e75e44",
     "spin9-cap36-text":
         "74f65c69b8cc2f0985d56883abe6393ed68a4333567e22740699d961dc872f3a",
+    "spin9-cap44-json":
+        "62ad7949606e5cda28b2c1bbefbb84c18bff5e8f7959c601e938857a65fa4f57",
+    "spin9-cap44-text":
+        "bf8c27c6a1b0d8b6faece111930b5b0dc0bcc1928378213b8263f683a277e299",
     "spin9-cap52-json":
         "dd822ef368fc20076c00a2f7a20ac14399ba71656fb922536665e883d6c8f34f",
     "spin9-cap52-text":
