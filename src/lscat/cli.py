@@ -10,6 +10,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from lscat import report as report_mod
 from lscat.algebra import AlgebraError
@@ -34,6 +35,43 @@ def _load_space(name: str) -> SpacePresentation:
     return SpacePresentation.load(name)
 
 
+def _dumps(obj, newline: str = "\n") -> str:
+    """`json.dumps(obj, indent=2)`, byte for byte, for plain str-keyed
+    dicts, lists, tuples, str, int, float, bool and None; `newline` is the
+    line break and indent in front of `obj`.  `json.dumps` with an indent
+    runs the pure-Python encoder; this renders strings with its C string
+    encoder."""
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is dict:
+        if not obj:
+            return "{}"
+        inner = newline + "  "
+        return "{" + inner + ("," + inner).join([
+            encode_basestring_ascii(k) + ": " + (
+                encode_basestring_ascii(v) if type(v) is str else _dumps(v, inner)
+            )
+            for k, v in obj.items()
+        ]) + newline + "}"
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join([
+            _dumps(v, inner) for v in obj
+        ]) + newline + "]"
+    if obj is None:
+        return "null"
+    if kind is bool:
+        return "true" if obj else "false"
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is float:
+        return json.dumps(obj)  # json's spelling of nan and infinity
+    raise TypeError(f"cannot render {kind.__name__} as JSON")
+
+
 def _parse_truncations(text: str | None) -> list[int] | None:
     if text is None:
         return None
@@ -55,7 +93,7 @@ def cmd_report(args) -> int:
         include_timings=args.timings,
     )
     if args.format == "json":
-        sys.stdout.write(json.dumps(rep, indent=2) + "\n")
+        sys.stdout.write(_dumps(rep) + "\n")
     else:
         sys.stdout.write(report_mod.format_text(rep))
     return code
@@ -77,7 +115,7 @@ def cmd_dump_page(args) -> int:
     space = _load_space(args.space)
     model = LoopSpaceModel(space, degree_cap=args.degree_cap)
     page = report_mod.page_at(model, args.page, truncate_at=args.truncate)
-    sys.stdout.write(json.dumps(page.to_json(), indent=2) + "\n")
+    sys.stdout.write(_dumps(page.to_json()) + "\n")
     return EXIT_OK
 
 

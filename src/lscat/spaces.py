@@ -19,7 +19,9 @@ for the unit):
      attestations: [{claim, provenance, bound?, rule?}]}
 
 height is a positive integer >= 2 or "unbounded".  Integer fields take
-JSON integers only, not floats or booleans.
+JSON integers only, not floats or booleans; claim and provenance take
+strings only.  `validate` requires each extra generator's suspension
+x1_t to be an E2 generator.
 """
 
 from __future__ import annotations
@@ -171,6 +173,11 @@ class SpacePresentation:
 
         def attestation_py(i, a):
             where = f"attestations[{i}]"
+            for text in ("claim", "provenance"):
+                if not isinstance(a[text], str):
+                    raise FixtureError(
+                        f"{where}.{text} must be a string, got {a[text]!r}"
+                    )
             bound, rule = a.get("bound"), a.get("rule")
             if bound is not None:
                 if not isinstance(bound, dict) or not (
@@ -425,6 +432,11 @@ def validate(
             for p in sp.permanent_cycles:
                 if p not in names:
                     report.problems.append(f"permanent cycle {p!r} not in E2")
+            for x in sp.extra_generators:
+                if f"x1_{x.t}" not in names:
+                    report.problems.append(
+                        f"{x.name}: x1_{x.t} is not an E2 generator"
+                    )
             e2_dims = e2.dims_by_total_degree()
             coh_dims = algebra.poincare_series()
             for d, want in enumerate(coh_dims):

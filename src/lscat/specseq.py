@@ -29,6 +29,16 @@ lies in a class whose earlier differentials are all alive, a class of the
 full E_r, where d_r^2 is the full one; for s + 2r > m, d_r^2 lands past m
 and vanishes outright.
 
+So the tower evaluates the Leibniz rule once per spec and E2 monomial:
+it keeps, per spec, the image of each E2 cell's monomials (an int over
+the target cell), filled on the cell's first use, and its d^2 check and
+every state read d_r through that table.  The table is keyed on the
+tower's own uncapped E2 and held by the tower alone.  `apply_differential`,
+`run_to_e_infinity` and `truncate` evaluate the Leibniz rule directly, an
+independent path to the same pages.  A state where no class has a nonzero
+d_r and no boundary lands keeps its classes as they are (`homology_at`
+says why that is exact).
+
 The E2 lattice is an `Algebra`: x1_t has total degree 1 + t, and a
 lattice monomial is its exponent tuple, in filtration s = its exponent
 sum.  The lattice algebra's cap is the report cap + `DEFAULT_SCRATCH`, so
@@ -45,6 +55,7 @@ from __future__ import annotations
 
 import bisect
 import copy
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -309,16 +320,45 @@ def _check_spec(page: BigradedPage, spec: DifferentialSpec):
                 )
 
 
-def _check_d_squared(page: BigradedPage, spec: DifferentialSpec):
+def _check_d_squared(page: BigradedPage, spec: DifferentialSpec, d=None):
+    """Raise unless d_r(d_r(x)) = 0 for every monomial x of every class on
+    `page`; `d` is as in `homology_at`."""
+    if d is None:
+        d = functools.partial(_d_of_vec, page, spec)
     r = spec.r
     for s, t, vec in page.classes(report_only=False):
-        for exps in page.monomials(s, t, vec):
-            image = leibniz(page, spec, exps)
-            if _d_of_vec(page, spec, s + r, t - r + 1, image):
+        while vec:
+            low = vec & -vec
+            if d(s + r, t - r + 1, d(s, t, low)):
                 raise SpectralSequenceError(
                     f"d_{spec.r} does not square to zero on "
-                    f"{page.monomial_str(exps)}"
+                    f"{page.monomial_str(page.leading(s, t, low))}"
                 )
+            vec ^= low
+
+
+def _image_table(e2: BigradedPage, spec: DifferentialSpec):
+    """d_r of a class, as `homology_at` takes it, read through a table of
+    d_r of each E2 monomial: per cell, an int over the target cell for each
+    of the cell's monomials, filled by `leibniz` on the cell's first use."""
+    images: dict[tuple[int, int], list[int]] = {}
+
+    def d(s: int, t: int, vec: int) -> int:
+        if not vec:
+            return 0
+        row = images.get((s, t))
+        if row is None:
+            row = images[(s, t)] = [
+                leibniz(e2, spec, exps) for exps in e2.cells[(s, t)]
+            ]
+        acc = 0
+        while vec:
+            low = vec & -vec
+            acc ^= row[low.bit_length() - 1]
+            vec ^= low
+        return acc
+
+    return d
 
 
 def homology_at(
@@ -329,20 +369,29 @@ def homology_at(
     vecs: tuple[int, ...],
     incoming: tuple[int, ...],
     alive: bool = True,
+    d=None,
 ) -> tuple[int, ...]:
     """Homology at (s, t) under d_r, with monomial-pivot representatives.
 
     `vecs` are the classes at (s, t) and `incoming` those of its d_r-source
-    bidegree, each an int over its cell; `page` supplies the lattice
-    products and the cells.  With `alive` false, d_r out of the bidegree is
-    zero (it lands past a column cap) and every class is a cycle.
+    bidegree, each an int over its cell; `page` supplies the cells.  d_r of
+    a class is `d(s, t, vec)`, by default the Leibniz rule on `page`.  With
+    `alive` false, d_r out of the bidegree is zero (it lands past a column
+    cap) and every class is a cycle.
+
+    When no class has a nonzero d_r and no boundary lands here, `vecs` is
+    returned as it is.  That is what the full path would return: `vecs`
+    are reduced representatives sorted by lowest bit (single E2 bits, or
+    an earlier output of this function, whose rows are RREF rows with
+    their lowest bits as pivots), so no pivot bit of one is set in
+    another.  `quotient_basis` with no boundaries then only reorders them
+    by pivot, and the final sort by lowest bit restores their order.
     """
+    if d is None:
+        d = functools.partial(_d_of_vec, page, spec)
     r = spec.r
-    out_rows = [_d_of_vec(page, spec, s, t, v) for v in vecs] if alive else []
-    boundaries = [
-        b for u in incoming if (b := _d_of_vec(page, spec, s - r, t + r - 1, u))
-    ]
-    cycles = list(vecs)
+    out_rows = [d(s, t, v) for v in vecs] if alive else []
+    boundaries = [b for u in incoming if (b := d(s - r, t + r - 1, u))]
     if any(out_rows):
         cycles = []
         for c in gf2.left_kernel(out_rows, len(page.cells[(s + r, t - r + 1)])):
@@ -352,6 +401,10 @@ def homology_at(
                     acc ^= v
             if acc:
                 cycles.append(acc)
+    elif not boundaries:
+        return vecs
+    else:
+        cycles = list(vecs)
     reps, _ = gf2.quotient_basis(cycles, boundaries, len(page.cells[(s, t)]))
     # The lowest set bit is the leading monomial.
     return tuple(sorted(reps, key=lambda v: v & -v))
@@ -400,7 +453,9 @@ class TruncationTower:
     specs[:j])`, with each bidegree state computed once and shared by
     every m and every later j.  The tower checks each spec once, on the
     untruncated page it acts on (see the module docstring for why that
-    check covers every truncation).
+    check covers every truncation).  The check and the states read d_r
+    of each spec through one image table per spec (`_image_table`), so
+    each E2 monomial's image is computed once per spec.
 
     `stage(m, j)` lists the nonempty states of the column-m truncation
     after j specs as (s, t, alive): its bidegrees are a prefix of the
@@ -426,10 +481,12 @@ class TruncationTower:
         self._keys = sorted(e2.basis)
         self._columns = [s for s, _ in self._keys]
         self._rs = [spec.r for spec in self.specs]
+        # Per spec, d_r through its image table over E2.
+        self._d = [_image_table(e2, spec) for spec in self.specs]
         for j, spec in enumerate(self.specs):
             page = self.page(None, j).advanced(spec.r)
             _check_spec(page, spec)
-            _check_d_squared(page, spec)
+            _check_d_squared(page, spec, self._d[j])
 
     def state(self, j: int, s: int, t: int, alive: int) -> tuple[int, ...]:
         """Basis at (s, t) after folding the first j specs, of which the
@@ -444,7 +501,9 @@ class TruncationTower:
             if here:
                 # Every earlier d out of column s - r lands below s <= m.
                 incoming = self.state(j - 1, s - r, t + r - 1, j - 1)
-                here = homology_at(self.e2, spec, s, t, here, incoming, alive == j)
+                here = homology_at(
+                    self.e2, spec, s, t, here, incoming, alive == j, self._d[j - 1]
+                )
             self._states[key] = here
         return self._states[key]
 
@@ -623,6 +682,17 @@ class ClassFacts:
         self.factors = factors  # permanent factors: the other exponents' sum
         self.rest_alive = rest_alive  # those factors survive untruncated
 
+    @classmethod
+    def of_leading(cls, s, t, lead, label, surviving_untruncated, partial_idx):
+        """The facts of a class at (s, t) led by the monomial `lead`;
+        `partial_idx` is the lattice index of the partial-product
+        generator."""
+        pe = lead[partial_idx] if partial_idx is not None else 0
+        rest = tuple(0 if i == partial_idx else e for i, e in enumerate(lead))
+        return cls(
+            s, t, lead, label, pe, sum(rest), rest in surviving_untruncated
+        )
+
     def bucket(self, m: int, extension_height: int) -> str:
         if self.partial == 1 and self.rest_alive:
             lo = max(0, m - extension_height)
@@ -631,6 +701,12 @@ class ClassFacts:
         if self.partial == 0 and self.rest_alive:
             return BUCKET_PRODUCT
         return BUCKET_RESIDUAL
+
+    def can_be_non_residual(self, extension_height: int) -> bool:
+        """Whether `bucket` is not residual at some stage m.  Only the
+        partial window depends on m, and a window that holds the factor
+        count at all holds it at its lowest stage, m = factors + 1."""
+        return self.bucket(self.factors + 1, extension_height) != BUCKET_RESIDUAL
 
     def labelled(self, bucket: str) -> TruncationClass:
         return TruncationClass(
@@ -651,11 +727,8 @@ def class_facts(
     `partial_idx` is the lattice index of the partial-product generator.
     """
     lead = page.leading(s, t, vec)
-    pe = lead[partial_idx] if partial_idx is not None else 0
-    rest = tuple(0 if i == partial_idx else e for i, e in enumerate(lead))
-    return ClassFacts(
-        s, t, lead, page.monomial_str(lead), pe, sum(rest),
-        rest in surviving_untruncated,
+    return ClassFacts.of_leading(
+        s, t, lead, page.monomial_str(lead), surviving_untruncated, partial_idx
     )
 
 

@@ -37,9 +37,14 @@ The search reads only the states where a witness can lie.  A witness
 class sits in a degree where the cohomology vanishes, and whether a
 degree vanishes is a property of the state, so a stage's candidates are
 the non-residual classes of its states in such degrees, in page order.
-A stage without one has no witness: the search returns None without
-listing the stage.  Only a stage with a candidate is listed in full, for
-the monomials alive in it and its residual degrees.  The one error
+Of those bidegrees the search walks only the ones where some E2 monomial
+could lead a non-residual class at some stage
+(`ClassFacts.can_be_non_residual`): a class's bucket depends only on its
+leading monomial, which is one of its bidegree's monomials, so every other
+bidegree holds only residual classes at every stage.  A stage without
+a candidate has no witness: the search returns None without listing the
+stage.  Only a stage with a candidate is listed in full, for the
+monomials alive in it and its residual degrees.  The one error
 particular to a skipped stage is a computable class that does not map into
 the extended algebra, and that takes an E2 generator matching no
 cohomology class.  So the model checks the generator match once, and
@@ -233,12 +238,22 @@ class LoopSpaceModel:
     @cached_property
     def _vanishing_keys(self) -> list[tuple[int, int]]:
         """The reported E2 bidegrees, in (s, t) order, whose total degree
-        has no cohomology: the only states a witness class can lie in."""
+        has no cohomology and some of whose monomials could lead a
+        non-residual class at some stage: the only states a witness class
+        can lie in."""
         cap = self.e2.degree_cap
+        height = self._extension_height
         return [
             (s, t)
             for s, t in sorted(self.e2.basis)
-            if s + t <= cap and not self.algebra.basis(s + t)
+            if s + t <= cap
+            and not self.algebra.basis(s + t)
+            and any(
+                ClassFacts.of_leading(
+                    s, t, lead, None, self.surviving, self._partial_idx
+                ).can_be_non_residual(height)
+                for lead in self.e2.cells[(s, t)]
+            )
         ]
 
     def _candidates(self, m: int) -> list[TruncationClass]:
@@ -263,12 +278,11 @@ class LoopSpaceModel:
         if key not in self._state_classes:
             out = []
             if s + t <= self.e2.degree_cap:
-                extra = self._partial_extra
-                name = self._koszul_name_of_extra(extra) if extra else None
-                p_idx = self.e2.lattice._index.get(name) if name else None
                 j = len(self._tower.specs)
                 for vec in self._tower.state(j, s, t, alive):
-                    facts = class_facts(self.e2, s, t, vec, self.surviving, p_idx)
+                    facts = class_facts(
+                        self.e2, s, t, vec, self.surviving, self._partial_idx
+                    )
                     out.append(_StateClass(facts))
             self._state_classes[key] = out
         return self._state_classes[key]
@@ -287,6 +301,14 @@ class LoopSpaceModel:
     def _koszul_name_of_extra(self, extra) -> str | None:
         name = f"x1_{extra.t}"
         return name if name in self.e2.lattice._index else None
+
+    @cached_property
+    def _partial_idx(self) -> int | None:
+        """Lattice index of the partial-product generator's suspension
+        class (None: no such generator)."""
+        extra = self._partial_extra
+        name = self._koszul_name_of_extra(extra) if extra else None
+        return self.e2.lattice._index.get(name) if name else None
 
     @cached_property
     def _lattice_to_extended(self) -> list[int | None]:

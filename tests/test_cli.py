@@ -11,6 +11,8 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lscat
 from lscat import cli
@@ -119,8 +121,9 @@ def test_report_on_non_free_loop_algebra_exits_3(tmp_path):
 def test_second_partial_generator_exits_3(tmp_path):
     """An unsupported presentation fails loudly, never as "no witness"."""
     data = builtin("spin9").to_dict()
+    # x1_14 is an E2 generator, so the fixture passes `validate`.
     data["extra_generators"].append(
-        {"name": "y13", "t": 12, "extension_height": 3, "steenrod": []}
+        {"name": "y15", "t": 14, "extension_height": 3, "steenrod": []}
     )
     path = tmp_path / "two_extras.json"
     path.write_text(json.dumps(data))
@@ -374,6 +377,67 @@ def test_bad_attestation_exits_3(tmp_path, command, edit, message):
     assert code == 3
     assert message in out + err
     assert "cat bracket" not in out
+
+
+@pytest.mark.parametrize("command", ["report", "validate"])
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        pytest.param("claim", 5, id="claim-int"),
+        pytest.param("provenance", ["x"], id="provenance-list"),
+    ],
+)
+def test_attestation_text_must_be_a_string(tmp_path, command, field, value):
+    """An attestation's claim and provenance are strings, never any JSON
+    value printed into the report."""
+    data = builtin("spin9").to_dict()
+    data["attestations"][1][field] = value
+    fixture = tmp_path / "attested.json"
+    fixture.write_text(json.dumps(data))
+    code, out, err = run_cli(command, str(fixture))
+    assert (code, out) == (3, "")
+    assert err == (
+        f"lscat: attestations[1].{field} must be a string, got {value!r}\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["report", "validate"])
+def test_extra_generator_off_e2_exits_3(tmp_path, command):
+    """An extra generator whose suspension x1_t is not an E2 generator is a
+    fixture mismatch, never a report with no witness."""
+    data = builtin("spin9").to_dict()
+    data["extra_generators"][0].update(t=12, steenrod=[])
+    fixture = tmp_path / "extra_off_e2.json"
+    fixture.write_text(json.dumps(data))
+    code, out, _ = run_cli(command, str(fixture), *(
+        ["--format", "json"] if command == "report" else []
+    ))
+    assert code == 3
+    assert "x11: x1_12 is not an E2 generator" in out
+    assert "bounds" not in out
+
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(deadline=None)
+@given(json_values)
+def test_json_renderer_matches_json_dumps(value):
+    """The CLI's renderer writes what `json.dumps(indent=2)` writes: nested
+    and empty containers, non-ASCII, escaped and control characters, ints,
+    bools, None and floats (the `--timings` values), nan and infinity
+    included."""
+    assert cli._dumps(value) == json.dumps(value, indent=2)
 
 
 def test_optimised_interpreter_gives_same_report():

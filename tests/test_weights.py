@@ -2,6 +2,7 @@
 
 import gc
 import weakref
+from collections import Counter
 from math import comb
 
 import pytest
@@ -10,9 +11,15 @@ from lscat import specseq, weights
 from lscat.algebra import AlgebraPresentation, Generator
 from lscat.report import build_report
 from lscat.spaces import ExtraGenerator, SpacePresentation, builtin
-from lscat.specseq import BUCKET_RESIDUAL, classify_truncation, truncate
+from lscat.specseq import (
+    BUCKET_RESIDUAL,
+    TruncationTower,
+    classify_truncation,
+    truncate,
+)
 from lscat.steenrod import SteenrodAction
 from lscat.weights import LoopSpaceModel, ObstructionWitness, WeightError
+from test_specseq import two_page_synthetic
 
 
 def su_space(n: int) -> SpacePresentation:
@@ -246,6 +253,122 @@ def test_pruned_search_matches_reference(space):
     assert model.mwgt_lower_bound() == (max(witnessed) + 1 if witnessed else 0)
 
 
+def two_page_model() -> LoopSpaceModel:
+    """A model over the two-page synthetic's E2 and fold, with cohomology
+    F2[x3]/(x3^3) (x) F2[x5]/(x5^4) and a partial-product generator on
+    x1_7.  Inference is single-page, so the model is handed the fold."""
+    e2, specs = two_page_synthetic()
+    cap = e2.degree_cap
+    space = SpacePresentation(
+        name="two-page",
+        degree_cap=cap,
+        cohomology=AlgebraPresentation(
+            (Generator("x3", 3, 3), Generator("x5", 5, 4)), cap
+        ),
+        loop_homology=AlgebraPresentation(
+            tuple(
+                Generator(f"u{d}", d, h)
+                for d, h in ((2, 2), (4, 2), (7, None), (18, None))
+            ),
+            cap,
+        ),
+        permanent_cycles=["x1_2", "x1_4"],
+        extra_generators=[ExtraGenerator("y8", 7, 3)],
+    )
+    model = LoopSpaceModel(space)
+    model.__dict__.update(e2=e2, _tower=TruncationTower(e2, specs))
+    return model
+
+
+def reference_candidates(model: LoopSpaceModel, m: int):
+    """Stage m's non-residual classes in degrees with no cohomology, from
+    a from-scratch truncation classified bidegree by bidegree."""
+    if m < 0:
+        return []
+    extra = model._partial_extra
+    page = truncate(model.e2, m, model._tower.specs)
+    report = classify_truncation(
+        page,
+        m,
+        model.surviving,
+        partial_gen=model._koszul_name_of_extra(extra) if extra else None,
+        extension_height=extra.extension_height if extra else 3,
+    )
+    return [
+        cls for cls in report
+        if cls.bucket != BUCKET_RESIDUAL and not model.algebra.basis(cls.degree)
+    ]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        *(
+            pytest.param(
+                lambda cap=cap: LoopSpaceModel(builtin("spin9"), degree_cap=cap),
+                id=f"spin9-{cap}",
+            )
+            for cap in (36, 44, 52)
+        ),
+        pytest.param(
+            lambda: LoopSpaceModel(builtin("toy-trunc-poly")),
+            id="toy-trunc-poly",
+        ),
+        *(
+            pytest.param(lambda n=n: LoopSpaceModel(su_space(n)), id=f"su{n}")
+            for n in (4, 5, 6)
+        ),
+        pytest.param(two_page_model, id="two-page"),
+    ],
+)
+def test_candidates_match_an_unfiltered_walk(make):
+    """Walking only the bidegrees where some monomial can lead a
+    non-residual class finds every stage's witness candidates."""
+    model = make()
+    found = []
+    for m in range(-1, model.stable_stage + 4):
+        want = reference_candidates(model, m)
+        assert model._candidates(m) == want
+        found += want
+    if model.space.name in ("spin9", "two-page"):
+        assert found  # the comparison is not vacuous
+
+
+def test_spin9_walks_only_bidegrees_that_can_hold_a_witness():
+    """At cap 52, 14 of the 90 reported bidegrees in degrees with no
+    cohomology have a monomial that can lead a non-residual class."""
+    model = LoopSpaceModel(builtin("spin9"), degree_cap=52)
+    vanishing = [
+        (s, t)
+        for s, t in model.e2.basis
+        if s + t <= 52 and not model.algebra.basis(s + t)
+    ]
+    assert (len(vanishing), len(model._vanishing_keys)) == (90, 14)
+
+
+@pytest.mark.parametrize("cap, monomials", [(36, 122), (52, 208)])
+def test_spin9_report_evaluates_leibniz_once_per_monomial(
+    monkeypatch, cap, monomials
+):
+    """Each candidate tower evaluates d_r on each E2 monomial at most once,
+    for its d^2 check and its fold together."""
+    calls = Counter()
+    real_leibniz = specseq.leibniz
+
+    def counting_leibniz(page, spec, exps):
+        calls[spec, exps] += 1
+        return real_leibniz(page, spec, exps)
+
+    monkeypatch.setattr(specseq, "leibniz", counting_leibniz)
+    model = LoopSpaceModel(builtin("spin9"), degree_cap=cap)
+    _, code = build_report(model, truncations=[0, 7, 8, 20, cap])
+    assert code == 0
+    assert sum(len(cell) for cell in model.e2.cells.values()) == monomials
+    assert calls and max(calls.values()) == 1
+    per_tower = Counter(spec for spec, _ in calls)
+    assert max(per_tower.values()) <= monomials
+
+
 def count_search_work(monkeypatch, space):
     """Report on `space`; return (model, truncation homology steps, squared
     classes).
@@ -258,9 +381,9 @@ def count_search_work(monkeypatch, space):
     real_homology = specseq.homology_at
     real_square = SteenrodAction.total_square
 
-    def counting_homology(page, spec, s, t, vecs, incoming, alive=True):
+    def counting_homology(page, spec, s, t, vecs, incoming, alive=True, d=None):
         steps.append((spec.r, s, t, alive))
-        return real_homology(page, spec, s, t, vecs, incoming, alive)
+        return real_homology(page, spec, s, t, vecs, incoming, alive, d)
 
     def counting_square(self, e):
         squared.append(e.terms)
