@@ -481,7 +481,9 @@ class TruncationTower:
         self._keys = sorted(e2.basis)
         self._columns = [s for s, _ in self._keys]
         self._rs = [spec.r for spec in self.specs]
-        # Per spec, d_r through its image table over E2.
+        # Per spec, d_r through its image table over E2.  The readers are
+        # closures that hold no reference to the tower, so a dropped model
+        # is freed by refcount.
         self._d = [_image_table(e2, spec) for spec in self.specs]
         for j, spec in enumerate(self.specs):
             page = self.page(None, j).advanced(spec.r)
