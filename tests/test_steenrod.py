@@ -102,3 +102,36 @@ def test_apply_sq_rejects_inhomogeneous(spin9):
         action.apply_sq(1, alg.gen("x3") + alg.gen("x5"))
     with pytest.raises(AlgebraError):
         action.apply_sq(-1, alg.gen("x3"))
+
+
+def test_squares_match_pinned_digest():
+    """Sq^k of every basis monomial of spin9's cohomology and extended
+    algebras and of SU(6), for 0 <= k <= cap - degree, hashed."""
+    import hashlib
+
+    from lscat.weights import LoopSpaceModel
+    from test_weights import su_space
+
+    spin9 = LoopSpaceModel(builtin("spin9"))
+    su6 = su_space(6)
+    cases = [
+        ("spin9", spin9.action, 608),
+        ("spin9-extended", spin9._extended_action, 896),
+        ("su6", su6.action(su6.algebra()), 592),
+    ]
+    digest = hashlib.sha256()
+    for name, action, pairs in cases:
+        alg = action.algebra
+        count = 0
+        for d in range(alg.degree_cap + 1):
+            for mono in alg.basis(d):
+                total = action.total_square(alg.element([mono]))
+                for k in range(alg.degree_cap - d + 1):
+                    value = total.homogeneous_part(d + k)
+                    line = f"{name} Sq^{k} {alg.monomial_str(mono)} = {value}\n"
+                    digest.update(line.encode())
+                    count += 1
+        assert count == pairs
+    assert digest.hexdigest() == (
+        "4ea2fa1235fb7ee6a52f4d7653f322d87cab7af3f784719c37180032fd670ea3"
+    )
