@@ -10,7 +10,6 @@ from lscat.algebra import (
     Algebra,
     AlgebraError,
     AlgebraPresentation,
-    Element,
     Generator,
 )
 from lscat.bounds import (
@@ -66,7 +65,6 @@ __all__ = [
     "CellComplex",
     "CellError",
     "DifferentialSpec",
-    "Element",
     "ExtraGenerator",
     "FixtureError",
     "GF2_BACKEND",

@@ -3,12 +3,15 @@
 A presentation lists generators (name, degree, height) plus a mandatory
 total-degree cap; everything above the cap is discarded.  Height h means
 g**h == 0 (h = 2 is an exterior generator, None is polynomial, silently
-capped by the degree cap).  Elements are finite sets of monomials; a
-monomial present in the set has coefficient 1.
+capped by the degree cap).
 
 A monomial is its exponent tuple, aligned with the declared generator
 order, which also fixes the deterministic basis order: ascending
 exponent tuple.  `Algebra.monomial_str` is its one text form.
+
+A homogeneous class of degree d is a row: an int over `basis(d)`, bit i
+the coefficient of the i-th monomial (`Algebra.index`), the row format
+of `gf2` and of the spectral-sequence pages.
 """
 
 from __future__ import annotations
@@ -114,26 +117,52 @@ class Algebra:
         """
         return max(sum(m) for m in self.monomials())
 
-    # -- element constructors ---------------------------------------------
+    # -- rows ---------------------------------------------------------------
 
-    def zero(self) -> "Element":
-        return Element(self, frozenset())
+    @cached_property
+    def index(self) -> dict[tuple[int, ...], int]:
+        """Each monomial's bit in a row over the basis of its degree."""
+        return {m: i for b in self._basis_by_degree for i, m in enumerate(b)}
 
-    def one(self) -> "Element":
-        return Element(self, frozenset({(0,) * len(self.generators)}))
+    def terms(self, row: int, degree: int) -> list[tuple[int, ...]]:
+        """The monomials of a row over `basis(degree)`, in canonical order."""
+        basis = self.basis(degree)
+        out = []
+        while row:
+            low = row & -row
+            out.append(basis[low.bit_length() - 1])
+            row ^= low
+        return out
 
-    def gen(self, name: str) -> "Element":
-        if name not in self._index:
-            raise AlgebraError(f"unknown generator {name!r}")
-        exps = [0] * len(self.generators)
-        exps[self._index[name]] = 1
-        return Element(self, frozenset({tuple(exps)}))
+    def mul(self, a: int, da: int, b: int, db: int) -> int:
+        """Product of rows over `basis(da)` and `basis(db)`: a row over
+        `basis(da + db)`, zero above the cap."""
+        if not (a and b) or da + db > self.degree_cap:
+            return 0
+        index = self.index
+        out = 0
+        ys = self.terms(b, db)
+        for x in self.terms(a, da):
+            for y in ys:
+                p = self._mul_exps(x, y)
+                if p is not None:
+                    out ^= 1 << index[p]
+        return out
 
-    def element(self, monomials: Iterable[tuple[int, ...]]) -> "Element":
-        terms = set()
-        for m in monomials:
-            terms ^= {m}
-        return Element(self, frozenset(terms))
+    def row_str(self, row: int, degree: int) -> str:
+        """'x7 + x3^2*x5' (or '0'); `parse_row` reads it back."""
+        terms = self.terms(row, degree)
+        return " + ".join(map(self.monomial_str, terms)) if terms else "0"
+
+    def parse_row(self, monomial_texts: Iterable[str], degree: int) -> int:
+        """The sum of the monomials, a row over `basis(degree)`."""
+        row = 0
+        for text in monomial_texts:
+            mono = self.parse_monomial(text)
+            if self.monomial_degree(mono) != degree:
+                raise AlgebraError(f"value not homogeneous of degree {degree}")
+            row ^= 1 << self.index[mono]
+        return row
 
     # -- monomial arithmetic ----------------------------------------------
 
@@ -183,74 +212,3 @@ class Algebra:
         if degree > self.degree_cap:
             raise AlgebraError(f"{text!r}: degree {degree} above cap")
         return mono
-
-    def parse_element(self, monomial_texts: Iterable[str]) -> "Element":
-        return self.element(self.parse_monomial(t) for t in monomial_texts)
-
-
-class Element:
-    """F2-linear combination of monomials of one algebra."""
-
-    __slots__ = ("algebra", "terms")
-
-    def __init__(self, algebra: Algebra, terms: frozenset):
-        self.algebra = algebra
-        self.terms = terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Element)
-            and self.algebra is other.algebra
-            and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
-        return hash(self.terms)
-
-    def __add__(self, other: "Element") -> "Element":
-        self._check(other)
-        return Element(self.algebra, self.terms ^ other.terms)
-
-    def __mul__(self, other: "Element") -> "Element":
-        self._check(other)
-        acc: set = set()
-        for a in self.terms:
-            for b in other.terms:
-                p = self.algebra._mul_exps(a, b)
-                if p is not None:
-                    acc ^= {p}
-        return Element(self.algebra, frozenset(acc))
-
-    def _check(self, other: "Element"):
-        if self.algebra is not other.algebra:
-            raise AlgebraError("elements of different algebras")
-
-    def is_homogeneous(self) -> bool:
-        degs = {self.algebra.monomial_degree(e) for e in self.terms}
-        return len(degs) <= 1
-
-    @property
-    def degree(self) -> int | None:
-        """Total degree if homogeneous and nonzero, else None."""
-        degs = {self.algebra.monomial_degree(e) for e in self.terms}
-        return degs.pop() if len(degs) == 1 else None
-
-    def homogeneous_part(self, degree: int) -> "Element":
-        return Element(
-            self.algebra,
-            frozenset(
-                e for e in self.terms if self.algebra.monomial_degree(e) == degree
-            ),
-        )
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        monomial_str = self.algebra.monomial_str
-        return " + ".join(monomial_str(e) for e in sorted(self.terms))
-
-    def __repr__(self) -> str:
-        return f"<Element {self}>"

@@ -53,6 +53,17 @@ def _int(value, field_name: str) -> int:
     return value
 
 
+def parse_square(
+    algebra: Algebra, gen: str, degree: int, k: int, value: list[str]
+) -> int:
+    """Sq^k of the generator `gen` of `degree`, a row over the basis of
+    degree + k; an AlgebraError names the row."""
+    try:
+        return algebra.parse_row(value, degree + k)
+    except AlgebraError as exc:
+        raise AlgebraError(f"Sq^{k} {gen}: {exc}") from None
+
+
 @dataclass
 class ExtraGenerator:
     """A filtration-1 class of the projective-stage models that is not a
@@ -92,11 +103,24 @@ class SpacePresentation:
     def algebra(self) -> Algebra:
         return Algebra(self.cohomology)
 
-    def action(self, algebra: Algebra | None = None) -> SteenrodAction:
+    def action(
+        self, algebra: Algebra | None = None, problems: list[str] | None = None
+    ) -> SteenrodAction:
+        """The Steenrod table as rows over `algebra`.  A row that does not
+        parse raises AlgebraError, or, given `problems`, is named there and
+        left out."""
         algebra = algebra or self.algebra()
+        degrees = {g.name: g.degree for g in algebra.generators}
         table = {}
         for gen, k, value in self.steenrod:
-            table[(gen, k)] = algebra.parse_element(value)
+            try:
+                if gen not in degrees:
+                    raise AlgebraError(f"Sq^{k} given on unknown generator {gen!r}")
+                table[(gen, k)] = parse_square(algebra, gen, degrees[gen], k, value)
+            except AlgebraError as exc:
+                if problems is None:
+                    raise
+                problems.append(str(exc))
         return SteenrodAction(algebra, table)
 
     # -- serialization -----------------------------------------------------
@@ -384,28 +408,22 @@ def validate(
         report.problems.append(f"cohomology presentation: {exc}")
         return report
 
-    try:
-        action = sp.action(algebra)
-    except AlgebraError as exc:
-        report.problems.append(f"steenrod table: {exc}")
-        action = None
-    if action is not None:
-        report.problems.extend(action.verify_instability())
+    action = sp.action(algebra, report.problems)
+    report.problems.extend(action.verify_instability())
 
     for x in sp.extra_generators:
         if x.extension_height < 1:
             report.problems.append(f"{x.name}: extension height must be >= 1")
         for k, value in sorted(x.steenrod.items()):
+            # The search reads only Sq^k x for 1 <= k < |x|.
+            if k < 1:
+                report.problems.append(f"Sq^{k} {x.name}: k must be >= 1")
+            elif k >= x.degree:
+                report.problems.append(f"Sq^{k} {x.name}: k >= degree {x.degree}")
             try:
-                e = algebra.parse_element(value)
+                parse_square(algebra, x.name, x.degree, k, value)
             except AlgebraError as exc:
-                report.problems.append(f"Sq^{k} {x.name}: {exc}")
-                continue
-            if e and e.degree != x.degree + k:
-                report.problems.append(
-                    f"Sq^{k} {x.name}: value not homogeneous of degree "
-                    f"{x.degree + k}"
-                )
+                report.problems.append(str(exc))
 
     for i, att in enumerate(sp.attestations):
         where = f"attestations[{i}]"

@@ -163,7 +163,10 @@ class BigradedPage:
         return self.lattice.parse_monomial(text)
 
     def parse_class(self, monomial_texts) -> frozenset:
-        return self.lattice.parse_element(monomial_texts).terms
+        terms: set = set()
+        for text in monomial_texts:
+            terms ^= {self.parse_monomial(text)}
+        return frozenset(terms)
 
     # -- views -------------------------------------------------------------
 

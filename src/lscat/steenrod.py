@@ -1,107 +1,104 @@
 """Steenrod square action on a presented F2-algebra.
 
 The action is given on generators (only the nonzero values, for
-1 <= k < |g|) and extended to monomials multiplicatively via the total
-square Sq = sum_k Sq^k, i.e. the Cartan formula.  Sq^0 g = g and
-Sq^{|g|} g = g^2 are implicit and never stored.
+1 <= k < |g|, each a row over the basis of degree |g| + k) and extended
+to monomials by the Cartan formula.  Sq^0 g = g and Sq^{|g|} g = g^2 are
+implicit and never stored.  Sq^k on degree d is a matrix, read as its
+rows: row i is Sq^k of the i-th basis monomial, over `basis(d + k)`.
+The rows are kept per monomial, for every k at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from lscat import gf2
-from lscat.algebra import Algebra, AlgebraError, Element
+from lscat.algebra import Algebra, AlgebraError
 
 
 @dataclass
 class SteenrodAction:
+    """`table` maps (generator name, k) to Sq^k of that generator of
+    `algebra`, a row over the basis of degree |g| + k."""
+
     algebra: Algebra
-    table: dict[tuple[str, int], Element] = field(default_factory=dict)
+    table: dict[tuple[str, int], int] = field(default_factory=dict)
 
     def __post_init__(self):
-        self._sq_cache: dict[str, Element] = {}
+        self._squares: dict[tuple[int, ...], tuple[int, ...]] = {}
 
-    def total_square_of_gen(self, name: str) -> Element:
-        """Sq(g) = g + (stored Sq^k g) + g^2, as one inhomogeneous element."""
-        cached = self._sq_cache.get(name)
-        if cached is not None:
-            return cached
-        g = self.algebra.gen(name)
-        total = g + g * g
-        deg = next(
-            gen.degree for gen in self.algebra.generators if gen.name == name
-        )
-        for (gname, k), value in self.table.items():
-            if gname == name and 1 <= k < deg:
-                total = total + value
-        self._sq_cache[name] = total
-        return total
-
-    def total_square(self, e: Element) -> Element:
-        """Multiplicative extension of Sq to any element."""
-        out = self.algebra.zero()
-        for mono in e.terms:
-            term = self.algebra.one()
-            for gen, exp in zip(self.algebra.generators, mono):
-                if exp:
-                    sq_g = self.total_square_of_gen(gen.name)
-                    for _ in range(exp):
-                        term = term * sq_g
-            out = out + term
+    @cached_property
+    def _gen_squares(self) -> list[list[tuple[int, int]]]:
+        """The nonzero (j, Sq^j g) of each generator g: g itself, the
+        stored values for 0 < j < |g|, and g^2."""
+        alg = self.algebra
+        n = len(alg.generators)
+        out = []
+        for i, g in enumerate(alg.generators):
+            bit = alg.index.get(tuple(int(m == i) for m in range(n)))
+            gen = 0 if bit is None else 1 << bit  # None: g is above the cap
+            rows = [(0, gen), (g.degree, alg.mul(gen, g.degree, gen, g.degree))]
+            rows += [(j, self.table.get((g.name, j), 0)) for j in range(1, g.degree)]
+            out.append([(j, row) for j, row in rows if row])
         return out
 
-    def apply_sq(self, k: int, e: Element) -> Element:
-        """Sq^k on a homogeneous element."""
+    def squares(self, mono: tuple[int, ...]) -> tuple[int, ...]:
+        """Sq^k of a monomial of degree d for k = 0..d, each a row over
+        `basis(d + k)` (zero above the cap), kept per monomial.
+
+        Cartan recursion: a monomial is g * rest for its first generator
+        g, and Sq^k(g rest) = sum_j Sq^j g * Sq^(k-j) rest.
+        """
+        out = self._squares.get(mono)
+        if out is None:
+            alg = self.algebra
+            i = next((n for n, e in enumerate(mono) if e), None)
+            if i is None:
+                out = (1,)  # the unit
+            else:
+                g = alg.generators[i].degree
+                rest = mono[:i] + (mono[i] - 1,) + mono[i + 1:]
+                rest_degree = alg.monomial_degree(rest)
+                rows = [0] * (g + rest_degree + 1)
+                for k, b in enumerate(self.squares(rest)):
+                    if not b:
+                        continue
+                    for j, a in self._gen_squares[i]:
+                        rows[j + k] ^= alg.mul(a, g + j, b, rest_degree + k)
+                out = tuple(rows)
+            self._squares[mono] = out
+        return out
+
+    def sq(self, k: int, degree: int) -> tuple[int, ...]:
+        """Sq^k on degree `degree`, as matrix rows: row i is Sq^k of
+        `basis(degree)[i]`, over `basis(degree + k)`."""
         if k < 0:
             raise AlgebraError("Sq^k needs k >= 0")
-        if not e:
-            return e
-        if not e.is_homogeneous():
-            raise AlgebraError("apply_sq needs a homogeneous element")
-        if k == 0:
-            return e
-        return self.total_square(e).homogeneous_part(e.degree + k)
+        if k > degree:
+            return (0,) * len(self.algebra.basis(degree))
+        return tuple(self.squares(m)[k] for m in self.algebra.basis(degree))
 
-    def image_of_sq(self, k: int, target_degree: int) -> list[Element]:
-        """Spanning set (reduced) of Sq^k(H^{target_degree-k}) in the target degree."""
+    def image_of_sq(self, k: int, target_degree: int) -> list[int]:
+        """RREF basis of Sq^k(H^{target_degree-k}), rows over the target basis."""
         if not 0 <= target_degree <= self.algebra.degree_cap:
             raise AlgebraError("target degree out of range")
         source = target_degree - k
         if source < 0:
             return []
-        ambient = {m: i for i, m in enumerate(self.algebra.basis(target_degree))}
-        rows = []
-        for mono in self.algebra.basis(source):
-            img = self.apply_sq(k, self.algebra.element([mono]))
-            if img:
-                rows.append(sum(1 << ambient[e] for e in img.terms))
-        basis_rows, _ = gf2.span_basis(rows, len(ambient))
-        index = {i: exps for exps, i in ambient.items()}
-        out = []
-        for row in basis_rows:
-            exps_list = [index[i] for i in range(len(ambient)) if (row >> i) & 1]
-            out.append(self.algebra.element(exps_list))
-        return out
+        ncols = len(self.algebra.basis(target_degree))
+        return gf2.span_basis(list(self.sq(k, source)), ncols)[0]
 
     def verify_instability(self) -> list[str]:
         """Axiom check on the stored table; empty list = pass."""
         problems = []
-        degrees = {g.name: g.degree for g in self.algebra.generators}
         for (name, k), value in sorted(self.table.items()):
-            if name not in degrees:
-                problems.append(f"Sq^{k} given on unknown generator {name!r}")
-                continue
-            d = degrees[name]
+            i = self.algebra._index[name]
+            d = self.algebra.generators[i].degree
             if k < 1:
                 problems.append(f"Sq^{k} {name}: k must be >= 1")
             elif k > d:
                 problems.append(f"Sq^{k} {name}: k > degree {d}")
-            elif k == d:
-                if value != self.algebra.gen(name) * self.algebra.gen(name):
-                    problems.append(f"Sq^{k} {name}: must equal {name}^2")
-            if value and value.degree != d + k:
-                problems.append(
-                    f"Sq^{k} {name}: value not homogeneous of degree {d + k}"
-                )
+            elif k == d and value != dict(self._gen_squares[i]).get(d, 0):
+                problems.append(f"Sq^{k} {name}: must equal {name}^2")
         return problems

@@ -66,7 +66,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from lscat.algebra import Algebra, AlgebraPresentation, Element, Generator
+from lscat.algebra import Algebra, AlgebraPresentation, Generator
 from lscat.specseq import (
     BUCKET_RESIDUAL,
     BigradedPage,
@@ -78,7 +78,7 @@ from lscat.specseq import (
     infer_differentials,
     koszul_e2,
 )
-from lscat.spaces import SpacePresentation
+from lscat.spaces import SpacePresentation, parse_square
 from lscat.steenrod import SteenrodAction
 
 
@@ -147,12 +147,14 @@ class LoopSpaceModel:
             )
         self.space = space
         self.algebra: Algebra = space.algebra()
-        self.action: SteenrodAction = space.action(self.algebra)
         self._state_classes: dict[tuple[int, int, int], list[_StateClass]] = {}
         self._stages: dict[int, list[TruncationClass]] = {}
         self._witnesses: dict[int, ObstructionWitness | None] = {}
         self._ext_exps: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self._squares: dict[tuple[int, ...], dict[int, frozenset]] = {}
+
+    @cached_property
+    def action(self) -> SteenrodAction:
+        return self.space.action(self.algebra)
 
     # -- spectral sequence --------------------------------------------------
 
@@ -298,17 +300,20 @@ class LoopSpaceModel:
             raise WeightError("at most one partial-product generator supported")
         return extras[0]
 
-    def _koszul_name_of_extra(self, extra) -> str | None:
+    def _koszul_name_of_extra(self, extra) -> str:
         name = f"x1_{extra.t}"
-        return name if name in self.e2.lattice._index else None
+        if name not in self.e2.lattice._index:
+            raise WeightError(f"{extra.name}: {name} is not an E2 generator")
+        return name
 
     @cached_property
     def _partial_idx(self) -> int | None:
         """Lattice index of the partial-product generator's suspension
         class (None: no such generator)."""
         extra = self._partial_extra
-        name = self._koszul_name_of_extra(extra) if extra else None
-        return self.e2.lattice._index.get(name) if name else None
+        if extra is None:
+            return None
+        return self.e2.lattice._index[self._koszul_name_of_extra(extra)]
 
     @cached_property
     def _lattice_to_extended(self) -> list[int | None]:
@@ -378,13 +383,14 @@ class LoopSpaceModel:
             out[mono] = sum(lattice)
         return out
 
-    def wgt(self, u: Element) -> int:
-        """Filtration of u's E-infinity representative."""
+    def wgt(self, u: int, degree: int) -> int:
+        """Filtration of the E-infinity representative of u, a row over
+        `algebra.basis(degree)`."""
         if not u:
             raise WeightError("weight of the zero class is undefined")
-        if any(not any(exps) for exps in u.terms):
+        if degree == 0:
             raise WeightError("weight of the unit is undefined")
-        return min(self.weight_map[exps] for exps in u.terms)
+        return min(self.weight_map[exps] for exps in self.algebra.terms(u, degree))
 
     def wgt_space(self) -> int:
         """Maximum weight over the reduced cohomology."""
@@ -408,13 +414,12 @@ class LoopSpaceModel:
     @cached_property
     def _extended_action(self) -> SteenrodAction:
         ext = self._extended_algebra
-        table = {}
-        for gen, k, value in self.space.steenrod:
-            table[(gen, k)] = ext.parse_element(value)
+        table = self.space.action(ext).table
         extra = self._partial_extra
-        if extra is not None:
-            for k, value in extra.steenrod.items():
-                table[(extra.name, k)] = ext.parse_element(value)
+        for k, value in extra.steenrod.items() if extra else ():
+            table[(extra.name, k)] = parse_square(
+                ext, extra.name, extra.degree, k, value
+            )
         return SteenrodAction(ext, table)
 
     def _extended_exps_of_lattice(self, exps: tuple[int, ...]) -> tuple[int, ...]:
@@ -438,19 +443,6 @@ class LoopSpaceModel:
             self._ext_exps[lattice_exps] = ext
         return ext
 
-    def _graded_square(self, lattice_exps: tuple[int, ...]) -> dict[int, frozenset]:
-        """Total square of a lattice monomial's class, by degree (cached)."""
-        graded = self._squares.get(lattice_exps)
-        if graded is None:
-            ext = self._extended_algebra
-            z = ext.element([self._extended_exps(lattice_exps)])
-            parts: dict[int, set] = {}
-            for exps in self._extended_action.total_square(z).terms:
-                parts.setdefault(ext.monomial_degree(exps), set()).add(exps)
-            graded = {d: frozenset(terms) for d, terms in parts.items()}
-            self._squares[lattice_exps] = graded
-        return graded
-
     def find_obstruction(self, m: int) -> ObstructionWitness | None:
         """First Steenrod witness against a retraction at stage m, or None.
 
@@ -472,8 +464,9 @@ class LoopSpaceModel:
             return None  # no column, so no class
         # Stage m's first class is the unit, which is computable; mapping
         # it builds the extended algebra and the generator match, either
-        # of which may raise.
+        # of which may raise, as may a partial generator off E2.
         self._extended_exps((0,) * len(self.e2.lattice.generators))
+        self._partial_idx
         if None in self._lattice_to_extended:
             # Every computable class must map into the extended algebra,
             # even one the degree test skips: a class with an unmatched
@@ -487,10 +480,7 @@ class LoopSpaceModel:
             return None
         report = self._stage(m)
         ext = self._extended_algebra
-        extra = self._partial_extra
-        extra_idx = (
-            [i for i, g in enumerate(ext.generators) if extra and g.name == extra.name]
-        )
+        n = len(self.algebra.generators)  # the extra generator comes after
         alive = {
             cls.leading for cls in report
         }
@@ -498,36 +488,28 @@ class LoopSpaceModel:
             cls.degree for cls in report if cls.bucket == BUCKET_RESIDUAL
         }
 
+        squares = [
+            self._extended_action.squares(self._extended_exps(cls.leading))
+            for cls in candidates
+        ]
         max_k = max((g.degree for g in ext.generators), default=0)
         for k in range(1, max_k + 1):
-            for cls in candidates:
-                value = self._graded_square(cls.leading).get(cls.degree + k)
+            for cls, sq in zip(candidates, squares):
+                value = sq[k] if k < len(sq) else 0
                 if not value:
                     continue
-                plain = []
-                mixed = []
-                for exps in value:
-                    if any(exps[i] for i in extra_idx):
-                        mixed.append(exps)
-                    else:
-                        plain.append(exps)
-                if not plain:
-                    continue
+                degree = cls.degree + k
                 # Partial-product terms cannot be controlled in the
                 # associated graded; demand they vanish outright.
-                if mixed:
+                mixed = sum(
+                    1 << i for i, e in enumerate(ext.basis(degree)) if any(e[n:])
+                )
+                if value & mixed:
                     continue
-                u_exps = [
-                    tuple(e for i, e in enumerate(exps) if i not in extra_idx)
-                    for exps in plain
-                ]
-                u = self.algebra.element(u_exps)
-                if not u:
-                    continue
-                degree = cls.degree + k
+                u_terms = [e[:n] for e in ext.terms(value, degree)]
                 # u must restrict nontrivially to the stage-m model.
                 if not any(
-                    self._lattice_exps_of_monomial(e) in alive for e in u.terms
+                    self._lattice_exps_of_monomial(e) in alive for e in u_terms
                 ):
                     continue
                 # No residual class can absorb the identity at the target.
@@ -541,10 +523,10 @@ class LoopSpaceModel:
                 witness = ObstructionWitness(
                     m=m,
                     k=k,
-                    z_label=str(
-                        ext.element([self._extended_exps(cls.leading)])
+                    z_label=ext.monomial_str(self._extended_exps(cls.leading)),
+                    u=self.algebra.row_str(
+                        sum(1 << self.algebra.index[e] for e in u_terms), degree
                     ),
-                    u=str(u),
                     u_degree=degree,
                     vanishing_degree=cls.degree,
                     facts=(

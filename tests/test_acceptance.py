@@ -25,6 +25,7 @@ from lscat.specseq import (
     BUCKET_RESIDUAL,
     leibniz,
 )
+from test_steenrod import cartan_holds
 
 
 @pytest.fixture(scope="module")
@@ -47,10 +48,16 @@ def test_01_cohomology_fixture(spin9):
 def test_02_cup_length(spin9):
     assert spin9.cup_length() == 6
     # independent oracle: grow products generator by generator
-    frontier, best = [spin9.algebra.one()], 0
-    gens = [spin9.algebra.gen(g.name) for g in spin9.algebra.generators]
+    alg = spin9.algebra
+    frontier, best = [(1, 0)], 0  # (row, degree): the unit
+    gens = [(alg.parse_row([g.name], g.degree), g.degree) for g in alg.generators]
     while frontier:
-        frontier = [p for e in frontier for g in gens if (p := e * g)]
+        frontier = [
+            (p, de + dg)
+            for e, de in frontier
+            for g, dg in gens
+            if (p := alg.mul(e, de, g, dg))
+        ]
         if frontier:
             best += 1
     assert best == 6
@@ -121,7 +128,8 @@ def test_06_truncation_buckets(spin9):
 def test_07_weights(spin9):
     assert spin9.wgt_space() == 6
     for name in ("x3", "x5", "x7", "x15"):
-        assert spin9.wgt(spin9.algebra.gen(name)) == 1
+        degree = int(name[1:])
+        assert spin9.wgt(spin9.algebra.parse_row([name], degree), degree) == 1
     ok("criterion 7: wgt(Spin(9)) = 6; wgt(x3) = wgt(x5) = wgt(x7) = wgt(x15) = 1")
 
 
@@ -157,11 +165,10 @@ def test_10_cells():
 def test_11_property_suites(spin9, capsys, tmp_path):
     # Cartan/instability spot checks
     assert spin9.action.verify_instability() == []
-    a = spin9.algebra.parse_element(["x3^2", "x5"])
-    b = spin9.algebra.parse_element(["x3*x7"])
-    assert spin9.action.total_square(a * b) == spin9.action.total_square(
-        a
-    ) * spin9.action.total_square(b)
+    alg = spin9.algebra
+    b = alg.parse_row(["x3*x7"], 10)
+    for a, da in ((alg.parse_row(["x3^2"], 6), 6), (alg.parse_row(["x5"], 5), 5)):
+        assert cartan_holds(spin9.action, a, da, b, 10)
     # ladder on every builtin with loop homology
     for name in ("spin9", "toy-trunc-poly", "unit"):
         model = LoopSpaceModel(builtin(name))

@@ -86,77 +86,136 @@ def test_basis_matches_brute_force():
             alg.basis(bad)
 
 
+def monomial_row(alg, exps):
+    """A monomial as (row, degree)."""
+    return 1 << alg.index[exps], alg.monomial_degree(exps)
+
+
+def graded(alg, monos):
+    """The sum of `monos` as {degree: row}, zero parts left out."""
+    out = {}
+    for m in monos:
+        row, d = monomial_row(alg, m)
+        out[d] = out.get(d, 0) ^ row
+    return {d: r for d, r in out.items() if r}
+
+
+def graded_add(a, b):
+    out = dict(a)
+    for d, r in b.items():
+        out[d] = out.get(d, 0) ^ r
+    return {d: r for d, r in out.items() if r}
+
+
+def graded_mul(alg, a, b):
+    out = {}
+    for da, ra in a.items():
+        for db, rb in b.items():
+            p = alg.mul(ra, da, rb, db)
+            out[da + db] = out.get(da + db, 0) ^ p
+    return {d: r for d, r in out.items() if r}
+
+
 def test_cup_length_exhaustive_oracle():
     """Longest nonzero product of positive-degree classes, by brute force."""
     alg = spin9_algebra()
     positive = [
-        alg.element([m]) for m in alg.monomials() if alg.monomial_degree(m) > 0
+        monomial_row(alg, m) for m in alg.monomials() if alg.monomial_degree(m) > 0
     ]
-    gens = [alg.gen(g.name) for g in alg.generators]
+    gens = [monomial_row(alg, alg.parse_monomial(g.name)) for g in alg.generators]
     best = 0
-    frontier = [alg.one()]
+    frontier = [monomial_row(alg, alg.parse_monomial("1"))]
     while frontier:
         nxt = []
-        for e in frontier:
-            for g in gens:
-                p = e * g
+        for e, de in frontier:
+            for g, dg in gens:
+                p = alg.mul(e, de, g, dg)
                 if p:
-                    nxt.append(p)
+                    nxt.append((p, de + dg))
         if not nxt:
             break
         best += 1
         frontier = nxt
     assert best == alg.cup_length() == 6
     # products of arbitrary positive classes cannot do better
-    for combo in itertools.combinations(gens, 2):
-        assert (combo[0] * combo[1]) or True  # smoke: multiplication total
-    assert all(not (p * p * p * p) for p in positive if p.degree >= 10)
+    for (a, da), (b, db) in itertools.combinations(gens, 2):
+        assert alg.mul(a, da, b, db) or True  # smoke: multiplication total
+    for p, d in positive:
+        if d >= 10:
+            p2 = alg.mul(p, d, p, d)
+            assert not alg.mul(alg.mul(p2, 2 * d, p, d), 3 * d, p, d)
 
 
 def test_ring_axioms_randomized():
+    """On the graded sums of random monomial sets, split into rows."""
     alg = spin9_algebra()
     monos = list(alg.monomials())
     rng = random.Random(7)
+    one = graded(alg, [alg.parse_monomial("1")])
 
     def rand_elem():
-        return alg.element(rng.sample(monos, rng.randint(0, 5)))
+        return graded(alg, rng.sample(monos, rng.randint(0, 5)))
+
+    def mul(a, b):
+        return graded_mul(alg, a, b)
 
     for _ in range(1000):
         a, b, c = rand_elem(), rand_elem(), rand_elem()
-        assert a * b == b * a
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
-        assert a + a == alg.zero()
-        assert a * alg.one() == a
+        assert mul(a, b) == mul(b, a)
+        assert mul(mul(a, b), c) == mul(a, mul(b, c))
+        assert mul(a, graded_add(b, c)) == graded_add(mul(a, b), mul(a, c))
+        assert graded_add(a, a) == {}
+        assert mul(a, one) == a
 
 
 def test_degree_additivity():
+    """The product of two monomial rows is the row of the product monomial,
+    in the sum of the degrees."""
     alg = spin9_algebra()
     monos = [m for m in alg.monomials() if alg.monomial_degree(m) > 0]
     for a in monos:
         for b in monos:
-            p = alg.element([a]) * alg.element([b])
+            (ra, da), (rb, db) = monomial_row(alg, a), monomial_row(alg, b)
+            p = alg.mul(ra, da, rb, db)
             if p:
-                assert p.degree == alg.monomial_degree(a) + alg.monomial_degree(b)
+                exps = tuple(x + y for x, y in zip(a, b))
+                assert alg.terms(p, da + db) == [exps]
+                assert alg.monomial_degree(exps) == da + db
 
 
 def test_heights_enforced():
     alg = spin9_algebra()
-    x3, x5 = alg.gen("x3"), alg.gen("x5")
-    assert not (x3 * x3 * x3 * x3)  # height 4
-    assert not (x5 * x5)  # exterior
-    assert x3 * x3 * x3
+    x3, x5 = alg.parse_row(["x3"], 3), alg.parse_row(["x5"], 5)
+    x3_2 = alg.mul(x3, 3, x3, 3)
+    x3_3 = alg.mul(x3_2, 6, x3, 3)
+    assert not alg.mul(x3_3, 9, x3, 3)  # height 4
+    assert not alg.mul(x5, 5, x5, 5)  # exterior
+    assert x3_3
 
 
 def test_parse_round_trip():
     alg = spin9_algebra()
     for m in alg.monomials():
         assert alg.parse_monomial(alg.monomial_str(m)) == m
-    e = alg.parse_element(["x3^2*x5", "x7"])
-    # canonical term order is ascending exponent tuple: x7 = (0,0,1,0) first
-    assert str(e) == "x7 + x3^2*x5"
-    assert alg.parse_element([]) == alg.zero()
+    e = alg.parse_row(["x3*x5*x7", "x15"], 15)
+    # canonical term order is ascending exponent tuple: x15 = (0,0,0,1) first
+    assert alg.row_str(e, 15) == "x15 + x3*x5*x7"
+    assert alg.parse_row([], 15) == 0
+    assert alg.row_str(0, 15) == "0"
     assert alg.monomial_degree(alg.parse_monomial("1")) == 0
+    # every row of every degree reads back from its text form
+    for d in range(alg.degree_cap + 1):
+        for row in range(1, 1 << len(alg.basis(d))):
+            assert alg.parse_row(alg.row_str(row, d).split(" + "), d) == row
+
+
+def test_parse_row_checks_degree():
+    """A row is homogeneous: the old mixed-degree sum x3^2*x5 + x7 is
+    rejected in either degree."""
+    alg = spin9_algebra()
+    for degree in (7, 11):
+        with pytest.raises(AlgebraError, match="not homogeneous of degree"):
+            alg.parse_row(["x3^2*x5", "x7"], degree)
 
 
 def test_parse_errors():

@@ -417,6 +417,26 @@ def test_extra_generator_off_e2_exits_3(tmp_path, command):
     assert "bounds" not in out
 
 
+@pytest.mark.parametrize(
+    "k, value, problem",
+    [
+        (0, "x3^2*x5", "Sq^0 x11: k must be >= 1"),
+        (12, "x3*x5*x15", "Sq^12 x11: k >= degree 11"),
+    ],
+)
+def test_extra_square_out_of_range_exits_3(tmp_path, k, value, problem):
+    """The witness search reads Sq^k of the extra generator only for
+    1 <= k < its degree; a row outside that range is a fixture problem,
+    not a row dropped without a word."""
+    data = builtin("spin9").to_dict()
+    data["extra_generators"][0]["steenrod"] = [{"k": k, "value": [value]}]
+    fixture = tmp_path / "extra_square.json"
+    fixture.write_text(json.dumps(data))
+    code, out, _ = run_cli("validate", str(fixture))
+    assert code == 3
+    assert problem in out
+
+
 json_values = st.recursive(
     st.none()
     | st.booleans()

@@ -87,6 +87,23 @@ def test_validate_catches_bad_extra_square():
     assert any("Sq^4 x11" in p for p in report.problems)
 
 
+@pytest.mark.parametrize(
+    "k, value, problems",
+    [
+        (0, "x3^2*x5", ["Sq^0 x11: k must be >= 1"]),
+        (1, "x5*x7", []),
+        (10, "x3^2*x15", []),
+        (11, "x7*x15", ["Sq^11 x11: k >= degree 11"]),
+        (12, "x3*x5*x15", ["Sq^12 x11: k >= degree 11"]),
+    ],
+)
+def test_validate_checks_extra_square_range(k, value, problems):
+    """Sq^k of an extra generator x is read only for 1 <= k < |x|."""
+    data = builtin("spin9").to_dict()
+    data["extra_generators"][0]["steenrod"] = [{"k": k, "value": [value]}]
+    assert validate(SpacePresentation.from_dict(data)).problems == problems
+
+
 def test_validate_conservation_preflight():
     data = builtin("toy-trunc-poly").to_dict()
     # drop the polynomial loop generator: E2 can no longer cover H^*

@@ -72,28 +72,28 @@ def reference_stage(model: LoopSpaceModel, m: int):
     }
     computable = [cls for cls in report if cls.bucket != BUCKET_RESIDUAL]
     z = {
-        cls.leading: ext.element([model._extended_exps_of_lattice(cls.leading)])
+        cls.leading: model._extended_exps_of_lattice(cls.leading)
         for cls in computable
-    }
-    squares = {
-        lead: model._extended_action.total_square(zc) for lead, zc in z.items()
     }
     max_k = max((g.degree for g in ext.generators), default=0)
     for k in range(1, max_k + 1):
         for cls in computable:
-            value = squares[cls.leading].homogeneous_part(cls.degree + k)
-            plain = [e for e in value.terms if not any(e[i] for i in extra_idx)]
-            if not plain or len(plain) < len(value.terms):
+            degree = cls.degree + k
+            squares = model._extended_action.squares(z[cls.leading])
+            value = squares[k] if k < len(squares) else 0
+            terms = ext.terms(value, degree) if value else []
+            plain = [e for e in terms if not any(e[i] for i in extra_idx)]
+            if not plain or len(plain) < len(terms):
                 continue
-            u = model.algebra.element(
+            u_terms = [
                 tuple(e for i, e in enumerate(exps) if i not in extra_idx)
                 for exps in plain
-            )
-            degree = cls.degree + k
+            ]
+            u = sum(1 << model.algebra.index[e] for e in u_terms)
             if (
                 not u
                 or not any(
-                    model._lattice_exps_of_monomial(e) in alive for e in u.terms
+                    model._lattice_exps_of_monomial(e) in alive for e in u_terms
                 )
                 or model.algebra.basis(cls.degree)
                 or degree in residual_degrees
@@ -103,8 +103,8 @@ def reference_stage(model: LoopSpaceModel, m: int):
             return page, report, ObstructionWitness(
                 m=m,
                 k=k,
-                z_label=str(z[cls.leading]),
-                u=str(u),
+                z_label=ext.monomial_str(z[cls.leading]),
+                u=model.algebra.row_str(u, degree),
                 u_degree=degree,
                 vanishing_degree=cls.degree,
                 facts=(
@@ -128,33 +128,34 @@ def test_generator_weights(spin9):
     """Criterion 7: every generator has weight 1."""
     alg = spin9.algebra
     for name in ("x3", "x5", "x7", "x15"):
-        assert spin9.wgt(alg.gen(name)) == 1
+        degree = int(name[1:])
+        assert spin9.wgt(alg.parse_row([name], degree), degree) == 1
 
 
 def test_space_weight(spin9):
     """Criterion 7: wgt(Spin(9)) = 6, on the top class."""
     assert spin9.wgt_space() == 6
     alg = spin9.algebra
-    top = alg.parse_element(["x3^3*x5*x7*x15"])
-    assert spin9.wgt(top) == 6
+    top = alg.parse_row(["x3^3*x5*x7*x15"], 36)
+    assert spin9.wgt(top, 36) == 6
 
 
 def test_weight_is_filtration(spin9):
     """Weight of a monomial equals its E-infinity column."""
     alg = spin9.algebra
-    assert spin9.wgt(alg.parse_element(["x3^2"])) == 2
-    assert spin9.wgt(alg.parse_element(["x3*x5"])) == 2
-    assert spin9.wgt(alg.parse_element(["x3^2*x5*x7"])) == 4
-    # min over terms
-    assert spin9.wgt(alg.parse_element(["x3^2", "x3"])) == 1
+    assert spin9.wgt(alg.parse_row(["x3^2"], 6), 6) == 2
+    assert spin9.wgt(alg.parse_row(["x3*x5"], 8), 8) == 2
+    assert spin9.wgt(alg.parse_row(["x3^2*x5*x7"], 18), 18) == 4
+    # min over terms, in one degree: x15 has weight 1, x3*x5*x7 weight 3
+    assert spin9.wgt(alg.parse_row(["x3*x5*x7", "x15"], 15), 15) == 1
 
 
 def test_weight_undefined_cases(spin9):
     alg = spin9.algebra
     with pytest.raises(WeightError):
-        spin9.wgt(alg.zero())
+        spin9.wgt(0, 5)
     with pytest.raises(WeightError):
-        spin9.wgt(alg.one())
+        spin9.wgt(alg.parse_row(["1"], 0), 0)
 
 
 def test_cup_length_vs_weight_ladder(spin9):
@@ -371,41 +372,55 @@ def test_spin9_report_evaluates_leibniz_once_per_monomial(
 
 def count_search_work(monkeypatch, space):
     """Report on `space`; return (model, truncation homology steps, squared
-    classes).
+    classes, squares computed).
 
     A step is one `homology_at` call, keyed by (r, s, t, d_r alive).  The
     untruncated fold runs before counting starts, so the steps are the
-    stage truncations' own.
+    stage truncations' own.  A squared class is a monomial whose squares
+    the search reads; a computed square is a monomial whose squares the
+    action builds, in the search or in the Cartan recursion under it.
     """
-    steps, squared = [], []
+    steps, squared, built = [], set(), []
     real_homology = specseq.homology_at
-    real_square = SteenrodAction.total_square
+    real_squares = SteenrodAction.squares
+    depth = [0]
 
     def counting_homology(page, spec, s, t, vecs, incoming, alive=True, d=None):
         steps.append((spec.r, s, t, alive))
         return real_homology(page, spec, s, t, vecs, incoming, alive, d)
 
-    def counting_square(self, e):
-        squared.append(e.terms)
-        return real_square(self, e)
+    def counting_squares(self, mono):
+        if not depth[0]:
+            squared.add(mono)
+        if mono not in self._squares:
+            built.append((id(self), mono))
+        depth[0] += 1
+        try:
+            return real_squares(self, mono)
+        finally:
+            depth[0] -= 1
 
     model = LoopSpaceModel(space)
     model.e_infinity
     monkeypatch.setattr(specseq, "homology_at", counting_homology)
-    monkeypatch.setattr(SteenrodAction, "total_square", counting_square)
+    monkeypatch.setattr(SteenrodAction, "squares", counting_squares)
     _, code = build_report(model, truncations=[0, 7, 8, 20, 36])
     assert code == 0
-    return model, steps, squared
+    return model, steps, squared, built
 
 
 def test_spin9_search_work_is_bounded(monkeypatch):
-    """Each bidegree state of the truncations is folded once; each class is
-    squared once."""
-    model, steps, squared = count_search_work(monkeypatch, builtin("spin9"))
+    """Each bidegree state of the truncations is folded once; the search
+    squares at most 6 classes, and each monomial's squares are computed
+    once."""
+    model, steps, squared, built = count_search_work(
+        monkeypatch, builtin("spin9")
+    )
     assert model.saturation_column == 13
     # One differential: at most two states (d_3 alive or not) per bidegree.
     assert len(steps) == len(set(steps)) <= 2 * len(model.e2.basis)
-    assert len(squared) == len(set(squared)) <= 6
+    assert len(built) == len(set(built))
+    assert 0 < len(squared) <= 6
 
 
 def test_spin9_report_folds_once(monkeypatch):
@@ -450,10 +465,10 @@ def test_trivial_e_infinity_leaves_e2_alone():
 
 def test_su_search_squares_nothing(monkeypatch):
     """No SU(5) class sits in a degree where the cohomology vanishes."""
-    model, steps, squared = count_search_work(monkeypatch, su_space(5))
+    model, steps, squared, built = count_search_work(monkeypatch, su_space(5))
     assert model.saturation_column == 4
     assert steps == []  # no differential: every truncation is read off E2
-    assert squared == []
+    assert squared == set() and built == []
     assert model.mwgt_lower_bound() == 0
 
 
@@ -467,6 +482,18 @@ def test_failed_stage_is_not_reported_as_no_witness():
     assert model.wgt_space() == 3  # all suspension classes still match
     with pytest.raises(WeightError, match="at most one partial-product"):
         model.find_obstruction(2)
+
+
+def test_extra_generator_off_e2_raises():
+    """A partial-product generator whose suspension x1_t is not an E2
+    generator fails through the library too, never as "no witness"."""
+    space = builtin("spin9")
+    space.extra_generators[0].t = 12
+    model = LoopSpaceModel(space)
+    with pytest.raises(WeightError, match="x11: x1_12 is not an E2 generator"):
+        model.mwgt_lower_bound()
+    with pytest.raises(WeightError, match="x1_12"):
+        model.stage_report(7)
 
 
 def test_spin9_classifies_each_state_once(monkeypatch):
