@@ -38,11 +38,8 @@ from lscat.specseq import (
     DifferentialSpec,
     InferenceError,
     SpectralSequenceError,
-    apply_differential,
     infer_differentials,
     koszul_e2,
-    run_to_e_infinity,
-    truncate,
 )
 from lscat.steenrod import SteenrodAction
 from lscat.weights import LoopSpaceModel, ObstructionWitness, WeightError
@@ -78,7 +75,6 @@ __all__ = [
     "SpectralSequenceError",
     "SteenrodAction",
     "WeightError",
-    "apply_differential",
     "assemble_bracket",
     "build_ledger",
     "build_report",
@@ -89,11 +85,9 @@ __all__ = [
     "infer_differentials",
     "koszul_e2",
     "page_at",
-    "run_to_e_infinity",
     "smash",
     "sphere",
     "strong_category_fallback",
     "suspend",
-    "truncate",
     "validate",
 ]

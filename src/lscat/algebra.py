@@ -200,15 +200,17 @@ class Algebra:
         if text != "1":
             for factor in text.split("*"):
                 factor = factor.strip()
-                name, _, power = factor.partition("^")
+                name, caret, power = factor.partition("^")
                 if name not in self._index:
                     raise AlgebraError(f"unknown generator {name!r} in {text!r}")
-                exps[self._index[name]] += int(power) if power else 1
-        for i, e in enumerate(exps):
-            if e > self._max_exp[i]:
-                raise AlgebraError(f"{text!r}: exponent of {self.generators[i].name} too high")
+                if caret and not power.strip().isdecimal():
+                    raise AlgebraError(f"{text!r}: exponent {power!r} is not a natural number")
+                exps[self._index[name]] += int(power) if caret else 1
+        for g, e in zip(self.generators, exps):
+            if g.height is not None and e >= g.height:
+                raise AlgebraError(f"{text!r}: exponent of {g.name} too high")
         mono = tuple(exps)
         degree = self.monomial_degree(mono)
         if degree > self.degree_cap:
-            raise AlgebraError(f"{text!r}: degree {degree} above cap")
+            raise AlgebraError(f"{text!r}: degree {degree} above cap {self.degree_cap}")
         return mono

@@ -37,10 +37,6 @@ def rref(rows: list[int], pivot_limit: int) -> list[int]:
     return pivots
 
 
-def rank(rows: list[int], ncols: int) -> int:
-    return len(rref(list(rows), ncols))
-
-
 def reduce_mod(vec: int, reduced_rows: list[int], pivots: list[int]) -> int:
     """Reduce `vec` against rows already in RREF (rows aligned with pivots)."""
     for row, col in zip(reduced_rows, pivots):

@@ -120,7 +120,10 @@ def build_report(
                     "r": spec.r,
                     "assignments": {
                         name: sorted(
-                            model.e2.monomial_str(m) for m in value
+                            model.e2.monomial_str(m)
+                            for m in model.e2.monomials(
+                                *model.e2.target(spec.r, name), value
+                            )
                         )
                         for name, value in sorted(spec.assignments.items())
                     },

@@ -33,11 +33,11 @@ So the tower evaluates the Leibniz rule once per spec and E2 monomial:
 it keeps, per spec, the image of each E2 cell's monomials (an int over
 the target cell), filled on the cell's first use, and its d^2 check and
 every state read d_r through that table.  The table is keyed on the
-tower's own uncapped E2 and held by the tower alone.  `apply_differential`,
-`run_to_e_infinity` and `truncate` evaluate the Leibniz rule directly, an
-independent path to the same pages.  A state where no class has a nonzero
-d_r and no boundary lands keeps its classes as they are (`homology_at`
-says why that is exact).
+tower's own uncapped E2 and held by the tower alone.  The tests keep an
+independent path to the same pages (`tests/reference.py`), which folds
+each truncation from scratch and evaluates the Leibniz rule directly.  A
+state where no class has a nonzero d_r and no boundary lands keeps its
+classes as they are (`homology_at` says why that is exact).
 
 The E2 lattice is an `Algebra`: x1_t has total degree 1 + t, and a
 lattice monomial is its exponent tuple, in filtration s = its exponent
@@ -48,14 +48,15 @@ data never includes scratch degrees.
 A class at (s, t) is an int over `cells[(s, t)]`, the ascending E2
 monomials of that bidegree (bit i is the i-th), which is gf2's row
 format: homology passes classes and boundaries to gf2 unchanged, and a
-representative's lowest set bit is its leading monomial.
+representative's lowest set bit is its leading monomial.  A value of d_r
+on a generator is such a row over the cell d_r lands in
+(`BigradedPage.target`).
 """
 
 from __future__ import annotations
 
 import bisect
 import copy
-import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -77,14 +78,15 @@ class InferenceError(SpectralSequenceError):
 
 @dataclass(frozen=True)
 class DifferentialSpec:
+    """d_r on generators: each value is a row over the cell of its
+    generator's d_r target (`BigradedPage.target`); zero rows are dropped."""
+
     r: int
-    assignments: dict[str, frozenset] = field(default_factory=dict)
+    assignments: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(
-            self,
-            "assignments",
-            {k: frozenset(v) for k, v in self.assignments.items() if v},
+            self, "assignments", {k: v for k, v in self.assignments.items() if v}
         )
 
     def __hash__(self):
@@ -134,12 +136,13 @@ class BigradedPage:
         s = sum(exps)
         return s, self.lattice.monomial_degree(exps) - s
 
-    def _mul_exps(self, a: tuple[int, ...], b: tuple[int, ...]):
-        """Lattice product; None when it dies there or past the column cap."""
-        p = self.lattice._mul_exps(a, b)
-        if p is None or self.column_cap is None or sum(p) <= self.column_cap:
-            return p
-        return None
+    def target(self, r: int, name: str) -> tuple[int, int]:
+        """The bidegree d_r of the generator `name` lands in: x1_t sits at
+        (1, t), so (1 + r, |x1_t| - r)."""
+        i = self.lattice._index.get(name)
+        if i is None:
+            raise SpectralSequenceError(f"unknown generator {name!r} in differential")
+        return 1 + r, self.lattice.generators[i].degree - r
 
     def monomial_str(self, exps: tuple[int, ...]) -> str:
         return self.lattice.monomial_str(exps)
@@ -162,11 +165,17 @@ class BigradedPage:
     def parse_monomial(self, text: str) -> tuple[int, ...]:
         return self.lattice.parse_monomial(text)
 
-    def parse_class(self, monomial_texts) -> frozenset:
-        terms: set = set()
+    def parse_class(self, monomial_texts, s: int, t: int) -> int:
+        """The sum of the monomials, a row over `cells[(s, t)]`."""
+        row = 0
         for text in monomial_texts:
-            terms ^= {self.parse_monomial(text)}
-        return frozenset(terms)
+            exps = self.parse_monomial(text)
+            if self.bidegree(exps) != (s, t):
+                raise SpectralSequenceError(
+                    f"{text!r} has bidegree {self.bidegree(exps)}, not {(s, t)}"
+                )
+            row ^= 1 << self._bit[exps]
+        return row
 
     # -- views -------------------------------------------------------------
 
@@ -202,18 +211,6 @@ class BigradedPage:
         if r < self.r:
             raise SpectralSequenceError("cannot move to an earlier page")
         return self._derived(r=r)
-
-    def as_e_infinity(self) -> "BigradedPage":
-        """Same basis and index, marked E-infinity; this page is not changed."""
-        return self._derived(at_infinity=True)
-
-    def restricted_to_columns(self, m: int) -> "BigradedPage":
-        if m < 0:
-            raise SpectralSequenceError("column cap must be >= 0")
-        basis = {
-            (s, t): vecs for (s, t), vecs in self.basis.items() if s <= m
-        }
-        return self._derived(basis=basis, column_cap=m)
 
     def to_json(self) -> dict:
         bidegrees = []
@@ -280,9 +277,10 @@ def koszul_e2(loop: AlgebraPresentation) -> BigradedPage:
 
 def leibniz(page: BigradedPage, spec: DifferentialSpec, exps: tuple[int, ...]) -> int:
     """d(monomial) by the Leibniz rule, as an int over its target cell;
-    assignment targets past the caps die."""
+    products past the lattice cap die."""
+    lattice = page.lattice
     acc = 0
-    for i, g in enumerate(page.lattice.generators):
+    for i, g in enumerate(lattice.generators):
         if exps[i] % 2 == 0:
             continue
         value = spec.assignments.get(g.name)
@@ -291,17 +289,10 @@ def leibniz(page: BigradedPage, spec: DifferentialSpec, exps: tuple[int, ...]) -
         rest = list(exps)
         rest[i] -= 1
         rest = tuple(rest)
-        for v in value:
-            p = page._mul_exps(rest, v)
+        for v in page.monomials(*page.target(spec.r, g.name), value):
+            p = lattice._mul_exps(rest, v)
             if p is not None:
                 acc ^= 1 << page._bit[p]
-    return acc
-
-
-def _d_of_vec(page, spec, s: int, t: int, vec: int) -> int:
-    acc = 0
-    for exps in page.monomials(s, t, vec):
-        acc ^= leibniz(page, spec, exps)
     return acc
 
 
@@ -310,24 +301,19 @@ def _check_spec(page: BigradedPage, spec: DifferentialSpec):
         raise SpectralSequenceError(
             f"differential is for page {spec.r}, current page is {page.r}"
         )
-    for name, value in spec.assignments.items():
-        if name not in page.lattice._index:
-            raise SpectralSequenceError(f"unknown generator {name!r} in differential")
-        g = page.lattice.generators[page.lattice._index[name]]
-        want = (1 + spec.r, g.degree - spec.r)
-        for exps in value:
-            if page.bidegree(exps) != want:
-                raise SpectralSequenceError(
-                    f"d_{spec.r}({name}) has a term of bidegree "
-                    f"{page.bidegree(exps)}, expected {want}"
-                )
+    for name, row in spec.assignments.items():
+        s, t = page.target(spec.r, name)
+        width = len(page.cells.get((s, t), ()))
+        if row >> width:
+            raise SpectralSequenceError(
+                f"d_{spec.r}({name}) is a row wider than its target cell "
+                f"{(s, t)}, which has {width} monomials"
+            )
 
 
-def _check_d_squared(page: BigradedPage, spec: DifferentialSpec, d=None):
+def _check_d_squared(page: BigradedPage, spec: DifferentialSpec, d):
     """Raise unless d_r(d_r(x)) = 0 for every monomial x of every class on
     `page`; `d` is as in `homology_at`."""
-    if d is None:
-        d = functools.partial(_d_of_vec, page, spec)
     r = spec.r
     for s, t, vec in page.classes(report_only=False):
         while vec:
@@ -371,16 +357,16 @@ def homology_at(
     t: int,
     vecs: tuple[int, ...],
     incoming: tuple[int, ...],
-    alive: bool = True,
-    d=None,
+    alive: bool,
+    d,
 ) -> tuple[int, ...]:
     """Homology at (s, t) under d_r, with monomial-pivot representatives.
 
     `vecs` are the classes at (s, t) and `incoming` those of its d_r-source
     bidegree, each an int over its cell; `page` supplies the cells.  d_r of
-    a class is `d(s, t, vec)`, by default the Leibniz rule on `page`.  With
-    `alive` false, d_r out of the bidegree is zero (it lands past a column
-    cap) and every class is a cycle.
+    a class is `d(s, t, vec)`.  With `alive` false, d_r out of the
+    bidegree is zero (it lands past a column cap) and every class is a
+    cycle.
 
     When no class has a nonzero d_r and no boundary lands here, `vecs` is
     returned as it is.  That is what the full path would return: `vecs`
@@ -390,8 +376,6 @@ def homology_at(
     another.  `quotient_basis` with no boundaries then only reorders them
     by pivot, and the final sort by lowest bit restores their order.
     """
-    if d is None:
-        d = functools.partial(_d_of_vec, page, spec)
     r = spec.r
     out_rows = [d(s, t, v) for v in vecs] if alive else []
     boundaries = [b for u in incoming if (b := d(s - r, t + r - 1, u))]
@@ -413,50 +397,15 @@ def homology_at(
     return tuple(sorted(reps, key=lambda v: v & -v))
 
 
-def apply_differential(page: BigradedPage, spec: DifferentialSpec) -> BigradedPage:
-    """Homology of the page under d_r, with monomial-pivot representatives."""
-    _check_spec(page, spec)
-    _check_d_squared(page, spec)
-    r = spec.r
-
-    new_basis: dict[tuple[int, int], tuple[int, ...]] = {}
-    for (s, t) in sorted(page.basis):
-        incoming = page.basis.get((s - r, t + r - 1), ())
-        new_vecs = homology_at(page, spec, s, t, page.basis[(s, t)], incoming)
-        if new_vecs:
-            new_basis[(s, t)] = new_vecs
-    return page._derived(r=r + 1, basis=new_basis)
-
-
-def run_to_e_infinity(
-    page: BigradedPage, specs: list[DifferentialSpec]
-) -> BigradedPage:
-    """Fold the differentials over ascending page index; mark the result E-infinity."""
-    for spec in sorted(specs, key=lambda d: d.r):
-        if spec.is_trivial():
-            continue
-        if spec.r < page.r:
-            raise SpectralSequenceError("differentials out of order")
-        page = page.advanced(spec.r)
-        page = apply_differential(page, spec)
-    return page.as_e_infinity()
-
-
-def truncate(
-    e2: BigradedPage, m: int, specs: list[DifferentialSpec]
-) -> BigradedPage:
-    """E-infinity of the column-m truncation (model of the m-th projective stage)."""
-    return run_to_e_infinity(e2.restricted_to_columns(m), specs)
-
-
 class TruncationTower:
     """The fold of `specs` over `e2`, for every column truncation at once.
 
-    `page(m, j)` equals `run_to_e_infinity(e2.restricted_to_columns(m),
-    specs[:j])`, with each bidegree state computed once and shared by
-    every m and every later j.  The tower checks each spec once, on the
-    untruncated page it acts on (see the module docstring for why that
-    check covers every truncation).  The check and the states read d_r
+    `page(m, j)` is the E-infinity of the column-m truncation of `e2`
+    under the first j specs, with each bidegree state computed once and
+    shared by every m and every later j; the tests check it against a
+    from-scratch fold per truncation (`tests/reference.py`).  The tower
+    checks each spec once, on the untruncated page it acts on (see the
+    module docstring for why that check covers every truncation).  The check and the states read d_r
     of each spec through one image table per spec (`_image_table`), so
     each E2 monomial's image is computed once per spec.
 
@@ -559,7 +508,7 @@ class TruncationTower:
 
     def page(self, m: int | None = None, j: int | None = None) -> BigradedPage:
         """The column-m truncation after the first j specs, marked
-        E-infinity as `run_to_e_infinity` marks it."""
+        E-infinity."""
         if m is not None and m < 0:
             raise SpectralSequenceError("column cap must be >= 0")
         j = len(self.specs) if j is None else j
@@ -568,11 +517,6 @@ class TruncationTower:
         }
         r = self.specs[j - 1].r + 1 if j else self.e2.r
         return self.e2._derived(r=r, basis=basis, column_cap=m, at_infinity=True)
-
-
-def _powerset(items):
-    for size in range(len(items) + 1):
-        yield from itertools.combinations(items, size)
 
 
 def infer_differentials(
@@ -595,52 +539,42 @@ def infer_differentials(
         if name not in e2.lattice._index:
             raise SpectralSequenceError(f"unknown permanent cycle {name!r}")
     unknowns = [g for g in e2.lattice.generators if g.name not in known]
-    target_dims = target.poincare_series()
-
-    def dims_match(page: BigradedPage) -> bool:
-        dims = page.dims_by_total_degree()
-        n = max(len(dims), len(target_dims))
-        for i in range(min(n, e2.degree_cap + 1)):
-            a = dims[i] if i < len(dims) else 0
-            b = target_dims[i] if i < len(target_dims) else 0
-            if a != b:
-                return False
-        return True
+    # The target's dimensions in degrees 0..cap, zero past its own cap.
+    want = target.poincare_series()[: e2.degree_cap + 1]
+    want += [0] * (e2.degree_cap + 1 - len(want))
 
     trivial = (DifferentialSpec(2, {}), TruncationTower(e2, []))
-    trivial_ok = dims_match(e2)
+    trivial_ok = e2.dims_by_total_degree() == want
     if not unknowns:
         if trivial_ok:
             return [trivial]
         raise InferenceError("no consistent assignment: fixture/target mismatch")
 
     results: list[tuple[DifferentialSpec, TruncationTower]] = []
-    r_max = e2.column_cap if e2.column_cap is not None else e2.degree_cap
-    for r in range(2, r_max + 1):
+    for r in range(2, e2.degree_cap + 1):
+        # Every row over an unknown's target cell: its d_r candidates.
         candidate_lists = []
         for g in unknowns:
-            bidegree = (1 + r, g.degree - r)
-            # Each E2 class is one monomial, its leading one.
-            monos = [e2.leading(*bidegree, v) for v in e2.basis.get(bidegree, ())]
-            if 2 ** len(monos) > SEARCH_BUDGET:
+            n = len(e2.cells.get(e2.target(r, g.name), ()))
+            if 2 ** n > SEARCH_BUDGET:
                 raise InferenceError(
                     f"search budget exceeded for {g.name} at r={r}: "
-                    f"2^{len(monos)} candidates"
+                    f"2^{n} candidates"
                 )
-            candidate_lists.append(list(_powerset(monos)))
+            candidate_lists.append(range(1 << n))
         if all(len(c) == 1 for c in candidate_lists):
             continue  # only the zero assignment exists at this r
         for combo in itertools.product(*candidate_lists):
-            if all(not v for v in combo):
+            if not any(combo):
                 continue
             spec = DifferentialSpec(
-                r, {g.name: frozenset(v) for g, v in zip(unknowns, combo)}
+                r, {g.name: v for g, v in zip(unknowns, combo)}
             )
             try:
                 tower = TruncationTower(e2, [spec])
             except SpectralSequenceError:
                 continue  # d^2 != 0 or bad bidegree: not a differential
-            if dims_match(tower.page()):
+            if tower.page().dims_by_total_degree() == want:
                 results.append((spec, tower))
 
     if trivial_ok:
@@ -668,7 +602,7 @@ class TruncationClass:
 
 
 class ClassFacts:
-    """What `classify_truncation` reads of one class, all but the stage.
+    """What a stage's report reads of one class, all but the stage.
 
     Only `bucket` takes the stage m: it holds the one stage-dependent
     test, the partial window on the permanent-factor count.
@@ -699,6 +633,13 @@ class ClassFacts:
         )
 
     def bucket(self, m: int, extension_height: int) -> str:
+        """The class's bucket at stage m: "product" for a monomial in
+        permanent suspension classes that survive untruncated (at most m
+        factors, automatic under the column cap); "partial" for such a
+        monomial times the partial-product generator, with between
+        m - extension_height and m - 1 permanent factors; "residual" for
+        everything else (candidates for the annihilated top summand, whose
+        module structure is not determined here)."""
         if self.partial == 1 and self.rest_alive:
             lo = max(0, m - extension_height)
             in_window = lo <= self.factors <= m - 1
@@ -736,27 +677,3 @@ def class_facts(
         s, t, lead, page.monomial_str(lead), surviving_untruncated, partial_idx
     )
 
-
-def classify_truncation(
-    page: BigradedPage,
-    m: int,
-    surviving_untruncated: set,
-    partial_gen: str | None = None,
-    extension_height: int = 3,
-) -> list[TruncationClass]:
-    """Label every class of a truncated E-infinity page.
-
-    Buckets: "product" for monomials in permanent suspension classes that
-    survive untruncated (at most m factors, automatic under the column
-    cap); "partial" for such a monomial times the partial-product
-    generator, with between m - extension_height and m - 1 permanent
-    factors; "residual" for everything else (candidates for the
-    annihilated top summand, whose module structure is not determined
-    here).
-    """
-    p_idx = page.lattice._index.get(partial_gen) if partial_gen else None
-    out = []
-    for s, t, vec in page.classes():
-        facts = class_facts(page, s, t, vec, surviving_untruncated, p_idx)
-        out.append(facts.labelled(facts.bucket(m, extension_height)))
-    return out

@@ -213,9 +213,6 @@ class LoopSpaceModel:
         return self._tower.page(m)
 
     def stage_report(self, m: int) -> list[TruncationClass]:
-        return self._stage(m)
-
-    def _stage(self, m: int) -> list[TruncationClass]:
         """Stage m's report entries, in page order."""
         m = min(m, self.stable_stage)
         if m not in self._stages:
@@ -471,14 +468,14 @@ class LoopSpaceModel:
             # Every computable class must map into the extended algebra,
             # even one the degree test skips: a class with an unmatched
             # generator raises, at the first stage that holds one.
-            for cls in self._stage(m):
+            for cls in self.stage_report(m):
                 if cls.bucket != BUCKET_RESIDUAL:
                     self._extended_exps(cls.leading)
         # Hard form: the preimage degree vanishes identically.
         candidates = self._candidates(m)
         if not candidates:
             return None
-        report = self._stage(m)
+        report = self.stage_report(m)
         ext = self._extended_algebra
         n = len(self.algebra.generators)  # the extra generator comes after
         alive = {

@@ -83,7 +83,7 @@ def test_04_forced_differential(spin9):
     specs = spin9.differentials
     assert len(specs) == 1 and specs[0].r == 3
     assert specs[0].assignments == {
-        "x1_10": frozenset({spin9.e2.parse_monomial("x1_2^4")})
+        "x1_10": spin9.e2.parse_class(["x1_2^4"], 4, 8)
     }
     assert (
         spin9.e_infinity.dims_by_total_degree()

@@ -226,6 +226,9 @@ def test_parse_errors():
         alg.parse_monomial("x5^2")  # above height
     with pytest.raises(AlgebraError):
         alg.parse_monomial("x15^2*x3^3")  # above cap
+    for text in ("x3^-1*x5", "x3^a", "x3^*x5"):
+        with pytest.raises(AlgebraError, match="is not a natural number"):
+            alg.parse_monomial(text)
 
 
 def test_presentation_validation():

@@ -20,8 +20,8 @@ from lscat import report as report_mod
 from lscat import specseq
 from lscat.cli import main
 from lscat.spaces import SpacePresentation, builtin, validate
-from lscat.specseq import run_to_e_infinity
 from lscat.weights import LoopSpaceModel, WeightError
+from reference import restricted_to_columns, run_to_e_infinity
 
 
 def run_cli(*argv):
@@ -569,7 +569,7 @@ def test_pages_past_the_last_differential_match_a_refold(truncate_at):
     model = LoopSpaceModel(builtin("spin9"))
     e2 = model.e2
     if truncate_at is not None:
-        e2 = e2.restricted_to_columns(truncate_at)
+        e2 = restricted_to_columns(e2, truncate_at)
     refold = run_to_e_infinity(e2, model.differentials)
     for r in (3, 4, 5, 9):
         page = report_mod.page_at(model, r, truncate_at)
@@ -585,6 +585,44 @@ def test_degree_cap_override():
     rep = json.loads(out)
     assert rep["degree_cap"] == 20
     assert len(rep["spectral_sequence"]["e_infinity_dims"]) == 21
+
+
+def test_generator_above_a_low_cap_exits_3_naming_its_degree():
+    """At cap 12 spin9's Steenrod table names x15, a generator above the
+    cap: validation gives its degree, not that its exponent is too high."""
+    code, out, _ = run_cli("report", "spin9", "--degree-cap", "12")
+    assert code == 3
+    assert "Sq^4 x11: 'x15': degree 15 above cap 12" in out
+
+
+@pytest.mark.parametrize("power", ["-1", "a", ""])
+def test_steenrod_value_with_a_bad_exponent_exits_3(tmp_path, power):
+    """A Steenrod value whose exponent is not a natural number is a
+    validation problem, never a traceback."""
+    data = builtin("spin9").to_dict()
+    data["steenrod"].append({"gen": "x7", "k": 5, "value": [f"x3^{power}*x15"]})
+    fixture = tmp_path / "bad-exponent.json"
+    fixture.write_text(json.dumps(data))
+    for command in ("validate", "report"):
+        code, out, _ = run_cli(command, str(fixture))
+        assert code == 3
+        assert f"exponent '{power}' is not a natural number" in out
+
+
+def test_every_export_resolves_and_no_reference_fold_is_exported():
+    """`lscat.__all__` names only what the package defines, and the
+    Leibniz-direct fold the tests compare against lives in the tests."""
+    for name in lscat.__all__:
+        assert getattr(lscat, name) is not None, name
+    moved = (
+        "apply_differential", "run_to_e_infinity", "truncate",
+        "classify_truncation", "_d_of_vec",
+    )
+    for name in moved:
+        assert name not in lscat.__all__
+        assert not hasattr(specseq, name)
+    for name in ("restricted_to_columns", "as_e_infinity", "_mul_exps"):
+        assert not hasattr(specseq.BigradedPage, name)
 
 
 def test_bad_truncate_value():

@@ -13,15 +13,19 @@ from lscat.specseq import (
     InferenceError,
     SpectralSequenceError,
     TruncationTower,
-    apply_differential,
-    classify_truncation,
     infer_differentials,
     koszul_e2,
     leibniz,
+)
+from lscat.weights import LoopSpaceModel
+from reference import (
+    apply_differential,
+    classify_truncation,
+    d_of_vec,
+    restricted_to_columns,
     run_to_e_infinity,
     truncate,
 )
-from lscat.weights import LoopSpaceModel
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +95,7 @@ def test_lattice_parsing_validates(spin9_model, text):
     with pytest.raises(AlgebraError):
         spin9_model.e2.parse_monomial(text)
     with pytest.raises(AlgebraError):
-        spin9_model.e2.parse_class([text])
+        spin9_model.e2.parse_class([text], 4, 8)
 
 
 def test_inference_unique_spin9(spin9_model):
@@ -101,9 +105,8 @@ def test_inference_unique_spin9(spin9_model):
     spec = specs[0]
     assert spec.r == 3
     e2 = spin9_model.e2
-    assert spec.assignments == {
-        "x1_10": frozenset({e2.parse_monomial("x1_2^4")})
-    }
+    assert spec.assignments == {"x1_10": e2.parse_class(["x1_2^4"], 4, 8)}
+    assert e2.target(3, "x1_10") == (4, 8)
     e_inf = spin9_model.e_infinity
     coh_dims = spin9_model.algebra.poincare_series()
     assert e_inf.dims_by_total_degree() == coh_dims
@@ -192,11 +195,10 @@ def test_d_squared_guard():
         (Generator("u2", 2, 2), Generator("u4", 4, None)), 20
     )
     e2 = koszul_e2(pres)  # x1_2 poly, x1_4 ext (t=4)
-    # d2(x1_4) = x1_2 would need bidegree (3, 3); no such class exists,
-    # so the spec checker rejects it.
-    bad = DifferentialSpec(
-        2, {"x1_4": frozenset({e2.parse_monomial("x1_2")})}
-    )
+    # d2(x1_4) lands in bidegree (3, 3); no such class exists, so the
+    # spec checker rejects any nonzero row there.
+    assert e2.target(2, "x1_4") == (3, 3) and (3, 3) not in e2.cells
+    bad = DifferentialSpec(2, {"x1_4": 1})
     with pytest.raises(SpectralSequenceError):
         apply_differential(e2, bad)
 
@@ -284,8 +286,8 @@ def two_page_synthetic():
     )
     e2 = koszul_e2(pres)  # x1_2, x1_4 polynomial; x1_7, x1_18 exterior
     specs = [
-        DifferentialSpec(2, {"x1_7": e2.parse_class(["x1_2^3"])}),
-        DifferentialSpec(3, {"x1_18": e2.parse_class(["x1_4^4"])}),
+        DifferentialSpec(2, {"x1_7": e2.parse_class(["x1_2^3"], 3, 6)}),
+        DifferentialSpec(3, {"x1_18": e2.parse_class(["x1_4^4"], 4, 16)}),
     ]
     return e2, specs
 
@@ -370,7 +372,7 @@ def test_tower_pages_match_folds_after_each_spec():
     e2, specs = two_page_synthetic()
     tower = TruncationTower(e2, specs)
     for m in [None, *range(e2.degree_cap + 1)]:
-        page = e2 if m is None else e2.restricted_to_columns(m)
+        page = e2 if m is None else restricted_to_columns(e2, m)
         for j in range(len(specs) + 1):
             want = run_to_e_infinity(page, specs[:j])
             got = tower.page(m, j)
@@ -382,12 +384,8 @@ def full_homology(page, spec, s, t, vecs, incoming, alive):
     """`homology_at` with no shortcut: d by the Leibniz rule, then the
     cycles' quotient by the boundaries through `gf2.quotient_basis`."""
     r = spec.r
-    out_rows = [
-        specseq._d_of_vec(page, spec, s, t, v) for v in vecs
-    ] if alive else []
-    boundaries = [
-        specseq._d_of_vec(page, spec, s - r, t + r - 1, u) for u in incoming
-    ]
+    out_rows = [d_of_vec(page, spec, s, t, v) for v in vecs] if alive else []
+    boundaries = [d_of_vec(page, spec, s - r, t + r - 1, u) for u in incoming]
     cycles = list(vecs)
     if any(out_rows):
         ncols = len(page.cells[(s + r, t - r + 1)])
@@ -443,11 +441,19 @@ def test_tower_states_match_the_full_homology_path(space):
             "does not square to zero on x1_12",
             id="d-squared",
         ),
-        pytest.param({"x1_7": ["x1_2"]}, "has a term of bidegree", id="bidegree"),
+        # A term off the target cell (3, 6), which holds x1_2^3 alone,
+        # is a bit past its row.
+        pytest.param(
+            {"x1_7": 0b10}, r"wider than its target cell \(3, 6\)", id="bidegree"
+        ),
+        pytest.param(
+            {"x1_9": 1}, "unknown generator 'x1_9'", id="unknown-generator"
+        ),
     ],
 )
 def test_tower_checks_its_specs(assignments, message):
-    """A tower refuses a d_2 that is not a differential."""
+    """A tower refuses a d_2 that is not a differential.  A value is a
+    row, or monomials parsed over the generator's target cell."""
     pres = AlgebraPresentation(
         (
             Generator("u2", 2, 2),
@@ -458,10 +464,30 @@ def test_tower_checks_its_specs(assignments, message):
     )
     e2 = koszul_e2(pres)  # x1_2 polynomial; x1_7, x1_12 exterior
     spec = DifferentialSpec(
-        2, {name: e2.parse_class(value) for name, value in assignments.items()}
+        2,
+        {
+            name: value
+            if isinstance(value, int)
+            else e2.parse_class(value, *e2.target(2, name))
+            for name, value in assignments.items()
+        },
     )
     with pytest.raises(SpectralSequenceError, match=message):
         TruncationTower(e2, [spec])
+
+
+def test_parse_class_names_an_off_cell_bidegree(spin9_model):
+    """A monomial off the cell a class is parsed over is named with its
+    bidegree; the cell's monomials sum over F2 into a row."""
+    e2 = spin9_model.e2
+    with pytest.raises(
+        SpectralSequenceError,
+        match=r"'x1_2' has bidegree \(1, 2\), not \(2, 16\)",
+    ):
+        e2.parse_class(["x1_6*x1_10", "x1_2"], 2, 16)
+    assert e2.parse_class(["x1_6*x1_10", "x1_2*x1_14"], 2, 16) == 0b11
+    row = e2.parse_class(["x1_6*x1_10", "x1_2*x1_14", "x1_6*x1_10"], 2, 16)
+    assert e2.class_str(2, 16, row) == "x1_2*x1_14"
 
 
 def test_run_to_e_infinity_returns_a_new_page():

