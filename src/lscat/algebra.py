@@ -50,6 +50,13 @@ class AlgebraPresentation:
         if self.degree_cap < 1:
             raise AlgebraError("degree_cap must be >= 1")
 
+    def top_degree(self) -> int | None:
+        """Degree of the top monomial, the sum of d (h - 1) over the
+        generators, before any cap; None when a generator is polynomial."""
+        if any(g.height is None for g in self.generators):
+            return None
+        return sum(g.degree * (g.height - 1) for g in self.generators)
+
 
 class Algebra:
     """Arithmetic in the monomial basis of one presentation.  Immutable."""

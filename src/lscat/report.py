@@ -48,16 +48,32 @@ def attested_entries(space: SpacePresentation, ledger: BoundsLedger):
             )
 
 
+def cap_truncation(space: SpacePresentation) -> str | None:
+    """How the degree cap cuts off the cohomology, or None when the cap
+    covers its top degree.  Below the top degree a product that vanishes
+    under the cap may not vanish above it, so cup-length and wgt computed
+    under the cap are lower bounds only."""
+    top = space.cohomology.top_degree()
+    cap = space.degree_cap
+    if top is None:
+        return f"degree cap {cap}; the cohomology is unbounded"
+    if cap < top:
+        return f"degree cap {cap} is below the cohomology's top degree {top}"
+    return None
+
+
 def build_ledger(model: LoopSpaceModel) -> BoundsLedger:
     space = model.space
     ledger = BoundsLedger(space.name)
+    cut = cap_truncation(space)
+    kind, note = ("lower", f"; {cut}") if cut else ("exact", "")
     cuplen = model.cup_length()
-    ledger.add("cuplen", "exact", cuplen, "longest nonzero product of "
-               "positive-degree classes (monomial enumeration)")
+    ledger.add("cuplen", kind, cuplen, "longest nonzero product of "
+               f"positive-degree classes (monomial enumeration){note}")
     if space.loop_homology is not None:
         wgt = model.wgt_space()
-        ledger.add("wgt", "exact", wgt, "maximal E-infinity filtration over "
-                   "the reduced cohomology")
+        ledger.add("wgt", kind, wgt, "maximal E-infinity filtration over "
+                   f"the reduced cohomology{note}")
         mwgt = model.mwgt_lower_bound()
         if mwgt > 0:
             m = mwgt - 1
@@ -262,6 +278,13 @@ def format_text(report: dict) -> str:
             + ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
         )
     bracket = report["bounds"]["bracket"]
+    # The computed cup-length entry comes first; it is a lower bound only
+    # when the degree cap truncates the cohomology.
+    if report["bounds"]["entries"][0]["kind"] == "lower":
+        lines.append(
+            f"degree cap {report['degree_cap']} truncates the cohomology: "
+            "cup-length and category weight are lower bounds"
+        )
     for e in report["bounds"]["entries"]:
         lines.append(
             f"bound: {e['quantity']} {e['kind']} {e['value']}  "

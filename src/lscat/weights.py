@@ -41,16 +41,23 @@ Of those bidegrees the search walks only the ones where some E2 monomial
 could lead a non-residual class at some stage
 (`ClassFacts.can_be_non_residual`): a class's bucket depends only on its
 leading monomial, which is one of its bidegree's monomials, so every other
-bidegree holds only residual classes at every stage.  A stage without
-a candidate has no witness: the search returns None without listing the
-stage.  Only a stage with a candidate is listed in full, for the
-monomials alive in it and its residual degrees.  The one error
-particular to a skipped stage is a computable class that does not map into
-the extended algebra, and that takes an E2 generator matching no
-cohomology class.  So the model checks the generator match once, and
-only when some generator is unmatched does it walk each stage's
-computable classes: the first stage holding such a class raises, naming
-the generator.
+bidegree holds only residual classes at every stage.  Of each state it
+keeps the classes that can ever be non-residual.  A stage without a
+candidate has no witness.
+
+The search never lists a stage.  A candidate's Sq^k test (its target
+degree, whether the square has a partial-product term, and the terms of
+u) does not depend on the stage, so it is kept per leading monomial.  Of
+stage m the search reads two facts, each from the one tower state it
+concerns: whether a lattice monomial of u leads a class of the state
+(s, t, alive) of its bidegree (classified once per state), and
+whether a residual class lies in the target degree (kept per stage and
+degree, from the states of that degree).  Not listing a stage hides one
+error: a computable class that does not map into the extended algebra,
+which takes an E2 generator matching no cohomology class.  So the model
+checks the generator match once, and only when some generator is
+unmatched does it list each stage's computable classes: the first stage
+holding such a class raises, naming the generator.
 
 The search saturates.  Every E2 lattice monomial lies in a column at most
 s_sat, the largest E2 column, so every stage past s_sat has the classes
@@ -147,7 +154,15 @@ class LoopSpaceModel:
             )
         self.space = space
         self.algebra: Algebra = space.algebra()
+        # Per tower state (s, t, alive): its classes, and those that can
+        # ever be non-residual.
         self._state_classes: dict[tuple[int, int, int], list[_StateClass]] = {}
+        self._state_candidates: dict[tuple[int, int, int], list[_StateClass]] = {}
+        # Per (stage, degree): whether a residual class lies there.
+        self._residual: dict[tuple[int, int], bool] = {}
+        # Per leading monomial: its Sq^k tests; per degree: the mixed mask.
+        self._tests: dict[tuple[int, ...], list] = {}
+        self._mixed: dict[int, int] = {}
         self._stages: dict[int, list[TruncationClass]] = {}
         self._witnesses: dict[int, ObstructionWitness | None] = {}
         self._ext_exps: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -239,37 +254,84 @@ class LoopSpaceModel:
         """The reported E2 bidegrees, in (s, t) order, whose total degree
         has no cohomology and some of whose monomials could lead a
         non-residual class at some stage: the only states a witness class
-        can lie in."""
+        can lie in.
+
+        A monomial's bucket reads only its partial-generator exponent,
+        its permanent-factor count and whether those factors survive
+        untruncated, so the bucket rule (`ClassFacts`) is asked once per
+        such triple, not once per monomial."""
         cap = self.e2.degree_cap
         height = self._extension_height
+        idx = self._partial_idx
+        rule: dict[tuple[int, int, bool], bool] = {}
+
+        def can_lead(s: int, t: int, lead: tuple[int, ...]) -> bool:
+            pe = lead[idx] if idx is not None else 0
+            rest = lead[:idx] + (0,) + lead[idx + 1:] if pe else lead
+            key = (pe, sum(rest), rest in self.surviving)
+            if key not in rule:
+                facts = ClassFacts(s, t, lead, None, *key)
+                rule[key] = facts.can_be_non_residual(height)
+            return rule[key]
+
         return [
             (s, t)
             for s, t in sorted(self.e2.basis)
             if s + t <= cap
             and not self.algebra.basis(s + t)
-            and any(
-                ClassFacts.of_leading(
-                    s, t, lead, None, self.surviving, self._partial_idx
-                ).can_be_non_residual(height)
-                for lead in self.e2.cells[(s, t)]
-            )
+            and any(can_lead(s, t, lead) for lead in self.e2.cells[(s, t)])
         ]
 
     def _candidates(self, m: int) -> list[TruncationClass]:
         """Stage m's non-residual classes in vanishing degrees, in page
-        order: the classes the witness search squares."""
+        order: the classes the witness search squares.  Each state of a
+        vanishing bidegree is filtered once for the classes that can ever
+        be non-residual; per stage, only their partial window is tested."""
         m = min(m, self.stable_stage)
         top = min(m, self.saturation_column)
         out = []
         for s, t in self._vanishing_keys:
             if s > top:
                 break
-            alive = self._tower.alive(s, top)
-            for cls in self._classes_of_state(s, t, alive):
+            key = (s, t, self._tower.alive(s, top))
+            if key not in self._state_candidates:
+                height = self._extension_height
+                self._state_candidates[key] = [
+                    cls
+                    for cls in self._classes_of_state(*key)
+                    if cls.facts.can_be_non_residual(height)
+                ]
+            for cls in self._state_candidates[key]:
                 entry = self._entry(cls, m)
                 if entry.bucket != BUCKET_RESIDUAL:
                     out.append(entry)
         return out
+
+    def _leads_at(self, lattice: tuple[int, ...], top: int) -> bool:
+        """Whether the lattice monomial leads a class of the column-`top`
+        truncation, read from the one state of its bidegree."""
+        s, t = self.e2.bidegree(lattice)
+        return s <= top and any(
+            cls.facts.leading == lattice
+            for cls in self._classes_of_state(s, t, self._tower.alive(s, top))
+        )
+
+    def _residual_in(self, m: int, degree: int) -> bool:
+        """Whether stage m (at most the stable stage) has a residual class
+        in `degree`, read from the states of that total degree."""
+        key = (m, degree)
+        if key not in self._residual:
+            top = min(m, self.saturation_column)
+            height = self._extension_height
+            self._residual[key] = any(
+                cls.facts.bucket(m, height) == BUCKET_RESIDUAL
+                for s in range(min(top, degree) + 1)
+                if (s, degree - s) in self.e2.basis
+                for cls in self._classes_of_state(
+                    s, degree - s, self._tower.alive(s, top)
+                )
+            )
+        return self._residual[key]
 
     def _classes_of_state(self, s: int, t: int, alive: int) -> list[_StateClass]:
         """The reported classes of one tower state, classified once."""
@@ -453,6 +515,55 @@ class LoopSpaceModel:
                 self._witnesses[m] = self._find_obstruction(m)
         return self._witnesses[m]
 
+    @cached_property
+    def _max_k(self) -> int:
+        return max((g.degree for g in self._extended_algebra.generators), default=0)
+
+    def _mixed_mask(self, degree: int) -> int:
+        """The extended basis monomials of `degree` with a partial-product
+        factor, as a row."""
+        mask = self._mixed.get(degree)
+        if mask is None:
+            n = len(self.algebra.generators)  # the extra generator comes after
+            mask = self._mixed[degree] = sum(
+                1 << i
+                for i, e in enumerate(self._extended_algebra.basis(degree))
+                if any(e[n:])
+            )
+        return mask
+
+    def _square_tests(self, cls: TruncationClass) -> list:
+        """What the search reads of Sq^k of the class, for k = 0..max_k:
+        None where the square is zero or has a partial-product term, else
+        (target degree, the cohomology terms of u, the lattice monomial of
+        each term or None where a generator has no suspension class).
+        None of it depends on the stage, so it is kept per leading
+        monomial."""
+        tests = self._tests.get(cls.leading)
+        if tests is None:
+            ext = self._extended_algebra
+            n = len(self.algebra.generators)
+            sq = self._extended_action.squares(self._extended_exps(cls.leading))
+            tests = [None] * (self._max_k + 1)
+            for k in range(1, min(len(sq), len(tests))):
+                degree = cls.degree + k
+                # Partial-product terms cannot be controlled in the
+                # associated graded; demand they vanish outright.
+                if not sq[k] or sq[k] & self._mixed_mask(degree):
+                    continue
+                u_terms = [e[:n] for e in ext.terms(sq[k], degree)]
+                tests[k] = degree, u_terms, [
+                    self._lattice_exps_or_none(e) for e in u_terms
+                ]
+            self._tests[cls.leading] = tests
+        return tests
+
+    def _lattice_exps_or_none(self, exps: tuple[int, ...]) -> tuple[int, ...] | None:
+        try:
+            return self._lattice_exps_of_monomial(exps)
+        except WeightError:
+            return None
+
     def _find_obstruction(self, m: int) -> ObstructionWitness | None:
         # Stage m's classes are states of the fold: a model whose
         # inference fails raises here, before anything else.
@@ -475,52 +586,36 @@ class LoopSpaceModel:
         candidates = self._candidates(m)
         if not candidates:
             return None
-        report = self.stage_report(m)
-        ext = self._extended_algebra
-        n = len(self.algebra.generators)  # the extra generator comes after
-        alive = {
-            cls.leading for cls in report
-        }
-        residual_degrees = {
-            cls.degree for cls in report if cls.bucket == BUCKET_RESIDUAL
-        }
-
-        squares = [
-            self._extended_action.squares(self._extended_exps(cls.leading))
-            for cls in candidates
-        ]
-        max_k = max((g.degree for g in ext.generators), default=0)
-        for k in range(1, max_k + 1):
-            for cls, sq in zip(candidates, squares):
-                value = sq[k] if k < len(sq) else 0
-                if not value:
+        stage = min(m, self.stable_stage)
+        top = min(m, self.saturation_column)
+        tests = [self._square_tests(cls) for cls in candidates]
+        for k in range(1, self._max_k + 1):
+            for cls, per_k in zip(candidates, tests):
+                if per_k[k] is None:
                     continue
-                degree = cls.degree + k
-                # Partial-product terms cannot be controlled in the
-                # associated graded; demand they vanish outright.
-                mixed = sum(
-                    1 << i for i, e in enumerate(ext.basis(degree)) if any(e[n:])
-                )
-                if value & mixed:
-                    continue
-                u_terms = [e[:n] for e in ext.terms(value, degree)]
+                degree, u_terms, lattice = per_k[k]
                 # u must restrict nontrivially to the stage-m model.
-                if not any(
-                    self._lattice_exps_of_monomial(e) in alive for e in u_terms
-                ):
+                for e, lat in zip(u_terms, lattice):
+                    if lat is None:
+                        self._lattice_exps_of_monomial(e)  # raises
+                    if self._leads_at(lat, top):
+                        break
+                else:
                     continue
                 # No residual class can absorb the identity at the target.
-                if degree in residual_degrees:
+                if self._residual_in(stage, degree):
                     continue
                 if self.action.image_of_sq(k, degree):
                     raise WeightError(
                         f"Sq^{k} maps onto degree {degree} from degree "
                         f"{cls.degree}, where the cohomology vanishes"
                     )
-                witness = ObstructionWitness(
+                return ObstructionWitness(
                     m=m,
                     k=k,
-                    z_label=ext.monomial_str(self._extended_exps(cls.leading)),
+                    z_label=self._extended_algebra.monomial_str(
+                        self._extended_exps(cls.leading)
+                    ),
                     u=self.algebra.row_str(
                         sum(1 << self.algebra.index[e] for e in u_terms), degree
                     ),
@@ -535,7 +630,6 @@ class LoopSpaceModel:
                         f"no residual stage-{m} class lives in degree {degree}",
                     ),
                 )
-                return witness
         return None
 
     def mwgt_lower_bound(self, m_max: int | None = None) -> int:

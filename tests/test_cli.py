@@ -22,6 +22,7 @@ from lscat.cli import main
 from lscat.spaces import SpacePresentation, builtin, validate
 from lscat.weights import LoopSpaceModel, WeightError
 from reference import restricted_to_columns, run_to_e_infinity
+from test_weights import su_space
 
 
 def run_cli(*argv):
@@ -585,6 +586,41 @@ def test_degree_cap_override():
     rep = json.loads(out)
     assert rep["degree_cap"] == 20
     assert len(rep["spectral_sequence"]["e_infinity_dims"]) == 21
+    # Cap 20 is below spin9's top degree 36: cup-length and wgt are 6,
+    # so the 4 found under the cap is a lower bound.
+    entries = {
+        e["quantity"]: e for e in rep["bounds"]["entries"]
+        if e["quantity"] in ("cuplen", "wgt")
+    }
+    for quantity in ("cuplen", "wgt"):
+        assert (entries[quantity]["kind"], entries[quantity]["value"]) == (
+            "lower", 4
+        )
+        assert entries[quantity]["provenance"].endswith(
+            "degree cap 20 is below the cohomology's top degree 36"
+        )
+    assert rep["bounds"]["bracket"] == {"lo": 4, "hi": 8, "consistent": True}
+    code, out, _ = run_cli("report", "spin9", "--degree-cap", "20")
+    assert code == 0
+    assert "degree cap 20 truncates the cohomology" in out
+    assert "bound: cuplen lower 4" in out and "bound: wgt lower 4" in out
+
+
+def test_caps_below_the_top_degree_give_lower_bounds(tmp_path):
+    """SU(8) at cap 52 (top degree 63) and toy-trunc-poly at cap 2 read
+    `lower`; a cap at or above the top degree keeps `exact`."""
+    su8 = tmp_path / "su8.json"
+    su8.write_text(json.dumps(su_space(8).to_dict()))
+    for argv, want in (
+        ((str(su8), "--degree-cap", "52"), "cuplen lower 6"),
+        ((str(su8),), "cuplen exact 7"),
+        (("toy-trunc-poly", "--degree-cap", "2"), "cuplen lower 0"),
+        (("toy-trunc-poly",), "cuplen exact 3"),
+    ):
+        code, out, _ = run_cli("report", *argv)
+        assert code == 0
+        assert f"bound: {want}" in out
+        assert ("truncates the cohomology" in out) == ("lower" in want)
 
 
 def test_generator_above_a_low_cap_exits_3_naming_its_degree():

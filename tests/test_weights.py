@@ -50,7 +50,7 @@ def reference_stage(model: LoopSpaceModel, m: int):
     and scans k ascending, then the classes in report order.
     """
     extra = model._partial_extra
-    page = truncate(model.e2, m, model.differentials)
+    page = truncate(model.e2, m, model._tower.specs)
     report = classify_truncation(
         page,
         m,
@@ -220,18 +220,29 @@ def test_degree_cap_override():
 
 
 @pytest.mark.parametrize(
-    "space",
+    "make",
     [
-        pytest.param((builtin("spin9"), 36), id="spin9-36"),
-        pytest.param((builtin("spin9"), 52), id="spin9-52"),
-        pytest.param((builtin("toy-trunc-poly"), None), id="toy-trunc-poly"),
-        *(pytest.param((su_space(n), None), id=f"su{n}") for n in (4, 5, 6)),
+        *(
+            pytest.param(
+                lambda cap=cap: LoopSpaceModel(builtin("spin9"), degree_cap=cap),
+                id=f"spin9-{cap}",
+            )
+            for cap in (36, 52)
+        ),
+        pytest.param(
+            lambda: LoopSpaceModel(builtin("toy-trunc-poly")),
+            id="toy-trunc-poly",
+        ),
+        *(
+            pytest.param(lambda n=n: LoopSpaceModel(su_space(n)), id=f"su{n}")
+            for n in (4, 5, 6)
+        ),
+        pytest.param(lambda: two_page_model(), id="two-page"),
     ],
 )
-def test_pruned_search_matches_reference(space):
+def test_pruned_search_matches_reference(make):
     """Filtering, square caching and stage reuse change no stage or witness."""
-    presentation, cap = space
-    model = LoopSpaceModel(presentation, degree_cap=cap)
+    model = make()
     cap = model.space.degree_cap
     assert model.stable_stage < cap  # the reuse is exercised
     witnessed = []
@@ -248,6 +259,37 @@ def test_pruned_search_matches_reference(space):
         if witness is not None:
             witnessed.append(m)
     assert model.mwgt_lower_bound() == (max(witnessed) + 1 if witnessed else 0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: LoopSpaceModel(builtin("spin9")), id="spin9"),
+        pytest.param(lambda: two_page_model(), id="two-page"),
+    ],
+)
+def test_state_lookups_match_the_reference_report(make):
+    """What the search reads of stage m from single tower states, which
+    monomials lead a class and which degrees hold a residual class, is
+    what a from-scratch report of the stage says."""
+    model = make()
+    cap = model.space.degree_cap
+    monomials = [
+        lead
+        for (s, t), cell in model.e2.cells.items()
+        if s + t <= cap
+        for lead in cell
+    ]
+    for m in range(cap + 1):
+        _, report, _ = reference_stage(model, m)
+        stage = min(m, model.stable_stage)
+        top = min(m, model.saturation_column)
+        alive = {cls.leading for cls in report}
+        assert {e for e in monomials if model._leads_at(e, top)} == alive
+        residual = {cls.degree for cls in report if cls.bucket == BUCKET_RESIDUAL}
+        assert {
+            d for d in range(cap + 1) if model._residual_in(stage, d)
+        } == residual
 
 
 def two_page_model() -> LoopSpaceModel:
@@ -554,10 +596,10 @@ def test_su_report_lists_no_stage(monkeypatch):
     assert model._stages == {}
 
 
-def test_spin9_report_lists_only_candidate_stages(monkeypatch):
-    """Stages 3..8 are the only spin9 stages with a non-residual class in
-    a degree where the cohomology vanishes; a report with no truncations
-    lists no other stage."""
+def test_spin9_report_lists_only_truncate_stages(monkeypatch):
+    """The witness search reads tower states, never a stage listing: a
+    spin9 report lists only the stages its truncations name, none
+    without them."""
     listed = []
     real_stage = specseq.TruncationTower.stage
 
@@ -566,11 +608,13 @@ def test_spin9_report_lists_only_candidate_stages(monkeypatch):
         return real_stage(self, m, j)
 
     monkeypatch.setattr(specseq.TruncationTower, "stage", counting_stage)
-    model = LoopSpaceModel(builtin("spin9"))
-    _, code = build_report(model)
-    assert code == 0
-    assert {m for m in listed if m is not None} == set(range(3, 9))
-    assert sorted(model._stages) == list(range(3, 9))
+    for truncations in ([], [7, 8, 9]):
+        listed.clear()
+        model = LoopSpaceModel(builtin("spin9"))
+        _, code = build_report(model, truncations=truncations)
+        assert code == 0
+        assert {m for m in listed if m is not None} == set(truncations)
+        assert sorted(model._stages) == truncations
 
 
 def test_model_algebras_are_freed_by_refcount():
