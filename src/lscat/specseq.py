@@ -21,18 +21,26 @@ differential alive, since (s - rj) + r < s <= m.  So each bidegree has at
 most j + 1 states after j pages (two with one differential, one with
 none), and each state is computed once and shared by every m.  The state
 with every differential alive at every page is the untruncated fold's.
-The tower checks each spec once (`_check_spec`, `_check_d_squared`), on
-the untruncated page it acts on, and that check covers every truncation.
-Truncation only drops products, so d_r on a truncated page is the full
-d_r restricted to columns <= m.  A monomial in column s with s + 2r <= m
-lies in a class whose earlier differentials are all alive, a class of the
-full E_r, where d_r^2 is the full one; for s + 2r > m, d_r^2 lands past m
-and vanishes outright.
+
+The tower checks each spec once, on the E2 lattice, before it folds
+anything (`_check_spec`, `_check_d_squared`).  A spec determines a
+derivation D of the capped lattice by the Leibniz rule: the capped
+lattice is the quotient by the degrees past its cap, an ideal that D
+(of total degree +1) preserves.  In characteristic 2, D^2 is again a
+derivation, since D^2(ab) = D^2(a) b + 2 D(a) D(b) + a D^2(b).  So D^2
+vanishes on every monomial exactly when it vanishes on every generator,
+and only the assigned generators can fail: the tower checks D(D(g)) = 0
+for each of them.  Every page's d_r is D on the page's classes, so d_r^2
+= 0 on every page.  That includes every truncation: d_r on the column-m
+truncation is D followed by dropping the columns past m.  Since D raises
+the column by exactly r, that square is D^2 on a class whose image lands
+at or before m, and zero on the others.
 
 So the tower evaluates the Leibniz rule once per spec and E2 monomial:
 it keeps, per spec, the image of each E2 cell's monomials (an int over
 the target cell), filled on the cell's first use, and its d^2 check and
-every state read d_r through that table.  The table is keyed on the
+every state read d_r through that table.  The table reads each assigned
+generator's value as target monomials once per spec.  It is keyed on the
 tower's own uncapped E2 and held by the tower alone.  The tests keep an
 independent path to the same pages (`tests/reference.py`), which folds
 each truncation from scratch and evaluates the Leibniz rule directly.  A
@@ -64,8 +72,8 @@ from lscat import gf2
 from lscat.algebra import Algebra, AlgebraPresentation, Generator
 
 DEFAULT_SCRATCH = 4
-# Most assignments inference tries per unknown generator and page.
-SEARCH_BUDGET = 10**6
+# Most assignments one inference may search, over every page together.
+SEARCH_BUDGET = 1000
 
 
 class SpectralSequenceError(ValueError):
@@ -271,36 +279,48 @@ def koszul_e2(loop: AlgebraPresentation) -> BigradedPage:
             monomials.setdefault((s, degree - s), []).append(exps)
     cells = {key: tuple(cell) for key, cell in monomials.items()}
     # Every E2 class is one monomial: one bit of its cell.
-    basis = {key: tuple(1 << i for i in range(len(c))) for key, c in cells.items()}
+    units = tuple(1 << i for i in range(max(map(len, cells.values()), default=0)))
+    basis = {key: units[: len(c)] for key, c in cells.items()}
     return BigradedPage(lattice, cells, 2, basis, loop.degree_cap)
 
 
-def leibniz(page: BigradedPage, spec: DifferentialSpec, exps: tuple[int, ...]) -> int:
+def _value_monomials(page: BigradedPage, spec: DifferentialSpec):
+    """The assigned generators' values as (lattice index, target monomials),
+    in lattice order."""
+    return [
+        (i, page.monomials(*page.target(spec.r, g.name), spec.assignments[g.name]))
+        for i, g in enumerate(page.lattice.generators)
+        if g.name in spec.assignments
+    ]
+
+
+def leibniz(
+    page: BigradedPage, spec: DifferentialSpec, exps: tuple[int, ...], values=None
+) -> int:
     """d(monomial) by the Leibniz rule, as an int over its target cell;
-    products past the lattice cap die."""
-    lattice = page.lattice
+    products past the lattice cap die.  `values` is
+    `_value_monomials(page, spec)`, passed by a caller that evaluates many
+    monomials under one spec."""
+    if values is None:
+        values = _value_monomials(page, spec)
+    mul = page.lattice._mul_exps
     acc = 0
-    for i, g in enumerate(lattice.generators):
+    for i, monomials in values:
         if exps[i] % 2 == 0:
-            continue
-        value = spec.assignments.get(g.name)
-        if not value:
             continue
         rest = list(exps)
         rest[i] -= 1
         rest = tuple(rest)
-        for v in page.monomials(*page.target(spec.r, g.name), value):
-            p = lattice._mul_exps(rest, v)
+        for v in monomials:
+            p = mul(rest, v)
             if p is not None:
                 acc ^= 1 << page._bit[p]
     return acc
 
 
 def _check_spec(page: BigradedPage, spec: DifferentialSpec):
-    if spec.r != page.r:
-        raise SpectralSequenceError(
-            f"differential is for page {spec.r}, current page is {page.r}"
-        )
+    """Raise unless every value of `spec` is a row over its generator's
+    target cell on `page`."""
     for name, row in spec.assignments.items():
         s, t = page.target(spec.r, name)
         width = len(page.cells.get((s, t), ()))
@@ -312,18 +332,19 @@ def _check_spec(page: BigradedPage, spec: DifferentialSpec):
 
 
 def _check_d_squared(page: BigradedPage, spec: DifferentialSpec, d):
-    """Raise unless d_r(d_r(x)) = 0 for every monomial x of every class on
-    `page`; `d` is as in `homology_at`."""
-    r = spec.r
-    for s, t, vec in page.classes(report_only=False):
-        while vec:
-            low = vec & -vec
-            if d(s + r, t - r + 1, d(s, t, low)):
-                raise SpectralSequenceError(
-                    f"d_{spec.r} does not square to zero on "
-                    f"{page.monomial_str(page.leading(s, t, low))}"
-                )
-            vec ^= low
+    """Raise unless d_r(d_r(g)) = 0 for every generator g that `spec`
+    assigns, in ascending degree; `d` is as in `homology_at`, over the
+    lattice of `page`, and the values must have passed `_check_spec`.
+
+    d_r is the derivation of the capped lattice that `spec` determines,
+    and in characteristic 2 its square is one too, so this is d_r^2 = 0 on
+    every monomial (the module docstring has the argument)."""
+    targets = sorted((page.target(spec.r, name), name) for name in spec.assignments)
+    for (s, t), name in targets:
+        if d(s, t, spec.assignments[name]):
+            raise SpectralSequenceError(
+                f"d_{spec.r} does not square to zero on {name}"
+            )
 
 
 def _image_table(e2: BigradedPage, spec: DifferentialSpec):
@@ -331,6 +352,7 @@ def _image_table(e2: BigradedPage, spec: DifferentialSpec):
     d_r of each E2 monomial: per cell, an int over the target cell for each
     of the cell's monomials, filled by `leibniz` on the cell's first use."""
     images: dict[tuple[int, int], list[int]] = {}
+    values = _value_monomials(e2, spec)
 
     def d(s: int, t: int, vec: int) -> int:
         if not vec:
@@ -338,7 +360,7 @@ def _image_table(e2: BigradedPage, spec: DifferentialSpec):
         row = images.get((s, t))
         if row is None:
             row = images[(s, t)] = [
-                leibniz(e2, spec, exps) for exps in e2.cells[(s, t)]
+                leibniz(e2, spec, exps, values) for exps in e2.cells[(s, t)]
             ]
         acc = 0
         while vec:
@@ -368,18 +390,18 @@ def homology_at(
     bidegree is zero (it lands past a column cap) and every class is a
     cycle.
 
-    When no class has a nonzero d_r and no boundary lands here, `vecs` is
-    returned as it is.  That is what the full path would return: `vecs`
-    are reduced representatives sorted by lowest bit (single E2 bits, or
+    When no cycle survives, `()` is returned before any boundary is
+    computed.  When no class has a nonzero d_r and no boundary lands here,
+    `vecs` is returned as it is.  That is what the full path would return:
+    `vecs` are reduced representatives sorted by lowest bit (single E2 bits, or
     an earlier output of this function, whose rows are RREF rows with
     their lowest bits as pivots), so no pivot bit of one is set in
     another.  `quotient_basis` with no boundaries then only reorders them
     by pivot, and the final sort by lowest bit restores their order.
     """
     r = spec.r
-    out_rows = [d(s, t, v) for v in vecs] if alive else []
-    boundaries = [b for u in incoming if (b := d(s - r, t + r - 1, u))]
-    if any(out_rows):
+    cycles = vecs
+    if alive and any(out_rows := [d(s, t, v) for v in vecs]):
         cycles = []
         for c in gf2.left_kernel(out_rows, len(page.cells[(s + r, t - r + 1)])):
             acc = 0
@@ -388,10 +410,11 @@ def homology_at(
                     acc ^= v
             if acc:
                 cycles.append(acc)
-    elif not boundaries:
+        if not cycles:
+            return ()
+    boundaries = [b for u in incoming if (b := d(s - r, t + r - 1, u))]
+    if not boundaries and cycles is vecs:
         return vecs
-    else:
-        cycles = list(vecs)
     reps, _ = gf2.quotient_basis(cycles, boundaries, len(page.cells[(s, t)]))
     # The lowest set bit is the leading monomial.
     return tuple(sorted(reps, key=lambda v: v & -v))
@@ -403,11 +426,15 @@ class TruncationTower:
     `page(m, j)` is the E-infinity of the column-m truncation of `e2`
     under the first j specs, with each bidegree state computed once and
     shared by every m and every later j; the tests check it against a
-    from-scratch fold per truncation (`tests/reference.py`).  The tower
-    checks each spec once, on the untruncated page it acts on (see the
-    module docstring for why that check covers every truncation).  The check and the states read d_r
-    of each spec through one image table per spec (`_image_table`), so
-    each E2 monomial's image is computed once per spec.
+    from-scratch fold per truncation (`tests/reference.py`).  Before it
+    folds anything, the tower checks that the specs act on successive
+    pages (no two share an r), that each value is a row over its target
+    cell, and that d_r^2 vanishes on each assigned generator, which is
+    d_r^2 = 0 on every page and every truncation (the module docstring
+    says why).  So constructing a tower computes no state: a state is
+    folded on first read.  The d^2 check and the states read d_r of each
+    spec through one image table per spec (`_image_table`), so each E2
+    monomial's image is computed once per spec.
 
     `stage(m, j)` lists the nonempty states of the column-m truncation
     after j specs as (s, t, alive): its bidegrees are a prefix of the
@@ -436,30 +463,46 @@ class TruncationTower:
         # Per spec, d_r through its image table over E2.  The readers are
         # closures that hold no reference to the tower, so a dropped model
         # is freed by refcount.
-        self._d = [_image_table(e2, spec) for spec in self.specs]
+        self._d = []
         for j, spec in enumerate(self.specs):
-            page = self.page(None, j).advanced(spec.r)
-            _check_spec(page, spec)
-            _check_d_squared(page, spec, self._d[j])
+            # Each spec acts on the page after the previous one's.
+            first = self.specs[j - 1].r + 1 if j else e2.r
+            if spec.r < first:
+                raise SpectralSequenceError(
+                    f"d_{spec.r} comes after page {first - 1}: "
+                    "cannot move to an earlier page"
+                )
+            # The row widths first: the table reads the values' monomials.
+            _check_spec(e2, spec)
+            self._d.append(_image_table(e2, spec))
+            _check_d_squared(e2, spec, self._d[j])
 
     def state(self, j: int, s: int, t: int, alive: int) -> tuple[int, ...]:
         """Basis at (s, t) after folding the first j specs, of which the
         first `alive` (a prefix, as r ascends) act out of column s."""
+        basis = self.e2.basis
         if j == 0:
-            return self.e2.basis.get((s, t), ())
+            return basis.get((s, t), ())
         key = (j, s, t, alive)
-        if key not in self._states:
+        here = self._states.get(key)
+        if here is None:
             spec = self.specs[j - 1]
             r = spec.r
-            here = self.state(j - 1, s, t, min(alive, j - 1))
-            if here:
+            if j == 1:  # E2 itself, not through state(0, ...)
+                here = basis.get((s, t), ())
+                incoming = basis.get((s - r, t + r - 1), ())
+            else:
+                here = self.state(j - 1, s, t, min(alive, j - 1))
                 # Every earlier d out of column s - r lands below s <= m.
-                incoming = self.state(j - 1, s - r, t + r - 1, j - 1)
+                incoming = (
+                    self.state(j - 1, s - r, t + r - 1, j - 1) if here else ()
+                )
+            if here:
                 here = homology_at(
                     self.e2, spec, s, t, here, incoming, alive == j, self._d[j - 1]
                 )
             self._states[key] = here
-        return self._states[key]
+        return here
 
     def alive(self, s: int, m: int | None, j: int | None = None) -> int:
         """How many of the first j specs act out of column s in the
@@ -533,6 +576,11 @@ def infer_differentials(
     degree up to the cap.  Each kept assignment comes with its checked
     fold, a `TruncationTower` whose `page()` is that E-infinity.  A
     one-element result certifies the deduction.
+
+    The search space is every assignment, the zero one included, at
+    every r where some unknown has a nonzero candidate: the sum over those
+    r of the product over unknowns of 2^(target cell width).  The search
+    counts it before it builds any tower and raises past `SEARCH_BUDGET`.
     """
     known = set(permanent)
     for name in permanent:
@@ -542,6 +590,20 @@ def infer_differentials(
     # The target's dimensions in degrees 0..cap, zero past its own cap.
     want = target.poincare_series()[: e2.degree_cap + 1]
     want += [0] * (e2.degree_cap + 1 - len(want))
+    # Per r, each unknown's target cell width: its d_r candidates are the
+    # rows of that width.  An r where every width is 0 has only the zero
+    # assignment, and is left out.
+    widths = {}
+    for r in range(2, e2.degree_cap + 1):
+        w = [len(e2.cells.get(e2.target(r, g.name), ())) for g in unknowns]
+        if any(w):
+            widths[r] = w
+    size = sum(1 << sum(w) for w in widths.values())
+    if size > SEARCH_BUDGET:
+        raise InferenceError(
+            f"search budget exceeded: {size} assignments of d_r to "
+            f"{', '.join(g.name for g in unknowns)}, more than {SEARCH_BUDGET}"
+        )
 
     trivial = (DifferentialSpec(2, {}), TruncationTower(e2, []))
     trivial_ok = e2.dims_by_total_degree() == want
@@ -551,20 +613,8 @@ def infer_differentials(
         raise InferenceError("no consistent assignment: fixture/target mismatch")
 
     results: list[tuple[DifferentialSpec, TruncationTower]] = []
-    for r in range(2, e2.degree_cap + 1):
-        # Every row over an unknown's target cell: its d_r candidates.
-        candidate_lists = []
-        for g in unknowns:
-            n = len(e2.cells.get(e2.target(r, g.name), ()))
-            if 2 ** n > SEARCH_BUDGET:
-                raise InferenceError(
-                    f"search budget exceeded for {g.name} at r={r}: "
-                    f"2^{n} candidates"
-                )
-            candidate_lists.append(range(1 << n))
-        if all(len(c) == 1 for c in candidate_lists):
-            continue  # only the zero assignment exists at this r
-        for combo in itertools.product(*candidate_lists):
+    for r, w in widths.items():
+        for combo in itertools.product(*(range(1 << n) for n in w)):
             if not any(combo):
                 continue
             spec = DifferentialSpec(

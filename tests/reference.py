@@ -4,7 +4,10 @@
 It folds the differentials page by page over one column truncation at a
 time, evaluating d_r of every class by the Leibniz rule, where the tower
 shares bidegree states across truncations and reads d_r through image
-tables.  It shares the spec checks and `homology_at` with the tower.
+tables.  It checks d_r^2 = 0 by walking every monomial of every class of
+the page it folds (`check_d_squared`), where the tower checks the
+generators alone.  It shares the row-width check (`_check_spec`) and
+`homology_at` with the tower.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from lscat.specseq import (
     DifferentialSpec,
     SpectralSequenceError,
     TruncationClass,
-    _check_d_squared,
     _check_spec,
     class_facts,
     homology_at,
@@ -48,11 +50,30 @@ def d_of_vec(page: BigradedPage, spec: DifferentialSpec, s, t, vec) -> int:
     return acc
 
 
+def check_d_squared(page: BigradedPage, spec: DifferentialSpec, d):
+    """Raise unless d_r(d_r(x)) = 0 for every monomial x of every class on
+    `page`; `d` is as in `homology_at`."""
+    r = spec.r
+    for s, t, vec in page.classes(report_only=False):
+        while vec:
+            low = vec & -vec
+            if d(s + r, t - r + 1, d(s, t, low)):
+                raise SpectralSequenceError(
+                    f"d_{spec.r} does not square to zero on "
+                    f"{page.monomial_str(page.leading(s, t, low))}"
+                )
+            vec ^= low
+
+
 def apply_differential(page: BigradedPage, spec: DifferentialSpec) -> BigradedPage:
     """Homology of the page under d_r, with monomial-pivot representatives."""
+    if spec.r != page.r:
+        raise SpectralSequenceError(
+            f"differential is for page {spec.r}, current page is {page.r}"
+        )
     _check_spec(page, spec)
     d = functools.partial(d_of_vec, page, spec)
-    _check_d_squared(page, spec, d)
+    check_d_squared(page, spec, d)
     r = spec.r
     new_basis: dict[tuple[int, int], tuple[int, ...]] = {}
     for (s, t) in sorted(page.basis):

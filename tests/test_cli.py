@@ -671,3 +671,35 @@ def test_search_budget_exits_3(monkeypatch):
     code, _, err = run_cli("report", "spin9")
     assert code == 3
     assert "budget" in err
+
+
+def test_search_past_the_budget_builds_no_tower(tmp_path, monkeypatch):
+    """The budget bounds the whole search, not each unknown's candidates
+    alone: Lambda(x3) under loop homology exterior on u2..u8 and
+    polynomial on u20, u22, u24, cap 40, has 8,708 assignments of x1_20,
+    x1_22 and x1_24 over all pages, though no unknown has more than 2^5 at
+    any page.  The report exits 3 before any tower is built."""
+    built = []
+
+    class CountingTower(specseq.TruncationTower):
+        def __init__(self, e2, specs):
+            built.append(specs)
+            super().__init__(e2, specs)
+
+    monkeypatch.setattr(specseq, "TruncationTower", CountingTower)
+    data = unmatched_space(
+        "budget", 40, [("x3", 3, 2)],
+        [(f"u{d}", d, 2) for d in (2, 4, 6, 8)]
+        + [(f"u{d}", d, "unbounded") for d in (20, 22, 24)],
+        [f"x1_{d}" for d in (2, 4, 6, 8)],
+    )
+    path = tmp_path / "budget.json"
+    path.write_text(json.dumps(data))
+    assert run_cli("validate", str(path)) == (0, "budget: ok\n", "")
+    code, out, err = run_cli("report", str(path), "--format", "json")
+    assert (code, out) == (3, "")
+    assert err == (
+        "lscat: search budget exceeded: 8708 assignments of d_r to "
+        f"x1_20, x1_22, x1_24, more than {specseq.SEARCH_BUDGET}\n"
+    )
+    assert built == []

@@ -1,5 +1,7 @@
 """Bar spectral sequence: Koszul E2, differentials, truncation, inference."""
 
+import functools
+
 import pytest
 
 from lscat import gf2, specseq
@@ -20,6 +22,7 @@ from lscat.specseq import (
 from lscat.weights import LoopSpaceModel
 from reference import (
     apply_differential,
+    check_d_squared,
     classify_truncation,
     d_of_vec,
     restricted_to_columns,
@@ -495,3 +498,104 @@ def test_run_to_e_infinity_returns_a_new_page():
     assert e_inf is not e2
     assert not e2.at_infinity and e2.to_json()["r"] == 2
     assert e_inf.to_json() == {**e2.to_json(), "r": "infinity"}
+
+
+# Small loop homologies, as (exterior degrees, polynomial degrees, cap):
+# the one of `test_tower_checks_its_specs`, and two whose low-degree
+# classes give many d_r values with products in them.
+SPEC_LATTICES = {
+    "checks": ((2,), (7, 12), 40),
+    "low-5": ((1, 2), (5, 9, 13), 30),
+    "low-7": ((1, 2), (4, 7, 11), 26),
+}
+
+
+def all_specs(e2, r):
+    """Every nonzero assignment of rows to every generator at page r."""
+    names = [g.name for g in e2.lattice.generators]
+    widths = [len(e2.cells.get(e2.target(r, name), ())) for name in names]
+    for code in range(1, 1 << sum(widths)):
+        values = {}
+        for name, width in zip(names, widths):
+            values[name] = code & ((1 << width) - 1)
+            code >>= width
+        yield DifferentialSpec(r, values)
+
+
+def refusal(check):
+    """The message `check()` raises as a SpectralSequenceError, or None."""
+    try:
+        check()
+    except SpectralSequenceError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("lattice", sorted(SPEC_LATTICES))
+def test_generator_check_agrees_with_the_walk(lattice):
+    """A tower's d^2 check, on the assigned generators, refuses a spec
+    exactly when the reference walk over every monomial of every E_r class
+    does, with the same message, for every assignment of rows to the
+    generators at r = 2..7 (44 specs over the three lattices, 12 of them
+    refused)."""
+    exterior, polynomial, cap = SPEC_LATTICES[lattice]
+    e2 = koszul_e2(
+        AlgebraPresentation(
+            tuple(Generator(f"u{d}", d, 2) for d in exterior)
+            + tuple(Generator(f"u{d}", d, None) for d in polynomial),
+            cap,
+        )
+    )
+    outcomes = []
+    for r in range(2, 8):
+        page = e2.advanced(r)
+        for spec in all_specs(e2, r):
+            walk = refusal(
+                lambda: check_d_squared(
+                    page, spec, functools.partial(d_of_vec, page, spec)
+                )
+            )
+            tower = refusal(lambda: TruncationTower(e2, [spec]))
+            assert tower == walk, spec
+            outcomes.append(walk is None)
+    # Both outcomes occur on every lattice.
+    assert set(outcomes) == {True, False}
+
+
+def test_tower_refuses_specs_out_of_page_order():
+    """Specs act on successive pages: two with one r, or an r below E2's,
+    are refused, each checked spec before the next is looked at."""
+    e2, (d2, d3) = two_page_synthetic()
+    for specs in ([d2, d2], [d2, d3, d3], [DifferentialSpec(1, {"x1_7": 1})]):
+        with pytest.raises(
+            SpectralSequenceError, match="cannot move to an earlier page"
+        ):
+            TruncationTower(e2, specs)
+
+
+def test_constructing_a_tower_folds_nothing(monkeypatch):
+    """Building a tower, a candidate of inference or a model's, runs its
+    checks alone: no state and no homology is computed until a page or a
+    state is read."""
+    calls = {"homology": 0, "state": 0}
+    real_homology = specseq.homology_at
+    real_state = TruncationTower.state
+
+    def counting_homology(*args):
+        calls["homology"] += 1
+        return real_homology(*args)
+
+    def counting_state(self, *args):
+        calls["state"] += 1
+        return real_state(self, *args)
+
+    model = LoopSpaceModel(builtin("spin9"), degree_cap=52)
+    folds = [(model.e2, model.differentials), two_page_synthetic()]
+    monkeypatch.setattr(specseq, "homology_at", counting_homology)
+    monkeypatch.setattr(TruncationTower, "state", counting_state)
+    for e2, specs in folds:
+        tower = TruncationTower(e2, specs)
+        assert calls == {"homology": 0, "state": 0}
+        tower.page()
+        assert calls["homology"] > 0 and calls["state"] > 0
+        calls.update(homology=0, state=0)

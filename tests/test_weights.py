@@ -394,9 +394,9 @@ def test_spin9_report_evaluates_leibniz_once_per_monomial(
     calls = Counter()
     real_leibniz = specseq.leibniz
 
-    def counting_leibniz(page, spec, exps):
+    def counting_leibniz(page, spec, exps, *values):
         calls[spec, exps] += 1
-        return real_leibniz(page, spec, exps)
+        return real_leibniz(page, spec, exps, *values)
 
     monkeypatch.setattr(specseq, "leibniz", counting_leibniz)
     model = LoopSpaceModel(builtin("spin9"), degree_cap=cap)
