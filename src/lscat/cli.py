@@ -59,7 +59,10 @@ def _dumps(obj, newline: str = "\n") -> str:
             return "[]"
         inner = newline + "  "
         return "[" + inner + ("," + inner).join([
-            _dumps(v, inner) for v in obj
+            encode_basestring_ascii(v) if type(v) is str
+            else int.__repr__(v) if type(v) is int
+            else _dumps(v, inner)
+            for v in obj
         ]) + newline + "]"
     if obj is None:
         return "null"

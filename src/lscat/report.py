@@ -13,7 +13,12 @@ from lscat import bounds as bounds_mod
 from lscat.algebra import AlgebraError
 from lscat.bounds import BoundsLedger, InconsistentLedger, LedgerError
 from lscat.spaces import SpacePresentation, validate
-from lscat.specseq import BigradedPage, SpectralSequenceError
+from lscat.specseq import (
+    BigradedPage,
+    SpectralSequenceError,
+    TruncationTower,
+    candidate_widths,
+)
 from lscat.weights import LoopSpaceModel
 
 SCHEMA_VERSION = 1
@@ -109,7 +114,7 @@ def build_report(
         e2 = model.e2 if space.loop_homology is not None else None
     except (SpectralSequenceError, AlgebraError):
         e2 = None  # validate builds it again and records why it failed
-    vreport = validate(space, e2)
+    vreport = validate(space, e2, model.algebra)
     if not vreport.ok:
         report["validation"] = {"ok": False, "problems": vreport.problems}
         return report, 3
@@ -230,10 +235,23 @@ def build_report(
 def page_at(
     model: LoopSpaceModel, r: int, truncate_at: int | None = None
 ) -> BigradedPage:
-    """The page with index r (after all differentials of smaller index),
-    read from the model's one checked fold."""
+    """The page with index r (after all differentials of smaller index).
+
+    Up to the first page where a differential can act, the least r at
+    which some generator not listed as permanent has a nonempty d_r target
+    cell (`specseq.candidate_widths`), page r is E2, whatever the
+    abutment: it is served from E2 without running the inference.  That
+    is every page of a fixture with no such generator.  So for those pages
+    a fixture whose inference fails, is ambiguous or is over the search
+    budget still prints its page with exit 0, while a permanent cycle that
+    is not an E2 generator still raises.  Later pages are read from the
+    model's one checked fold, which runs the inference."""
     if r < 2:
         raise SpectralSequenceError("pages start at r = 2")
+    e2 = model.e2
+    _, widths = candidate_widths(e2, model.space.permanent_cycles)
+    if r <= min(widths, default=r):
+        return TruncationTower(e2, []).page(truncate_at, 0).advanced(r)
     tower = model._tower
     j = sum(spec.r < r for spec in tower.specs)
     return tower.page(truncate_at, j).advanced(r)

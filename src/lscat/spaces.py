@@ -394,19 +394,23 @@ class ValidationReport:
 
 
 def validate(
-    sp: SpacePresentation, e2: BigradedPage | None = None
+    sp: SpacePresentation,
+    e2: BigradedPage | None = None,
+    algebra: Algebra | None = None,
 ) -> ValidationReport:
     """Aggregate preflight: Steenrod axioms, loop freeness, conservation,
     and attested bounds the ledger can take.
 
-    `e2`, when given, is `koszul_e2(sp.loop_homology)` already built.
+    `e2`, when given, is `koszul_e2(sp.loop_homology)` already built, and
+    `algebra`, when given, is `sp.algebra()` already built.
     """
     report = ValidationReport(sp.name)
-    try:
-        algebra = sp.algebra()
-    except AlgebraError as exc:
-        report.problems.append(f"cohomology presentation: {exc}")
-        return report
+    if algebra is None:
+        try:
+            algebra = sp.algebra()
+        except AlgebraError as exc:
+            report.problems.append(f"cohomology presentation: {exc}")
+            return report
 
     action = sp.action(algebra, report.problems)
     report.problems.extend(action.verify_instability())

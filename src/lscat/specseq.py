@@ -562,6 +562,34 @@ class TruncationTower:
         return self.e2._derived(r=r, basis=basis, column_cap=m, at_infinity=True)
 
 
+def candidate_widths(
+    e2: BigradedPage, permanent: list[str]
+) -> tuple[list[Generator], dict[int, list[int]]]:
+    """The unknowns, the generators not listed as permanent cycles, and per
+    page r each unknown's d_r target cell width: its d_r candidates are the
+    rows of that width.  A page r where every width is 0 has only the zero
+    assignment, and is left out, so the least key is the first page where
+    a differential can act: every earlier page is E2.
+
+    The scan stops at the degree cap, past which every target cell is
+    empty: d_r of x1_t lands in filtration r + 1 and total degree t + 2,
+    and every lattice generator has degree >= 2, so a nonempty target
+    needs 2(r + 1) <= t + 2 <= cap + DEFAULT_SCRATCH, and then r <= cap.
+    A permanent cycle that is not an E2 generator raises.
+    """
+    known = set(permanent)
+    for name in permanent:
+        if name not in e2.lattice._index:
+            raise SpectralSequenceError(f"unknown permanent cycle {name!r}")
+    unknowns = [g for g in e2.lattice.generators if g.name not in known]
+    widths = {}
+    for r in range(2, e2.degree_cap + 1):
+        w = [len(e2.cells.get(e2.target(r, g.name), ())) for g in unknowns]
+        if any(w):
+            widths[r] = w
+    return unknowns, widths
+
+
 def infer_differentials(
     e2: BigradedPage,
     permanent: list[str],
@@ -582,22 +610,10 @@ def infer_differentials(
     r of the product over unknowns of 2^(target cell width).  The search
     counts it before it builds any tower and raises past `SEARCH_BUDGET`.
     """
-    known = set(permanent)
-    for name in permanent:
-        if name not in e2.lattice._index:
-            raise SpectralSequenceError(f"unknown permanent cycle {name!r}")
-    unknowns = [g for g in e2.lattice.generators if g.name not in known]
+    unknowns, widths = candidate_widths(e2, permanent)
     # The target's dimensions in degrees 0..cap, zero past its own cap.
     want = target.poincare_series()[: e2.degree_cap + 1]
     want += [0] * (e2.degree_cap + 1 - len(want))
-    # Per r, each unknown's target cell width: its d_r candidates are the
-    # rows of that width.  An r where every width is 0 has only the zero
-    # assignment, and is left out.
-    widths = {}
-    for r in range(2, e2.degree_cap + 1):
-        w = [len(e2.cells.get(e2.target(r, g.name), ())) for g in unknowns]
-        if any(w):
-            widths[r] = w
     size = sum(1 << sum(w) for w in widths.values())
     if size > SEARCH_BUDGET:
         raise InferenceError(

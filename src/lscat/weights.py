@@ -458,6 +458,12 @@ class LoopSpaceModel:
         return max(self.weight_map.values())
 
     def cup_length(self) -> int:
+        return self._cup_length
+
+    @cached_property
+    def _cup_length(self) -> int:
+        # One walk over every monomial per model: the report and the
+        # ledger both read it.
         return self.algebra.cup_length()
 
     # -- module-weight obstruction -------------------------------------------

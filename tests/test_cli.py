@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from pathlib import Path
@@ -17,11 +18,13 @@ from hypothesis import strategies as st
 import lscat
 from lscat import cli
 from lscat import report as report_mod
-from lscat import specseq
+from lscat import specseq, weights
+from lscat.algebra import Algebra
 from lscat.cli import main
 from lscat.spaces import SpacePresentation, builtin, validate
 from lscat.weights import LoopSpaceModel, WeightError
 from reference import restricted_to_columns, run_to_e_infinity
+from test_specseq import two_page_synthetic
 from test_weights import su_space
 
 
@@ -55,6 +58,24 @@ def test_json_report_validates_against_schema():
     rep = json.loads(out)
     jsonschema.validate(rep, report_schema())
     assert rep["bounds"]["bracket"] == {"lo": 8, "hi": 8, "consistent": True}
+
+
+@pytest.mark.parametrize(
+    "argv", [("report", "spin9", "--format", "json"), ("validate", "spin9")]
+)
+def test_cohomology_and_cup_length_are_computed_once(monkeypatch, argv):
+    """A report's validation reads the model's cohomology algebra, and its
+    invariants and its ledger read one cup-length; `validate` builds its
+    own algebra."""
+    counts = Counter()
+    for cls, name in ((SpacePresentation, "algebra"), (Algebra, "cup_length")):
+        def counting(self, _original=getattr(cls, name), _name=name):
+            counts[_name] += 1
+            return _original(self)
+
+        monkeypatch.setattr(cls, name, counting)
+    assert run_cli(*argv)[0] == 0
+    assert (counts["algebra"], counts["cup_length"]) == (1, argv[0] == "report")
 
 
 def test_reports_are_byte_identical():
@@ -576,6 +597,117 @@ def test_pages_past_the_last_differential_match_a_refold(truncate_at):
         page = report_mod.page_at(model, r, truncate_at)
         want = refold.advanced(r) if r > 3 else e2.advanced(r)
         assert page.to_json() == want.to_json()
+
+
+TWO_PAGE = Path(__file__).parent / "fixtures" / "two-page-synthetic.json"
+
+
+def first_differential_page(model: LoopSpaceModel) -> int | None:
+    """The least r >= 2 at which some generator not listed as permanent has
+    a nonempty d_r target cell, scanned up to the lattice cap (None: there
+    is none)."""
+    e2 = model.e2
+    for r in range(2, e2.lattice.degree_cap + 1):
+        for g in e2.lattice.generators:
+            if g.name not in model.space.permanent_cycles and e2.cells.get(
+                e2.target(r, g.name)
+            ):
+                return r
+    return None
+
+
+@pytest.mark.parametrize(
+    "space, cap, first",
+    [("spin9", 36, 3), ("spin9", 52, 3), ("toy-trunc-poly", None, 3)]
+    + [(su_space(n), None, None) for n in range(3, 9)],
+    ids=lambda v: getattr(v, "name", str(v)),
+)
+def test_pages_before_the_first_differential_match_inference(space, cap, first):
+    """Up to the first page where a differential can act, `page_at` serves
+    E2 without inference; it is the page the inference path's fold gives."""
+    if isinstance(space, str):
+        space = builtin(space)
+    model = LoopSpaceModel(space, degree_cap=cap)
+    assert first_differential_page(model) == first
+    tower = LoopSpaceModel(space, degree_cap=cap)._tower
+    for r in range(2, (first or 6) + 1):
+        j = sum(spec.r < r for spec in tower.specs)
+        for m in (None, 0, 4, 8):
+            want = tower.page(m, j).advanced(r).to_json()
+            assert report_mod.page_at(model, r, m).to_json() == want
+    if first is None:
+        # Every page is E2, and the scan for the first differential is
+        # bounded by the degree cap, not by r.
+        page = report_mod.page_at(model, 10**9)
+        assert page.to_json() == tower.page(None, 0).advanced(10**9).to_json()
+    assert "_inference" not in vars(model)
+
+
+@pytest.mark.parametrize("r, inferences", [(2, 0), (3, 0), (4, 1)])
+def test_dump_page_infers_only_past_the_first_differential(
+    monkeypatch, r, inferences
+):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return specseq.infer_differentials(*args)
+
+    monkeypatch.setattr(weights, "infer_differentials", counting)
+    code, out, _ = run_cli("dump-page", "spin9", "--page", str(r))
+    assert code == 0 and json.loads(out)["r"] == r
+    assert len(calls) == inferences
+
+
+def two_page_data(**changes) -> dict:
+    """The two-page synthetic fixture, with `changes` to its fields."""
+    return {**json.loads(TWO_PAGE.read_text()), **changes}
+
+
+def test_two_page_fixture_is_the_synthetic():
+    """The fixture's E2 is `two_page_synthetic()`'s, and folding its d_2
+    and d_3 reproduces the fixture's cohomology, which inference cannot
+    find: it tries a single r per assignment."""
+    space = SpacePresentation.load(TWO_PAGE)
+    e2, specs = two_page_synthetic()
+    model = LoopSpaceModel(space)
+    assert model.e2.to_json() == e2.to_json()
+    assert space.permanent_cycles == ["x1_2", "x1_4"]
+    assert run_to_e_infinity(e2, specs).dims_by_total_degree() == (
+        model.algebra.poincare_series()[: space.degree_cap + 1]
+    )
+    assert run_cli("validate", str(TWO_PAGE)) == (0, "two-page-synthetic: ok\n", "")
+
+
+def test_dump_page_before_a_failed_inference_prints_e2():
+    """Page 2 does not depend on the abutment, so it prints although the
+    inference fails; page 3, after the first possible d_2, exits 3."""
+    e2, _ = two_page_synthetic()
+    assert run_cli("dump-page", str(TWO_PAGE), "--page", "2") == (
+        0, cli._dumps(e2.to_json()) + "\n", ""
+    )
+    for r in (3, 4):
+        assert run_cli("dump-page", str(TWO_PAGE), "--page", str(r)) == (
+            3, "", "lscat: no consistent assignment: fixture/target mismatch\n"
+        )
+
+
+def test_dump_page_before_an_over_budget_inference_prints_e2(monkeypatch):
+    monkeypatch.setattr(specseq, "SEARCH_BUDGET", 1)
+    code, out, _ = run_cli("dump-page", "spin9", "--page", "3")
+    assert code == 0 and json.loads(out)["r"] == 3
+    code, out, err = run_cli("dump-page", "spin9", "--page", "4")
+    assert (code, out) == (3, "")
+    assert err.startswith("lscat: search budget exceeded")
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_unknown_permanent_cycle_exits_3_at_every_page(tmp_path, r):
+    path = tmp_path / "two-page.json"
+    path.write_text(json.dumps(two_page_data(permanent_cycles=["x1_2", "x1_5"])))
+    assert run_cli("dump-page", str(path), "--page", str(r)) == (
+        3, "", "lscat: unknown permanent cycle 'x1_5'\n"
+    )
 
 
 def test_degree_cap_override():

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from lscat.cli import main
-from test_cli import unmatched_lattice
+from test_cli import two_page_data, unmatched_lattice
 from test_weights import su_space
 
 STAGES = "0,3,7,8,9,13,20,36"
@@ -25,7 +25,9 @@ SU_SIZES = (3, 4, 5, 6, 7, 8, 10)
 
 def cases() -> dict[str, list[str]]:
     """Case id -> argv; an `{su<n>}` argument is that SU(n) fixture's path,
-    and `{unmatched}` the path of `test_cli.unmatched_lattice()`."""
+    `{unmatched}` the path of `test_cli.unmatched_lattice()`, `{two-page}`
+    that of the two-page synthetic fixture and `{unknown-permanent}` that
+    of the same fixture with the permanent cycle x1_4 renamed x1_5."""
     out = {}
     for cap in (36, 44, 52):
         for fmt in ("json", "text"):
@@ -60,13 +62,25 @@ def cases() -> dict[str, list[str]]:
     out["dump-page-negative-truncate"] = [
         "dump-page", "spin9", "--page", "3", "--truncate", "-1",
     ]
+    # Inference fails on the two-page synthetic: E2 prints, since no
+    # differential acts before page 2, and page 3 exits 3.  A permanent
+    # cycle that is not an E2 generator exits 3 at every page.
+    for r in (2, 3):
+        out[f"dump-page-two-page-r{r}"] = [
+            "dump-page", "{two-page}", "--page", str(r),
+        ]
+    for r in (2, 3, 4):
+        out[f"dump-page-unknown-permanent-r{r}"] = [
+            "dump-page", "{unknown-permanent}", "--page", str(r),
+        ]
     out["validate-spin9"] = ["validate", "spin9"]
     return out
 
 
 def digest(argv: list[str], fixtures: Path) -> str:
     paths = {f"{{su{n}}}": str(fixtures / f"su{n}.json") for n in SU_SIZES}
-    paths["{unmatched}"] = str(fixtures / "unmatched.json")
+    for name in ("unmatched", "two-page", "unknown-permanent"):
+        paths[f"{{{name}}}"] = str(fixtures / f"{name}.json")
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main([paths.get(a, a) for a in argv])
@@ -80,6 +94,10 @@ def write_fixtures(directory: Path):
     for n in SU_SIZES:
         (directory / f"su{n}.json").write_text(su_space(n).dumps())
     (directory / "unmatched.json").write_text(json.dumps(unmatched_lattice()))
+    (directory / "two-page.json").write_text(json.dumps(two_page_data()))
+    (directory / "unknown-permanent.json").write_text(
+        json.dumps(two_page_data(permanent_cycles=["x1_2", "x1_5"]))
+    )
 
 
 DIGESTS = {
@@ -133,6 +151,16 @@ DIGESTS = {
         "5ba70092c81ffc874d3fd5b0c03c8beda54a9f8a45faae083ec00b785c917c84",
     "dump-page-toy-trunc-poly-capNone-r4-tNone":
         "284c43906f2a40ea3f74610aeb1053c2dc6aa06a16d4ea3a8d492ef8ad2fff5e",
+    "dump-page-two-page-r2":
+        "6290a6386d47c4211bd7f15e6d8a09a31095d06ac886ff0dac7b0b5a87063d5b",
+    "dump-page-two-page-r3":
+        "d95b30ae82aac17781e9762a58d1a652c204de353cd00133f81c0caf33029b56",
+    "dump-page-unknown-permanent-r2":
+        "963aefef11c115bd57bc754f406fb994abc24b9776acca45ddba105bf1886c9c",
+    "dump-page-unknown-permanent-r3":
+        "963aefef11c115bd57bc754f406fb994abc24b9776acca45ddba105bf1886c9c",
+    "dump-page-unknown-permanent-r4":
+        "963aefef11c115bd57bc754f406fb994abc24b9776acca45ddba105bf1886c9c",
     "spin9-cap36-json":
         "7b6babbc9acaa8b431982682ec2b00d18193a40e2d8e676ca9f26954f2e75e44",
     "spin9-cap36-text":
