@@ -114,7 +114,11 @@ def build_report(
         e2 = model.e2 if space.loop_homology is not None else None
     except (SpectralSequenceError, AlgebraError):
         e2 = None  # validate builds it again and records why it failed
-    vreport = validate(space, e2, model.algebra)
+    try:
+        action = model.action
+    except AlgebraError:
+        action = None  # validate parses again and names every bad row
+    vreport = validate(space, e2, model.algebra, action)
     if not vreport.ok:
         report["validation"] = {"ok": False, "problems": vreport.problems}
         return report, 3

@@ -397,12 +397,14 @@ def validate(
     sp: SpacePresentation,
     e2: BigradedPage | None = None,
     algebra: Algebra | None = None,
+    action: SteenrodAction | None = None,
 ) -> ValidationReport:
     """Aggregate preflight: Steenrod axioms, loop freeness, conservation,
     and attested bounds the ledger can take.
 
-    `e2`, when given, is `koszul_e2(sp.loop_homology)` already built, and
-    `algebra`, when given, is `sp.algebra()` already built.
+    `e2`, when given, is `koszul_e2(sp.loop_homology)` already built,
+    `algebra`, when given, is `sp.algebra()` already built, and `action`,
+    when given, is `sp.action(algebra)` already built.
     """
     report = ValidationReport(sp.name)
     if algebra is None:
@@ -412,7 +414,8 @@ def validate(
             report.problems.append(f"cohomology presentation: {exc}")
             return report
 
-    action = sp.action(algebra, report.problems)
+    if action is None:
+        action = sp.action(algebra, report.problems)
     report.problems.extend(action.verify_instability())
 
     for x in sp.extra_generators:

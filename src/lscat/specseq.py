@@ -10,7 +10,8 @@ elimination with monomial-pivot representatives.
 
 Truncating the column filtration at m models the m-th projective-space
 stage of the loop space: differentials landing past column m vanish and
-sources past column m are gone.
+sources past column m are gone.  Sorting a stage's classes into the
+product, partial-product and residual buckets is `lscat.weights`'s.
 
 Every page, truncated or not, is a state of one fold (`TruncationTower`).
 d_r raises the column by exactly r, so in the column-m truncation the
@@ -648,98 +649,3 @@ def infer_differentials(
     if not results:
         raise InferenceError("no consistent assignment: fixture/target mismatch")
     return results
-
-
-BUCKET_PRODUCT = "product"
-BUCKET_PARTIAL = "partial"
-BUCKET_RESIDUAL = "residual"
-
-
-@dataclass(frozen=True)
-class TruncationClass:
-    """One class of a truncated E-infinity page with its module label."""
-
-    s: int
-    t: int
-    degree: int
-    leading: tuple
-    label: str
-    bucket: str
-
-
-class ClassFacts:
-    """What a stage's report reads of one class, all but the stage.
-
-    Only `bucket` takes the stage m: it holds the one stage-dependent
-    test, the partial window on the permanent-factor count.
-    """
-
-    # A plain class: a dataclass or NamedTuple takes far longer to define,
-    # and this one is defined at every import of the package.
-    __slots__ = ("s", "t", "leading", "label", "partial", "factors", "rest_alive")
-
-    def __init__(self, s, t, leading, label, partial, factors, rest_alive):
-        self.s = s
-        self.t = t
-        self.leading = leading
-        self.label = label
-        self.partial = partial  # exponent of the partial-product generator
-        self.factors = factors  # permanent factors: the other exponents' sum
-        self.rest_alive = rest_alive  # those factors survive untruncated
-
-    @classmethod
-    def of_leading(cls, s, t, lead, label, surviving_untruncated, partial_idx):
-        """The facts of a class at (s, t) led by the monomial `lead`;
-        `partial_idx` is the lattice index of the partial-product
-        generator."""
-        pe = lead[partial_idx] if partial_idx is not None else 0
-        rest = tuple(0 if i == partial_idx else e for i, e in enumerate(lead))
-        return cls(
-            s, t, lead, label, pe, sum(rest), rest in surviving_untruncated
-        )
-
-    def bucket(self, m: int, extension_height: int) -> str:
-        """The class's bucket at stage m: "product" for a monomial in
-        permanent suspension classes that survive untruncated (at most m
-        factors, automatic under the column cap); "partial" for such a
-        monomial times the partial-product generator, with between
-        m - extension_height and m - 1 permanent factors; "residual" for
-        everything else (candidates for the annihilated top summand, whose
-        module structure is not determined here)."""
-        if self.partial == 1 and self.rest_alive:
-            lo = max(0, m - extension_height)
-            in_window = lo <= self.factors <= m - 1
-            return BUCKET_PARTIAL if in_window else BUCKET_RESIDUAL
-        if self.partial == 0 and self.rest_alive:
-            return BUCKET_PRODUCT
-        return BUCKET_RESIDUAL
-
-    def can_be_non_residual(self, extension_height: int) -> bool:
-        """Whether `bucket` is not residual at some stage m.  Only the
-        partial window depends on m, and a window that holds the factor
-        count at all holds it at its lowest stage, m = factors + 1."""
-        return self.bucket(self.factors + 1, extension_height) != BUCKET_RESIDUAL
-
-    def labelled(self, bucket: str) -> TruncationClass:
-        return TruncationClass(
-            self.s, self.t, self.s + self.t, self.leading, self.label, bucket
-        )
-
-
-def class_facts(
-    page: BigradedPage,
-    s: int,
-    t: int,
-    vec: int,
-    surviving_untruncated: set,
-    partial_idx: int | None,
-) -> ClassFacts:
-    """The stage-independent facts of the class `vec` at (s, t).
-
-    `partial_idx` is the lattice index of the partial-product generator.
-    """
-    lead = page.leading(s, t, vec)
-    return ClassFacts.of_leading(
-        s, t, lead, page.monomial_str(lead), surviving_untruncated, partial_idx
-    )
-

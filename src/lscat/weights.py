@@ -22,28 +22,38 @@ returns it with its checked fold, a `specseq.TruncationTower`, and the
 model keeps that tower.  E-infinity is the tower's untruncated page, and
 every stage truncation shares the tower's states.
 
+A stage's classes fall into three buckets (`bucket`): products of
+permanent suspension classes, partial products (one factor of the
+partial-product generator), and residual classes.  The rule reads three
+facts of a class's leading monomial (`bucket_key`): its partial-generator
+exponent, its permanent-factor count and whether those factors survive
+untruncated; and of the stage only the partial window, which holds a
+class with one partial factor partial inside it and residual outside.
+
 Each class is classified once per model, not once per stage.  A stage's
 classes are those of its tower states (s, t, alive), and what the stages
 read of a class does not depend on the stage: its leading monomial,
-label and degree, its partial-generator exponent and permanent-factor
-count, whether those factors survive untruncated (`specseq.class_facts`),
-and its image in the extended algebra (kept per leading monomial).  The
-model keeps these per tower state.  Per stage, only the partial window is
-tested (a class with one partial factor is partial inside it, residual
-outside), and the stage's report concatenates its states' classes in
-(s, t) order.
+label and degree, its bucket key (`class_facts`), and its image in the
+extended algebra (kept per leading monomial).  The model keeps one
+`ClassFacts` per class of a tower state, which also keeps the class's
+report entry per bucket it takes, and the stage's report concatenates
+its states' entries in (s, t) order.
 
 The search reads only the states where a witness can lie.  A witness
 class sits in a degree where the cohomology vanishes, and whether a
 degree vanishes is a property of the state, so a stage's candidates are
 the non-residual classes of its states in such degrees, in page order.
 Of those bidegrees the search walks only the ones where some E2 monomial
-could lead a non-residual class at some stage
-(`ClassFacts.can_be_non_residual`): a class's bucket depends only on its
-leading monomial, which is one of its bidegree's monomials, so every other
-bidegree holds only residual classes at every stage.  Of each state it
+could lead a non-residual class at some stage (`can_be_non_residual`):
+a class's bucket depends only on its leading monomial, which is one of
+its bidegree's monomials, so every other bidegree holds only residual
+classes at every stage.  Of each state it
 keeps the classes that can ever be non-residual.  A stage without a
 candidate has no witness.
+
+Every E2 generator is matched once, in `_lattice_to_extended`: x1_t
+matches the one cohomology or declared extra generator of degree t + 1,
+and the partial-product generator's lattice index is read off that match.
 
 The search never lists a stage.  A candidate's Sq^k test (its target
 degree, whether the square has a partial-product term, and the terms of
@@ -75,13 +85,9 @@ from functools import cached_property
 
 from lscat.algebra import Algebra, AlgebraPresentation, Generator
 from lscat.specseq import (
-    BUCKET_RESIDUAL,
     BigradedPage,
-    ClassFacts,
     DifferentialSpec,
-    TruncationClass,
     TruncationTower,
-    class_facts,
     infer_differentials,
     koszul_e2,
 )
@@ -115,18 +121,95 @@ class ObstructionWitness:
         }
 
 
-class _StateClass:
-    """One reported class of a truncation-tower state, with the facts the
-    stages read of it; none of them depends on the stage."""
+BUCKET_PRODUCT = "product"
+BUCKET_PARTIAL = "partial"
+BUCKET_RESIDUAL = "residual"
 
-    __slots__ = ("facts", "entries")
 
-    def __init__(self, facts: ClassFacts):
-        self.facts = facts
-        # Report entry per bucket the class has taken; only a class with
-        # one partial factor takes two (partial inside its window, else
-        # residual).
+@dataclass(frozen=True)
+class TruncationClass:
+    """One class of a truncated E-infinity page with its module label."""
+
+    s: int
+    t: int
+    degree: int
+    leading: tuple
+    label: str
+    bucket: str
+
+
+def bucket(partial, factors, rest_alive, m, extension_height) -> str:
+    """The bucket at stage m of a class whose leading monomial has
+    partial-generator exponent `partial` and `factors` permanent factors,
+    which survive untruncated when `rest_alive`: "product" for a monomial
+    in permanent suspension classes that survive untruncated (at most m
+    factors, automatic under the column cap); "partial" for such a
+    monomial times the partial-product generator, with between
+    m - extension_height and m - 1 permanent factors; "residual" for
+    everything else (candidates for the annihilated top summand, whose
+    module structure is not determined here)."""
+    if partial == 1 and rest_alive:
+        in_window = max(0, m - extension_height) <= factors <= m - 1
+        return BUCKET_PARTIAL if in_window else BUCKET_RESIDUAL
+    if partial == 0 and rest_alive:
+        return BUCKET_PRODUCT
+    return BUCKET_RESIDUAL
+
+
+def can_be_non_residual(partial, factors, rest_alive, extension_height) -> bool:
+    """Whether `bucket` is not residual at some stage m.  Only the
+    partial window depends on m, and a window that holds the factor
+    count at all holds it at its lowest stage, m = factors + 1."""
+    key = partial, factors, rest_alive
+    return bucket(*key, factors + 1, extension_height) != BUCKET_RESIDUAL
+
+
+def bucket_key(lead, partial_idx, surviving_untruncated) -> tuple[int, int, bool]:
+    """What `bucket` reads of a class led by the lattice monomial `lead`:
+    (partial exponent, permanent-factor count, factors survive
+    untruncated); `partial_idx` is the lattice index of the
+    partial-product generator."""
+    pe = lead[partial_idx] if partial_idx is not None else 0
+    rest = lead[:partial_idx] + (0,) + lead[partial_idx + 1:] if pe else lead
+    return pe, sum(rest), rest in surviving_untruncated
+
+
+class ClassFacts:
+    """One class of a truncation-tower state: what a stage's report reads
+    of it, none of which depends on the stage, and its report entry per
+    bucket it has taken."""
+
+    # A plain class: a dataclass or NamedTuple takes far longer to define,
+    # and this one is defined at every import of the package.
+    __slots__ = ("s", "t", "leading", "label", "key", "entries")
+
+    def __init__(self, s, t, leading, label, key):
+        self.s = s
+        self.t = t
+        self.leading = leading
+        self.label = label
+        self.key = key  # `bucket_key` of the leading monomial
+        # Only a class with one partial factor takes two buckets (partial
+        # inside its window, else residual).
         self.entries: dict[str, TruncationClass] = {}
+
+    def entry(self, m: int, extension_height: int) -> TruncationClass:
+        """The class's report entry at stage m."""
+        b = bucket(*self.key, m, extension_height)
+        entry = self.entries.get(b)
+        if entry is None:
+            entry = self.entries[b] = TruncationClass(
+                self.s, self.t, self.s + self.t, self.leading, self.label, b
+            )
+        return entry
+
+
+def class_facts(page, s, t, vec, surviving_untruncated, partial_idx) -> ClassFacts:
+    """The facts of the class `vec` at (s, t); `partial_idx` is the
+    lattice index of the partial-product generator."""
+    lead = page.leading(s, t, vec)
+    key = bucket_key(lead, partial_idx, surviving_untruncated)
+    return ClassFacts(s, t, lead, page.monomial_str(lead), key)
 
 
 class LoopSpaceModel:
@@ -156,8 +239,8 @@ class LoopSpaceModel:
         self.algebra: Algebra = space.algebra()
         # Per tower state (s, t, alive): its classes, and those that can
         # ever be non-residual.
-        self._state_classes: dict[tuple[int, int, int], list[_StateClass]] = {}
-        self._state_candidates: dict[tuple[int, int, int], list[_StateClass]] = {}
+        self._state_classes: dict[tuple[int, int, int], list[ClassFacts]] = {}
+        self._state_candidates: dict[tuple[int, int, int], list[ClassFacts]] = {}
         # Per (stage, degree): whether a residual class lies there.
         self._residual: dict[tuple[int, int], bool] = {}
         # Per leading monomial: its Sq^k tests; per degree: the mixed mask.
@@ -234,52 +317,32 @@ class LoopSpaceModel:
             # Past s_sat the classes are those of stage s_sat; reading its
             # states spares the tower folding d_r out of the columns within
             # r of s_sat, whose targets are empty.
+            height = self._extension_height
             self._stages[m] = [
-                self._entry(cls, m)
+                cls.entry(m, height)
                 for state in self._tower.stage(min(m, self.saturation_column))
                 for cls in self._classes_of_state(*state)
             ]
         return self._stages[m]
-
-    def _entry(self, cls: _StateClass, m: int) -> TruncationClass:
-        """The report entry of `cls` at stage m (at most the stable stage)."""
-        bucket = cls.facts.bucket(m, self._extension_height)
-        entry = cls.entries.get(bucket)
-        if entry is None:
-            entry = cls.entries[bucket] = cls.facts.labelled(bucket)
-        return entry
 
     @cached_property
     def _vanishing_keys(self) -> list[tuple[int, int]]:
         """The reported E2 bidegrees, in (s, t) order, whose total degree
         has no cohomology and some of whose monomials could lead a
         non-residual class at some stage: the only states a witness class
-        can lie in.
-
-        A monomial's bucket reads only its partial-generator exponent,
-        its permanent-factor count and whether those factors survive
-        untruncated, so the bucket rule (`ClassFacts`) is asked once per
-        such triple, not once per monomial."""
+        can lie in."""
         cap = self.e2.degree_cap
         height = self._extension_height
         idx = self._partial_idx
-        rule: dict[tuple[int, int, bool], bool] = {}
-
-        def can_lead(s: int, t: int, lead: tuple[int, ...]) -> bool:
-            pe = lead[idx] if idx is not None else 0
-            rest = lead[:idx] + (0,) + lead[idx + 1:] if pe else lead
-            key = (pe, sum(rest), rest in self.surviving)
-            if key not in rule:
-                facts = ClassFacts(s, t, lead, None, *key)
-                rule[key] = facts.can_be_non_residual(height)
-            return rule[key]
-
         return [
             (s, t)
             for s, t in sorted(self.e2.basis)
             if s + t <= cap
             and not self.algebra.basis(s + t)
-            and any(can_lead(s, t, lead) for lead in self.e2.cells[(s, t)])
+            and any(
+                can_be_non_residual(*bucket_key(lead, idx, self.surviving), height)
+                for lead in self.e2.cells[(s, t)]
+            )
         ]
 
     def _candidates(self, m: int) -> list[TruncationClass]:
@@ -289,20 +352,20 @@ class LoopSpaceModel:
         be non-residual; per stage, only their partial window is tested."""
         m = min(m, self.stable_stage)
         top = min(m, self.saturation_column)
+        height = self._extension_height
         out = []
         for s, t in self._vanishing_keys:
             if s > top:
                 break
             key = (s, t, self._tower.alive(s, top))
             if key not in self._state_candidates:
-                height = self._extension_height
                 self._state_candidates[key] = [
                     cls
                     for cls in self._classes_of_state(*key)
-                    if cls.facts.can_be_non_residual(height)
+                    if can_be_non_residual(*cls.key, height)
                 ]
             for cls in self._state_candidates[key]:
-                entry = self._entry(cls, m)
+                entry = cls.entry(m, height)
                 if entry.bucket != BUCKET_RESIDUAL:
                     out.append(entry)
         return out
@@ -312,7 +375,7 @@ class LoopSpaceModel:
         truncation, read from the one state of its bidegree."""
         s, t = self.e2.bidegree(lattice)
         return s <= top and any(
-            cls.facts.leading == lattice
+            cls.leading == lattice
             for cls in self._classes_of_state(s, t, self._tower.alive(s, top))
         )
 
@@ -324,7 +387,7 @@ class LoopSpaceModel:
             top = min(m, self.saturation_column)
             height = self._extension_height
             self._residual[key] = any(
-                cls.facts.bucket(m, height) == BUCKET_RESIDUAL
+                bucket(*cls.key, m, height) == BUCKET_RESIDUAL
                 for s in range(min(top, degree) + 1)
                 if (s, degree - s) in self.e2.basis
                 for cls in self._classes_of_state(
@@ -333,19 +396,17 @@ class LoopSpaceModel:
             )
         return self._residual[key]
 
-    def _classes_of_state(self, s: int, t: int, alive: int) -> list[_StateClass]:
+    def _classes_of_state(self, s: int, t: int, alive: int) -> list[ClassFacts]:
         """The reported classes of one tower state, classified once."""
         key = (s, t, alive)
         if key not in self._state_classes:
-            out = []
+            vecs = ()
             if s + t <= self.e2.degree_cap:
-                j = len(self._tower.specs)
-                for vec in self._tower.state(j, s, t, alive):
-                    facts = class_facts(
-                        self.e2, s, t, vec, self.surviving, self._partial_idx
-                    )
-                    out.append(_StateClass(facts))
-            self._state_classes[key] = out
+                vecs = self._tower.state(len(self._tower.specs), s, t, alive)
+            self._state_classes[key] = [
+                class_facts(self.e2, s, t, vec, self.surviving, self._partial_idx)
+                for vec in vecs
+            ]
         return self._state_classes[key]
 
     # -- generator matching -------------------------------------------------
@@ -359,46 +420,46 @@ class LoopSpaceModel:
             raise WeightError("at most one partial-product generator supported")
         return extras[0]
 
-    def _koszul_name_of_extra(self, extra) -> str:
-        name = f"x1_{extra.t}"
-        if name not in self.e2.lattice._index:
-            raise WeightError(f"{extra.name}: {name} is not an E2 generator")
-        return name
-
     @cached_property
     def _partial_idx(self) -> int | None:
-        """Lattice index of the partial-product generator's suspension
-        class (None: no such generator)."""
+        """Lattice index of the E2 generator that `_lattice_to_extended`
+        matches to the partial-product generator (None: no such
+        generator)."""
         extra = self._partial_extra
         if extra is None:
             return None
-        return self.e2.lattice._index[self._koszul_name_of_extra(extra)]
+        extended_idx = len(self.algebra.generators)
+        if extended_idx not in self._lattice_to_extended:
+            raise WeightError(f"{extra.name}: x1_{extra.t} is not an E2 generator")
+        return self._lattice_to_extended.index(extended_idx)
 
     @cached_property
     def _lattice_to_extended(self) -> list[int | None]:
         """Extended-algebra index of each E2 generator's match (None: unmatched).
 
-        A suspension class x1_t, of degree t + 1, matches the unique
-        cohomology generator of that degree, else the declared extra
-        generator of that degree.  The cohomology generators are the
+        A suspension class x1_t, of degree t + 1, matches the one
+        cohomology or declared extra generator of that degree; two such
+        generators are ambiguous.  The cohomology generators are the
         extended algebra's prefix and the extra generator its last, so
-        this one list maps the lattice into both algebras.
+        this one list maps the lattice into both algebras, and it is the
+        only place a generator is matched.
         """
         coh = self.algebra.generators
         out: list[int | None] = []
         for g in self.e2.lattice.generators:
             hits = [c for c in coh if c.degree == g.degree]
-            if len(hits) > 1:
+            extras = [x for x in self.space.extra_generators if x.degree == g.degree]
+            if extras:
+                self._partial_extra  # raises past one: the extended algebra has one
+            if len(hits) + len(extras) > 1:
                 raise WeightError(
-                    f"ambiguous suspension match for {g.name}: {hits}"
+                    f"ambiguous suspension match for {g.name}: {hits + extras}"
                 )
             if hits:
                 out.append(coh.index(hits[0]))
-                continue
-            # Unmatched (None) is only an error if something needs it.
-            extra = self._partial_extra
-            matched = extra is not None and extra.degree == g.degree
-            out.append(len(coh) if matched else None)
+            else:
+                # Unmatched (None) is only an error if something needs it.
+                out.append(len(coh) if extras else None)
         return out
 
     @cached_property
@@ -638,14 +699,13 @@ class LoopSpaceModel:
                 )
         return None
 
-    def mwgt_lower_bound(self, m_max: int | None = None) -> int:
-        """1 + the largest stage with a witness (0 if none up to m_max)."""
+    def mwgt_lower_bound(self) -> int:
+        """1 + the largest stage up to the degree cap with a witness (0 if
+        none)."""
         if self.space.loop_homology is None:
             return 0
-        if m_max is None:
-            m_max = self.space.degree_cap
-        best = -1
-        for m in range(m_max + 1):
+        best = 0
+        for m in range(self.space.degree_cap + 1):
             if self.find_obstruction(m) is not None:
-                best = m
-        return best + 1 if best >= 0 else 0
+                best = m + 1
+        return best

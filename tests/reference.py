@@ -18,12 +18,11 @@ from lscat.specseq import (
     BigradedPage,
     DifferentialSpec,
     SpectralSequenceError,
-    TruncationClass,
     _check_spec,
-    class_facts,
     homology_at,
     leibniz,
 )
+from lscat.weights import TruncationClass, class_facts
 
 
 def restricted_to_columns(page: BigradedPage, m: int) -> BigradedPage:
@@ -114,10 +113,10 @@ def classify_truncation(
     extension_height: int = 3,
 ) -> list[TruncationClass]:
     """Label every class of a truncated E-infinity page with its bucket at
-    stage m (`ClassFacts.bucket`), in page order."""
+    stage m (`lscat.weights.bucket`), in page order."""
     p_idx = page.lattice._index.get(partial_gen) if partial_gen else None
     out = []
     for s, t, vec in page.classes():
         facts = class_facts(page, s, t, vec, surviving_untruncated, p_idx)
-        out.append(facts.labelled(facts.bucket(m, extension_height)))
+        out.append(facts.entry(m, extension_height))
     return out

@@ -19,12 +19,8 @@ from lscat import (
 from lscat.cells import cp, min_cell_dim_excluding
 from lscat.cli import main as cli_main
 from lscat.report import build_ledger
-from lscat.specseq import (
-    BUCKET_PARTIAL,
-    BUCKET_PRODUCT,
-    BUCKET_RESIDUAL,
-    leibniz,
-)
+from lscat.specseq import leibniz
+from lscat.weights import BUCKET_PARTIAL, BUCKET_PRODUCT, BUCKET_RESIDUAL
 from test_steenrod import cartan_holds
 
 

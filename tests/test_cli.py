@@ -64,18 +64,26 @@ def test_json_report_validates_against_schema():
     "argv", [("report", "spin9", "--format", "json"), ("validate", "spin9")]
 )
 def test_cohomology_and_cup_length_are_computed_once(monkeypatch, argv):
-    """A report's validation reads the model's cohomology algebra, and its
-    invariants and its ledger read one cup-length; `validate` builds its
-    own algebra."""
+    """A report's validation reads the model's cohomology algebra and
+    Steenrod table, and its invariants and its ledger read one cup-length;
+    the report parses the table once more, over the extended algebra.
+    `validate` builds its own algebra and parses the table once."""
     counts = Counter()
-    for cls, name in ((SpacePresentation, "algebra"), (Algebra, "cup_length")):
-        def counting(self, _original=getattr(cls, name), _name=name):
+    methods = (
+        (SpacePresentation, "algebra"),
+        (SpacePresentation, "action"),
+        (Algebra, "cup_length"),
+    )
+    for cls, name in methods:
+        def counting(self, *args, _original=getattr(cls, name), _name=name):
             counts[_name] += 1
-            return _original(self)
+            return _original(self, *args)
 
         monkeypatch.setattr(cls, name, counting)
     assert run_cli(*argv)[0] == 0
-    assert (counts["algebra"], counts["cup_length"]) == (1, argv[0] == "report")
+    report = argv[0] == "report"
+    assert (counts["algebra"], counts["cup_length"]) == (1, report)
+    assert counts["action"] == 1 + report
 
 
 def test_reports_are_byte_identical():
@@ -172,6 +180,13 @@ def unmatched_space(name, cap, cohomology, loop, permanent):
     }
 
 
+def spin9_extra_at(t):
+    """spin9 with its extra generator x11 at t, and no squares on it."""
+    data = builtin("spin9").to_dict()
+    data["extra_generators"][0].update(t=t, steenrod=[])
+    return data
+
+
 @pytest.mark.parametrize(
     "data, message",
     [
@@ -193,6 +208,8 @@ def unmatched_space(name, cap, cohomology, loop, permanent):
             ),
             "cohomology generator w4 has no suspension class",
         ),
+        # x1_6 has degree 7, as do x7 and the extra generator x11 at t = 6.
+        (spin9_extra_at(6), "ambiguous suspension match for x1_6"),
     ],
 )
 def test_unmatched_suspension_exits_3(tmp_path, data, message):
@@ -777,9 +794,28 @@ def test_steenrod_value_with_a_bad_exponent_exits_3(tmp_path, power):
         assert f"exponent '{power}' is not a natural number" in out
 
 
+def test_report_names_every_malformed_steenrod_row(tmp_path):
+    """When the model's parse of the Steenrod table fails, validation
+    parses it again and names every bad row, not just the first."""
+    data = builtin("spin9").to_dict()
+    data["steenrod"] += [
+        {"gen": "x7", "k": 5, "value": ["x3^a*x15"]},
+        {"gen": "x9", "k": 2, "value": ["x11"]},
+    ]
+    fixture = tmp_path / "two-bad-rows.json"
+    fixture.write_text(json.dumps(data))
+    code, out, _ = run_cli("report", str(fixture), "--format", "json")
+    assert code == 3
+    assert json.loads(out)["validation"]["problems"] == [
+        "Sq^5 x7: 'x3^a*x15': exponent 'a' is not a natural number",
+        "Sq^2 given on unknown generator 'x9'",
+    ]
+
+
 def test_every_export_resolves_and_no_reference_fold_is_exported():
-    """`lscat.__all__` names only what the package defines, and the
-    Leibniz-direct fold the tests compare against lives in the tests."""
+    """`lscat.__all__` names only what the package defines, the
+    Leibniz-direct fold the tests compare against lives in the tests, and
+    the stage-class buckets live in `weights`, not `specseq`."""
     for name in lscat.__all__:
         assert getattr(lscat, name) is not None, name
     moved = (
@@ -791,6 +827,13 @@ def test_every_export_resolves_and_no_reference_fold_is_exported():
         assert not hasattr(specseq, name)
     for name in ("restricted_to_columns", "as_e_infinity", "_mul_exps"):
         assert not hasattr(specseq.BigradedPage, name)
+    bucket_names = (
+        "BUCKET_PRODUCT", "BUCKET_PARTIAL", "BUCKET_RESIDUAL",
+        "TruncationClass", "ClassFacts", "class_facts",
+    )
+    for name in bucket_names:
+        assert not hasattr(specseq, name)
+        assert hasattr(weights, name)
 
 
 def test_bad_truncate_value():

@@ -8,9 +8,6 @@ from lscat import gf2, specseq
 from lscat.algebra import AlgebraError, AlgebraPresentation, Generator
 from lscat.spaces import builtin
 from lscat.specseq import (
-    BUCKET_PARTIAL,
-    BUCKET_PRODUCT,
-    BUCKET_RESIDUAL,
     DifferentialSpec,
     InferenceError,
     SpectralSequenceError,
@@ -19,7 +16,12 @@ from lscat.specseq import (
     koszul_e2,
     leibniz,
 )
-from lscat.weights import LoopSpaceModel
+from lscat.weights import (
+    BUCKET_PARTIAL,
+    BUCKET_PRODUCT,
+    BUCKET_RESIDUAL,
+    LoopSpaceModel,
+)
 from reference import (
     apply_differential,
     check_d_squared,

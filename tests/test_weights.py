@@ -3,6 +3,7 @@
 import gc
 import weakref
 from collections import Counter
+from itertools import product
 from math import comb
 
 import pytest
@@ -11,9 +12,16 @@ from lscat import specseq, weights
 from lscat.algebra import AlgebraPresentation, Generator
 from lscat.report import build_report
 from lscat.spaces import ExtraGenerator, SpacePresentation, builtin
-from lscat.specseq import BUCKET_RESIDUAL, TruncationTower
+from lscat.specseq import TruncationTower
 from lscat.steenrod import SteenrodAction
-from lscat.weights import LoopSpaceModel, ObstructionWitness, WeightError
+from lscat.weights import (
+    BUCKET_RESIDUAL,
+    LoopSpaceModel,
+    ObstructionWitness,
+    WeightError,
+    bucket,
+    can_be_non_residual,
+)
 from reference import classify_truncation, truncate
 from test_specseq import two_page_synthetic
 
@@ -55,7 +63,7 @@ def reference_stage(model: LoopSpaceModel, m: int):
         page,
         m,
         model.surviving,
-        partial_gen=model._koszul_name_of_extra(extra) if extra else None,
+        partial_gen=f"x1_{extra.t}" if extra else None,
         extension_height=extra.extension_height if extra else 3,
     )
     ext = model._extended_algebra
@@ -330,7 +338,7 @@ def reference_candidates(model: LoopSpaceModel, m: int):
         page,
         m,
         model.surviving,
-        partial_gen=model._koszul_name_of_extra(extra) if extra else None,
+        partial_gen=f"x1_{extra.t}" if extra else None,
         extension_height=extra.extension_height if extra else 3,
     )
     return [
@@ -371,6 +379,24 @@ def test_candidates_match_an_unfiltered_walk(make):
         found += want
     if model.space.name in ("spin9", "two-page"):
         assert found  # the comparison is not vacuous
+
+
+def test_lowest_stage_decides_whether_a_class_can_be_non_residual():
+    """Over partial exponents 0..2, factor counts 0..6, both survival
+    flags and heights 1..4, a class is non-residual at some stage
+    m <= factors + height + 1 exactly when it is at m = factors + 1, the
+    one stage `can_be_non_residual` asks."""
+    grid = product(range(3), range(7), (False, True), range(1, 5))
+    for partial, factors, rest_alive, height in grid:
+        key = partial, factors, rest_alive
+        somewhere = any(
+            bucket(*key, m, height) != BUCKET_RESIDUAL
+            for m in range(factors + height + 2)
+        )
+        lowest = bucket(*key, factors + 1, height) != BUCKET_RESIDUAL
+        assert somewhere == lowest == can_be_non_residual(*key, height), (
+            key, height
+        )
 
 
 def test_spin9_walks_only_bidegrees_that_can_hold_a_witness():
