@@ -1,8 +1,19 @@
 """Category weight and the Steenrod-module obstruction.
 
-The weight of a nonzero cohomology class is the filtration of its
-representative on the E-infinity page of the bar spectral sequence; the
-space weight is the maximum over reduced classes.
+The weight of a nonzero cohomology class is the bar filtration of its
+representative on the E-infinity page of the bar spectral sequence.  A
+class of bar filtration s vanishes on the (s-1)-st projective stage of
+the loop space, so its category weight is at least s (Rudyak; Strom).
+The space weight `wgt_space` is read off E-infinity's bidegrees: the
+largest s >= 1 with E-infinity^{s,t} nonzero and s + t under the cap.
+It maps no cohomology monomial.  It first checks that each generator's
+powers under the cap lead E-infinity classes, which catches a
+presentation whose E-infinity does not hold its generators.
+
+The generator match stays for the witness search, which maps the terms
+of each target u through it to test whether u restricts nontrivially to
+a stage.  A cohomology generator under the cap with no suspension class
+raises as soon as the match is built (`_coh_to_lattice`).
 
 The module-weight lower bound comes from a Steenrod obstruction in the
 truncated models: a class z of the stage-m model with Sq^k z restricting
@@ -216,7 +227,7 @@ class LoopSpaceModel:
     """All spectral-sequence-derived data for one space presentation.
 
     Lazily computes the E2 page, the forced differentials, E-infinity,
-    stage truncations, the weight assignment, and obstruction witnesses.
+    stage truncations, the space weight, and obstruction witnesses.
     """
 
     def __init__(
@@ -452,9 +463,8 @@ class LoopSpaceModel:
             if extras:
                 self._partial_extra  # raises past one: the extended algebra has one
             if len(hits) + len(extras) > 1:
-                raise WeightError(
-                    f"ambiguous suspension match for {g.name}: {hits + extras}"
-                )
+                names = ", ".join(x.name for x in hits + extras)
+                raise WeightError(f"ambiguous suspension match for {g.name}: {names}")
             if hits:
                 out.append(coh.index(hits[0]))
             else:
@@ -465,43 +475,40 @@ class LoopSpaceModel:
     @cached_property
     def _coh_to_lattice(self) -> list[int | None]:
         """Lattice index of each cohomology generator's suspension class
-        (None: none), the inverse of `_lattice_to_extended` on its prefix."""
-        out: list[int | None] = [None] * len(self.algebra.generators)
+        (None: none, only above the cap), the inverse of
+        `_lattice_to_extended` on its prefix.  A generator under the cap
+        without one raises here, before anything maps a monomial."""
+        coh = self.algebra.generators
+        out: list[int | None] = [None] * len(coh)
         for i, j in enumerate(self._lattice_to_extended):
             if j is not None and j < len(out):
                 out[j] = i
+        for g, i in zip(coh, out):
+            if i is None and g.degree <= self.algebra.degree_cap:
+                raise WeightError(
+                    f"cohomology generator {g.name} has no suspension class"
+                )
         return out
 
     def _lattice_exps_of_monomial(self, exps: tuple[int, ...]) -> tuple[int, ...]:
         """Cohomology monomial -> its E-infinity representative monomial."""
         out = [0] * len(self.e2.lattice.generators)
-        for g, i, e in zip(self.algebra.generators, self._coh_to_lattice, exps):
-            if not e:
-                continue
-            if i is None:
-                raise WeightError(
-                    f"cohomology generator {g.name} has no suspension class"
-                )
-            out[i] = e
+        for i, e in zip(self._coh_to_lattice, exps):
+            if e:
+                out[i] = e
         return tuple(out)
 
-    # -- weights ------------------------------------------------------------
+    def _surviving_lattice(self, exps: tuple[int, ...]) -> tuple[int, ...]:
+        """`_lattice_exps_of_monomial`, which must lead an E-infinity class."""
+        lattice = self._lattice_exps_of_monomial(exps)
+        if lattice not in self.surviving:
+            raise WeightError(
+                f"{self.algebra.monomial_str(exps)} has no surviving "
+                f"E-infinity representative"
+            )
+        return lattice
 
-    @cached_property
-    def weight_map(self) -> dict[tuple[int, ...], int]:
-        """Filtration of every positive-degree cohomology basis monomial."""
-        out = {}
-        for mono in self.algebra.monomials():
-            if not any(mono):
-                continue
-            lattice = self._lattice_exps_of_monomial(mono)
-            if lattice not in self.surviving:
-                raise WeightError(
-                    f"{self.algebra.monomial_str(mono)} has no surviving "
-                    f"E-infinity representative"
-                )
-            out[mono] = sum(lattice)
-        return out
+    # -- weights ------------------------------------------------------------
 
     def wgt(self, u: int, degree: int) -> int:
         """Filtration of the E-infinity representative of u, a row over
@@ -510,13 +517,28 @@ class LoopSpaceModel:
             raise WeightError("weight of the zero class is undefined")
         if degree == 0:
             raise WeightError("weight of the unit is undefined")
-        return min(self.weight_map[exps] for exps in self.algebra.terms(u, degree))
+        return min(
+            sum(self._surviving_lattice(e)) for e in self.algebra.terms(u, degree)
+        )
 
     def wgt_space(self) -> int:
-        """Maximum weight over the reduced cohomology."""
-        if not self.weight_map:
-            return 0
-        return max(self.weight_map.values())
+        """The largest s >= 1 with E-infinity^{s,t} nonzero and s + t under
+        the cap (0 if none).  A class of bar filtration s vanishes on the
+        (s-1)-st projective stage, so its category weight is at least s
+        (Rudyak; Strom)."""
+        # Each generator's powers under the cap must lead E-infinity
+        # classes: a presentation whose generators E-infinity does not
+        # hold fails here rather than in a wrong weight.
+        n = len(self.algebra.generators)
+        for i, top in enumerate(self.algebra._max_exp):
+            for e in range(1, top + 1):
+                self._surviving_lattice((0,) * i + (e,) + (0,) * (n - i - 1))
+        cap = self.algebra.degree_cap
+        return max(
+            (s for (s, t), vecs in self.e_infinity.basis.items()
+             if s >= 1 and vecs and s + t <= cap),
+            default=0,
+        )
 
     def cup_length(self) -> int:
         return self._cup_length
@@ -603,7 +625,7 @@ class LoopSpaceModel:
         """What the search reads of Sq^k of the class, for k = 0..max_k:
         None where the square is zero or has a partial-product term, else
         (target degree, the cohomology terms of u, the lattice monomial of
-        each term or None where a generator has no suspension class).
+        each term).
         None of it depends on the stage, so it is kept per leading
         monomial."""
         tests = self._tests.get(cls.leading)
@@ -620,16 +642,10 @@ class LoopSpaceModel:
                     continue
                 u_terms = [e[:n] for e in ext.terms(sq[k], degree)]
                 tests[k] = degree, u_terms, [
-                    self._lattice_exps_or_none(e) for e in u_terms
+                    self._lattice_exps_of_monomial(e) for e in u_terms
                 ]
             self._tests[cls.leading] = tests
         return tests
-
-    def _lattice_exps_or_none(self, exps: tuple[int, ...]) -> tuple[int, ...] | None:
-        try:
-            return self._lattice_exps_of_monomial(exps)
-        except WeightError:
-            return None
 
     def _find_obstruction(self, m: int) -> ObstructionWitness | None:
         # Stage m's classes are states of the fold: a model whose
@@ -662,12 +678,7 @@ class LoopSpaceModel:
                     continue
                 degree, u_terms, lattice = per_k[k]
                 # u must restrict nontrivially to the stage-m model.
-                for e, lat in zip(u_terms, lattice):
-                    if lat is None:
-                        self._lattice_exps_of_monomial(e)  # raises
-                    if self._leads_at(lat, top):
-                        break
-                else:
+                if not any(self._leads_at(lat, top) for lat in lattice):
                     continue
                 # No residual class can absorb the identity at the target.
                 if self._residual_in(stage, degree):

@@ -65,14 +65,17 @@ def test_json_report_validates_against_schema():
 )
 def test_cohomology_and_cup_length_are_computed_once(monkeypatch, argv):
     """A report's validation reads the model's cohomology algebra and
-    Steenrod table, and its invariants and its ledger read one cup-length;
-    the report parses the table once more, over the extended algebra.
-    `validate` builds its own algebra and parses the table once."""
+    Steenrod table, and its invariants and its ledger read one cup-length,
+    the report's one walk over every cohomology monomial (wgt is read off
+    E-infinity); the report parses the table once more, over the extended
+    algebra.  `validate` builds its own algebra, parses the table once and
+    walks no monomials."""
     counts = Counter()
     methods = (
         (SpacePresentation, "algebra"),
         (SpacePresentation, "action"),
         (Algebra, "cup_length"),
+        (Algebra, "monomials"),
     )
     for cls, name in methods:
         def counting(self, *args, _original=getattr(cls, name), _name=name):
@@ -83,6 +86,7 @@ def test_cohomology_and_cup_length_are_computed_once(monkeypatch, argv):
     assert run_cli(*argv)[0] == 0
     report = argv[0] == "report"
     assert (counts["algebra"], counts["cup_length"]) == (1, report)
+    assert counts["monomials"] == report
     assert counts["action"] == 1 + report
 
 
@@ -180,6 +184,16 @@ def unmatched_space(name, cap, cohomology, loop, permanent):
     }
 
 
+def no_suspension():
+    """Lambda(x2, y3, w4) against the E2 of Lambda(u1) (x) F2[u2], cap 7:
+    F2[x1_1] (x) Lambda(x1_2) agrees with it up to degree 7, but no
+    suspension class has degree 4."""
+    return unmatched_space(
+        "no-suspension", 7, [("x2", 2, 2), ("y3", 3, 2), ("w4", 4, 2)],
+        [("u1", 1, 2), ("u2", 2, "unbounded")], ["x1_1", "x1_2"],
+    )
+
+
 def spin9_extra_at(t):
     """spin9 with its extra generator x11 at t, and no squares on it."""
     data = builtin("spin9").to_dict()
@@ -197,29 +211,23 @@ def spin9_extra_at(t):
                 "ambiguous", 2, [("a3", 3, 2), ("b3", 3, 2)],
                 [("u2", 2, "unbounded")], ["x1_2"],
             ),
-            "ambiguous suspension match for x1_2",
+            "ambiguous suspension match for x1_2: a3, b3",
         ),
-        # Lambda(x2, y3, w4) and F2[x1_1] (x) Lambda(x1_2) agree up to
-        # degree 7, but no suspension class has degree 4.
-        (
-            unmatched_space(
-                "no-suspension", 7, [("x2", 2, 2), ("y3", 3, 2), ("w4", 4, 2)],
-                [("u1", 1, 2), ("u2", 2, "unbounded")], ["x1_1", "x1_2"],
-            ),
-            "cohomology generator w4 has no suspension class",
-        ),
+        (no_suspension(), "cohomology generator w4 has no suspension class"),
         # x1_6 has degree 7, as do x7 and the extra generator x11 at t = 6.
-        (spin9_extra_at(6), "ambiguous suspension match for x1_6"),
+        (spin9_extra_at(6), "ambiguous suspension match for x1_6: x7, x11"),
     ],
+    # An id names the failure, not the generators it lists.
+    ids=lambda value: value.split(":")[0] if isinstance(value, str) else None,
 )
 def test_unmatched_suspension_exits_3(tmp_path, data, message):
-    """A generator the suspension map cannot match fails the report."""
+    """A generator the suspension map cannot match fails the report, and
+    the message names the generators."""
     path = tmp_path / "unmatched.json"
     path.write_text(json.dumps(data))
     assert run_cli("validate", str(path))[0] == 0
-    code, _, err = run_cli("report", str(path), "--format", "json")
-    assert code == 3
-    assert err.startswith(f"lscat: {message}")
+    code, out, err = run_cli("report", str(path), "--format", "json")
+    assert (code, out, err) == (3, "", f"lscat: {message}\n")
 
 
 def unmatched_lattice():
@@ -499,24 +507,39 @@ def test_json_renderer_matches_json_dumps(value):
     assert cli._dumps(value) == json.dumps(value, indent=2)
 
 
-def test_optimised_interpreter_gives_same_report():
-    """`python -O` strips asserts; no certified number may depend on one."""
+def test_optimised_interpreter_gives_same_report(tmp_path):
+    """`python -O` strips asserts; no certified number may depend on one,
+    and no generator-match check may be one."""
     src = str(Path(lscat.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
-    runs = [
-        subprocess.run(
-            [sys.executable, *flags, "-m", "lscat.cli", "report", "spin9",
-             "--format", "json"],
-            capture_output=True, env=env, timeout=120,
-        )
-        for flags in ([], ["-O"])
-    ]
-    assert [r.returncode for r in runs] == [0, 0]
-    assert runs[0].stdout == runs[1].stdout
-    assert json.loads(runs[1].stdout)["bounds"]["bracket"]["lo"] == 8
+
+    def runs(fixture):
+        return [
+            subprocess.run(
+                [sys.executable, *flags, "-m", "lscat.cli", "report", fixture,
+                 "--format", "json"],
+                capture_output=True, env=env, timeout=120,
+            )
+            for flags in ([], ["-O"])
+        ]
+
+    plain, optimised = runs("spin9")
+    assert (plain.returncode, optimised.returncode) == (0, 0)
+    assert plain.stdout == optimised.stdout
+    assert json.loads(optimised.stdout)["bounds"]["bracket"]["lo"] == 8
+
+    for data, message in (
+        (unmatched_lattice(), "x2^2 has no surviving E-infinity representative"),
+        (no_suspension(), "cohomology generator w4 has no suspension class"),
+    ):
+        path = tmp_path / f"{data['name']}.json"
+        path.write_text(json.dumps(data))
+        for run in runs(str(path)):
+            assert (run.returncode, run.stdout) == (3, b"")
+            assert run.stderr.decode() == f"lscat: {message}\n"
 
 
 def assert_unreadable(path):

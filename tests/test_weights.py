@@ -10,7 +10,7 @@ import pytest
 
 from lscat import specseq, weights
 from lscat.algebra import AlgebraPresentation, Generator
-from lscat.report import build_report
+from lscat.report import build_ledger, build_report
 from lscat.spaces import ExtraGenerator, SpacePresentation, builtin
 from lscat.specseq import TruncationTower
 from lscat.steenrod import SteenrodAction
@@ -658,15 +658,50 @@ def test_model_algebras_are_freed_by_refcount():
         gc.enable()
 
 
-@pytest.mark.parametrize("cap", [None, 20, 52])
+def cp_infinity_space() -> SpacePresentation:
+    """CP^infinity-like: F2[x2], unbounded, against the E2 of Lambda(u1),
+    which is F2[x1_1], at cap 12."""
+    return SpacePresentation(
+        name="cp-infinity",
+        degree_cap=12,
+        cohomology=AlgebraPresentation((Generator("x2", 2, None),), 12),
+        loop_homology=AlgebraPresentation((Generator("u1", 1, 2),), 12),
+        permanent_cycles=["x1_1"],
+    )
+
+
 @pytest.mark.parametrize(
-    "name", ["spin9", "toy-trunc-poly", "unit", *(f"su{n}" for n in range(3, 9))]
+    "name, cap",
+    [
+        *(
+            (name, cap)
+            for name in (
+                "spin9", "toy-trunc-poly", "unit", *(f"su{n}" for n in range(3, 9))
+            )
+            for cap in (20, 52, None)
+        ),
+        *((f"su{n}", cap) for n in range(9, 15) for cap in (20, None)),
+        ("cp-infinity", None),
+    ],
 )
 def test_wgt_equals_cup_length(name, cap):
-    """wgt is the cup-length on every fixture, at its own cap (None), at
-    cap 20 and at cap 52: a cohomology monomial's weight is its E-infinity
-    filtration, its number of factors, and the largest such is the
-    cup-length."""
-    space = su_space(int(name[2:])) if name.startswith("su") else builtin(name)
+    """wgt, read off E-infinity's bidegrees, is the cup-length on every
+    fixture: at its own cap (None) and at cap 20, and up to SU(8) at cap
+    52 too.  Each fixture's E-infinity is generated by suspension classes
+    in filtration 1, so its top filtration counts the factors of a longest
+    product.  The ledger's wgt and cuplen entries agree, and on the
+    unbounded cohomology of cp-infinity both are lower bounds."""
+    if name.startswith("su"):
+        space = su_space(int(name[2:]))
+    elif name == "cp-infinity":
+        space = cp_infinity_space()
+    else:
+        space = builtin(name)
     model = LoopSpaceModel(space, degree_cap=cap)
     assert model.wgt_space() == model.cup_length()
+    ledger = {e.quantity: e for e in build_ledger(model).entries}
+    assert ledger["wgt"].value == ledger["cuplen"].value == model.cup_length()
+    assert ledger["wgt"].kind == ledger["cuplen"].kind
+    if name == "cp-infinity":
+        assert model.cup_length() == 6
+        assert ledger["wgt"].kind == "lower"
