@@ -19,9 +19,20 @@ for the unit):
      attestations: [{claim, provenance, bound?, rule?}]}
 
 height is a positive integer >= 2 or "unbounded".  Integer fields take
-JSON integers only, not floats or booleans; claim and provenance take
-strings only.  `validate` requires each extra generator's suspension
-x1_t to be an E2 generator.
+JSON integers only, not floats or booleans; names, claim and provenance
+take strings only.  A square is given at most once per generator and k.
+
+The suspension match (`suspension_match`) pairs each E2 generator x1_t,
+of degree t + 1, with the one cohomology or extra generator of that
+degree.  The cohomology generators and then the extra generator are the
+generators of the extended algebra the witness search squares in.  A
+presentation fails the match, and `validate` names the failure, when it
+declares more than one extra generator, gives an extra generator a
+cohomology generator's name, has two generators of one degree that an
+x1_t matches, has an extra generator whose x1_t is not an E2 generator,
+or has a cohomology generator under the cap that no x1_t matches.  An E2
+generator that matches nothing is allowed: the witness search checks
+once that no E-infinity class it reads uses one.
 """
 
 from __future__ import annotations
@@ -50,6 +61,13 @@ def _int(value, field_name: str) -> int:
     """`value` if it is an int and not a bool, else a FixtureError naming it."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise FixtureError(f"{field_name} must be an integer, got {value!r}")
+    return value
+
+
+def _str(value, field_name: str) -> str:
+    """`value` if it is a str, else a FixtureError naming it."""
+    if not isinstance(value, str):
+        raise FixtureError(f"{field_name} must be a string, got {value!r}")
     return value
 
 
@@ -107,8 +125,8 @@ class SpacePresentation:
         self, algebra: Algebra | None = None, problems: list[str] | None = None
     ) -> SteenrodAction:
         """The Steenrod table as rows over `algebra`.  A row that does not
-        parse raises AlgebraError, or, given `problems`, is named there and
-        left out."""
+        parse, or repeats an earlier row's generator and k, raises
+        AlgebraError, or, given `problems`, is named there and left out."""
         algebra = algebra or self.algebra()
         degrees = {g.name: g.degree for g in algebra.generators}
         table = {}
@@ -116,6 +134,8 @@ class SpacePresentation:
             try:
                 if gen not in degrees:
                     raise AlgebraError(f"Sq^{k} given on unknown generator {gen!r}")
+                if (gen, k) in table:
+                    raise AlgebraError(f"Sq^{k} {gen} given twice")
                 table[(gen, k)] = parse_square(algebra, gen, degrees[gen], k, value)
             except AlgebraError as exc:
                 if problems is None:
@@ -179,21 +199,40 @@ class SpacePresentation:
         def height_py(h, name):
             return None if h == "unbounded" else _int(h, f"{name} height")
 
+        def generator_py(g):
+            name = _str(g["name"], "generator name")
+            return Generator(
+                name,
+                _int(g["degree"], f"{name} degree"),
+                height_py(g["height"], name),
+            )
+
         def pres_py(p, cap):
             try:
                 return AlgebraPresentation(
-                    tuple(
-                        Generator(
-                            g["name"],
-                            _int(g["degree"], f"{g['name']} degree"),
-                            height_py(g["height"], g["name"]),
-                        )
-                        for g in p["generators"]
-                    ),
-                    cap,
+                    tuple(generator_py(g) for g in p["generators"]), cap
                 )
             except (KeyError, TypeError) as exc:
                 raise FixtureError(f"malformed presentation: {exc}") from exc
+
+        def square_py(s):
+            gen = _str(s["gen"], "steenrod gen")
+            return gen, _int(s["k"], f"steenrod k of {gen}"), list(s["value"])
+
+        def extra_py(x):
+            name = _str(x["name"], "extra generator name")
+            squares: dict[int, list[str]] = {}
+            for s in x.get("steenrod", []):
+                k = _int(s["k"], f"steenrod k of {name}")
+                if k in squares:
+                    raise FixtureError(f"Sq^{k} {name} given twice")
+                squares[k] = list(s["value"])
+            return ExtraGenerator(
+                name,
+                _int(x["t"], f"{name} t"),
+                _int(x["extension_height"], f"{name} extension_height"),
+                squares,
+            )
 
         def attestation_py(i, a):
             where = f"attestations[{i}]"
@@ -237,34 +276,14 @@ class SpacePresentation:
                     f"permanent_cycles must be a list of names, got {permanent!r}"
                 )
             return cls(
-                name=data["name"],
+                name=_str(data["name"], "name"),
                 degree_cap=cap,
                 cohomology=pres_py(data["cohomology"], cap),
-                steenrod=[
-                    (
-                        s["gen"],
-                        _int(s["k"], f"steenrod k of {s['gen']}"),
-                        list(s["value"]),
-                    )
-                    for s in data.get("steenrod", [])
-                ],
+                steenrod=[square_py(s) for s in data.get("steenrod", [])],
                 loop_homology=pres_py(loop, cap) if loop else None,
                 permanent_cycles=list(permanent),
                 extra_generators=[
-                    ExtraGenerator(
-                        x["name"],
-                        _int(x["t"], f"{x['name']} t"),
-                        _int(
-                            x["extension_height"],
-                            f"{x['name']} extension_height",
-                        ),
-                        {
-                            _int(s["k"], f"steenrod k of {x['name']}"):
-                                list(s["value"])
-                            for s in x.get("steenrod", [])
-                        },
-                    )
-                    for x in data.get("extra_generators", [])
+                    extra_py(x) for x in data.get("extra_generators", [])
                 ],
                 attestations=[
                     attestation_py(i, a)
@@ -393,14 +412,62 @@ class ValidationReport:
         return not self.problems
 
 
+def suspension_match(
+    sp: SpacePresentation, algebra: Algebra, e2: BigradedPage
+) -> tuple[list[int | None], list[int | None], int | None]:
+    """The suspension match of `e2`'s generators with `algebra`'s (that
+    is `sp.algebra()`) and `sp`'s extra generator.
+
+    x1_t, of degree t + 1, matches the one cohomology or extra generator
+    of that degree.  The extended algebra's generators are the cohomology
+    generators and then the extra generator, so one index maps both
+    algebras.  Returns three maps: each E2 generator's extended-algebra
+    index (None: unmatched); each cohomology generator's lattice index
+    (None: none, only above the cap); and the lattice index of the
+    partial-product generator, the extra generator's match (None: no
+    extra generator).  A presentation the match cannot serve raises
+    FixtureError.
+    """
+    coh = algebra.generators
+    extras = sp.extra_generators
+    if len(extras) > 1:
+        raise FixtureError("at most one partial-product generator supported")
+    for x in extras:
+        if any(g.name == x.name for g in coh):
+            raise FixtureError(
+                f"extra generator {x.name} has a cohomology generator's name"
+            )
+    extended = (*coh, *extras)
+    to_extended: list[int | None] = []
+    for g in e2.lattice.generators:
+        hits = [i for i, x in enumerate(extended) if x.degree == g.degree]
+        if len(hits) > 1:
+            names = ", ".join(extended[i].name for i in hits)
+            raise FixtureError(f"ambiguous suspension match for {g.name}: {names}")
+        to_extended.append(hits[0] if hits else None)
+    partial = None
+    for x in extras:
+        if len(coh) not in to_extended:
+            raise FixtureError(f"{x.name}: x1_{x.t} is not an E2 generator")
+        partial = to_extended.index(len(coh))
+    to_lattice = [
+        to_extended.index(i) if i in to_extended else None for i in range(len(coh))
+    ]
+    for g, i in zip(coh, to_lattice):
+        if i is None and g.degree <= algebra.degree_cap:
+            raise FixtureError(f"cohomology generator {g.name} has no suspension class")
+    return to_extended, to_lattice, partial
+
+
 def validate(
     sp: SpacePresentation,
     e2: BigradedPage | None = None,
     algebra: Algebra | None = None,
     action: SteenrodAction | None = None,
 ) -> ValidationReport:
-    """Aggregate preflight: Steenrod axioms, loop freeness, conservation,
-    and attested bounds the ledger can take.
+    """Aggregate preflight: Steenrod axioms, loop freeness, the
+    suspension match, conservation, and attested bounds the ledger can
+    take.
 
     `e2`, when given, is `koszul_e2(sp.loop_homology)` already built,
     `algebra`, when given, is `sp.algebra()` already built, and `action`,
@@ -457,11 +524,10 @@ def validate(
             for p in sp.permanent_cycles:
                 if p not in names:
                     report.problems.append(f"permanent cycle {p!r} not in E2")
-            for x in sp.extra_generators:
-                if f"x1_{x.t}" not in names:
-                    report.problems.append(
-                        f"{x.name}: x1_{x.t} is not an E2 generator"
-                    )
+            try:
+                suspension_match(sp, algebra, e2)
+            except FixtureError as exc:
+                report.problems.append(str(exc))
             e2_dims = e2.dims_by_total_degree()
             coh_dims = algebra.poincare_series()
             for d, want in enumerate(coh_dims):

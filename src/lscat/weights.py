@@ -10,10 +10,13 @@ It maps no cohomology monomial.  It first checks that each generator's
 powers under the cap lead E-infinity classes, which catches a
 presentation whose E-infinity does not hold its generators.
 
-The generator match stays for the witness search, which maps the terms
-of each target u through it to test whether u restricts nontrivially to
-a stage.  A cohomology generator under the cap with no suspension class
-raises as soon as the match is built (`_coh_to_lattice`).
+The generator match is `spaces.suspension_match`: x1_t matches the one
+cohomology or extra generator of degree t + 1.  `validate` runs it on
+the presentation and its E2, so a presentation the match cannot serve
+fails validation, and the model reads it once (`_match`).  The witness
+search maps the terms of each target u through it, to test whether u
+restricts nontrivially to a stage, and maps each candidate class into
+the extended algebra through it.
 
 The module-weight lower bound comes from a Steenrod obstruction in the
 truncated models: a class z of the stage-m model with Sq^k z restricting
@@ -62,10 +65,6 @@ classes at every stage.  Of each state it
 keeps the classes that can ever be non-residual.  A stage without a
 candidate has no witness.
 
-Every E2 generator is matched once, in `_lattice_to_extended`: x1_t
-matches the one cohomology or declared extra generator of degree t + 1,
-and the partial-product generator's lattice index is read off that match.
-
 The search never lists a stage.  A candidate's Sq^k test (its target
 degree, whether the square has a partial-product term, and the terms of
 u) does not depend on the stage, so it is kept per leading monomial.  Of
@@ -73,12 +72,25 @@ stage m the search reads two facts, each from the one tower state it
 concerns: whether a lattice monomial of u leads a class of the state
 (s, t, alive) of its bidegree (classified once per state), and
 whether a residual class lies in the target degree (kept per stage and
-degree, from the states of that degree).  Not listing a stage hides one
-error: a computable class that does not map into the extended algebra,
-which takes an E2 generator matching no cohomology class.  So the model
-checks the generator match once, and only when some generator is
-unmatched does it list each stage's computable classes: the first stage
-holding such a class raises, naming the generator.
+degree, from the states of that degree).
+
+Not listing a stage could hide one error: a non-residual class that does
+not map into the extended algebra, which takes an E2 generator that
+matches nothing.  One check on E-infinity, made before any stage
+(`_survivors_match`), raises exactly when some stage up to the cap holds
+such a class.  A non-residual class's partial-free part (its leading
+monomial without its one partial factor, if it has one) leads an
+E-infinity class, and the partial generator is matched, so the class's
+unmatched generator lies in an E-infinity class under the cap whose
+leading monomial has no partial factor.  Conversely, such an E-infinity
+class at (s, t) is present, with the same leading monomial, at every
+stage from s on, where it is a product class: truncating at column m
+only adds cycles, since it drops the differentials out of columns s <= m
+that land past m, and keeps every boundary landing in a column s <= m,
+since its source lies further left.  The check names the generator the
+first stage holding such a class would: that stage is the least column
+of an offending E-infinity class, its earlier columns hold no offending
+class, and a state's classes are in leading-monomial order.
 
 The search saturates.  Every E2 lattice monomial lies in a column at most
 s_sat, the largest E2 column, so every stage past s_sat has the classes
@@ -102,7 +114,7 @@ from lscat.specseq import (
     infer_differentials,
     koszul_e2,
 )
-from lscat.spaces import SpacePresentation, parse_square
+from lscat.spaces import SpacePresentation, parse_square, suspension_match
 from lscat.steenrod import SteenrodAction
 
 
@@ -311,8 +323,8 @@ class LoopSpaceModel:
 
     @cached_property
     def _extension_height(self) -> int:
-        extra = self._partial_extra
-        return extra.extension_height if extra else 3
+        extras = self.space.extra_generators
+        return extras[0].extension_height if extras else 3
 
     @cached_property
     def _tower(self) -> TruncationTower:
@@ -344,7 +356,7 @@ class LoopSpaceModel:
         can lie in."""
         cap = self.e2.degree_cap
         height = self._extension_height
-        idx = self._partial_idx
+        idx = self._match[2]
         return [
             (s, t)
             for s, t in sorted(self.e2.basis)
@@ -415,7 +427,7 @@ class LoopSpaceModel:
             if s + t <= self.e2.degree_cap:
                 vecs = self._tower.state(len(self._tower.specs), s, t, alive)
             self._state_classes[key] = [
-                class_facts(self.e2, s, t, vec, self.surviving, self._partial_idx)
+                class_facts(self.e2, s, t, vec, self.surviving, self._match[2])
                 for vec in vecs
             ]
         return self._state_classes[key]
@@ -423,77 +435,16 @@ class LoopSpaceModel:
     # -- generator matching -------------------------------------------------
 
     @cached_property
-    def _partial_extra(self):
-        extras = self.space.extra_generators
-        if not extras:
-            return None
-        if len(extras) > 1:
-            raise WeightError("at most one partial-product generator supported")
-        return extras[0]
-
-    @cached_property
-    def _partial_idx(self) -> int | None:
-        """Lattice index of the E2 generator that `_lattice_to_extended`
-        matches to the partial-product generator (None: no such
-        generator)."""
-        extra = self._partial_extra
-        if extra is None:
-            return None
-        extended_idx = len(self.algebra.generators)
-        if extended_idx not in self._lattice_to_extended:
-            raise WeightError(f"{extra.name}: x1_{extra.t} is not an E2 generator")
-        return self._lattice_to_extended.index(extended_idx)
-
-    @cached_property
-    def _lattice_to_extended(self) -> list[int | None]:
-        """Extended-algebra index of each E2 generator's match (None: unmatched).
-
-        A suspension class x1_t, of degree t + 1, matches the one
-        cohomology or declared extra generator of that degree; two such
-        generators are ambiguous.  The cohomology generators are the
-        extended algebra's prefix and the extra generator its last, so
-        this one list maps the lattice into both algebras, and it is the
-        only place a generator is matched.
-        """
-        coh = self.algebra.generators
-        out: list[int | None] = []
-        for g in self.e2.lattice.generators:
-            hits = [c for c in coh if c.degree == g.degree]
-            extras = [x for x in self.space.extra_generators if x.degree == g.degree]
-            if extras:
-                self._partial_extra  # raises past one: the extended algebra has one
-            if len(hits) + len(extras) > 1:
-                names = ", ".join(x.name for x in hits + extras)
-                raise WeightError(f"ambiguous suspension match for {g.name}: {names}")
-            if hits:
-                out.append(coh.index(hits[0]))
-            else:
-                # Unmatched (None) is only an error if something needs it.
-                out.append(len(coh) if extras else None)
-        return out
-
-    @cached_property
-    def _coh_to_lattice(self) -> list[int | None]:
-        """Lattice index of each cohomology generator's suspension class
-        (None: none, only above the cap), the inverse of
-        `_lattice_to_extended` on its prefix.  A generator under the cap
-        without one raises here, before anything maps a monomial."""
-        coh = self.algebra.generators
-        out: list[int | None] = [None] * len(coh)
-        for i, j in enumerate(self._lattice_to_extended):
-            if j is not None and j < len(out):
-                out[j] = i
-        for g, i in zip(coh, out):
-            if i is None and g.degree <= self.algebra.degree_cap:
-                raise WeightError(
-                    f"cohomology generator {g.name} has no suspension class"
-                )
-        return out
+    def _match(self) -> tuple[list[int | None], list[int | None], int | None]:
+        """`spaces.suspension_match` of the space: each E2 generator's
+        extended-algebra index, each cohomology generator's lattice index,
+        and the partial-product generator's lattice index."""
+        return suspension_match(self.space, self.algebra, self.e2)
 
     def _lattice_exps_of_monomial(self, exps: tuple[int, ...]) -> tuple[int, ...]:
         """Cohomology monomial -> its E-infinity representative monomial."""
         out = [0] * len(self.e2.lattice.generators)
-        for i, e in zip(self._coh_to_lattice, exps):
+        for i, e in zip(self._match[1], exps):
             if e:
                 out[i] = e
         return tuple(out)
@@ -553,43 +504,56 @@ class LoopSpaceModel:
 
     @cached_property
     def _extended_algebra(self) -> Algebra:
-        gens = list(self.algebra.generators)
-        extra = self._partial_extra
-        if extra is not None:
-            gens.append(Generator(extra.name, extra.degree, 2))
-        return Algebra(AlgebraPresentation(tuple(gens), self.algebra.degree_cap))
+        gens = self.algebra.generators + tuple(
+            Generator(x.name, x.degree, 2) for x in self.space.extra_generators
+        )
+        return Algebra(AlgebraPresentation(gens, self.algebra.degree_cap))
 
     @cached_property
     def _extended_action(self) -> SteenrodAction:
         ext = self._extended_algebra
         table = self.space.action(ext).table
-        extra = self._partial_extra
-        for k, value in extra.steenrod.items() if extra else ():
-            table[(extra.name, k)] = parse_square(
-                ext, extra.name, extra.degree, k, value
-            )
+        for x in self.space.extra_generators:
+            for k, value in x.steenrod.items():
+                table[(x.name, k)] = parse_square(ext, x.name, x.degree, k, value)
         return SteenrodAction(ext, table)
 
     def _extended_exps_of_lattice(self, exps: tuple[int, ...]) -> tuple[int, ...]:
+        """The lattice monomial of a class the search reads, in the
+        extended algebra: `_survivors_match` has checked that each of its
+        generators matches."""
         out = [0] * len(self._extended_algebra.generators)
-        for g, i, e in zip(
-            self.e2.lattice.generators, self._lattice_to_extended, exps
-        ):
-            if not e:
-                continue
-            if i is None:
-                raise WeightError(f"{g.name} matches no cohomology class")
-            out[i] = e
+        for i, e in zip(self._match[0], exps):
+            if e:
+                out[i] = e
         return tuple(out)
 
     def _extended_exps(self, lattice_exps: tuple[int, ...]) -> tuple[int, ...]:
-        """`_extended_exps_of_lattice`, kept per monomial.  A failure is
-        not kept: every stage that computes with the class raises."""
+        """`_extended_exps_of_lattice`, kept per monomial."""
         ext = self._ext_exps.get(lattice_exps)
         if ext is None:
             ext = self._extended_exps_of_lattice(lattice_exps)
             self._ext_exps[lattice_exps] = ext
         return ext
+
+    @cached_property
+    def _survivors_match(self) -> bool:
+        """True, or a WeightError naming an unmatched E2 generator that
+        leads an E-infinity class under the cap with no partial-generator
+        factor: the stages then hold a non-residual class the search
+        cannot map (the module docstring says why this is the whole
+        check)."""
+        to_extended, _, partial = self._match
+        if None in to_extended:
+            page = self.e_infinity
+            for s, t, vec in page.classes():
+                lead = page.leading(s, t, vec)
+                if partial is not None and lead[partial]:
+                    continue
+                for g, i, e in zip(self.e2.lattice.generators, to_extended, lead):
+                    if e and i is None:
+                        raise WeightError(f"{g.name} matches no cohomology class")
+        return True
 
     def find_obstruction(self, m: int) -> ObstructionWitness | None:
         """First Steenrod witness against a retraction at stage m, or None.
@@ -649,22 +613,13 @@ class LoopSpaceModel:
 
     def _find_obstruction(self, m: int) -> ObstructionWitness | None:
         # Stage m's classes are states of the fold: a model whose
-        # inference fails raises here, before anything else.
+        # inference fails raises here, before anything else, and then one
+        # whose stages hold a class that does not map into the extended
+        # algebra.
         self._tower
+        self._survivors_match
         if m < 0:
             return None  # no column, so no class
-        # Stage m's first class is the unit, which is computable; mapping
-        # it builds the extended algebra and the generator match, either
-        # of which may raise, as may a partial generator off E2.
-        self._extended_exps((0,) * len(self.e2.lattice.generators))
-        self._partial_idx
-        if None in self._lattice_to_extended:
-            # Every computable class must map into the extended algebra,
-            # even one the degree test skips: a class with an unmatched
-            # generator raises, at the first stage that holds one.
-            for cls in self.stage_report(m):
-                if cls.bucket != BUCKET_RESIDUAL:
-                    self._extended_exps(cls.leading)
         # Hard form: the preimage degree vanishes identically.
         candidates = self._candidates(m)
         if not candidates:

@@ -8,6 +8,10 @@ tables.  It checks d_r^2 = 0 by walking every monomial of every class of
 the page it folds (`check_d_squared`), where the tower checks the
 generators alone.  It shares the row-width check (`_check_spec`) and
 `homology_at` with the tower.
+
+It also keeps a per-stage walk for a class the witness search cannot
+map into the extended algebra (`unmatched_walk`), which the tests hold
+`LoopSpaceModel`'s one E-infinity check against.
 """
 
 from __future__ import annotations
@@ -22,7 +26,13 @@ from lscat.specseq import (
     homology_at,
     leibniz,
 )
-from lscat.weights import TruncationClass, class_facts
+from lscat.weights import (
+    BUCKET_RESIDUAL,
+    LoopSpaceModel,
+    TruncationClass,
+    WeightError,
+    class_facts,
+)
 
 
 def restricted_to_columns(page: BigradedPage, m: int) -> BigradedPage:
@@ -120,3 +130,24 @@ def classify_truncation(
         facts = class_facts(page, s, t, vec, surviving_untruncated, p_idx)
         out.append(facts.entry(m, extension_height))
     return out
+
+
+def unmatched_walk(model: LoopSpaceModel, top: int | None = None) -> None:
+    """Map every non-residual class of stages 0..top (default: the cap)
+    into the extended algebra, stage by stage in page order, and raise a
+    WeightError naming the first E2 generator that matches nothing, at the
+    first stage holding such a class."""
+    model._tower
+    to_extended = model._match[0]
+    if None not in to_extended:
+        return
+    top = model.space.degree_cap if top is None else top
+    for m in range(top + 1):
+        for cls in model.stage_report(m):
+            if cls.bucket == BUCKET_RESIDUAL:
+                continue
+            for g, i, e in zip(
+                model.e2.lattice.generators, to_extended, cls.leading
+            ):
+                if e and i is None:
+                    raise WeightError(f"{g.name} matches no cohomology class")

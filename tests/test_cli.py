@@ -152,23 +152,40 @@ def test_report_on_non_free_loop_algebra_exits_3(tmp_path):
     assert any("not free" in p for p in rep["validation"]["problems"])
 
 
-def test_second_partial_generator_exits_3(tmp_path):
-    """An unsupported presentation fails loudly, never as "no witness"."""
+def two_extras():
+    """spin9 with a second extra generator, y15 on x1_14."""
     data = builtin("spin9").to_dict()
-    # x1_14 is an E2 generator, so the fixture passes `validate`.
     data["extra_generators"].append(
         {"name": "y15", "t": 14, "extension_height": 3, "steenrod": []}
     )
+    return data
+
+
+def assert_match_fails(path, name, message):
+    """`validate` names the failed suspension match, and `report` prints
+    the failed validation: exit 3 and empty stderr for both."""
+    assert run_cli("validate", str(path)) == (
+        3, f"{name}: 1 problem(s)\n  - {message}\n", ""
+    )
+    code, out, err = run_cli("report", str(path), "--format", "json")
+    assert (code, err) == (3, "")
+    rep = json.loads(out)
+    jsonschema.validate(rep, report_schema())
+    assert rep["validation"] == {"ok": False, "problems": [message]}
+
+
+def test_second_partial_generator_exits_3(tmp_path):
+    """An unsupported presentation fails loudly, never as "no witness"."""
     path = tmp_path / "two_extras.json"
-    path.write_text(json.dumps(data))
-    code, _, err = run_cli("report", str(path), "--format", "json")
-    assert code == 3
-    assert "at most one partial-product generator supported" in err
+    path.write_text(json.dumps(two_extras()))
+    assert_match_fails(
+        path, "spin9", "at most one partial-product generator supported"
+    )
 
 
 def unmatched_space(name, cap, cohomology, loop, permanent):
-    """A fixture dict that passes `validate` and whose E2 matches its
-    cohomology with no differential."""
+    """A fixture dict whose E2 matches its cohomology's dimensions with no
+    differential."""
     def gens(spec):
         return [{"name": n, "degree": d, "height": h} for n, d, h in spec]
 
@@ -194,40 +211,44 @@ def no_suspension():
     )
 
 
-def spin9_extra_at(t):
-    """spin9 with its extra generator x11 at t, and no squares on it."""
+def spin9_extra_at(t, name="x11"):
+    """spin9 with its extra generator x11 at t and named `name`, and no
+    squares on it."""
     data = builtin("spin9").to_dict()
-    data["extra_generators"][0].update(t=t, steenrod=[])
+    data["extra_generators"][0].update(name=name, t=t, steenrod=[])
     return data
+
+
+def ambiguous():
+    """x1_2 has degree 3, as do a3 and b3; they lie above the cap, so E2
+    still matches the cohomology."""
+    return unmatched_space(
+        "ambiguous", 2, [("a3", 3, 2), ("b3", 3, 2)],
+        [("u2", 2, "unbounded")], ["x1_2"],
+    )
 
 
 @pytest.mark.parametrize(
     "data, message",
     [
-        # x1_2 has degree 3, as do a3 and b3; they lie above the cap, so
-        # E2 still matches the cohomology.
-        (
-            unmatched_space(
-                "ambiguous", 2, [("a3", 3, 2), ("b3", 3, 2)],
-                [("u2", 2, "unbounded")], ["x1_2"],
-            ),
-            "ambiguous suspension match for x1_2: a3, b3",
-        ),
+        (ambiguous(), "ambiguous suspension match for x1_2: a3, b3"),
         (no_suspension(), "cohomology generator w4 has no suspension class"),
         # x1_6 has degree 7, as do x7 and the extra generator x11 at t = 6.
         (spin9_extra_at(6), "ambiguous suspension match for x1_6: x7, x11"),
+        (
+            spin9_extra_at(10, name="x3"),
+            "extra generator x3 has a cohomology generator's name",
+        ),
     ],
     # An id names the failure, not the generators it lists.
     ids=lambda value: value.split(":")[0] if isinstance(value, str) else None,
 )
 def test_unmatched_suspension_exits_3(tmp_path, data, message):
-    """A generator the suspension map cannot match fails the report, and
+    """A generator the suspension map cannot match fails validation, and
     the message names the generators."""
     path = tmp_path / "unmatched.json"
     path.write_text(json.dumps(data))
-    assert run_cli("validate", str(path))[0] == 0
-    code, out, err = run_cli("report", str(path), "--format", "json")
-    assert (code, out, err) == (3, "", f"lscat: {message}\n")
+    assert_match_fails(path, data["name"], message)
 
 
 def unmatched_lattice():
@@ -240,14 +261,14 @@ def unmatched_lattice():
 
 
 def test_unmatched_lattice_generator_raises_where_it_is_used(tmp_path):
-    """An unmatched E2 generator raises at the first stage with a
-    computable class containing it, never reads as "no witness"; stage 0
-    holds only the unit, so it has no witness and raises nothing."""
+    """An unmatched E2 generator that leads an E-infinity class under the
+    cap raises before the search reads any stage, stage 0 included, and
+    never reads as "no witness".  The match allows an unmatched E2
+    generator, so `validate` passes."""
     space = SpacePresentation.from_dict(unmatched_lattice())
     assert validate(space).ok
     model = LoopSpaceModel(space)
-    assert model.find_obstruction(0) is None
-    for m in range(1, 8):
+    for m in range(8):
         with pytest.raises(WeightError) as info:
             model.find_obstruction(m)
         assert str(info.value) == "x1_3 matches no cohomology class"
@@ -299,6 +320,24 @@ def test_unmatched_lattice_generator_raises_where_it_is_used(tmp_path):
             ["permanent_cycles"], ["x1_2", 4],
             "permanent_cycles must be a list of names, got ['x1_2', 4]",
             id="permanent-int-entry",
+        ),
+        pytest.param(
+            ["steenrod", 0, "gen"], ["x3"],
+            "steenrod gen must be a string, got ['x3']",
+            id="steenrod-gen-list",
+        ),
+        pytest.param(
+            ["extra_generators", 0, "name"], 7,
+            "extra generator name must be a string, got 7",
+            id="extra-name-int",
+        ),
+        pytest.param(
+            ["name"], 5, "name must be a string, got 5", id="space-name-int",
+        ),
+        pytest.param(
+            ["loop_homology", "generators", 0, "name"], None,
+            "generator name must be a string, got None",
+            id="generator-name-null",
         ),
     ],
 )
@@ -456,10 +495,10 @@ def test_extra_generator_off_e2_exits_3(tmp_path, command):
     data["extra_generators"][0].update(t=12, steenrod=[])
     fixture = tmp_path / "extra_off_e2.json"
     fixture.write_text(json.dumps(data))
-    code, out, _ = run_cli(command, str(fixture), *(
+    code, out, err = run_cli(command, str(fixture), *(
         ["--format", "json"] if command == "report" else []
     ))
-    assert code == 3
+    assert (code, err) == (3, "")
     assert "x11: x1_12 is not an E2 generator" in out
     assert "bounds" not in out
 
@@ -482,6 +521,31 @@ def test_extra_square_out_of_range_exits_3(tmp_path, k, value, problem):
     code, out, _ = run_cli("validate", str(fixture))
     assert code == 3
     assert problem in out
+
+
+def test_repeated_steenrod_row_exits_3(tmp_path):
+    """A square given twice is a fixture problem, never a row that
+    silently replaces the first: a repeated (gen, k) row is a `validate`
+    problem, and a repeated k of the extra generator fails to load, since
+    its squares are keyed by k."""
+    data = builtin("spin9").to_dict()
+    data["steenrod"].append({"gen": "x5", "k": 1, "value": []})
+    fixture = tmp_path / "repeated.json"
+    fixture.write_text(json.dumps(data))
+    assert run_cli("validate", str(fixture)) == (
+        3, "spin9: 1 problem(s)\n  - Sq^1 x5 given twice\n", ""
+    )
+    code, out, err = run_cli("report", str(fixture), "--format", "json")
+    assert (code, err) == (3, "")
+    assert json.loads(out)["validation"]["problems"] == ["Sq^1 x5 given twice"]
+
+    data = builtin("spin9").to_dict()
+    data["extra_generators"][0]["steenrod"].append({"k": 4, "value": []})
+    fixture.write_text(json.dumps(data))
+    for command in ("validate", "report"):
+        assert run_cli(command, str(fixture)) == (
+            3, "", "lscat: Sq^4 x11 given twice\n"
+        )
 
 
 json_values = st.recursive(
@@ -516,30 +580,42 @@ def test_optimised_interpreter_gives_same_report(tmp_path):
         p for p in (src, env.get("PYTHONPATH")) if p
     )
 
-    def runs(fixture):
+    def runs(*argv):
         return [
             subprocess.run(
-                [sys.executable, *flags, "-m", "lscat.cli", "report", fixture,
-                 "--format", "json"],
+                [sys.executable, *flags, "-m", "lscat.cli", *argv],
                 capture_output=True, env=env, timeout=120,
             )
             for flags in ([], ["-O"])
         ]
 
-    plain, optimised = runs("spin9")
+    plain, optimised = runs("report", "spin9", "--format", "json")
     assert (plain.returncode, optimised.returncode) == (0, 0)
     assert plain.stdout == optimised.stdout
     assert json.loads(optimised.stdout)["bounds"]["bracket"]["lo"] == 8
 
+    path = tmp_path / "unmatched-lattice.json"
+    path.write_text(json.dumps(unmatched_lattice()))
+    for run in runs("report", str(path), "--format", "json"):
+        assert (run.returncode, run.stdout) == (3, b"")
+        assert run.stderr.decode() == (
+            "lscat: x2^2 has no surviving E-infinity representative\n"
+        )
+
+    # A failed match is a validation problem, printed by both commands.
     for data, message in (
-        (unmatched_lattice(), "x2^2 has no surviving E-infinity representative"),
         (no_suspension(), "cohomology generator w4 has no suspension class"),
+        (ambiguous(), "ambiguous suspension match for x1_2: a3, b3"),
     ):
         path = tmp_path / f"{data['name']}.json"
         path.write_text(json.dumps(data))
-        for run in runs(str(path)):
-            assert (run.returncode, run.stdout) == (3, b"")
-            assert run.stderr.decode() == f"lscat: {message}\n"
+        for argv in (["validate"], ["report", "--format", "json"]):
+            plain, optimised = runs(argv[0], str(path), *argv[1:])
+            assert (plain.returncode, plain.stderr) == (3, b"")
+            assert (optimised.returncode, optimised.stdout, optimised.stderr) == (
+                plain.returncode, plain.stdout, plain.stderr
+            )
+            assert message in plain.stdout.decode()
 
 
 def assert_unreadable(path):
@@ -871,6 +947,17 @@ def test_search_budget_exits_3(monkeypatch):
     assert "budget" in err
 
 
+def budget_space():
+    """Lambda(x3) under loop homology exterior on u2..u8 and polynomial on
+    u20, u22, u24, cap 40."""
+    return unmatched_space(
+        "budget", 40, [("x3", 3, 2)],
+        [(f"u{d}", d, 2) for d in (2, 4, 6, 8)]
+        + [(f"u{d}", d, "unbounded") for d in (20, 22, 24)],
+        [f"x1_{d}" for d in (2, 4, 6, 8)],
+    )
+
+
 def test_search_past_the_budget_builds_no_tower(tmp_path, monkeypatch):
     """The budget bounds the whole search, not each unknown's candidates
     alone: Lambda(x3) under loop homology exterior on u2..u8 and
@@ -885,14 +972,8 @@ def test_search_past_the_budget_builds_no_tower(tmp_path, monkeypatch):
             super().__init__(e2, specs)
 
     monkeypatch.setattr(specseq, "TruncationTower", CountingTower)
-    data = unmatched_space(
-        "budget", 40, [("x3", 3, 2)],
-        [(f"u{d}", d, 2) for d in (2, 4, 6, 8)]
-        + [(f"u{d}", d, "unbounded") for d in (20, 22, 24)],
-        [f"x1_{d}" for d in (2, 4, 6, 8)],
-    )
     path = tmp_path / "budget.json"
-    path.write_text(json.dumps(data))
+    path.write_text(json.dumps(budget_space()))
     assert run_cli("validate", str(path)) == (0, "budget: ok\n", "")
     code, out, err = run_cli("report", str(path), "--format", "json")
     assert (code, out) == (3, "")

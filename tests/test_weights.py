@@ -11,7 +11,12 @@ import pytest
 from lscat import specseq, weights
 from lscat.algebra import AlgebraPresentation, Generator
 from lscat.report import build_ledger, build_report
-from lscat.spaces import ExtraGenerator, SpacePresentation, builtin
+from lscat.spaces import (
+    ExtraGenerator,
+    FixtureError,
+    SpacePresentation,
+    builtin,
+)
 from lscat.specseq import TruncationTower
 from lscat.steenrod import SteenrodAction
 from lscat.weights import (
@@ -57,7 +62,7 @@ def reference_stage(model: LoopSpaceModel, m: int):
     Truncates and classifies from scratch, squares every computable class
     and scans k ascending, then the classes in report order.
     """
-    extra = model._partial_extra
+    extra = next(iter(model.space.extra_generators), None)
     page = truncate(model.e2, m, model._tower.specs)
     report = classify_truncation(
         page,
@@ -332,7 +337,7 @@ def reference_candidates(model: LoopSpaceModel, m: int):
     a from-scratch truncation classified bidegree by bidegree."""
     if m < 0:
         return []
-    extra = model._partial_extra
+    extra = next(iter(model.space.extra_generators), None)
     page = truncate(model.e2, m, model._tower.specs)
     report = classify_truncation(
         page,
@@ -529,14 +534,17 @@ def test_su_search_squares_nothing(monkeypatch):
 
 
 def test_failed_stage_is_not_reported_as_no_witness():
-    """A stage that cannot be classified raises instead of returning None."""
+    """A stage that cannot be classified raises instead of returning None:
+    the suspension match fails for the weight and for every stage."""
     space = su_space(4)
     space.extra_generators = [
         ExtraGenerator("y9", 8, 3), ExtraGenerator("y13", 12, 3)
     ]
     model = LoopSpaceModel(space)
-    assert model.wgt_space() == 3  # all suspension classes still match
-    with pytest.raises(WeightError, match="at most one partial-product"):
+    message = "^at most one partial-product generator supported$"
+    with pytest.raises(FixtureError, match=message):
+        model.wgt_space()
+    with pytest.raises(FixtureError, match=message):
         model.find_obstruction(2)
 
 
@@ -546,9 +554,10 @@ def test_extra_generator_off_e2_raises():
     space = builtin("spin9")
     space.extra_generators[0].t = 12
     model = LoopSpaceModel(space)
-    with pytest.raises(WeightError, match="x11: x1_12 is not an E2 generator"):
+    message = "^x11: x1_12 is not an E2 generator$"
+    with pytest.raises(FixtureError, match=message):
         model.mwgt_lower_bound()
-    with pytest.raises(WeightError, match="x1_12"):
+    with pytest.raises(FixtureError, match=message):
         model.stage_report(7)
 
 
