@@ -10,7 +10,6 @@ from __future__ import annotations
 import time
 
 from lscat import bounds as bounds_mod
-from lscat.algebra import AlgebraError
 from lscat.bounds import BoundsLedger, InconsistentLedger, LedgerError
 from lscat.spaces import SpacePresentation, validate
 from lscat.specseq import (
@@ -110,15 +109,7 @@ def build_report(
         "degree_cap": space.degree_cap,
     }
 
-    try:
-        e2 = model.e2 if space.loop_homology is not None else None
-    except (SpectralSequenceError, AlgebraError):
-        e2 = None  # validate builds it again and records why it failed
-    try:
-        action = model.action
-    except AlgebraError:
-        action = None  # validate parses again and names every bad row
-    vreport = validate(space, e2, model.algebra, action)
+    vreport = validate(space)
     if not vreport.ok:
         report["validation"] = {"ok": False, "problems": vreport.problems}
         return report, 3

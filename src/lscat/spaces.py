@@ -20,7 +20,18 @@ for the unit):
 
 height is a positive integer >= 2 or "unbounded".  Integer fields take
 JSON integers only, not floats or booleans; names, claim and provenance
-take strings only.  A square is given at most once per generator and k.
+take strings only, and a Steenrod value a list of monomial strings.  A
+square is given at most once per generator and k.
+
+A presentation builds what is derived from it, each on first read, and
+keeps it: its cohomology `algebra`, its Steenrod table over that algebra
+(`action`), its E2 page (`e2`, `koszul_e2` of the loop homology), its
+suspension match (`match`), and the extended algebra with its table, the
+extra generators' rows included (`extended_algebra`, `extended_action`).
+Each Steenrod row is parsed once per algebra.  `validate` and
+`weights.LoopSpaceModel` read these same objects, so validation accepts
+exactly the tables the engine squares in.  `dataclasses.replace` (a
+degree-cap override) makes a new presentation, which builds its own.
 
 The suspension match (`suspension_match`) pairs each E2 generator x1_t,
 of degree t + 1, with the one cohomology or extra generator of that
@@ -38,7 +49,8 @@ once that no E-infinity class it reads uses one.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from lscat.algebra import (
     Algebra,
@@ -71,15 +83,40 @@ def _str(value, field_name: str) -> str:
     return value
 
 
-def parse_square(
-    algebra: Algebra, gen: str, degree: int, k: int, value: list[str]
-) -> int:
-    """Sq^k of the generator `gen` of `degree`, a row over the basis of
-    degree + k; an AlgebraError names the row."""
-    try:
-        return algebra.parse_row(value, degree + k)
-    except AlgebraError as exc:
-        raise AlgebraError(f"Sq^{k} {gen}: {exc}") from None
+def _strs(value, field_name: str, items: str) -> list[str]:
+    """`value` if it is a list of str, else a FixtureError naming it."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise FixtureError(f"{field_name} must be a list of {items}, got {value!r}")
+    return value
+
+
+def parse_squares(
+    algebra: Algebra, rows: list[tuple[str, int, list[str]]], table: dict
+) -> list[str]:
+    """Add each row (gen, k, value) to `table` as Sq^k of the generator
+    `gen` of `algebra`, a row over the basis of degree |gen| + k.  A row
+    that does not parse, or repeats an earlier row's generator and k, is
+    left out and named in the returned problems."""
+    degrees = {g.name: g.degree for g in algebra.generators}
+    problems = []
+    for gen, k, value in rows:
+        if gen not in degrees:
+            problems.append(f"Sq^{k} given on unknown generator {gen!r}")
+        elif (gen, k) in table:
+            problems.append(f"Sq^{k} {gen} given twice")
+        else:
+            try:
+                table[(gen, k)] = algebra.parse_row(value, degrees[gen] + k)
+            except AlgebraError as exc:
+                problems.append(f"Sq^{k} {gen}: {exc}")
+    return problems
+
+
+def _action(algebra: Algebra, table: dict, problems: list[str]) -> SteenrodAction:
+    """The table as a `SteenrodAction`, or its first problem raised."""
+    if problems:
+        raise AlgebraError(problems[0])
+    return SteenrodAction(algebra, table)
 
 
 @dataclass
@@ -107,6 +144,11 @@ class Attestation:
 
 @dataclass
 class SpacePresentation:
+    """One space's presentation, and the owner of the objects derived
+    from it (see the module docstring): each is built on first read and
+    kept.  A copy made by `dataclasses.replace` builds its own.  Change
+    no field after a derived object has been read."""
+
     name: str
     degree_cap: int
     cohomology: AlgebraPresentation
@@ -118,30 +160,68 @@ class SpacePresentation:
 
     # -- derived objects ---------------------------------------------------
 
+    @cached_property
     def algebra(self) -> Algebra:
+        """The cohomology algebra."""
         return Algebra(self.cohomology)
 
-    def action(
-        self, algebra: Algebra | None = None, problems: list[str] | None = None
-    ) -> SteenrodAction:
-        """The Steenrod table as rows over `algebra`.  A row that does not
-        parse, or repeats an earlier row's generator and k, raises
-        AlgebraError, or, given `problems`, is named there and left out."""
-        algebra = algebra or self.algebra()
-        degrees = {g.name: g.degree for g in algebra.generators}
-        table = {}
-        for gen, k, value in self.steenrod:
-            try:
-                if gen not in degrees:
-                    raise AlgebraError(f"Sq^{k} given on unknown generator {gen!r}")
-                if (gen, k) in table:
-                    raise AlgebraError(f"Sq^{k} {gen} given twice")
-                table[(gen, k)] = parse_square(algebra, gen, degrees[gen], k, value)
-            except AlgebraError as exc:
-                if problems is None:
-                    raise
-                problems.append(str(exc))
-        return SteenrodAction(algebra, table)
+    @cached_property
+    def _squares(self) -> tuple[dict, list[str]]:
+        """The Steenrod table over `algebra`, and its problems."""
+        table: dict = {}
+        return table, parse_squares(self.algebra, self.steenrod, table)
+
+    @cached_property
+    def action(self) -> SteenrodAction:
+        """The Steenrod table over `algebra`; a table with a bad row
+        raises its first problem as an AlgebraError."""
+        return _action(self.algebra, *self._squares)
+
+    @cached_property
+    def e2(self) -> BigradedPage:
+        """`koszul_e2` of the loop homology."""
+        if self.loop_homology is None:
+            raise FixtureError(f"{self.name}: no loop homology given")
+        return koszul_e2(self.loop_homology)
+
+    @cached_property
+    def match(self) -> tuple[list[int | None], list[int | None], int | None]:
+        """`suspension_match` of the presentation."""
+        return suspension_match(self)
+
+    @cached_property
+    def extended_algebra(self) -> Algebra:
+        """The cohomology algebra with the extra generators, exterior,
+        after its generators; `algebra` itself when there are none."""
+        if not self.extra_generators:
+            return self.algebra
+        extras = tuple(Generator(x.name, x.degree, 2) for x in self.extra_generators)
+        coh = self.cohomology
+        return Algebra(replace(coh, generators=coh.generators + extras))
+
+    @cached_property
+    def _extended_squares(self) -> tuple[dict, list[str], list[str]]:
+        """The Steenrod table over `extended_algebra`, the cohomology and
+        the extra generators' rows both, and the problems of each."""
+        ext = self.extended_algebra
+        if ext is self.algebra:
+            return (*self._squares, [])
+        table: dict = {}
+        extras = [
+            (x.name, k, value)
+            for x in self.extra_generators
+            for k, value in sorted(x.steenrod.items())
+        ]
+        problems = parse_squares(ext, self.steenrod, table)
+        return table, problems, parse_squares(ext, extras, table)
+
+    @cached_property
+    def extended_action(self) -> SteenrodAction:
+        """The Steenrod table over `extended_algebra`, which the witness
+        search squares in; a table with a bad row raises its first problem
+        as an AlgebraError."""
+        table, problems, extra_problems = self._extended_squares
+        return _action(self.extended_algebra, table, problems + extra_problems)
 
     # -- serialization -----------------------------------------------------
 
@@ -217,7 +297,9 @@ class SpacePresentation:
 
         def square_py(s):
             gen = _str(s["gen"], "steenrod gen")
-            return gen, _int(s["k"], f"steenrod k of {gen}"), list(s["value"])
+            k = _int(s["k"], f"steenrod k of {gen}")
+            value = _strs(s["value"], f"steenrod value of Sq^{k} {gen}", "monomials")
+            return gen, k, list(value)
 
         def extra_py(x):
             name = _str(x["name"], "extra generator name")
@@ -226,7 +308,9 @@ class SpacePresentation:
                 k = _int(s["k"], f"steenrod k of {name}")
                 if k in squares:
                     raise FixtureError(f"Sq^{k} {name} given twice")
-                squares[k] = list(s["value"])
+                squares[k] = list(
+                    _strs(s["value"], f"steenrod value of Sq^{k} {name}", "monomials")
+                )
             return ExtraGenerator(
                 name,
                 _int(x["t"], f"{name} t"),
@@ -237,10 +321,7 @@ class SpacePresentation:
         def attestation_py(i, a):
             where = f"attestations[{i}]"
             for text in ("claim", "provenance"):
-                if not isinstance(a[text], str):
-                    raise FixtureError(
-                        f"{where}.{text} must be a string, got {a[text]!r}"
-                    )
+                _str(a[text], f"{where}.{text}")
             bound, rule = a.get("bound"), a.get("rule")
             if bound is not None:
                 if not isinstance(bound, dict) or not (
@@ -268,13 +349,9 @@ class SpacePresentation:
         try:
             cap = _int(data["degree_cap"], "degree_cap")
             loop = data.get("loop_homology")
-            permanent = data.get("permanent_cycles", [])
-            if not isinstance(permanent, list) or not all(
-                isinstance(p, str) for p in permanent
-            ):
-                raise FixtureError(
-                    f"permanent_cycles must be a list of names, got {permanent!r}"
-                )
+            permanent = _strs(
+                data.get("permanent_cycles", []), "permanent_cycles", "names"
+            )
             return cls(
                 name=_str(data["name"], "name"),
                 degree_cap=cap,
@@ -413,10 +490,10 @@ class ValidationReport:
 
 
 def suspension_match(
-    sp: SpacePresentation, algebra: Algebra, e2: BigradedPage
+    sp: SpacePresentation,
 ) -> tuple[list[int | None], list[int | None], int | None]:
-    """The suspension match of `e2`'s generators with `algebra`'s (that
-    is `sp.algebra()`) and `sp`'s extra generator.
+    """The suspension match of `sp.e2`'s generators with `sp.algebra`'s
+    and `sp`'s extra generator.
 
     x1_t, of degree t + 1, matches the one cohomology or extra generator
     of that degree.  The extended algebra's generators are the cohomology
@@ -428,7 +505,7 @@ def suspension_match(
     extra generator).  A presentation the match cannot serve raises
     FixtureError.
     """
-    coh = algebra.generators
+    coh = sp.algebra.generators
     extras = sp.extra_generators
     if len(extras) > 1:
         raise FixtureError("at most one partial-product generator supported")
@@ -439,7 +516,7 @@ def suspension_match(
             )
     extended = (*coh, *extras)
     to_extended: list[int | None] = []
-    for g in e2.lattice.generators:
+    for g in sp.e2.lattice.generators:
         hits = [i for i, x in enumerate(extended) if x.degree == g.degree]
         if len(hits) > 1:
             names = ", ".join(extended[i].name for i in hits)
@@ -454,50 +531,39 @@ def suspension_match(
         to_extended.index(i) if i in to_extended else None for i in range(len(coh))
     ]
     for g, i in zip(coh, to_lattice):
-        if i is None and g.degree <= algebra.degree_cap:
+        if i is None and g.degree <= sp.algebra.degree_cap:
             raise FixtureError(f"cohomology generator {g.name} has no suspension class")
     return to_extended, to_lattice, partial
 
 
-def validate(
-    sp: SpacePresentation,
-    e2: BigradedPage | None = None,
-    algebra: Algebra | None = None,
-    action: SteenrodAction | None = None,
-) -> ValidationReport:
-    """Aggregate preflight: Steenrod axioms, loop freeness, the
-    suspension match, conservation, and attested bounds the ledger can
-    take.
-
-    `e2`, when given, is `koszul_e2(sp.loop_homology)` already built,
-    `algebra`, when given, is `sp.algebra()` already built, and `action`,
-    when given, is `sp.action(algebra)` already built.
-    """
+def validate(sp: SpacePresentation) -> ValidationReport:
+    """Aggregate preflight of the objects `sp` builds: the Steenrod rows
+    over the cohomology and the extended algebra and their axioms, loop
+    freeness, the suspension match, conservation, and attested bounds the
+    ledger can take."""
     report = ValidationReport(sp.name)
-    if algebra is None:
-        try:
-            algebra = sp.algebra()
-        except AlgebraError as exc:
-            report.problems.append(f"cohomology presentation: {exc}")
-            return report
-
-    if action is None:
-        action = sp.action(algebra, report.problems)
-    report.problems.extend(action.verify_instability())
+    table, row_problems = sp._squares
+    report.problems += row_problems
+    # A table with a bad row is checked as far as it parsed.
+    action = SteenrodAction(sp.algebra, table) if row_problems else sp.action
+    report.problems += action.verify_instability()
 
     for x in sp.extra_generators:
         if x.extension_height < 1:
             report.problems.append(f"{x.name}: extension height must be >= 1")
-        for k, value in sorted(x.steenrod.items()):
+        for k in sorted(x.steenrod):
             # The search reads only Sq^k x for 1 <= k < |x|.
             if k < 1:
                 report.problems.append(f"Sq^{k} {x.name}: k must be >= 1")
             elif k >= x.degree:
                 report.problems.append(f"Sq^{k} {x.name}: k >= degree {x.degree}")
-            try:
-                parse_square(algebra, x.name, x.degree, k, value)
-            except AlgebraError as exc:
-                report.problems.append(str(exc))
+    try:
+        report.problems += sp._extended_squares[2]
+    except AlgebraError:
+        # An extra generator that reuses a name or has degree < 1 leaves
+        # no extended algebra: the suspension match names it, and without
+        # loop homology nothing reads the extra generators.
+        pass
 
     for i, att in enumerate(sp.attestations):
         where = f"attestations[{i}]"
@@ -514,27 +580,24 @@ def validate(
 
     if sp.loop_homology is not None:
         try:
-            if e2 is None:
-                e2 = koszul_e2(sp.loop_homology)
+            e2 = sp.e2
         except (SpectralSequenceError, AlgebraError) as exc:
             report.problems.append(f"loop homology: {exc}")
-            e2 = None
-        if e2 is not None:
-            names = {g.name for g in e2.lattice.generators}
-            for p in sp.permanent_cycles:
-                if p not in names:
-                    report.problems.append(f"permanent cycle {p!r} not in E2")
-            try:
-                suspension_match(sp, algebra, e2)
-            except FixtureError as exc:
-                report.problems.append(str(exc))
-            e2_dims = e2.dims_by_total_degree()
-            coh_dims = algebra.poincare_series()
-            for d, want in enumerate(coh_dims):
-                have = e2_dims[d] if d < len(e2_dims) else 0
-                if have < want:
-                    report.problems.append(
-                        f"conservation preflight: E2 has dim {have} in total "
-                        f"degree {d}, cohomology needs {want}"
-                    )
+            return report
+        names = {g.name for g in e2.lattice.generators}
+        for p in sp.permanent_cycles:
+            if p not in names:
+                report.problems.append(f"permanent cycle {p!r} not in E2")
+        try:
+            sp.match
+        except FixtureError as exc:
+            report.problems.append(str(exc))
+        e2_dims = e2.dims_by_total_degree()
+        for d, want in enumerate(sp.algebra.poincare_series()):
+            have = e2_dims[d] if d < len(e2_dims) else 0
+            if have < want:
+                report.problems.append(
+                    f"conservation preflight: E2 has dim {have} in total "
+                    f"degree {d}, cohomology needs {want}"
+                )
     return report

@@ -98,9 +98,6 @@ class DifferentialSpec:
             self, "assignments", {k: v for k, v in self.assignments.items() if v}
         )
 
-    def __hash__(self):
-        return hash((self.r, tuple(sorted(self.assignments.items()))))
-
     def is_trivial(self) -> bool:
         return not self.assignments
 

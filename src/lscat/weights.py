@@ -10,11 +10,13 @@ It maps no cohomology monomial.  It first checks that each generator's
 powers under the cap lead E-infinity classes, which catches a
 presentation whose E-infinity does not hold its generators.
 
-The generator match is `spaces.suspension_match`: x1_t matches the one
-cohomology or extra generator of degree t + 1.  `validate` runs it on
-the presentation and its E2, so a presentation the match cannot serve
-fails validation, and the model reads it once (`_match`).  The witness
-search maps the terms of each target u through it, to test whether u
+The generator match is the presentation's (`SpacePresentation.match`,
+built by `spaces.suspension_match`): x1_t matches the one cohomology or
+extra generator of degree t + 1.  `validate` reads the same match, so a
+presentation the match cannot serve fails validation.  The model builds
+none of what the presentation owns: it reads the presentation's algebra,
+E2 page, Steenrod tables and extended algebra.  The witness search maps
+the terms of each target u through the match, to test whether u
 restricts nontrivially to a stage, and maps each candidate class into
 the extended algebra through it.
 
@@ -106,16 +108,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from lscat.algebra import Algebra, AlgebraPresentation, Generator
+from lscat.algebra import Algebra
 from lscat.specseq import (
     BigradedPage,
     DifferentialSpec,
     TruncationTower,
     infer_differentials,
-    koszul_e2,
 )
-from lscat.spaces import SpacePresentation, parse_square, suspension_match
-from lscat.steenrod import SteenrodAction
+from lscat.spaces import SpacePresentation
 
 
 class WeightError(ValueError):
@@ -238,8 +238,10 @@ def class_facts(page, s, t, vec, surviving_untruncated, partial_idx) -> ClassFac
 class LoopSpaceModel:
     """All spectral-sequence-derived data for one space presentation.
 
-    Lazily computes the E2 page, the forced differentials, E-infinity,
-    stage truncations, the space weight, and obstruction witnesses.
+    Lazily computes the forced differentials, E-infinity, stage
+    truncations, the space weight, and obstruction witnesses, over the
+    algebras, E2 page, Steenrod tables and suspension match its
+    presentation builds.
     """
 
     def __init__(
@@ -259,7 +261,7 @@ class LoopSpaceModel:
                 ),
             )
         self.space = space
-        self.algebra: Algebra = space.algebra()
+        self.algebra: Algebra = space.algebra
         # Per tower state (s, t, alive): its classes, and those that can
         # ever be non-residual.
         self._state_classes: dict[tuple[int, int, int], list[ClassFacts]] = {}
@@ -273,17 +275,11 @@ class LoopSpaceModel:
         self._witnesses: dict[int, ObstructionWitness | None] = {}
         self._ext_exps: dict[tuple[int, ...], tuple[int, ...]] = {}
 
-    @cached_property
-    def action(self) -> SteenrodAction:
-        return self.space.action(self.algebra)
-
     # -- spectral sequence --------------------------------------------------
 
     @cached_property
     def e2(self) -> BigradedPage:
-        if self.space.loop_homology is None:
-            raise WeightError(f"{self.space.name}: no loop homology given")
-        return koszul_e2(self.space.loop_homology)
+        return self.space.e2
 
     @cached_property
     def _inference(self) -> tuple[DifferentialSpec, TruncationTower]:
@@ -356,7 +352,7 @@ class LoopSpaceModel:
         can lie in."""
         cap = self.e2.degree_cap
         height = self._extension_height
-        idx = self._match[2]
+        idx = self.space.match[2]
         return [
             (s, t)
             for s, t in sorted(self.e2.basis)
@@ -426,25 +422,19 @@ class LoopSpaceModel:
             vecs = ()
             if s + t <= self.e2.degree_cap:
                 vecs = self._tower.state(len(self._tower.specs), s, t, alive)
+            partial = self.space.match[2]
             self._state_classes[key] = [
-                class_facts(self.e2, s, t, vec, self.surviving, self._match[2])
+                class_facts(self.e2, s, t, vec, self.surviving, partial)
                 for vec in vecs
             ]
         return self._state_classes[key]
 
     # -- generator matching -------------------------------------------------
 
-    @cached_property
-    def _match(self) -> tuple[list[int | None], list[int | None], int | None]:
-        """`spaces.suspension_match` of the space: each E2 generator's
-        extended-algebra index, each cohomology generator's lattice index,
-        and the partial-product generator's lattice index."""
-        return suspension_match(self.space, self.algebra, self.e2)
-
     def _lattice_exps_of_monomial(self, exps: tuple[int, ...]) -> tuple[int, ...]:
         """Cohomology monomial -> its E-infinity representative monomial."""
         out = [0] * len(self.e2.lattice.generators)
-        for i, e in zip(self._match[1], exps):
+        for i, e in zip(self.space.match[1], exps):
             if e:
                 out[i] = e
         return tuple(out)
@@ -477,6 +467,11 @@ class LoopSpaceModel:
         the cap (0 if none).  A class of bar filtration s vanishes on the
         (s-1)-st projective stage, so its category weight is at least s
         (Rudyak; Strom)."""
+        return self._wgt_space
+
+    @cached_property
+    def _wgt_space(self) -> int:
+        # One scan per model: the report and the ledger both read it.
         # Each generator's powers under the cap must lead E-infinity
         # classes: a presentation whose generators E-infinity does not
         # hold fails here rather than in a wrong weight.
@@ -502,28 +497,12 @@ class LoopSpaceModel:
 
     # -- module-weight obstruction -------------------------------------------
 
-    @cached_property
-    def _extended_algebra(self) -> Algebra:
-        gens = self.algebra.generators + tuple(
-            Generator(x.name, x.degree, 2) for x in self.space.extra_generators
-        )
-        return Algebra(AlgebraPresentation(gens, self.algebra.degree_cap))
-
-    @cached_property
-    def _extended_action(self) -> SteenrodAction:
-        ext = self._extended_algebra
-        table = self.space.action(ext).table
-        for x in self.space.extra_generators:
-            for k, value in x.steenrod.items():
-                table[(x.name, k)] = parse_square(ext, x.name, x.degree, k, value)
-        return SteenrodAction(ext, table)
-
     def _extended_exps_of_lattice(self, exps: tuple[int, ...]) -> tuple[int, ...]:
         """The lattice monomial of a class the search reads, in the
         extended algebra: `_survivors_match` has checked that each of its
         generators matches."""
-        out = [0] * len(self._extended_algebra.generators)
-        for i, e in zip(self._match[0], exps):
+        out = [0] * len(self.space.extended_algebra.generators)
+        for i, e in zip(self.space.match[0], exps):
             if e:
                 out[i] = e
         return tuple(out)
@@ -543,7 +522,7 @@ class LoopSpaceModel:
         factor: the stages then hold a non-residual class the search
         cannot map (the module docstring says why this is the whole
         check)."""
-        to_extended, _, partial = self._match
+        to_extended, _, partial = self.space.match
         if None in to_extended:
             page = self.e_infinity
             for s, t, vec in page.classes():
@@ -570,7 +549,9 @@ class LoopSpaceModel:
 
     @cached_property
     def _max_k(self) -> int:
-        return max((g.degree for g in self._extended_algebra.generators), default=0)
+        return max(
+            (g.degree for g in self.space.extended_algebra.generators), default=0
+        )
 
     def _mixed_mask(self, degree: int) -> int:
         """The extended basis monomials of `degree` with a partial-product
@@ -580,7 +561,7 @@ class LoopSpaceModel:
             n = len(self.algebra.generators)  # the extra generator comes after
             mask = self._mixed[degree] = sum(
                 1 << i
-                for i, e in enumerate(self._extended_algebra.basis(degree))
+                for i, e in enumerate(self.space.extended_algebra.basis(degree))
                 if any(e[n:])
             )
         return mask
@@ -594,9 +575,9 @@ class LoopSpaceModel:
         monomial."""
         tests = self._tests.get(cls.leading)
         if tests is None:
-            ext = self._extended_algebra
+            ext = self.space.extended_algebra
             n = len(self.algebra.generators)
-            sq = self._extended_action.squares(self._extended_exps(cls.leading))
+            sq = self.space.extended_action.squares(self._extended_exps(cls.leading))
             tests = [None] * (self._max_k + 1)
             for k in range(1, min(len(sq), len(tests))):
                 degree = cls.degree + k
@@ -638,7 +619,7 @@ class LoopSpaceModel:
                 # No residual class can absorb the identity at the target.
                 if self._residual_in(stage, degree):
                     continue
-                if self.action.image_of_sq(k, degree):
+                if self.space.action.image_of_sq(k, degree):
                     raise WeightError(
                         f"Sq^{k} maps onto degree {degree} from degree "
                         f"{cls.degree}, where the cohomology vanishes"
@@ -646,7 +627,7 @@ class LoopSpaceModel:
                 return ObstructionWitness(
                     m=m,
                     k=k,
-                    z_label=self._extended_algebra.monomial_str(
+                    z_label=self.space.extended_algebra.monomial_str(
                         self._extended_exps(cls.leading)
                     ),
                     u=self.algebra.row_str(
@@ -668,6 +649,12 @@ class LoopSpaceModel:
     def mwgt_lower_bound(self) -> int:
         """1 + the largest stage up to the degree cap with a witness (0 if
         none)."""
+        return self._mwgt
+
+    @cached_property
+    def _mwgt(self) -> int:
+        # One walk over the stages per model: the report and the ledger
+        # both read it.
         if self.space.loop_homology is None:
             return 0
         best = 0

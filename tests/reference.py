@@ -138,7 +138,7 @@ def unmatched_walk(model: LoopSpaceModel, top: int | None = None) -> None:
     WeightError naming the first E2 generator that matches nothing, at the
     first stage holding such a class."""
     model._tower
-    to_extended = model._match[0]
+    to_extended = model.space.match[0]
     if None not in to_extended:
         return
     top = model.space.degree_cap if top is None else top

@@ -160,11 +160,11 @@ def test_10_cells():
 
 def test_11_property_suites(spin9, capsys, tmp_path):
     # Cartan/instability spot checks
-    assert spin9.action.verify_instability() == []
+    assert spin9.space.action.verify_instability() == []
     alg = spin9.algebra
     b = alg.parse_row(["x3*x7"], 10)
     for a, da in ((alg.parse_row(["x3^2"], 6), 6), (alg.parse_row(["x5"], 5), 5)):
-        assert cartan_holds(spin9.action, a, da, b, 10)
+        assert cartan_holds(spin9.space.action, a, da, b, 10)
     # ladder on every builtin with loop homology
     for name in ("spin9", "toy-trunc-poly", "unit"):
         model = LoopSpaceModel(builtin(name))

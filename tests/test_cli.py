@@ -7,6 +7,7 @@ import subprocess
 import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 import lscat
 from lscat import cli
 from lscat import report as report_mod
-from lscat import specseq, weights
+from lscat import spaces, specseq, weights
 from lscat.algebra import Algebra
 from lscat.cli import main
 from lscat.spaces import SpacePresentation, builtin, validate
@@ -64,30 +65,80 @@ def test_json_report_validates_against_schema():
     "argv", [("report", "spin9", "--format", "json"), ("validate", "spin9")]
 )
 def test_cohomology_and_cup_length_are_computed_once(monkeypatch, argv):
-    """A report's validation reads the model's cohomology algebra and
-    Steenrod table, and its invariants and its ledger read one cup-length,
-    the report's one walk over every cohomology monomial (wgt is read off
-    E-infinity); the report parses the table once more, over the extended
-    algebra.  `validate` builds its own algebra, parses the table once and
-    walks no monomials."""
+    """The presentation builds its cohomology algebra, E2 page and
+    suspension match once, and `validate` and the report read them.  Each
+    Steenrod row is parsed at most once per algebra, over the cohomology
+    algebra and over the extended one; x11's row only over the extended
+    one.  A report walks the cohomology monomials once (for cup-length)
+    and scans for wgt and Mwgt once each, though its invariants and its
+    ledger both read them; `validate` does none of that."""
     counts = Counter()
-    methods = (
-        (SpacePresentation, "algebra"),
-        (SpacePresentation, "action"),
-        (Algebra, "cup_length"),
-        (Algebra, "monomials"),
-    )
-    for cls, name in methods:
-        def counting(self, *args, _original=getattr(cls, name), _name=name):
-            counts[_name] += 1
-            return _original(self, *args)
 
-        monkeypatch.setattr(cls, name, counting)
+    def count(owner, name, key=lambda *args: None):
+        original = getattr(owner, name)
+
+        def counting(*args):
+            counts[name, key(*args)] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    def count_cached(owner, name):
+        original = vars(owner)[name].func
+
+        def counting(self):
+            counts[name, None] += 1
+            return original(self)
+
+        prop = cached_property(counting)
+        prop.__set_name__(owner, name)
+        monkeypatch.setattr(owner, name, prop)
+
+    def names(generators):
+        return tuple(g.name for g in generators)
+
+    count(Algebra, "__init__", lambda _, pres: names(pres.generators))
+    count(
+        Algebra,
+        "parse_row",
+        lambda alg, texts, degree: (names(alg.generators), degree, tuple(texts)),
+    )
+    count(Algebra, "cup_length")
+    count(Algebra, "monomials")
+    for module in (specseq, spaces):
+        count(module, "koszul_e2")
+    count(spaces, "suspension_match")
+    count_cached(LoopSpaceModel, "_wgt_space")
+    count_cached(LoopSpaceModel, "_mwgt")
     assert run_cli(*argv)[0] == 0
+
     report = argv[0] == "report"
-    assert (counts["algebra"], counts["cup_length"]) == (1, report)
-    assert counts["monomials"] == report
-    assert counts["action"] == 1 + report
+    coh = ("x3", "x5", "x7", "x15")
+    ext = (*coh, "x11")
+    rows = {key: n for (name, key), n in counts.items() if name == "parse_row"}
+    assert counts["__init__", coh] == counts["__init__", ext] == 1
+    assert counts["koszul_e2", None] == counts["suspension_match", None] == 1
+    assert max(rows.values()) == 1
+    assert {alg for alg, _, _ in rows} == {coh, ext}
+    assert [alg for alg, degree, _ in rows if degree == 15] == [ext]
+    assert counts["cup_length", None] == counts["monomials", None] == report
+    assert counts["_wgt_space", None] == counts["_mwgt", None] == report
+
+
+def test_validate_accepts_a_square_with_a_partial_product_term(tmp_path):
+    """x11's rows are parsed over the algebra the witness search squares
+    in, which holds x11: a row naming it passes `validate`, and the report
+    certifies the same bracket."""
+    data = builtin("spin9").to_dict()
+    data["extra_generators"][0]["steenrod"].append({"k": 3, "value": ["x3*x11"]})
+    fixture = tmp_path / "partial_term.json"
+    fixture.write_text(json.dumps(data))
+    assert run_cli("validate", str(fixture)) == (0, "spin9: ok\n", "")
+    code, out, err = run_cli("report", str(fixture), "--format", "json")
+    assert (code, err) == (0, "")
+    rep = json.loads(out)
+    assert rep["invariants"]["module_weight_lower"]["value"] == 8
+    assert rep["bounds"]["bracket"] == {"lo": 8, "hi": 8, "consistent": True}
 
 
 def test_reports_are_byte_identical():
@@ -338,6 +389,26 @@ def test_unmatched_lattice_generator_raises_where_it_is_used(tmp_path):
             ["loop_homology", "generators", 0, "name"], None,
             "generator name must be a string, got None",
             id="generator-name-null",
+        ),
+        pytest.param(
+            ["steenrod", 0, "value"], [5],
+            "steenrod value of Sq^2 x3 must be a list of monomials, got [5]",
+            id="steenrod-value-int",
+        ),
+        pytest.param(
+            ["steenrod", 0, "value"], "x5",
+            "steenrod value of Sq^2 x3 must be a list of monomials, got 'x5'",
+            id="steenrod-value-str",
+        ),
+        pytest.param(
+            ["extra_generators", 0, "steenrod", 0, "value"], [15],
+            "steenrod value of Sq^4 x11 must be a list of monomials, got [15]",
+            id="extra-value-int",
+        ),
+        pytest.param(
+            ["extra_generators", 0, "steenrod", 0, "value"], "x15",
+            "steenrod value of Sq^4 x11 must be a list of monomials, got 'x15'",
+            id="extra-value-str",
         ),
     ],
 )

@@ -6,7 +6,13 @@ import random
 import pytest
 
 from lscat.algebra import AlgebraPresentation, Generator
-from lscat.spaces import ExtraGenerator, FixtureError, SpacePresentation, builtin
+from lscat.spaces import (
+    ExtraGenerator,
+    FixtureError,
+    SpacePresentation,
+    builtin,
+    validate,
+)
 from lscat.specseq import (
     DifferentialSpec,
     SpectralSequenceError,
@@ -41,7 +47,7 @@ def walk_and_check(model, top=None):
     E-infinity check, or None when the model fails before the search (in
     its inference or its suspension match)."""
     try:
-        model._tower, model._match
+        model._tower, model.space.match
     except (FixtureError, SpectralSequenceError, WeightError):
         return None
     return (
@@ -81,6 +87,36 @@ def test_check_raises_as_the_walk_does_on_every_fixture():
     assert [o for o in outcomes if o[1]] == [
         ("unmatched-lattice", "x1_3 matches no cohomology class")
     ]
+
+
+def test_models_read_the_objects_validate_built():
+    """The model builds none of what its presentation owns: on each of
+    the 18 suite fixtures that pass `validate`, the report's reads (the
+    weights and the witness search, where they run) use the very
+    algebras, E2 page, Steenrod tables and match that `validate` built,
+    and the extended table parses."""
+    owned = ("algebra", "action", "e2", "match", "extended_algebra",
+             "_extended_squares")
+    passed = 0
+    for model in suite_models():
+        space = model.space
+        handed = "e2" in model.__dict__  # `two_page_model` is handed its E2
+        if not validate(space).ok:
+            continue
+        passed += 1
+        built = {name: space.__dict__[name] for name in owned}
+        try:
+            model.wgt_space()
+            model.mwgt_lower_bound()
+        except (SpectralSequenceError, WeightError):
+            pass  # inference or the E-infinity check fails after validation
+        extended = space.extended_action
+        assert extended.algebra is built["extended_algebra"]
+        assert extended.table is built["_extended_squares"][0]
+        assert model.algebra is built["algebra"]
+        assert handed or model.e2 is built["e2"]
+        assert all(space.__dict__[name] is built[name] for name in owned)
+    assert passed == 18
 
 
 def planted_space(rng, cap):

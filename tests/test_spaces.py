@@ -1,9 +1,11 @@
 """Fixture round-trips and validation."""
 
 import json
+import re
 
 import pytest
 
+from lscat.algebra import AlgebraError
 from lscat.spaces import (
     BUILTIN_NAMES,
     FixtureError,
@@ -11,6 +13,7 @@ from lscat.spaces import (
     builtin,
     validate,
 )
+from lscat.weights import LoopSpaceModel
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -36,7 +39,7 @@ def test_load_from_file(tmp_path):
     path.write_text(builtin("spin9").dumps())
     sp = SpacePresentation.load(path)
     assert sp.name == "spin9"
-    assert sp.algebra().total_dimension() == 32
+    assert sp.algebra.total_dimension() == 32
 
 
 def test_malformed_json():
@@ -120,3 +123,25 @@ def test_spin9_attestations_carry_rule():
     sp = builtin("spin9")
     rules = [a.rule for a in sp.attestations if a.rule]
     assert rules == [{"name": "bundle_upper_bound", "args": [5, 3]}]
+
+
+def test_bad_steenrod_row_is_named_once_and_never_read():
+    """`validate` names a bad row once, though it is parsed over both
+    algebras; either table, read afterwards, raises that problem rather
+    than handing out the rows that parsed."""
+    data = builtin("spin9").to_dict()
+    data["steenrod"][0]["value"] = ["x7"]
+    sp = SpacePresentation.from_dict(data)
+    problem = "Sq^2 x3: value not homogeneous of degree 5"
+    assert validate(sp).problems == [problem]
+    for table in ("action", "extended_action"):
+        with pytest.raises(AlgebraError, match=f"^{re.escape(problem)}$"):
+            getattr(sp, table)
+
+
+def test_missing_loop_homology_is_a_fixture_error():
+    sp = builtin("toy-trunc-poly")
+    sp.loop_homology = None
+    assert validate(sp).ok
+    with pytest.raises(FixtureError, match="^toy-trunc-poly: no loop homology given$"):
+        LoopSpaceModel(sp).e2

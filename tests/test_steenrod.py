@@ -16,8 +16,7 @@ from test_weights import su_space
 @pytest.fixture(scope="module")
 def spin9():
     sp = builtin("spin9")
-    alg = sp.algebra()
-    return alg, sp.action(alg)
+    return sp.algebra, sp.action
 
 
 def row(alg, *texts):
@@ -155,9 +154,9 @@ def test_squares_match_pinned_digest():
     spin9 = LoopSpaceModel(builtin("spin9"))
     su6 = su_space(6)
     cases = [
-        ("spin9", spin9.action, 608),
-        ("spin9-extended", spin9._extended_action, 896),
-        ("su6", su6.action(su6.algebra()), 592),
+        ("spin9", spin9.space.action, 608),
+        ("spin9-extended", spin9.space.extended_action, 896),
+        ("su6", su6.action, 592),
     ]
     digest = hashlib.sha256()
     for name, action, pairs in cases:

@@ -71,7 +71,7 @@ def reference_stage(model: LoopSpaceModel, m: int):
         partial_gen=f"x1_{extra.t}" if extra else None,
         extension_height=extra.extension_height if extra else 3,
     )
-    ext = model._extended_algebra
+    ext = model.space.extended_algebra
     extra_idx = [
         i for i, g in enumerate(ext.generators) if extra and g.name == extra.name
     ]
@@ -88,7 +88,7 @@ def reference_stage(model: LoopSpaceModel, m: int):
     for k in range(1, max_k + 1):
         for cls in computable:
             degree = cls.degree + k
-            squares = model._extended_action.squares(z[cls.leading])
+            squares = model.space.extended_action.squares(z[cls.leading])
             value = squares[k] if k < len(squares) else 0
             terms = ext.terms(value, degree) if value else []
             plain = [e for e in terms if not any(e[i] for i in extra_idx)]
@@ -108,7 +108,7 @@ def reference_stage(model: LoopSpaceModel, m: int):
                 or degree in residual_degrees
             ):
                 continue
-            assert not model.action.image_of_sq(k, degree)
+            assert not model.space.action.image_of_sq(k, degree)
             return page, report, ObstructionWitness(
                 m=m,
                 k=k,
@@ -426,7 +426,8 @@ def test_spin9_report_evaluates_leibniz_once_per_monomial(
     real_leibniz = specseq.leibniz
 
     def counting_leibniz(page, spec, exps, *values):
-        calls[spec, exps] += 1
+        # A spec is keyed by its value: it holds a dict, so it is unhashable.
+        calls[(spec.r, tuple(sorted(spec.assignments.items()))), exps] += 1
         return real_leibniz(page, spec, exps, *values)
 
     monkeypatch.setattr(specseq, "leibniz", counting_leibniz)
