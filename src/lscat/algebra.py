@@ -113,9 +113,6 @@ class Algebra:
         """dim per degree, 0..degree_cap."""
         return [len(self.basis(d)) for d in range(self.degree_cap + 1)]
 
-    def total_dimension(self) -> int:
-        return sum(self.poincare_series())
-
     def cup_length(self) -> int:
         """Largest m with a nonzero product of m positive-degree classes.
 

@@ -171,18 +171,6 @@ class BigradedPage:
     def parse_monomial(self, text: str) -> tuple[int, ...]:
         return self.lattice.parse_monomial(text)
 
-    def parse_class(self, monomial_texts, s: int, t: int) -> int:
-        """The sum of the monomials, a row over `cells[(s, t)]`."""
-        row = 0
-        for text in monomial_texts:
-            exps = self.parse_monomial(text)
-            if self.bidegree(exps) != (s, t):
-                raise SpectralSequenceError(
-                    f"{text!r} has bidegree {self.bidegree(exps)}, not {(s, t)}"
-                )
-            row ^= 1 << self._bit[exps]
-        return row
-
     # -- views -------------------------------------------------------------
 
     def leading(self, s: int, t: int, vec: int) -> tuple[int, ...]:
@@ -435,15 +423,15 @@ class TruncationTower:
     monomial's image is computed once per spec.
 
     `stage(m, j)` lists the nonempty states of the column-m truncation
-    after j specs as (s, t, alive): its bidegrees are a prefix of the
-    column-sorted E2 bidegrees, and `alive` counts the specs among the
-    first j with r <= m - s.  `page(m, j)` is built from that list, and a
-    caller that keys its own per-class work by (s, t, alive) does that
-    work once per state, not once per stage.  m = None means untruncated,
-    and j defaults to every spec.  In the columns s <= m - r, r the largest
-    of the first j specs, every one of them is alive, so that part of the
-    listing is a prefix of the untruncated one, which the tower keeps per
-    j; only the last r columns are listed afresh for each m.
+    after j specs as (s, t, alive), scanning the column-sorted E2
+    bidegrees up to column m; `alive` counts the specs among the first j
+    with r <= m - s.  `page(m, j)` is built from that list, and a caller
+    that keys its own per-class work by (s, t, alive) does that work once
+    per state, not once per stage.  m = None means untruncated, and j
+    defaults to every spec.  The tower keeps each page it builds, per
+    (m, j): the inference's dimension check and the model's E-infinity
+    read the same untruncated page, as do that check and `page_at` for a
+    page past the last differential.
     """
 
     def __init__(self, e2: BigradedPage, specs: list[DifferentialSpec]):
@@ -452,8 +440,7 @@ class TruncationTower:
             (spec for spec in specs if not spec.is_trivial()), key=lambda d: d.r
         )
         self._states: dict[tuple[int, int, int, int], tuple[int, ...]] = {}
-        # Per j: the untruncated listing so far, its columns, keys scanned.
-        self._listings: dict[int, tuple[list, list[int], int]] = {}
+        self._pages: dict[tuple[int | None, int], BigradedPage] = {}
         # Column-sorted bidegrees: a stage's are a prefix.
         self._keys = sorted(e2.basis)
         self._columns = [s for s, _ in self._keys]
@@ -515,49 +502,31 @@ class TruncationTower:
         after j specs, in (s, t) order: `page(m, j)` holds
         `state(j, s, t, alive)` at each listed (s, t)."""
         j = len(self.specs) if j is None else j
-        if m is None:
-            return self._untruncated(j, None)
-        # Every spec folded acts out of a column s <= m - r, r the largest
-        # of them, so those columns list as untruncated; only the last r
-        # columns are listed here.
-        r = self._rs[j - 1] if j else 0
-        out = self._untruncated(j, m - r)
-        lo = bisect.bisect_right(self._columns, m - r)
-        hi = bisect.bisect_right(self._columns, m)
-        for s, t in self._keys[lo:hi]:
+        end = len(self._keys) if m is None else bisect.bisect_right(self._columns, m)
+        out = []
+        for s, t in self._keys[:end]:
             alive = self.alive(s, m, j)
             if self.state(j, s, t, alive):
                 out.append((s, t, alive))
         return out
 
-    def _untruncated(self, j: int, top: int | None) -> list[tuple[int, int, int]]:
-        """The untruncated listing after j specs through column `top` (None:
-        every column).  The tower keeps it per j and scans each E2
-        bidegree for it once, when a column that far is first asked for."""
-        listing, columns, scanned = self._listings.get(j, ([], [], 0))
-        end = len(self._keys) if top is None else bisect.bisect_right(
-            self._columns, top
-        )
-        for s, t in self._keys[scanned:end]:
-            if self.state(j, s, t, j):
-                listing.append((s, t, j))
-                columns.append(s)
-        self._listings[j] = listing, columns, max(scanned, end)
-        if top is None:
-            return listing[:]
-        return listing[: bisect.bisect_right(columns, top)]
-
     def page(self, m: int | None = None, j: int | None = None) -> BigradedPage:
         """The column-m truncation after the first j specs, marked
-        E-infinity."""
+        E-infinity; built once per (m, j)."""
         if m is not None and m < 0:
             raise SpectralSequenceError("column cap must be >= 0")
         j = len(self.specs) if j is None else j
-        basis = {
-            (s, t): self.state(j, s, t, alive) for s, t, alive in self.stage(m, j)
-        }
-        r = self.specs[j - 1].r + 1 if j else self.e2.r
-        return self.e2._derived(r=r, basis=basis, column_cap=m, at_infinity=True)
+        page = self._pages.get((m, j))
+        if page is None:
+            basis = {
+                (s, t): self.state(j, s, t, alive)
+                for s, t, alive in self.stage(m, j)
+            }
+            r = self.specs[j - 1].r + 1 if j else self.e2.r
+            page = self._pages[(m, j)] = self.e2._derived(
+                r=r, basis=basis, column_cap=m, at_infinity=True
+            )
+        return page
 
 
 def candidate_widths(

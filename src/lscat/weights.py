@@ -50,10 +50,10 @@ Each class is classified once per model, not once per stage.  A stage's
 classes are those of its tower states (s, t, alive), and what the stages
 read of a class does not depend on the stage: its leading monomial,
 label and degree, its bucket key (`class_facts`), and its image in the
-extended algebra (kept per leading monomial).  The model keeps one
-`ClassFacts` per class of a tower state, which also keeps the class's
-report entry per bucket it takes, and the stage's report concatenates
-its states' entries in (s, t) order.
+extended algebra (kept per leading monomial with its Sq^k tests, below).
+The model keeps one `ClassFacts` per class of a tower state, which also
+keeps the class's report entry per bucket it takes, and the stage's
+report concatenates its states' entries in (s, t) order.
 
 The search reads only the states where a witness can lie.  A witness
 class sits in a degree where the cohomology vanishes, and whether a
@@ -69,12 +69,14 @@ candidate has no witness.
 
 The search never lists a stage.  A candidate's Sq^k test (its target
 degree, whether the square has a partial-product term, and the terms of
-u) does not depend on the stage, so it is kept per leading monomial.  Of
-stage m the search reads two facts, each from the one tower state it
-concerns: whether a lattice monomial of u leads a class of the state
-(s, t, alive) of its bidegree (classified once per state), and
-whether a residual class lies in the target degree (kept per stage and
-degree, from the states of that degree).
+u) does not depend on the stage, so it is kept per leading monomial,
+next to the candidate's monomial in the extended algebra, which the
+witness label reads.  Of stage m the search reads two facts, each from
+the tower states it concerns: whether a lattice monomial of u leads a
+class of the state (s, t, alive) of its bidegree (classified once per
+state), and whether a residual class lies in the target degree, read
+from the classified states of that degree each time it is asked (no
+report asks for one stage and degree twice).
 
 Not listing a stage could hide one error: a non-residual class that does
 not map into the extended algebra, which takes an E2 generator that
@@ -262,18 +264,15 @@ class LoopSpaceModel:
             )
         self.space = space
         self.algebra: Algebra = space.algebra
-        # Per tower state (s, t, alive): its classes, and those that can
-        # ever be non-residual.
+        # What one report reads more than once: per tower state (s, t,
+        # alive), its classes and those that can ever be non-residual;
+        # per leading monomial, its extended monomial and Sq^k tests; per
+        # stage, its witness (`_mwgt`, the report and the stable-stage
+        # shortcut each read it).
         self._state_classes: dict[tuple[int, int, int], list[ClassFacts]] = {}
         self._state_candidates: dict[tuple[int, int, int], list[ClassFacts]] = {}
-        # Per (stage, degree): whether a residual class lies there.
-        self._residual: dict[tuple[int, int], bool] = {}
-        # Per leading monomial: its Sq^k tests; per degree: the mixed mask.
-        self._tests: dict[tuple[int, ...], list] = {}
-        self._mixed: dict[int, int] = {}
-        self._stages: dict[int, list[TruncationClass]] = {}
+        self._tests: dict[tuple[int, ...], tuple[tuple[int, ...], list]] = {}
         self._witnesses: dict[int, ObstructionWitness | None] = {}
-        self._ext_exps: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     # -- spectral sequence --------------------------------------------------
 
@@ -332,17 +331,15 @@ class LoopSpaceModel:
     def stage_report(self, m: int) -> list[TruncationClass]:
         """Stage m's report entries, in page order."""
         m = min(m, self.stable_stage)
-        if m not in self._stages:
-            # Past s_sat the classes are those of stage s_sat; reading its
-            # states spares the tower folding d_r out of the columns within
-            # r of s_sat, whose targets are empty.
-            height = self._extension_height
-            self._stages[m] = [
-                cls.entry(m, height)
-                for state in self._tower.stage(min(m, self.saturation_column))
-                for cls in self._classes_of_state(*state)
-            ]
-        return self._stages[m]
+        # Past s_sat the classes are those of stage s_sat; reading its
+        # states spares the tower folding d_r out of the columns within r
+        # of s_sat, whose targets are empty.
+        height = self._extension_height
+        return [
+            cls.entry(m, height)
+            for state in self._tower.stage(min(m, self.saturation_column))
+            for cls in self._classes_of_state(*state)
+        ]
 
     @cached_property
     def _vanishing_keys(self) -> list[tuple[int, int]]:
@@ -401,19 +398,16 @@ class LoopSpaceModel:
     def _residual_in(self, m: int, degree: int) -> bool:
         """Whether stage m (at most the stable stage) has a residual class
         in `degree`, read from the states of that total degree."""
-        key = (m, degree)
-        if key not in self._residual:
-            top = min(m, self.saturation_column)
-            height = self._extension_height
-            self._residual[key] = any(
-                bucket(*cls.key, m, height) == BUCKET_RESIDUAL
-                for s in range(min(top, degree) + 1)
-                if (s, degree - s) in self.e2.basis
-                for cls in self._classes_of_state(
-                    s, degree - s, self._tower.alive(s, top)
-                )
+        top = min(m, self.saturation_column)
+        height = self._extension_height
+        return any(
+            bucket(*cls.key, m, height) == BUCKET_RESIDUAL
+            for s in range(min(top, degree) + 1)
+            if (s, degree - s) in self.e2.basis
+            for cls in self._classes_of_state(
+                s, degree - s, self._tower.alive(s, top)
             )
-        return self._residual[key]
+        )
 
     def _classes_of_state(self, s: int, t: int, alive: int) -> list[ClassFacts]:
         """The reported classes of one tower state, classified once."""
@@ -507,14 +501,6 @@ class LoopSpaceModel:
                 out[i] = e
         return tuple(out)
 
-    def _extended_exps(self, lattice_exps: tuple[int, ...]) -> tuple[int, ...]:
-        """`_extended_exps_of_lattice`, kept per monomial."""
-        ext = self._ext_exps.get(lattice_exps)
-        if ext is None:
-            ext = self._extended_exps_of_lattice(lattice_exps)
-            self._ext_exps[lattice_exps] = ext
-        return ext
-
     @cached_property
     def _survivors_match(self) -> bool:
         """True, or a WeightError naming an unmatched E2 generator that
@@ -553,44 +539,35 @@ class LoopSpaceModel:
             (g.degree for g in self.space.extended_algebra.generators), default=0
         )
 
-    def _mixed_mask(self, degree: int) -> int:
-        """The extended basis monomials of `degree` with a partial-product
-        factor, as a row."""
-        mask = self._mixed.get(degree)
-        if mask is None:
-            n = len(self.algebra.generators)  # the extra generator comes after
-            mask = self._mixed[degree] = sum(
-                1 << i
-                for i, e in enumerate(self.space.extended_algebra.basis(degree))
-                if any(e[n:])
-            )
-        return mask
-
-    def _square_tests(self, cls: TruncationClass) -> list:
-        """What the search reads of Sq^k of the class, for k = 0..max_k:
-        None where the square is zero or has a partial-product term, else
-        (target degree, the cohomology terms of u, the lattice monomial of
-        each term).
+    def _square_tests(self, cls: TruncationClass) -> tuple[tuple[int, ...], list]:
+        """The class's leading monomial in the extended algebra, and what
+        the search reads of its Sq^k, for k = 0..max_k: None where the
+        square is zero or has a partial-product term, else (target degree,
+        the cohomology terms of u, the lattice monomial of each term).
         None of it depends on the stage, so it is kept per leading
         monomial."""
-        tests = self._tests.get(cls.leading)
-        if tests is None:
+        kept = self._tests.get(cls.leading)
+        if kept is None:
             ext = self.space.extended_algebra
-            n = len(self.algebra.generators)
-            sq = self.space.extended_action.squares(self._extended_exps(cls.leading))
+            n = len(self.algebra.generators)  # the extra generator comes after
+            z = self._extended_exps_of_lattice(cls.leading)
+            sq = self.space.extended_action.squares(z)
             tests = [None] * (self._max_k + 1)
             for k in range(1, min(len(sq), len(tests))):
+                if not sq[k]:
+                    continue
                 degree = cls.degree + k
+                terms = ext.terms(sq[k], degree)
                 # Partial-product terms cannot be controlled in the
                 # associated graded; demand they vanish outright.
-                if not sq[k] or sq[k] & self._mixed_mask(degree):
+                if any(any(e[n:]) for e in terms):
                     continue
-                u_terms = [e[:n] for e in ext.terms(sq[k], degree)]
+                u_terms = [e[:n] for e in terms]
                 tests[k] = degree, u_terms, [
                     self._lattice_exps_of_monomial(e) for e in u_terms
                 ]
-            self._tests[cls.leading] = tests
-        return tests
+            kept = self._tests[cls.leading] = z, tests
+        return kept
 
     def _find_obstruction(self, m: int) -> ObstructionWitness | None:
         # Stage m's classes are states of the fold: a model whose
@@ -609,7 +586,7 @@ class LoopSpaceModel:
         top = min(m, self.saturation_column)
         tests = [self._square_tests(cls) for cls in candidates]
         for k in range(1, self._max_k + 1):
-            for cls, per_k in zip(candidates, tests):
+            for cls, (z, per_k) in zip(candidates, tests):
                 if per_k[k] is None:
                     continue
                 degree, u_terms, lattice = per_k[k]
@@ -627,9 +604,7 @@ class LoopSpaceModel:
                 return ObstructionWitness(
                     m=m,
                     k=k,
-                    z_label=self.space.extended_algebra.monomial_str(
-                        self._extended_exps(cls.leading)
-                    ),
+                    z_label=self.space.extended_algebra.monomial_str(z),
                     u=self.algebra.row_str(
                         sum(1 << self.algebra.index[e] for e in u_terms), degree
                     ),

@@ -11,13 +11,16 @@ generators alone.  It shares the row-width check (`_check_spec`) and
 
 It also keeps a per-stage walk for a class the witness search cannot
 map into the extended algebra (`unmatched_walk`), which the tests hold
-`LoopSpaceModel`'s one E-infinity check against.
+`LoopSpaceModel`'s one E-infinity check against, and two readers that
+no production path calls: a class parsed from monomial texts
+(`parse_class`) and an algebra's total dimension (`total_dimension`).
 """
 
 from __future__ import annotations
 
 import functools
 
+from lscat.algebra import Algebra
 from lscat.specseq import (
     BigradedPage,
     DifferentialSpec,
@@ -33,6 +36,24 @@ from lscat.weights import (
     WeightError,
     class_facts,
 )
+
+
+def total_dimension(algebra: Algebra) -> int:
+    """The sum of the algebra's dimensions in degrees 0..cap."""
+    return sum(algebra.poincare_series())
+
+
+def parse_class(page: BigradedPage, monomial_texts, s: int, t: int) -> int:
+    """The sum of the monomials, a row over `page.cells[(s, t)]`."""
+    row = 0
+    for text in monomial_texts:
+        exps = page.parse_monomial(text)
+        if page.bidegree(exps) != (s, t):
+            raise SpectralSequenceError(
+                f"{text!r} has bidegree {page.bidegree(exps)}, not {(s, t)}"
+            )
+        row ^= 1 << page._bit[exps]
+    return row
 
 
 def restricted_to_columns(page: BigradedPage, m: int) -> BigradedPage:

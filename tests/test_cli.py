@@ -984,8 +984,9 @@ def test_report_names_every_malformed_steenrod_row(tmp_path):
 
 def test_every_export_resolves_and_no_reference_fold_is_exported():
     """`lscat.__all__` names only what the package defines, the
-    Leibniz-direct fold the tests compare against lives in the tests, and
-    the stage-class buckets live in `weights`, not `specseq`."""
+    Leibniz-direct fold the tests compare against and the readers only the
+    tests use live in the tests, and the stage-class buckets live in
+    `weights`, not `specseq`."""
     for name in lscat.__all__:
         assert getattr(lscat, name) is not None, name
     moved = (
@@ -995,8 +996,13 @@ def test_every_export_resolves_and_no_reference_fold_is_exported():
     for name in moved:
         assert name not in lscat.__all__
         assert not hasattr(specseq, name)
-    for name in ("restricted_to_columns", "as_e_infinity", "_mul_exps"):
+    for name in (
+        "restricted_to_columns", "as_e_infinity", "_mul_exps", "parse_class"
+    ):
         assert not hasattr(specseq.BigradedPage, name)
+    assert not hasattr(Algebra, "total_dimension")
+    for name in ("total_dimension", "parse_class"):
+        assert name not in lscat.__all__
     bucket_names = (
         "BUCKET_PRODUCT", "BUCKET_PARTIAL", "BUCKET_RESIDUAL",
         "TruncationClass", "ClassFacts", "class_facts",

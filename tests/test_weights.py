@@ -1,14 +1,16 @@
 """Category weight and the module-weight obstruction on the fixtures."""
 
 import gc
+import io
 import weakref
 from collections import Counter
+from contextlib import redirect_stdout
 from itertools import product
 from math import comb
 
 import pytest
 
-from lscat import specseq, weights
+from lscat import cli, specseq, weights
 from lscat.algebra import AlgebraPresentation, Generator
 from lscat.report import build_ledger, build_report
 from lscat.spaces import (
@@ -613,10 +615,23 @@ def test_su_labels_each_class_once(monkeypatch):
     assert len(labels) == len(set(labels)) == 64
 
 
+def counting_stage_calls(monkeypatch) -> list:
+    """(tower, m) of each `TruncationTower.stage` call from here on."""
+    listed = []
+    real_stage = specseq.TruncationTower.stage
+
+    def counting_stage(self, m=None, j=None):
+        listed.append((self, m))
+        return real_stage(self, m, j)
+
+    monkeypatch.setattr(specseq.TruncationTower, "stage", counting_stage)
+    return listed
+
+
 def test_su_report_lists_no_stage(monkeypatch):
     """No SU(7) class lies in a degree where the cohomology vanishes, and
     every E2 generator matches: a report classifies no class and lists
-    no stage."""
+    no stage, only the untruncated page that E-infinity reads."""
     facts = []
     real_facts = weights.class_facts
 
@@ -625,32 +640,46 @@ def test_su_report_lists_no_stage(monkeypatch):
         return real_facts(*args)
 
     monkeypatch.setattr(weights, "class_facts", counting_facts)
+    listed = counting_stage_calls(monkeypatch)
     model = LoopSpaceModel(su_space(7))
     _, code = build_report(model)
     assert code == 0
     assert facts == []
-    assert model._stages == {}
+    assert [m for _, m in listed] == [None]
 
 
 def test_spin9_report_lists_only_truncate_stages(monkeypatch):
     """The witness search reads tower states, never a stage listing: a
-    spin9 report lists only the stages its truncations name, none
+    spin9 report lists each stage its truncations name once, and none
     without them."""
-    listed = []
-    real_stage = specseq.TruncationTower.stage
-
-    def counting_stage(self, m=None, j=None):
-        listed.append(m)
-        return real_stage(self, m, j)
-
-    monkeypatch.setattr(specseq.TruncationTower, "stage", counting_stage)
+    listed = counting_stage_calls(monkeypatch)
     for truncations in ([], [7, 8, 9]):
         listed.clear()
         model = LoopSpaceModel(builtin("spin9"))
         _, code = build_report(model, truncations=truncations)
         assert code == 0
-        assert {m for m in listed if m is not None} == set(truncations)
-        assert sorted(model._stages) == truncations
+        assert sorted(m for _, m in listed if m is not None) == truncations
+
+
+def test_untruncated_stage_is_listed_once(monkeypatch):
+    """The inference's dimension check, E-infinity and `page_at` read one
+    kept page: a spin9 report, and a dump-page past its last differential,
+    list the untruncated stage of a tower at most once, and of the model's
+    tower exactly once."""
+    listed = counting_stage_calls(monkeypatch)
+    model = LoopSpaceModel(builtin("spin9"))
+    _, code = build_report(model, truncations=[7, 8, 9])
+    assert code == 0
+    untruncated = Counter(tower for tower, m in listed if m is None)
+    assert untruncated[model._tower] == 1
+    assert set(untruncated.values()) == {1}
+    assert model.e_infinity is model._tower.page()
+
+    listed.clear()
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["dump-page", "spin9", "--page", "4"]) == 0
+    untruncated = Counter(tower for tower, m in listed if m is None)
+    assert untruncated and set(untruncated.values()) == {1}
 
 
 def test_model_algebras_are_freed_by_refcount():
