@@ -21,6 +21,10 @@ from lscat.specseq import (
 from lscat.weights import LoopSpaceModel
 
 SCHEMA_VERSION = 1
+CUPLEN_PROVENANCE = (
+    "longest nonzero product of positive-degree classes (monomial enumeration)"
+)
+WGT_PROVENANCE = "maximal E-infinity filtration over the reduced cohomology"
 
 
 class ReportError(ValueError):
@@ -72,12 +76,10 @@ def build_ledger(model: LoopSpaceModel) -> BoundsLedger:
     cut = cap_truncation(space)
     kind, note = ("lower", f"; {cut}") if cut else ("exact", "")
     cuplen = model.cup_length()
-    ledger.add("cuplen", kind, cuplen, "longest nonzero product of "
-               f"positive-degree classes (monomial enumeration){note}")
+    ledger.add("cuplen", kind, cuplen, CUPLEN_PROVENANCE + note)
     if space.loop_homology is not None:
         wgt = model.wgt_space()
-        ledger.add("wgt", kind, wgt, "maximal E-infinity filtration over "
-                   f"the reduced cohomology{note}")
+        ledger.add("wgt", kind, wgt, WGT_PROVENANCE + note)
         mwgt = model.mwgt_lower_bound()
         if mwgt > 0:
             m = mwgt - 1
@@ -119,8 +121,7 @@ def build_report(
     invariants = {
         "cup_length": {
             "value": model.cup_length(),
-            "provenance": "longest nonzero product of positive-degree "
-            "classes (monomial enumeration)",
+            "provenance": CUPLEN_PROVENANCE,
         }
     }
     mark("cup_length")
@@ -152,8 +153,7 @@ def build_report(
 
         invariants["weight"] = {
             "value": model.wgt_space(),
-            "provenance": "maximal E-infinity filtration over the reduced "
-            "cohomology",
+            "provenance": WGT_PROVENANCE,
         }
         mwgt = model.mwgt_lower_bound()
         invariants["module_weight_lower"] = {
@@ -182,11 +182,7 @@ def build_report(
             }
             for m in (truncations or [])
         ]
-        report["witnesses"] = [
-            witness.to_json()
-            for m in range(space.degree_cap + 1)
-            if (witness := model.find_obstruction(m)) is not None
-        ]
+        report["witnesses"] = [witness.to_json() for witness in model.witnesses]
         mark("stages")
     report["invariants"] = invariants
 
@@ -268,15 +264,12 @@ def format_text(report: dict) -> str:
         )
     ss = report.get("spectral_sequence")
     if ss:
-        if ss["differentials"]:
-            for d in ss["differentials"]:
-                for name, value in d["assignments"].items():
-                    lines.append(
-                        f"differential:          d_{d['r']}({name}) = "
-                        + " + ".join(value)
-                    )
-        else:
-            lines.append("differential:          none (E2 = E-infinity)")
+        # A space with no differential lists d_2 with no assignment.
+        lines += [
+            f"differential:          d_{d['r']}({name}) = " + " + ".join(value)
+            for d in ss["differentials"]
+            for name, value in d["assignments"].items()
+        ] or ["differential:          none (E2 = E-infinity)"]
     for w in report.get("witnesses", []):
         lines.append(
             f"witness (m={w['m']}): Sq^{w['k']}({w['class']}) = {w['target']}"

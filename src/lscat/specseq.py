@@ -22,6 +22,10 @@ differential alive, since (s - rj) + r < s <= m.  So each bidegree has at
 most j + 1 states after j pages (two with one differential, one with
 none), and each state is computed once and shared by every m.  The state
 with every differential alive at every page is the untruncated fold's.
+At or past the last E2 column, a d_r out of column s with s + r > m lands
+past that column, where E2 has no monomial, so it is zero and the state
+with it alive is the same state: there the tower counts every
+differential alive, and the stage reads the untruncated states.
 
 The tower checks each spec once, on the E2 lattice, before it folds
 anything (`_check_spec`, `_check_d_squared`).  A spec determines a
@@ -167,9 +171,6 @@ class BigradedPage:
         if not vec:
             return "0"
         return " + ".join(self.monomial_str(e) for e in self.monomials(s, t, vec))
-
-    def parse_monomial(self, text: str) -> tuple[int, ...]:
-        return self.lattice.parse_monomial(text)
 
     # -- views -------------------------------------------------------------
 
@@ -425,9 +426,12 @@ class TruncationTower:
     `stage(m, j)` lists the nonempty states of the column-m truncation
     after j specs as (s, t, alive), scanning the column-sorted E2
     bidegrees up to column m; `alive` counts the specs among the first j
-    with r <= m - s.  `page(m, j)` is built from that list, and a caller
-    that keys its own per-class work by (s, t, alive) does that work once
-    per state, not once per stage.  m = None means untruncated, and j
+    with r <= m - s, or all j for m at or past the last E2 column (the
+    module docstring says why that is exact).  `page(m, j)` is built from
+    that list, and a caller that keys its own per-class work by (s, t,
+    alive) does that work once per state, not once per stage.  So a stage
+    at or past the last column folds no state of its own, and its page
+    holds the untruncated classes.  m = None means untruncated, and j
     defaults to every spec.  The tower keeps each page it builds, per
     (m, j): the inference's dimension check and the model's E-infinity
     read the same untruncated page, as do that check and `page_at` for a
@@ -491,9 +495,12 @@ class TruncationTower:
 
     def alive(self, s: int, m: int | None, j: int | None = None) -> int:
         """How many of the first j specs act out of column s in the
-        column-m truncation: those with s + r <= m, a prefix as r ascends."""
+        column-m truncation: those with s + r <= m, a prefix as r ascends;
+        every one of them at or past the last E2 column."""
         j = len(self.specs) if j is None else j
-        return j if m is None else bisect.bisect_right(self._rs, m - s, 0, j)
+        if m is None or m >= self._columns[-1]:
+            return j
+        return bisect.bisect_right(self._rs, m - s, 0, j)
 
     def stage(
         self, m: int | None = None, j: int | None = None

@@ -63,9 +63,7 @@ Of those bidegrees the search walks only the ones where some E2 monomial
 could lead a non-residual class at some stage (`can_be_non_residual`):
 a class's bucket depends only on its leading monomial, which is one of
 its bidegree's monomials, so every other bidegree holds only residual
-classes at every stage.  Of each state it
-keeps the classes that can ever be non-residual.  A stage without a
-candidate has no witness.
+classes at every stage.  A stage without a candidate has no witness.
 
 The search never lists a stage.  A candidate's Sq^k test (its target
 degree, whether the square has a partial-product term, and the terms of
@@ -96,13 +94,26 @@ first stage holding such a class would: that stage is the least column
 of an offending E-infinity class, its earlier columns hold no offending
 class, and a state's classes are in leading-monomial order.
 
-The search saturates.  Every E2 lattice monomial lies in a column at most
-s_sat, the largest E2 column, so every stage past s_sat has the classes
-of stage s_sat (the truncations themselves share their work in
-`specseq.TruncationTower`); a partial class then has at most s_sat - 1
-permanent factors, fewer than m - h for m >= s_sat + h (h the extension
-height), so every stage from s_sat + h on has the same report and the
-same witnesses up to the stage label.
+The search saturates, and each of its two rules has one owner.  Let
+s_sat be the last E2 column and h the extension height.
+- The tower counts every differential alive at or past s_sat
+  (`specseq.TruncationTower.alive`), so every stage from s_sat on reads
+  the untruncated states and holds the untruncated classes.
+- The stable stage is s_sat + h (s_sat when h <= 0, which leaves every
+  partial window empty).  For m >= s_sat + h the partial window
+  [m - h, m - 1] starts at s_sat or later, and a partial class has at most
+  s_sat - 1 permanent factors, so it is residual at every such stage.  The
+  product and residual buckets do not depend on m.  So bucket(key, m)
+  equals bucket(key, s_sat + h) for every key, and every stage from
+  s_sat + h on has the same report and the same witnesses up to the
+  stage label.
+So no method clamps a stage to s_sat or to the stable stage: each reads
+stage m as it is.
+
+The model walks the stages once (`witnesses`): from m = 0 up to the cap,
+keeping each stage's witness, and stopping at the first stage from the
+stable stage on without one, since every later stage has none either.
+The Mwgt bound and the report's witness list both read that walk.
 """
 
 from __future__ import annotations
@@ -265,14 +276,10 @@ class LoopSpaceModel:
         self.space = space
         self.algebra: Algebra = space.algebra
         # What one report reads more than once: per tower state (s, t,
-        # alive), its classes and those that can ever be non-residual;
-        # per leading monomial, its extended monomial and Sq^k tests; per
-        # stage, its witness (`_mwgt`, the report and the stable-stage
-        # shortcut each read it).
+        # alive), its classes; per leading monomial, its extended monomial
+        # and Sq^k tests.
         self._state_classes: dict[tuple[int, int, int], list[ClassFacts]] = {}
-        self._state_candidates: dict[tuple[int, int, int], list[ClassFacts]] = {}
         self._tests: dict[tuple[int, ...], tuple[tuple[int, ...], list]] = {}
-        self._witnesses: dict[int, ObstructionWitness | None] = {}
 
     # -- spectral sequence --------------------------------------------------
 
@@ -325,20 +332,13 @@ class LoopSpaceModel:
     def _tower(self) -> TruncationTower:
         return self._inference[1]
 
-    def truncation(self, m: int) -> BigradedPage:
-        return self._tower.page(m)
-
     def stage_report(self, m: int) -> list[TruncationClass]:
         """Stage m's report entries, in page order."""
-        m = min(m, self.stable_stage)
-        # Past s_sat the classes are those of stage s_sat; reading its
-        # states spares the tower folding d_r out of the columns within r
-        # of s_sat, whose targets are empty.
         height = self._extension_height
         return [
             cls.entry(m, height)
-            for state in self._tower.stage(min(m, self.saturation_column))
-            for cls in self._classes_of_state(*state)
+            for s, t, _ in self._tower.stage(m)
+            for cls in self._classes_of_state(s, t, m)
         ]
 
     @cached_property
@@ -363,59 +363,45 @@ class LoopSpaceModel:
 
     def _candidates(self, m: int) -> list[TruncationClass]:
         """Stage m's non-residual classes in vanishing degrees, in page
-        order: the classes the witness search squares.  Each state of a
-        vanishing bidegree is filtered once for the classes that can ever
-        be non-residual; per stage, only their partial window is tested."""
-        m = min(m, self.stable_stage)
-        top = min(m, self.saturation_column)
+        order: the classes the witness search squares."""
         height = self._extension_height
         out = []
         for s, t in self._vanishing_keys:
-            if s > top:
+            if s > m:
                 break
-            key = (s, t, self._tower.alive(s, top))
-            if key not in self._state_candidates:
-                self._state_candidates[key] = [
-                    cls
-                    for cls in self._classes_of_state(*key)
-                    if can_be_non_residual(*cls.key, height)
-                ]
-            for cls in self._state_candidates[key]:
+            for cls in self._classes_of_state(s, t, m):
                 entry = cls.entry(m, height)
                 if entry.bucket != BUCKET_RESIDUAL:
                     out.append(entry)
         return out
 
-    def _leads_at(self, lattice: tuple[int, ...], top: int) -> bool:
-        """Whether the lattice monomial leads a class of the column-`top`
+    def _leads_at(self, lattice: tuple[int, ...], m: int) -> bool:
+        """Whether the lattice monomial leads a class of the column-m
         truncation, read from the one state of its bidegree."""
         s, t = self.e2.bidegree(lattice)
-        return s <= top and any(
-            cls.leading == lattice
-            for cls in self._classes_of_state(s, t, self._tower.alive(s, top))
+        return s <= m and any(
+            cls.leading == lattice for cls in self._classes_of_state(s, t, m)
         )
 
     def _residual_in(self, m: int, degree: int) -> bool:
-        """Whether stage m (at most the stable stage) has a residual class
-        in `degree`, read from the states of that total degree."""
-        top = min(m, self.saturation_column)
+        """Whether stage m has a residual class in `degree`, read from the
+        states of that total degree."""
         height = self._extension_height
         return any(
             bucket(*cls.key, m, height) == BUCKET_RESIDUAL
-            for s in range(min(top, degree) + 1)
+            for s in range(min(m, degree) + 1)
             if (s, degree - s) in self.e2.basis
-            for cls in self._classes_of_state(
-                s, degree - s, self._tower.alive(s, top)
-            )
+            for cls in self._classes_of_state(s, degree - s, m)
         )
 
-    def _classes_of_state(self, s: int, t: int, alive: int) -> list[ClassFacts]:
-        """The reported classes of one tower state, classified once."""
-        key = (s, t, alive)
+    def _classes_of_state(self, s: int, t: int, m: int) -> list[ClassFacts]:
+        """The reported classes at (s, t) of the column-m truncation, one
+        tower state, classified once per state."""
+        key = (s, t, self._tower.alive(s, m))
         if key not in self._state_classes:
             vecs = ()
             if s + t <= self.e2.degree_cap:
-                vecs = self._tower.state(len(self._tower.specs), s, t, alive)
+                vecs = self._tower.state(len(self._tower.specs), *key)
             partial = self.space.match[2]
             self._state_classes[key] = [
                 class_facts(self.e2, s, t, vec, self.surviving, partial)
@@ -520,19 +506,6 @@ class LoopSpaceModel:
                         raise WeightError(f"{g.name} matches no cohomology class")
         return True
 
-    def find_obstruction(self, m: int) -> ObstructionWitness | None:
-        """First Steenrod witness against a retraction at stage m, or None.
-
-        Absence of a witness proves nothing.
-        """
-        if m not in self._witnesses:
-            stable = self.stable_stage
-            if m > stable and self.find_obstruction(stable) is None:
-                self._witnesses[m] = None
-            else:
-                self._witnesses[m] = self._find_obstruction(m)
-        return self._witnesses[m]
-
     @cached_property
     def _max_k(self) -> int:
         return max(
@@ -569,21 +542,22 @@ class LoopSpaceModel:
             kept = self._tests[cls.leading] = z, tests
         return kept
 
-    def _find_obstruction(self, m: int) -> ObstructionWitness | None:
+    def find_obstruction(self, m: int) -> ObstructionWitness | None:
+        """First Steenrod witness against a retraction at stage m, or None.
+
+        Absence of a witness proves nothing.
+        """
         # Stage m's classes are states of the fold: a model whose
         # inference fails raises here, before anything else, and then one
         # whose stages hold a class that does not map into the extended
         # algebra.
         self._tower
         self._survivors_match
-        if m < 0:
-            return None  # no column, so no class
-        # Hard form: the preimage degree vanishes identically.
+        # Hard form: the preimage degree vanishes identically.  A stage
+        # m < 0 has no column, so no candidate.
         candidates = self._candidates(m)
         if not candidates:
             return None
-        stage = min(m, self.stable_stage)
-        top = min(m, self.saturation_column)
         tests = [self._square_tests(cls) for cls in candidates]
         for k in range(1, self._max_k + 1):
             for cls, (z, per_k) in zip(candidates, tests):
@@ -591,10 +565,10 @@ class LoopSpaceModel:
                     continue
                 degree, u_terms, lattice = per_k[k]
                 # u must restrict nontrivially to the stage-m model.
-                if not any(self._leads_at(lat, top) for lat in lattice):
+                if not any(self._leads_at(lat, m) for lat in lattice):
                     continue
                 # No residual class can absorb the identity at the target.
-                if self._residual_in(stage, degree):
+                if self._residual_in(m, degree):
                     continue
                 if self.space.action.image_of_sq(k, degree):
                     raise WeightError(
@@ -621,19 +595,23 @@ class LoopSpaceModel:
                 )
         return None
 
+    @cached_property
+    def witnesses(self) -> list[ObstructionWitness]:
+        """The witness of each stage up to the degree cap that has one, in
+        stage order, from one walk that stops at the first stage from the
+        stable stage on without one (every later stage has none either)."""
+        out = []
+        if self.space.loop_homology is None:
+            return out
+        for m in range(self.space.degree_cap + 1):
+            witness = self.find_obstruction(m)
+            if witness is not None:
+                out.append(witness)
+            elif m >= self.stable_stage:
+                break
+        return out
+
     def mwgt_lower_bound(self) -> int:
         """1 + the largest stage up to the degree cap with a witness (0 if
         none)."""
-        return self._mwgt
-
-    @cached_property
-    def _mwgt(self) -> int:
-        # One walk over the stages per model: the report and the ledger
-        # both read it.
-        if self.space.loop_homology is None:
-            return 0
-        best = 0
-        for m in range(self.space.degree_cap + 1):
-            if self.find_obstruction(m) is not None:
-                best = m + 1
-        return best
+        return self.witnesses[-1].m + 1 if self.witnesses else 0

@@ -47,7 +47,7 @@ def parse_class(page: BigradedPage, monomial_texts, s: int, t: int) -> int:
     """The sum of the monomials, a row over `page.cells[(s, t)]`."""
     row = 0
     for text in monomial_texts:
-        exps = page.parse_monomial(text)
+        exps = page.lattice.parse_monomial(text)
         if page.bidegree(exps) != (s, t):
             raise SpectralSequenceError(
                 f"{text!r} has bidegree {page.bidegree(exps)}, not {(s, t)}"

@@ -90,21 +90,21 @@ def test_04_forced_differential(spin9):
 
 
 def test_05_truncation_survival(spin9):
-    src = spin9.e2.parse_monomial("x1_2^3*x1_4*x1_6*x1_10")
+    src = spin9.e2.lattice.parse_monomial("x1_2^3*x1_4*x1_6*x1_10")
     assert spin9.e2.bidegree(src) == (6, 26)
     img = leibniz(spin9.e2.advanced(3), spin9.differentials[0], src)
-    tgt = spin9.e2.parse_monomial("x1_2^7*x1_4*x1_6")
+    tgt = spin9.e2.lattice.parse_monomial("x1_2^7*x1_4*x1_6")
     assert spin9.e2.monomials(9, 24, img) == [tgt]
     assert spin9.e2.bidegree(tgt) == (9, 24)
-    assert src in spin9.truncation(8).surviving_leading_monomials()
-    assert src not in spin9.truncation(9).surviving_leading_monomials()
+    assert src in spin9._tower.page(8).surviving_leading_monomials()
+    assert src not in spin9._tower.page(9).surviving_leading_monomials()
     ok("criterion 5: (6,26) class survives at m = 8, dies at m = 9 via (9,24)")
 
 
 def test_06_truncation_buckets(spin9):
     p_idx = spin9.e2.lattice._index["x1_10"]
     for m in range(10):
-        page = spin9.truncation(m)
+        page = spin9._tower.page(m)
         report = spin9.stage_report(m)
         assert len(report) == sum(
             len(v) for (s, t), v in page.basis.items() if s + t <= 36

@@ -48,6 +48,7 @@ def test_text_report_spin9():
     assert code == 0
     assert "cat = 8 (certified)" in out
     assert "d_3(x1_10) = x1_2^4" in out
+    assert "none (E2 = E-infinity)" not in out
     assert "stage m=7" in out and "stage m=8" in out
 
 
@@ -109,7 +110,7 @@ def test_cohomology_and_cup_length_are_computed_once(monkeypatch, argv):
         count(module, "koszul_e2")
     count(spaces, "suspension_match")
     count_cached(LoopSpaceModel, "_wgt_space")
-    count_cached(LoopSpaceModel, "_mwgt")
+    count_cached(LoopSpaceModel, "witnesses")
     assert run_cli(*argv)[0] == 0
 
     report = argv[0] == "report"
@@ -122,7 +123,7 @@ def test_cohomology_and_cup_length_are_computed_once(monkeypatch, argv):
     assert {alg for alg, _, _ in rows} == {coh, ext}
     assert [alg for alg, degree, _ in rows if degree == 15] == [ext]
     assert counts["cup_length", None] == counts["monomials", None] == report
-    assert counts["_wgt_space", None] == counts["_mwgt", None] == report
+    assert counts["_wgt_space", None] == counts["witnesses", None] == report
 
 
 def test_validate_accepts_a_square_with_a_partial_product_term(tmp_path):
@@ -139,6 +140,48 @@ def test_validate_accepts_a_square_with_a_partial_product_term(tmp_path):
     rep = json.loads(out)
     assert rep["invariants"]["module_weight_lower"]["value"] == 8
     assert rep["bounds"]["bracket"] == {"lo": 8, "hi": 8, "consistent": True}
+
+
+def test_mixed_square_skips_a_partial_product_term_that_is_not_lowest(tmp_path):
+    """Sq^9 x11 = x5*x15 + x3^3*x11 has its partial-product term after its
+    cohomology term in the extended basis.  The search reads no Sq^9 test
+    of the x1_10 class, whichever term comes first, and the report
+    certifies the same bracket."""
+    data = builtin("spin9").to_dict()
+    data["extra_generators"][0]["steenrod"].append(
+        {"k": 9, "value": ["x5*x15", "x3^3*x11"]}
+    )
+    fixture = tmp_path / "mixed_square.json"
+    fixture.write_text(json.dumps(data))
+    assert run_cli("validate", str(fixture)) == (0, "spin9: ok\n", "")
+    space = SpacePresentation.from_dict(data)
+    ext = space.extended_algebra
+    sq9 = space.extended_action.squares(ext.parse_monomial("x11"))[9]
+    assert [ext.monomial_str(e) for e in ext.terms(sq9, 20)] == [
+        "x5*x15", "x3^3*x11"
+    ]
+    model = LoopSpaceModel(space)
+    (x1_10,) = [c for c in model.stage_report(1) if c.label == "x1_10"]
+    _, tests = model._square_tests(x1_10)
+    assert tests[9] is None
+    code, out, err = run_cli("report", str(fixture), "--format", "json")
+    assert (code, err) == (0, "")
+    rep = json.loads(out)
+    assert rep["invariants"]["module_weight_lower"]["value"] == 8
+    assert rep["bounds"]["bracket"] == {"lo": 8, "hi": 8, "consistent": True}
+
+
+@pytest.mark.parametrize("space", ["unit", "su4"])
+def test_text_report_says_when_there_is_no_differential(tmp_path, space):
+    """A space with no differential lists d_2 with no assignment; its text
+    report says E2 is E-infinity."""
+    if space == "su4":
+        path = tmp_path / "su4.json"
+        path.write_text(su_space(4).dumps())
+        space = str(path)
+    code, out, _ = run_cli("report", space)
+    assert code == 0
+    assert "differential:          none (E2 = E-infinity)\n" in out
 
 
 def test_reports_are_byte_identical():
@@ -985,8 +1028,9 @@ def test_report_names_every_malformed_steenrod_row(tmp_path):
 def test_every_export_resolves_and_no_reference_fold_is_exported():
     """`lscat.__all__` names only what the package defines, the
     Leibniz-direct fold the tests compare against and the readers only the
-    tests use live in the tests, and the stage-class buckets live in
-    `weights`, not `specseq`."""
+    tests use live in the tests (they parse a monomial through the E2
+    lattice and read a stage's page from the model's tower), and the
+    stage-class buckets live in `weights`, not `specseq`."""
     for name in lscat.__all__:
         assert getattr(lscat, name) is not None, name
     moved = (
@@ -997,9 +1041,11 @@ def test_every_export_resolves_and_no_reference_fold_is_exported():
         assert name not in lscat.__all__
         assert not hasattr(specseq, name)
     for name in (
-        "restricted_to_columns", "as_e_infinity", "_mul_exps", "parse_class"
+        "restricted_to_columns", "as_e_infinity", "_mul_exps", "parse_class",
+        "parse_monomial",
     ):
         assert not hasattr(specseq.BigradedPage, name)
+    assert not hasattr(LoopSpaceModel, "truncation")
     assert not hasattr(Algebra, "total_dimension")
     for name in ("total_dimension", "parse_class"):
         assert name not in lscat.__all__

@@ -194,7 +194,7 @@ DIGESTS = {
     "unit-json":
         "b3dc7d6bc15e4cf291cbacb48d5ca30694f9e694e7bf6dff26345200d760f1f9",
     "unit-text":
-        "05f4040d67140d7d45562e9c0b6b8357d8b9b5933b314a211296551c9dd100e0",
+        "230b976ee887dd8bf1829d8966da8b5527e41adfdfe05b501f8d3af8d16b2aa1",
     "unmatched-lattice-json":
         "a5495cc892c98ecc61027b9bbea8639ba5a1f14451ee8173f4f334d6ebab783e",
     "validate-spin9":

@@ -99,7 +99,7 @@ def test_koszul_rejects_degree_collision():
 )
 def test_lattice_parsing_validates(spin9_model, text):
     with pytest.raises(AlgebraError):
-        spin9_model.e2.parse_monomial(text)
+        spin9_model.e2.lattice.parse_monomial(text)
     with pytest.raises(AlgebraError):
         parse_class(spin9_model.e2, [text], 4, 8)
 
@@ -150,19 +150,19 @@ def test_leibniz_filtration_class(spin9_model):
     """Criterion 5 (Leibniz part): d3 of x1_2^3 x1_4 x1_6 x1_10 at (6,26)."""
     e2 = spin9_model.e2
     spec = spin9_model.differentials[0]
-    src = e2.parse_monomial("x1_2^3*x1_4*x1_6*x1_10")
+    src = e2.lattice.parse_monomial("x1_2^3*x1_4*x1_6*x1_10")
     assert e2.bidegree(src) == (6, 26)
     img = leibniz(e2.advanced(3), spec, src)
-    tgt = e2.parse_monomial("x1_2^7*x1_4*x1_6")
+    tgt = e2.lattice.parse_monomial("x1_2^7*x1_4*x1_6")
     assert e2.monomials(9, 24, img) == [tgt]
     assert e2.bidegree(tgt) == (9, 24)
 
 
 def test_truncation_survival(spin9_model):
     """Criterion 5: the (6,26) class lives at m = 8, dies at m = 9."""
-    src = spin9_model.e2.parse_monomial("x1_2^3*x1_4*x1_6*x1_10")
-    t8 = spin9_model.truncation(8)
-    t9 = spin9_model.truncation(9)
+    src = spin9_model.e2.lattice.parse_monomial("x1_2^3*x1_4*x1_6*x1_10")
+    t8 = spin9_model._tower.page(8)
+    t9 = spin9_model._tower.page(9)
     assert src in t8.surviving_leading_monomials()
     assert src not in t9.surviving_leading_monomials()
 
@@ -172,10 +172,10 @@ def test_truncation_monotone():
     (spin9 at caps 36 and 52, every m below the cap)."""
     for cap in (36, 52):
         model = LoopSpaceModel(builtin("spin9"), degree_cap=cap)
-        big = model.truncation(0).surviving_leading_monomials()
+        big = model._tower.page(0).surviving_leading_monomials()
         for m in range(cap):
             small = big
-            big = model.truncation(m + 1).surviving_leading_monomials()
+            big = model._tower.page(m + 1).surviving_leading_monomials()
             # column-s classes need s <= m
             assert all(sum(e) <= m for e in small)
             assert {e for e in big if sum(e) <= m} <= small
@@ -187,11 +187,11 @@ def test_column_one_never_a_target(spin9_model):
     Permanent cycles always survive; x1_10 (a source) dies exactly once
     the stage admits its d3 target in column 4.
     """
-    x1_10 = spin9_model.e2.parse_monomial("x1_10")
+    x1_10 = spin9_model.e2.lattice.parse_monomial("x1_10")
     for m in range(1, 10):
-        surv = spin9_model.truncation(m).surviving_leading_monomials()
+        surv = spin9_model._tower.page(m).surviving_leading_monomials()
         for name in spin9_model.space.permanent_cycles:
-            assert spin9_model.e2.parse_monomial(name) in surv
+            assert spin9_model.e2.lattice.parse_monomial(name) in surv
         assert (x1_10 in surv) == (m <= 3)
 
 
@@ -230,7 +230,7 @@ def test_classification_accounts_for_everything(spin9_model):
     """Criterion 6: every truncated class lands in exactly one bucket."""
     for m in range(0, 10):
         report = spin9_model.stage_report(m)
-        page = spin9_model.truncation(m)
+        page = spin9_model._tower.page(m)
         n_classes = sum(
             len(v) for (s, t), v in page.basis.items() if s + t <= 36
         )
@@ -304,13 +304,15 @@ def test_tower_matches_truncate_on_two_differentials():
     e_inf = run_to_e_infinity(e2, specs)  # the checked untruncated fold
     assert e_inf.dims_by_total_degree() != e2.dims_by_total_degree()
     tower = TruncationTower(e2, specs)
+    last = max(s for s, _ in e2.basis)
     for m in range(e2.degree_cap + 1):
         page = truncate(e2, m, specs)
         assert tower.page(m).to_json() == page.to_json()
         # The stage listing: the page's bidegrees, each with the number
-        # of differentials acting out of its column.
+        # of differentials acting out of its column, or all of them at or
+        # past the last E2 column.
         assert tower.stage(m) == [
-            (s, t, sum(s + spec.r <= m for spec in specs))
+            (s, t, sum(m >= last or s + spec.r <= m for spec in specs))
             for s, t in sorted(page.basis)
         ]
         assert (
@@ -333,20 +335,23 @@ def test_seeded_tower_matches_unseeded_on_spin9(cap):
     model = LoopSpaceModel(builtin("spin9"), degree_cap=cap)
     fresh = TruncationTower(model.e2, model.differentials)
     for m in range(cap + 1):
-        assert model.truncation(m).to_json() == fresh.page(m).to_json()
+        assert model._tower.page(m).to_json() == fresh.page(m).to_json()
     assert model.e_infinity.basis == run_to_e_infinity(
         model.e2, model.differentials
     ).basis
 
 
 def scratch_listing(tower, m, j):
-    """`tower.stage(m, j)` listed column by column from scratch."""
+    """`tower.stage(m, j)` listed column by column from scratch: at or
+    past the last E2 column, every differential counts as alive."""
     rs = [spec.r for spec in tower.specs[:j]]
+    last = max(s for s, _ in tower.e2.basis)
     out = []
     for s, t in sorted(tower.e2.basis):
         if m is not None and s > m:
             continue
-        alive = len(rs) if m is None else sum(s + r <= m for r in rs)
+        untruncated = m is None or m >= last
+        alive = len(rs) if untruncated else sum(s + r <= m for r in rs)
         if tower.state(j, s, t, alive):
             out.append((s, t, alive))
     return out
@@ -369,6 +374,24 @@ def test_stage_listing_matches_a_scratch_listing(space):
         for m in order:
             for j in range(len(specs) + 1):
                 assert tower.stage(m, j) == scratch_listing(tower, m, j)
+
+
+@pytest.mark.parametrize("space", ["spin9", "two-page"])
+def test_stages_past_the_last_column_read_the_untruncated_states(space):
+    """A d_r out of column s that lands past the last E2 column m >= s
+    is zero, so every stage from that column on holds the untruncated
+    page and folds no state of its own."""
+    if space == "spin9":
+        model = LoopSpaceModel(builtin("spin9"), degree_cap=52)
+        tower = model._tower
+    else:
+        tower = TruncationTower(*two_page_synthetic())
+    untruncated = tower.page()
+    folded = len(tower._states)
+    last = max(s for s, _ in tower.e2.basis)
+    for m in range(last, tower.e2.degree_cap + 5):
+        assert tower.page(m).basis == untruncated.basis
+    assert len(tower._states) == folded
 
 
 def test_tower_pages_match_folds_after_each_spec():

@@ -256,19 +256,20 @@ def test_degree_cap_override():
     ],
 )
 def test_pruned_search_matches_reference(make):
-    """Filtering, square caching and stage reuse change no stage or witness."""
+    """Filtering, square caching and reading stages past the last column
+    and the stable stage unclamped change no stage or witness."""
     model = make()
     cap = model.space.degree_cap
-    assert model.stable_stage < cap  # the reuse is exercised
+    assert model.stable_stage < cap  # stages past it are compared too
     witnessed = []
     # Descending, so later stages are asked for before the stable one.
     for m in range(cap, -1, -1):
         page, report, witness = reference_stage(model, m)
         assert model.find_obstruction(m) == witness
         assert model.stage_report(m) == report
-        assert model.truncation(m).to_json() == page.to_json()
+        assert model._tower.page(m).to_json() == page.to_json()
         assert (
-            model.truncation(m).surviving_leading_monomials()
+            model._tower.page(m).surviving_leading_monomials()
             == page.surviving_leading_monomials()
         )
         if witness is not None:
@@ -297,13 +298,11 @@ def test_state_lookups_match_the_reference_report(make):
     ]
     for m in range(cap + 1):
         _, report, _ = reference_stage(model, m)
-        stage = min(m, model.stable_stage)
-        top = min(m, model.saturation_column)
         alive = {cls.leading for cls in report}
-        assert {e for e in monomials if model._leads_at(e, top)} == alive
+        assert {e for e in monomials if model._leads_at(e, m)} == alive
         residual = {cls.degree for cls in report if cls.bucket == BUCKET_RESIDUAL}
         assert {
-            d for d in range(cap + 1) if model._residual_in(stage, d)
+            d for d in range(cap + 1) if model._residual_in(m, d)
         } == residual
 
 
@@ -493,6 +492,27 @@ def test_spin9_search_work_is_bounded(monkeypatch):
     assert len(steps) == len(set(steps)) <= 2 * len(model.e2.basis)
     assert len(built) == len(set(built))
     assert 0 < len(squared) <= 6
+
+
+@pytest.mark.parametrize("cap, searches", [(36, 17), (44, 20), (52, 22)])
+def test_spin9_report_searches_each_stage_once(monkeypatch, cap, searches):
+    """A report walks the stages once, up to the stable stage (the first
+    without a witness from there on), and its Mwgt bound and witness list
+    both read that walk."""
+    calls = []
+    real_find = LoopSpaceModel.find_obstruction
+
+    def counting_find(self, m):
+        calls.append(m)
+        return real_find(self, m)
+
+    monkeypatch.setattr(LoopSpaceModel, "find_obstruction", counting_find)
+    model = LoopSpaceModel(builtin("spin9"), degree_cap=cap)
+    report, code = build_report(model, truncations=[0, 7, 8, 20, cap])
+    assert code == 0
+    assert calls == list(range(model.stable_stage + 1))
+    assert len(calls) == searches
+    assert [w["m"] for w in report["witnesses"]] == [3, 4, 5, 6, 7]
 
 
 def test_spin9_report_folds_once(monkeypatch):
