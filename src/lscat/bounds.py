@@ -128,18 +128,18 @@ def rule_problem(name: str, args: list[int]) -> str | None:
     return None
 
 
-def assemble_bracket(ledger: BoundsLedger) -> tuple[int, int]:
-    """Close the bracket for cat: (max of lower bounds, min of upper bounds).
+def assemble_bracket(ledger: BoundsLedger) -> tuple[int | None, int | None]:
+    """Close the bracket for cat: (max of lower bounds, min of upper
+    bounds), with None for a side that has no entry.
 
     Raises InconsistentLedger (naming the two conflicting entries) if the
     bracket is empty.
     """
-    lowers = ledger.cat_lower_entries()
-    uppers = ledger.cat_upper_entries()
-    if not lowers or not uppers:
-        raise LedgerError("need at least one lower and one upper entry for cat")
-    lo_entry = max(lowers, key=lambda e: e.value)
-    hi_entry = min(uppers, key=lambda e: e.value)
-    if lo_entry.value > hi_entry.value:
+    lo_entry = max(ledger.cat_lower_entries(), key=lambda e: e.value, default=None)
+    hi_entry = min(ledger.cat_upper_entries(), key=lambda e: e.value, default=None)
+    if lo_entry and hi_entry and lo_entry.value > hi_entry.value:
         raise InconsistentLedger(lo_entry, hi_entry)
-    return lo_entry.value, hi_entry.value
+    return (
+        lo_entry.value if lo_entry else None,
+        hi_entry.value if hi_entry else None,
+    )

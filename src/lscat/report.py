@@ -10,7 +10,7 @@ from __future__ import annotations
 import time
 
 from lscat import bounds as bounds_mod
-from lscat.bounds import BoundsLedger, InconsistentLedger, LedgerError
+from lscat.bounds import BoundsLedger, InconsistentLedger
 from lscat.spaces import SpacePresentation, validate
 from lscat.specseq import (
     BigradedPage,
@@ -137,7 +137,7 @@ def build_report(
                     "r": spec.r,
                     "assignments": {
                         name: sorted(
-                            model.e2.monomial_str(m)
+                            model.e2.lattice.monomial_str(m)
                             for m in model.e2.monomials(
                                 *model.e2.target(spec.r, name), value
                             )
@@ -208,14 +208,6 @@ def build_report(
             "conflict": [str(exc.lower_entry), str(exc.upper_entry)],
         }
         exit_code = 2
-    except LedgerError:
-        lowers = ledger.cat_lower_entries()
-        uppers = ledger.cat_upper_entries()
-        bracket = {
-            "lo": max((e.value for e in lowers), default=None),
-            "hi": min((e.value for e in uppers), default=None),
-            "consistent": True,
-        }
     report["bounds"] = {"entries": entries_json, "bracket": bracket}
     mark("bounds")
     if include_timings:

@@ -22,10 +22,11 @@ differential alive, since (s - rj) + r < s <= m.  So each bidegree has at
 most j + 1 states after j pages (two with one differential, one with
 none), and each state is computed once and shared by every m.  The state
 with every differential alive at every page is the untruncated fold's.
-At or past the last E2 column, a d_r out of column s with s + r > m lands
-past that column, where E2 has no monomial, so it is zero and the state
-with it alive is the same state: there the tower counts every
-differential alive, and the stage reads the untruncated states.
+At or past the last E2 column (the last column of E2's cells, scratch
+degrees included), a d_r out of column s with s + r > m lands past that
+column, where E2 has no monomial, so it is zero and the state with it
+alive is the same state: there the tower counts every differential
+alive, and the stage reads the untruncated states.
 
 The tower checks each spec once, on the E2 lattice, before it folds
 anything (`_check_spec`, `_check_d_squared`).  A spec determines a
@@ -54,9 +55,16 @@ classes as they are (`homology_at` says why that is exact).
 
 The E2 lattice is an `Algebra`: x1_t has total degree 1 + t, and a
 lattice monomial is its exponent tuple, in filtration s = its exponent
-sum.  The lattice algebra's cap is the report cap + `DEFAULT_SCRATCH`, so
-that differentials out of top-degree classes are still visible; reported
-data never includes scratch degrees.
+sum.  The lattice algebra's cap is the report cap + `DEFAULT_SCRATCH`.
+E2's cells cover every lattice degree up to it, but its classes
+(`basis`) stop at the report cap.  So the scratch degrees past the cap
+are cells, the targets of d_r out of the top reported degrees, which the
+d^2 check reads too, and never classes or states: every page and state
+holds reported degrees only.  No reported state reads a scratch one.
+The state at (s, t) after j specs reads only the state at (s, t) after
+j - 1 specs and the incoming one at (s - r, t + r - 1), both at or below
+total degree s + t; and d_r out of (s, t) is read through the image
+table into the E2 cell at (s + r, t - r + 1), which stays.
 
 A class at (s, t) is an int over `cells[(s, t)]`, the ascending E2
 monomials of that bidegree (bit i is the i-th), which is gf2's row
@@ -130,13 +138,11 @@ class BigradedPage:
         self.basis = basis
         self.degree_cap = degree_cap
         self.column_cap: int | None = None
-        self.at_infinity = False
 
     def _derived(self, **fields) -> "BigradedPage":
         """A page over this page's lattice and cells, with `fields` in
-        place of the rest; it is not E-infinity unless `fields` say so."""
+        place of the rest."""
         page = copy.copy(self)
-        page.at_infinity = False
         page.__dict__.update(fields)
         return page
 
@@ -154,9 +160,6 @@ class BigradedPage:
             raise SpectralSequenceError(f"unknown generator {name!r} in differential")
         return 1 + r, self.lattice.generators[i].degree - r
 
-    def monomial_str(self, exps: tuple[int, ...]) -> str:
-        return self.lattice.monomial_str(exps)
-
     def monomials(self, s: int, t: int, vec: int) -> list[tuple[int, ...]]:
         """The monomials of the class `vec` at (s, t), ascending."""
         cell = self.cells.get((s, t), ())
@@ -170,7 +173,7 @@ class BigradedPage:
     def class_str(self, s: int, t: int, vec: int) -> str:
         if not vec:
             return "0"
-        return " + ".join(self.monomial_str(e) for e in self.monomials(s, t, vec))
+        return " + ".join(map(self.lattice.monomial_str, self.monomials(s, t, vec)))
 
     # -- views -------------------------------------------------------------
 
@@ -178,26 +181,20 @@ class BigradedPage:
         return self.cells[(s, t)][(vec & -vec).bit_length() - 1]
 
     def dims_by_total_degree(self) -> list[int]:
-        """Class count per total degree, 0..degree_cap (scratch excluded)."""
+        """Class count per total degree, 0..degree_cap."""
         dims = [0] * (self.degree_cap + 1)
         for (s, t), vecs in self.basis.items():
-            if 0 <= s + t <= self.degree_cap:
-                dims[s + t] += len(vecs)
+            dims[s + t] += len(vecs)
         return dims
 
-    def classes(self, report_only: bool = True):
+    def classes(self):
         """Iterate (s, t, vec) deterministically."""
         for (s, t) in sorted(self.basis):
-            if report_only and s + t > self.degree_cap:
-                continue
             for vec in self.basis[(s, t)]:
                 yield s, t, vec
 
     def surviving_leading_monomials(self) -> set:
-        return {
-            self.leading(s, t, vec)
-            for s, t, vec in self.classes(report_only=False)
-        }
+        return {self.leading(s, t, vec) for s, t, vec in self.classes()}
 
     # -- page transformations ---------------------------------------------
 
@@ -208,21 +205,16 @@ class BigradedPage:
         return self._derived(r=r)
 
     def to_json(self) -> dict:
-        bidegrees = []
-        for (s, t) in sorted(self.basis):
-            if s + t > self.degree_cap:
-                continue
-            bidegrees.append(
-                {
-                    "s": s,
-                    "t": t,
-                    "classes": [
-                        self.class_str(s, t, v) for v in self.basis[(s, t)]
-                    ],
-                }
-            )
+        bidegrees = [
+            {
+                "s": s,
+                "t": t,
+                "classes": [self.class_str(s, t, v) for v in self.basis[(s, t)]],
+            }
+            for (s, t) in sorted(self.basis)
+        ]
         return {
-            "r": "infinity" if self.at_infinity else self.r,
+            "r": self.r,
             "degree_cap": self.degree_cap,
             "column_cap": self.column_cap,
             "bidegrees": bidegrees,
@@ -265,9 +257,14 @@ def koszul_e2(loop: AlgebraPresentation) -> BigradedPage:
             s = sum(exps)
             monomials.setdefault((s, degree - s), []).append(exps)
     cells = {key: tuple(cell) for key, cell in monomials.items()}
-    # Every E2 class is one monomial: one bit of its cell.
+    # Every E2 class is one monomial: one bit of its cell.  The scratch
+    # degrees past the report cap are cells only.
     units = tuple(1 << i for i in range(max(map(len, cells.values()), default=0)))
-    basis = {key: units[: len(c)] for key, c in cells.items()}
+    basis = {
+        key: units[: len(c)]
+        for key, c in cells.items()
+        if sum(key) <= loop.degree_cap
+    }
     return BigradedPage(lattice, cells, 2, basis, loop.degree_cap)
 
 
@@ -423,11 +420,18 @@ class TruncationTower:
     spec through one image table per spec (`_image_table`), so each E2
     monomial's image is computed once per spec.
 
+    `last_column` is the last E2 column, the largest column of E2's
+    cells, scratch degrees included: it is the one place the last column
+    is computed.  It is read over the cells, not the reported classes,
+    whose last column can be smaller (17 against 18 for spin9 at cap 52),
+    since a d_r into a scratch cell past the last reported column need
+    not vanish.
+
     `stage(m, j)` lists the nonempty states of the column-m truncation
     after j specs as (s, t, alive), scanning the column-sorted E2
     bidegrees up to column m; `alive` counts the specs among the first j
-    with r <= m - s, or all j for m at or past the last E2 column (the
-    module docstring says why that is exact).  `page(m, j)` is built from
+    with r <= m - s, or all j for m at or past `last_column` (the module
+    docstring says why that is exact).  `page(m, j)` is built from
     that list, and a caller that keys its own per-class work by (s, t,
     alive) does that work once per state, not once per stage.  So a stage
     at or past the last column folds no state of its own, and its page
@@ -448,6 +452,7 @@ class TruncationTower:
         # Column-sorted bidegrees: a stage's are a prefix.
         self._keys = sorted(e2.basis)
         self._columns = [s for s, _ in self._keys]
+        self.last_column = max(s for s, _ in e2.cells)
         self._rs = [spec.r for spec in self.specs]
         # Per spec, d_r through its image table over E2.  The readers are
         # closures that hold no reference to the tower, so a dropped model
@@ -498,7 +503,7 @@ class TruncationTower:
         column-m truncation: those with s + r <= m, a prefix as r ascends;
         every one of them at or past the last E2 column."""
         j = len(self.specs) if j is None else j
-        if m is None or m >= self._columns[-1]:
+        if m is None or m >= self.last_column:
             return j
         return bisect.bisect_right(self._rs, m - s, 0, j)
 
@@ -518,8 +523,8 @@ class TruncationTower:
         return out
 
     def page(self, m: int | None = None, j: int | None = None) -> BigradedPage:
-        """The column-m truncation after the first j specs, marked
-        E-infinity; built once per (m, j)."""
+        """The column-m truncation after the first j specs; built once
+        per (m, j)."""
         if m is not None and m < 0:
             raise SpectralSequenceError("column cap must be >= 0")
         j = len(self.specs) if j is None else j
@@ -530,9 +535,7 @@ class TruncationTower:
                 for s, t, alive in self.stage(m, j)
             }
             r = self.specs[j - 1].r + 1 if j else self.e2.r
-            page = self._pages[(m, j)] = self.e2._derived(
-                r=r, basis=basis, column_cap=m, at_infinity=True
-            )
+            page = self._pages[(m, j)] = self.e2._derived(r=r, basis=basis, column_cap=m)
         return page
 
 

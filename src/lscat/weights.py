@@ -95,7 +95,8 @@ of an offending E-infinity class, its earlier columns hold no offending
 class, and a state's classes are in leading-monomial order.
 
 The search saturates, and each of its two rules has one owner.  Let
-s_sat be the last E2 column and h the extension height.
+s_sat be the last E2 column, the tower's `last_column` (over E2's cells,
+scratch degrees included), and h the extension height.
 - The tower counts every differential alive at or past s_sat
   (`specseq.TruncationTower.alive`), so every stage from s_sat on reads
   the untruncated states and holds the untruncated classes.
@@ -245,7 +246,7 @@ def class_facts(page, s, t, vec, surviving_untruncated, partial_idx) -> ClassFac
     lattice index of the partial-product generator."""
     lead = page.leading(s, t, vec)
     key = bucket_key(lead, partial_idx, surviving_untruncated)
-    return ClassFacts(s, t, lead, page.monomial_str(lead), key)
+    return ClassFacts(s, t, lead, page.lattice.monomial_str(lead), key)
 
 
 class LoopSpaceModel:
@@ -313,15 +314,10 @@ class LoopSpaceModel:
         return self.e_infinity.surviving_leading_monomials()
 
     @cached_property
-    def saturation_column(self) -> int:
-        """Largest E2 column: the column cap of any later stage never binds."""
-        return max(s for s, _ in self.e2.basis)
-
-    @cached_property
     def stable_stage(self) -> int:
         """First stage whose report every later stage repeats."""
         # A nonpositive extension height leaves no class partial at any stage.
-        return self.saturation_column + max(self._extension_height, 0)
+        return self._tower.last_column + max(self._extension_height, 0)
 
     @cached_property
     def _extension_height(self) -> int:
@@ -343,18 +339,15 @@ class LoopSpaceModel:
 
     @cached_property
     def _vanishing_keys(self) -> list[tuple[int, int]]:
-        """The reported E2 bidegrees, in (s, t) order, whose total degree
-        has no cohomology and some of whose monomials could lead a
-        non-residual class at some stage: the only states a witness class
-        can lie in."""
-        cap = self.e2.degree_cap
+        """The E2 bidegrees, in (s, t) order, whose total degree has no
+        cohomology and some of whose monomials could lead a non-residual
+        class at some stage: the only states a witness class can lie in."""
         height = self._extension_height
         idx = self.space.match[2]
         return [
             (s, t)
             for s, t in sorted(self.e2.basis)
-            if s + t <= cap
-            and not self.algebra.basis(s + t)
+            if not self.algebra.basis(s + t)
             and any(
                 can_be_non_residual(*bucket_key(lead, idx, self.surviving), height)
                 for lead in self.e2.cells[(s, t)]
@@ -395,17 +388,14 @@ class LoopSpaceModel:
         )
 
     def _classes_of_state(self, s: int, t: int, m: int) -> list[ClassFacts]:
-        """The reported classes at (s, t) of the column-m truncation, one
-        tower state, classified once per state."""
+        """The classes at (s, t) of the column-m truncation, one tower
+        state, classified once per state."""
         key = (s, t, self._tower.alive(s, m))
         if key not in self._state_classes:
-            vecs = ()
-            if s + t <= self.e2.degree_cap:
-                vecs = self._tower.state(len(self._tower.specs), *key)
             partial = self.space.match[2]
             self._state_classes[key] = [
                 class_facts(self.e2, s, t, vec, self.surviving, partial)
-                for vec in vecs
+                for vec in self._tower.state(len(self._tower.specs), *key)
             ]
         return self._state_classes[key]
 
@@ -459,12 +449,8 @@ class LoopSpaceModel:
         for i, top in enumerate(self.algebra._max_exp):
             for e in range(1, top + 1):
                 self._surviving_lattice((0,) * i + (e,) + (0,) * (n - i - 1))
-        cap = self.algebra.degree_cap
-        return max(
-            (s for (s, t), vecs in self.e_infinity.basis.items()
-             if s >= 1 and vecs and s + t <= cap),
-            default=0,
-        )
+        # A tower page holds nonempty bidegrees only.
+        return max((s for s, _ in self.e_infinity.basis if s >= 1), default=0)
 
     def cup_length(self) -> int:
         return self._cup_length

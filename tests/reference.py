@@ -4,8 +4,8 @@
 It folds the differentials page by page over one column truncation at a
 time, evaluating d_r of every class by the Leibniz rule, where the tower
 shares bidegree states across truncations and reads d_r through image
-tables.  It checks d_r^2 = 0 by walking every monomial of every class of
-the page it folds (`check_d_squared`), where the tower checks the
+tables.  It checks d_r^2 = 0 by walking every monomial of every E2 cell
+of the page it folds (`check_d_squared`), where the tower checks the
 generators alone.  It shares the row-width check (`_check_spec`) and
 `homology_at` with the tower.
 
@@ -64,11 +64,6 @@ def restricted_to_columns(page: BigradedPage, m: int) -> BigradedPage:
     return page._derived(basis=basis, column_cap=m)
 
 
-def as_e_infinity(page: BigradedPage) -> BigradedPage:
-    """Same basis and index, marked E-infinity; `page` is not changed."""
-    return page._derived(at_infinity=True)
-
-
 def d_of_vec(page: BigradedPage, spec: DifferentialSpec, s, t, vec) -> int:
     """d_r of the class `vec` at (s, t) by the Leibniz rule.  Every term
     lands r columns to the right, so d_r is 0 past the column cap."""
@@ -81,18 +76,17 @@ def d_of_vec(page: BigradedPage, spec: DifferentialSpec, s, t, vec) -> int:
 
 
 def check_d_squared(page: BigradedPage, spec: DifferentialSpec, d):
-    """Raise unless d_r(d_r(x)) = 0 for every monomial x of every class on
-    `page`; `d` is as in `homology_at`."""
+    """Raise unless d_r(d_r(x)) = 0 for every monomial x of every E2 cell
+    of `page`, scratch degrees included, in (s, t) order; `d` is as in
+    `homology_at`."""
     r = spec.r
-    for s, t, vec in page.classes(report_only=False):
-        while vec:
-            low = vec & -vec
-            if d(s + r, t - r + 1, d(s, t, low)):
+    for s, t in sorted(page.cells):
+        for i, exps in enumerate(page.cells[(s, t)]):
+            if d(s + r, t - r + 1, d(s, t, 1 << i)):
                 raise SpectralSequenceError(
                     f"d_{spec.r} does not square to zero on "
-                    f"{page.monomial_str(page.leading(s, t, low))}"
+                    f"{page.lattice.monomial_str(exps)}"
                 )
-            vec ^= low
 
 
 def apply_differential(page: BigradedPage, spec: DifferentialSpec) -> BigradedPage:
@@ -119,14 +113,14 @@ def apply_differential(page: BigradedPage, spec: DifferentialSpec) -> BigradedPa
 def run_to_e_infinity(
     page: BigradedPage, specs: list[DifferentialSpec]
 ) -> BigradedPage:
-    """Fold the differentials over ascending page index; mark the result E-infinity."""
+    """Fold the differentials over ascending page index, into a new page."""
     for spec in sorted(specs, key=lambda d: d.r):
         if spec.is_trivial():
             continue
         if spec.r < page.r:
             raise SpectralSequenceError("differentials out of order")
         page = apply_differential(page.advanced(spec.r), spec)
-    return as_e_infinity(page)
+    return page._derived()
 
 
 def truncate(

@@ -59,6 +59,19 @@ def cases() -> dict[str, list[str]]:
                 if t is not None:
                     argv += ["--truncate", str(t)]
                 out[f"dump-page-{space}-cap{cap}-r{r}-t{t}"] = argv
+    # The stages between the last reported E2 column and the last E2
+    # column, scratch degrees included: 14..16 at cap 44, 17 and 18 at
+    # cap 52.
+    for cap, stages in ((44, "14,15,16"), (52, "17,18")):
+        out[f"spin9-cap{cap}-last-columns-json"] = [
+            "report", "spin9", "--degree-cap", str(cap),
+            "--truncate", stages, "--format", "json",
+        ]
+    for t in (17, 18):
+        out[f"dump-page-spin9-cap52-r4-t{t}"] = [
+            "dump-page", "spin9", "--degree-cap", "52", "--page", "4",
+            "--truncate", str(t),
+        ]
     out["dump-page-negative-truncate"] = [
         "dump-page", "spin9", "--page", "3", "--truncate", "-1",
     ]
@@ -131,6 +144,10 @@ DIGESTS = {
         "3e02eca55574eb41269079a10f77a26a6b3d06148298e4e27ee4cfaebe8a5441",
     "dump-page-spin9-cap52-r4-t13":
         "63cdfad798f8741fef8cdb5ccd78e9d422310cc4a3a9975d2239222ec4643421",
+    "dump-page-spin9-cap52-r4-t17":
+        "dff84950e57e267d708e1c3da24b66e93067467d9fdc1126ad99daa73ed3250a",
+    "dump-page-spin9-cap52-r4-t18":
+        "896f5f4d1c81af1fbb26c55f784a60d52edf47b08872644875a48aff09f78e40",
     "dump-page-spin9-cap52-r4-tNone":
         "dc8d9a45576db73ca545092dfbd11c0f059b91f06b92d1dbeac7c658cd053702",
     "dump-page-toy-trunc-poly-capNone-r2-t0":
@@ -167,10 +184,14 @@ DIGESTS = {
         "74f65c69b8cc2f0985d56883abe6393ed68a4333567e22740699d961dc872f3a",
     "spin9-cap44-json":
         "62ad7949606e5cda28b2c1bbefbb84c18bff5e8f7959c601e938857a65fa4f57",
+    "spin9-cap44-last-columns-json":
+        "67036e2f8a96d0c74bb2468298dd59c5a557206862039fbcc10d507f2423db6f",
     "spin9-cap44-text":
         "bf8c27c6a1b0d8b6faece111930b5b0dc0bcc1928378213b8263f683a277e299",
     "spin9-cap52-json":
         "dd822ef368fc20076c00a2f7a20ac14399ba71656fb922536665e883d6c8f34f",
+    "spin9-cap52-last-columns-json":
+        "2a8ea141c80d85e3cf2f0fa8a64599301116e5ca68ba46d8e4255d79aa002ca9",
     "spin9-cap52-text":
         "af893aab355efbbbf8eff3a1422aeb788b1da2e7604e5e5e7f7fa627b74ed55b",
     "su10-json":

@@ -11,7 +11,7 @@ from math import comb
 import pytest
 
 from lscat import cli, specseq, weights
-from lscat.algebra import AlgebraPresentation, Generator
+from lscat.algebra import Algebra, AlgebraPresentation, Generator
 from lscat.report import build_ledger, build_report
 from lscat.spaces import (
     ExtraGenerator,
@@ -19,7 +19,7 @@ from lscat.spaces import (
     SpacePresentation,
     builtin,
 )
-from lscat.specseq import TruncationTower
+from lscat.specseq import DEFAULT_SCRATCH, TruncationTower
 from lscat.steenrod import SteenrodAction
 from lscat.weights import (
     BUCKET_RESIDUAL,
@@ -487,7 +487,7 @@ def test_spin9_search_work_is_bounded(monkeypatch):
     model, steps, squared, built = count_search_work(
         monkeypatch, builtin("spin9")
     )
-    assert model.saturation_column == 13
+    assert model._tower.last_column == 13
     # One differential: at most two states (d_3 alive or not) per bidegree.
     assert len(steps) == len(set(steps)) <= 2 * len(model.e2.basis)
     assert len(built) == len(set(built))
@@ -529,8 +529,50 @@ def test_spin9_report_folds_once(monkeypatch):
     model = LoopSpaceModel(builtin("spin9"))
     _, code = build_report(model, truncations=[0, 7, 8, 20, 36])
     assert code == 0
-    # 108 E2 bidegrees for the fold, 108 truncation states past it.
+    # At most 108 E2 bidegrees for the fold (90 of them in reported
+    # degrees) and as many truncation states past it.
     assert calls["homology"] <= 216
+
+
+def test_spin9_pages_hold_only_reported_degrees():
+    """E2's cells reach DEFAULT_SCRATCH degrees past the cap, as d_r
+    targets, but its classes stop at the cap, and so does every state a
+    report folds."""
+    model = LoopSpaceModel(builtin("spin9"), degree_cap=52)
+    _, code = build_report(model, truncations=[0, 7, 8, 17, 18, 20, 52])
+    assert code == 0
+    e2 = model.e2
+    assert max(s + t for s, t in e2.basis) == 52
+    assert max(s + t for s, t in e2.cells) == 52 + DEFAULT_SCRATCH
+    assert model._tower._states
+    assert all(s + t <= 52 for _, s, t, _ in model._tower._states)
+
+
+def test_spin9_last_column_is_read_over_the_cells():
+    """The last E2 column is the cells' (18 at cap 52), not the reported
+    classes' (17), and the stable stage reads it."""
+    model = LoopSpaceModel(builtin("spin9"), degree_cap=52)
+    e2 = model.e2
+    assert model._tower.last_column == max(s for s, _ in e2.cells) == 18
+    assert max(s for s, _ in e2.basis) == 17
+    assert model.stable_stage == 21
+
+
+@pytest.mark.parametrize("cap", [36, 44, 52])
+def test_spin9_report_folds_no_scratch_degree(monkeypatch, cap):
+    """No `homology_at` call of a spin9 report lands past the cap."""
+    degrees = []
+    real_homology = specseq.homology_at
+
+    def counting_homology(page, spec, s, t, *args):
+        degrees.append(s + t)
+        return real_homology(page, spec, s, t, *args)
+
+    monkeypatch.setattr(specseq, "homology_at", counting_homology)
+    model = LoopSpaceModel(builtin("spin9"), degree_cap=cap)
+    _, code = build_report(model, truncations=[0, 7, 8, 20, cap])
+    assert code == 0
+    assert degrees and max(degrees) <= cap
 
 
 def test_trivial_e_infinity_leaves_e2_alone():
@@ -544,13 +586,12 @@ def test_trivial_e_infinity_leaves_e2_alone():
     for key, vecs in model.e_infinity.basis.items():
         assert vecs is model.e2.basis[key]
     assert model.e2.to_json()["r"] == 2
-    assert model.e_infinity.to_json()["r"] == "infinity"
 
 
 def test_su_search_squares_nothing(monkeypatch):
     """No SU(5) class sits in a degree where the cohomology vanishes."""
     model, steps, squared, built = count_search_work(monkeypatch, su_space(5))
-    assert model.saturation_column == 4
+    assert model._tower.last_column == 4
     assert steps == []  # no differential: every truncation is read off E2
     assert squared == set() and built == []
     assert model.mwgt_lower_bound() == 0
@@ -610,7 +651,7 @@ def test_spin9_classifies_each_state_once(monkeypatch):
     j = len(tower.specs)
     states = {
         state
-        for m in range(model.saturation_column + 1)
+        for m in range(model._tower.last_column + 1)
         for state in tower.stage(m)
         if state[0] + state[1] <= model.space.degree_cap
     }
@@ -621,17 +662,18 @@ def test_spin9_classifies_each_state_once(monkeypatch):
 def test_su_labels_each_class_once(monkeypatch):
     """SU(7) has no differential: each of its 64 classes is labelled once
     for the whole report."""
-    labels = []
-    real_str = specseq.BigradedPage.monomial_str
+    calls = []
+    real_str = Algebra.monomial_str
 
     def counting_str(self, exps):
-        labels.append(exps)
+        calls.append((self, exps))
         return real_str(self, exps)
 
-    monkeypatch.setattr(specseq.BigradedPage, "monomial_str", counting_str)
+    monkeypatch.setattr(Algebra, "monomial_str", counting_str)
     model = LoopSpaceModel(su_space(7))
     _, code = build_report(model, truncations=[0, 3, 7, 20])
     assert code == 0
+    labels = [exps for algebra, exps in calls if algebra is model.e2.lattice]
     assert len(labels) == len(set(labels)) == 64
 
 
