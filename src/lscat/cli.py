@@ -173,8 +173,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (FixtureError, AlgebraError,
-            SpectralSequenceError, WeightError,
-            report_mod.ReportError) as exc:
+            SpectralSequenceError, WeightError) as exc:
         sys.stderr.write(f"lscat: {exc}\n")
         return EXIT_INVALID
 

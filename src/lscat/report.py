@@ -27,12 +27,9 @@ CUPLEN_PROVENANCE = (
 WGT_PROVENANCE = "maximal E-infinity filtration over the reduced cohomology"
 
 
-class ReportError(ValueError):
-    pass
-
-
 def attested_entries(space: SpacePresentation, ledger: BoundsLedger):
-    """Move machine-readable attestation bounds into the ledger."""
+    """Move machine-readable attestation bounds into the ledger.  The
+    space has passed `validate`, which names a rule `bounds.RULES` lacks."""
     for att in space.attestations:
         if att.bound:
             ledger.add(
@@ -43,8 +40,6 @@ def attested_entries(space: SpacePresentation, ledger: BoundsLedger):
             )
         if att.rule:
             name = att.rule["name"]
-            if name not in bounds_mod.RULES:
-                raise ReportError(f"unknown bound rule {name!r}")
             fn, quantity, kind = bounds_mod.RULES[name]
             value = fn(*att.rule["args"])
             ledger.add(
@@ -256,7 +251,7 @@ def format_text(report: dict) -> str:
         )
     ss = report.get("spectral_sequence")
     if ss:
-        # A space with no differential lists d_2 with no assignment.
+        # A space with no differential lists none.
         lines += [
             f"differential:          d_{d['r']}({name}) = " + " + ".join(value)
             for d in ss["differentials"]

@@ -23,6 +23,11 @@ JSON integers only, not floats or booleans; names, claim and provenance
 take strings only, and a Steenrod value a list of monomial strings.  A
 square is given at most once per generator and k.
 
+`from_dict` is the one way a presentation is built.  A built-in is
+fixture data in this shape (`BUILTINS`: a new dict per call), read by
+`from_dict` like any file.  The package reads presentations and writes
+none.
+
 A presentation builds what is derived from it, each on first read, and
 keeps it: its cohomology `algebra`, its Steenrod table over that algebra
 (`action`), its E2 page (`e2`, `koszul_e2` of the loop homology), its
@@ -61,8 +66,6 @@ from lscat.algebra import (
 from lscat.bounds import BoundEntry, LedgerError, rule_problem
 from lscat.specseq import BigradedPage, SpectralSequenceError, koszul_e2
 from lscat.steenrod import SteenrodAction
-
-BUILTIN_NAMES = ("spin9", "toy-trunc-poly", "unit")
 
 
 class FixtureError(ValueError):
@@ -223,56 +226,7 @@ class SpacePresentation:
         table, problems, extra_problems = self._extended_squares
         return _action(self.extended_algebra, table, problems + extra_problems)
 
-    # -- serialization -----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        def height_json(h):
-            return "unbounded" if h is None else h
-
-        def pres_json(p):
-            return {
-                "generators": [
-                    {"name": g.name, "degree": g.degree, "height": height_json(g.height)}
-                    for g in p.generators
-                ]
-            }
-
-        return {
-            "name": self.name,
-            "degree_cap": self.degree_cap,
-            "cohomology": pres_json(self.cohomology),
-            "steenrod": [
-                {"gen": g, "k": k, "value": list(v)} for g, k, v in self.steenrod
-            ],
-            "loop_homology": (
-                pres_json(self.loop_homology) if self.loop_homology else None
-            ),
-            "permanent_cycles": list(self.permanent_cycles),
-            "extra_generators": [
-                {
-                    "name": x.name,
-                    "t": x.t,
-                    "extension_height": x.extension_height,
-                    "steenrod": [
-                        {"k": k, "value": list(v)}
-                        for k, v in sorted(x.steenrod.items())
-                    ],
-                }
-                for x in self.extra_generators
-            ],
-            "attestations": [
-                {
-                    "claim": a.claim,
-                    "provenance": a.provenance,
-                    **({"bound": a.bound} if a.bound else {}),
-                    **({"rule": a.rule} if a.rule else {}),
-                }
-                for a in self.attestations
-            ],
-        }
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+    # -- reading -----------------------------------------------------------
 
     @classmethod
     def from_dict(cls, data: dict) -> "SpacePresentation":
@@ -395,88 +349,89 @@ class SpacePresentation:
         return cls.loads(text)
 
 
+def _spin9() -> dict:
+    return {
+        "name": "spin9",
+        "degree_cap": 36,
+        "cohomology": {"generators": [
+            {"name": "x3", "degree": 3, "height": 4},
+            {"name": "x5", "degree": 5, "height": 2},
+            {"name": "x7", "degree": 7, "height": 2},
+            {"name": "x15", "degree": 15, "height": 2},
+        ]},
+        "steenrod": [
+            {"gen": "x3", "k": 2, "value": ["x5"]},
+            # The degree-6 value of Sq^1 x5 is the unique class x3^2.
+            {"gen": "x5", "k": 1, "value": ["x3^2"]},
+        ],
+        "loop_homology": {"generators": [
+            {"name": "u2", "degree": 2, "height": 2},
+            {"name": "u4", "degree": 4, "height": "unbounded"},
+            {"name": "u6", "degree": 6, "height": "unbounded"},
+            {"name": "u10", "degree": 10, "height": "unbounded"},
+            {"name": "u14", "degree": 14, "height": "unbounded"},
+        ]},
+        "permanent_cycles": ["x1_2", "x1_4", "x1_6", "x1_14"],
+        "extra_generators": [
+            {"name": "x11", "t": 10, "extension_height": 3,
+             "steenrod": [{"k": 4, "value": ["x15"]}]},
+        ],
+        "attestations": [
+            {"claim": "Spin(7) has strong category 5 via a cone decomposition "
+             "of length 5 with compressible stagewise multiplications",
+             "provenance": "trusted homotopy input (spinor-group cone "
+             "decompositions); not derived here"},
+            {"claim": "the 15-cell attaching map of Spin(9) over Spin(7) "
+             "compresses into stage 3 and its higher Hopf invariant "
+             "vanishes (pi_14 of the 4-fold fibre join is trivial)",
+             "provenance": "trusted homotopy input; cell bookkeeping "
+             "checked by the cells module",
+             "rule": {"name": "bundle_upper_bound", "args": [5, 3]}},
+        ],
+    }
+
+
+def _toy_trunc_poly() -> dict:
+    return {
+        "name": "toy-trunc-poly",
+        "degree_cap": 36,
+        "cohomology": {"generators": [{"name": "x3", "degree": 3, "height": 4}]},
+        "loop_homology": {"generators": [
+            {"name": "u2", "degree": 2, "height": 2},
+            {"name": "u10", "degree": 10, "height": "unbounded"},
+        ]},
+        "permanent_cycles": ["x1_2"],
+    }
+
+
+def _unit() -> dict:
+    return {
+        "name": "unit",
+        "degree_cap": 1,
+        "cohomology": {"generators": []},
+        "loop_homology": {"generators": []},
+        "attestations": [
+            {"claim": "the one-point space has category 0",
+             "provenance": "contractible",
+             "bound": {"quantity": "cat", "kind": "exact", "value": 0}},
+        ],
+    }
+
+
+# Each built-in's fixture data, a new dict per call: `from_dict` keeps an
+# attestation's bound and rule dicts, so a shared dict would be shared by
+# every presentation built from it.
+BUILTINS = {"spin9": _spin9, "toy-trunc-poly": _toy_trunc_poly, "unit": _unit}
+BUILTIN_NAMES = tuple(BUILTINS)
+
+
 def builtin(name: str) -> SpacePresentation:
-    """Canonical built-in presentations: spin9, toy-trunc-poly, unit."""
-    if name == "spin9":
-        cap = 36
-        return SpacePresentation(
-            name="spin9",
-            degree_cap=cap,
-            cohomology=AlgebraPresentation(
-                (
-                    Generator("x3", 3, 4),
-                    Generator("x5", 5, 2),
-                    Generator("x7", 7, 2),
-                    Generator("x15", 15, 2),
-                ),
-                cap,
-            ),
-            steenrod=[
-                ("x3", 2, ["x5"]),
-                # The degree-6 value of Sq^1 x5 is the unique class x3^2.
-                ("x5", 1, ["x3^2"]),
-            ],
-            loop_homology=AlgebraPresentation(
-                (
-                    Generator("u2", 2, 2),
-                    Generator("u4", 4, None),
-                    Generator("u6", 6, None),
-                    Generator("u10", 10, None),
-                    Generator("u14", 14, None),
-                ),
-                cap,
-            ),
-            permanent_cycles=["x1_2", "x1_4", "x1_6", "x1_14"],
-            extra_generators=[
-                ExtraGenerator("x11", 10, 3, {4: ["x15"]})
-            ],
-            attestations=[
-                Attestation(
-                    claim="Spin(7) has strong category 5 via a cone "
-                    "decomposition of length 5 with compressible "
-                    "stagewise multiplications",
-                    provenance="trusted homotopy input (spinor-group cone "
-                    "decompositions); not derived here",
-                ),
-                Attestation(
-                    claim="the 15-cell attaching map of Spin(9) over "
-                    "Spin(7) compresses into stage 3 and its higher Hopf "
-                    "invariant vanishes (pi_14 of the 4-fold fibre join "
-                    "is trivial)",
-                    provenance="trusted homotopy input; cell bookkeeping "
-                    "checked by the cells module",
-                    rule={"name": "bundle_upper_bound", "args": [5, 3]},
-                ),
-            ],
+    """The built-in presentation `name`, read from its fixture data."""
+    if name not in BUILTINS:
+        raise FixtureError(
+            f"unknown builtin {name!r}; available: {', '.join(BUILTIN_NAMES)}"
         )
-    if name == "toy-trunc-poly":
-        cap = 36
-        return SpacePresentation(
-            name="toy-trunc-poly",
-            degree_cap=cap,
-            cohomology=AlgebraPresentation((Generator("x3", 3, 4),), cap),
-            loop_homology=AlgebraPresentation(
-                (Generator("u2", 2, 2), Generator("u10", 10, None)), cap
-            ),
-            permanent_cycles=["x1_2"],
-        )
-    if name == "unit":
-        return SpacePresentation(
-            name="unit",
-            degree_cap=1,
-            cohomology=AlgebraPresentation((), 1),
-            loop_homology=AlgebraPresentation((), 1),
-            attestations=[
-                Attestation(
-                    claim="the one-point space has category 0",
-                    provenance="contractible",
-                    bound={"quantity": "cat", "kind": "exact", "value": 0},
-                )
-            ],
-        )
-    raise FixtureError(
-        f"unknown builtin {name!r}; available: {', '.join(BUILTIN_NAMES)}"
-    )
+    return SpacePresentation.from_dict(BUILTINS[name]())
 
 
 @dataclass

@@ -571,16 +571,17 @@ def infer_differentials(
     e2: BigradedPage,
     permanent: list[str],
     target: Algebra,
-) -> list[tuple[DifferentialSpec, TruncationTower]]:
+) -> list[TruncationTower]:
     """Exhaustive search for the differentials forced by the abutment.
 
     Unknowns are exactly the generators not listed as permanent cycles.
     For each page index r and each assignment of a target-bidegree value
     (possibly zero) to every unknown, keep the assignments whose
     E-infinity matches the target algebra's dimensions in every total
-    degree up to the cap.  Each kept assignment comes with its checked
-    fold, a `TruncationTower` whose `page()` is that E-infinity.  A
-    one-element result certifies the deduction.
+    degree up to the cap.  Each kept assignment is returned as its checked
+    fold, a `TruncationTower` whose `specs` are its differentials and whose
+    `page()` is its E-infinity; the zero assignment is the tower with no
+    spec.  A one-element result certifies the deduction.
 
     The search space is every assignment, the zero one included, at
     every r where some unknown has a nonzero candidate: the sum over those
@@ -598,14 +599,9 @@ def infer_differentials(
             f"{', '.join(g.name for g in unknowns)}, more than {SEARCH_BUDGET}"
         )
 
-    trivial = (DifferentialSpec(2, {}), TruncationTower(e2, []))
-    trivial_ok = e2.dims_by_total_degree() == want
-    if not unknowns:
-        if trivial_ok:
-            return [trivial]
-        raise InferenceError("no consistent assignment: fixture/target mismatch")
-
-    results: list[tuple[DifferentialSpec, TruncationTower]] = []
+    results = []
+    if e2.dims_by_total_degree() == want:
+        results.append(TruncationTower(e2, []))
     for r, w in widths.items():
         for combo in itertools.product(*(range(1 << n) for n in w)):
             if not any(combo):
@@ -618,10 +614,7 @@ def infer_differentials(
             except SpectralSequenceError:
                 continue  # d^2 != 0 or bad bidegree: not a differential
             if tower.page().dims_by_total_degree() == want:
-                results.append((spec, tower))
-
-    if trivial_ok:
-        results.insert(0, trivial)
+                results.append(tower)
     if not results:
         raise InferenceError("no consistent assignment: fixture/target mismatch")
     return results

@@ -289,8 +289,8 @@ class LoopSpaceModel:
         return self.space.e2
 
     @cached_property
-    def _inference(self) -> tuple[DifferentialSpec, TruncationTower]:
-        """The unique consistent assignment and its checked fold."""
+    def _tower(self) -> TruncationTower:
+        """The fold of the unique consistent assignment of differentials."""
         found = infer_differentials(
             self.e2, self.space.permanent_cycles, self.algebra
         )
@@ -301,9 +301,9 @@ class LoopSpaceModel:
             )
         return found[0]
 
-    @cached_property
+    @property
     def differentials(self) -> list[DifferentialSpec]:
-        return [self._inference[0]]
+        return self._tower.specs
 
     @cached_property
     def e_infinity(self) -> BigradedPage:
@@ -323,10 +323,6 @@ class LoopSpaceModel:
     def _extension_height(self) -> int:
         extras = self.space.extra_generators
         return extras[0].extension_height if extras else 3
-
-    @cached_property
-    def _tower(self) -> TruncationTower:
-        return self._inference[1]
 
     def stage_report(self, m: int) -> list[TruncationClass]:
         """Stage m's report entries, in page order."""

@@ -22,11 +22,11 @@ from lscat import report as report_mod
 from lscat import spaces, specseq, weights
 from lscat.algebra import Algebra
 from lscat.cli import main
-from lscat.spaces import SpacePresentation, builtin, validate
+from lscat.spaces import BUILTINS, SpacePresentation, builtin, validate
 from lscat.weights import LoopSpaceModel, WeightError
 from reference import restricted_to_columns, run_to_e_infinity
 from test_specseq import two_page_synthetic
-from test_weights import su_space
+from test_weights import su_data, su_space
 
 
 def run_cli(*argv):
@@ -130,7 +130,7 @@ def test_validate_accepts_a_square_with_a_partial_product_term(tmp_path):
     """x11's rows are parsed over the algebra the witness search squares
     in, which holds x11: a row naming it passes `validate`, and the report
     certifies the same bracket."""
-    data = builtin("spin9").to_dict()
+    data = BUILTINS["spin9"]()
     data["extra_generators"][0]["steenrod"].append({"k": 3, "value": ["x3*x11"]})
     fixture = tmp_path / "partial_term.json"
     fixture.write_text(json.dumps(data))
@@ -147,7 +147,7 @@ def test_mixed_square_skips_a_partial_product_term_that_is_not_lowest(tmp_path):
     cohomology term in the extended basis.  The search reads no Sq^9 test
     of the x1_10 class, whichever term comes first, and the report
     certifies the same bracket."""
-    data = builtin("spin9").to_dict()
+    data = BUILTINS["spin9"]()
     data["extra_generators"][0]["steenrod"].append(
         {"k": 9, "value": ["x5*x15", "x3^3*x11"]}
     )
@@ -177,7 +177,7 @@ def test_text_report_says_when_there_is_no_differential(tmp_path, space):
     report says E2 is E-infinity."""
     if space == "su4":
         path = tmp_path / "su4.json"
-        path.write_text(su_space(4).dumps())
+        path.write_text(json.dumps(su_data(4)))
         space = str(path)
     code, out, _ = run_cli("report", space)
     assert code == 0
@@ -209,7 +209,7 @@ def test_validate_ok_and_failing(tmp_path):
     code, out, _ = run_cli("validate", "spin9")
     assert code == 0 and "ok" in out
 
-    data = builtin("spin9").to_dict()
+    data = BUILTINS["spin9"]()
     data["steenrod"][0]["value"] = ["x7"]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
@@ -219,7 +219,7 @@ def test_validate_ok_and_failing(tmp_path):
 
 
 def test_report_on_invalid_fixture_exits_3(tmp_path):
-    data = builtin("spin9").to_dict()
+    data = BUILTINS["spin9"]()
     data["steenrod"][0]["value"] = ["x7"]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
@@ -233,7 +233,7 @@ def test_report_on_invalid_fixture_exits_3(tmp_path):
 def test_report_on_non_free_loop_algebra_exits_3(tmp_path):
     """A loop presentation `koszul_e2` rejects is a validation problem
     inside a printed report, not a bare error."""
-    data = builtin("spin9").to_dict()
+    data = BUILTINS["spin9"]()
     data["loop_homology"]["generators"][0]["height"] = 3
     bad = tmp_path / "height3.json"
     bad.write_text(json.dumps(data))
@@ -248,7 +248,7 @@ def test_report_on_non_free_loop_algebra_exits_3(tmp_path):
 
 def two_extras():
     """spin9 with a second extra generator, y15 on x1_14."""
-    data = builtin("spin9").to_dict()
+    data = BUILTINS["spin9"]()
     data["extra_generators"].append(
         {"name": "y15", "t": 14, "extension_height": 3, "steenrod": []}
     )
@@ -308,7 +308,7 @@ def no_suspension():
 def spin9_extra_at(t, name="x11"):
     """spin9 with its extra generator x11 at t and named `name`, and no
     squares on it."""
-    data = builtin("spin9").to_dict()
+    data = BUILTINS["spin9"]()
     data["extra_generators"][0].update(name=name, t=t, steenrod=[])
     return data
 
@@ -458,7 +458,7 @@ def test_unmatched_lattice_generator_raises_where_it_is_used(tmp_path):
 def test_mistyped_fixture_field_exits_3(tmp_path, command, path, value, message):
     """A mistyped fixture field is named in a FixtureError, never a
     traceback and never silently misread."""
-    data = builtin("spin9").to_dict()
+    data = BUILTINS["spin9"]()
     *parents, last = path
     node = data
     for key in parents:
@@ -529,6 +529,12 @@ def drop_rule_name(data):
             id="rule-no-name",
         ),
         pytest.param(
+            # `validate` owns this check; the ledger reads only valid rules.
+            lambda data: data["attestations"][1]["rule"].update(name="nope"),
+            "attestations[1].rule: unknown bound rule 'nope'",
+            id="rule-unknown-name",
+        ),
+        pytest.param(
             set_bound(value="8"),
             "attestations[0].bound.value must be an integer, got '8'",
             id="value-str",
@@ -569,7 +575,7 @@ def drop_rule_name(data):
 def test_bad_attestation_exits_3(tmp_path, command, edit, message):
     """An attested bound the ledger cannot take exits 3 with a message
     naming the field, never a traceback, a misread value or a bracket."""
-    data = builtin("spin9").to_dict()
+    data = BUILTINS["spin9"]()
     edit(data)
     fixture = tmp_path / "attested.json"
     fixture.write_text(json.dumps(data))
@@ -590,7 +596,7 @@ def test_bad_attestation_exits_3(tmp_path, command, edit, message):
 def test_attestation_text_must_be_a_string(tmp_path, command, field, value):
     """An attestation's claim and provenance are strings, never any JSON
     value printed into the report."""
-    data = builtin("spin9").to_dict()
+    data = BUILTINS["spin9"]()
     data["attestations"][1][field] = value
     fixture = tmp_path / "attested.json"
     fixture.write_text(json.dumps(data))
@@ -605,7 +611,7 @@ def test_attestation_text_must_be_a_string(tmp_path, command, field, value):
 def test_extra_generator_off_e2_exits_3(tmp_path, command):
     """An extra generator whose suspension x1_t is not an E2 generator is a
     fixture mismatch, never a report with no witness."""
-    data = builtin("spin9").to_dict()
+    data = BUILTINS["spin9"]()
     data["extra_generators"][0].update(t=12, steenrod=[])
     fixture = tmp_path / "extra_off_e2.json"
     fixture.write_text(json.dumps(data))
@@ -628,7 +634,7 @@ def test_extra_square_out_of_range_exits_3(tmp_path, k, value, problem):
     """The witness search reads Sq^k of the extra generator only for
     1 <= k < its degree; a row outside that range is a fixture problem,
     not a row dropped without a word."""
-    data = builtin("spin9").to_dict()
+    data = BUILTINS["spin9"]()
     data["extra_generators"][0]["steenrod"] = [{"k": k, "value": [value]}]
     fixture = tmp_path / "extra_square.json"
     fixture.write_text(json.dumps(data))
@@ -642,7 +648,7 @@ def test_repeated_steenrod_row_exits_3(tmp_path):
     silently replaces the first: a repeated (gen, k) row is a `validate`
     problem, and a repeated k of the extra generator fails to load, since
     its squares are keyed by k."""
-    data = builtin("spin9").to_dict()
+    data = BUILTINS["spin9"]()
     data["steenrod"].append({"gen": "x5", "k": 1, "value": []})
     fixture = tmp_path / "repeated.json"
     fixture.write_text(json.dumps(data))
@@ -653,7 +659,7 @@ def test_repeated_steenrod_row_exits_3(tmp_path):
     assert (code, err) == (3, "")
     assert json.loads(out)["validation"]["problems"] == ["Sq^1 x5 given twice"]
 
-    data = builtin("spin9").to_dict()
+    data = BUILTINS["spin9"]()
     data["extra_generators"][0]["steenrod"].append({"k": 4, "value": []})
     fixture.write_text(json.dumps(data))
     for command in ("validate", "report"):
@@ -776,7 +782,7 @@ def test_calls_in_one_process_do_not_share_state():
 
 
 def test_inconsistent_ledger_exits_2(tmp_path):
-    data = builtin("spin9").to_dict()
+    data = BUILTINS["spin9"]()
     data["attestations"] = [
         {
             "claim": "wrong upper bound for testing",
@@ -870,7 +876,7 @@ def test_pages_before_the_first_differential_match_inference(space, cap, first):
         # bounded by the degree cap, not by r.
         page = report_mod.page_at(model, 10**9)
         assert page.to_json() == tower.page(None, 0).advanced(10**9).to_json()
-    assert "_inference" not in vars(model)
+    assert "_tower" not in vars(model)
 
 
 @pytest.mark.parametrize("r, inferences", [(2, 0), (3, 0), (4, 1)])
@@ -972,7 +978,7 @@ def test_caps_below_the_top_degree_give_lower_bounds(tmp_path):
     """SU(8) at cap 52 (top degree 63) and toy-trunc-poly at cap 2 read
     `lower`; a cap at or above the top degree keeps `exact`."""
     su8 = tmp_path / "su8.json"
-    su8.write_text(json.dumps(su_space(8).to_dict()))
+    su8.write_text(json.dumps(su_data(8)))
     for argv, want in (
         ((str(su8), "--degree-cap", "52"), "cuplen lower 6"),
         ((str(su8),), "cuplen exact 7"),
@@ -997,7 +1003,7 @@ def test_generator_above_a_low_cap_exits_3_naming_its_degree():
 def test_steenrod_value_with_a_bad_exponent_exits_3(tmp_path, power):
     """A Steenrod value whose exponent is not a natural number is a
     validation problem, never a traceback."""
-    data = builtin("spin9").to_dict()
+    data = BUILTINS["spin9"]()
     data["steenrod"].append({"gen": "x7", "k": 5, "value": [f"x3^{power}*x15"]})
     fixture = tmp_path / "bad-exponent.json"
     fixture.write_text(json.dumps(data))
@@ -1010,7 +1016,7 @@ def test_steenrod_value_with_a_bad_exponent_exits_3(tmp_path, power):
 def test_report_names_every_malformed_steenrod_row(tmp_path):
     """When the model's parse of the Steenrod table fails, validation
     parses it again and names every bad row, not just the first."""
-    data = builtin("spin9").to_dict()
+    data = BUILTINS["spin9"]()
     data["steenrod"] += [
         {"gen": "x7", "k": 5, "value": ["x3^a*x15"]},
         {"gen": "x9", "k": 2, "value": ["x11"]},
@@ -1023,6 +1029,23 @@ def test_report_names_every_malformed_steenrod_row(tmp_path):
         "Sq^5 x7: 'x3^a*x15': exponent 'a' is not a natural number",
         "Sq^2 given on unknown generator 'x9'",
     ]
+
+
+@pytest.mark.parametrize("name", spaces.BUILTIN_NAMES)
+def test_builtin_prints_what_its_fixture_file_prints(tmp_path, name):
+    """A built-in is its fixture data: every command prints the same bytes
+    on the name and on a file holding `BUILTINS[name]()`."""
+    fixture = tmp_path / f"{name}.json"
+    fixture.write_text(json.dumps(BUILTINS[name]()))
+    for argv in (
+        ["report", "--format", "json"],
+        ["report"],
+        ["validate"],
+        ["dump-page", "--page", "4"],
+    ):
+        on_name = run_cli(argv[0], name, *argv[1:])
+        assert run_cli(argv[0], str(fixture), *argv[1:]) == on_name, argv
+        assert on_name[0] == 0 and on_name[1], argv
 
 
 def test_every_export_resolves_and_no_reference_fold_is_exported():
@@ -1046,6 +1069,11 @@ def test_every_export_resolves_and_no_reference_fold_is_exported():
     ):
         assert not hasattr(specseq.BigradedPage, name)
     assert not hasattr(LoopSpaceModel, "truncation")
+    # One way in for a presentation, and one fold per inference result.
+    for name in ("to_dict", "dumps"):
+        assert not hasattr(SpacePresentation, name)
+    assert not hasattr(report_mod, "ReportError")
+    assert not hasattr(LoopSpaceModel, "_inference")
     assert not hasattr(Algebra, "total_dimension")
     for name in ("total_dimension", "parse_class"):
         assert name not in lscat.__all__

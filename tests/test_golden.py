@@ -17,7 +17,7 @@ import pytest
 
 from lscat.cli import main
 from test_cli import two_page_data, unmatched_lattice
-from test_weights import su_space
+from test_weights import su_data
 
 STAGES = "0,3,7,8,9,13,20,36"
 SU_SIZES = (3, 4, 5, 6, 7, 8, 10)
@@ -105,7 +105,7 @@ def digest(argv: list[str], fixtures: Path) -> str:
 
 def write_fixtures(directory: Path):
     for n in SU_SIZES:
-        (directory / f"su{n}.json").write_text(su_space(n).dumps())
+        (directory / f"su{n}.json").write_text(json.dumps(su_data(n)))
     (directory / "unmatched.json").write_text(json.dumps(unmatched_lattice()))
     (directory / "two-page.json").write_text(json.dumps(two_page_data()))
     (directory / "unknown-permanent.json").write_text(
@@ -195,25 +195,25 @@ DIGESTS = {
     "spin9-cap52-text":
         "af893aab355efbbbf8eff3a1422aeb788b1da2e7604e5e5e7f7fa627b74ed55b",
     "su10-json":
-        "3dcee9ad0cf57320e88c8a12cb164ac00361f49cb982f23ba572674c9343ba55",
+        "b6844d63cc225f2d2c3ffb83a18b9eb6f3864d70988e0c22b668e90b6e31986d",
     "su3-json":
-        "201862c16e4b29ca4617ce2a6c578ad53bec7084b967e6328ca451fd0f4d2dda",
+        "1b73e079a2327eaeabb145a619c6f4899ca44674d6e29cb074b870653686fa94",
     "su4-json":
-        "65ea1dfbda90d8ce8f9551cd0e35928bf353a9bfada10e064985791ad148ec5c",
+        "c16544a0924d08b357ff82f1f88b1a68bff5d71f59f2ce551a5379cc70183daa",
     "su5-json":
-        "527d4828a4fd82b068f19f28f2775f70b03e7bf01dbc6e2b5455a8afd546ea97",
+        "ca803e20e2146ee607fd58a860412c316548fbdf2915e06cd43a923b47b0d6f2",
     "su6-json":
-        "881570ced3f296344164c528cb988dd61980a1bc765a2d7af6f922fcc342327b",
+        "9673fca4760823d52d64d7764f033ab925602e0efc72c07fa89b08805836b81b",
     "su7-json":
-        "fc2923d3979df2ff0d1993959eb9169de8857f42364d5bd4962ebfffc145a5c6",
+        "6d023309f968e7c6e608439ad3d2616de9c567ac0293cd66b819bdd065ecbe1c",
     "su8-json":
-        "49487fe2b7cee3b3c03e99ccbd056d0d81a901d77e0f9a6bc2dd74a1984883a9",
+        "33d60dfe6596fb7f46e51a4bd71ea2309d4a542b440181cd6316f396f68df048",
     "toy-trunc-poly-json":
         "e75b7a5650caf900f9e6b1f84b68f2fdcd870575f06532ecc25734e80707c9e8",
     "toy-trunc-poly-text":
         "7df1341059bbdec753f0270f64ff7bc818e8e283aa5ecaaf1827a0eb97452536",
     "unit-json":
-        "b3dc7d6bc15e4cf291cbacb48d5ca30694f9e694e7bf6dff26345200d760f1f9",
+        "f4d09f6dac9083a4a0ebb759b8331ac4bdc9e8c1ef60d623d2cb331032b0c908",
     "unit-text":
         "230b976ee887dd8bf1829d8966da8b5527e41adfdfe05b501f8d3af8d16b2aa1",
     "unmatched-lattice-json":

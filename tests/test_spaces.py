@@ -8,6 +8,7 @@ import pytest
 from lscat.algebra import AlgebraError
 from lscat.spaces import (
     BUILTIN_NAMES,
+    BUILTINS,
     FixtureError,
     SpacePresentation,
     builtin,
@@ -19,10 +20,8 @@ from reference import total_dimension
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_round_trip(name):
-    sp = builtin(name)
-    again = SpacePresentation.loads(sp.dumps())
-    assert again == sp
-    assert again.dumps() == sp.dumps()
+    """A built-in survives the file format."""
+    assert SpacePresentation.loads(json.dumps(BUILTINS[name]())) == builtin(name)
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -30,14 +29,36 @@ def test_builtins_validate(name):
     assert validate(builtin(name)).ok
 
 
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_builtin_data_is_new_per_call(name):
+    """`BUILTINS[name]()` returns a new dict on each call, so editing one
+    copy, nested lists and dicts included (spin9's rule args, say), changes
+    no built-in: `from_dict` keeps an attestation's bound and rule dicts."""
+    sp = builtin(name)
+    data = BUILTINS[name]()
+    assert data is not BUILTINS[name]()
+    assert data == BUILTINS[name]()
+
+    def clear(value):
+        if isinstance(value, (dict, list)):
+            for item in value.values() if isinstance(value, dict) else value:
+                clear(item)
+            value.clear()
+
+    clear(data)
+    assert data == {} and BUILTINS[name]()
+    assert builtin(name) == sp
+
+
 def test_unknown_builtin():
-    with pytest.raises(FixtureError):
+    message = "unknown builtin 'nope'; available: spin9, toy-trunc-poly, unit"
+    with pytest.raises(FixtureError, match=re.escape(message)):
         builtin("nope")
 
 
 def test_load_from_file(tmp_path):
     path = tmp_path / "spin9.json"
-    path.write_text(builtin("spin9").dumps())
+    path.write_text(json.dumps(BUILTINS["spin9"]()))
     sp = SpacePresentation.load(path)
     assert sp.name == "spin9"
     assert total_dimension(sp.algebra) == 32
@@ -55,14 +76,14 @@ def test_malformed_json():
 
 
 def test_bad_height_rejected():
-    data = builtin("spin9").to_dict()
+    data = BUILTINS["spin9"]()
     data["cohomology"]["generators"][0]["height"] = "three"
     with pytest.raises(FixtureError):
         SpacePresentation.from_dict(data)
 
 
 def test_validate_catches_bad_steenrod():
-    data = builtin("spin9").to_dict()
+    data = BUILTINS["spin9"]()
     # wrong target degree: Sq^2 x3 must land in degree 5
     data["steenrod"][0]["value"] = ["x7"]
     report = validate(SpacePresentation.from_dict(data))
@@ -70,21 +91,21 @@ def test_validate_catches_bad_steenrod():
 
 
 def test_validate_catches_unknown_permanent_cycle():
-    data = builtin("spin9").to_dict()
+    data = BUILTINS["spin9"]()
     data["permanent_cycles"].append("x1_99")
     report = validate(SpacePresentation.from_dict(data))
     assert any("x1_99" in p for p in report.problems)
 
 
 def test_validate_catches_non_free_loop_algebra():
-    data = builtin("spin9").to_dict()
+    data = BUILTINS["spin9"]()
     data["loop_homology"]["generators"][0]["height"] = 3
     report = validate(SpacePresentation.from_dict(data))
     assert any("not free" in p for p in report.problems)
 
 
 def test_validate_catches_bad_extra_square():
-    data = builtin("spin9").to_dict()
+    data = BUILTINS["spin9"]()
     # Sq^4 x11 must land in degree 15
     data["extra_generators"][0]["steenrod"] = [{"k": 4, "value": ["x7"]}]
     report = validate(SpacePresentation.from_dict(data))
@@ -103,13 +124,13 @@ def test_validate_catches_bad_extra_square():
 )
 def test_validate_checks_extra_square_range(k, value, problems):
     """Sq^k of an extra generator x is read only for 1 <= k < |x|."""
-    data = builtin("spin9").to_dict()
+    data = BUILTINS["spin9"]()
     data["extra_generators"][0]["steenrod"] = [{"k": k, "value": [value]}]
     assert validate(SpacePresentation.from_dict(data)).problems == problems
 
 
 def test_validate_conservation_preflight():
-    data = builtin("toy-trunc-poly").to_dict()
+    data = BUILTINS["toy-trunc-poly"]()
     # drop the polynomial loop generator: E2 can no longer cover H^*
     data["loop_homology"]["generators"] = [
         g
@@ -130,7 +151,7 @@ def test_bad_steenrod_row_is_named_once_and_never_read():
     """`validate` names a bad row once, though it is parsed over both
     algebras; either table, read afterwards, raises that problem rather
     than handing out the rows that parsed."""
-    data = builtin("spin9").to_dict()
+    data = BUILTINS["spin9"]()
     data["steenrod"][0]["value"] = ["x7"]
     sp = SpacePresentation.from_dict(data)
     problem = "Sq^2 x3: value not homogeneous of degree 5"

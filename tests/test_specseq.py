@@ -129,6 +129,19 @@ def test_inference_unique_toy():
     )
 
 
+@pytest.mark.parametrize("name", ["unit", "su4"])
+def test_inference_without_a_differential_is_the_empty_fold(name):
+    """The no-differential result is the tower with no spec, whose page is
+    E2; the model lists no differential."""
+    from test_weights import su_space
+
+    model = LoopSpaceModel(builtin(name) if name == "unit" else su_space(4))
+    found = infer_differentials(model.e2, model.space.permanent_cycles, model.algebra)
+    assert [tower.specs for tower in found] == [[]]
+    assert model.differentials == []
+    assert found[0].page().to_json() == model.e2.to_json()
+
+
 def test_inference_budget(monkeypatch):
     monkeypatch.setattr(specseq, "SEARCH_BUDGET", 1)
     with pytest.raises(InferenceError, match="search budget exceeded"):

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from lscat.algebra import AlgebraError
-from lscat.spaces import SpacePresentation, builtin, validate
+from lscat.spaces import BUILTINS, SpacePresentation, builtin, validate
 from lscat.steenrod import SteenrodAction
 from lscat.weights import LoopSpaceModel
 from test_algebra import graded
@@ -122,7 +122,7 @@ def test_instability_catches_bad_table(spin9):
     bad3 = SteenrodAction(alg, {("x3", 3): 0})
     assert any("must equal" in p for p in bad3.verify_instability())
     # A value in the wrong degree is no row: the fixture fails to parse.
-    data = builtin("spin9").to_dict()
+    data = BUILTINS["spin9"]()
     data["steenrod"].append({"gen": "x3", "k": 3, "value": ["x3"]})
     problems = validate(SpacePresentation.from_dict(data)).problems
     assert problems == ["Sq^3 x3: value not homogeneous of degree 6"]

@@ -33,29 +33,39 @@ from reference import classify_truncation, truncate
 from test_specseq import two_page_synthetic
 
 
-def su_space(n: int) -> SpacePresentation:
-    """SU(n): Lambda(x3, ..., x(2n-1)) with Borel's squares
+def su_data(n: int) -> dict:
+    """SU(n)'s fixture data: Lambda(x3, ..., x(2n-1)) with Borel's squares
     Sq^(2i) x(2j-1) = C(j-1, i) x(2i+2j-1), loop homology polynomial on
     u2, ..., u(2n-2) (Bott), every suspension class permanent."""
-    cap = n * n - 1
     top = 2 * n - 1
-    return SpacePresentation(
-        name=f"su{n}",
-        degree_cap=cap,
-        cohomology=AlgebraPresentation(
-            tuple(Generator(f"x{d}", d, 2) for d in range(3, top + 1, 2)), cap
-        ),
-        steenrod=[
-            (f"x{2 * j - 1}", 2 * i, [f"x{2 * i + 2 * j - 1}"])
+    return {
+        "name": f"su{n}",
+        "degree_cap": n * n - 1,
+        "cohomology": {
+            "generators": [
+                {"name": f"x{d}", "degree": d, "height": 2}
+                for d in range(3, top + 1, 2)
+            ]
+        },
+        "steenrod": [
+            {"gen": f"x{2 * j - 1}", "k": 2 * i, "value": [f"x{2 * i + 2 * j - 1}"]}
             for j in range(2, n + 1)
             for i in range(1, j)
             if 2 * i + 2 * j - 1 <= top and comb(j - 1, i) % 2
         ],
-        loop_homology=AlgebraPresentation(
-            tuple(Generator(f"u{d}", d, None) for d in range(2, 2 * n, 2)), cap
-        ),
-        permanent_cycles=[f"x1_{d}" for d in range(2, 2 * n, 2)],
-    )
+        "loop_homology": {
+            "generators": [
+                {"name": f"u{d}", "degree": d, "height": "unbounded"}
+                for d in range(2, 2 * n, 2)
+            ]
+        },
+        "permanent_cycles": [f"x1_{d}" for d in range(2, 2 * n, 2)],
+    }
+
+
+def su_space(n: int) -> SpacePresentation:
+    """SU(n)'s presentation, read from `su_data(n)`."""
+    return SpacePresentation.from_dict(su_data(n))
 
 
 def reference_stage(model: LoopSpaceModel, m: int):
