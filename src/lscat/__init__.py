@@ -22,7 +22,6 @@ from lscat.bounds import (
     ganea_product_bound,
     strong_category_fallback,
 )
-from lscat.cells import CellComplex, CellError, smash, sphere, suspend
 from lscat.report import build_ledger, build_report, format_text, page_at
 from lscat.spaces import (
     BUILTIN_NAMES,
@@ -59,8 +58,6 @@ __all__ = [
     "BigradedPage",
     "BoundEntry",
     "BoundsLedger",
-    "CellComplex",
-    "CellError",
     "DifferentialSpec",
     "ExtraGenerator",
     "FixtureError",
@@ -85,9 +82,6 @@ __all__ = [
     "infer_differentials",
     "koszul_e2",
     "page_at",
-    "smash",
-    "sphere",
     "strong_category_fallback",
-    "suspend",
     "validate",
 ]

@@ -16,7 +16,6 @@ of `gf2` and of the spectral-sequence pages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
@@ -25,20 +24,26 @@ class AlgebraError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class Generator:
-    name: str
-    degree: int
-    height: int | None = None  # None = polynomial (unbounded)
+    __slots__ = ("name", "degree", "height")
+
+    def __init__(self, name: str, degree: int, height: int | None = None):
+        self.name = name
+        self.degree = degree
+        self.height = height  # None = polynomial (unbounded)
+
+    def __eq__(self, other):
+        if type(other) is not Generator:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
 
-@dataclass(frozen=True)
 class AlgebraPresentation:
-    generators: tuple[Generator, ...]
-    degree_cap: int
+    __slots__ = ("generators", "degree_cap")
 
-    def __post_init__(self):
-        object.__setattr__(self, "generators", tuple(self.generators))
+    def __init__(self, generators: Iterable[Generator], degree_cap: int):
+        self.generators: tuple[Generator, ...] = tuple(generators)
+        self.degree_cap = degree_cap
         names = [g.name for g in self.generators]
         if len(set(names)) != len(names):
             raise AlgebraError(f"duplicate generator names in {names}")
@@ -49,6 +54,11 @@ class AlgebraPresentation:
                 raise AlgebraError(f"generator {g.name}: height must be >= 2")
         if self.degree_cap < 1:
             raise AlgebraError("degree_cap must be >= 1")
+
+    def __eq__(self, other):
+        if type(other) is not AlgebraPresentation:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
     def top_degree(self) -> int | None:
         """Degree of the top monomial, the sum of d (h - 1) over the

@@ -9,7 +9,6 @@ entry gives a cat upper bound (cat <= Cat).
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
 
 QUANTITIES = ("cat", "Cat", "cuplen", "wgt", "Mwgt")
 KINDS = ("lower", "upper", "exact")
@@ -29,29 +28,31 @@ class InconsistentLedger(LedgerError):
         )
 
 
-@dataclass(frozen=True)
 class BoundEntry:
-    quantity: str
-    kind: str
-    value: int
-    provenance: str
+    __slots__ = ("quantity", "kind", "value", "provenance")
 
-    def __post_init__(self):
-        if self.quantity not in QUANTITIES:
-            raise LedgerError(f"unknown quantity {self.quantity!r}")
-        if self.kind not in KINDS:
-            raise LedgerError(f"unknown kind {self.kind!r}")
-        if self.value < 0:
+    def __init__(self, quantity: str, kind: str, value: int, provenance: str):
+        if quantity not in QUANTITIES:
+            raise LedgerError(f"unknown quantity {quantity!r}")
+        if kind not in KINDS:
+            raise LedgerError(f"unknown kind {kind!r}")
+        if value < 0:
             raise LedgerError("bound values must be >= 0")
+        self.quantity = quantity
+        self.kind = kind
+        self.value = value
+        self.provenance = provenance
 
     def __str__(self):
         return f"{self.quantity} {self.kind} {self.value} ({self.provenance})"
 
 
-@dataclass
 class BoundsLedger:
-    space: str
-    entries: list[BoundEntry] = field(default_factory=list)
+    __slots__ = ("space", "entries")
+
+    def __init__(self, space: str, entries: list[BoundEntry] | None = None):
+        self.space = space
+        self.entries = [] if entries is None else entries
 
     def add(self, quantity: str, kind: str, value: int, provenance: str):
         self.entries.append(BoundEntry(quantity, kind, value, provenance))

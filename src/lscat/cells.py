@@ -8,19 +8,17 @@ untestable annotations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 
 class CellError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class CellComplex:
-    cells: tuple[tuple[int, str], ...]  # (dimension, label)
+    __slots__ = ("cells",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "cells", tuple(self.cells))
+    def __init__(self, cells):
+        self.cells = tuple(cells)  # (dimension, label) pairs
         labels = [lab for _, lab in self.cells]
         if len(set(labels)) != len(labels):
             raise CellError("cell labels must be unique")

@@ -11,7 +11,7 @@ import time
 
 from lscat import bounds as bounds_mod
 from lscat.bounds import BoundsLedger, InconsistentLedger
-from lscat.spaces import SpacePresentation, validate
+from lscat.spaces import FixtureError, SpacePresentation, validate
 from lscat.specseq import (
     BigradedPage,
     SpectralSequenceError,
@@ -28,9 +28,10 @@ WGT_PROVENANCE = "maximal E-infinity filtration over the reduced cohomology"
 
 
 def attested_entries(space: SpacePresentation, ledger: BoundsLedger):
-    """Move machine-readable attestation bounds into the ledger.  The
-    space has passed `validate`, which names a rule `bounds.RULES` lacks."""
-    for att in space.attestations:
+    """Move machine-readable attestation bounds into the ledger.  A rule
+    that gives no bound (`bounds.rule_problem`) raises FixtureError with
+    the problem `validate` names for it."""
+    for i, att in enumerate(space.attestations):
         if att.bound:
             ledger.add(
                 att.bound["quantity"],
@@ -40,6 +41,9 @@ def attested_entries(space: SpacePresentation, ledger: BoundsLedger):
             )
         if att.rule:
             name = att.rule["name"]
+            problem = bounds_mod.rule_problem(name, att.rule["args"])
+            if problem:
+                raise FixtureError(f"attestations[{i}].rule: {problem}")
             fn, quantity, kind = bounds_mod.RULES[name]
             value = fn(*att.rule["args"])
             ledger.add(

@@ -35,8 +35,9 @@ suspension match (`match`), and the extended algebra with its table, the
 extra generators' rows included (`extended_algebra`, `extended_action`).
 Each Steenrod row is parsed once per algebra.  `validate` and
 `weights.LoopSpaceModel` read these same objects, so validation accepts
-exactly the tables the engine squares in.  `dataclasses.replace` (a
-degree-cap override) makes a new presentation, which builds its own.
+exactly the tables the engine squares in.  A degree-cap override
+(`weights.LoopSpaceModel`) constructs a new presentation from the same
+fields, with the cap in both algebra presentations, and it builds its own.
 
 The suspension match (`suspension_match`) pairs each E2 generator x1_t,
 of degree t + 1, with the one cohomology or extra generator of that
@@ -54,7 +55,6 @@ once that no E-infinity class it reads uses one.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from lscat.algebra import (
@@ -122,44 +122,91 @@ def _action(algebra: Algebra, table: dict, problems: list[str]) -> SteenrodActio
     return SteenrodAction(algebra, table)
 
 
-@dataclass
 class ExtraGenerator:
     """A filtration-1 class of the projective-stage models that is not a
     suspension of a cohomology generator (it enters partial products)."""
 
-    name: str
-    t: int
-    extension_height: int
-    steenrod: dict[int, list[str]] = field(default_factory=dict)
+    __slots__ = ("name", "t", "extension_height", "steenrod")
+
+    def __init__(
+        self,
+        name: str,
+        t: int,
+        extension_height: int,
+        steenrod: dict[int, list[str]] | None = None,
+    ):
+        self.name = name
+        self.t = t
+        self.extension_height = extension_height
+        self.steenrod = {} if steenrod is None else steenrod
+
+    def __eq__(self, other):
+        if type(other) is not ExtraGenerator:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
     @property
     def degree(self) -> int:
         return 1 + self.t
 
 
-@dataclass
 class Attestation:
-    claim: str
-    provenance: str
-    bound: dict | None = None  # {"quantity", "kind", "value"}
-    rule: dict | None = None  # {"name", "args"}
+    __slots__ = ("claim", "provenance", "bound", "rule")
+
+    def __init__(
+        self,
+        claim: str,
+        provenance: str,
+        bound: dict | None = None,  # {"quantity", "kind", "value"}
+        rule: dict | None = None,  # {"name", "args"}
+    ):
+        self.claim = claim
+        self.provenance = provenance
+        self.bound = bound
+        self.rule = rule
+
+    def __eq__(self, other):
+        if type(other) is not Attestation:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
 
-@dataclass
 class SpacePresentation:
     """One space's presentation, and the owner of the objects derived
     from it (see the module docstring): each is built on first read and
-    kept.  A copy made by `dataclasses.replace` builds its own.  Change
-    no field after a derived object has been read."""
+    kept, so it has no `__slots__`.  A new presentation made from its
+    fields (the degree-cap override in `weights.LoopSpaceModel`) builds
+    its own.  Change no field after a derived object has been read."""
 
-    name: str
-    degree_cap: int
-    cohomology: AlgebraPresentation
-    steenrod: list[tuple[str, int, list[str]]] = field(default_factory=list)
-    loop_homology: AlgebraPresentation | None = None
-    permanent_cycles: list[str] = field(default_factory=list)
-    extra_generators: list[ExtraGenerator] = field(default_factory=list)
-    attestations: list[Attestation] = field(default_factory=list)
+    _FIELDS = (
+        "name", "degree_cap", "cohomology", "steenrod", "loop_homology",
+        "permanent_cycles", "extra_generators", "attestations",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        degree_cap: int,
+        cohomology: AlgebraPresentation,
+        steenrod: list[tuple[str, int, list[str]]] | None = None,
+        loop_homology: AlgebraPresentation | None = None,
+        permanent_cycles: list[str] | None = None,
+        extra_generators: list[ExtraGenerator] | None = None,
+        attestations: list[Attestation] | None = None,
+    ):
+        self.name = name
+        self.degree_cap = degree_cap
+        self.cohomology = cohomology
+        self.steenrod = [] if steenrod is None else steenrod
+        self.loop_homology = loop_homology
+        self.permanent_cycles = [] if permanent_cycles is None else permanent_cycles
+        self.extra_generators = [] if extra_generators is None else extra_generators
+        self.attestations = [] if attestations is None else attestations
+
+    def __eq__(self, other):
+        if type(other) is not SpacePresentation:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._FIELDS)
 
     # -- derived objects ---------------------------------------------------
 
@@ -200,7 +247,7 @@ class SpacePresentation:
             return self.algebra
         extras = tuple(Generator(x.name, x.degree, 2) for x in self.extra_generators)
         coh = self.cohomology
-        return Algebra(replace(coh, generators=coh.generators + extras))
+        return Algebra(AlgebraPresentation(coh.generators + extras, coh.degree_cap))
 
     @cached_property
     def _extended_squares(self) -> tuple[dict, list[str], list[str]]:
@@ -286,6 +333,7 @@ class SpacePresentation:
                         f"value, got {bound!r}"
                     )
                 _int(bound["value"], f"{where}.bound.value")
+                bound = dict(bound)
             if rule is not None:
                 if not (
                     isinstance(rule, dict)
@@ -298,6 +346,7 @@ class SpacePresentation:
                     )
                 for k, arg in enumerate(rule["args"]):
                     _int(arg, f"{where}.rule.args[{k}]")
+                rule = dict(rule, args=list(rule["args"]))
             return Attestation(a["claim"], a["provenance"], bound, rule)
 
         try:
@@ -418,9 +467,8 @@ def _unit() -> dict:
     }
 
 
-# Each built-in's fixture data, a new dict per call: `from_dict` keeps an
-# attestation's bound and rule dicts, so a shared dict would be shared by
-# every presentation built from it.
+# Each built-in's fixture data, a new dict per call, so a caller may edit
+# the dict it is given.
 BUILTINS = {"spin9": _spin9, "toy-trunc-poly": _toy_trunc_poly, "unit": _unit}
 BUILTIN_NAMES = tuple(BUILTINS)
 
@@ -434,10 +482,12 @@ def builtin(name: str) -> SpacePresentation:
     return SpacePresentation.from_dict(BUILTINS[name]())
 
 
-@dataclass
 class ValidationReport:
-    space: str
-    problems: list[str] = field(default_factory=list)
+    __slots__ = ("space", "problems")
+
+    def __init__(self, space: str, problems: list[str] | None = None):
+        self.space = space
+        self.problems = [] if problems is None else problems
 
     @property
     def ok(self) -> bool:

@@ -79,7 +79,6 @@ from __future__ import annotations
 import bisect
 import copy
 import itertools
-from dataclasses import dataclass, field
 
 from lscat import gf2
 from lscat.algebra import Algebra, AlgebraPresentation, Generator
@@ -97,18 +96,15 @@ class InferenceError(SpectralSequenceError):
     pass
 
 
-@dataclass(frozen=True)
 class DifferentialSpec:
     """d_r on generators: each value is a row over the cell of its
     generator's d_r target (`BigradedPage.target`); zero rows are dropped."""
 
-    r: int
-    assignments: dict[str, int] = field(default_factory=dict)
+    __slots__ = ("r", "assignments")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "assignments", {k: v for k, v in self.assignments.items() if v}
-        )
+    def __init__(self, r: int, assignments: dict[str, int] | None = None):
+        self.r = r
+        self.assignments = {k: v for k, v in (assignments or {}).items() if v}
 
     def is_trivial(self) -> bool:
         return not self.assignments

@@ -10,22 +10,21 @@ The rows are kept per monomial, for every k at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from lscat import gf2
 from lscat.algebra import Algebra, AlgebraError
 
 
-@dataclass
 class SteenrodAction:
     """`table` maps (generator name, k) to Sq^k of that generator of
     `algebra`, a row over the basis of degree |g| + k."""
 
-    algebra: Algebra
-    table: dict[tuple[str, int], int] = field(default_factory=dict)
-
-    def __post_init__(self):
+    def __init__(
+        self, algebra: Algebra, table: dict[tuple[str, int], int] | None = None
+    ):
+        self.algebra = algebra
+        self.table = {} if table is None else table
         self._squares: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     @cached_property

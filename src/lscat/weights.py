@@ -119,10 +119,9 @@ The Mwgt bound and the report's witness list both read that walk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property
 
-from lscat.algebra import Algebra
+from lscat.algebra import Algebra, AlgebraPresentation
 from lscat.specseq import (
     BigradedPage,
     DifferentialSpec,
@@ -136,15 +135,22 @@ class WeightError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class ObstructionWitness:
-    m: int
-    k: int
-    z_label: str
-    u: str
-    u_degree: int
-    vanishing_degree: int
-    facts: tuple[str, ...] = ()
+    __slots__ = ("m", "k", "z_label", "u", "u_degree", "vanishing_degree", "facts")
+
+    def __init__(self, m, k, z_label, u, u_degree, vanishing_degree, facts=()):
+        self.m = m
+        self.k = k
+        self.z_label = z_label
+        self.u = u
+        self.u_degree = u_degree
+        self.vanishing_degree = vanishing_degree
+        self.facts = facts
+
+    def __eq__(self, other):
+        if type(other) is not ObstructionWitness:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
     def to_json(self) -> dict:
         return {
@@ -163,16 +169,23 @@ BUCKET_PARTIAL = "partial"
 BUCKET_RESIDUAL = "residual"
 
 
-@dataclass(frozen=True)
 class TruncationClass:
     """One class of a truncated E-infinity page with its module label."""
 
-    s: int
-    t: int
-    degree: int
-    leading: tuple
-    label: str
-    bucket: str
+    __slots__ = ("s", "t", "degree", "leading", "label", "bucket")
+
+    def __init__(self, s, t, degree, leading, label, bucket):
+        self.s = s
+        self.t = t
+        self.degree = degree
+        self.leading = leading
+        self.label = label
+        self.bucket = bucket
+
+    def __eq__(self, other):
+        if type(other) is not TruncationClass:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
 
 def bucket(partial, factors, rest_alive, m, extension_height) -> str:
@@ -216,8 +229,11 @@ class ClassFacts:
     of it, none of which depends on the stage, and its report entry per
     bucket it has taken."""
 
-    # A plain class: a dataclass or NamedTuple takes far longer to define,
-    # and this one is defined at every import of the package.
+    # Every record type of the package is a plain class like this one: a
+    # dataclass or NamedTuple takes far longer to define, and each is
+    # defined at every import of the package.  A record has `__slots__`
+    # unless a `cached_property` needs its `__dict__`, and an `__eq__` only
+    # where records are compared.
     __slots__ = ("s", "t", "leading", "label", "key", "entries")
 
     def __init__(self, s, t, leading, label, key):
@@ -264,15 +280,16 @@ class LoopSpaceModel:
         degree_cap: int | None = None,
     ):
         if degree_cap is not None and degree_cap != space.degree_cap:
-            space = replace(
-                space,
-                degree_cap=degree_cap,
-                cohomology=replace(space.cohomology, degree_cap=degree_cap),
-                loop_homology=(
-                    replace(space.loop_homology, degree_cap=degree_cap)
-                    if space.loop_homology
-                    else None
-                ),
+            loop = space.loop_homology
+            space = SpacePresentation(
+                space.name,
+                degree_cap,
+                AlgebraPresentation(space.cohomology.generators, degree_cap),
+                space.steenrod,
+                AlgebraPresentation(loop.generators, degree_cap) if loop else None,
+                space.permanent_cycles,
+                space.extra_generators,
+                space.attestations,
             )
         self.space = space
         self.algebra: Algebra = space.algebra

@@ -7,16 +7,8 @@ import json
 
 import pytest
 
-from lscat import (
-    LoopSpaceModel,
-    assemble_bracket,
-    builtin,
-    bundle_upper_bound,
-    smash,
-    sphere,
-    suspend,
-)
-from lscat.cells import cp, min_cell_dim_excluding
+from lscat import LoopSpaceModel, assemble_bracket, builtin, bundle_upper_bound
+from lscat.cells import cp, min_cell_dim_excluding, smash, sphere, suspend
 from lscat.cli import main as cli_main
 from lscat.report import build_ledger
 from lscat.specseq import leibniz

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -529,7 +530,8 @@ def drop_rule_name(data):
             id="rule-no-name",
         ),
         pytest.param(
-            # `validate` owns this check; the ledger reads only valid rules.
+            # `validate` names it, and the ledger raises it (see
+            # `test_ledger_raises_the_problem_of_a_bad_rule`).
             lambda data: data["attestations"][1]["rule"].update(name="nope"),
             "attestations[1].rule: unknown bound rule 'nope'",
             id="rule-unknown-name",
@@ -583,6 +585,33 @@ def test_bad_attestation_exits_3(tmp_path, command, edit, message):
     assert code == 3
     assert message in out + err
     assert "cat bracket" not in out
+
+
+@pytest.mark.parametrize(
+    "rule, message",
+    [
+        pytest.param(
+            {"name": "nope", "args": [5, 3]},
+            "attestations[1].rule: unknown bound rule 'nope'",
+            id="unknown-name",
+        ),
+        pytest.param(
+            {"name": "bundle_upper_bound", "args": [5, 3, 1]},
+            "attestations[1].rule: bundle_upper_bound takes 2 arguments, got 3",
+            id="three-args",
+        ),
+    ],
+)
+def test_ledger_raises_the_problem_of_a_bad_rule(rule, message):
+    """`build_ledger` on a presentation that has not passed `validate`
+    raises a FixtureError with the problem `validate` names, not a bare
+    KeyError or TypeError from the rule table."""
+    data = BUILTINS["spin9"]()
+    data["attestations"][1]["rule"] = rule
+    sp = SpacePresentation.from_dict(data)
+    assert validate(sp).problems == [message]
+    with pytest.raises(spaces.FixtureError, match=f"^{re.escape(message)}$"):
+        report_mod.build_ledger(LoopSpaceModel(sp))
 
 
 @pytest.mark.parametrize("command", ["report", "validate"])
@@ -736,6 +765,23 @@ def test_optimised_interpreter_gives_same_report(tmp_path):
                 plain.returncode, plain.stdout, plain.stderr
             )
             assert message in plain.stdout.decode()
+
+
+def test_importing_the_cli_defines_no_dataclass_and_skips_cells():
+    """Every record type is a plain class and no report path reads
+    `lscat.cells`, so a fresh interpreter (without `site`, so that no
+    installed package can import either first) that imports the CLI has
+    imported neither `dataclasses` nor `lscat.cells`."""
+    src = str(Path(lscat.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, lscat.cli; "
+        "print(sorted({'dataclasses', 'lscat.cells'} & sys.modules.keys()))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, env=env, timeout=120
+    )
+    assert (run.returncode, run.stdout, run.stderr) == (0, b"[]\n", b"")
 
 
 def assert_unreadable(path):

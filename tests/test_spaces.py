@@ -33,7 +33,7 @@ def test_builtins_validate(name):
 def test_builtin_data_is_new_per_call(name):
     """`BUILTINS[name]()` returns a new dict on each call, so editing one
     copy, nested lists and dicts included (spin9's rule args, say), changes
-    no built-in: `from_dict` keeps an attestation's bound and rule dicts."""
+    no built-in."""
     sp = builtin(name)
     data = BUILTINS[name]()
     assert data is not BUILTINS[name]()
@@ -48,6 +48,20 @@ def test_builtin_data_is_new_per_call(name):
     clear(data)
     assert data == {} and BUILTINS[name]()
     assert builtin(name) == sp
+
+
+def test_from_dict_keeps_no_part_of_its_input():
+    """Editing the input dict after `from_dict`, an attestation's bound
+    and rule included, changes nothing the presentation holds."""
+    data = BUILTINS["spin9"]()
+    data["attestations"][0]["bound"] = {"quantity": "cat", "kind": "upper", "value": 8}
+    sp = SpacePresentation.from_dict(data)
+    data["attestations"][0]["bound"]["value"] = 0
+    data["attestations"][1]["rule"]["args"][0] = 0
+    data["attestations"][1]["rule"]["name"] = "nope"
+    assert sp.attestations[0].bound["value"] == 8
+    assert sp.attestations[1].rule["args"] == [5, 3]
+    assert sp.attestations[1].rule["name"] == "bundle_upper_bound"
 
 
 def test_unknown_builtin():

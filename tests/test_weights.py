@@ -244,6 +244,35 @@ def test_degree_cap_override():
     assert model.differentials[0].r == 3
 
 
+@pytest.mark.parametrize("cap", [20, 52])
+@pytest.mark.parametrize("name", ["spin9", "toy-trunc-poly"])
+def test_degree_cap_override_builds_a_new_presentation(name, cap):
+    """`LoopSpaceModel(sp, degree_cap=c)` reads a new presentation whose
+    cohomology and loop homology carry cap c, and leaves `sp` and the
+    objects it built untouched."""
+    sp = builtin(name)
+    built = {n: getattr(sp, n) for n in ("algebra", "e2", "extended_algebra")}
+    model = LoopSpaceModel(sp, degree_cap=cap)
+    new = model.space
+    assert new is not sp
+    assert new.degree_cap == new.cohomology.degree_cap == cap
+    assert new.loop_homology.degree_cap == cap
+    assert new.cohomology.generators == sp.cohomology.generators
+    assert new.loop_homology.generators == sp.loop_homology.generators
+    assert model.algebra.degree_cap == model.e2.degree_cap == cap
+    assert new.extended_algebra.degree_cap == cap
+    assert model.mwgt_lower_bound() == LoopSpaceModel(new).mwgt_lower_bound()
+    assert sp == builtin(name)
+    assert sp.degree_cap == sp.cohomology.degree_cap == 36
+    assert sp.loop_homology.degree_cap == 36
+    for n, obj in built.items():
+        assert getattr(sp, n) is obj and obj.degree_cap == 36, n
+    # The presentation's own cap needs no copy, and no loop homology stays none.
+    assert LoopSpaceModel(sp, degree_cap=36).space is sp
+    sp.loop_homology = None
+    assert LoopSpaceModel(sp, degree_cap=cap).space.loop_homology is None
+
+
 @pytest.mark.parametrize(
     "make",
     [
