@@ -8,8 +8,6 @@ entry gives a cat upper bound (cat <= Cat).
 
 from __future__ import annotations
 
-import inspect
-
 QUANTITIES = ("cat", "Cat", "cuplen", "wgt", "Mwgt")
 KINDS = ("lower", "upper", "exact")
 
@@ -106,11 +104,16 @@ def strong_category_fallback(cat_strong_g: int) -> int:
     return 2 * cat_strong_g + 1
 
 
-# Attestation rules: name -> (function, the quantity and kind it bounds).
+# Attestation rules: name -> (function, the quantity and kind it bounds,
+# its arity).  The arity is read here, from the function itself, so a
+# wrapper installed later (a tracer's `*args` one) cannot change it.
 RULES = {
-    "bundle_upper_bound": (bundle_upper_bound, "cat", "upper"),
-    "ganea_product_bound": (ganea_product_bound, "cat", "upper"),
-    "strong_category_fallback": (strong_category_fallback, "Cat", "upper"),
+    fn.__name__: (fn, quantity, kind, fn.__code__.co_argcount)
+    for fn, quantity, kind in (
+        (bundle_upper_bound, "cat", "upper"),
+        (ganea_product_bound, "cat", "upper"),
+        (strong_category_fallback, "Cat", "upper"),
+    )
 }
 
 
@@ -118,8 +121,7 @@ def rule_problem(name: str, args: list[int]) -> str | None:
     """Why the attested rule `name(*args)` gives no bound, or None."""
     if name not in RULES:
         return f"unknown bound rule {name!r}"
-    fn = RULES[name][0]
-    arity = len(inspect.signature(fn).parameters)
+    fn, _, _, arity = RULES[name]
     if len(args) != arity:
         return f"{name} takes {arity} arguments, got {len(args)}"
     try:

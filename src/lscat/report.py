@@ -44,7 +44,7 @@ def attested_entries(space: SpacePresentation, ledger: BoundsLedger):
             problem = bounds_mod.rule_problem(name, att.rule["args"])
             if problem:
                 raise FixtureError(f"attestations[{i}].rule: {problem}")
-            fn, quantity, kind = bounds_mod.RULES[name]
+            fn, quantity, kind, _ = bounds_mod.RULES[name]
             value = fn(*att.rule["args"])
             ledger.add(
                 quantity,

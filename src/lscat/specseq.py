@@ -53,6 +53,43 @@ each truncation from scratch and evaluates the Leibniz rule directly.  A
 state where no class has a nonzero d_r and no boundary lands keeps its
 classes as they are (`homology_at` says why that is exact).
 
+The tower folds only the factor the specs touch (a Kunneth split).  A
+generator is touched when some spec assigns it a value or it occurs in
+some value's monomials; A is the sub-lattice on the touched generators,
+and B is the monomials in the others.  When some spec is nontrivial and
+some generator is untouched, the tower folds the specs over A alone, in a
+tower of its own whose generators are all touched, and assembles every
+state (j, s, t, alive) with j >= 1 as the union over b in B of the
+A state (j, s - s_b, t - t_b, alive) times b.  That is exact:
+
+- D(b) = 0 for an untouched monomial b, and D(A) lies in A.  By the
+  Leibniz rule D(a b) = D(a) b, so each block A b is a subcomplex, and
+  each bidegree of E2 is the direct sum of its blocks.
+- No reported state reads past the lattice cap: d_r out of degree
+  <= cap lands in degree <= cap + 1 < cap + `DEFAULT_SCRATCH`.  So in
+  reported degrees the capped lattice is A (x) B, and D(a) b loses no
+  term to the cap.
+- `alive` counts the specs alive out of the full column s = s_a + s_b,
+  the same for every block of the state, and A's state takes it
+  unchanged.  The incoming state is full-alive on both sides.
+- Multiplying by b keeps the ascending order of A's cell inside the full
+  cell (the exponents of b agree, so two products first differ where
+  their A monomials do), and different blocks have disjoint supports.
+  `homology_at`'s representatives are the RREF rows of cycles plus
+  boundaries whose lowest-bit pivots are not boundary pivots, so they
+  depend on those two spans alone, and the RREF of a direct sum over
+  disjoint supports is the union of its summands' RREFs.  So a full
+  state's canonical representatives (RREF, lowest-bit pivots, sorted by
+  lowest bit) are the union of its blocks' representatives, and every
+  state is byte-identical to the unsplit fold's.
+
+The d^2 check still runs on the full E2, before anything folds, and the
+last E2 column is still read over the full cells.  So the fold's cost
+follows A, not the untouched factors: on spin9, F2[x1_2] (x) Lambda(x1_4,
+x1_6, x1_10, x1_14) with d_3(x1_10) = x1_2^4, A is F2[x1_2] (x)
+Lambda(x1_10), and each homology computed over A serves every monomial
+of Lambda(x1_4, x1_6, x1_14).
+
 The E2 lattice is an `Algebra`: x1_t has total degree 1 + t, and a
 lattice monomial is its exponent tuple, in filtration s = its exponent
 sum.  The lattice algebra's cap is the report cap + `DEFAULT_SCRATCH`.
@@ -245,7 +282,12 @@ def koszul_e2(loop: AlgebraPresentation) -> BigradedPage:
     lattice = Algebra(
         AlgebraPresentation(tuple(gens), loop.degree_cap + DEFAULT_SCRATCH)
     )
+    return _lattice_e2(lattice, loop.degree_cap)
 
+
+def _lattice_e2(lattice: Algebra, degree_cap: int) -> BigradedPage:
+    """The E2 page over `lattice`: a cell per bidegree up to the lattice's
+    cap, and one class per monomial up to `degree_cap`."""
     # Each degree's basis is in ascending order, so each bidegree's is.
     monomials: dict[tuple[int, int], list] = {}
     for degree in range(lattice.degree_cap + 1):
@@ -257,11 +299,9 @@ def koszul_e2(loop: AlgebraPresentation) -> BigradedPage:
     # degrees past the report cap are cells only.
     units = tuple(1 << i for i in range(max(map(len, cells.values()), default=0)))
     basis = {
-        key: units[: len(c)]
-        for key, c in cells.items()
-        if sum(key) <= loop.degree_cap
+        key: units[: len(c)] for key, c in cells.items() if sum(key) <= degree_cap
     }
-    return BigradedPage(lattice, cells, 2, basis, loop.degree_cap)
+    return BigradedPage(lattice, cells, 2, basis, degree_cap)
 
 
 def _value_monomials(page: BigradedPage, spec: DifferentialSpec):
@@ -436,6 +476,15 @@ class TruncationTower:
     (m, j): the inference's dimension check and the model's E-infinity
     read the same untruncated page, as do that check and `page_at` for a
     page past the last differential.
+
+    `_states` holds every state read, keyed (j, s, t, alive).  When some
+    generator is untouched (the module docstring's Kunneth split),
+    `_factor` is the tower of the same specs over the touched sub-lattice
+    A: it folds, and this tower's states with j >= 1 are assembled from
+    its states.  The map from each E2 bidegree to its blocks (A bidegree,
+    b) is built with the tower, and each block's bit map on the first
+    nonempty A state it carries.  Otherwise `_factor` is None and this
+    tower folds E2 itself.
     """
 
     def __init__(self, e2: BigradedPage, specs: list[DifferentialSpec]):
@@ -466,6 +515,96 @@ class TruncationTower:
             _check_spec(e2, spec)
             self._d.append(_image_table(e2, spec))
             _check_d_squared(e2, spec, self._d[j])
+        self._factor = None
+        touched = set()
+        for spec in self.specs:
+            for i, monomials in _value_monomials(e2, spec):
+                touched.add(i)
+                touched.update(k for exps in monomials for k, e in enumerate(exps) if e)
+        if self.specs and len(touched) < len(e2.lattice.generators):
+            self._split(sorted(touched))
+
+    def _split(self, kept: list[int]):
+        """Fold the specs over the sub-lattice A on the generators `kept`
+        alone, and list each E2 bidegree's blocks (A bidegree, b), b a
+        monomial in the other generators."""
+        e2 = self.e2
+        gens = e2.lattice.generators
+        rest = [i for i in range(len(gens)) if i not in kept]
+        factor = _lattice_e2(
+            Algebra(
+                AlgebraPresentation(
+                    tuple(gens[i] for i in kept), e2.lattice.degree_cap
+                )
+            ),
+            e2.degree_cap,
+        )
+        specs = [
+            DifferentialSpec(
+                spec.r,
+                {
+                    gens[i].name: sum(
+                        1 << factor._bit[tuple(exps[k] for k in kept)]
+                        for exps in monomials
+                    )
+                    for i, monomials in _value_monomials(e2, spec)
+                },
+            )
+            for spec in self.specs
+        ]
+        self._factor = TruncationTower(factor, specs)
+        # Where each E2 exponent sits in an A monomial followed by a b.
+        self._order = sorted(range(len(gens)), key=(kept + rest).__getitem__)
+        others = Algebra(
+            AlgebraPresentation(tuple(gens[i] for i in rest), e2.degree_cap)
+        )
+        # Ascending degree, so each A bidegree's blocks are a prefix.
+        bs = [
+            (degree, sum(b), b)
+            for degree in range(e2.degree_cap + 1)
+            for b in others.basis(degree)
+        ]
+        self._blocks: dict[tuple[int, int], list] = {}
+        for sa, ta in factor.basis:
+            room = e2.degree_cap - sa - ta
+            for degree, sb, b in bs:
+                if degree > room:
+                    break
+                key = (sa + sb, ta + degree - sb)
+                self._blocks.setdefault(key, []).append(((sa, ta), b))
+        # Per block, the E2 bit of each monomial of its A cell times b,
+        # built on the first nonempty A state the block carries.
+        self._bits: dict[tuple, list[int]] = {}
+
+    def _assembled(self, j: int, s: int, t: int, alive: int) -> tuple[int, ...]:
+        """The state (j, s, t, alive) as the union of its blocks' A states,
+        each multiplied by its b, sorted by lowest bit."""
+        out = []
+        parts = 0
+        state = self._factor.state
+        for block in self._blocks.get((s, t), ()):
+            vecs = state(j, *block[0], alive)
+            if not vecs:
+                continue
+            bits = self._bits.get(block)
+            if bits is None:
+                b, order, bit = block[1], self._order, self.e2._bit
+                bits = self._bits[block] = [
+                    1 << bit[tuple((a + b)[k] for k in order)]
+                    for a in self._factor.e2.cells[block[0]]
+                ]
+            for vec in vecs:
+                acc = 0
+                while vec:
+                    low = vec & -vec
+                    acc |= bits[low.bit_length() - 1]
+                    vec ^= low
+                out.append(acc)
+            parts += 1
+        # Multiplying by b keeps a block's order: one block is sorted.
+        if parts > 1:
+            out.sort(key=lambda v: v & -v)
+        return tuple(out)
 
     def state(self, j: int, s: int, t: int, alive: int) -> tuple[int, ...]:
         """Basis at (s, t) after folding the first j specs, of which the
@@ -475,7 +614,9 @@ class TruncationTower:
             return basis.get((s, t), ())
         key = (j, s, t, alive)
         here = self._states.get(key)
-        if here is None:
+        if here is None and self._factor is not None:
+            here = self._states[key] = self._assembled(j, s, t, alive)
+        elif here is None:
             spec = self.specs[j - 1]
             r = spec.r
             if j == 1:  # E2 itself, not through state(0, ...)

@@ -1,5 +1,6 @@
 """CLI contract: formats, determinism, exit codes."""
 
+import inspect
 import io
 import json
 import os
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lscat
-from lscat import cli
+from lscat import bounds, cli
 from lscat import report as report_mod
 from lscat import spaces, specseq, weights
 from lscat.algebra import Algebra
@@ -612,6 +613,32 @@ def test_ledger_raises_the_problem_of_a_bad_rule(rule, message):
     assert validate(sp).problems == [message]
     with pytest.raises(spaces.FixtureError, match=f"^{re.escape(message)}$"):
         report_mod.build_ledger(LoopSpaceModel(sp))
+
+
+def test_rule_arities_are_read_once_at_import(monkeypatch):
+    """Each attested rule's arity is stored in `bounds.RULES` when the
+    module is imported: a spin9 report, which checks its rule in
+    `validate` and again in the ledger, makes no `inspect.signature` call,
+    and a `*args` wrapper put on a rule later (as the benchmark's tracer
+    does) keeps the arity check."""
+    calls = []
+    real_signature = inspect.signature
+
+    def counting_signature(*args, **kwargs):
+        calls.append(args)
+        return real_signature(*args, **kwargs)
+
+    monkeypatch.setattr(inspect, "signature", counting_signature)
+    assert run_cli("report", "spin9", "--format", "json")[0] == 0
+    assert calls == []
+    fn, *rest = bounds.RULES["bundle_upper_bound"]
+    monkeypatch.setitem(
+        bounds.RULES, "bundle_upper_bound", (lambda *args: fn(*args), *rest)
+    )
+    assert bounds.rule_problem("bundle_upper_bound", [5, 3, 1]) == (
+        "bundle_upper_bound takes 2 arguments, got 3"
+    )
+    assert bounds.rule_problem("bundle_upper_bound", [5, 3]) is None
 
 
 @pytest.mark.parametrize("command", ["report", "validate"])

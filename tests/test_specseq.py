@@ -6,7 +6,7 @@ import pytest
 
 from lscat import gf2, specseq
 from lscat.algebra import AlgebraError, AlgebraPresentation, Generator
-from lscat.spaces import builtin
+from lscat.spaces import BUILTINS, SpacePresentation, builtin
 from lscat.specseq import (
     DEFAULT_SCRATCH,
     DifferentialSpec,
@@ -362,6 +362,63 @@ def test_seeded_tower_matches_unseeded_on_spin9(cap):
     ).basis
 
 
+def padded_spin9(*degrees):
+    """spin9 tensored with a permanent exterior factor per degree d: u_d
+    polynomial in the loop homology, so x1_d exterior and permanent, and
+    x_(d+1) exterior in the cohomology."""
+    data = BUILTINS["spin9"]()
+    data["name"] = "spin9-padded"
+    for d in degrees:
+        data["loop_homology"]["generators"].append(
+            {"name": f"u{d}", "degree": d, "height": "unbounded"}
+        )
+        data["cohomology"]["generators"].append(
+            {"name": f"x{d + 1}", "degree": d + 1, "height": 2}
+        )
+        data["permanent_cycles"].append(f"x1_{d}")
+    return SpacePresentation.from_dict(data)
+
+
+def assert_matches_the_leibniz_fold(e2, specs):
+    """A fresh tower's page at every truncation m = None, 0..cap equals
+    the Leibniz-direct fold of that truncation; return the tower."""
+    tower = TruncationTower(e2, specs)
+    for m in [None, *range(e2.degree_cap + 1)]:
+        if m is None:
+            want = run_to_e_infinity(e2, specs)
+        else:
+            want = truncate(e2, m, specs)
+        got = tower.page(m)
+        assert got.basis == want.basis, m
+        assert got.to_json() == want.to_json(), m
+    return tower
+
+
+@pytest.mark.parametrize(
+    "space, cap",
+    [
+        ("spin9", 36),
+        ("spin9", 52),
+        ("padded", 36),
+        ("padded", 52),
+        ("two-page", None),
+    ],
+)
+def test_split_tower_matches_the_leibniz_fold(space, cap):
+    """A tower that folds only the factor its specs touch gives every
+    truncation as the from-scratch Leibniz fold over all of E2 does:
+    spin9, and spin9 with two more permanent exterior factors, split;
+    the two-page synthetic touches every generator and does not."""
+    if space == "two-page":
+        e2, specs = two_page_synthetic()
+    else:
+        sp = builtin("spin9") if space == "spin9" else padded_spin9(8, 12)
+        model = LoopSpaceModel(sp, degree_cap=cap)
+        e2, specs = model.e2, model.differentials
+    tower = assert_matches_the_leibniz_fold(e2, specs)
+    assert (tower._factor is None) == (space == "two-page")
+
+
 def scratch_listing(tower, m, j):
     """`tower.stage(m, j)` listed column by column from scratch: at or
     past the last E2 column, every differential counts as alive."""
@@ -456,30 +513,39 @@ def xor_of(vecs):
 
 @pytest.mark.parametrize("space", ["spin9-52", "two-page"])
 def test_tower_states_match_the_full_homology_path(space):
-    """Every state the tower computes, with its image tables and its
-    shortcut for a bidegree where d_r does nothing, is the full
-    kernel-and-quotient homology of the states it folds."""
+    """Every state the tower computes, assembled from its factor's states
+    or folded with its image tables and its shortcut for a bidegree where
+    d_r does nothing, is the full kernel-and-quotient homology of the
+    states it folds.  spin9 splits, so its factor tower folds, and the
+    shortcut is taken there; the two-page synthetic folds E2 itself."""
     if space == "spin9-52":
         model = LoopSpaceModel(builtin("spin9"), degree_cap=52)
         e2, specs = model.e2, model.differentials
     else:
         e2, specs = two_page_synthetic()
     tower = TruncationTower(e2, specs)
+    assert (tower._factor is None) == (space == "two-page")
     for m in [None, *range(e2.degree_cap + 1)]:
         for j in range(len(specs) + 1):
             tower.page(m, j)
-    shortcut = 0
-    for (j, s, t, alive), got in tower._states.items():
-        spec = tower.specs[j - 1]
-        r = spec.r
-        here = tower.state(j - 1, s, t, min(alive, j - 1))
-        if not here:
-            assert got == ()
-            continue
-        incoming = tower.state(j - 1, s - r, t + r - 1, j - 1)
-        assert got == full_homology(e2, spec, s, t, here, incoming, alive == j)
-        shortcut += got is here
-    assert 0 < shortcut < len(tower._states)
+    shortcuts = {}
+    for folded in filter(None, (tower, tower._factor)):
+        shortcut = 0
+        for (j, s, t, alive), got in folded._states.items():
+            spec = folded.specs[j - 1]
+            r = spec.r
+            here = folded.state(j - 1, s, t, min(alive, j - 1))
+            if not here:
+                assert got == ()
+                continue
+            incoming = folded.state(j - 1, s - r, t + r - 1, j - 1)
+            assert got == full_homology(
+                folded.e2, spec, s, t, here, incoming, alive == j
+            )
+            shortcut += got is here
+        shortcuts[folded] = shortcut
+    folded = tower._factor or tower
+    assert 0 < shortcuts[folded] < len(folded._states)
 
 
 @pytest.mark.parametrize(

@@ -30,7 +30,7 @@ from lscat.weights import (
     can_be_non_residual,
 )
 from reference import classify_truncation, truncate
-from test_specseq import two_page_synthetic
+from test_specseq import padded_spin9, two_page_synthetic
 
 
 def su_data(n: int) -> dict:
@@ -571,6 +571,63 @@ def test_spin9_report_folds_once(monkeypatch):
     # At most 108 E2 bidegrees for the fold (90 of them in reported
     # degrees) and as many truncation states past it.
     assert calls["homology"] <= 216
+
+
+@pytest.mark.parametrize(
+    "make, factor",
+    [
+        pytest.param(lambda: builtin("spin9"), ["x1_2", "x1_10"], id="spin9"),
+        pytest.param(lambda: padded_spin9(8, 12), ["x1_2", "x1_10"], id="padded"),
+        pytest.param(lambda: su_space(4), None, id="su4"),
+        pytest.param(lambda: builtin("toy-trunc-poly"), None, id="toy-trunc-poly"),
+    ],
+)
+def test_a_tower_folds_the_generators_its_differentials_touch(make, factor):
+    """spin9's d_3(x1_10) = x1_2^4 touches x1_2 and x1_10 alone, with or
+    without more permanent exterior factors, so its tower folds
+    F2[x1_2] (x) Lambda(x1_10), whose tower does not split again.  SU(4)
+    has no differential, and toy-trunc-poly's touches both its
+    generators, so neither splits."""
+    tower = LoopSpaceModel(make())._tower
+    if factor is None:
+        assert tower._factor is None
+    else:
+        assert [g.name for g in tower._factor.e2.lattice.generators] == factor
+        assert tower._factor._factor is None
+
+
+@pytest.mark.parametrize("cap", [36, 52])
+def test_spin9_folds_once_per_factor_state(monkeypatch, cap):
+    """spin9's fold runs over its touched factor A = F2[x1_2] (x)
+    Lambda(x1_10) alone, not once per monomial of Lambda(x1_4, x1_6,
+    x1_14): the untruncated fold makes one `homology_at` call per
+    bidegree of A's E2, and a report with --truncate 7,8,9 at most two
+    (d_3 alive or not).  Padding spin9 with permanent exterior factors
+    leaves A, and so both bounds, as they are.  The report's exact count
+    can move with the padding (38, 38, 38 at cap 36; 49, 50, 51 at cap
+    52): a block x1_8 b sits one column right of b, so a truncation can
+    read an A state with the other alive count."""
+    calls = []
+    real_homology = specseq.homology_at
+
+    def counting_homology(*args):
+        calls.append(args[2:4])
+        return real_homology(*args)
+
+    monkeypatch.setattr(specseq, "homology_at", counting_homology)
+    factors = []
+    for sp in (builtin("spin9"), padded_spin9(8), padded_spin9(8, 12)):
+        calls.clear()
+        model = LoopSpaceModel(sp, degree_cap=cap)
+        _, code = build_report(model, truncations=[7, 8, 9])
+        assert code == 0
+        factor = model._tower._factor
+        assert len(calls) <= 2 * len(factor.e2.basis)
+        factors.append(factor.e2.to_json())
+        calls.clear()
+        TruncationTower(model.e2, model.differentials).page()
+        assert len(calls) == len(set(calls)) == len(factor.e2.basis)
+    assert factors[1:] == factors[:-1]
 
 
 def test_spin9_pages_hold_only_reported_degrees():
