@@ -16,7 +16,6 @@ from lscat.specseq import (
     BigradedPage,
     SpectralSequenceError,
     TruncationTower,
-    candidate_widths,
 )
 from lscat.weights import LoopSpaceModel
 
@@ -231,7 +230,7 @@ def page_at(
     if r < 2:
         raise SpectralSequenceError("pages start at r = 2")
     e2 = model.e2
-    _, widths = candidate_widths(e2, model.space.permanent_cycles)
+    _, widths = model._candidate_widths
     if r <= min(widths, default=r):
         return TruncationTower(e2, []).page(truncate_at, 0).advanced(r)
     tower = model._tower

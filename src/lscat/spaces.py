@@ -98,8 +98,9 @@ def parse_squares(
 ) -> list[str]:
     """Add each row (gen, k, value) to `table` as Sq^k of the generator
     `gen` of `algebra`, a row over the basis of degree |gen| + k.  A row
-    that does not parse, or repeats an earlier row's generator and k, is
-    left out and named in the returned problems."""
+    past the algebra's cap is 0, where every class is, and its value is
+    not read.  A row that does not parse, or repeats an earlier row's
+    generator and k, is left out and named in the returned problems."""
     degrees = {g.name: g.degree for g in algebra.generators}
     problems = []
     for gen, k, value in rows:
@@ -107,6 +108,8 @@ def parse_squares(
             problems.append(f"Sq^{k} given on unknown generator {gen!r}")
         elif (gen, k) in table:
             problems.append(f"Sq^{k} {gen} given twice")
+        elif degrees[gen] + k > algebra.degree_cap:
+            table[(gen, k)] = 0
         else:
             try:
                 table[(gen, k)] = algebra.parse_row(value, degrees[gen] + k)
@@ -433,8 +436,7 @@ def _spin9() -> dict:
             {"claim": "the 15-cell attaching map of Spin(9) over Spin(7) "
              "compresses into stage 3 and its higher Hopf invariant "
              "vanishes (pi_14 of the 4-fold fibre join is trivial)",
-             "provenance": "trusted homotopy input; cell bookkeeping "
-             "checked by the cells module",
+             "provenance": "trusted homotopy input; not derived here",
              "rule": {"name": "bundle_upper_bound", "args": [5, 3]}},
         ],
     }

@@ -57,11 +57,20 @@ The tower folds only the factor the specs touch (a Kunneth split).  A
 generator is touched when some spec assigns it a value or it occurs in
 some value's monomials; A is the sub-lattice on the touched generators,
 and B is the monomials in the others.  When some spec is nontrivial and
-some generator is untouched, the tower folds the specs over A alone, in a
-tower of its own whose generators are all touched, and assembles every
-state (j, s, t, alive) with j >= 1 as the union over b in B of the
-A state (j, s - s_b, t - t_b, alive) times b.  That is exact:
+some generator is untouched, the tower folds the specs over A alone, as
+a sub-basis of E2's own cells (A's monomials are the E2 monomials whose
+untouched exponents are all 0), and assembles every state (j, s, t,
+alive) with j >= 1 as the union over b in B of the A state (j, s - s_b,
+t - t_b, alive) times b.  That is exact:
 
+- The fold over the sub-basis is A's own fold.  D(A) lies in A, so d_r
+  of an A class sets only A bits of its E2 target cell.  `homology_at`'s
+  kernel is taken over coefficients, and RREF with lowest-bit pivots
+  ignores columns that are zero in every row.  An A monomial's untouched
+  exponents are 0, so A's monomials keep their order in A's own cell
+  inside every E2 cell.  So the fold over the sub-basis is A's own fold,
+  bit for bit under that order-preserving embedding, and the b = 1 block
+  maps by the identity.
 - D(b) = 0 for an untouched monomial b, and D(A) lies in A.  By the
   Leibniz rule D(a b) = D(a) b, so each block A b is a subcomplex, and
   each bidegree of E2 is the direct sum of its blocks.
@@ -83,12 +92,13 @@ A state (j, s - s_b, t - t_b, alive) times b.  That is exact:
   lowest bit) are the union of its blocks' representatives, and every
   state is byte-identical to the unsplit fold's.
 
-The d^2 check still runs on the full E2, before anything folds, and the
-last E2 column is still read over the full cells.  So the fold's cost
-follows A, not the untouched factors: on spin9, F2[x1_2] (x) Lambda(x1_4,
-x1_6, x1_10, x1_14) with d_3(x1_10) = x1_2^4, A is F2[x1_2] (x)
-Lambda(x1_10), and each homology computed over A serves every monomial
-of Lambda(x1_4, x1_6, x1_14).
+The order check, the width check and the d^2 check run once per spec,
+on E2, before anything folds, and the fold reads d_r through the same
+image tables; the last E2 column is still read over the full cells.  So
+the fold's cost follows A, not the untouched factors: on spin9,
+F2[x1_2] (x) Lambda(x1_4, x1_6, x1_10, x1_14) with d_3(x1_10) = x1_2^4,
+A is F2[x1_2] (x) Lambda(x1_10), and each homology computed over A
+serves every monomial of Lambda(x1_4, x1_6, x1_14).
 
 The E2 lattice is an `Algebra`: x1_t has total degree 1 + t, and a
 lattice monomial is its exponent tuple, in filtration s = its exponent
@@ -116,6 +126,7 @@ from __future__ import annotations
 import bisect
 import copy
 import itertools
+from operator import add
 
 from lscat import gf2
 from lscat.algebra import Algebra, AlgebraPresentation, Generator
@@ -282,12 +293,6 @@ def koszul_e2(loop: AlgebraPresentation) -> BigradedPage:
     lattice = Algebra(
         AlgebraPresentation(tuple(gens), loop.degree_cap + DEFAULT_SCRATCH)
     )
-    return _lattice_e2(lattice, loop.degree_cap)
-
-
-def _lattice_e2(lattice: Algebra, degree_cap: int) -> BigradedPage:
-    """The E2 page over `lattice`: a cell per bidegree up to the lattice's
-    cap, and one class per monomial up to `degree_cap`."""
     # Each degree's basis is in ascending order, so each bidegree's is.
     monomials: dict[tuple[int, int], list] = {}
     for degree in range(lattice.degree_cap + 1):
@@ -299,9 +304,11 @@ def _lattice_e2(lattice: Algebra, degree_cap: int) -> BigradedPage:
     # degrees past the report cap are cells only.
     units = tuple(1 << i for i in range(max(map(len, cells.values()), default=0)))
     basis = {
-        key: units[: len(c)] for key, c in cells.items() if sum(key) <= degree_cap
+        key: units[: len(c)]
+        for key, c in cells.items()
+        if sum(key) <= loop.degree_cap
     }
-    return BigradedPage(lattice, cells, 2, basis, degree_cap)
+    return BigradedPage(lattice, cells, 2, basis, loop.degree_cap)
 
 
 def _value_monomials(page: BigradedPage, spec: DifferentialSpec):
@@ -477,14 +484,17 @@ class TruncationTower:
     read the same untruncated page, as do that check and `page_at` for a
     page past the last differential.
 
-    `_states` holds every state read, keyed (j, s, t, alive).  When some
-    generator is untouched (the module docstring's Kunneth split),
-    `_factor` is the tower of the same specs over the touched sub-lattice
-    A: it folds, and this tower's states with j >= 1 are assembled from
-    its states.  The map from each E2 bidegree to its blocks (A bidegree,
-    b) is built with the tower, and each block's bit map on the first
-    nonempty A state it carries.  Otherwise `_factor` is None and this
-    tower folds E2 itself.
+    `_states` holds every state read, keyed (j, s, t, alive), and
+    `_folded` every state the fold computes, over the fold's E2 classes
+    `_base`.  When no spec acts or every generator is touched, `_base` is
+    E2's basis, `_folded` is `_states` and `_blocks` is None: the tower
+    folds E2 itself.  Otherwise (the module docstring's Kunneth split)
+    `_base` holds the classes of the touched factor A, per E2 bidegree,
+    and `_folded` A's states; each state in `_states` with j >= 1 is
+    assembled from them.  `_blocks` maps each E2 bidegree to its blocks
+    (A bidegree, b) and is built with the tower; each block's bit map,
+    keyed by A's unit bits, is built on the first nonempty A state the
+    block carries.
     """
 
     def __init__(self, e2: BigradedPage, specs: list[DifferentialSpec]):
@@ -515,89 +525,81 @@ class TruncationTower:
             _check_spec(e2, spec)
             self._d.append(_image_table(e2, spec))
             _check_d_squared(e2, spec, self._d[j])
-        self._factor = None
         touched = set()
         for spec in self.specs:
             for i, monomials in _value_monomials(e2, spec):
                 touched.add(i)
                 touched.update(k for exps in monomials for k, e in enumerate(exps) if e)
+        self._base = e2.basis
+        self._blocks = None
+        self._folded = self._states
         if self.specs and len(touched) < len(e2.lattice.generators):
             self._split(sorted(touched))
 
     def _split(self, kept: list[int]):
-        """Fold the specs over the sub-lattice A on the generators `kept`
-        alone, and list each E2 bidegree's blocks (A bidegree, b), b a
-        monomial in the other generators."""
+        """Fold over the E2 monomials in the generators `kept` alone, the
+        sub-basis A, and list each E2 bidegree's blocks (A bidegree, b), b
+        an E2 monomial in the other generators."""
         e2 = self.e2
         gens = e2.lattice.generators
-        rest = [i for i in range(len(gens)) if i not in kept]
-        factor = _lattice_e2(
-            Algebra(
-                AlgebraPresentation(
-                    tuple(gens[i] for i in kept), e2.lattice.degree_cap
-                )
-            ),
-            e2.degree_cap,
-        )
-        specs = [
-            DifferentialSpec(
-                spec.r,
-                {
-                    gens[i].name: sum(
-                        1 << factor._bit[tuple(exps[k] for k in kept)]
-                        for exps in monomials
-                    )
-                    for i, monomials in _value_monomials(e2, spec)
-                },
+
+        def monomials(index):
+            """(degree, s, exps) for each monomial in the generators `index`
+            up to the report cap, as E2 exponents, in ascending order."""
+            sub = Algebra(
+                AlgebraPresentation(tuple(gens[i] for i in index), e2.degree_cap)
             )
-            for spec in self.specs
-        ]
-        self._factor = TruncationTower(factor, specs)
-        # Where each E2 exponent sits in an A monomial followed by a b.
-        self._order = sorted(range(len(gens)), key=(kept + rest).__getitem__)
-        others = Algebra(
-            AlgebraPresentation(tuple(gens[i] for i in rest), e2.degree_cap)
-        )
+            full = [0] * len(gens)
+            for degree in range(e2.degree_cap + 1):
+                for exps in sub.basis(degree):
+                    for i, e in zip(index, exps):
+                        full[i] = e
+                    yield degree, sum(exps), tuple(full)
+
+        # An A monomial's exponents past `kept` are 0, so A keeps its own
+        # ascending order inside each E2 cell.
+        base: dict[tuple[int, int], list[int]] = {}
+        for degree, s, a in monomials(kept):
+            base.setdefault((s, degree - s), []).append(1 << e2._bit[a])
+        self._base = {key: tuple(units) for key, units in base.items()}
+        self._folded = {}
         # Ascending degree, so each A bidegree's blocks are a prefix.
-        bs = [
-            (degree, sum(b), b)
-            for degree in range(e2.degree_cap + 1)
-            for b in others.basis(degree)
-        ]
+        bs = list(monomials([i for i in range(len(gens)) if i not in kept]))
         self._blocks: dict[tuple[int, int], list] = {}
-        for sa, ta in factor.basis:
+        for sa, ta in self._base:
             room = e2.degree_cap - sa - ta
             for degree, sb, b in bs:
                 if degree > room:
                     break
                 key = (sa + sb, ta + degree - sb)
                 self._blocks.setdefault(key, []).append(((sa, ta), b))
-        # Per block, the E2 bit of each monomial of its A cell times b,
-        # built on the first nonempty A state the block carries.
-        self._bits: dict[tuple, list[int]] = {}
+        # Per block, the E2 bit of a b for each A unit bit a of its A
+        # bidegree, built on the first nonempty A state the block carries.
+        self._bits: dict[tuple, dict[int, int]] = {}
 
     def _assembled(self, j: int, s: int, t: int, alive: int) -> tuple[int, ...]:
         """The state (j, s, t, alive) as the union of its blocks' A states,
         each multiplied by its b, sorted by lowest bit."""
         out = []
         parts = 0
-        state = self._factor.state
         for block in self._blocks.get((s, t), ()):
-            vecs = state(j, *block[0], alive)
+            vecs = self._fold(j, *block[0], alive)
             if not vecs:
                 continue
             bits = self._bits.get(block)
             if bits is None:
-                b, order, bit = block[1], self._order, self.e2._bit
-                bits = self._bits[block] = [
-                    1 << bit[tuple((a + b)[k] for k in order)]
-                    for a in self._factor.e2.cells[block[0]]
-                ]
+                # The supports are disjoint: a b is the sum a + b.
+                (sa, ta), b = block
+                cell, bit = self.e2.cells[(sa, ta)], self.e2._bit
+                bits = self._bits[block] = {
+                    u: 1 << bit[tuple(map(add, cell[u.bit_length() - 1], b))]
+                    for u in self._base[(sa, ta)]
+                }
             for vec in vecs:
                 acc = 0
                 while vec:
                     low = vec & -vec
-                    acc |= bits[low.bit_length() - 1]
+                    acc |= bits[low]
                     vec ^= low
                 out.append(acc)
             parts += 1
@@ -606,33 +608,36 @@ class TruncationTower:
             out.sort(key=lambda v: v & -v)
         return tuple(out)
 
-    def state(self, j: int, s: int, t: int, alive: int) -> tuple[int, ...]:
-        """Basis at (s, t) after folding the first j specs, of which the
-        first `alive` (a prefix, as r ascends) act out of column s."""
-        basis = self.e2.basis
+    def _fold(self, j: int, s: int, t: int, alive: int) -> tuple[int, ...]:
+        """The fold's state (j, s, t, alive) over `_base`."""
         if j == 0:
-            return basis.get((s, t), ())
+            return self._base.get((s, t), ())
         key = (j, s, t, alive)
-        here = self._states.get(key)
-        if here is None and self._factor is not None:
-            here = self._states[key] = self._assembled(j, s, t, alive)
-        elif here is None:
+        here = self._folded.get(key)
+        if here is None:
             spec = self.specs[j - 1]
             r = spec.r
-            if j == 1:  # E2 itself, not through state(0, ...)
-                here = basis.get((s, t), ())
-                incoming = basis.get((s - r, t + r - 1), ())
-            else:
-                here = self.state(j - 1, s, t, min(alive, j - 1))
-                # Every earlier d out of column s - r lands below s <= m.
-                incoming = (
-                    self.state(j - 1, s - r, t + r - 1, j - 1) if here else ()
-                )
+            here = self._fold(j - 1, s, t, min(alive, j - 1))
             if here:
+                # Every earlier d out of column s - r lands below s <= m.
+                incoming = self._fold(j - 1, s - r, t + r - 1, j - 1)
                 here = homology_at(
                     self.e2, spec, s, t, here, incoming, alive == j, self._d[j - 1]
                 )
-            self._states[key] = here
+            self._folded[key] = here
+        return here
+
+    def state(self, j: int, s: int, t: int, alive: int) -> tuple[int, ...]:
+        """Basis at (s, t) after folding the first j specs, of which the
+        first `alive` (a prefix, as r ascends) act out of column s."""
+        if j == 0:
+            return self.e2.basis.get((s, t), ())
+        if self._blocks is None:
+            return self._fold(j, s, t, alive)
+        key = (j, s, t, alive)
+        here = self._states.get(key)
+        if here is None:
+            here = self._states[key] = self._assembled(j, s, t, alive)
         return here
 
     def alive(self, s: int, m: int | None, j: int | None = None) -> int:
@@ -706,26 +711,28 @@ def candidate_widths(
 
 def infer_differentials(
     e2: BigradedPage,
-    permanent: list[str],
+    candidates: tuple[list[Generator], dict[int, list[int]]],
     target: Algebra,
 ) -> list[TruncationTower]:
     """Exhaustive search for the differentials forced by the abutment.
 
-    Unknowns are exactly the generators not listed as permanent cycles.
-    For each page index r and each assignment of a target-bidegree value
-    (possibly zero) to every unknown, keep the assignments whose
-    E-infinity matches the target algebra's dimensions in every total
-    degree up to the cap.  Each kept assignment is returned as its checked
-    fold, a `TruncationTower` whose `specs` are its differentials and whose
-    `page()` is its E-infinity; the zero assignment is the tower with no
-    spec.  A one-element result certifies the deduction.
+    `candidates` is `candidate_widths` of `e2` and the permanent cycles:
+    the unknowns, exactly the generators not listed as permanent cycles,
+    and their target cell widths per page.  For each page index r and each
+    assignment of a target-bidegree value (possibly zero) to every
+    unknown, keep the assignments whose E-infinity matches the target
+    algebra's dimensions in every total degree up to the cap.  Each kept
+    assignment is returned as its checked fold, a `TruncationTower` whose
+    `specs` are its differentials and whose `page()` is its E-infinity;
+    the zero assignment is the tower with no spec.  A one-element result
+    certifies the deduction.
 
     The search space is every assignment, the zero one included, at
     every r where some unknown has a nonzero candidate: the sum over those
     r of the product over unknowns of 2^(target cell width).  The search
     counts it before it builds any tower and raises past `SEARCH_BUDGET`.
     """
-    unknowns, widths = candidate_widths(e2, permanent)
+    unknowns, widths = candidates
     # The target's dimensions in degrees 0..cap, zero past its own cap.
     want = target.poincare_series()[: e2.degree_cap + 1]
     want += [0] * (e2.degree_cap + 1 - len(want))

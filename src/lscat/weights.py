@@ -126,6 +126,7 @@ from lscat.specseq import (
     BigradedPage,
     DifferentialSpec,
     TruncationTower,
+    candidate_widths,
     infer_differentials,
 )
 from lscat.spaces import SpacePresentation
@@ -306,11 +307,15 @@ class LoopSpaceModel:
         return self.space.e2
 
     @cached_property
+    def _candidate_widths(self) -> tuple[list, dict[int, list[int]]]:
+        """`candidate_widths` of E2 and the permanent cycles, which
+        `report.page_at` and the inference both read."""
+        return candidate_widths(self.e2, self.space.permanent_cycles)
+
+    @cached_property
     def _tower(self) -> TruncationTower:
         """The fold of the unique consistent assignment of differentials."""
-        found = infer_differentials(
-            self.e2, self.space.permanent_cycles, self.algebra
-        )
+        found = infer_differentials(self.e2, self._candidate_widths, self.algebra)
         if len(found) != 1:
             raise WeightError(
                 f"{self.space.name}: differential inference is ambiguous "

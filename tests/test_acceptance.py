@@ -8,11 +8,11 @@ import json
 import pytest
 
 from lscat import LoopSpaceModel, assemble_bracket, builtin, bundle_upper_bound
-from lscat.cells import cp, min_cell_dim_excluding, smash, sphere, suspend
 from lscat.cli import main as cli_main
 from lscat.report import build_ledger
 from lscat.specseq import leibniz
 from lscat.weights import BUCKET_PARTIAL, BUCKET_PRODUCT, BUCKET_RESIDUAL
+from cells import cp, min_cell_dim_excluding, smash, sphere, suspend
 from reference import parse_class, total_dimension
 from test_steenrod import cartan_holds
 

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from lscat.cells import (
+from cells import (
     CellComplex,
     CellError,
     complex_from_dims,

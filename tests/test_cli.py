@@ -968,6 +968,23 @@ def test_dump_page_infers_only_past_the_first_differential(
     assert len(calls) == inferences
 
 
+def test_dump_page_computes_the_candidate_widths_once(monkeypatch):
+    """`page_at` and the inference read one `candidate_widths` pair, the
+    model's: a page past the first differential computes it once."""
+    calls = []
+    real = specseq.candidate_widths
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (specseq, weights, report_mod):
+        monkeypatch.setattr(module, "candidate_widths", counting, raising=False)
+    code, out, _ = run_cli("dump-page", "spin9", "--page", "4", "--degree-cap", "52")
+    assert code == 0 and json.loads(out)["r"] == 4
+    assert len(calls) == 1
+
+
 def two_page_data(**changes) -> dict:
     """The two-page synthetic fixture, with `changes` to its fields."""
     return {**json.loads(TWO_PAGE.read_text()), **changes}
@@ -1064,12 +1081,66 @@ def test_caps_below_the_top_degree_give_lower_bounds(tmp_path):
         assert ("truncates the cohomology" in out) == ("lower" in want)
 
 
-def test_generator_above_a_low_cap_exits_3_naming_its_degree():
-    """At cap 12 spin9's Steenrod table names x15, a generator above the
-    cap: validation gives its degree, not that its exponent is too high."""
-    code, out, _ = run_cli("report", "spin9", "--degree-cap", "12")
+def test_generator_above_a_low_cap_exits_3_naming_its_degree(tmp_path):
+    """A Steenrod row under the cap whose value names x15, a generator
+    above the cap (Sq^2 x3 = x15 at cap 12): validation gives its degree,
+    not that its exponent is too high."""
+    data = BUILTINS["spin9"]()
+    for row in data["steenrod"]:
+        if (row["gen"], row["k"]) == ("x3", 2):
+            row["value"] = ["x15"]
+    fixture = tmp_path / "sq2-x3-x15.json"
+    fixture.write_text(json.dumps(data))
+    code, out, _ = run_cli("report", str(fixture), "--degree-cap", "12")
     assert code == 3
-    assert "Sq^4 x11: 'x15': degree 15 above cap 12" in out
+    assert "Sq^2 x3: 'x15': degree 15 above cap 12" in out
+
+
+@pytest.mark.parametrize(
+    "space, cap, bracket",
+    [
+        ("spin9", 12, [3, 8]),
+        ("spin9", 14, [4, 8]),
+        ("su6", 10, [2, 5]),
+    ],
+)
+def test_a_cap_below_a_steenrod_target_reports_lower_bounds(
+    tmp_path, space, cap, bracket
+):
+    """A Steenrod row whose target degree |gen| + k is past the cap (Sq^4
+    x11 = x15 for spin9, Sq^4 x7 = x11 for SU(6)) is 0 there, as every
+    class past the cap is, so the fixture reports its lower bounds."""
+    if space == "su6":
+        data = su_data(6)
+        data["attestations"] = [{
+            "claim": "SU(6) has L-S category 5",
+            "provenance": "Singhof, Math. Z. 145 (1975)",
+            "bound": {"quantity": "cat", "kind": "upper", "value": 5},
+        }]
+        space = tmp_path / "su6.json"
+        space.write_text(json.dumps(data))
+    code, out, err = run_cli(
+        "report", str(space), "--degree-cap", str(cap), "--format", "json"
+    )
+    assert (code, err) == (0, "")
+    lo, hi = bracket
+    assert json.loads(out)["bounds"]["bracket"] == {
+        "lo": lo, "hi": hi, "consistent": True
+    }
+
+
+@pytest.mark.parametrize("cap", [8, 9, 10])
+def test_spin9_below_its_differential_is_ambiguous(cap):
+    """Below cap 11, x1_10 (total degree 11) and x1_2^4 (12) lie past the
+    cap, so d_3(x1_10) = 0 and d_3(x1_10) = x1_2^4 both match the
+    cohomology: the report exits 3 naming the ambiguity, not a Steenrod
+    row."""
+    code, out, err = run_cli("report", "spin9", "--degree-cap", str(cap))
+    assert (code, out) == (3, "")
+    assert err == (
+        "lscat: spin9: differential inference is ambiguous "
+        "(2 consistent assignments)\n"
+    )
 
 
 @pytest.mark.parametrize("power", ["-1", "a", ""])

@@ -17,6 +17,7 @@ import pytest
 
 from lscat.cli import main
 from test_cli import two_page_data, unmatched_lattice
+from test_specseq import padded_spin9_data
 from test_weights import su_data
 
 STAGES = "0,3,7,8,9,13,20,36"
@@ -26,8 +27,10 @@ SU_SIZES = (3, 4, 5, 6, 7, 8, 10)
 def cases() -> dict[str, list[str]]:
     """Case id -> argv; an `{su<n>}` argument is that SU(n) fixture's path,
     `{unmatched}` the path of `test_cli.unmatched_lattice()`, `{two-page}`
-    that of the two-page synthetic fixture and `{unknown-permanent}` that
-    of the same fixture with the permanent cycle x1_4 renamed x1_5."""
+    that of the two-page synthetic fixture, `{unknown-permanent}` that
+    of the same fixture with the permanent cycle x1_4 renamed x1_5 and
+    `{padded}` that of spin9 with permanent exterior factors from u8 and
+    u12 (`test_specseq.padded_spin9`)."""
     out = {}
     for cap in (36, 44, 52):
         for fmt in ("json", "text"):
@@ -87,12 +90,18 @@ def cases() -> dict[str, list[str]]:
             "dump-page", "{unknown-permanent}", "--page", str(r),
         ]
     out["validate-spin9"] = ["validate", "spin9"]
+    # A fold that splits with untouched factors next to spin9's own.
+    out["padded-u8-u12-cap36-json"] = [
+        "report", "{padded}", "--degree-cap", "36",
+        "--truncate", STAGES, "--format", "json",
+    ]
+    out["dump-page-padded-u8-u12-r4"] = ["dump-page", "{padded}", "--page", "4"]
     return out
 
 
 def digest(argv: list[str], fixtures: Path) -> str:
     paths = {f"{{su{n}}}": str(fixtures / f"su{n}.json") for n in SU_SIZES}
-    for name in ("unmatched", "two-page", "unknown-permanent"):
+    for name in ("unmatched", "two-page", "unknown-permanent", "padded"):
         paths[f"{{{name}}}"] = str(fixtures / f"{name}.json")
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -111,11 +120,14 @@ def write_fixtures(directory: Path):
     (directory / "unknown-permanent.json").write_text(
         json.dumps(two_page_data(permanent_cycles=["x1_2", "x1_5"]))
     )
+    (directory / "padded.json").write_text(json.dumps(padded_spin9_data(8, 12)))
 
 
 DIGESTS = {
     "dump-page-negative-truncate":
         "47f26b0e7ce62cd11b54db8e4d68e972e455f7944705771849c8899838344884",
+    "dump-page-padded-u8-u12-r4":
+        "885dd1e6b363abd6627dfaad74f6b5e05eba77ea0d2a5ff15d1f9c0931fc025b",
     "dump-page-r2-t4":
         "53298d96aeed8daeb1bc60aaf586f1e814ae60591fa72dc2f2e3249973cb80ba",
     "dump-page-r2-t8":
@@ -178,22 +190,24 @@ DIGESTS = {
         "963aefef11c115bd57bc754f406fb994abc24b9776acca45ddba105bf1886c9c",
     "dump-page-unknown-permanent-r4":
         "963aefef11c115bd57bc754f406fb994abc24b9776acca45ddba105bf1886c9c",
+    "padded-u8-u12-cap36-json":
+        "a34fc48474d6548d36455b7f7d1fd2685e784bafae8753d0a6162dd9fcd6eb73",
     "spin9-cap36-json":
-        "7b6babbc9acaa8b431982682ec2b00d18193a40e2d8e676ca9f26954f2e75e44",
+        "19a82a3d5e54d50df55cc7e2d1cd7c6207eff53dc6568ffe2c5ed3e89712dcb2",
     "spin9-cap36-text":
-        "74f65c69b8cc2f0985d56883abe6393ed68a4333567e22740699d961dc872f3a",
+        "2cd23350ac4bb6e2b90dba95459da5c9403549375641c8c373ac5ce505bf4867",
     "spin9-cap44-json":
-        "62ad7949606e5cda28b2c1bbefbb84c18bff5e8f7959c601e938857a65fa4f57",
+        "f2b2b42955a5d69a7a248cd4a866fa376cbd7e2a4f80c0d40062a88f7c06f01f",
     "spin9-cap44-last-columns-json":
-        "67036e2f8a96d0c74bb2468298dd59c5a557206862039fbcc10d507f2423db6f",
+        "796cda2603200dfff79a7149fad3600b32851f2e4e98081183c4f0c100f3c91a",
     "spin9-cap44-text":
-        "bf8c27c6a1b0d8b6faece111930b5b0dc0bcc1928378213b8263f683a277e299",
+        "9c6d1c798192cfc3712d3263e518645923981b487dde87aa1b651bf446b59dd1",
     "spin9-cap52-json":
-        "dd822ef368fc20076c00a2f7a20ac14399ba71656fb922536665e883d6c8f34f",
+        "8e8e15b50215b77d56813aa443022732cd50e3894db4278107c679cebf25993f",
     "spin9-cap52-last-columns-json":
-        "2a8ea141c80d85e3cf2f0fa8a64599301116e5ca68ba46d8e4255d79aa002ca9",
+        "00b2ddb6439d833d4920e52a56898f704a33e91675c04564d1509d05320647d4",
     "spin9-cap52-text":
-        "af893aab355efbbbf8eff3a1422aeb788b1da2e7604e5e5e7f7fa627b74ed55b",
+        "1966ee73365730bfeb6bbb6cd5cb8b79cbcaebb262425a329d0933d775c2dad1",
     "su10-json":
         "b6844d63cc225f2d2c3ffb83a18b9eb6f3864d70988e0c22b668e90b6e31986d",
     "su3-json":

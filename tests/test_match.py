@@ -185,7 +185,7 @@ def test_split_planted_folds_match_the_leibniz_fold():
             tower = model and model._tower
         except (FixtureError, SpectralSequenceError, WeightError):
             continue
-        if tower and tower._factor is not None:
+        if tower and tower._blocks is not None:
             assert_matches_the_leibniz_fold(model.e2, tower.specs)
             split += 1
     assert split >= 15, split

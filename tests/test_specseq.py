@@ -13,6 +13,7 @@ from lscat.specseq import (
     InferenceError,
     SpectralSequenceError,
     TruncationTower,
+    candidate_widths,
     infer_differentials,
     koszul_e2,
     leibniz,
@@ -136,7 +137,8 @@ def test_inference_without_a_differential_is_the_empty_fold(name):
     from test_weights import su_space
 
     model = LoopSpaceModel(builtin(name) if name == "unit" else su_space(4))
-    found = infer_differentials(model.e2, model.space.permanent_cycles, model.algebra)
+    candidates = candidate_widths(model.e2, model.space.permanent_cycles)
+    found = infer_differentials(model.e2, candidates, model.algebra)
     assert [tower.specs for tower in found] == [[]]
     assert model.differentials == []
     assert found[0].page().to_json() == model.e2.to_json()
@@ -156,7 +158,7 @@ def test_inference_mismatch_raises():
     bad.space.permanent_cycles.append("x1_10")
     with pytest.raises(InferenceError):
         infer_differentials(
-            bad.e2, bad.space.permanent_cycles, bad.algebra
+            bad.e2, candidate_widths(bad.e2, bad.space.permanent_cycles), bad.algebra
         )
 
 
@@ -366,6 +368,11 @@ def padded_spin9(*degrees):
     """spin9 tensored with a permanent exterior factor per degree d: u_d
     polynomial in the loop homology, so x1_d exterior and permanent, and
     x_(d+1) exterior in the cohomology."""
+    return SpacePresentation.from_dict(padded_spin9_data(*degrees))
+
+
+def padded_spin9_data(*degrees):
+    """`padded_spin9(*degrees)` as fixture data."""
     data = BUILTINS["spin9"]()
     data["name"] = "spin9-padded"
     for d in degrees:
@@ -376,7 +383,7 @@ def padded_spin9(*degrees):
             {"name": f"x{d + 1}", "degree": d + 1, "height": 2}
         )
         data["permanent_cycles"].append(f"x1_{d}")
-    return SpacePresentation.from_dict(data)
+    return data
 
 
 def assert_matches_the_leibniz_fold(e2, specs):
@@ -416,7 +423,7 @@ def test_split_tower_matches_the_leibniz_fold(space, cap):
         model = LoopSpaceModel(sp, degree_cap=cap)
         e2, specs = model.e2, model.differentials
     tower = assert_matches_the_leibniz_fold(e2, specs)
-    assert (tower._factor is None) == (space == "two-page")
+    assert (tower._blocks is None) == (space == "two-page")
 
 
 def scratch_listing(tower, m, j):
@@ -513,39 +520,38 @@ def xor_of(vecs):
 
 @pytest.mark.parametrize("space", ["spin9-52", "two-page"])
 def test_tower_states_match_the_full_homology_path(space):
-    """Every state the tower computes, assembled from its factor's states
-    or folded with its image tables and its shortcut for a bidegree where
-    d_r does nothing, is the full kernel-and-quotient homology of the
-    states it folds.  spin9 splits, so its factor tower folds, and the
-    shortcut is taken there; the two-page synthetic folds E2 itself."""
+    """Every state the tower computes, assembled from its blocks' folded
+    states or folded with its image tables and its shortcut for a
+    bidegree where d_r does nothing, is the full kernel-and-quotient
+    homology over E2 of the states it folds.  spin9 splits, so it folds
+    the sub-basis of the touched factor (`_folded`), and the shortcut is
+    taken there; the two-page synthetic folds E2 itself, and its
+    `_folded` is its `_states`."""
     if space == "spin9-52":
         model = LoopSpaceModel(builtin("spin9"), degree_cap=52)
         e2, specs = model.e2, model.differentials
     else:
         e2, specs = two_page_synthetic()
     tower = TruncationTower(e2, specs)
-    assert (tower._factor is None) == (space == "two-page")
+    assert (tower._blocks is None) == (space == "two-page")
+    assert (tower._folded is tower._states) == (space == "two-page")
     for m in [None, *range(e2.degree_cap + 1)]:
         for j in range(len(specs) + 1):
             tower.page(m, j)
-    shortcuts = {}
-    for folded in filter(None, (tower, tower._factor)):
+    for state, states in ((tower.state, tower._states), (tower._fold, tower._folded)):
         shortcut = 0
-        for (j, s, t, alive), got in folded._states.items():
-            spec = folded.specs[j - 1]
+        for (j, s, t, alive), got in list(states.items()):
+            spec = tower.specs[j - 1]
             r = spec.r
-            here = folded.state(j - 1, s, t, min(alive, j - 1))
+            here = state(j - 1, s, t, min(alive, j - 1))
             if not here:
                 assert got == ()
                 continue
-            incoming = folded.state(j - 1, s - r, t + r - 1, j - 1)
-            assert got == full_homology(
-                folded.e2, spec, s, t, here, incoming, alive == j
-            )
+            incoming = state(j - 1, s - r, t + r - 1, j - 1)
+            assert got == full_homology(e2, spec, s, t, here, incoming, alive == j)
             shortcut += got is here
-        shortcuts[folded] = shortcut
-    folded = tower._factor or tower
-    assert 0 < shortcuts[folded] < len(folded._states)
+    # The last count is the fold's: an assembled state is a new tuple.
+    assert 0 < shortcut < len(tower._folded)
 
 
 @pytest.mark.parametrize(
@@ -712,3 +718,40 @@ def test_constructing_a_tower_folds_nothing(monkeypatch):
         tower.page()
         assert calls["homology"] > 0 and calls["state"] > 0
         calls.update(homology=0, state=0)
+
+
+@pytest.mark.parametrize(
+    "make, cap",
+    [
+        pytest.param(lambda: builtin("spin9"), 36, id="spin9-36"),
+        pytest.param(lambda: builtin("spin9"), 52, id="spin9-52"),
+        pytest.param(lambda: padded_spin9(8, 12), 36, id="padded-36"),
+    ],
+)
+def test_a_split_tower_is_one_tower_over_one_e2(monkeypatch, make, cap):
+    """A tower that folds only its touched factor does so inside E2's own
+    cells: building it and reading its untruncated page constructs no
+    second page and no second tower, and builds each spec's image table
+    and runs its d^2 check once."""
+    model = LoopSpaceModel(make(), degree_cap=cap)
+    e2, specs = model.e2, model.differentials
+    calls = {"page": 0, "tower": 0, "table": 0, "d2": 0}
+
+    def counting(key, real):
+        def wrapper(*args):
+            calls[key] += 1
+            return real(*args)
+
+        return wrapper
+
+    for owner, name, key in (
+        (specseq.BigradedPage, "__init__", "page"),
+        (TruncationTower, "__init__", "tower"),
+        (specseq, "_image_table", "table"),
+        (specseq, "_check_d_squared", "d2"),
+    ):
+        monkeypatch.setattr(owner, name, counting(key, getattr(owner, name)))
+    tower = TruncationTower(e2, specs)
+    tower.page()
+    assert tower._blocks is not None
+    assert calls == {"page": 0, "tower": 1, "table": len(specs), "d2": len(specs)}

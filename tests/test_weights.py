@@ -584,29 +584,44 @@ def test_spin9_report_folds_once(monkeypatch):
 )
 def test_a_tower_folds_the_generators_its_differentials_touch(make, factor):
     """spin9's d_3(x1_10) = x1_2^4 touches x1_2 and x1_10 alone, with or
-    without more permanent exterior factors, so its tower folds
-    F2[x1_2] (x) Lambda(x1_10), whose tower does not split again.  SU(4)
-    has no differential, and toy-trunc-poly's touches both its
-    generators, so neither splits."""
+    without more permanent exterior factors, so its tower folds the E2
+    classes of F2[x1_2] (x) Lambda(x1_10): those whose other exponents are
+    all 0.  SU(4) has no differential, and toy-trunc-poly's touches both
+    its generators, so neither splits."""
     tower = LoopSpaceModel(make())._tower
+    e2 = tower.e2
     if factor is None:
-        assert tower._factor is None
-    else:
-        assert [g.name for g in tower._factor.e2.lattice.generators] == factor
-        assert tower._factor._factor is None
+        assert tower._blocks is None
+        assert tower._base is e2.basis
+        return
+    names = [g.name for g in e2.lattice.generators]
+    touched = {
+        name
+        for (s, t), units in tower._base.items()
+        for u in units
+        for name, e in zip(names, e2.leading(s, t, u))
+        if e
+    }
+    assert touched == set(factor)
+    want = {}
+    for s, t, u in e2.classes():
+        exps = e2.leading(s, t, u)
+        if not any(e for name, e in zip(names, exps) if name not in factor):
+            want.setdefault((s, t), []).append(u)
+    assert tower._base == {key: tuple(units) for key, units in want.items()}
 
 
 @pytest.mark.parametrize("cap", [36, 52])
 def test_spin9_folds_once_per_factor_state(monkeypatch, cap):
-    """spin9's fold runs over its touched factor A = F2[x1_2] (x)
-    Lambda(x1_10) alone, not once per monomial of Lambda(x1_4, x1_6,
-    x1_14): the untruncated fold makes one `homology_at` call per
-    bidegree of A's E2, and a report with --truncate 7,8,9 at most two
-    (d_3 alive or not).  Padding spin9 with permanent exterior factors
-    leaves A, and so both bounds, as they are.  The report's exact count
-    can move with the padding (38, 38, 38 at cap 36; 49, 50, 51 at cap
-    52): a block x1_8 b sits one column right of b, so a truncation can
-    read an A state with the other alive count."""
+    """spin9's fold runs over the classes of its touched factor A =
+    F2[x1_2] (x) Lambda(x1_10) alone (`_base`), not once per monomial of
+    Lambda(x1_4, x1_6, x1_14): the untruncated fold makes one
+    `homology_at` call per bidegree of A, and a report with --truncate
+    7,8,9 at most two (d_3 alive or not).  Padding spin9 with permanent
+    exterior factors leaves A's classes, and so both bounds, as they are.
+    The report's exact count can move with the padding (38, 38, 38 at cap
+    36; 49, 50, 51 at cap 52): a block x1_8 b sits one column right of b,
+    so a truncation can read an A state with the other alive count."""
     calls = []
     real_homology = specseq.homology_at
 
@@ -621,12 +636,14 @@ def test_spin9_folds_once_per_factor_state(monkeypatch, cap):
         model = LoopSpaceModel(sp, degree_cap=cap)
         _, code = build_report(model, truncations=[7, 8, 9])
         assert code == 0
-        factor = model._tower._factor
-        assert len(calls) <= 2 * len(factor.e2.basis)
-        factors.append(factor.e2.to_json())
+        base = model._tower._base
+        assert len(calls) <= 2 * len(base)
+        factors.append(
+            {key: [model.e2.class_str(*key, u) for u in us] for key, us in base.items()}
+        )
         calls.clear()
         TruncationTower(model.e2, model.differentials).page()
-        assert len(calls) == len(set(calls)) == len(factor.e2.basis)
+        assert len(calls) == len(set(calls)) == len(base)
     assert factors[1:] == factors[:-1]
 
 
