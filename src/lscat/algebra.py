@@ -121,7 +121,7 @@ class Algebra:
 
     def poincare_series(self) -> list[int]:
         """dim per degree, 0..degree_cap."""
-        return [len(self.basis(d)) for d in range(self.degree_cap + 1)]
+        return list(map(len, self._basis_by_degree))
 
     def cup_length(self) -> int:
         """Largest m with a nonzero product of m positive-degree classes.

@@ -36,11 +36,12 @@ def _load_space(name: str) -> SpacePresentation:
 
 
 def _dumps(obj, newline: str = "\n") -> str:
-    """`json.dumps(obj, indent=2)`, byte for byte, for plain str-keyed
-    dicts, lists, tuples, str, int, float, bool and None; `newline` is the
-    line break and indent in front of `obj`.  `json.dumps` with an indent
-    runs the pure-Python encoder; this renders strings with its C string
-    encoder."""
+    """A report as `json.dumps(obj, indent=2)` writes it, byte for byte,
+    for plain str-keyed dicts, lists, tuples, str, int, float, bool and
+    None; `newline` is the line break and indent in front of `obj`.
+    `json.dumps` with an indent runs the pure-Python encoder; this renders
+    strings with its C string encoder and ints inline.  A page writes its
+    own text (`BigradedPage.json_text`)."""
     kind = type(obj)
     if kind is str:
         return encode_basestring_ascii(obj)
@@ -50,7 +51,9 @@ def _dumps(obj, newline: str = "\n") -> str:
         inner = newline + "  "
         return "{" + inner + ("," + inner).join([
             encode_basestring_ascii(k) + ": " + (
-                encode_basestring_ascii(v) if type(v) is str else _dumps(v, inner)
+                encode_basestring_ascii(v) if type(v) is str
+                else int.__repr__(v) if type(v) is int
+                else _dumps(v, inner)
             )
             for k, v in obj.items()
         ]) + newline + "}"
@@ -118,7 +121,7 @@ def cmd_dump_page(args) -> int:
     space = _load_space(args.space)
     model = LoopSpaceModel(space, degree_cap=args.degree_cap)
     page = report_mod.page_at(model, args.page, truncate_at=args.truncate)
-    sys.stdout.write(_dumps(page.to_json()) + "\n")
+    sys.stdout.write(page.json_text() + "\n")
     return EXIT_OK
 
 

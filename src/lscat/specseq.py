@@ -119,6 +119,13 @@ format: homology passes classes and boundaries to gf2 unchanged, and a
 representative's lowest set bit is its leading monomial.  A value of d_r
 on a generator is such a row over the cell d_r lands in
 (`BigradedPage.target`).
+
+A page prints as JSON text (`BigradedPage.json_text`, what `dump-page`
+writes): the text `json.dumps(..., indent=2)` gives for r, the degree
+and column caps and one record of s, t and class labels per bidegree,
+written straight from the basis, with no dict per bidegree in between.
+A class of one monomial (every class of E2) is labelled straight from
+its cell; a sum goes through `class_str`.
 """
 
 from __future__ import annotations
@@ -126,6 +133,7 @@ from __future__ import annotations
 import bisect
 import copy
 import itertools
+from json.encoder import encode_basestring_ascii
 from operator import add
 
 from lscat import gf2
@@ -248,21 +256,29 @@ class BigradedPage:
             raise SpectralSequenceError("cannot move to an earlier page")
         return self._derived(r=r)
 
-    def to_json(self) -> dict:
-        bidegrees = [
-            {
-                "s": s,
-                "t": t,
-                "classes": [self.class_str(s, t, v) for v in self.basis[(s, t)]],
-            }
-            for (s, t) in sorted(self.basis)
-        ]
-        return {
-            "r": self.r,
-            "degree_cap": self.degree_cap,
-            "column_cap": self.column_cap,
-            "bidegrees": bidegrees,
-        }
+    def json_text(self) -> str:
+        """The page as `json.dumps(..., indent=2)` writes the object
+        {"r", "degree_cap", "column_cap", "bidegrees": [{"s", "t",
+        "classes": [label, ...]}, ...]}, bidegrees in (s, t) order."""
+        label = self.lattice.monomial_str
+        records = []
+        for s, t in sorted(self.basis):
+            cell = self.cells.get((s, t), ())
+            names = ",\n        ".join([
+                encode_basestring_ascii(
+                    label(cell[v.bit_length() - 1]) if v and not v & (v - 1)
+                    else self.class_str(s, t, v)
+                )
+                for v in self.basis[(s, t)]
+            ])
+            classes = f"[\n        {names}\n      ]" if names else "[]"
+            records.append(f'{{\n      "s": {s},\n      "t": {t},\n'
+                           f'      "classes": {classes}\n    }}')
+        body = ",\n    ".join(records)
+        bidegrees = f"[\n    {body}\n  ]" if body else "[]"
+        column_cap = "null" if self.column_cap is None else self.column_cap
+        return (f'{{\n  "r": {self.r},\n  "degree_cap": {self.degree_cap},\n'
+                f'  "column_cap": {column_cap},\n  "bidegrees": {bidegrees}\n}}')
 
 
 def koszul_e2(loop: AlgebraPresentation) -> BigradedPage:

@@ -63,7 +63,14 @@ Of those bidegrees the search walks only the ones where some E2 monomial
 could lead a non-residual class at some stage (`can_be_non_residual`):
 a class's bucket depends only on its leading monomial, which is one of
 its bidegree's monomials, so every other bidegree holds only residual
-classes at every stage.  A stage without a candidate has no witness.
+classes at every stage.  It also skips every degree d from which no
+square reaches cohomology: those with H^(d + k) = 0 for each k = 1..max_k
+with d + k under the cap.  A candidate's Sq^k test is kept only when
+Sq^k z is nonzero and has no partial-product term (`_square_tests`).
+Then every term is a monomial of the cohomology in degree d + k, which
+is at most the cap (a square is zero above it), so H^(d + k) is
+nonzero.  A class in a skipped degree has no test, so it is never a
+stage's witness.  A stage without a candidate has no witness.
 
 The search never lists a stage.  A candidate's Sq^k test (its target
 degree, whether the square has a partial-product term, and the terms of
@@ -357,15 +364,21 @@ class LoopSpaceModel:
 
     @cached_property
     def _vanishing_keys(self) -> list[tuple[int, int]]:
-        """The E2 bidegrees, in (s, t) order, whose total degree has no
-        cohomology and some of whose monomials could lead a non-residual
-        class at some stage: the only states a witness class can lie in."""
+        """The E2 bidegrees, in (s, t) order, whose total degree d has no
+        cohomology while some H^(d + k) under the cap does, 1 <= k <= max_k,
+        and some of whose monomials could lead a non-residual class at
+        some stage: the only states a witness class can lie in."""
         height = self._extension_height
         idx = self.space.match[2]
+        series = self.algebra.poincare_series()
+        reach = {
+            d for d, dim in enumerate(series)
+            if not dim and any(series[d + 1:d + self._max_k + 1])
+        }
         return [
             (s, t)
             for s, t in sorted(self.e2.basis)
-            if not self.algebra.basis(s + t)
+            if s + t in reach
             and any(
                 can_be_non_residual(*bucket_key(lead, idx, self.surviving), height)
                 for lead in self.e2.cells[(s, t)]

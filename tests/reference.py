@@ -11,9 +11,11 @@ generators alone.  It shares the row-width check (`_check_spec`) and
 
 It also keeps a per-stage walk for a class the witness search cannot
 map into the extended algebra (`unmatched_walk`), which the tests hold
-`LoopSpaceModel`'s one E-infinity check against, and two readers that
+`LoopSpaceModel`'s one E-infinity check against, and three readers that
 no production path calls: a class parsed from monomial texts
-(`parse_class`) and an algebra's total dimension (`total_dimension`).
+(`parse_class`), an algebra's total dimension (`total_dimension`) and a
+page as the dict whose JSON `BigradedPage.json_text` writes
+(`page_json`), which the tests compare pages by.
 """
 
 from __future__ import annotations
@@ -41,6 +43,24 @@ from lscat.weights import (
 def total_dimension(algebra: Algebra) -> int:
     """The sum of the algebra's dimensions in degrees 0..cap."""
     return sum(algebra.poincare_series())
+
+
+def page_json(page: BigradedPage) -> dict:
+    """The page as a JSON object: each bidegree's classes as text."""
+    bidegrees = [
+        {
+            "s": s,
+            "t": t,
+            "classes": [page.class_str(s, t, v) for v in page.basis[(s, t)]],
+        }
+        for (s, t) in sorted(page.basis)
+    ]
+    return {
+        "r": page.r,
+        "degree_cap": page.degree_cap,
+        "column_cap": page.column_cap,
+        "bidegrees": bidegrees,
+    }
 
 
 def parse_class(page: BigradedPage, monomial_texts, s: int, t: int) -> int:

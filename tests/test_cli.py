@@ -1,5 +1,6 @@
 """CLI contract: formats, determinism, exit codes."""
 
+import importlib.util
 import inspect
 import io
 import json
@@ -26,8 +27,8 @@ from lscat.algebra import Algebra
 from lscat.cli import main
 from lscat.spaces import BUILTINS, SpacePresentation, builtin, validate
 from lscat.weights import LoopSpaceModel, WeightError
-from reference import restricted_to_columns, run_to_e_infinity
-from test_specseq import two_page_synthetic
+from reference import page_json, restricted_to_columns, run_to_e_infinity
+from test_specseq import padded_spin9, two_page_synthetic
 from test_weights import su_data, su_space
 
 
@@ -795,20 +796,21 @@ def test_optimised_interpreter_gives_same_report(tmp_path):
 
 
 def test_importing_the_cli_defines_no_dataclass_and_skips_cells():
-    """Every record type is a plain class and no report path reads
-    `lscat.cells`, so a fresh interpreter (without `site`, so that no
-    installed package can import either first) that imports the CLI has
-    imported neither `dataclasses` nor `lscat.cells`."""
+    """Every record type is a plain class, so a fresh interpreter (without
+    `site`, so that no installed package can import it first) that
+    imports the CLI has not imported `dataclasses`; and the cell check
+    lives in the tests, so the package has no `lscat.cells` to import."""
     src = str(Path(lscat.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     code = (
         "import sys, lscat.cli; "
-        "print(sorted({'dataclasses', 'lscat.cells'} & sys.modules.keys()))"
+        "print(sorted({'dataclasses'} & sys.modules.keys()))"
     )
     run = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, env=env, timeout=120
     )
     assert (run.returncode, run.stdout, run.stderr) == (0, b"[]\n", b"")
+    assert importlib.util.find_spec("lscat.cells") is None
 
 
 def assert_unreadable(path):
@@ -905,7 +907,7 @@ def test_pages_past_the_last_differential_match_a_refold(truncate_at):
     for r in (3, 4, 5, 9):
         page = report_mod.page_at(model, r, truncate_at)
         want = refold.advanced(r) if r > 3 else e2.advanced(r)
-        assert page.to_json() == want.to_json()
+        assert page_json(page) == page_json(want)
 
 
 TWO_PAGE = Path(__file__).parent / "fixtures" / "two-page-synthetic.json"
@@ -942,13 +944,13 @@ def test_pages_before_the_first_differential_match_inference(space, cap, first):
     for r in range(2, (first or 6) + 1):
         j = sum(spec.r < r for spec in tower.specs)
         for m in (None, 0, 4, 8):
-            want = tower.page(m, j).advanced(r).to_json()
-            assert report_mod.page_at(model, r, m).to_json() == want
+            want = page_json(tower.page(m, j).advanced(r))
+            assert page_json(report_mod.page_at(model, r, m)) == want
     if first is None:
         # Every page is E2, and the scan for the first differential is
         # bounded by the degree cap, not by r.
         page = report_mod.page_at(model, 10**9)
-        assert page.to_json() == tower.page(None, 0).advanced(10**9).to_json()
+        assert page_json(page) == page_json(tower.page(None, 0).advanced(10**9))
     assert "_tower" not in vars(model)
 
 
@@ -997,7 +999,7 @@ def test_two_page_fixture_is_the_synthetic():
     space = SpacePresentation.load(TWO_PAGE)
     e2, specs = two_page_synthetic()
     model = LoopSpaceModel(space)
-    assert model.e2.to_json() == e2.to_json()
+    assert page_json(model.e2) == page_json(e2)
     assert space.permanent_cycles == ["x1_2", "x1_4"]
     assert run_to_e_infinity(e2, specs).dims_by_total_degree() == (
         model.algebra.poincare_series()[: space.degree_cap + 1]
@@ -1010,7 +1012,7 @@ def test_dump_page_before_a_failed_inference_prints_e2():
     inference fails; page 3, after the first possible d_2, exits 3."""
     e2, _ = two_page_synthetic()
     assert run_cli("dump-page", str(TWO_PAGE), "--page", "2") == (
-        0, cli._dumps(e2.to_json()) + "\n", ""
+        0, json.dumps(page_json(e2), indent=2) + "\n", ""
     )
     for r in (3, 4):
         assert run_cli("dump-page", str(TWO_PAGE), "--page", str(r)) == (
@@ -1025,6 +1027,70 @@ def test_dump_page_before_an_over_budget_inference_prints_e2(monkeypatch):
     code, out, err = run_cli("dump-page", "spin9", "--page", "4")
     assert (code, out) == (3, "")
     assert err.startswith("lscat: search budget exceeded")
+
+
+@pytest.mark.parametrize(
+    "make, pages, truncations",
+    [
+        *(
+            pytest.param(
+                lambda cap=cap: LoopSpaceModel(builtin("spin9"), degree_cap=cap),
+                (2, 3, 4), (None, 0, 4, 8, 13, 17, 18), id=f"spin9-{cap}",
+            )
+            for cap in (36, 52)
+        ),
+        pytest.param(
+            lambda: LoopSpaceModel(builtin("toy-trunc-poly")),
+            (2, 3, 4), (None, 0, 4), id="toy-trunc-poly",
+        ),
+        pytest.param(
+            lambda: LoopSpaceModel(SpacePresentation.load(TWO_PAGE)),
+            (2,), (None,), id="two-page",
+        ),
+        pytest.param(
+            lambda: LoopSpaceModel(padded_spin9(8, 12)),
+            (2, 3, 4), (None, 0, 4, 8), id="padded-u8-u12",
+        ),
+        *(
+            pytest.param(
+                lambda n=n: LoopSpaceModel(su_space(n)),
+                (2, 3, 4), (None, 0, 4), id=f"su{n}",
+            )
+            for n in range(4, 9)
+        ),
+    ],
+)
+def test_page_text_is_json_dumps_of_the_page(make, pages, truncations):
+    """`json_text` writes, byte for byte, what `json.dumps(indent=2)`
+    writes for the page's object, on every page the golden cases print."""
+    model = make()
+    for r in pages:
+        for m in truncations:
+            page = report_mod.page_at(model, r, m)
+            assert page.json_text() == json.dumps(page_json(page), indent=2), (r, m)
+
+
+def test_page_text_covers_sums_empty_pages_and_column_caps():
+    """The paths no golden page takes: a class of two monomials (labelled
+    through `class_str`), a page with no bidegree, a bidegree with no
+    class, and a column cap that is an int or None."""
+    e2 = LoopSpaceModel(builtin("spin9")).e2
+    key = next(k for k in sorted(e2.basis) if len(e2.cells[k]) >= 2)
+    pages = [
+        e2._derived(basis={key: (0b11, 0b10)}),
+        e2._derived(basis={}),
+        e2._derived(basis={}, column_cap=3),
+        e2._derived(basis={(0, 0): ()}, column_cap=0),
+        restricted_to_columns(e2, 5),
+    ]
+    for page in pages:
+        assert page.json_text() == json.dumps(page_json(page), indent=2)
+    data = json.loads(pages[0].json_text())
+    assert " + " in data["bidegrees"][0]["classes"][0]
+    assert '"bidegrees": []' in pages[1].json_text()
+    assert json.loads(pages[2].json_text())["column_cap"] == 3
+    assert '"classes": []' in pages[3].json_text()
+    assert json.loads(pages[4].json_text())["column_cap"] == 5
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])
@@ -1196,8 +1262,9 @@ def test_every_export_resolves_and_no_reference_fold_is_exported():
     """`lscat.__all__` names only what the package defines, the
     Leibniz-direct fold the tests compare against and the readers only the
     tests use live in the tests (they parse a monomial through the E2
-    lattice and read a stage's page from the model's tower), and the
-    stage-class buckets live in `weights`, not `specseq`."""
+    lattice, read a stage's page from the model's tower and give a page
+    as a dict), and the stage-class buckets live in `weights`, not
+    `specseq`."""
     for name in lscat.__all__:
         assert getattr(lscat, name) is not None, name
     moved = (
@@ -1209,7 +1276,7 @@ def test_every_export_resolves_and_no_reference_fold_is_exported():
         assert not hasattr(specseq, name)
     for name in (
         "restricted_to_columns", "as_e_infinity", "_mul_exps", "parse_class",
-        "parse_monomial",
+        "parse_monomial", "to_json",
     ):
         assert not hasattr(specseq.BigradedPage, name)
     assert not hasattr(LoopSpaceModel, "truncation")

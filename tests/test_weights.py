@@ -29,7 +29,7 @@ from lscat.weights import (
     bucket,
     can_be_non_residual,
 )
-from reference import classify_truncation, truncate
+from reference import classify_truncation, page_json, truncate
 from test_specseq import padded_spin9, two_page_synthetic
 
 
@@ -306,7 +306,7 @@ def test_pruned_search_matches_reference(make):
         page, report, witness = reference_stage(model, m)
         assert model.find_obstruction(m) == witness
         assert model.stage_report(m) == report
-        assert model._tower.page(m).to_json() == page.to_json()
+        assert page_json(model._tower.page(m)) == page_json(page)
         assert (
             model._tower.page(m).surviving_leading_monomials()
             == page.surviving_leading_monomials()
@@ -415,15 +415,27 @@ def reference_candidates(model: LoopSpaceModel, m: int):
 )
 def test_candidates_match_an_unfiltered_walk(make):
     """Walking only the bidegrees where some monomial can lead a
-    non-residual class finds every stage's witness candidates."""
+    non-residual class, in degrees from which some square reaches the
+    cohomology, finds every stage's witness candidates: every class the
+    degree filter drops has no Sq^k test."""
     model = make()
-    found = []
+    series = model.algebra.poincare_series()
+    reach = {
+        d for d, dim in enumerate(series)
+        if not dim and any(series[d + 1:d + model._max_k + 1])
+    }
+    found, dropped = [], []
     for m in range(-1, model.stable_stage + 4):
         want = reference_candidates(model, m)
-        assert model._candidates(m) == want
-        found += want
+        assert model._candidates(m) == [c for c in want if c.degree in reach]
+        found += [c for c in want if c.degree in reach]
+        dropped += [c for c in want if c.degree not in reach]
+    for cls in dropped:
+        assert set(model._square_tests(cls)[1]) == {None}, cls
     if model.space.name in ("spin9", "two-page"):
         assert found  # the comparison is not vacuous
+    if model.space.degree_cap > 36:
+        assert dropped  # past H's top degree, 36, no square reaches H
 
 
 def test_lowest_stage_decides_whether_a_class_can_be_non_residual():
@@ -445,15 +457,16 @@ def test_lowest_stage_decides_whether_a_class_can_be_non_residual():
 
 
 def test_spin9_walks_only_bidegrees_that_can_hold_a_witness():
-    """At cap 52, 14 of the 90 reported bidegrees in degrees with no
-    cohomology have a monomial that can lead a non-residual class."""
+    """At cap 52, 6 of the 90 reported bidegrees in degrees with no
+    cohomology have a monomial that can lead a non-residual class and a
+    square that can reach the cohomology."""
     model = LoopSpaceModel(builtin("spin9"), degree_cap=52)
     vanishing = [
         (s, t)
         for s, t in model.e2.basis
         if s + t <= 52 and not model.algebra.basis(s + t)
     ]
-    assert (len(vanishing), len(model._vanishing_keys)) == (90, 14)
+    assert (len(vanishing), len(model._vanishing_keys)) == (90, 6)
 
 
 @pytest.mark.parametrize("cap, monomials", [(36, 122), (52, 208)])
@@ -480,9 +493,9 @@ def test_spin9_report_evaluates_leibniz_once_per_monomial(
     assert max(per_tower.values()) <= monomials
 
 
-def count_search_work(monkeypatch, space):
-    """Report on `space`; return (model, truncation homology steps, squared
-    classes, squares computed).
+def count_search_work(monkeypatch, space, cap=None):
+    """Report on `space` at degree cap `cap` (None: its own); return
+    (model, truncation homology steps, squared classes, squares computed).
 
     A step is one `homology_at` call, keyed by (r, s, t, d_r alive).  The
     untruncated fold runs before counting starts, so the steps are the
@@ -510,7 +523,7 @@ def count_search_work(monkeypatch, space):
         finally:
             depth[0] -= 1
 
-    model = LoopSpaceModel(space)
+    model = LoopSpaceModel(space, degree_cap=cap)
     model.e_infinity
     monkeypatch.setattr(specseq, "homology_at", counting_homology)
     monkeypatch.setattr(SteenrodAction, "squares", counting_squares)
@@ -520,17 +533,19 @@ def count_search_work(monkeypatch, space):
 
 
 def test_spin9_search_work_is_bounded(monkeypatch):
-    """Each bidegree state of the truncations is folded once; the search
-    squares at most 6 classes, and each monomial's squares are computed
-    once."""
-    model, steps, squared, built = count_search_work(
-        monkeypatch, builtin("spin9")
-    )
-    assert model._tower.last_column == 13
-    # One differential: at most two states (d_3 alive or not) per bidegree.
-    assert len(steps) == len(set(steps)) <= 2 * len(model.e2.basis)
-    assert len(built) == len(set(built))
-    assert 0 < len(squared) <= 6
+    """At caps 36, 44 and 52, each bidegree state of the truncations is
+    folded once; the search squares at most 6 classes, and each
+    monomial's squares are computed once."""
+    for cap, last_column in ((36, 13), (44, 16), (52, 18)):
+        with monkeypatch.context() as patch:
+            model, steps, squared, built = count_search_work(
+                patch, builtin("spin9"), cap
+            )
+        assert model._tower.last_column == last_column
+        # One differential: at most two states (d_3 alive or not) per bidegree.
+        assert len(steps) == len(set(steps)) <= 2 * len(model.e2.basis)
+        assert len(built) == len(set(built))
+        assert 0 < len(squared) <= 6, cap
 
 
 @pytest.mark.parametrize("cap, searches", [(36, 17), (44, 20), (52, 22)])
@@ -698,7 +713,7 @@ def test_trivial_e_infinity_leaves_e2_alone():
     assert model.e_infinity.basis.keys() == model.e2.basis.keys()
     for key, vecs in model.e_infinity.basis.items():
         assert vecs is model.e2.basis[key]
-    assert model.e2.to_json()["r"] == 2
+    assert page_json(model.e2)["r"] == 2
 
 
 def test_su_search_squares_nothing(monkeypatch):
