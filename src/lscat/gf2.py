@@ -37,20 +37,6 @@ def rref(rows: list[int], pivot_limit: int) -> list[int]:
     return pivots
 
 
-def reduce_mod(vec: int, reduced_rows: list[int], pivots: list[int]) -> int:
-    """Reduce `vec` against rows already in RREF (rows aligned with pivots)."""
-    for row, col in zip(reduced_rows, pivots):
-        if (vec >> col) & 1:
-            vec ^= row
-    return vec
-
-
-def in_span(vec: int, rows: list[int], ncols: int) -> bool:
-    work = list(rows)
-    pivots = rref(work, ncols)
-    return reduce_mod(vec, work[: len(pivots)], pivots) == 0
-
-
 def span_basis(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
     """RREF basis of the span: (rows in pivot order, pivot columns)."""
     work = list(rows)

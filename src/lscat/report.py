@@ -173,9 +173,9 @@ def build_report(
                         "t": cls.t,
                         "degree": cls.degree,
                         "label": cls.label,
-                        "bucket": cls.bucket,
+                        "bucket": bucket,
                     }
-                    for cls in model.stage_report(m)
+                    for cls, bucket in model.stage_report(m)
                 ],
             }
             for m in (truncations or [])

@@ -51,9 +51,10 @@ classes are those of its tower states (s, t, alive), and what the stages
 read of a class does not depend on the stage: its leading monomial,
 label and degree, its bucket key (`class_facts`), and its image in the
 extended algebra (kept per leading monomial with its Sq^k tests, below).
-The model keeps one `ClassFacts` per class of a tower state, which also
-keeps the class's report entry per bucket it takes, and the stage's
-report concatenates its states' entries in (s, t) order.
+The model keeps one `ClassFacts` per class of a tower state.  Only the
+bucket depends on the stage, and a stage computes it from the key: the
+stage's report pairs its states' records with their buckets, in (s, t)
+order.
 
 The search reads only the states where a witness can lie.  A witness
 class sits in a degree where the cohomology vanishes, and whether a
@@ -177,25 +178,6 @@ BUCKET_PARTIAL = "partial"
 BUCKET_RESIDUAL = "residual"
 
 
-class TruncationClass:
-    """One class of a truncated E-infinity page with its module label."""
-
-    __slots__ = ("s", "t", "degree", "leading", "label", "bucket")
-
-    def __init__(self, s, t, degree, leading, label, bucket):
-        self.s = s
-        self.t = t
-        self.degree = degree
-        self.leading = leading
-        self.label = label
-        self.bucket = bucket
-
-    def __eq__(self, other):
-        if type(other) is not TruncationClass:
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
-
-
 def bucket(partial, factors, rest_alive, m, extension_height) -> str:
     """The bucket at stage m of a class whose leading monomial has
     partial-generator exponent `partial` and `factors` permanent factors,
@@ -234,35 +216,28 @@ def bucket_key(lead, partial_idx, surviving_untruncated) -> tuple[int, int, bool
 
 class ClassFacts:
     """One class of a truncation-tower state: what a stage's report reads
-    of it, none of which depends on the stage, and its report entry per
-    bucket it has taken."""
+    of it, none of which depends on the stage.  Its bucket is the one
+    fact that does, and the stage reads it from `key`."""
 
     # Every record type of the package is a plain class like this one: a
     # dataclass or NamedTuple takes far longer to define, and each is
     # defined at every import of the package.  A record has `__slots__`
     # unless a `cached_property` needs its `__dict__`, and an `__eq__` only
     # where records are compared.
-    __slots__ = ("s", "t", "leading", "label", "key", "entries")
+    __slots__ = ("s", "t", "degree", "leading", "label", "key")
 
     def __init__(self, s, t, leading, label, key):
         self.s = s
         self.t = t
+        self.degree = s + t
         self.leading = leading
         self.label = label
         self.key = key  # `bucket_key` of the leading monomial
-        # Only a class with one partial factor takes two buckets (partial
-        # inside its window, else residual).
-        self.entries: dict[str, TruncationClass] = {}
 
-    def entry(self, m: int, extension_height: int) -> TruncationClass:
-        """The class's report entry at stage m."""
-        b = bucket(*self.key, m, extension_height)
-        entry = self.entries.get(b)
-        if entry is None:
-            entry = self.entries[b] = TruncationClass(
-                self.s, self.t, self.s + self.t, self.leading, self.label, b
-            )
-        return entry
+    def __eq__(self, other):
+        if type(other) is not ClassFacts:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
 
 def class_facts(page, s, t, vec, surviving_untruncated, partial_idx) -> ClassFacts:
@@ -353,11 +328,11 @@ class LoopSpaceModel:
         extras = self.space.extra_generators
         return extras[0].extension_height if extras else 3
 
-    def stage_report(self, m: int) -> list[TruncationClass]:
-        """Stage m's report entries, in page order."""
+    def stage_report(self, m: int) -> list[tuple[ClassFacts, str]]:
+        """Stage m's classes with their buckets at stage m, in page order."""
         height = self._extension_height
         return [
-            cls.entry(m, height)
+            (cls, bucket(*cls.key, m, height))
             for s, t, _ in self._tower.stage(m)
             for cls in self._classes_of_state(s, t, m)
         ]
@@ -385,7 +360,7 @@ class LoopSpaceModel:
             )
         ]
 
-    def _candidates(self, m: int) -> list[TruncationClass]:
+    def _candidates(self, m: int) -> list[ClassFacts]:
         """Stage m's non-residual classes in vanishing degrees, in page
         order: the classes the witness search squares."""
         height = self._extension_height
@@ -394,9 +369,8 @@ class LoopSpaceModel:
             if s > m:
                 break
             for cls in self._classes_of_state(s, t, m):
-                entry = cls.entry(m, height)
-                if entry.bucket != BUCKET_RESIDUAL:
-                    out.append(entry)
+                if bucket(*cls.key, m, height) != BUCKET_RESIDUAL:
+                    out.append(cls)
         return out
 
     def _leads_at(self, lattice: tuple[int, ...], m: int) -> bool:
@@ -451,17 +425,6 @@ class LoopSpaceModel:
         return lattice
 
     # -- weights ------------------------------------------------------------
-
-    def wgt(self, u: int, degree: int) -> int:
-        """Filtration of the E-infinity representative of u, a row over
-        `algebra.basis(degree)`."""
-        if not u:
-            raise WeightError("weight of the zero class is undefined")
-        if degree == 0:
-            raise WeightError("weight of the unit is undefined")
-        return min(
-            sum(self._surviving_lattice(e)) for e in self.algebra.terms(u, degree)
-        )
 
     def wgt_space(self) -> int:
         """The largest s >= 1 with E-infinity^{s,t} nonzero and s + t under
@@ -529,7 +492,7 @@ class LoopSpaceModel:
             (g.degree for g in self.space.extended_algebra.generators), default=0
         )
 
-    def _square_tests(self, cls: TruncationClass) -> tuple[tuple[int, ...], list]:
+    def _square_tests(self, cls: ClassFacts) -> tuple[tuple[int, ...], list]:
         """The class's leading monomial in the extended algebra, and what
         the search reads of its Sq^k, for k = 0..max_k: None where the
         square is zero or has a partial-product term, else (target degree,

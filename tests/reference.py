@@ -11,11 +11,13 @@ generators alone.  It shares the row-width check (`_check_spec`) and
 
 It also keeps a per-stage walk for a class the witness search cannot
 map into the extended algebra (`unmatched_walk`), which the tests hold
-`LoopSpaceModel`'s one E-infinity check against, and three readers that
-no production path calls: a class parsed from monomial texts
-(`parse_class`), an algebra's total dimension (`total_dimension`) and a
+`LoopSpaceModel`'s one E-infinity check against, and readers that no
+production path calls: a class parsed from monomial texts
+(`parse_class`), an algebra's total dimension (`total_dimension`), a
 page as the dict whose JSON `BigradedPage.json_text` writes
-(`page_json`), which the tests compare pages by.
+(`page_json`), which the tests compare pages by, the weight of one
+cohomology class (`wgt`), and GF(2) span membership (`in_span`, over
+`reduce_mod`).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import functools
 
 from lscat.algebra import Algebra
+from lscat.gf2 import rref
 from lscat.specseq import (
     BigradedPage,
     DifferentialSpec,
@@ -33,9 +36,10 @@ from lscat.specseq import (
 )
 from lscat.weights import (
     BUCKET_RESIDUAL,
+    ClassFacts,
     LoopSpaceModel,
-    TruncationClass,
     WeightError,
+    bucket,
     class_facts,
 )
 
@@ -43,6 +47,34 @@ from lscat.weights import (
 def total_dimension(algebra: Algebra) -> int:
     """The sum of the algebra's dimensions in degrees 0..cap."""
     return sum(algebra.poincare_series())
+
+
+def reduce_mod(vec: int, reduced_rows: list[int], pivots: list[int]) -> int:
+    """Reduce `vec` against rows already in RREF (rows aligned with pivots)."""
+    for row, col in zip(reduced_rows, pivots):
+        if (vec >> col) & 1:
+            vec ^= row
+    return vec
+
+
+def in_span(vec: int, rows: list[int], ncols: int) -> bool:
+    """Whether `vec` is a sum of some of `rows`, over columns [0, ncols)."""
+    work = list(rows)
+    pivots = rref(work, ncols)
+    return reduce_mod(vec, work[: len(pivots)], pivots) == 0
+
+
+def wgt(model: LoopSpaceModel, u: int, degree: int) -> int:
+    """The filtration of the E-infinity representative of u, a row over
+    `model.algebra.basis(degree)`: the least filtration of the lattice
+    monomials its terms match."""
+    if not u:
+        raise WeightError("weight of the zero class is undefined")
+    if degree == 0:
+        raise WeightError("weight of the unit is undefined")
+    return min(
+        sum(model._surviving_lattice(e)) for e in model.algebra.terms(u, degree)
+    )
 
 
 def page_json(page: BigradedPage) -> dict:
@@ -156,14 +188,14 @@ def classify_truncation(
     surviving_untruncated: set,
     partial_gen: str | None = None,
     extension_height: int = 3,
-) -> list[TruncationClass]:
-    """Label every class of a truncated E-infinity page with its bucket at
-    stage m (`lscat.weights.bucket`), in page order."""
+) -> list[tuple[ClassFacts, str]]:
+    """Every class of a truncated E-infinity page with its bucket at stage
+    m (`lscat.weights.bucket`), in page order."""
     p_idx = page.lattice._index.get(partial_gen) if partial_gen else None
     out = []
     for s, t, vec in page.classes():
         facts = class_facts(page, s, t, vec, surviving_untruncated, p_idx)
-        out.append(facts.entry(m, extension_height))
+        out.append((facts, bucket(*facts.key, m, extension_height)))
     return out
 
 
@@ -178,8 +210,8 @@ def unmatched_walk(model: LoopSpaceModel, top: int | None = None) -> None:
         return
     top = model.space.degree_cap if top is None else top
     for m in range(top + 1):
-        for cls in model.stage_report(m):
-            if cls.bucket == BUCKET_RESIDUAL:
+        for cls, b in model.stage_report(m):
+            if b == BUCKET_RESIDUAL:
                 continue
             for g, i, e in zip(
                 model.e2.lattice.generators, to_extended, cls.leading

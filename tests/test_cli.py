@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lscat
-from lscat import bounds, cli
+from lscat import bounds, cli, gf2
 from lscat import report as report_mod
 from lscat import spaces, specseq, weights
 from lscat.algebra import Algebra
@@ -164,7 +164,7 @@ def test_mixed_square_skips_a_partial_product_term_that_is_not_lowest(tmp_path):
         "x5*x15", "x3^3*x11"
     ]
     model = LoopSpaceModel(space)
-    (x1_10,) = [c for c in model.stage_report(1) if c.label == "x1_10"]
+    (x1_10,) = [c for c, _ in model.stage_report(1) if c.label == "x1_10"]
     _, tests = model._square_tests(x1_10)
     assert tests[9] is None
     code, out, err = run_cli("report", str(fixture), "--format", "json")
@@ -1263,8 +1263,9 @@ def test_every_export_resolves_and_no_reference_fold_is_exported():
     Leibniz-direct fold the tests compare against and the readers only the
     tests use live in the tests (they parse a monomial through the E2
     lattice, read a stage's page from the model's tower and give a page
-    as a dict), and the stage-class buckets live in `weights`, not
-    `specseq`."""
+    as a dict, a class's weight and GF(2) span membership), and the
+    stage-class buckets live in `weights`, not `specseq`.  A stage's class
+    is one `ClassFacts` record, with no per-bucket copy."""
     for name in lscat.__all__:
         assert getattr(lscat, name) is not None, name
     moved = (
@@ -1288,13 +1289,19 @@ def test_every_export_resolves_and_no_reference_fold_is_exported():
     assert not hasattr(Algebra, "total_dimension")
     for name in ("total_dimension", "parse_class"):
         assert name not in lscat.__all__
+    assert not hasattr(LoopSpaceModel, "wgt")
+    for name in ("in_span", "reduce_mod"):
+        assert not hasattr(gf2, name)
     bucket_names = (
         "BUCKET_PRODUCT", "BUCKET_PARTIAL", "BUCKET_RESIDUAL",
-        "TruncationClass", "ClassFacts", "class_facts",
+        "ClassFacts", "class_facts",
     )
     for name in bucket_names:
         assert not hasattr(specseq, name)
         assert hasattr(weights, name)
+    assert not hasattr(weights, "TruncationClass")
+    for name in ("entries", "entry"):
+        assert not hasattr(weights.ClassFacts, name)
 
 
 def test_bad_truncate_value():

@@ -260,16 +260,16 @@ def test_classification_accounts_for_everything(spin9_model):
             len(v) for (s, t), v in page.basis.items() if s + t <= 36
         )
         assert len(report) == n_classes
-        for cls in report:
-            assert cls.bucket in (
+        for _, bucket in report:
+            assert bucket in (
                 BUCKET_PRODUCT,
                 BUCKET_PARTIAL,
                 BUCKET_RESIDUAL,
             )
         # partial bucket: factor count within [m-3, m-1]
         p_idx = spin9_model.e2.lattice._index["x1_10"]
-        for cls in report:
-            if cls.bucket == BUCKET_PARTIAL:
+        for cls, bucket in report:
+            if bucket == BUCKET_PARTIAL:
                 count = sum(
                     e for i, e in enumerate(cls.leading) if i != p_idx
                 )
@@ -287,7 +287,7 @@ def test_untruncated_survivors_all_products(spin9_model):
         partial_gen=None,
     )
     # classify with no column cap: everything should be product type
-    assert all(c.bucket == BUCKET_PRODUCT for c in report)
+    assert all(b == BUCKET_PRODUCT for _, b in report)
 
 
 def test_run_out_of_order():

@@ -1,10 +1,25 @@
 """The repository's tools, run as their usage lines say."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_tool(name):
+    """The module `tools/<name>.py`."""
+    path = ROOT / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+planted_sweep = load_tool("planted_sweep")
 
 
 def test_code_lines_total_is_the_sum_of_its_module_rows():
@@ -23,3 +38,72 @@ def test_code_lines_total_is_the_sum_of_its_module_rows():
         path.name for path in package.glob("*.py")
     )
     assert int(total) == sum(int(n) for n, _ in modules) > 0
+
+
+def test_planted_sweep_counts_every_member_at_cap_10():
+    """`tools/planted_sweep.py 10` sorts the 12, 55 and 120 members of
+    one, two and three pairs into outcomes, and at cap 10 inference
+    certifies no differential other than the planted ones."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "planted_sweep.py"), "10"],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    title, header, *rows = proc.stdout.splitlines()
+    assert title == "cap 10"
+    assert header.split() == ["pairs", *planted_sweep.OUTCOMES]
+    counts = {
+        int(k): dict(zip(planted_sweep.OUTCOMES, map(int, row)))
+        for k, *row in map(str.split, rows)
+    }
+    assert {k: sum(row.values()) for k, row in counts.items()} == {
+        1: 12, 2: 55, 3: 120
+    }
+    assert all(row["other"] == 0 for row in counts.values())
+
+
+# Mixed-height members on which inference certifies a wrong single-page
+# assignment: each reported E-infinity keeps some x1_b^h (degree <= cap)
+# alive while x_{b+1}^h = 0.  A prune by the cohomology's heights would
+# reject those assignments.
+WRONG_DIFFERENTIALS = [
+    (12, ((1, 3), (2, 4), (5, 3))),
+    (12, ((1, 3), (2, 4), (5, 4))),
+    (12, ((1, 3), (2, 4), (6, 3))),
+    (12, ((1, 3), (2, 4), (6, 4))),
+    (16, ((1, 3), (2, 4), (5, 4))),
+    (16, ((1, 3), (3, 4), (5, 4))),
+    (16, ((1, 3), (3, 4), (6, 3))),
+    (16, ((1, 3), (3, 4), (6, 4))),
+    (16, ((1, 4), (2, 3), (3, 3))),
+    (16, ((1, 4), (2, 3), (4, 3))),
+    (16, ((1, 4), (3, 3), (4, 3))),
+    (16, ((1, 4), (4, 3), (5, 4))),
+    (16, ((2, 3), (3, 4), (5, 4))),
+    (20, ((1, 3), (2, 4), (5, 3))),
+    (20, ((1, 3), (2, 4), (5, 4))),
+    (20, ((1, 3), (3, 4), (5, 3))),
+    (20, ((2, 3), (3, 4), (5, 3))),
+]
+
+
+@pytest.mark.xfail(
+    strict=True, reason="inference certifies an assignment that is not planted"
+)
+@pytest.mark.parametrize(
+    "cap, pairs",
+    WRONG_DIFFERENTIALS,
+    ids=[
+        "-".join([f"cap{cap}", *(f"{b}.{h}" for b, h in pairs)])
+        for cap, pairs in WRONG_DIFFERENTIALS
+    ],
+)
+def test_planted_member_reports_its_differentials_or_exits_3(
+    tmp_path, cap, pairs
+):
+    """A planted member's report either names exactly the planted
+    differentials or exits 3 saying why inference did not close."""
+    assert planted_sweep.outcome(pairs, cap, tmp_path) in (
+        "planted", "ambiguous", "mismatch", "budget"
+    )

@@ -29,7 +29,7 @@ from lscat.weights import (
     bucket,
     can_be_non_residual,
 )
-from reference import classify_truncation, page_json, truncate
+from reference import classify_truncation, page_json, truncate, wgt
 from test_specseq import padded_spin9, two_page_synthetic
 
 
@@ -87,11 +87,9 @@ def reference_stage(model: LoopSpaceModel, m: int):
     extra_idx = [
         i for i, g in enumerate(ext.generators) if extra and g.name == extra.name
     ]
-    alive = {cls.leading for cls in report}
-    residual_degrees = {
-        cls.degree for cls in report if cls.bucket == BUCKET_RESIDUAL
-    }
-    computable = [cls for cls in report if cls.bucket != BUCKET_RESIDUAL]
+    alive = {cls.leading for cls, _ in report}
+    residual_degrees = {cls.degree for cls, b in report if b == BUCKET_RESIDUAL}
+    computable = [cls for cls, b in report if b != BUCKET_RESIDUAL]
     z = {
         cls.leading: model._extended_exps_of_lattice(cls.leading)
         for cls in computable
@@ -150,7 +148,7 @@ def test_generator_weights(spin9):
     alg = spin9.algebra
     for name in ("x3", "x5", "x7", "x15"):
         degree = int(name[1:])
-        assert spin9.wgt(alg.parse_row([name], degree), degree) == 1
+        assert wgt(spin9, alg.parse_row([name], degree), degree) == 1
 
 
 def test_space_weight(spin9):
@@ -158,25 +156,25 @@ def test_space_weight(spin9):
     assert spin9.wgt_space() == 6
     alg = spin9.algebra
     top = alg.parse_row(["x3^3*x5*x7*x15"], 36)
-    assert spin9.wgt(top, 36) == 6
+    assert wgt(spin9, top, 36) == 6
 
 
 def test_weight_is_filtration(spin9):
     """Weight of a monomial equals its E-infinity column."""
     alg = spin9.algebra
-    assert spin9.wgt(alg.parse_row(["x3^2"], 6), 6) == 2
-    assert spin9.wgt(alg.parse_row(["x3*x5"], 8), 8) == 2
-    assert spin9.wgt(alg.parse_row(["x3^2*x5*x7"], 18), 18) == 4
+    assert wgt(spin9, alg.parse_row(["x3^2"], 6), 6) == 2
+    assert wgt(spin9, alg.parse_row(["x3*x5"], 8), 8) == 2
+    assert wgt(spin9, alg.parse_row(["x3^2*x5*x7"], 18), 18) == 4
     # min over terms, in one degree: x15 has weight 1, x3*x5*x7 weight 3
-    assert spin9.wgt(alg.parse_row(["x3*x5*x7", "x15"], 15), 15) == 1
+    assert wgt(spin9, alg.parse_row(["x3*x5*x7", "x15"], 15), 15) == 1
 
 
 def test_weight_undefined_cases(spin9):
     alg = spin9.algebra
     with pytest.raises(WeightError):
-        spin9.wgt(0, 5)
+        wgt(spin9, 0, 5)
     with pytest.raises(WeightError):
-        spin9.wgt(alg.parse_row(["1"], 0), 0)
+        wgt(spin9, alg.parse_row(["1"], 0), 0)
 
 
 def test_cup_length_vs_weight_ladder(spin9):
@@ -200,8 +198,8 @@ def test_no_witness_at_stage_eight(spin9):
     assert spin9.find_obstruction(8) is None
     residual_36 = [
         c
-        for c in spin9.stage_report(8)
-        if c.bucket == BUCKET_RESIDUAL and c.degree == 36
+        for c, b in spin9.stage_report(8)
+        if b == BUCKET_RESIDUAL and c.degree == 36
     ]
     assert residual_36  # this is exactly what blocks the witness
 
@@ -337,9 +335,9 @@ def test_state_lookups_match_the_reference_report(make):
     ]
     for m in range(cap + 1):
         _, report, _ = reference_stage(model, m)
-        alive = {cls.leading for cls in report}
+        alive = {cls.leading for cls, _ in report}
         assert {e for e in monomials if model._leads_at(e, m)} == alive
-        residual = {cls.degree for cls in report if cls.bucket == BUCKET_RESIDUAL}
+        residual = {cls.degree for cls, b in report if b == BUCKET_RESIDUAL}
         assert {
             d for d in range(cap + 1) if model._residual_in(m, d)
         } == residual
@@ -387,8 +385,8 @@ def reference_candidates(model: LoopSpaceModel, m: int):
         extension_height=extra.extension_height if extra else 3,
     )
     return [
-        cls for cls in report
-        if cls.bucket != BUCKET_RESIDUAL and not model.algebra.basis(cls.degree)
+        cls for cls, b in report
+        if b != BUCKET_RESIDUAL and not model.algebra.basis(cls.degree)
     ]
 
 
@@ -785,6 +783,40 @@ def test_spin9_classifies_each_state_once(monkeypatch):
     }
     assert len(facts) <= sum(len(tower.state(j, *state)) for state in states)
     assert len(mapped) == len(set(mapped))
+
+
+def test_stages_share_their_states_class_records():
+    """A stage's report pairs the model's one record per class of each of
+    its tower states with the class's bucket at that stage: spin9's stages
+    7 and 8 hold the same objects wherever they share a state, and each
+    witness candidate is one of those records, not a copy."""
+    model = LoopSpaceModel(builtin("spin9"))
+    height = model._extension_height
+    reports, states = {}, {}
+    for m in (7, 8):
+        reports[m] = model.stage_report(m)
+        states[m] = model._tower.stage(m)
+        held = [
+            cls for state in states[m] for cls in model._state_classes[state]
+        ]
+        assert len(reports[m]) == len(held)
+        for (got, b), cls in zip(reports[m], held):
+            assert got is cls
+            assert b == bucket(*cls.key, m, height)
+    shared = set(states[7]) & set(states[8])
+    assert shared and shared != set(states[8])
+    shared_keys = {(s, t) for s, t, _ in shared}
+    by_m = {
+        m: [pair for pair in reports[m] if (pair[0].s, pair[0].t) in shared_keys]
+        for m in (7, 8)
+    }
+    assert by_m[7] and len(by_m[7]) == len(by_m[8])
+    assert all(a is b for (a, _), (b, _) in zip(by_m[7], by_m[8]))
+    candidates = [
+        cls for m in range(model.space.degree_cap + 1) for cls in model._candidates(m)
+    ]
+    kept = {id(cls) for classes in model._state_classes.values() for cls in classes}
+    assert candidates and all(id(cls) in kept for cls in candidates)
 
 
 def test_su_labels_each_class_once(monkeypatch):
