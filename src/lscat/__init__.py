@@ -41,7 +41,7 @@ from lscat.specseq import (
     koszul_e2,
 )
 from lscat.steenrod import SteenrodAction
-from lscat.weights import LoopSpaceModel, ObstructionWitness, WeightError
+from lscat.weights import LoopSpaceModel, WeightError
 
 __version__ = "0.1.0"
 
@@ -67,7 +67,6 @@ __all__ = [
     "InferenceError",
     "LedgerError",
     "LoopSpaceModel",
-    "ObstructionWitness",
     "SpacePresentation",
     "SpectralSequenceError",
     "SteenrodAction",

@@ -24,7 +24,24 @@ class AlgebraError(ValueError):
     pass
 
 
-class Generator:
+class Record:
+    """Base of the package's slotted records, which compare field by field.
+
+    Every record type of the package is a plain class: a dataclass or
+    NamedTuple takes far longer to define, and each is defined at every
+    import of the package.  A record has `__slots__` unless a
+    `cached_property` needs its `__dict__`, and derives from `Record` only
+    where records are compared."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+
+
+class Generator(Record):
     __slots__ = ("name", "degree", "height")
 
     def __init__(self, name: str, degree: int, height: int | None = None):
@@ -32,13 +49,8 @@ class Generator:
         self.degree = degree
         self.height = height  # None = polynomial (unbounded)
 
-    def __eq__(self, other):
-        if type(other) is not Generator:
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
-
-class AlgebraPresentation:
+class AlgebraPresentation(Record):
     __slots__ = ("generators", "degree_cap")
 
     def __init__(self, generators: Iterable[Generator], degree_cap: int):
@@ -55,11 +67,6 @@ class AlgebraPresentation:
         if self.degree_cap < 1:
             raise AlgebraError("degree_cap must be >= 1")
 
-    def __eq__(self, other):
-        if type(other) is not AlgebraPresentation:
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
-
     def top_degree(self) -> int | None:
         """Degree of the top monomial, the sum of d (h - 1) over the
         generators, before any cap; None when a generator is polynomial."""
@@ -72,7 +79,6 @@ class Algebra:
     """Arithmetic in the monomial basis of one presentation.  Immutable."""
 
     def __init__(self, presentation: AlgebraPresentation):
-        self.presentation = presentation
         self.generators = presentation.generators
         self.degree_cap = presentation.degree_cap
         self._index = {g.name: i for i, g in enumerate(self.generators)}

@@ -46,10 +46,9 @@ class BoundEntry:
 
 
 class BoundsLedger:
-    __slots__ = ("space", "entries")
+    __slots__ = ("entries",)
 
-    def __init__(self, space: str, entries: list[BoundEntry] | None = None):
-        self.space = space
+    def __init__(self, entries: list[BoundEntry] | None = None):
         self.entries = [] if entries is None else entries
 
     def add(self, quantity: str, kind: str, value: int, provenance: str):

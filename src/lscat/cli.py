@@ -107,12 +107,12 @@ def cmd_report(args) -> int:
 
 def cmd_validate(args) -> int:
     space = _load_space(args.space)
-    vreport = validate(space)
-    if vreport.ok:
+    problems = validate(space)
+    if not problems:
         sys.stdout.write(f"{space.name}: ok\n")
         return EXIT_OK
-    sys.stdout.write(f"{space.name}: {len(vreport.problems)} problem(s)\n")
-    for p in vreport.problems:
+    sys.stdout.write(f"{space.name}: {len(problems)} problem(s)\n")
+    for p in problems:
         sys.stdout.write(f"  - {p}\n")
     return EXIT_INVALID
 

@@ -70,7 +70,7 @@ def cap_truncation(space: SpacePresentation) -> str | None:
 
 def build_ledger(model: LoopSpaceModel) -> BoundsLedger:
     space = model.space
-    ledger = BoundsLedger(space.name)
+    ledger = BoundsLedger()
     cut = cap_truncation(space)
     kind, note = ("lower", f"; {cut}") if cut else ("exact", "")
     cuplen = model.cup_length()
@@ -109,9 +109,9 @@ def build_report(
         "degree_cap": space.degree_cap,
     }
 
-    vreport = validate(space)
-    if not vreport.ok:
-        report["validation"] = {"ok": False, "problems": vreport.problems}
+    problems = validate(space)
+    if problems:
+        report["validation"] = {"ok": False, "problems": problems}
         return report, 3
     report["validation"] = {"ok": True, "problems": []}
     mark("validate")
@@ -180,7 +180,7 @@ def build_report(
             }
             for m in (truncations or [])
         ]
-        report["witnesses"] = [witness.to_json() for witness in model.witnesses]
+        report["witnesses"] = model.witnesses
         mark("stages")
     report["invariants"] = invariants
 

@@ -35,7 +35,8 @@ suspension match (`match`), and the extended algebra with its table, the
 extra generators' rows included (`extended_algebra`, `extended_action`).
 Each Steenrod row is parsed once per algebra.  `validate` and
 `weights.LoopSpaceModel` read these same objects, so validation accepts
-exactly the tables the engine squares in.  A degree-cap override
+exactly the tables the engine squares in.  `validate` returns the list of
+problems it finds, empty when the presentation passes.  A degree-cap override
 (`weights.LoopSpaceModel`) constructs a new presentation from the same
 fields, with the cap in both algebra presentations, and it builds its own.
 
@@ -62,6 +63,7 @@ from lscat.algebra import (
     AlgebraError,
     AlgebraPresentation,
     Generator,
+    Record,
 )
 from lscat.bounds import BoundEntry, LedgerError, rule_problem
 from lscat.specseq import BigradedPage, SpectralSequenceError, koszul_e2
@@ -125,7 +127,7 @@ def _action(algebra: Algebra, table: dict, problems: list[str]) -> SteenrodActio
     return SteenrodAction(algebra, table)
 
 
-class ExtraGenerator:
+class ExtraGenerator(Record):
     """A filtration-1 class of the projective-stage models that is not a
     suspension of a cohomology generator (it enters partial products)."""
 
@@ -143,17 +145,12 @@ class ExtraGenerator:
         self.extension_height = extension_height
         self.steenrod = {} if steenrod is None else steenrod
 
-    def __eq__(self, other):
-        if type(other) is not ExtraGenerator:
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
-
     @property
     def degree(self) -> int:
         return 1 + self.t
 
 
-class Attestation:
+class Attestation(Record):
     __slots__ = ("claim", "provenance", "bound", "rule")
 
     def __init__(
@@ -167,11 +164,6 @@ class Attestation:
         self.provenance = provenance
         self.bound = bound
         self.rule = rule
-
-    def __eq__(self, other):
-        if type(other) is not Attestation:
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
 
 class SpacePresentation:
@@ -484,18 +476,6 @@ def builtin(name: str) -> SpacePresentation:
     return SpacePresentation.from_dict(BUILTINS[name]())
 
 
-class ValidationReport:
-    __slots__ = ("space", "problems")
-
-    def __init__(self, space: str, problems: list[str] | None = None):
-        self.space = space
-        self.problems = [] if problems is None else problems
-
-    @property
-    def ok(self) -> bool:
-        return not self.problems
-
-
 def suspension_match(
     sp: SpacePresentation,
 ) -> tuple[list[int | None], list[int | None], int | None]:
@@ -543,29 +523,28 @@ def suspension_match(
     return to_extended, to_lattice, partial
 
 
-def validate(sp: SpacePresentation) -> ValidationReport:
-    """Aggregate preflight of the objects `sp` builds: the Steenrod rows
-    over the cohomology and the extended algebra and their axioms, loop
-    freeness, the suspension match, conservation, and attested bounds the
-    ledger can take."""
-    report = ValidationReport(sp.name)
-    table, row_problems = sp._squares
-    report.problems += row_problems
+def validate(sp: SpacePresentation) -> list[str]:
+    """The problems of the objects `sp` builds, in the order found (none
+    when `sp` passes): the Steenrod rows over the cohomology and the
+    extended algebra and their axioms, loop freeness, the suspension
+    match, conservation, and attested bounds the ledger can take."""
+    table, problems = sp._squares
+    problems = list(problems)
     # A table with a bad row is checked as far as it parsed.
-    action = SteenrodAction(sp.algebra, table) if row_problems else sp.action
-    report.problems += action.verify_instability()
+    action = SteenrodAction(sp.algebra, table) if problems else sp.action
+    problems += action.verify_instability()
 
     for x in sp.extra_generators:
         if x.extension_height < 1:
-            report.problems.append(f"{x.name}: extension height must be >= 1")
+            problems.append(f"{x.name}: extension height must be >= 1")
         for k in sorted(x.steenrod):
             # The search reads only Sq^k x for 1 <= k < |x|.
             if k < 1:
-                report.problems.append(f"Sq^{k} {x.name}: k must be >= 1")
+                problems.append(f"Sq^{k} {x.name}: k must be >= 1")
             elif k >= x.degree:
-                report.problems.append(f"Sq^{k} {x.name}: k >= degree {x.degree}")
+                problems.append(f"Sq^{k} {x.name}: k >= degree {x.degree}")
     try:
-        report.problems += sp._extended_squares[2]
+        problems += sp._extended_squares[2]
     except AlgebraError:
         # An extra generator that reuses a name or has degree < 1 leaves
         # no extended algebra: the suspension match names it, and without
@@ -579,32 +558,47 @@ def validate(sp: SpacePresentation) -> ValidationReport:
             try:
                 BoundEntry(b["quantity"], b["kind"], b["value"], att.claim)
             except LedgerError as exc:
-                report.problems.append(f"{where}.bound: {exc}")
+                problems.append(f"{where}.bound: {exc}")
         if att.rule:
             problem = rule_problem(att.rule["name"], att.rule["args"])
             if problem:
-                report.problems.append(f"{where}.rule: {problem}")
+                problems.append(f"{where}.rule: {problem}")
 
     if sp.loop_homology is not None:
         try:
             e2 = sp.e2
         except (SpectralSequenceError, AlgebraError) as exc:
-            report.problems.append(f"loop homology: {exc}")
-            return report
+            problems.append(f"loop homology: {exc}")
+            return problems
         names = {g.name for g in e2.lattice.generators}
         for p in sp.permanent_cycles:
             if p not in names:
-                report.problems.append(f"permanent cycle {p!r} not in E2")
+                problems.append(f"permanent cycle {p!r} not in E2")
         try:
             sp.match
         except FixtureError as exc:
-            report.problems.append(str(exc))
+            problems.append(str(exc))
+        # Each differential kills one class of degree n and one of n + 1,
+        # so over all pages the rank out of degree n is the excess e_n of
+        # E2 over the cohomology less the rank into n, the rank out of
+        # n - 1: `dying`, which must never fall below 0.  Later degrees
+        # read a failed degree's rank, so only the first is named (and
+        # `dying` is None from there on).
         e2_dims = e2.dims_by_total_degree()
+        dying = 0
         for d, want in enumerate(sp.algebra.poincare_series()):
             have = e2_dims[d] if d < len(e2_dims) else 0
-            if have < want:
-                report.problems.append(
+            excess = have - want
+            if excess < 0:
+                problems.append(
                     f"conservation preflight: E2 has dim {have} in total "
                     f"degree {d}, cohomology needs {want}"
                 )
-    return report
+            elif dying is not None and excess < dying:
+                problems.append(
+                    f"conservation preflight: E2 exceeds the cohomology by "
+                    f"{excess} in degree {d}, but {dying} classes of degree "
+                    f"{d - 1} must die by hitting degree {d}"
+                )
+            dying = None if dying is None or excess < dying else excess - dying
+    return problems

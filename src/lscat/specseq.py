@@ -338,14 +338,12 @@ def _value_monomials(page: BigradedPage, spec: DifferentialSpec):
 
 
 def leibniz(
-    page: BigradedPage, spec: DifferentialSpec, exps: tuple[int, ...], values=None
+    page: BigradedPage, spec: DifferentialSpec, exps: tuple[int, ...], values
 ) -> int:
     """d(monomial) by the Leibniz rule, as an int over its target cell;
     products past the lattice cap die.  `values` is
-    `_value_monomials(page, spec)`, passed by a caller that evaluates many
-    monomials under one spec."""
-    if values is None:
-        values = _value_monomials(page, spec)
+    `_value_monomials(page, spec)`, which a caller evaluating many
+    monomials under one spec computes once."""
     mul = page.lattice._mul_exps
     acc = 0
     for i, monomials in values:
@@ -437,10 +435,15 @@ def homology_at(
     computed.  When no class has a nonzero d_r and no boundary lands here,
     `vecs` is returned as it is.  That is what the full path would return:
     `vecs` are reduced representatives sorted by lowest bit (single E2 bits, or
-    an earlier output of this function, whose rows are RREF rows with
-    their lowest bits as pivots), so no pivot bit of one is set in
-    another.  `quotient_basis` with no boundaries then only reorders them
-    by pivot, and the final sort by lowest bit restores their order.
+    an earlier output of this function), so no pivot bit of one is set in
+    another, and `quotient_basis` with no boundaries returns them as they
+    are.
+
+    The representatives `quotient_basis` returns ascend by lowest set bit,
+    which is the leading monomial: each is an RREF row, in ascending pivot
+    order, and each pivot is its row's lowest set bit (`rref` clears
+    every other row's bit in a pivot column, and a pivot row never gains
+    a lower bit).
     """
     r = spec.r
     cycles = vecs
@@ -459,8 +462,7 @@ def homology_at(
     if not boundaries and cycles is vecs:
         return vecs
     reps, _ = gf2.quotient_basis(cycles, boundaries, len(page.cells[(s, t)]))
-    # The lowest set bit is the leading monomial.
-    return tuple(sorted(reps, key=lambda v: v & -v))
+    return tuple(reps)
 
 
 class TruncationTower:

@@ -26,7 +26,11 @@ from a nonzero cohomology class u that cannot lie in the image of Sq^k
 upstairs because its preimage degree vanishes identically.  Such a
 witness rules out an operation-preserving retraction at stage m (and, by
 restriction, at every smaller stage), so the bound is 1 + the largest
-witnessed m.
+witnessed m.  A witness is the report's own record, a dict with the keys
+"m" (the stage), "k", "class" (z), "target" (u), "target_degree",
+"vanishing_degree" (the degree of z) and "facts" (the argument, one
+sentence each), in that order: `report.build_report` writes the model's
+witnesses as they are.
 
 All truncated-model computations happen in the associated graded; a
 witness is only reported when residual ("annihilated-summand") classes in
@@ -104,7 +108,10 @@ class, and a state's classes are in leading-monomial order.
 
 The search saturates, and each of its two rules has one owner.  Let
 s_sat be the last E2 column, the tower's `last_column` (over E2's cells,
-scratch degrees included), and h the extension height.
+scratch degrees included), and h the extension height (0 when no
+partial-product generator is declared: every non-residual class is then a
+product, which leads an E-infinity class, so the cohomology does not
+vanish in its degree and it is never a candidate).
 - The tower counts every differential alive at or past s_sat
   (`specseq.TruncationTower.alive`), so every stage from s_sat on reads
   the untruncated states and holds the untruncated classes.
@@ -129,7 +136,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from lscat.algebra import Algebra, AlgebraPresentation
+from lscat.algebra import Algebra, AlgebraPresentation, Record
 from lscat.specseq import (
     BigradedPage,
     DifferentialSpec,
@@ -142,35 +149,6 @@ from lscat.spaces import SpacePresentation
 
 class WeightError(ValueError):
     pass
-
-
-class ObstructionWitness:
-    __slots__ = ("m", "k", "z_label", "u", "u_degree", "vanishing_degree", "facts")
-
-    def __init__(self, m, k, z_label, u, u_degree, vanishing_degree, facts=()):
-        self.m = m
-        self.k = k
-        self.z_label = z_label
-        self.u = u
-        self.u_degree = u_degree
-        self.vanishing_degree = vanishing_degree
-        self.facts = facts
-
-    def __eq__(self, other):
-        if type(other) is not ObstructionWitness:
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
-
-    def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "k": self.k,
-            "class": self.z_label,
-            "target": self.u,
-            "target_degree": self.u_degree,
-            "vanishing_degree": self.vanishing_degree,
-            "facts": list(self.facts),
-        }
 
 
 BUCKET_PRODUCT = "product"
@@ -214,16 +192,11 @@ def bucket_key(lead, partial_idx, surviving_untruncated) -> tuple[int, int, bool
     return pe, sum(rest), rest in surviving_untruncated
 
 
-class ClassFacts:
+class ClassFacts(Record):
     """One class of a truncation-tower state: what a stage's report reads
     of it, none of which depends on the stage.  Its bucket is the one
     fact that does, and the stage reads it from `key`."""
 
-    # Every record type of the package is a plain class like this one: a
-    # dataclass or NamedTuple takes far longer to define, and each is
-    # defined at every import of the package.  A record has `__slots__`
-    # unless a `cached_property` needs its `__dict__`, and an `__eq__` only
-    # where records are compared.
     __slots__ = ("s", "t", "degree", "leading", "label", "key")
 
     def __init__(self, s, t, leading, label, key):
@@ -233,11 +206,6 @@ class ClassFacts:
         self.leading = leading
         self.label = label
         self.key = key  # `bucket_key` of the leading monomial
-
-    def __eq__(self, other):
-        if type(other) is not ClassFacts:
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
 
 def class_facts(page, s, t, vec, surviving_untruncated, partial_idx) -> ClassFacts:
@@ -326,7 +294,7 @@ class LoopSpaceModel:
     @cached_property
     def _extension_height(self) -> int:
         extras = self.space.extra_generators
-        return extras[0].extension_height if extras else 3
+        return extras[0].extension_height if extras else 0
 
     def stage_report(self, m: int) -> list[tuple[ClassFacts, str]]:
         """Stage m's classes with their buckets at stage m, in page order."""
@@ -522,8 +490,9 @@ class LoopSpaceModel:
             kept = self._tests[cls.leading] = z, tests
         return kept
 
-    def find_obstruction(self, m: int) -> ObstructionWitness | None:
-        """First Steenrod witness against a retraction at stage m, or None.
+    def find_obstruction(self, m: int) -> dict | None:
+        """First Steenrod witness against a retraction at stage m, as the
+        report's witness record (see the module docstring), or None.
 
         Absence of a witness proves nothing.
         """
@@ -555,28 +524,28 @@ class LoopSpaceModel:
                         f"Sq^{k} maps onto degree {degree} from degree "
                         f"{cls.degree}, where the cohomology vanishes"
                     )
-                return ObstructionWitness(
-                    m=m,
-                    k=k,
-                    z_label=self.space.extended_algebra.monomial_str(z),
-                    u=self.algebra.row_str(
+                return {
+                    "m": m,
+                    "k": k,
+                    "class": self.space.extended_algebra.monomial_str(z),
+                    "target": self.algebra.row_str(
                         sum(1 << self.algebra.index[e] for e in u_terms), degree
                     ),
-                    u_degree=degree,
-                    vanishing_degree=cls.degree,
-                    facts=(
+                    "target_degree": degree,
+                    "vanishing_degree": cls.degree,
+                    "facts": [
                         f"Sq^{k} of the stage-{m} class equals the restriction "
                         f"of a nonzero degree-{degree} class",
                         f"the cohomology of the space vanishes in degree "
                         f"{cls.degree}, so nothing upstairs can map onto it "
                         f"under Sq^{k}",
                         f"no residual stage-{m} class lives in degree {degree}",
-                    ),
-                )
+                    ],
+                }
         return None
 
     @cached_property
-    def witnesses(self) -> list[ObstructionWitness]:
+    def witnesses(self) -> list[dict]:
         """The witness of each stage up to the degree cap that has one, in
         stage order, from one walk that stops at the first stage from the
         stable stage on without one (every later stage has none either)."""
@@ -594,4 +563,4 @@ class LoopSpaceModel:
     def mwgt_lower_bound(self) -> int:
         """1 + the largest stage up to the degree cap with a witness (0 if
         none)."""
-        return self.witnesses[-1].m + 1 if self.witnesses else 0
+        return self.witnesses[-1]["m"] + 1 if self.witnesses else 0

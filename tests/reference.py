@@ -31,6 +31,7 @@ from lscat.specseq import (
     DifferentialSpec,
     SpectralSequenceError,
     _check_spec,
+    _value_monomials,
     homology_at,
     leibniz,
 )
@@ -122,8 +123,9 @@ def d_of_vec(page: BigradedPage, spec: DifferentialSpec, s, t, vec) -> int:
     if page.column_cap is not None and s + spec.r > page.column_cap:
         return 0
     acc = 0
+    values = _value_monomials(page, spec)
     for exps in page.monomials(s, t, vec):
-        acc ^= leibniz(page, spec, exps)
+        acc ^= leibniz(page, spec, exps, values)
     return acc
 
 

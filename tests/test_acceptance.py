@@ -10,7 +10,7 @@ import pytest
 from lscat import LoopSpaceModel, assemble_bracket, builtin, bundle_upper_bound
 from lscat.cli import main as cli_main
 from lscat.report import build_ledger
-from lscat.specseq import leibniz
+from lscat.specseq import _value_monomials, leibniz
 from lscat.weights import BUCKET_PARTIAL, BUCKET_PRODUCT, BUCKET_RESIDUAL
 from cells import cp, min_cell_dim_excluding, smash, sphere, suspend
 from reference import parse_class, total_dimension, wgt
@@ -84,7 +84,8 @@ def test_04_forced_differential(spin9):
 def test_05_truncation_survival(spin9):
     src = spin9.e2.lattice.parse_monomial("x1_2^3*x1_4*x1_6*x1_10")
     assert spin9.e2.bidegree(src) == (6, 26)
-    img = leibniz(spin9.e2.advanced(3), spin9.differentials[0], src)
+    page, spec = spin9.e2.advanced(3), spin9.differentials[0]
+    img = leibniz(page, spec, src, _value_monomials(page, spec))
     tgt = spin9.e2.lattice.parse_monomial("x1_2^7*x1_4*x1_6")
     assert spin9.e2.monomials(9, 24, img) == [tgt]
     assert spin9.e2.bidegree(tgt) == (9, 24)
@@ -124,9 +125,9 @@ def test_07_weights(spin9):
 
 def test_08_obstruction_witness(spin9):
     w = spin9.find_obstruction(7)
-    assert w is not None and w.k == 4
-    assert w.z_label == "x3^3*x5*x7*x11" and w.u == "x3^3*x5*x7*x15"
-    assert w.vanishing_degree == 32 and not spin9.algebra.basis(32)
+    assert w is not None and w["k"] == 4
+    assert w["class"] == "x3^3*x5*x7*x11" and w["target"] == "x3^3*x5*x7*x15"
+    assert w["vanishing_degree"] == 32 and not spin9.algebra.basis(32)
     assert spin9.find_obstruction(8) is None
     assert spin9.mwgt_lower_bound() == 8
     ok("criterion 8: stage-7 witness Sq^4, H^32 = 0; mwgt_lower_bound = 8")

@@ -54,7 +54,7 @@ def test_bundle_instance():
 
 
 def test_ladder_propagation():
-    ledger = BoundsLedger("t")
+    ledger = BoundsLedger()
     ledger.add("cuplen", "exact", 6, "a")
     ledger.add("wgt", "exact", 6, "b")
     ledger.add("Mwgt", "lower", 8, "c")
@@ -65,20 +65,20 @@ def test_ladder_propagation():
 
 
 def test_cat_via_strong_category():
-    ledger = BoundsLedger("t")
+    ledger = BoundsLedger()
     ledger.add("wgt", "lower", 3, "a")
     ledger.add("Cat", "upper", 5, "b")
     assert assemble_bracket(ledger) == (3, 5)
 
 
 def test_missing_side():
-    ledger = BoundsLedger("t")
+    ledger = BoundsLedger()
     ledger.add("cuplen", "exact", 2, "a")
     assert assemble_bracket(ledger) == (2, None)
 
 
 def test_inconsistent_names_entries():
-    ledger = BoundsLedger("t")
+    ledger = BoundsLedger()
     ledger.add("Mwgt", "lower", 9, "too big")
     ledger.add("cat", "upper", 8, "too small")
     with pytest.raises(InconsistentLedger) as exc:
@@ -88,7 +88,7 @@ def test_inconsistent_names_entries():
 
 
 def test_entry_validation():
-    ledger = BoundsLedger("t")
+    ledger = BoundsLedger()
     with pytest.raises(LedgerError):
         ledger.add("catx", "upper", 1, "p")
     with pytest.raises(LedgerError):
@@ -110,7 +110,7 @@ def test_entry_validation():
     st.integers(0, 30),
 )
 def test_bracket_is_extremal(lowers, upper):
-    ledger = BoundsLedger("t")
+    ledger = BoundsLedger()
     for q, k, v in lowers:
         ledger.add(q, k, v, "p")
     ledger.add("cat", "upper", upper, "p")

@@ -23,7 +23,8 @@ import lscat
 from lscat import bounds, cli, gf2
 from lscat import report as report_mod
 from lscat import spaces, specseq, weights
-from lscat.algebra import Algebra
+from lscat.algebra import Algebra, AlgebraPresentation, Generator, Record
+from lscat.bounds import BoundsLedger
 from lscat.cli import main
 from lscat.spaces import BUILTINS, SpacePresentation, builtin, validate
 from lscat.weights import LoopSpaceModel, WeightError
@@ -363,7 +364,7 @@ def test_unmatched_lattice_generator_raises_where_it_is_used(tmp_path):
     never reads as "no witness".  The match allows an unmatched E2
     generator, so `validate` passes."""
     space = SpacePresentation.from_dict(unmatched_lattice())
-    assert validate(space).ok
+    assert not validate(space)
     model = LoopSpaceModel(space)
     for m in range(8):
         with pytest.raises(WeightError) as info:
@@ -611,7 +612,7 @@ def test_ledger_raises_the_problem_of_a_bad_rule(rule, message):
     data = BUILTINS["spin9"]()
     data["attestations"][1]["rule"] = rule
     sp = SpacePresentation.from_dict(data)
-    assert validate(sp).problems == [message]
+    assert validate(sp) == [message]
     with pytest.raises(spaces.FixtureError, match=f"^{re.escape(message)}$"):
         report_mod.build_ledger(LoopSpaceModel(sp))
 
@@ -1265,7 +1266,9 @@ def test_every_export_resolves_and_no_reference_fold_is_exported():
     lattice, read a stage's page from the model's tower and give a page
     as a dict, a class's weight and GF(2) span membership), and the
     stage-class buckets live in `weights`, not `specseq`.  A stage's class
-    is one `ClassFacts` record, with no per-bucket copy."""
+    is one `ClassFacts` record, with no per-bucket copy.  A witness is its
+    report record, `validate` returns its problems, nothing stores a field
+    no one reads, and the slotted records share `Record`'s one equality."""
     for name in lscat.__all__:
         assert getattr(lscat, name) is not None, name
     moved = (
@@ -1302,6 +1305,16 @@ def test_every_export_resolves_and_no_reference_fold_is_exported():
     assert not hasattr(weights, "TruncationClass")
     for name in ("entries", "entry"):
         assert not hasattr(weights.ClassFacts, name)
+    assert not hasattr(weights, "ObstructionWitness")
+    assert "ObstructionWitness" not in lscat.__all__
+    assert not hasattr(spaces, "ValidationReport")
+    assert "space" not in BoundsLedger.__slots__
+    assert not hasattr(Algebra(AlgebraPresentation([], 1)), "presentation")
+    for record in (
+        Generator, AlgebraPresentation, spaces.ExtraGenerator,
+        spaces.Attestation, weights.ClassFacts,
+    ):
+        assert issubclass(record, Record) and "__eq__" not in vars(record)
 
 
 def test_bad_truncate_value():

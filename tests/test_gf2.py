@@ -90,6 +90,20 @@ def test_quotient_basis():
         assert not in_span(rep, boundaries, 3)
 
 
+@settings(max_examples=300, deadline=None)
+@given(ncols=st.integers(1, 12), data=st.data())
+def test_quotient_representatives_ascend_by_lowest_bit(ncols, data):
+    """`specseq.homology_at` returns `quotient_basis`'s representatives
+    unsorted: they ascend by lowest set bit, and each pivot is its row's
+    lowest set bit."""
+    row = st.integers(0, (1 << ncols) - 1)
+    cycles = data.draw(st.lists(row, max_size=8))
+    boundaries = data.draw(st.lists(row, max_size=8))
+    reps, pivots = gf2.quotient_basis(cycles, boundaries, ncols)
+    assert [(v & -v).bit_length() - 1 for v in reps] == pivots
+    assert pivots == sorted(set(pivots))
+
+
 def test_rank_and_span():
     _, pivots = gf2.span_basis([0b01, 0b10, 0b11], 2)
     assert len(pivots) == 2  # the rank

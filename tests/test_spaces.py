@@ -1,7 +1,9 @@
 """Fixture round-trips and validation."""
 
 import json
+import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -14,8 +16,10 @@ from lscat.spaces import (
     builtin,
     validate,
 )
-from lscat.weights import LoopSpaceModel
+from lscat.specseq import SpectralSequenceError
+from lscat.weights import LoopSpaceModel, WeightError
 from reference import total_dimension
+from test_weights import su_data
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -26,7 +30,7 @@ def test_round_trip(name):
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_builtins_validate(name):
-    assert validate(builtin(name)).ok
+    assert not validate(builtin(name))
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -100,30 +104,29 @@ def test_validate_catches_bad_steenrod():
     data = BUILTINS["spin9"]()
     # wrong target degree: Sq^2 x3 must land in degree 5
     data["steenrod"][0]["value"] = ["x7"]
-    report = validate(SpacePresentation.from_dict(data))
-    assert not report.ok
+    assert validate(SpacePresentation.from_dict(data))
 
 
 def test_validate_catches_unknown_permanent_cycle():
     data = BUILTINS["spin9"]()
     data["permanent_cycles"].append("x1_99")
-    report = validate(SpacePresentation.from_dict(data))
-    assert any("x1_99" in p for p in report.problems)
+    problems = validate(SpacePresentation.from_dict(data))
+    assert any("x1_99" in p for p in problems)
 
 
 def test_validate_catches_non_free_loop_algebra():
     data = BUILTINS["spin9"]()
     data["loop_homology"]["generators"][0]["height"] = 3
-    report = validate(SpacePresentation.from_dict(data))
-    assert any("not free" in p for p in report.problems)
+    problems = validate(SpacePresentation.from_dict(data))
+    assert any("not free" in p for p in problems)
 
 
 def test_validate_catches_bad_extra_square():
     data = BUILTINS["spin9"]()
     # Sq^4 x11 must land in degree 15
     data["extra_generators"][0]["steenrod"] = [{"k": 4, "value": ["x7"]}]
-    report = validate(SpacePresentation.from_dict(data))
-    assert any("Sq^4 x11" in p for p in report.problems)
+    problems = validate(SpacePresentation.from_dict(data))
+    assert any("Sq^4 x11" in p for p in problems)
 
 
 @pytest.mark.parametrize(
@@ -140,7 +143,7 @@ def test_validate_checks_extra_square_range(k, value, problems):
     """Sq^k of an extra generator x is read only for 1 <= k < |x|."""
     data = BUILTINS["spin9"]()
     data["extra_generators"][0]["steenrod"] = [{"k": k, "value": [value]}]
-    assert validate(SpacePresentation.from_dict(data)).problems == problems
+    assert validate(SpacePresentation.from_dict(data)) == problems
 
 
 def test_validate_conservation_preflight():
@@ -151,8 +154,79 @@ def test_validate_conservation_preflight():
         for g in data["loop_homology"]["generators"]
         if g["name"] == "u10"
     ]
-    report = validate(SpacePresentation.from_dict(data))
-    assert any("conservation" in p for p in report.problems)
+    problems = validate(SpacePresentation.from_dict(data))
+    assert any("conservation" in p for p in problems)
+
+
+def test_running_rank_preflight_names_the_first_failing_degree():
+    """toy-trunc-poly with x3 of height 3 has E2 one class over the
+    cohomology in degree 9 and none in degree 10: the degree-9 class must
+    die, and only a degree-10 class could die with it.  The parent
+    accepted it, and its report then failed with a fixture mismatch."""
+    data = BUILTINS["toy-trunc-poly"]()
+    data["cohomology"]["generators"][0]["height"] = 3
+    assert validate(SpacePresentation.from_dict(data)) == [
+        "conservation preflight: E2 exceeds the cohomology by 0 in degree "
+        "10, but 1 classes of degree 9 must die by hitting degree 10"
+    ]
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        *(pytest.param(lambda n=n: su_data(n), id=f"su{n}") for n in range(3, 9)),
+        pytest.param(
+            lambda: json.loads(
+                (Path(__file__).parent / "fixtures" / "two-page-synthetic.json")
+                .read_text()
+            ),
+            id="two-page",
+        ),
+    ],
+)
+def test_fixtures_whose_differentials_exist_pass_the_running_rank(data):
+    """SU(n) has no differential, and the two-page fixture's d_2 and d_3
+    supply the ranks the running rank asks for."""
+    assert not validate(SpacePresentation.from_dict(data()))
+
+
+def mutants(count, seed):
+    """`count` seeded mutants of spin9, toy-trunc-poly and SU(5): cap 8..24,
+    cohomology heights moved by one, loop generators switched between
+    height 2 and polynomial."""
+    rng = random.Random(seed)
+    bases = [BUILTINS["spin9"], BUILTINS["toy-trunc-poly"], lambda: su_data(5)]
+    out = []
+    for _ in range(count):
+        data = rng.choice(bases)()
+        data["degree_cap"] = rng.randint(8, 24)
+        for g in data["cohomology"]["generators"]:
+            if rng.random() < 0.3:
+                g["height"] = max(2, g["height"] + rng.choice((-1, 1)))
+        for g in data["loop_homology"]["generators"]:
+            if rng.random() < 0.15:
+                g["height"] = 2 if g["height"] == "unbounded" else "unbounded"
+        out.append(SpacePresentation.from_dict(data))
+    return out
+
+
+def test_no_fixture_whose_inference_closes_fails_the_running_rank():
+    """The running rank is sound: a mutant whose differentials inference
+    finds never fails it, and every mutant that fails it has no
+    consistent assignment.  Both kinds occur."""
+    outcomes = {"inferred": 0, "refused": 0}
+    for sp in mutants(60, seed=0):
+        refused = any("must die" in p for p in validate(sp))
+        try:
+            LoopSpaceModel(sp)._tower
+        except (SpectralSequenceError, WeightError) as exc:
+            if refused:
+                assert "mismatch" in str(exc), sp.name
+        else:
+            assert not refused, sp.name
+            outcomes["inferred"] += 1
+        outcomes["refused"] += refused
+    assert outcomes["inferred"] >= 10 and outcomes["refused"] >= 10, outcomes
 
 
 def test_spin9_attestations_carry_rule():
@@ -169,7 +243,7 @@ def test_bad_steenrod_row_is_named_once_and_never_read():
     data["steenrod"][0]["value"] = ["x7"]
     sp = SpacePresentation.from_dict(data)
     problem = "Sq^2 x3: value not homogeneous of degree 5"
-    assert validate(sp).problems == [problem]
+    assert validate(sp) == [problem]
     for table in ("action", "extended_action"):
         with pytest.raises(AlgebraError, match=f"^{re.escape(problem)}$"):
             getattr(sp, table)
@@ -178,6 +252,6 @@ def test_bad_steenrod_row_is_named_once_and_never_read():
 def test_missing_loop_homology_is_a_fixture_error():
     sp = builtin("toy-trunc-poly")
     sp.loop_homology = None
-    assert validate(sp).ok
+    assert not validate(sp)
     with pytest.raises(FixtureError, match="^toy-trunc-poly: no loop homology given$"):
         LoopSpaceModel(sp).e2

@@ -16,6 +16,7 @@ from lscat.specseq import (
     TruncationTower,
     candidate_widths,
     infer_differentials,
+    _value_monomials,
     koszul_e2,
     leibniz,
 )
@@ -170,7 +171,8 @@ def test_leibniz_filtration_class(spin9_model):
     spec = spin9_model.differentials[0]
     src = e2.lattice.parse_monomial("x1_2^3*x1_4*x1_6*x1_10")
     assert e2.bidegree(src) == (6, 26)
-    img = leibniz(e2.advanced(3), spec, src)
+    page = e2.advanced(3)
+    img = leibniz(page, spec, src, _value_monomials(page, spec))
     tgt = e2.lattice.parse_monomial("x1_2^7*x1_4*x1_6")
     assert e2.monomials(9, 24, img) == [tgt]
     assert e2.bidegree(tgt) == (9, 24)

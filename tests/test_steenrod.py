@@ -124,7 +124,7 @@ def test_instability_catches_bad_table(spin9):
     # A value in the wrong degree is no row: the fixture fails to parse.
     data = BUILTINS["spin9"]()
     data["steenrod"].append({"gen": "x3", "k": 3, "value": ["x3"]})
-    problems = validate(SpacePresentation.from_dict(data)).problems
+    problems = validate(SpacePresentation.from_dict(data))
     assert problems == ["Sq^3 x3: value not homogeneous of degree 6"]
 
 

@@ -1,6 +1,7 @@
 """The repository's tools, run as their usage lines say."""
 
 import importlib.util
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +21,7 @@ def load_tool(name):
 
 
 planted_sweep = load_tool("planted_sweep")
+same_outputs = load_tool("same_outputs")
 
 
 def test_code_lines_total_is_the_sum_of_its_module_rows():
@@ -38,6 +40,35 @@ def test_code_lines_total_is_the_sum_of_its_module_rows():
         path.name for path in package.glob("*.py")
     )
     assert int(total) == sum(int(n) for n, _ in modules) > 0
+
+
+def test_same_outputs_names_exactly_the_ops_an_edit_moves(tmp_path):
+    """`tools/same_outputs.py` against a copy of `src` whose wgt
+    provenance, printed by every report and by nothing else, is edited:
+    it exits 1 and names every `report` op, and every `dump-page` and
+    `validate` op compares equal."""
+    src = tmp_path / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    report = src / "lscat" / "report.py"
+    text = report.read_text()
+    edited = text.replace('WGT_PROVENANCE = "maximal', 'WGT_PROVENANCE = "largest')
+    assert edited != text
+    report.write_text(edited)
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "same_outputs.py"),
+         str(ROOT / "src"), str(src)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1, proc.stderr
+    *lines, count = proc.stdout.splitlines()
+    named = [line.removeprefix("differs: ") for line in lines]
+    (tmp_path / "fixtures").mkdir()
+    ops = same_outputs.invocations(tmp_path / "fixtures")
+    kinds = {name: argv[0] for name, argv in ops}
+    assert named == [name for name, kind in kinds.items() if kind == "report"]
+    assert {"dump-page", "validate"} <= set(kinds.values())
+    assert count == f"{len(named)} of {len(ops)} ops differ"
 
 
 def test_planted_sweep_counts_every_member_at_cap_10():

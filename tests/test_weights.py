@@ -24,7 +24,6 @@ from lscat.steenrod import SteenrodAction
 from lscat.weights import (
     BUCKET_RESIDUAL,
     LoopSpaceModel,
-    ObstructionWitness,
     WeightError,
     bucket,
     can_be_non_residual,
@@ -81,7 +80,7 @@ def reference_stage(model: LoopSpaceModel, m: int):
         m,
         model.surviving,
         partial_gen=f"x1_{extra.t}" if extra else None,
-        extension_height=extra.extension_height if extra else 3,
+        extension_height=extra.extension_height if extra else 0,
     )
     ext = model.space.extended_algebra
     extra_idx = [
@@ -119,22 +118,22 @@ def reference_stage(model: LoopSpaceModel, m: int):
             ):
                 continue
             assert not model.space.action.image_of_sq(k, degree)
-            return page, report, ObstructionWitness(
-                m=m,
-                k=k,
-                z_label=ext.monomial_str(z[cls.leading]),
-                u=model.algebra.row_str(u, degree),
-                u_degree=degree,
-                vanishing_degree=cls.degree,
-                facts=(
+            return page, report, {
+                "m": m,
+                "k": k,
+                "class": ext.monomial_str(z[cls.leading]),
+                "target": model.algebra.row_str(u, degree),
+                "target_degree": degree,
+                "vanishing_degree": cls.degree,
+                "facts": [
                     f"Sq^{k} of the stage-{m} class equals the restriction "
                     f"of a nonzero degree-{degree} class",
                     f"the cohomology of the space vanishes in degree "
                     f"{cls.degree}, so nothing upstairs can map onto it "
                     f"under Sq^{k}",
                     f"no residual stage-{m} class lives in degree {degree}",
-                ),
-            )
+                ],
+            }
     return page, report, None
 
 
@@ -185,12 +184,64 @@ def test_witness_at_stage_seven(spin9):
     """Criterion 8: the k = 4 witness with H^32 = 0 appears at m = 7."""
     w = spin9.find_obstruction(7)
     assert w is not None
-    assert w.k == 4
-    assert w.u_degree == 36
-    assert w.vanishing_degree == 32
-    assert w.z_label == "x3^3*x5*x7*x11"
-    assert w.u == "x3^3*x5*x7*x15"
+    assert w["k"] == 4
+    assert w["target_degree"] == 36
+    assert w["vanishing_degree"] == 32
+    assert w["class"] == "x3^3*x5*x7*x11"
+    assert w["target"] == "x3^3*x5*x7*x15"
     assert not spin9.algebra.basis(32)
+
+
+def test_witness_is_the_report_record(spin9):
+    """The stage-7 witness is the report's own record, key for key, and a
+    report writes the model's witnesses as they are."""
+    assert spin9.find_obstruction(7) == {
+        "m": 7,
+        "k": 4,
+        "class": "x3^3*x5*x7*x11",
+        "target": "x3^3*x5*x7*x15",
+        "target_degree": 36,
+        "vanishing_degree": 32,
+        "facts": [
+            "Sq^4 of the stage-7 class equals the restriction of a nonzero "
+            "degree-36 class",
+            "the cohomology of the space vanishes in degree 32, so nothing "
+            "upstairs can map onto it under Sq^4",
+            "no residual stage-7 class lives in degree 36",
+        ],
+    }
+    model = LoopSpaceModel(builtin("spin9"))
+    report, code = build_report(model)
+    assert code == 0
+    assert report["witnesses"] == model.witnesses
+    assert [w["m"] for w in report["witnesses"]] == [3, 4, 5, 6, 7]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: su_space(7), id="su7"),
+        pytest.param(lambda: builtin("toy-trunc-poly"), id="toy-trunc-poly"),
+    ],
+)
+def test_no_partial_generator_searches_no_stage_past_the_last_column(
+    monkeypatch, make
+):
+    """With no partial-product generator no class is ever partial, so the
+    stable stage is the last E2 column: a report searches stages 0 to it
+    and no further."""
+    calls = []
+    real_find = LoopSpaceModel.find_obstruction
+
+    def counting_find(self, m):
+        calls.append(m)
+        return real_find(self, m)
+
+    monkeypatch.setattr(LoopSpaceModel, "find_obstruction", counting_find)
+    model = LoopSpaceModel(make())
+    _, code = build_report(model)
+    assert code == 0
+    assert calls == list(range(model._tower.last_column + 1))
 
 
 def test_no_witness_at_stage_eight(spin9):
@@ -382,7 +433,7 @@ def reference_candidates(model: LoopSpaceModel, m: int):
         m,
         model.surviving,
         partial_gen=f"x1_{extra.t}" if extra else None,
-        extension_height=extra.extension_height if extra else 3,
+        extension_height=extra.extension_height if extra else 0,
     )
     return [
         cls for cls, b in report
