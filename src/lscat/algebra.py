@@ -10,14 +10,24 @@ order, which also fixes the deterministic basis order: ascending
 exponent tuple.  `Algebra.monomial_str` is its one text form.
 
 A homogeneous class of degree d is a row: an int over `basis(d)`, bit i
-the coefficient of the i-th monomial (`Algebra.index`), the row format
+the coefficient of the i-th monomial (`Algebra.index(d)`), the row format
 of `gf2` and of the spectral-sequence pages.
+
+Each degree's basis and index are built on the first read of that
+degree (`Algebra.basis`), and the Poincare series and cup-length come
+from the generators alone (a product of truncated series, and a
+greedy).  So a report on a large exterior algebra builds the few low
+degrees it reads, not its 2^n monomials.  Only an algebra small enough
+that one walk costs less than filling in its degrees one by one is
+walked whole, on its first read (`Algebra.walk`, which also gives E2
+its cells).
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Iterator
+from operator import add
+from typing import Iterable
 
 
 class AlgebraError(ValueError):
@@ -91,16 +101,45 @@ class Algebra:
             for g in self.generators
         )
         self._degrees = tuple(g.degree for g in self.generators)
+        self._bases: dict[int, tuple[tuple[int, ...], ...]] = {}
+        self._fills: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+        self._indexes: dict[int, dict[tuple[int, ...], int]] = {}
 
     # -- basis ------------------------------------------------------------
 
-    @cached_property
-    def _basis_by_degree(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """Every monomial up to the cap, bucketed by degree, in canonical order.
+    def basis(self, degree: int) -> tuple[tuple[int, ...], ...]:
+        """All monomials of exactly this total degree, in canonical order,
+        built on first read.
+
+        A degree's basis is filled in alone (`_fill`), which visits at
+        most one state per generator and degree, kept for later degrees.
+        An algebra with no more monomials up to its cap than that, n (cap +
+        1) for n generators, is walked whole on its first read instead
+        (`walk`): one walk of a lattice that small costs less than filling
+        in the many degrees a report can read of it (the witness search
+        reads most of spin9's).
+        """
+        out = self._bases.get(degree)
+        if out is None:
+            if not 0 <= degree <= self.degree_cap:
+                raise AlgebraError(
+                    f"degree {degree} out of range [0, {self.degree_cap}]"
+                )
+            if sum(self._series) <= len(self._degrees) * (self.degree_cap + 1):
+                buckets: list[list] = [[] for _ in range(self.degree_cap + 1)]
+                for exps, d in self.walk():
+                    buckets[d].append(exps)
+                self._bases = dict(enumerate(map(tuple, buckets)))
+                return self._bases[degree]
+            out = self._bases[degree] = tuple(self._fill(0, degree))
+        return out
+
+    def walk(self) -> list[tuple[tuple[int, ...], int]]:
+        """(exponents, degree) of every monomial up to the cap, ascending.
 
         Exponent vectors grow one generator at a time, pruned by the degree
-        left under the cap; extending a sorted list with ascending exponents
-        keeps it sorted, so each bucket is already in ascending-tuple order.
+        left under the cap; extending a sorted list with ascending
+        exponents keeps it sorted.
         """
         cap = self.degree_cap
         partial = [((), 0)]
@@ -110,39 +149,80 @@ class Algebra:
                 for exps, degree in partial
                 for e in range(min(max_e, (cap - degree) // d) + 1)
             ]
-        buckets: list[list[tuple[int, ...]]] = [[] for _ in range(cap + 1)]
-        for exps, degree in partial:
-            buckets[degree].append(exps)
-        return tuple(tuple(b) for b in buckets)
+        return partial
 
-    def basis(self, degree: int) -> tuple[tuple[int, ...], ...]:
-        """All monomials of exactly this total degree, in canonical order."""
-        if not 0 <= degree <= self.degree_cap:
-            raise AlgebraError(f"degree {degree} out of range [0, {self.degree_cap}]")
-        return self._basis_by_degree[degree]
+    def _fill(self, i: int, left: int) -> list[tuple[int, ...]]:
+        """The exponents of generators i, i + 1, ... with degree exactly
+        `left`, ascending, kept per (i, left) for every degree's basis:
+        each exponent of generator i in ascending order, followed by each
+        of the later generators' ascending tuples for the degree left.
+        Once nothing is left the rest are 0."""
+        out = self._fills.get((i, left))
+        if out is None:
+            if not left:
+                out = [(0,) * (len(self._degrees) - i)]
+            elif i == len(self._degrees):
+                out = []
+            else:
+                d = self._degrees[i]
+                out = [
+                    (e,) + rest
+                    for e in range(min(self._max_exp[i], left // d) + 1)
+                    for rest in self._fill(i + 1, left - e * d)
+                ]
+            self._fills[(i, left)] = out
+        return out
 
-    def monomials(self) -> Iterator[tuple[int, ...]]:
-        for d in range(self.degree_cap + 1):
-            yield from self.basis(d)
+    def index(self, degree: int) -> dict[tuple[int, ...], int]:
+        """Each monomial of `basis(degree)` with its bit in a row over it,
+        built on first read."""
+        out = self._indexes.get(degree)
+        if out is None:
+            out = self._indexes[degree] = {
+                m: i for i, m in enumerate(self.basis(degree))
+            }
+        return out
 
     def poincare_series(self) -> list[int]:
-        """dim per degree, 0..degree_cap."""
-        return list(map(len, self._basis_by_degree))
+        """dim per degree, 0..degree_cap, as a new list."""
+        return list(self._series)
+
+    @cached_property
+    def _series(self) -> list[int]:
+        """The product over the generators of 1 + t^d + ... + t^(d e), e
+        the generator's exponent bound, truncated at the cap."""
+        series = [1] + [0] * self.degree_cap
+        for d, max_e in zip(self._degrees, self._max_exp):
+            new = series[:]
+            for shift in range(d, d * max_e + 1, d):
+                new[shift:] = map(add, new[shift:], series)
+            series = new
+        return series
 
     def cup_length(self) -> int:
         """Largest m with a nonzero product of m positive-degree classes.
 
         In a monomial algebra this is the largest exponent sum among
-        nonzero monomials.
+        nonzero monomials, which the greedy reaches: it takes each
+        generator's exponent bound, smallest degree first, while the
+        degrees fit under the cap.  Exchange argument: list every factor
+        a monomial may use, e copies of degree d for each generator with
+        exponent bound e; a monomial of exponent sum m picks m of them
+        with degree sum at most the cap, and so do the m smallest, whose
+        sum is no larger.  So the largest m is the most smallest factors
+        that fit, and the greedy takes them in that order, stopping at
+        the first that does not fit, past which none does.
         """
-        return max(sum(m) for m in self.monomials())
+        room, count = self.degree_cap, 0
+        for d, max_e in sorted(zip(self._degrees, self._max_exp)):
+            e = min(max_e, room // d)
+            room -= e * d
+            count += e
+            if e < max_e:
+                break
+        return count
 
     # -- rows ---------------------------------------------------------------
-
-    @cached_property
-    def index(self) -> dict[tuple[int, ...], int]:
-        """Each monomial's bit in a row over the basis of its degree."""
-        return {m: i for b in self._basis_by_degree for i, m in enumerate(b)}
 
     def terms(self, row: int, degree: int) -> list[tuple[int, ...]]:
         """The monomials of a row over `basis(degree)`, in canonical order."""
@@ -159,13 +239,14 @@ class Algebra:
         `basis(da + db)`, zero above the cap."""
         if not (a and b) or da + db > self.degree_cap:
             return 0
-        index = self.index
+        index = None
         out = 0
         ys = self.terms(b, db)
         for x in self.terms(a, da):
             for y in ys:
                 p = self._mul_exps(x, y)
                 if p is not None:
+                    index = index or self.index(da + db)
                     out ^= 1 << index[p]
         return out
 
@@ -181,7 +262,7 @@ class Algebra:
             mono = self.parse_monomial(text)
             if self.monomial_degree(mono) != degree:
                 raise AlgebraError(f"value not homogeneous of degree {degree}")
-            row ^= 1 << self.index[mono]
+            row ^= 1 << self.index(degree)[mono]
         return row
 
     # -- monomial arithmetic ----------------------------------------------
@@ -202,7 +283,7 @@ class Algebra:
         return tuple(out)
 
     def monomial_degree(self, exps: tuple[int, ...]) -> int:
-        return sum(e * d for e, d in zip(exps, self._degrees))
+        return sum(map(int.__mul__, exps, self._degrees))
 
     def monomial_str(self, exps: tuple[int, ...]) -> str:
         """'x3^2*x5' (or '1' for the unit); `parse_monomial` reads it back."""

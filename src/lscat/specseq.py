@@ -120,6 +120,18 @@ representative's lowest set bit is its leading monomial.  A value of d_r
 on a generator is such a row over the cell d_r lands in
 (`BigradedPage.target`).
 
+E2 builds only what is read of it (`E2Cells`).  Its shape, the nonempty
+bidegrees and each cell's width, comes from the lattice's bigraded
+series, which walks no monomial, and so do the tower's stage keys and
+`last_column`.  E2's classes, the unit rows of each cell's width, are
+made per bidegree on first read, and its `dims_by_total_degree` is the
+lattice's Poincare series.  The cells and each monomial's bit are built
+in one walk over the lattice, the first time any cell's monomials are
+read, and the shape is then read off them.  A report on a space with no
+differential (every SU(n)) reads no cell: its E-infinity is E2, whose
+bidegrees give wgt.  A search for differentials, and every page that
+`dump-page` prints, walks the cells before it reads the shape.
+
 A page prints as JSON text (`BigradedPage.json_text`, what `dump-page`
 writes): the text `json.dumps(..., indent=2)` gives for r, the degree
 and column caps and one record of s, t and class labels per bidegree,
@@ -133,6 +145,8 @@ from __future__ import annotations
 import bisect
 import copy
 import itertools
+from collections.abc import Mapping
+from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from operator import add
 
@@ -166,30 +180,131 @@ class DifferentialSpec:
         return not self.assignments
 
 
+class E2Cells(Mapping):
+    """E2's cells and classes over the lattice `algebra`, shared by every
+    page over one E2.
+
+    The cells run to the lattice cap, scratch degrees included.  Each
+    bidegree's ascending monomials (`cells`) and each monomial's bit in
+    its cell (`bit`) are built in one walk on the first read of either;
+    `walked` is None until then.  Each nonempty cell's width (`widths`, in
+    (s, t) order) is read off the cells once they are walked, else off the
+    lattice's bigraded series, which walks no monomial.
+
+    As a mapping it is E2's basis: each nonempty bidegree up to
+    `degree_cap` maps to the unit rows (1, 2, 4, ...) of its cell, one per
+    monomial, made on the first read of that bidegree.  Its keys are read
+    off the widths, without making a row.
+    """
+
+    __slots__ = (
+        "algebra", "degree_cap", "walked", "_bit", "_widths", "_reported",
+        "_units", "_rows",
+    )
+
+    def __init__(self, algebra: Algebra, degree_cap: int):
+        self.algebra = algebra
+        self.degree_cap = degree_cap
+        self.walked = self._bit = self._widths = self._reported = None
+        self._units: tuple[int, ...] = ()
+        self._rows: dict[tuple[int, int], tuple[int, ...]] = {}
+
+    @property
+    def cells(self) -> dict[tuple[int, int], tuple[tuple[int, ...], ...]]:
+        if self.walked is None:
+            self.walked, self._bit = _walk_cells(self.algebra)
+        return self.walked
+
+    @property
+    def bit(self) -> dict[tuple[int, ...], int]:
+        self.cells
+        return self._bit
+
+    @property
+    def widths(self) -> dict[tuple[int, int], int]:
+        if self._widths is None:
+            if self.walked is None:
+                self._widths = _bigraded_series(self.algebra)
+            else:
+                self._widths = dict(zip(self.walked, map(len, self.walked.values())))
+        return self._widths
+
+    @property
+    def reported(self) -> dict[tuple[int, int], int]:
+        """`widths` up to `degree_cap`."""
+        if self._reported is None:
+            cap = self.degree_cap
+            self._reported = {k: w for k, w in self.widths.items() if sum(k) <= cap}
+        return self._reported
+
+    def get(self, key, default=None):
+        rows = self._rows.get(key)
+        if rows is None:
+            width = self.reported.get(key)
+            if width is None:
+                return default
+            if len(self._units) < width:
+                # One tuple of units, which every bidegree's rows slice.
+                widest = max(self.reported.values())
+                self._units = tuple(1 << i for i in range(widest))
+            rows = self._rows[key] = self._units[:width]
+        return rows
+
+    def __getitem__(self, key):
+        rows = self.get(key)
+        if rows is None:
+            raise KeyError(key)
+        return rows
+
+    def __iter__(self):
+        return iter(self.reported)
+
+    def __len__(self):
+        return len(self.reported)
+
+    def __contains__(self, key):
+        return key in self.reported
+
+
 class BigradedPage:
     """One page of the spectral sequence: per-(s,t) class representatives.
 
     Each class is an F2 sum of `lattice` monomials, held as an int over
     its bidegree's cell.  At E2 every class is a single monomial; later
-    pages keep monomial-pivot representatives.
+    pages keep monomial-pivot representatives.  Every page derived from
+    one E2 reads that E2's `E2Cells`: `cells`, `_bit` and `widths`.
     """
 
     def __init__(
         self,
-        lattice: Algebra,
-        cells: dict[tuple[int, int], tuple[tuple[int, ...], ...]],
+        cells: E2Cells,
         r: int,
-        basis: dict[tuple[int, int], tuple[int, ...]],
+        basis: Mapping[tuple[int, int], tuple[int, ...]],
         degree_cap: int,
     ):
-        self.lattice = lattice
-        self.cells = cells
-        # Each lattice monomial's bit in its cell.
-        self._bit = {m: i for cell in cells.values() for i, m in enumerate(cell)}
+        self.lattice = cells.algebra
+        self.lattice_cells = cells
         self.r = r
         self.basis = basis
         self.degree_cap = degree_cap
         self.column_cap: int | None = None
+
+    # Kept on the page once read, and carried by the pages derived later.
+
+    @cached_property
+    def cells(self) -> dict[tuple[int, int], tuple[tuple[int, ...], ...]]:
+        """Each E2 bidegree's monomials, ascending."""
+        return self.lattice_cells.cells
+
+    @cached_property
+    def _bit(self) -> dict[tuple[int, ...], int]:
+        """Each lattice monomial's bit in its cell."""
+        return self.lattice_cells.bit
+
+    @cached_property
+    def widths(self) -> dict[tuple[int, int], int]:
+        """Each nonempty E2 cell's width, scratch degrees included."""
+        return self.lattice_cells.widths
 
     def _derived(self, **fields) -> "BigradedPage":
         """A page over this page's lattice and cells, with `fields` in
@@ -233,7 +348,11 @@ class BigradedPage:
         return self.cells[(s, t)][(vec & -vec).bit_length() - 1]
 
     def dims_by_total_degree(self) -> list[int]:
-        """Class count per total degree, 0..degree_cap."""
+        """Class count per total degree, 0..degree_cap.  E2 has one class
+        per lattice monomial: its counts are the lattice's Poincare series,
+        read without a cell or a row."""
+        if self.basis is self.lattice_cells:
+            return self.lattice.poincare_series()[: self.degree_cap + 1]
         dims = [0] * (self.degree_cap + 1)
         for (s, t), vecs in self.basis.items():
             dims[s + t] += len(vecs)
@@ -244,9 +363,6 @@ class BigradedPage:
         for (s, t) in sorted(self.basis):
             for vec in self.basis[(s, t)]:
                 yield s, t, vec
-
-    def surviving_leading_monomials(self) -> set:
-        return {self.leading(s, t, vec) for s, t, vec in self.classes()}
 
     # -- page transformations ---------------------------------------------
 
@@ -309,22 +425,41 @@ def koszul_e2(loop: AlgebraPresentation) -> BigradedPage:
     lattice = Algebra(
         AlgebraPresentation(tuple(gens), loop.degree_cap + DEFAULT_SCRATCH)
     )
-    # Each degree's basis is in ascending order, so each bidegree's is.
-    monomials: dict[tuple[int, int], list] = {}
-    for degree in range(lattice.degree_cap + 1):
-        for exps in lattice.basis(degree):
-            s = sum(exps)
-            monomials.setdefault((s, degree - s), []).append(exps)
-    cells = {key: tuple(cell) for key, cell in monomials.items()}
     # Every E2 class is one monomial: one bit of its cell.  The scratch
     # degrees past the report cap are cells only.
-    units = tuple(1 << i for i in range(max(map(len, cells.values()), default=0)))
-    basis = {
-        key: units[: len(c)]
-        for key, c in cells.items()
-        if sum(key) <= loop.degree_cap
-    }
-    return BigradedPage(lattice, cells, 2, basis, loop.degree_cap)
+    cells = E2Cells(lattice, loop.degree_cap)
+    return BigradedPage(cells, 2, cells, loop.degree_cap)
+
+
+def _bigraded_series(lattice: Algebra) -> dict[tuple[int, int], int]:
+    """The number of lattice monomials in each nonempty bidegree (s, t) up
+    to the lattice cap, in (s, t) order, without walking them: the product
+    over the generators of 1 + u z^d + ... + u^e z^(d e), u counting the
+    filtration s and z the total degree, truncated at the cap."""
+    cap = lattice.degree_cap
+    series = {(0, 0): 1}
+    for d, max_e in zip(lattice._degrees, lattice._max_exp):
+        new = dict(series)
+        for (s, degree), n in series.items():
+            for e in range(1, min(max_e, (cap - degree) // d) + 1):
+                key = (s + e, degree + e * d)
+                new[key] = new.get(key, 0) + n
+        series = new
+    return {(s, degree - s): n for (s, degree), n in sorted(series.items())}
+
+
+def _walk_cells(lattice: Algebra):
+    """(cells, bit): each bidegree's lattice monomials up to the lattice
+    cap, ascending, in (s, t) order, and each monomial's bit in its cell,
+    from one walk over the lattice (`Algebra.walk`, in ascending order)."""
+    cells: dict[tuple[int, int], list] = {}
+    bit = {}
+    for exps, degree in lattice.walk():
+        s = sum(exps)
+        cell = cells.setdefault((s, degree - s), [])
+        bit[exps] = len(cell)
+        cell.append(exps)
+    return {key: tuple(cells[key]) for key in sorted(cells)}, bit
 
 
 def _value_monomials(page: BigradedPage, spec: DifferentialSpec):
@@ -345,6 +480,7 @@ def leibniz(
     `_value_monomials(page, spec)`, which a caller evaluating many
     monomials under one spec computes once."""
     mul = page.lattice._mul_exps
+    bit = page._bit
     acc = 0
     for i, monomials in values:
         if exps[i] % 2 == 0:
@@ -355,7 +491,7 @@ def leibniz(
         for v in monomials:
             p = mul(rest, v)
             if p is not None:
-                acc ^= 1 << page._bit[p]
+                acc ^= 1 << bit[p]
     return acc
 
 
@@ -364,7 +500,7 @@ def _check_spec(page: BigradedPage, spec: DifferentialSpec):
     target cell on `page`."""
     for name, row in spec.assignments.items():
         s, t = page.target(spec.r, name)
-        width = len(page.cells.get((s, t), ()))
+        width = page.widths.get((s, t), 0)
         if row >> width:
             raise SpectralSequenceError(
                 f"d_{spec.r}({name}) is a row wider than its target cell "
@@ -449,7 +585,7 @@ def homology_at(
     cycles = vecs
     if alive and any(out_rows := [d(s, t, v) for v in vecs]):
         cycles = []
-        for c in gf2.left_kernel(out_rows, len(page.cells[(s + r, t - r + 1)])):
+        for c in gf2.left_kernel(out_rows, page.widths[(s + r, t - r + 1)]):
             acc = 0
             for i, v in enumerate(vecs):
                 if (c >> i) & 1:
@@ -461,7 +597,7 @@ def homology_at(
     boundaries = [b for u in incoming if (b := d(s - r, t + r - 1, u))]
     if not boundaries and cycles is vecs:
         return vecs
-    reps, _ = gf2.quotient_basis(cycles, boundaries, len(page.cells[(s, t)]))
+    reps, _ = gf2.quotient_basis(cycles, boundaries, page.widths[(s, t)])
     return tuple(reps)
 
 
@@ -525,7 +661,7 @@ class TruncationTower:
         # Column-sorted bidegrees: a stage's are a prefix.
         self._keys = sorted(e2.basis)
         self._columns = [s for s, _ in self._keys]
-        self.last_column = max(s for s, _ in e2.cells)
+        self.last_column = max(s for s, _ in e2.widths)
         self._rs = [spec.r for spec in self.specs]
         # Per spec, d_r through its image table over E2.  The readers are
         # closures that hold no reference to the tower, so a dropped model
@@ -559,30 +695,24 @@ class TruncationTower:
         sub-basis A, and list each E2 bidegree's blocks (A bidegree, b), b
         an E2 monomial in the other generators."""
         e2 = self.e2
-        gens = e2.lattice.generators
-
-        def monomials(index):
-            """(degree, s, exps) for each monomial in the generators `index`
-            up to the report cap, as E2 exponents, in ascending order."""
-            sub = Algebra(
-                AlgebraPresentation(tuple(gens[i] for i in index), e2.degree_cap)
-            )
-            full = [0] * len(gens)
-            for degree in range(e2.degree_cap + 1):
-                for exps in sub.basis(degree):
-                    for i, e in zip(index, exps):
-                        full[i] = e
-                    yield degree, sum(exps), tuple(full)
-
-        # An A monomial's exponents past `kept` are 0, so A keeps its own
+        other = [i for i in range(len(e2.lattice.generators)) if i not in kept]
+        # A's and B's monomials up to the report cap, read off E2's cells:
+        # an A monomial's exponents past `kept` are 0, so A keeps its own
         # ascending order inside each E2 cell.
         base: dict[tuple[int, int], list[int]] = {}
-        for degree, s, a in monomials(kept):
-            base.setdefault((s, degree - s), []).append(1 << e2._bit[a])
+        bs = []
+        for (s, t), cell in e2.cells.items():
+            if s + t > e2.degree_cap:
+                continue
+            for i, exps in enumerate(cell):
+                if not any(map(exps.__getitem__, other)):
+                    base.setdefault((s, t), []).append(1 << i)
+                if not any(map(exps.__getitem__, kept)):
+                    bs.append((s + t, s, exps))
         self._base = {key: tuple(units) for key, units in base.items()}
         self._folded = {}
         # Ascending degree, so each A bidegree's blocks are a prefix.
-        bs = list(monomials([i for i in range(len(gens)) if i not in kept]))
+        bs.sort(key=lambda b: b[0])
         self._blocks: dict[tuple[int, int], list] = {}
         for sa, ta in self._base:
             room = e2.degree_cap - sa - ta
@@ -720,7 +850,9 @@ def candidate_widths(
             raise SpectralSequenceError(f"unknown permanent cycle {name!r}")
     unknowns = [g for g in e2.lattice.generators if g.name not in known]
     widths = {}
-    for r in range(2, e2.degree_cap + 1):
+    # With an unknown, the search folds over E2's cells: they are walked
+    # here, and the widths read off them.
+    for r in range(2, e2.degree_cap + 1) if unknowns else ():
         w = [len(e2.cells.get(e2.target(r, g.name), ())) for g in unknowns]
         if any(w):
             widths[r] = w

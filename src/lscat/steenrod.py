@@ -35,8 +35,9 @@ class SteenrodAction:
         n = len(alg.generators)
         out = []
         for i, g in enumerate(alg.generators):
-            bit = alg.index.get(tuple(int(m == i) for m in range(n)))
-            gen = 0 if bit is None else 1 << bit  # None: g is above the cap
+            gen = 0  # g is above the cap
+            if g.degree <= alg.degree_cap:
+                gen = 1 << alg.index(g.degree)[tuple(int(m == i) for m in range(n))]
             rows = [(0, gen), (g.degree, alg.mul(gen, g.degree, gen, g.degree))]
             rows += [(j, self.table.get((g.name, j), 0)) for j in range(1, g.degree)]
             out.append([(j, row) for j, row in rows if row])

@@ -39,8 +39,13 @@ degree has dimension zero and no residual class shares the target degree.
 
 The accepted differential is folded over E2 once per model: inference
 returns it with its checked fold, a `specseq.TruncationTower`, and the
-model keeps that tower.  E-infinity is the tower's untruncated page, and
-every stage truncation shares the tower's states.
+model keeps that tower.  E-infinity is the tower's untruncated page, or
+E2 itself when no differential acts, with no page built; every stage
+truncation shares the tower's states.  Whether a lattice monomial leads
+an E-infinity class is one read per monomial (`_survives`): with no
+differential, of its exponents and degree alone, so a report on such a
+space (every SU(n)) reads no E2 cell; otherwise, of the set of
+E-infinity's leading monomials.
 
 A stage's classes fall into three buckets (`bucket`): products of
 permanent suspension classes, partial products (one factor of the
@@ -135,6 +140,7 @@ The Mwgt bound and the report's witness list both read that walk.
 from __future__ import annotations
 
 from functools import cached_property
+from operator import le
 
 from lscat.algebra import Algebra, AlgebraPresentation, Record
 from lscat.specseq import (
@@ -182,14 +188,15 @@ def can_be_non_residual(partial, factors, rest_alive, extension_height) -> bool:
     return bucket(*key, factors + 1, extension_height) != BUCKET_RESIDUAL
 
 
-def bucket_key(lead, partial_idx, surviving_untruncated) -> tuple[int, int, bool]:
+def bucket_key(lead, partial_idx, survives) -> tuple[int, int, bool]:
     """What `bucket` reads of a class led by the lattice monomial `lead`:
     (partial exponent, permanent-factor count, factors survive
     untruncated); `partial_idx` is the lattice index of the
-    partial-product generator."""
+    partial-product generator, and `survives` says whether a lattice
+    monomial leads an untruncated E-infinity class."""
     pe = lead[partial_idx] if partial_idx is not None else 0
     rest = lead[:partial_idx] + (0,) + lead[partial_idx + 1:] if pe else lead
-    return pe, sum(rest), rest in surviving_untruncated
+    return pe, sum(rest), survives(rest)
 
 
 class ClassFacts(Record):
@@ -208,11 +215,11 @@ class ClassFacts(Record):
         self.key = key  # `bucket_key` of the leading monomial
 
 
-def class_facts(page, s, t, vec, surviving_untruncated, partial_idx) -> ClassFacts:
-    """The facts of the class `vec` at (s, t); `partial_idx` is the
-    lattice index of the partial-product generator."""
+def class_facts(page, s, t, vec, survives, partial_idx) -> ClassFacts:
+    """The facts of the class `vec` at (s, t); `partial_idx` and
+    `survives` are as in `bucket_key`."""
     lead = page.leading(s, t, vec)
-    key = bucket_key(lead, partial_idx, surviving_untruncated)
+    key = bucket_key(lead, partial_idx, survives)
     return ClassFacts(s, t, lead, page.lattice.monomial_str(lead), key)
 
 
@@ -279,11 +286,24 @@ class LoopSpaceModel:
 
     @cached_property
     def e_infinity(self) -> BigradedPage:
-        return self._tower.page()
+        # With no differential E-infinity is E2 itself: no page is built.
+        return self._tower.page() if self._tower.specs else self.e2
 
     @cached_property
-    def surviving(self) -> set:
-        return self.e_infinity.surviving_leading_monomials()
+    def _survives(self):
+        """Whether a lattice monomial leads an E-infinity class.  With no
+        differential every E2 monomial under the cap does, which its
+        exponents and degree say without reading a cell; otherwise it is
+        a read of the set of E-infinity's leading monomials."""
+        e2 = self.e2
+        if self._tower.specs:
+            page = self.e_infinity
+            return {page.leading(s, t, vec) for s, t, vec in page.classes()}.__contains__
+        bidegree, cap, bound = e2.bidegree, e2.degree_cap, e2.lattice._max_exp
+        # The lattice's exponent bounds hold every exponent under its cap.
+        return lambda lattice: (
+            sum(bidegree(lattice)) <= cap and all(map(le, lattice, bound))
+        )
 
     @cached_property
     def stable_stage(self) -> int:
@@ -323,7 +343,7 @@ class LoopSpaceModel:
             for s, t in sorted(self.e2.basis)
             if s + t in reach
             and any(
-                can_be_non_residual(*bucket_key(lead, idx, self.surviving), height)
+                can_be_non_residual(*bucket_key(lead, idx, self._survives), height)
                 for lead in self.e2.cells[(s, t)]
             )
         ]
@@ -367,7 +387,7 @@ class LoopSpaceModel:
         if key not in self._state_classes:
             partial = self.space.match[2]
             self._state_classes[key] = [
-                class_facts(self.e2, s, t, vec, self.surviving, partial)
+                class_facts(self.e2, s, t, vec, self._survives, partial)
                 for vec in self._tower.state(len(self._tower.specs), *key)
             ]
         return self._state_classes[key]
@@ -385,7 +405,7 @@ class LoopSpaceModel:
     def _surviving_lattice(self, exps: tuple[int, ...]) -> tuple[int, ...]:
         """`_lattice_exps_of_monomial`, which must lead an E-infinity class."""
         lattice = self._lattice_exps_of_monomial(exps)
-        if lattice not in self.surviving:
+        if not self._survives(lattice):
             raise WeightError(
                 f"{self.algebra.monomial_str(exps)} has no surviving "
                 f"E-infinity representative"
@@ -419,8 +439,7 @@ class LoopSpaceModel:
 
     @cached_property
     def _cup_length(self) -> int:
-        # One walk over every monomial per model: the report and the
-        # ledger both read it.
+        # Once per model: the report and the ledger both read it.
         return self.algebra.cup_length()
 
     # -- module-weight obstruction -------------------------------------------
@@ -529,7 +548,8 @@ class LoopSpaceModel:
                     "k": k,
                     "class": self.space.extended_algebra.monomial_str(z),
                     "target": self.algebra.row_str(
-                        sum(1 << self.algebra.index[e] for e in u_terms), degree
+                        sum(1 << self.algebra.index(degree)[e] for e in u_terms),
+                        degree,
                     ),
                     "target_degree": degree,
                     "vanishing_degree": cls.degree,

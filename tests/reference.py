@@ -18,6 +18,13 @@ page as the dict whose JSON `BigradedPage.json_text` writes
 (`page_json`), which the tests compare pages by, the weight of one
 cohomology class (`wgt`), and GF(2) span membership (`in_span`, over
 `reduce_mod`).
+
+And it keeps the whole-lattice walks the package no longer makes, as
+oracles: every monomial of an algebra bucketed by degree
+(`lattice_walk`, and `monomials` in order), the cup-length as the
+largest exponent sum over that walk (`cup_length_walk`), and the set of
+a page's leading monomials (`surviving`), which a model now reads one
+bidegree at a time.
 """
 
 from __future__ import annotations
@@ -43,6 +50,49 @@ from lscat.weights import (
     bucket,
     class_facts,
 )
+
+
+def lattice_walk(algebra: Algebra) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Every monomial up to the cap, bucketed by degree, in canonical order.
+
+    Exponent vectors grow one generator at a time, pruned by the degree
+    left under the cap; extending a sorted list with ascending exponents
+    keeps it sorted, so each bucket is already in ascending-tuple order.
+    """
+    cap = algebra.degree_cap
+    partial = [((), 0)]
+    for g in algebra.generators:
+        top = cap if g.height is None else g.height - 1
+        partial = [
+            (exps + (e,), degree + e * g.degree)
+            for exps, degree in partial
+            for e in range(min(top, (cap - degree) // g.degree) + 1)
+        ]
+    buckets: list[list[tuple[int, ...]]] = [[] for _ in range(cap + 1)]
+    for exps, degree in partial:
+        buckets[degree].append(exps)
+    return tuple(tuple(b) for b in buckets)
+
+
+def monomials(algebra: Algebra):
+    """Every monomial up to the cap, by degree, each degree in order."""
+    for bucket in lattice_walk(algebra):
+        yield from bucket
+
+
+def cup_length_walk(algebra: Algebra) -> int:
+    """The largest exponent sum of a monomial up to the cap."""
+    return max(sum(m) for m in monomials(algebra))
+
+
+def row_of(algebra: Algebra, exps: tuple[int, ...]) -> int:
+    """The monomial as a row over the basis of its degree."""
+    return 1 << algebra.index(algebra.monomial_degree(exps))[exps]
+
+
+def surviving(page: BigradedPage) -> set:
+    """The leading monomials of the page's classes."""
+    return {page.leading(s, t, vec) for s, t, vec in page.classes()}
 
 
 def total_dimension(algebra: Algebra) -> int:
@@ -196,7 +246,9 @@ def classify_truncation(
     p_idx = page.lattice._index.get(partial_gen) if partial_gen else None
     out = []
     for s, t, vec in page.classes():
-        facts = class_facts(page, s, t, vec, surviving_untruncated, p_idx)
+        facts = class_facts(
+            page, s, t, vec, surviving_untruncated.__contains__, p_idx
+        )
         out.append((facts, bucket(*facts.key, m, extension_height)))
     return out
 

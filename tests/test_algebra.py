@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -11,7 +12,14 @@ from lscat.algebra import (
     AlgebraPresentation,
     Generator,
 )
-from reference import total_dimension
+from lscat.specseq import E2Cells
+from reference import (
+    cup_length_walk,
+    lattice_walk,
+    monomials,
+    row_of,
+    total_dimension,
+)
 
 
 def spin9_algebra() -> Algebra:
@@ -89,7 +97,7 @@ def test_basis_matches_brute_force():
 
 def monomial_row(alg, exps):
     """A monomial as (row, degree)."""
-    return 1 << alg.index[exps], alg.monomial_degree(exps)
+    return row_of(alg, exps), alg.monomial_degree(exps)
 
 
 def graded(alg, monos):
@@ -121,7 +129,7 @@ def test_cup_length_exhaustive_oracle():
     """Longest nonzero product of positive-degree classes, by brute force."""
     alg = spin9_algebra()
     positive = [
-        monomial_row(alg, m) for m in alg.monomials() if alg.monomial_degree(m) > 0
+        monomial_row(alg, m) for m in monomials(alg) if alg.monomial_degree(m) > 0
     ]
     gens = [monomial_row(alg, alg.parse_monomial(g.name)) for g in alg.generators]
     best = 0
@@ -150,7 +158,7 @@ def test_cup_length_exhaustive_oracle():
 def test_ring_axioms_randomized():
     """On the graded sums of random monomial sets, split into rows."""
     alg = spin9_algebra()
-    monos = list(alg.monomials())
+    monos = list(monomials(alg))
     rng = random.Random(7)
     one = graded(alg, [alg.parse_monomial("1")])
 
@@ -173,7 +181,7 @@ def test_degree_additivity():
     """The product of two monomial rows is the row of the product monomial,
     in the sum of the degrees."""
     alg = spin9_algebra()
-    monos = [m for m in alg.monomials() if alg.monomial_degree(m) > 0]
+    monos = [m for m in monomials(alg) if alg.monomial_degree(m) > 0]
     for a in monos:
         for b in monos:
             (ra, da), (rb, db) = monomial_row(alg, a), monomial_row(alg, b)
@@ -196,7 +204,7 @@ def test_heights_enforced():
 
 def test_parse_round_trip():
     alg = spin9_algebra()
-    for m in alg.monomials():
+    for m in monomials(alg):
         assert alg.parse_monomial(alg.monomial_str(m)) == m
     e = alg.parse_row(["x3*x5*x7", "x15"], 15)
     # canonical term order is ascending exponent tuple: x15 = (0,0,0,1) first
@@ -247,3 +255,45 @@ def test_trivial_algebra():
     alg = Algebra(AlgebraPresentation((), 1))
     assert total_dimension(alg) == 1
     assert alg.cup_length() == 0
+
+
+def random_presentation(rng: random.Random) -> AlgebraPresentation:
+    """Up to 9 generators of degree 1..7, each exterior, truncated (height
+    3 or 4) or polynomial, under a cap from 1 to past the top degree (or
+    to 40 when a generator is polynomial)."""
+    gens = tuple(
+        Generator(f"g{i}", rng.randint(1, 7), rng.choice((2, 2, 3, 4, None)))
+        for i in range(rng.randint(0, 9))
+    )
+    top = AlgebraPresentation(gens, 1).top_degree()
+    return AlgebraPresentation(gens, rng.randint(1, 40 if top is None else top + 5))
+
+
+def test_per_degree_bases_match_the_lattice_walk():
+    """On 300 seeded random presentations, and on `unit`'s empty one: each
+    degree's basis, read in a random order, is the whole-lattice walk's
+    bucket in the same order; the Poincare series is the bucket lengths;
+    the greedy cup-length is the walk's largest exponent sum; and the
+    bigraded series is the widths of the walk's bidegree cells.  Both ways
+    a basis is built occur: filled in per degree, and walked whole (an
+    algebra with at most n (cap + 1) monomials for n generators)."""
+    rng = random.Random(29)
+    presentations = [random_presentation(rng) for _ in range(300)]
+    presentations.append(AlgebraPresentation((), 1))
+    ways = Counter()
+    for pres in presentations:
+        alg = Algebra(pres)
+        walk = lattice_walk(Algebra(pres))
+        degrees = list(range(pres.degree_cap + 1))
+        rng.shuffle(degrees)
+        assert all(alg.basis(d) == walk[d] for d in degrees), pres.generators
+        assert alg.poincare_series() == [len(b) for b in walk]
+        assert alg.cup_length() == cup_length_walk(alg)
+        cells = Counter()
+        for bucket in walk:
+            for exps in bucket:
+                s = sum(exps)
+                cells[(s, alg.monomial_degree(exps) - s)] += 1
+        assert E2Cells(Algebra(pres), 0).widths == dict(sorted(cells.items()))
+        ways[sum(map(len, walk)) <= len(pres.generators) * (pres.degree_cap + 1)] += 1
+    assert ways[True] >= 30 and ways[False] >= 30, ways

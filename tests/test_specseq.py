@@ -35,6 +35,7 @@ from reference import (
     parse_class,
     restricted_to_columns,
     run_to_e_infinity,
+    surviving,
     truncate,
 )
 
@@ -183,8 +184,8 @@ def test_truncation_survival(spin9_model):
     src = spin9_model.e2.lattice.parse_monomial("x1_2^3*x1_4*x1_6*x1_10")
     t8 = spin9_model._tower.page(8)
     t9 = spin9_model._tower.page(9)
-    assert src in t8.surviving_leading_monomials()
-    assert src not in t9.surviving_leading_monomials()
+    assert src in surviving(t8)
+    assert src not in surviving(t9)
 
 
 def test_truncation_monotone():
@@ -192,10 +193,10 @@ def test_truncation_monotone():
     (spin9 at caps 36 and 52, every m below the cap)."""
     for cap in (36, 52):
         model = LoopSpaceModel(builtin("spin9"), degree_cap=cap)
-        big = model._tower.page(0).surviving_leading_monomials()
+        big = surviving(model._tower.page(0))
         for m in range(cap):
             small = big
-            big = model._tower.page(m + 1).surviving_leading_monomials()
+            big = surviving(model._tower.page(m + 1))
             # column-s classes need s <= m
             assert all(sum(e) <= m for e in small)
             assert {e for e in big if sum(e) <= m} <= small
@@ -209,7 +210,7 @@ def test_column_one_never_a_target(spin9_model):
     """
     x1_10 = spin9_model.e2.lattice.parse_monomial("x1_10")
     for m in range(1, 10):
-        surv = spin9_model._tower.page(m).surviving_leading_monomials()
+        surv = surviving(spin9_model._tower.page(m))
         for name in spin9_model.space.permanent_cycles:
             assert spin9_model.e2.lattice.parse_monomial(name) in surv
         assert (x1_10 in surv) == (m <= 3)
@@ -281,11 +282,10 @@ def test_classification_accounts_for_everything(spin9_model):
 
 def test_untruncated_survivors_all_products(spin9_model):
     """At E-infinity the full page is spanned by permanent products."""
-    surviving = spin9_model.surviving
     report = classify_truncation(
         spin9_model.e_infinity,
         10**9,
-        surviving,
+        surviving(spin9_model.e_infinity),
         partial_gen=None,
     )
     # classify with no column cap: everything should be product type
@@ -343,8 +343,8 @@ def test_tower_matches_truncate_on_two_differentials():
             for s, t in sorted(page.basis)
         ]
         assert (
-            tower.page(m).surviving_leading_monomials()
-            == page.surviving_leading_monomials()
+            surviving(tower.page(m))
+            == surviving(page)
         )
     # Some bidegree meets all three states after two pages: neither,
     # only d_2, and both differentials acting out of its column.

@@ -22,6 +22,7 @@ def load_tool(name):
 
 planted_sweep = load_tool("planted_sweep")
 same_outputs = load_tool("same_outputs")
+su_scaling = load_tool("su_scaling")
 
 
 def test_code_lines_total_is_the_sum_of_its_module_rows():
@@ -69,6 +70,35 @@ def test_same_outputs_names_exactly_the_ops_an_edit_moves(tmp_path):
     assert named == [name for name, kind in kinds.items() if kind == "report"]
     assert {"dump-page", "validate"} <= set(kinds.values())
     assert count == f"{len(named)} of {len(ops)} ops differ"
+    # The reports that must stay byte-identical: SU(3..16), spin9 at caps
+    # 36, 44, 52 and 68, and toy-trunc-poly, each in JSON and text.
+    spaces = [f"su{n}" for n in range(3, 17)]
+    spaces += [f"spin9 cap={cap}" for cap in (36, 44, 52, 68)]
+    spaces.append("toy-trunc-poly cap=36")
+    for space in spaces:
+        for fmt in ("json", "text"):
+            assert f"extra: report {space} {fmt}" in kinds
+
+
+def test_su_scaling_prints_a_row_per_n():
+    """`tools/su_scaling.py 3 4` prints a header and one row per n: the
+    report exits 0 with the bracket [n - 1, n - 1], builds at most the
+    2^(n - 1) cohomology monomials, and reads no E2 cell."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "su_scaling.py"), "3", "4"],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    header, *rows = [line.split() for line in proc.stdout.splitlines()]
+    assert tuple(header) == su_scaling.COLUMNS
+    assert [int(r[0]) for r in rows] == [3, 4]
+    for n, code, bracket, wall, cohomology, lattice, cells in rows:
+        n = int(n)
+        assert (code, bracket) == ("0", f"[{n - 1},{n - 1}]")
+        assert 0 < float(wall) < 10
+        assert 0 < int(cohomology) <= 2 ** (n - 1)
+        assert (lattice, cells) == ("0", "0")
 
 
 def test_planted_sweep_counts_every_member_at_cap_10():

@@ -28,7 +28,14 @@ from lscat.weights import (
     bucket,
     can_be_non_residual,
 )
-from reference import classify_truncation, page_json, truncate, wgt
+from reference import (
+    classify_truncation,
+    page_json,
+    row_of,
+    surviving,
+    truncate,
+    wgt,
+)
 from test_specseq import padded_spin9, two_page_synthetic
 
 
@@ -78,7 +85,7 @@ def reference_stage(model: LoopSpaceModel, m: int):
     report = classify_truncation(
         page,
         m,
-        model.surviving,
+        surviving(model.e_infinity),
         partial_gen=f"x1_{extra.t}" if extra else None,
         extension_height=extra.extension_height if extra else 0,
     )
@@ -107,7 +114,7 @@ def reference_stage(model: LoopSpaceModel, m: int):
                 tuple(e for i, e in enumerate(exps) if i not in extra_idx)
                 for exps in plain
             ]
-            u = sum(1 << model.algebra.index[e] for e in u_terms)
+            u = sum(row_of(model.algebra, e) for e in u_terms)
             if (
                 not u
                 or not any(
@@ -357,8 +364,8 @@ def test_pruned_search_matches_reference(make):
         assert model.stage_report(m) == report
         assert page_json(model._tower.page(m)) == page_json(page)
         assert (
-            model._tower.page(m).surviving_leading_monomials()
-            == page.surviving_leading_monomials()
+            surviving(model._tower.page(m))
+            == surviving(page)
         )
         if witness is not None:
             witnessed.append(m)
@@ -431,7 +438,7 @@ def reference_candidates(model: LoopSpaceModel, m: int):
     report = classify_truncation(
         page,
         m,
-        model.surviving,
+        surviving(model.e_infinity),
         partial_gen=f"x1_{extra.t}" if extra else None,
         extension_height=extra.extension_height if extra else 0,
     )
@@ -753,16 +760,34 @@ def test_spin9_report_folds_no_scratch_degree(monkeypatch, cap):
 
 
 def test_trivial_e_infinity_leaves_e2_alone():
-    """With no differential, E-infinity shares E2's class tuples but not
-    its page object, so E2 still reads as page 2."""
+    """With no differential, E-infinity is E2 itself: the tower builds no
+    page for it, the report's stages are folded from E2's own classes,
+    and E2 still reads as page 2 with no column cap."""
     model = LoopSpaceModel(su_space(4))
     _, code = build_report(model, truncations=[0, 3])
     assert code == 0
-    assert model.e_infinity is not model.e2
-    assert model.e_infinity.basis.keys() == model.e2.basis.keys()
-    for key, vecs in model.e_infinity.basis.items():
-        assert vecs is model.e2.basis[key]
+    assert model.e_infinity is model.e2
+    assert model._tower._pages == {}
     assert page_json(model.e2)["r"] == 2
+    assert model.e2.column_cap is None
+
+
+@pytest.mark.parametrize("n, most", [(16, 1000), (24, 10_000)])
+def test_su_report_reads_no_e2_cell(n, most):
+    """An SU(n) report reads no E2 cell: E2's shape comes from its
+    bigraded series, E-infinity is E2, and no class is classified.  Its
+    cohomology builds the bases of the few degrees it reads alone: at most
+    1,000 monomials at SU(16) and 10,000 at SU(24), of 2^15 and 2^23, and
+    the E2 lattice none."""
+    model = LoopSpaceModel(su_space(n))
+    report, code = build_report(model)
+    assert code == 0
+    assert report["bounds"]["bracket"]["lo"] == n - 1
+    assert model.e2.lattice_cells.walked is None
+    assert model.e_infinity is model.e2
+    assert sum(model.algebra.poincare_series()) == 2 ** (n - 1)
+    assert 0 < sum(map(len, model.algebra._bases.values())) <= most
+    assert not model.e2.lattice._bases
 
 
 def test_su_search_squares_nothing(monkeypatch):
@@ -904,7 +929,7 @@ def counting_stage_calls(monkeypatch) -> list:
 def test_su_report_lists_no_stage(monkeypatch):
     """No SU(7) class lies in a degree where the cohomology vanishes, and
     every E2 generator matches: a report classifies no class and lists
-    no stage, only the untruncated page that E-infinity reads."""
+    no stage, not even the untruncated one, since E-infinity is E2."""
     facts = []
     real_facts = weights.class_facts
 
@@ -918,7 +943,7 @@ def test_su_report_lists_no_stage(monkeypatch):
     _, code = build_report(model)
     assert code == 0
     assert facts == []
-    assert [m for _, m in listed] == [None]
+    assert listed == []
 
 
 def test_spin9_report_lists_only_truncate_stages(monkeypatch):

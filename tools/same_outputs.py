@@ -7,7 +7,10 @@ workloads (`perfbench/workloads.WORKLOADS`, with the SU(n) fixtures
 written once by `perfbench/fixtures.su_fixture`) and these on the
 built-ins:
 
-    report spin9 in json and text with --truncate 0..cap, at caps 36 and 52
+    report spin9 in json and text with --truncate 0..cap, at caps 36, 44,
+        52 and 68
+    report toy-trunc-poly in json and text with --truncate 0..36
+    report SU(n) in json and text, n = 3..16 (fixtures by `su_fixture`)
     dump-page on each built-in at r = 2..5, truncate none, 0, 4 and 8
     validate on each built-in
 
@@ -34,7 +37,9 @@ from fixtures import su_fixture  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 BUILTINS = ("spin9", "toy-trunc-poly", "unit")
-SPIN9_CAPS = (36, 52)
+SPIN9_CAPS = (36, 44, 52, 68)
+TOY_CAP = 36
+SU_REPORTS = tuple(range(3, 17))
 PAGES = (2, 3, 4, 5)
 TRUNCATIONS = (None, 0, 4, 8)
 
@@ -62,22 +67,26 @@ def invocations(fixture_dir: Path) -> list[tuple[str, list[str]]]:
     """Every (name, argv) the tool runs, with the SU(n) fixtures written
     to `fixture_dir`."""
     paths = {}
-    for workload in WORKLOADS.values():
-        for n in workload.su_fixtures:
-            if n not in paths:
-                paths[n] = str(fixture_dir / f"su{n}.json")
-                Path(paths[n]).write_text(json.dumps(su_fixture(n), indent=2) + "\n")
+    for n in {*SU_REPORTS, *(n for w in WORKLOADS.values() for n in w.su_fixtures)}:
+        paths[n] = str(fixture_dir / f"su{n}.json")
+        Path(paths[n]).write_text(json.dumps(su_fixture(n), indent=2) + "\n")
     out = [
         (f"{name}: {op.key}", list(op.argv))
         for name, workload in WORKLOADS.items()
         for op in workload.build(paths)
     ]
-    for cap in SPIN9_CAPS:
+    reports = [(f"spin9 cap={cap}", "spin9", cap) for cap in SPIN9_CAPS]
+    reports.append((f"toy-trunc-poly cap={TOY_CAP}", "toy-trunc-poly", TOY_CAP))
+    for name, space, cap in reports:
         stages = ",".join(map(str, range(cap + 1)))
         for fmt in ("json", "text"):
-            argv = ["report", "spin9", "--degree-cap", str(cap),
+            argv = ["report", space, "--degree-cap", str(cap),
                     "--truncate", stages, "--format", fmt]
-            out.append((f"extra: report spin9 cap={cap} {fmt}", argv))
+            out.append((f"extra: report {name} {fmt}", argv))
+    for n in SU_REPORTS:
+        for fmt in ("json", "text"):
+            out.append((f"extra: report su{n} {fmt}",
+                        ["report", paths[n], "--format", fmt]))
     for space in BUILTINS:
         for r in PAGES:
             for m in TRUNCATIONS:
