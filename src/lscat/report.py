@@ -21,7 +21,8 @@ from lscat.weights import LoopSpaceModel
 
 SCHEMA_VERSION = 1
 CUPLEN_PROVENANCE = (
-    "longest nonzero product of positive-degree classes (monomial enumeration)"
+    "longest nonzero product of positive-degree classes "
+    "(greedy on generator degrees)"
 )
 WGT_PROVENANCE = "maximal E-infinity filtration over the reduced cohomology"
 

@@ -191,45 +191,45 @@ DIGESTS = {
     "dump-page-unknown-permanent-r4":
         "963aefef11c115bd57bc754f406fb994abc24b9776acca45ddba105bf1886c9c",
     "padded-u8-u12-cap36-json":
-        "a34fc48474d6548d36455b7f7d1fd2685e784bafae8753d0a6162dd9fcd6eb73",
+        "7d0defa0fa6bc00522542161dbacde72008d038ad0accc3ffbd29fb6f6138d06",
     "spin9-cap36-json":
-        "19a82a3d5e54d50df55cc7e2d1cd7c6207eff53dc6568ffe2c5ed3e89712dcb2",
+        "da9dde21946012ad099b079938ef670fd46479afc29eed2c85e16d14ea73b948",
     "spin9-cap36-text":
-        "2cd23350ac4bb6e2b90dba95459da5c9403549375641c8c373ac5ce505bf4867",
+        "603d09e5c446a5b0a46552fff4b9df29ea8cbe043537a23ad0badffe8a41d8c1",
     "spin9-cap44-json":
-        "f2b2b42955a5d69a7a248cd4a866fa376cbd7e2a4f80c0d40062a88f7c06f01f",
+        "5a8ece16a084ebbaccd746e2bbe91366b07720a964e06711f3417115177fe53c",
     "spin9-cap44-last-columns-json":
-        "796cda2603200dfff79a7149fad3600b32851f2e4e98081183c4f0c100f3c91a",
+        "f27289fca497a3df0b89f95401011d52c7302ada2e9efee406cabf1e49dbcaef",
     "spin9-cap44-text":
-        "9c6d1c798192cfc3712d3263e518645923981b487dde87aa1b651bf446b59dd1",
+        "a25575fa59f4ba7854715d003539a80d20faec81283c6d2416b81003464e8d6d",
     "spin9-cap52-json":
-        "8e8e15b50215b77d56813aa443022732cd50e3894db4278107c679cebf25993f",
+        "dc5e4a8da9681befe49f179127c9491e5569e68421b889e14fdfb7e6aa114b87",
     "spin9-cap52-last-columns-json":
-        "00b2ddb6439d833d4920e52a56898f704a33e91675c04564d1509d05320647d4",
+        "9dcd33b736d2afb3825cf5bf4f802e7f6b24ff2e0ff5ed684ff4a8cfebff1b64",
     "spin9-cap52-text":
-        "1966ee73365730bfeb6bbb6cd5cb8b79cbcaebb262425a329d0933d775c2dad1",
+        "854bc43d886732094e0a7fadbe9acc6b037c4ec2380248abaa03adc285a4461e",
     "su10-json":
-        "b6844d63cc225f2d2c3ffb83a18b9eb6f3864d70988e0c22b668e90b6e31986d",
+        "5fb6b2b7171d9c6e3b9dd50e772cf5d8705484787957599e6884425abb0fd438",
     "su3-json":
-        "1b73e079a2327eaeabb145a619c6f4899ca44674d6e29cb074b870653686fa94",
+        "91c758c4e8080181944f2ec93ee44fca7c27e88d7c1ae05851a09c406b4ec740",
     "su4-json":
-        "c16544a0924d08b357ff82f1f88b1a68bff5d71f59f2ce551a5379cc70183daa",
+        "84312906e89324408cc780744c917ec4847a7e1f6cfcb044f0cd545c0739b6fe",
     "su5-json":
-        "ca803e20e2146ee607fd58a860412c316548fbdf2915e06cd43a923b47b0d6f2",
+        "622f0de85ff5d289784bb7d2910686acddbcb0a1e1705f3e7ad82dbf90fc53be",
     "su6-json":
-        "9673fca4760823d52d64d7764f033ab925602e0efc72c07fa89b08805836b81b",
+        "b6f3dfbb5ac99610250a76f48e84bd3a0aa684cf58124ae216dda33afb12f093",
     "su7-json":
-        "6d023309f968e7c6e608439ad3d2616de9c567ac0293cd66b819bdd065ecbe1c",
+        "5594dfab3125089807402a2e260001692842d6d0ca3523b8be4b81c9211a1feb",
     "su8-json":
-        "33d60dfe6596fb7f46e51a4bd71ea2309d4a542b440181cd6316f396f68df048",
+        "b9d51a1a923d1a59d16a29b68c1c321ed579b456845216805d6ba222dd29568d",
     "toy-trunc-poly-json":
-        "e75b7a5650caf900f9e6b1f84b68f2fdcd870575f06532ecc25734e80707c9e8",
+        "2272c19d5bd3da761b704a6055a91242ed4295821ab7ad35ba5dcc1f5e194b1d",
     "toy-trunc-poly-text":
-        "7df1341059bbdec753f0270f64ff7bc818e8e283aa5ecaaf1827a0eb97452536",
+        "c28c847c3f11fde3f13161ca10fbce182cd0c194656237541856d57915451cd9",
     "unit-json":
-        "f4d09f6dac9083a4a0ebb759b8331ac4bdc9e8c1ef60d623d2cb331032b0c908",
+        "82b412bbe9c4572bdda1d0d03d1bd8d9283fed2c3b926e482a2d2a6f5ffb4dc6",
     "unit-text":
-        "230b976ee887dd8bf1829d8966da8b5527e41adfdfe05b501f8d3af8d16b2aa1",
+        "33b80c4615d33af08713952b35b9914cd22ae1d913f7798803dc3979ccee14dc",
     "unmatched-lattice-json":
         "a5495cc892c98ecc61027b9bbea8639ba5a1f14451ee8173f4f334d6ebab783e",
     "validate-spin9":

@@ -80,6 +80,33 @@ def test_same_outputs_names_exactly_the_ops_an_edit_moves(tmp_path):
             assert f"extra: report {space} {fmt}" in kinds
 
 
+def test_same_outputs_replace_shows_an_edit_to_one_string(tmp_path):
+    """With `--replace`, the same edited copy of `src` compares equal on
+    every op, and every `report` op is counted as differing by the
+    replacement only."""
+    src = tmp_path / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    report = src / "lscat" / "report.py"
+    report.write_text(
+        report.read_text().replace("WGT_PROVENANCE = \"maximal", "WGT_PROVENANCE = \"largest")
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "same_outputs.py"),
+         str(ROOT / "src"), str(src), "--replace",
+         "maximal E-infinity filtration", "largest E-infinity filtration"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    (tmp_path / "fixtures").mkdir()
+    ops = same_outputs.invocations(tmp_path / "fixtures")
+    reports = sum(argv[0] == "report" for _, argv in ops)
+    assert proc.stdout.splitlines() == [
+        f"{reports} of {len(ops)} ops differ by the replacement only",
+        f"0 of {len(ops)} ops differ",
+    ]
+
+
 def test_su_scaling_prints_a_row_per_n():
     """`tools/su_scaling.py 3 4` prints a header and one row per n: the
     report exits 0 with the bracket [n - 1, n - 1], builds at most the

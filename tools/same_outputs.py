@@ -17,9 +17,13 @@ built-ins:
 Each side runs in its own subprocess with its own `src` first on
 `sys.path`, and each op goes through `lscat.cli.main` in process, with
 stdout and stderr captured, as the benchmark runs it.  Exits 0 when every
-op prints the same, 1 otherwise.  Uses only the standard library:
+op prints the same, 1 otherwise.  With `--replace OLD_TEXT NEW_TEXT`,
+each op's stdout from OLD_SRC has every OLD_TEXT replaced by NEW_TEXT
+before the comparison, and the tool also counts the ops that differ by
+that replacement only: an edit to a printed string shows as that count,
+and as no op that differs.  Uses only the standard library:
 
-    python3 tools/same_outputs.py OLD_SRC NEW_SRC
+    python3 tools/same_outputs.py OLD_SRC NEW_SRC [--replace OLD_TEXT NEW_TEXT]
 """
 
 from __future__ import annotations
@@ -106,8 +110,10 @@ def run_side(src: str, ops_file: Path, results_file: Path) -> list:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 2:
-        sys.stderr.write("usage: same_outputs.py OLD_SRC NEW_SRC\n")
+    if len(argv) not in (2, 5) or len(argv) == 5 and argv[2] != "--replace":
+        sys.stderr.write(
+            "usage: same_outputs.py OLD_SRC NEW_SRC [--replace OLD_TEXT NEW_TEXT]\n"
+        )
         return 2
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -116,9 +122,16 @@ def main(argv: list[str]) -> int:
         ops_file.write_text(json.dumps(ops))
         old = run_side(argv[0], ops_file, tmp / "old.json")
         new = run_side(argv[1], ops_file, tmp / "new.json")
+    if len(argv) == 5:
+        # An expected edit: the older tree's stdout with it made.
+        moved = sum(a != b for a, b in zip(old, new))
+        for a in old:
+            a[1] = a[1].replace(argv[3], argv[4])
     differ = [name for (name, _), a, b in zip(ops, old, new) if a != b]
     for name in differ:
         print(f"differs: {name}")
+    if len(argv) == 5:
+        print(f"{moved - len(differ)} of {len(ops)} ops differ by the replacement only")
     print(f"{len(differ)} of {len(ops)} ops differ")
     return 1 if differ else 0
 
