@@ -199,8 +199,9 @@ class Algebra:
             series = new
         return series
 
-    def cup_length(self) -> int:
-        """Largest m with a nonzero product of m positive-degree classes.
+    def cup_length(self, cap: int | None = None) -> int:
+        """Largest m with a nonzero product of m positive-degree classes,
+        of degree at most `cap` (default: the algebra's cap).
 
         In a monomial algebra this is the largest exponent sum among
         nonzero monomials, which the greedy reaches: it takes each
@@ -213,7 +214,7 @@ class Algebra:
         that fit, and the greedy takes them in that order, stopping at
         the first that does not fit, past which none does.
         """
-        room, count = self.degree_cap, 0
+        room, count = self.degree_cap if cap is None else cap, 0
         for d, max_e in sorted(zip(self._degrees, self._max_exp)):
             e = min(max_e, room // d)
             room -= e * d

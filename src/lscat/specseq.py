@@ -658,10 +658,9 @@ class TruncationTower:
         )
         self._states: dict[tuple[int, int, int, int], tuple[int, ...]] = {}
         self._pages: dict[tuple[int | None, int], BigradedPage] = {}
-        # Column-sorted bidegrees: a stage's are a prefix.
-        self._keys = sorted(e2.basis)
-        self._columns = [s for s, _ in self._keys]
-        self.last_column = max(s for s, _ in e2.widths)
+        self._keys: list[tuple[int, int]] | None = None
+        # The largest exponent sum of a lattice monomial.
+        self.last_column = e2.lattice.cup_length()
         self._rs = [spec.r for spec in self.specs]
         # Per spec, d_r through its image table over E2.  The readers are
         # closures that hold no reference to the tower, so a dropped model
@@ -804,6 +803,10 @@ class TruncationTower:
         after j specs, in (s, t) order: `page(m, j)` holds
         `state(j, s, t, alive)` at each listed (s, t)."""
         j = len(self.specs) if j is None else j
+        if self._keys is None:
+            # Column-sorted bidegrees: a stage's are a prefix.
+            self._keys = sorted(self.e2.basis)
+            self._columns = [s for s, _ in self._keys]
         end = len(self._keys) if m is None else bisect.bisect_right(self._columns, m)
         out = []
         for s, t in self._keys[:end]:

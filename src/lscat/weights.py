@@ -334,13 +334,14 @@ class LoopSpaceModel:
         height = self._extension_height
         idx = self.space.match[2]
         series = self.algebra.poincare_series()
+        e2_dims = self.e2.dims_by_total_degree()
         reach = {
             d for d, dim in enumerate(series)
-            if not dim and any(series[d + 1:d + self._max_k + 1])
+            if not dim and e2_dims[d] and any(series[d + 1:d + self._max_k + 1])
         }
         return [
             (s, t)
-            for s, t in sorted(self.e2.basis)
+            for s, t in (sorted(self.e2.basis) if reach else ())
             if s + t in reach
             and any(
                 can_be_non_residual(*bucket_key(lead, idx, self._survives), height)
@@ -431,6 +432,9 @@ class LoopSpaceModel:
         for i, top in enumerate(self.algebra._max_exp):
             for e in range(1, top + 1):
                 self._surviving_lattice((0,) * i + (e,) + (0,) * (n - i - 1))
+        if self.e_infinity is self.e2:
+            # E2's top filtration under the cap: the lattice's cup-length.
+            return self.e2.lattice.cup_length(self.e2.degree_cap)
         # A tower page holds nonempty bidegrees only.
         return max((s for s, _ in self.e_infinity.basis if s >= 1), default=0)
 

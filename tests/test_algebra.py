@@ -273,7 +273,8 @@ def test_per_degree_bases_match_the_lattice_walk():
     """On 300 seeded random presentations, and on `unit`'s empty one: each
     degree's basis, read in a random order, is the whole-lattice walk's
     bucket in the same order; the Poincare series is the bucket lengths;
-    the greedy cup-length is the walk's largest exponent sum; and the
+    the greedy cup-length is the walk's largest exponent sum, under the
+    algebra's cap and under a random lower one; and the
     bigraded series is the widths of the walk's bidegree cells.  Both ways
     a basis is built occur: filled in per degree, and walked whole (an
     algebra with at most n (cap + 1) monomials for n generators)."""
@@ -289,6 +290,8 @@ def test_per_degree_bases_match_the_lattice_walk():
         assert all(alg.basis(d) == walk[d] for d in degrees), pres.generators
         assert alg.poincare_series() == [len(b) for b in walk]
         assert alg.cup_length() == cup_length_walk(alg)
+        cap = rng.randint(0, pres.degree_cap)
+        assert alg.cup_length(cap) == max(sum(m) for b in walk[: cap + 1] for m in b)
         cells = Counter()
         for bucket in walk:
             for exps in bucket:
