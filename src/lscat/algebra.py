@@ -134,22 +134,36 @@ class Algebra:
             out = self._bases[degree] = tuple(self._fill(0, degree))
         return out
 
-    def walk(self) -> list[tuple[tuple[int, ...], int]]:
-        """(exponents, degree) of every monomial up to the cap, ascending.
+    def walk(
+        self, among: list[int] | None = None, cap: int | None = None
+    ) -> list[tuple[tuple[int, ...], int]]:
+        """(exponents, degree) of every monomial up to `cap` (default: the
+        algebra's) in the generators `among` (default: all; the others'
+        exponents are 0), ascending.
 
         Exponent vectors grow one generator at a time, pruned by the degree
         left under the cap; extending a sorted list with ascending
-        exponents keeps it sorted.
+        exponents keeps it sorted, and so does filling in the zeros.
         """
-        cap = self.degree_cap
+        cap = self.degree_cap if cap is None else cap
+        among = range(len(self._degrees)) if among is None else among
         partial = [((), 0)]
-        for d, max_e in zip(self._degrees, self._max_exp):
+        for i in among:
+            d, max_e = self._degrees[i], self._max_exp[i]
             partial = [
                 (exps + (e,), degree + e * d)
                 for exps, degree in partial
                 for e in range(min(max_e, (cap - degree) // d) + 1)
             ]
-        return partial
+        if len(among) == len(self._degrees):
+            return partial
+        full = [0] * len(self._degrees)
+        out = []
+        for exps, degree in partial:
+            for i, e in zip(among, exps):
+                full[i] = e
+            out.append((tuple(full), degree))
+        return out
 
     def _fill(self, i: int, left: int) -> list[tuple[int, ...]]:
         """The exponents of generators i, i + 1, ... with degree exactly

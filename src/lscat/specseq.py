@@ -193,21 +193,18 @@ class E2Cells(Mapping):
 
     As a mapping it is E2's basis: each nonempty bidegree up to
     `degree_cap` maps to the unit rows (1, 2, 4, ...) of its cell, one per
-    monomial, made on the first read of that bidegree.  Its keys are read
-    off the widths, without making a row.
+    monomial, all made on the first read of any.  Its keys are read off
+    the widths, without making a row.
     """
 
     __slots__ = (
-        "algebra", "degree_cap", "walked", "_bit", "_widths", "_reported",
-        "_units", "_rows",
+        "algebra", "degree_cap", "walked", "_bit", "_widths", "_reported", "_rows",
     )
 
     def __init__(self, algebra: Algebra, degree_cap: int):
         self.algebra = algebra
         self.degree_cap = degree_cap
-        self.walked = self._bit = self._widths = self._reported = None
-        self._units: tuple[int, ...] = ()
-        self._rows: dict[tuple[int, int], tuple[int, ...]] = {}
+        self.walked = self._bit = self._widths = self._reported = self._rows = None
 
     @property
     def cells(self) -> dict[tuple[int, int], tuple[tuple[int, ...], ...]]:
@@ -237,24 +234,19 @@ class E2Cells(Mapping):
             self._reported = {k: w for k, w in self.widths.items() if sum(k) <= cap}
         return self._reported
 
+    @property
+    def rows(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        if self._rows is None:
+            # One tuple of units, which every bidegree's rows slice.
+            units = tuple(1 << i for i in range(max(self.reported.values(), default=0)))
+            self._rows = {key: units[:w] for key, w in self.reported.items()}
+        return self._rows
+
     def get(self, key, default=None):
-        rows = self._rows.get(key)
-        if rows is None:
-            width = self.reported.get(key)
-            if width is None:
-                return default
-            if len(self._units) < width:
-                # One tuple of units, which every bidegree's rows slice.
-                widest = max(self.reported.values())
-                self._units = tuple(1 << i for i in range(widest))
-            rows = self._rows[key] = self._units[:width]
-        return rows
+        return self.rows.get(key, default)
 
     def __getitem__(self, key):
-        rows = self.get(key)
-        if rows is None:
-            raise KeyError(key)
-        return rows
+        return self.rows[key]
 
     def __iter__(self):
         return iter(self.reported)
@@ -694,24 +686,20 @@ class TruncationTower:
         sub-basis A, and list each E2 bidegree's blocks (A bidegree, b), b
         an E2 monomial in the other generators."""
         e2 = self.e2
-        other = [i for i in range(len(e2.lattice.generators)) if i not in kept]
-        # A's and B's monomials up to the report cap, read off E2's cells:
-        # an A monomial's exponents past `kept` are 0, so A keeps its own
-        # ascending order inside each E2 cell.
+        lattice, cap, bit = e2.lattice, e2.degree_cap, e2._bit
+        other = [i for i in range(len(lattice.generators)) if i not in kept]
+        # A's and B's monomials up to the report cap, walked over their own
+        # generators, with their bits in E2's cells: an A monomial's
+        # exponents past `kept` are 0, so A keeps its own ascending order
+        # inside each E2 cell.
         base: dict[tuple[int, int], list[int]] = {}
-        bs = []
-        for (s, t), cell in e2.cells.items():
-            if s + t > e2.degree_cap:
-                continue
-            for i, exps in enumerate(cell):
-                if not any(map(exps.__getitem__, other)):
-                    base.setdefault((s, t), []).append(1 << i)
-                if not any(map(exps.__getitem__, kept)):
-                    bs.append((s + t, s, exps))
+        for a, degree in lattice.walk(kept, cap):
+            s = sum(a)
+            base.setdefault((s, degree - s), []).append(1 << bit[a])
         self._base = {key: tuple(units) for key, units in base.items()}
         self._folded = {}
         # Ascending degree, so each A bidegree's blocks are a prefix.
-        bs.sort(key=lambda b: b[0])
+        bs = sorted((degree, sum(b), b) for b, degree in lattice.walk(other, cap))
         self._blocks: dict[tuple[int, int], list] = {}
         for sa, ta in self._base:
             room = e2.degree_cap - sa - ta
