@@ -13,14 +13,10 @@ A homogeneous class of degree d is a row: an int over `basis(d)`, bit i
 the coefficient of the i-th monomial (`Algebra.index(d)`), the row format
 of `gf2` and of the spectral-sequence pages.
 
-Each degree's basis and index are built on the first read of that
-degree (`Algebra.basis`), and the Poincare series and cup-length come
-from the generators alone (a product of truncated series, and a
-greedy).  So a report on a large exterior algebra builds the few low
-degrees it reads, not its 2^n monomials.  Only an algebra small enough
-that one walk costs less than filling in its degrees one by one is
-walked whole, on its first read (`Algebra.walk`, which also gives E2
-its cells).
+Bases and indexes are built per degree on first read, and the Poincare
+series and cup-length read the generators alone, so a report on a large
+exterior algebra builds the few low degrees it reads, not its 2^n
+monomials.
 """
 
 from __future__ import annotations
@@ -102,22 +98,18 @@ class Algebra:
         )
         self._degrees = tuple(g.degree for g in self.generators)
         self._bases: dict[int, tuple[tuple[int, ...], ...]] = {}
-        self._fills: dict[tuple[int, int], list[tuple[int, ...]]] = {}
         self._indexes: dict[int, dict[tuple[int, ...], int]] = {}
 
     # -- basis ------------------------------------------------------------
 
     def basis(self, degree: int) -> tuple[tuple[int, ...], ...]:
-        """All monomials of exactly this total degree, in canonical order,
-        built on first read.
+        """All monomials of exactly this total degree, in canonical order.
 
-        A degree's basis is filled in alone (`_fill`), which visits at
-        most one state per generator and degree, kept for later degrees.
-        An algebra with no more monomials up to its cap than that, n (cap +
-        1) for n generators, is walked whole on its first read instead
-        (`walk`): one walk of a lattice that small costs less than filling
-        in the many degrees a report can read of it (the witness search
-        reads most of spin9's).
+        The first read walks the generators of degree at most `degree` up
+        to it (`walk`) and keeps every lower degree not built yet too.  An
+        algebra with at most n (cap + 1) monomials, n generators, is walked
+        whole instead: that costs less than the many degrees a report can
+        read of it (the witness search reads most of spin9's).
         """
         out = self._bases.get(degree)
         if out is None:
@@ -125,26 +117,27 @@ class Algebra:
                 raise AlgebraError(
                     f"degree {degree} out of range [0, {self.degree_cap}]"
                 )
-            if sum(self._series) <= len(self._degrees) * (self.degree_cap + 1):
-                buckets: list[list] = [[] for _ in range(self.degree_cap + 1)]
-                for exps, d in self.walk():
+            small = sum(self._series) <= len(self._degrees) * (self.degree_cap + 1)
+            top = self.degree_cap if small else degree
+            among = [i for i, d in enumerate(self._degrees) if d <= top]
+            buckets: dict[int, list] = {
+                d: [] for d in range(top + 1) if d not in self._bases
+            }
+            for exps, d in self.walk(among, top):
+                if d in buckets:
                     buckets[d].append(exps)
-                self._bases = dict(enumerate(map(tuple, buckets)))
-                return self._bases[degree]
-            out = self._bases[degree] = tuple(self._fill(0, degree))
+            self._bases.update((d, tuple(b)) for d, b in buckets.items())
+            out = self._bases[degree]
         return out
 
     def walk(
         self, among: list[int] | None = None, cap: int | None = None
     ) -> list[tuple[tuple[int, ...], int]]:
         """(exponents, degree) of every monomial up to `cap` (default: the
-        algebra's) in the generators `among` (default: all; the others'
-        exponents are 0), ascending.
-
+        algebra's) in the generators `among` (default: all), ascending.
         Exponent vectors grow one generator at a time, pruned by the degree
-        left under the cap; extending a sorted list with ascending
-        exponents keeps it sorted, and so does filling in the zeros.
-        """
+        left; extending a sorted list with ascending exponents keeps it
+        sorted, and so does filling in the other generators' zeros."""
         cap = self.degree_cap if cap is None else cap
         among = range(len(self._degrees)) if among is None else among
         partial = [((), 0)]
@@ -163,28 +156,6 @@ class Algebra:
             for i, e in zip(among, exps):
                 full[i] = e
             out.append((tuple(full), degree))
-        return out
-
-    def _fill(self, i: int, left: int) -> list[tuple[int, ...]]:
-        """The exponents of generators i, i + 1, ... with degree exactly
-        `left`, ascending, kept per (i, left) for every degree's basis:
-        each exponent of generator i in ascending order, followed by each
-        of the later generators' ascending tuples for the degree left.
-        Once nothing is left the rest are 0."""
-        out = self._fills.get((i, left))
-        if out is None:
-            if not left:
-                out = [(0,) * (len(self._degrees) - i)]
-            elif i == len(self._degrees):
-                out = []
-            else:
-                d = self._degrees[i]
-                out = [
-                    (e,) + rest
-                    for e in range(min(self._max_exp[i], left // d) + 1)
-                    for rest in self._fill(i + 1, left - e * d)
-                ]
-            self._fills[(i, left)] = out
         return out
 
     def index(self, degree: int) -> dict[tuple[int, ...], int]:
@@ -217,16 +188,13 @@ class Algebra:
         """Largest m with a nonzero product of m positive-degree classes,
         of degree at most `cap` (default: the algebra's cap).
 
-        In a monomial algebra this is the largest exponent sum among
-        nonzero monomials, which the greedy reaches: it takes each
-        generator's exponent bound, smallest degree first, while the
-        degrees fit under the cap.  Exchange argument: list every factor
-        a monomial may use, e copies of degree d for each generator with
-        exponent bound e; a monomial of exponent sum m picks m of them
-        with degree sum at most the cap, and so do the m smallest, whose
-        sum is no larger.  So the largest m is the most smallest factors
-        that fit, and the greedy takes them in that order, stopping at
-        the first that does not fit, past which none does.
+        In a monomial algebra this is the largest exponent sum of a
+        nonzero monomial, which a greedy finds, smallest degree first.
+        Exchange argument: a monomial of exponent sum m picks m factors
+        from the multiset with e copies of d per generator (degree d,
+        exponent bound e), with degree sum at most the cap; the m smallest
+        factors sum to no more.  So m is largest when the smallest factors
+        are taken first, until one does not fit, past which none does.
         """
         room, count = self.degree_cap if cap is None else cap, 0
         for d, max_e in sorted(zip(self._degrees, self._max_exp)):

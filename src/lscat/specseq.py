@@ -120,17 +120,14 @@ representative's lowest set bit is its leading monomial.  A value of d_r
 on a generator is such a row over the cell d_r lands in
 (`BigradedPage.target`).
 
-E2 builds only what is read of it (`E2Cells`).  Its shape, the nonempty
-bidegrees and each cell's width, comes from the lattice's bigraded
-series, which walks no monomial, and so do the tower's stage keys and
-`last_column`.  E2's classes, the unit rows of each cell's width, are
-made per bidegree on first read, and its `dims_by_total_degree` is the
-lattice's Poincare series.  The cells and each monomial's bit are built
-in one walk over the lattice, the first time any cell's monomials are
-read, and the shape is then read off them.  A report on a space with no
-differential (every SU(n)) reads no cell: its E-infinity is E2, whose
-bidegrees give wgt.  A search for differentials, and every page that
-`dump-page` prints, walks the cells before it reads the shape.
+E2 builds only what is read of it (`E2Cells`).  Its cells and each
+monomial's bit come from one walk over the lattice, on the first read of
+any cell's monomials.  Its shape, the nonempty bidegrees and cell widths,
+is read off the cells once walked, else off the lattice's bigraded
+series, which walks nothing; its classes (the unit rows of each width)
+are made on first read, and its `dims_by_total_degree` is the lattice's
+Poincare series.  The last E2 column is the lattice's cup-length.  So a
+report with no differential (every SU(n)) reads no cell and no shape.
 
 A page prints as JSON text (`BigradedPage.json_text`, what `dump-page`
 writes): the text `json.dumps(..., indent=2)` gives for r, the degree
@@ -182,20 +179,14 @@ class DifferentialSpec:
 
 class E2Cells(Mapping):
     """E2's cells and classes over the lattice `algebra`, shared by every
-    page over one E2.
-
-    The cells run to the lattice cap, scratch degrees included.  Each
-    bidegree's ascending monomials (`cells`) and each monomial's bit in
-    its cell (`bit`) are built in one walk on the first read of either;
-    `walked` is None until then.  Each nonempty cell's width (`widths`, in
-    (s, t) order) is read off the cells once they are walked, else off the
-    lattice's bigraded series, which walks no monomial.
-
-    As a mapping it is E2's basis: each nonempty bidegree up to
-    `degree_cap` maps to the unit rows (1, 2, 4, ...) of its cell, one per
-    monomial, all made on the first read of any.  Its keys are read off
-    the widths, without making a row.
-    """
+    page over one E2: each bidegree's ascending monomials up to the
+    lattice cap (`cells`; `walked` is None until the first read) and each
+    monomial's bit in its cell (`bit`), from one walk; each nonempty
+    cell's width (`widths`), off the cells once walked, else off the
+    bigraded series.  As a mapping it is E2's basis: each nonempty
+    bidegree up to `degree_cap` maps to its cell's unit rows (1, 2, 4,
+    ...), all made on the first read of any; its keys are read off the
+    widths."""
 
     __slots__ = (
         "algebra", "degree_cap", "walked", "_bit", "_widths", "_reported", "_rows",
@@ -424,10 +415,9 @@ def koszul_e2(loop: AlgebraPresentation) -> BigradedPage:
 
 
 def _bigraded_series(lattice: Algebra) -> dict[tuple[int, int], int]:
-    """The number of lattice monomials in each nonempty bidegree (s, t) up
-    to the lattice cap, in (s, t) order, without walking them: the product
-    over the generators of 1 + u z^d + ... + u^e z^(d e), u counting the
-    filtration s and z the total degree, truncated at the cap."""
+    """The number of lattice monomials in each nonempty bidegree (s, t),
+    in (s, t) order: the product over the generators of 1 + u z^d + ... +
+    u^e z^(d e), u counting s and z the degree, truncated at the cap."""
     cap = lattice.degree_cap
     series = {(0, 0): 1}
     for d, max_e in zip(lattice._degrees, lattice._max_exp):
@@ -441,9 +431,8 @@ def _bigraded_series(lattice: Algebra) -> dict[tuple[int, int], int]:
 
 
 def _walk_cells(lattice: Algebra):
-    """(cells, bit): each bidegree's lattice monomials up to the lattice
-    cap, ascending, in (s, t) order, and each monomial's bit in its cell,
-    from one walk over the lattice (`Algebra.walk`, in ascending order)."""
+    """(cells, bit): each bidegree's lattice monomials, ascending, in (s,
+    t) order, and each monomial's bit in its cell, from one walk."""
     cells: dict[tuple[int, int], list] = {}
     bit = {}
     for exps, degree in lattice.walk():
@@ -611,14 +600,15 @@ class TruncationTower:
 
     `last_column` is the last E2 column, the largest column of E2's
     cells, scratch degrees included: it is the one place the last column
-    is computed.  It is read over the cells, not the reported classes,
-    whose last column can be smaller (17 against 18 for spin9 at cap 52),
-    since a d_r into a scratch cell past the last reported column need
-    not vanish.
+    is computed, as the lattice's cup-length (the largest exponent sum
+    under the lattice cap), with no cell read.  It counts the scratch
+    cells, not only the reported classes, whose last column can be
+    smaller (17 against 18 for spin9 at cap 52), since a d_r into a
+    scratch cell past the last reported column need not vanish.
 
     `stage(m, j)` lists the nonempty states of the column-m truncation
     after j specs as (s, t, alive), scanning the column-sorted E2
-    bidegrees up to column m; `alive` counts the specs among the first j
+    bidegrees (sorted on the first listing) up to column m; `alive` counts the specs among the first j
     with r <= m - s, or all j for m at or past `last_column` (the module
     docstring says why that is exact).  `page(m, j)` is built from
     that list, and a caller that keys its own per-class work by (s, t,

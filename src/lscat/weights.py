@@ -40,12 +40,11 @@ degree has dimension zero and no residual class shares the target degree.
 The accepted differential is folded over E2 once per model: inference
 returns it with its checked fold, a `specseq.TruncationTower`, and the
 model keeps that tower.  E-infinity is the tower's untruncated page, or
-E2 itself when no differential acts, with no page built; every stage
-truncation shares the tower's states.  Whether a lattice monomial leads
-an E-infinity class is one read per monomial (`_survives`): with no
-differential, of its exponents and degree alone, so a report on such a
-space (every SU(n)) reads no E2 cell; otherwise, of the set of
-E-infinity's leading monomials.
+E2 itself when no differential acts; every stage truncation shares the
+tower's states.  Whether a lattice monomial leads an E-infinity class is
+one read per monomial (`_survives`), of its exponents and degree alone
+when no differential acts, so a report on such a space (every SU(n))
+reads no E2 cell.
 
 A stage's classes fall into three buckets (`bucket`): products of
 permanent suspension classes, partial products (one factor of the
@@ -291,10 +290,9 @@ class LoopSpaceModel:
 
     @cached_property
     def _survives(self):
-        """Whether a lattice monomial leads an E-infinity class.  With no
-        differential every E2 monomial under the cap does, which its
-        exponents and degree say without reading a cell; otherwise it is
-        a read of the set of E-infinity's leading monomials."""
+        """Whether a lattice monomial leads an E-infinity class: with no
+        differential, every E2 monomial under the cap does; otherwise, a
+        read of the set of E-infinity's leading monomials."""
         e2 = self.e2
         if self._tower.specs:
             page = self.e_infinity

@@ -276,8 +276,8 @@ def test_per_degree_bases_match_the_lattice_walk():
     the greedy cup-length is the walk's largest exponent sum, under the
     algebra's cap and under a random lower one; and the
     bigraded series is the widths of the walk's bidegree cells.  Both ways
-    a basis is built occur: filled in per degree, and walked whole (an
-    algebra with at most n (cap + 1) monomials for n generators)."""
+    a basis is built occur: walked up to the degree read, and walked whole
+    (an algebra with at most n (cap + 1) monomials for n generators)."""
     rng = random.Random(29)
     presentations = [random_presentation(rng) for _ in range(300)]
     presentations.append(AlgebraPresentation((), 1))
