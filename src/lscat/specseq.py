@@ -608,10 +608,10 @@ class TruncationTower:
 
     `stage(m, j)` lists the nonempty states of the column-m truncation
     after j specs as (s, t, alive), scanning the column-sorted E2
-    bidegrees (sorted on the first listing) up to column m; `alive` counts the specs among the first j
-    with r <= m - s, or all j for m at or past `last_column` (the module
-    docstring says why that is exact).  `page(m, j)` is built from
-    that list, and a caller that keys its own per-class work by (s, t,
+    bidegrees (sorted on the first listing) up to column m; `alive`
+    counts the specs among the first j with r <= m - s, or all j for m
+    at or past `last_column` (the module docstring says why that is
+    exact).  `page(m, j)` is built from that list, and a caller that keys its own per-class work by (s, t,
     alive) does that work once per state, not once per stage.  So a stage
     at or past the last column folds no state of its own, and its page
     holds the untruncated classes.  m = None means untruncated, and j

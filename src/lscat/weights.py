@@ -296,7 +296,8 @@ class LoopSpaceModel:
         e2 = self.e2
         if self._tower.specs:
             page = self.e_infinity
-            return {page.leading(s, t, vec) for s, t, vec in page.classes()}.__contains__
+            leads = {page.leading(s, t, vec) for s, t, vec in page.classes()}
+            return leads.__contains__
         bidegree, cap, bound = e2.bidegree, e2.degree_cap, e2.lattice._max_exp
         # The lattice's exponent bounds hold every exponent under its cap.
         return lambda lattice: (

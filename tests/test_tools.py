@@ -87,8 +87,9 @@ def test_same_outputs_replace_shows_an_edit_to_one_string(tmp_path):
     src = tmp_path / "src"
     shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
     report = src / "lscat" / "report.py"
+    text = report.read_text()
     report.write_text(
-        report.read_text().replace("WGT_PROVENANCE = \"maximal", "WGT_PROVENANCE = \"largest")
+        text.replace('WGT_PROVENANCE = "maximal', 'WGT_PROVENANCE = "largest')
     )
     proc = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "same_outputs.py"),
