@@ -22,7 +22,7 @@ monomials.
 from __future__ import annotations
 
 from functools import cached_property
-from operator import add
+from operator import add, mul as times
 from typing import Iterable
 
 
@@ -117,16 +117,22 @@ class Algebra:
                 raise AlgebraError(
                     f"degree {degree} out of range [0, {self.degree_cap}]"
                 )
-            small = sum(self._series) <= len(self._degrees) * (self.degree_cap + 1)
-            top = self.degree_cap if small else degree
-            among = [i for i, d in enumerate(self._degrees) if d <= top]
-            buckets: dict[int, list] = {
-                d: [] for d in range(top + 1) if d not in self._bases
-            }
-            for exps, d in self.walk(among, top):
-                if d in buckets:
+            if sum(self._series) <= len(self._degrees) * (self.degree_cap + 1):
+                buckets = [[] for _ in range(self.degree_cap + 1)]
+                for exps, d in self.walk():
                     buckets[d].append(exps)
-            self._bases.update((d, tuple(b)) for d, b in buckets.items())
+                self._bases = dict(enumerate(map(tuple, buckets)))
+                # One index serves every degree: a monomial's bit is its
+                # place in the basis of its own degree.
+                index = {m: i for b in self._bases.values() for i, m in enumerate(b)}
+                self._indexes = dict.fromkeys(self._bases, index)
+            else:
+                among = [i for i, d in enumerate(self._degrees) if d <= degree]
+                new = {d: [] for d in range(degree + 1) if d not in self._bases}
+                for exps, d in self.walk(among, degree):
+                    if d in new:
+                        new[d].append(exps)
+                self._bases.update((d, tuple(b)) for d, b in new.items())
             out = self._bases[degree]
         return out
 
@@ -266,7 +272,7 @@ class Algebra:
         return tuple(out)
 
     def monomial_degree(self, exps: tuple[int, ...]) -> int:
-        return sum(map(int.__mul__, exps, self._degrees))
+        return sum(map(times, exps, self._degrees))
 
     def monomial_str(self, exps: tuple[int, ...]) -> str:
         """'x3^2*x5' (or '1' for the unit); `parse_monomial` reads it back."""
