@@ -790,6 +790,34 @@ def test_su_report_reads_no_e2_cell(n, most):
     assert not model.e2.lattice._bases
 
 
+@pytest.mark.parametrize(
+    "argv, walks",
+    [
+        (["report", "spin9", "--truncate", "7,8,9", "--format", "json"], 1),
+        (["dump-page", "spin9", "--page", "2", "--degree-cap", "52"], 1),
+        (["dump-page", "spin9", "--page", "4", "--truncate", "8"], 1),
+        (["report", "toy-trunc-poly", "--format", "json"], 1),
+        (["report", "unit", "--format", "json"], 0),
+    ],
+)
+def test_e2_is_walked_once_and_its_shape_read_off_the_walk(monkeypatch, argv, walks):
+    """A report that searches for differentials, and a page, walk E2's
+    cells once, before anything reads E2's shape, so none computes the
+    bigraded series too; a report with no unknown walks nothing."""
+    calls = Counter()
+    for name in ("_walk_cells", "_bigraded_series"):
+        real = getattr(specseq, name)
+
+        def counting(lattice, name=name, real=real):
+            calls[name] += 1
+            return real(lattice)
+
+        monkeypatch.setattr(specseq, name, counting)
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    assert calls == Counter({"_walk_cells": walks} if walks else {})
+
+
 def test_su_search_squares_nothing(monkeypatch):
     """No SU(5) class sits in a degree where the cohomology vanishes."""
     model, steps, squared, built = count_search_work(monkeypatch, su_space(5))
