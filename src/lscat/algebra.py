@@ -200,15 +200,13 @@ class Algebra:
         from the multiset with e copies of d per generator (degree d,
         exponent bound e), with degree sum at most the cap; the m smallest
         factors sum to no more.  So m is largest when the smallest factors
-        are taken first, until one does not fit, past which none does.
+        are taken first while they fit.
         """
         room, count = self.degree_cap if cap is None else cap, 0
         for d, max_e in sorted(zip(self._degrees, self._max_exp)):
             e = min(max_e, room // d)
             room -= e * d
             count += e
-            if e < max_e:
-                break
         return count
 
     # -- rows ---------------------------------------------------------------

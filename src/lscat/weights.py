@@ -42,9 +42,9 @@ returns it with its checked fold, a `specseq.TruncationTower`, and the
 model keeps that tower.  E-infinity is the tower's untruncated page, or
 E2 itself when no differential acts; every stage truncation shares the
 tower's states.  Whether a lattice monomial leads an E-infinity class is
-one read per monomial (`_survives`), of its exponents and degree alone
-when no differential acts, so a report on such a space (every SU(n))
-reads no E2 cell.
+one read per monomial (`_survives`), of its exponents alone when no
+differential acts, so a report on such a space (every SU(n)) reads no E2
+cell.
 
 A stage's classes fall into three buckets (`bucket`): products of
 permanent suspension classes, partial products (one factor of the
@@ -290,19 +290,17 @@ class LoopSpaceModel:
 
     @cached_property
     def _survives(self):
-        """Whether a lattice monomial leads an E-infinity class: with no
-        differential, every E2 monomial under the cap does; otherwise, a
-        read of the set of E-infinity's leading monomials."""
-        e2 = self.e2
+        """Whether a lattice monomial under the cap (every one asked about
+        is) leads an E-infinity class: with no differential, whether its
+        exponents are within the lattice's bounds, so that it is an E2
+        monomial; otherwise, a read of the set of E-infinity's leading
+        monomials."""
         if self._tower.specs:
             page = self.e_infinity
             leads = {page.leading(s, t, vec) for s, t, vec in page.classes()}
             return leads.__contains__
-        bidegree, cap, bound = e2.bidegree, e2.degree_cap, e2.lattice._max_exp
-        # The lattice's exponent bounds hold every exponent under its cap.
-        return lambda lattice: (
-            sum(bidegree(lattice)) <= cap and all(map(le, lattice, bound))
-        )
+        bound = self.e2.lattice._max_exp
+        return lambda lattice: all(map(le, lattice, bound))
 
     @cached_property
     def stable_stage(self) -> int:
