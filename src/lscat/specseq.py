@@ -127,7 +127,8 @@ is read off the cells once walked, else off the lattice's bigraded
 series, which walks nothing; its classes (the unit rows of each width)
 are made on first read, and its `dims_by_total_degree` is the lattice's
 Poincare series.  The last E2 column is the lattice's cup-length.  So a
-report with no differential (every SU(n)) reads no cell and no shape.
+report on a space whose generators are all permanent cycles (every
+SU(n)) reads no cell and no shape.
 
 A page prints as JSON text (`BigradedPage.json_text`, what `dump-page`
 writes): the text `json.dumps(..., indent=2)` gives for r, the degree

@@ -43,8 +43,9 @@ model keeps that tower.  E-infinity is the tower's untruncated page, or
 E2 itself when no differential acts; every stage truncation shares the
 tower's states.  Whether a lattice monomial leads an E-infinity class is
 one read per monomial (`_survives`), of its exponents alone when no
-differential acts, so a report on such a space (every SU(n)) reads no E2
-cell.
+differential acts.  So a report on a space whose generators are all
+permanent cycles (every SU(n)), with no differential to search for,
+reads no E2 cell.
 
 A stage's classes fall into three buckets (`bucket`): products of
 permanent suspension classes, partial products (one factor of the
