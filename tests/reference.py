@@ -23,8 +23,8 @@ And it keeps the whole-lattice walks the package no longer makes, as
 oracles: every monomial of an algebra bucketed by degree
 (`lattice_walk`, and `monomials` in order), the cup-length as the
 largest exponent sum over that walk (`cup_length_walk`), and the set of
-a page's leading monomials (`surviving`), which a model now reads one
-bidegree at a time.
+a page's leading monomials (`surviving`), which a model now reads as one
+membership test per monomial.
 """
 
 from __future__ import annotations

@@ -761,8 +761,8 @@ def test_spin9_report_folds_no_scratch_degree(monkeypatch, cap):
 
 def test_trivial_e_infinity_leaves_e2_alone():
     """With no differential, E-infinity is E2 itself: the tower builds no
-    page for it, the report's stages are folded from E2's own classes,
-    and E2 still reads as page 2 with no column cap."""
+    page for it, the report's stages read E2's own classes, and E2 still
+    reads as page 2 with no column cap."""
     model = LoopSpaceModel(su_space(4))
     _, code = build_report(model, truncations=[0, 3])
     assert code == 0
