@@ -13,10 +13,10 @@ A homogeneous class of degree d is a row: an int over `basis(d)`, bit i
 the coefficient of the i-th monomial (`Algebra.index(d)`), the row format
 of `gf2` and of the spectral-sequence pages.
 
-Bases and indexes are built per degree on first read, and the Poincare
-series and cup-length read the generators alone, so a report on a large
-exterior algebra builds the few low degrees it reads, not its 2^n
-monomials.
+Bases are built degree by degree up to the highest degree read, with one
+index over every monomial built, and the Poincare series and cup-length
+read the generators alone, so a report on a large exterior algebra builds
+the few low degrees it reads, not its 2^n monomials.
 """
 
 from __future__ import annotations
@@ -97,44 +97,55 @@ class Algebra:
             for g in self.generators
         )
         self._degrees = tuple(g.degree for g in self.generators)
-        self._bases: dict[int, tuple[tuple[int, ...], ...]] = {}
-        self._indexes: dict[int, dict[tuple[int, ...], int]] = {}
+        # The bases of degrees 0, 1, ..., built so far, and for each the
+        # count of its monomials with no exponent before generator i, per i.
+        self._bases: list[tuple[tuple[int, ...], ...]] = []
+        self._ends: list[list[int]] = []
+        # One index for every degree built: a monomial's bit is its place
+        # in the basis of its own degree.
+        self._bits: dict[tuple[int, ...], int] = {}
 
     # -- basis ------------------------------------------------------------
 
     def basis(self, degree: int) -> tuple[tuple[int, ...], ...]:
         """All monomials of exactly this total degree, in canonical order.
 
-        The first read walks the generators of degree at most `degree` up
-        to it (`walk`) and keeps every lower degree not built yet too.  An
-        algebra with at most n (cap + 1) monomials, n generators, is walked
-        whole instead: that costs less than the many degrees a report can
-        read of it (the witness search reads most of spin9's).
+        A read builds every degree up to it not built yet, each from the
+        lower ones: a monomial x whose first nonzero exponent is at
+        generator i is g_i y, where y has degree |x| - |g_i| and no
+        exponent before i: one of the first `_ends[|y|][i]` monomials of
+        its basis.  Ascending y give ascending x, and a larger i gives
+        smaller x.
         """
-        out = self._bases.get(degree)
-        if out is None:
+        bases, ends = self._bases, self._ends
+        if not 0 <= degree < len(bases):
             if not 0 <= degree <= self.degree_cap:
                 raise AlgebraError(
                     f"degree {degree} out of range [0, {self.degree_cap}]"
                 )
-            if sum(self._series) <= len(self._degrees) * (self.degree_cap + 1):
-                buckets = [[] for _ in range(self.degree_cap + 1)]
-                for exps, d in self.walk():
-                    buckets[d].append(exps)
-                self._bases = dict(enumerate(map(tuple, buckets)))
-                # One index serves every degree: a monomial's bit is its
-                # place in the basis of its own degree.
-                index = {m: i for b in self._bases.values() for i, m in enumerate(b)}
-                self._indexes = dict.fromkeys(self._bases, index)
-            else:
-                among = [i for i, d in enumerate(self._degrees) if d <= degree]
-                new = {d: [] for d in range(degree + 1) if d not in self._bases}
-                for exps, d in self.walk(among, degree):
-                    if d in new:
-                        new[d].append(exps)
-                self._bases.update((d, tuple(b)) for d, b in new.items())
-            out = self._bases[degree]
-        return out
+            n = len(self._degrees)
+            if not bases:
+                bases.append(((0,) * n,))
+                ends.append([1] * n)
+                self._bits[bases[0][0]] = 0
+            steps = [
+                (i, self._degrees[i], self._max_exp[i], (0,) * i)
+                for i in reversed(range(n))
+            ]
+            for k in range(len(bases), degree + 1):
+                b, end = [], [0] * n
+                for i, d, top, zeros in steps:
+                    if d <= k and (m := ends[k - d][i]):
+                        b += [
+                            zeros + (y[i] + 1,) + y[i + 1:]
+                            for y in bases[k - d][:m]
+                            if y[i] < top
+                        ]
+                    end[i] = len(b)
+                bases.append(b := tuple(b))
+                ends.append(end)
+                self._bits.update(zip(b, range(len(b))))
+        return bases[degree]
 
     def walk(
         self, among: list[int] | None = None, cap: int | None = None
@@ -165,14 +176,10 @@ class Algebra:
         return out
 
     def index(self, degree: int) -> dict[tuple[int, ...], int]:
-        """Each monomial of `basis(degree)` with its bit in a row over it,
-        built on first read."""
-        out = self._indexes.get(degree)
-        if out is None:
-            out = self._indexes[degree] = {
-                m: i for i, m in enumerate(self.basis(degree))
-            }
-        return out
+        """Each monomial of `basis(degree)` with its bit in a row over it:
+        one dict, which holds the monomials of every degree built so far."""
+        self.basis(degree)
+        return self._bits
 
     def poincare_series(self) -> list[int]:
         """dim per degree, 0..degree_cap, as a new list."""

@@ -231,9 +231,6 @@ def page_at(
     if r < 2:
         raise SpectralSequenceError("pages start at r = 2")
     e2 = model.e2
-    # A page prints its classes' monomials: walk E2's cells first, so that
-    # its shape is read off them.
-    e2.cells
     _, widths = model._candidate_widths
     if r <= min(widths, default=r):
         return TruncationTower(e2, []).page(truncate_at, 0).advanced(r)

@@ -120,15 +120,13 @@ representative's lowest set bit is its leading monomial.  A value of d_r
 on a generator is such a row over the cell d_r lands in
 (`BigradedPage.target`).
 
-E2 builds only what is read of it (`E2Cells`).  Its cells and each
-monomial's bit come from one walk over the lattice, on the first read of
-any cell's monomials.  Its shape, the nonempty bidegrees and cell widths,
-is read off the cells once walked, else off the lattice's bigraded
-series, which walks nothing; its classes (the unit rows of each width)
-are made on first read, and its `dims_by_total_degree` is the lattice's
-Poincare series.  The last E2 column is the lattice's cup-length.  So a
-report on a space whose generators are all permanent cycles (every
-SU(n)) reads no cell and no shape.
+E2 builds only what is read of it (`E2Cells`).  Its cells, each
+monomial's bit and its shape (the nonempty bidegrees and cell widths)
+come from one walk over the lattice, on the first read of any of them;
+its classes (the unit rows of each width) are made on first read, and
+its `dims_by_total_degree` is the lattice's Poincare series.  The last
+E2 column is the lattice's cup-length.  So a report on a space whose
+generators are all permanent cycles (every SU(n)) walks no cell.
 
 A page prints as JSON text (`BigradedPage.json_text`, what `dump-page`
 writes): the text `json.dumps(..., indent=2)` gives for r, the degree
@@ -180,59 +178,45 @@ class DifferentialSpec:
 
 class E2Cells(Mapping):
     """E2's cells and classes over the lattice `algebra`, shared by every
-    page over one E2: each bidegree's ascending monomials up to the
-    lattice cap (`cells`; `walked` is None until the first read) and each
-    monomial's bit in its cell (`bit`), from one walk; each nonempty
-    cell's width (`widths`), off the cells once walked, else off the
-    bigraded series.  As a mapping it is E2's basis: each nonempty
-    bidegree up to `degree_cap` maps to its cell's unit rows (1, 2, 4,
-    ...), all made on the first read of any; its keys are read off the
-    widths."""
-
-    __slots__ = (
-        "algebra", "degree_cap", "walked", "_bit", "_widths", "_reported", "_rows",
-    )
+    page over one E2 and each built on its first read: each bidegree's
+    ascending monomials up to the lattice cap (`cells`) and each
+    monomial's bit in its cell (`bit`), from one walk (`walked`), and
+    each nonempty cell's width (`widths`).  As a mapping it is E2's
+    basis: each nonempty bidegree up to `degree_cap` maps to its cell's
+    unit rows (1, 2, 4, ...), all made on the first read of any."""
 
     def __init__(self, algebra: Algebra, degree_cap: int):
         self.algebra = algebra
         self.degree_cap = degree_cap
-        self.walked = self._bit = self._widths = self._reported = self._rows = None
+
+    @cached_property
+    def walked(self):
+        """`(cells, bit)`."""
+        return _walk_cells(self.algebra)
 
     @property
     def cells(self) -> dict[tuple[int, int], tuple[tuple[int, ...], ...]]:
-        if self.walked is None:
-            self.walked, self._bit = _walk_cells(self.algebra)
-        return self.walked
+        return self.walked[0]
 
     @property
     def bit(self) -> dict[tuple[int, ...], int]:
-        self.cells
-        return self._bit
+        return self.walked[1]
 
-    @property
+    @cached_property
     def widths(self) -> dict[tuple[int, int], int]:
-        if self._widths is None:
-            if self.walked is None:
-                self._widths = _bigraded_series(self.algebra)
-            else:
-                self._widths = dict(zip(self.walked, map(len, self.walked.values())))
-        return self._widths
+        return dict(zip(self.cells, map(len, self.cells.values())))
 
-    @property
+    @cached_property
     def reported(self) -> dict[tuple[int, int], int]:
         """`widths` up to `degree_cap`."""
-        if self._reported is None:
-            cap = self.degree_cap
-            self._reported = {k: w for k, w in self.widths.items() if sum(k) <= cap}
-        return self._reported
+        cap = self.degree_cap
+        return {k: w for k, w in self.widths.items() if sum(k) <= cap}
 
-    @property
+    @cached_property
     def rows(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        if self._rows is None:
-            # One tuple of units, which every bidegree's rows slice.
-            units = tuple(1 << i for i in range(max(self.reported.values(), default=0)))
-            self._rows = {key: units[:w] for key, w in self.reported.items()}
-        return self._rows
+        # One tuple of units, which every bidegree's rows slice.
+        units = tuple(1 << i for i in range(max(self.reported.values(), default=0)))
+        return {key: units[:w] for key, w in self.reported.items()}
 
     def get(self, key, default=None):
         return self.rows.get(key, default)
@@ -413,22 +397,6 @@ def koszul_e2(loop: AlgebraPresentation) -> BigradedPage:
     # degrees past the report cap are cells only.
     cells = E2Cells(lattice, loop.degree_cap)
     return BigradedPage(cells, 2, cells, loop.degree_cap)
-
-
-def _bigraded_series(lattice: Algebra) -> dict[tuple[int, int], int]:
-    """The number of lattice monomials in each nonempty bidegree (s, t),
-    in (s, t) order: the product over the generators of 1 + u z^d + ... +
-    u^e z^(d e), u counting s and z the degree, truncated at the cap."""
-    cap = lattice.degree_cap
-    series = {(0, 0): 1}
-    for d, max_e in zip(lattice._degrees, lattice._max_exp):
-        new = dict(series)
-        for (s, degree), n in series.items():
-            for e in range(1, min(max_e, (cap - degree) // d) + 1):
-                key = (s + e, degree + e * d)
-                new[key] = new.get(key, 0) + n
-        series = new
-    return {(s, degree - s): n for (s, degree), n in sorted(series.items())}
 
 
 def _walk_cells(lattice: Algebra):
@@ -832,10 +800,8 @@ def candidate_widths(
             raise SpectralSequenceError(f"unknown permanent cycle {name!r}")
     unknowns = [g for g in e2.lattice.generators if g.name not in known]
     widths = {}
-    # With an unknown, the search folds over E2's cells: they are walked
-    # here, and the widths read off them.
     for r in range(2, e2.degree_cap + 1) if unknowns else ():
-        w = [len(e2.cells.get(e2.target(r, g.name), ())) for g in unknowns]
+        w = [e2.widths.get(e2.target(r, g.name), 0) for g in unknowns]
         if any(w):
             widths[r] = w
     return unknowns, widths

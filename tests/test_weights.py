@@ -779,21 +779,20 @@ def test_su_report_reads_no_e2_cell(monkeypatch, n, most):
     from the lattice's generators.  Its cohomology builds the bases of
     the few degrees it reads alone: at most 1,000 monomials at SU(16) and
     10,000 at SU(24), of 2^15 and 2^23, and the E2 lattice none."""
-    shapes = []
-    real = specseq._bigraded_series
+    walks = []
+    real = specseq._walk_cells
     monkeypatch.setattr(
-        specseq, "_bigraded_series", lambda lattice: shapes.append(1) or real(lattice)
+        specseq, "_walk_cells", lambda lattice: walks.append(1) or real(lattice)
     )
     model = LoopSpaceModel(su_space(n))
     report, code = build_report(model)
-    assert shapes == []
+    assert walks == []
     assert code == 0
     assert report["bounds"]["bracket"]["lo"] == n - 1
-    assert model.e2.lattice_cells.walked is None
     assert model.e_infinity is model.e2
     assert sum(model.algebra.poincare_series()) == 2 ** (n - 1)
-    assert 0 < sum(map(len, model.algebra._bases.values())) <= most
-    assert not model.e2.lattice._bases
+    assert 0 < len(model.algebra._bits) <= most
+    assert not model.e2.lattice._bits
 
 
 @pytest.mark.parametrize(
@@ -806,22 +805,17 @@ def test_su_report_reads_no_e2_cell(monkeypatch, n, most):
         (["report", "unit", "--format", "json"], 0),
     ],
 )
-def test_e2_is_walked_once_and_its_shape_read_off_the_walk(monkeypatch, argv, walks):
+def test_e2_is_walked_once(monkeypatch, argv, walks):
     """A report that searches for differentials, and a page, walk E2's
-    cells once, before anything reads E2's shape, so none computes the
-    bigraded series too; a report with no unknown walks nothing."""
-    calls = Counter()
-    for name in ("_walk_cells", "_bigraded_series"):
-        real = getattr(specseq, name)
-
-        def counting(lattice, name=name, real=real):
-            calls[name] += 1
-            return real(lattice)
-
-        monkeypatch.setattr(specseq, name, counting)
+    cells once; a report with no unknown walks nothing."""
+    calls = []
+    real = specseq._walk_cells
+    monkeypatch.setattr(
+        specseq, "_walk_cells", lambda lattice: calls.append(1) or real(lattice)
+    )
     with redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
-    assert calls == Counter({"_walk_cells": walks} if walks else {})
+    assert len(calls) == walks
 
 
 def test_su_search_squares_nothing(monkeypatch):

@@ -39,7 +39,7 @@ COLUMNS = ("n", "exit", "bracket", "wall_s", "cohomology_monomials",
 
 def built(algebra) -> int:
     """The monomials of every basis `algebra` has built."""
-    return sum(map(len, algebra._bases.values()))
+    return len(algebra._bits)
 
 
 def row(n: int, path: Path) -> list:
@@ -57,11 +57,11 @@ def row(n: int, path: Path) -> list:
     bracket = json.loads(out.getvalue())["bounds"]["bracket"]
     model = LoopSpaceModel(SpacePresentation.from_dict(fixture))
     build_report(model)
-    cells = model.e2.lattice_cells.walked
+    walked = vars(model.e2.lattice_cells).get("walked")
     return [
         n, code, f"[{bracket['lo']},{bracket['hi']}]", f"{best:.4f}",
         built(model.algebra), built(model.e2.lattice),
-        0 if cells is None else sum(map(len, cells.values())),
+        0 if walked is None else sum(map(len, walked[0].values())),
     ]
 
 
