@@ -257,7 +257,8 @@ class BigradedPage:
         self.degree_cap = degree_cap
         self.column_cap: int | None = None
 
-    # Kept on the page once read, and carried by the pages derived later.
+    # Kept on the page once read, and carried by the pages derived later:
+    # `leading`, `leibniz` and `homology_at` read them once per class.
 
     @cached_property
     def cells(self) -> dict[tuple[int, int], tuple[tuple[int, ...], ...]]:
@@ -800,7 +801,7 @@ def candidate_widths(
             raise SpectralSequenceError(f"unknown permanent cycle {name!r}")
     unknowns = [g for g in e2.lattice.generators if g.name not in known]
     widths = {}
-    for r in range(2, e2.degree_cap + 1) if unknowns else ():
+    for r in range(2, e2.degree_cap + 1):
         w = [e2.widths.get(e2.target(r, g.name), 0) for g in unknowns]
         if any(w):
             widths[r] = w
