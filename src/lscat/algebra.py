@@ -98,12 +98,18 @@ class Algebra:
         )
         self._degrees = tuple(g.degree for g in self.generators)
         # The bases of degrees 0, 1, ..., built so far, and for each the
-        # count of its monomials with no exponent before generator i, per i.
+        # count of its monomials with no exponent before generator i, per i
+        # (tuples, which the cyclic collector stops tracking).
         self._bases: list[tuple[tuple[int, ...], ...]] = []
-        self._ends: list[list[int]] = []
+        self._ends: list[tuple[int, ...]] = []
         # One index for every degree built: a monomial's bit is its place
         # in the basis of its own degree.
         self._bits: dict[tuple[int, ...], int] = {}
+        # Per generator, last first: (i, degree, exponent bound, i zeros).
+        self._steps = [
+            (i, self._degrees[i], self._max_exp[i], (0,) * i)
+            for i in reversed(range(len(self._degrees)))
+        ]
 
     # -- basis ------------------------------------------------------------
 
@@ -117,34 +123,30 @@ class Algebra:
         its basis.  Ascending y give ascending x, and a larger i gives
         smaller x.
         """
-        bases, ends = self._bases, self._ends
-        if not 0 <= degree < len(bases):
-            if not 0 <= degree <= self.degree_cap:
-                raise AlgebraError(
-                    f"degree {degree} out of range [0, {self.degree_cap}]"
-                )
-            n = len(self._degrees)
-            if not bases:
-                bases.append(((0,) * n,))
-                ends.append([1] * n)
-                self._bits[bases[0][0]] = 0
-            steps = [
-                (i, self._degrees[i], self._max_exp[i], (0,) * i)
-                for i in reversed(range(n))
-            ]
-            for k in range(len(bases), degree + 1):
-                b, end = [], [0] * n
-                for i, d, top, zeros in steps:
-                    if d <= k and (m := ends[k - d][i]):
-                        b += [
-                            zeros + (y[i] + 1,) + y[i + 1:]
-                            for y in bases[k - d][:m]
-                            if y[i] < top
-                        ]
-                    end[i] = len(b)
-                bases.append(b := tuple(b))
-                ends.append(end)
-                self._bits.update(zip(b, range(len(b))))
+        bases = self._bases
+        if 0 <= degree < len(bases):
+            return bases[degree]
+        if not 0 <= degree <= self.degree_cap:
+            raise AlgebraError(
+                f"degree {degree} out of range [0, {self.degree_cap}]"
+            )
+        ends, n, start = self._ends, len(self._degrees), len(bases)
+        if not bases:
+            bases.append(((0,) * n,))
+            ends.append((1,) * n)
+        for k in range(len(bases), degree + 1):
+            b, end = [], [0] * n
+            for i, d, top, zeros in self._steps:
+                if d <= k and (m := ends[k - d][i]):
+                    b += [
+                        zeros + (y[i] + 1,) + y[i + 1:]
+                        for y in bases[k - d][:m]
+                        if y[i] < top
+                    ]
+                end[i] = len(b)
+            bases.append(tuple(b))
+            ends.append(tuple(end))
+        self._bits |= {m: i for b in bases[start:] for i, m in enumerate(b)}
         return bases[degree]
 
     def walk(

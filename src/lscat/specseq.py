@@ -581,8 +581,9 @@ class TruncationTower:
     bidegrees (sorted on the first listing) up to column m; `alive`
     counts the specs among the first j with r <= m - s, or all j for m
     at or past `last_column` (the module docstring says why that is
-    exact).  `page(m, j)` is built from that list, and a caller that keys its own per-class work by (s, t,
-    alive) does that work once per state, not once per stage.  So a stage
+    exact).  `page(m, j)` is built from that list, and a caller that keys
+    its own per-class work by (s, t, alive) does that work once per
+    state, not once per stage.  So a stage
     at or past the last column folds no state of its own, and its page
     holds the untruncated classes.  m = None means untruncated, and j
     defaults to every spec.  The tower keeps each page it builds, per
