@@ -180,10 +180,10 @@ class E2Cells(Mapping):
     """E2's cells and classes over the lattice `algebra`, shared by every
     page over one E2 and each built on its first read: each bidegree's
     ascending monomials up to the lattice cap (`cells`) and each
-    monomial's bit in its cell (`bit`), from one walk (`walked`), and
-    each nonempty cell's width (`widths`).  As a mapping it is E2's
-    basis: each nonempty bidegree up to `degree_cap` maps to its cell's
-    unit rows (1, 2, 4, ...), all made on the first read of any."""
+    monomial's bit in its cell (`bit`), from one walk (`walked`).  As a
+    mapping it is E2's basis: each nonempty bidegree up to `degree_cap`
+    maps to its cell's unit rows (1, 2, 4, ...), all made on the first
+    read of any."""
 
     def __init__(self, algebra: Algebra, degree_cap: int):
         self.algebra = algebra
@@ -203,14 +203,10 @@ class E2Cells(Mapping):
         return self.walked[1]
 
     @cached_property
-    def widths(self) -> dict[tuple[int, int], int]:
-        return dict(zip(self.cells, map(len, self.cells.values())))
-
-    @cached_property
     def reported(self) -> dict[tuple[int, int], int]:
-        """`widths` up to `degree_cap`."""
+        """Each nonempty cell's width, up to `degree_cap`."""
         cap = self.degree_cap
-        return {k: w for k, w in self.widths.items() if sum(k) <= cap}
+        return {k: len(c) for k, c in self.cells.items() if sum(k) <= cap}
 
     @cached_property
     def rows(self) -> dict[tuple[int, int], tuple[int, ...]]:
@@ -240,7 +236,7 @@ class BigradedPage:
     Each class is an F2 sum of `lattice` monomials, held as an int over
     its bidegree's cell.  At E2 every class is a single monomial; later
     pages keep monomial-pivot representatives.  Every page derived from
-    one E2 reads that E2's `E2Cells`: `cells`, `_bit` and `widths`.
+    one E2 reads that E2's `E2Cells`: `cells` and `_bit`.
     """
 
     def __init__(
@@ -269,11 +265,6 @@ class BigradedPage:
     def _bit(self) -> dict[tuple[int, ...], int]:
         """Each lattice monomial's bit in its cell."""
         return self.lattice_cells.bit
-
-    @cached_property
-    def widths(self) -> dict[tuple[int, int], int]:
-        """Each nonempty E2 cell's width, scratch degrees included."""
-        return self.lattice_cells.widths
 
     def _derived(self, **fields) -> "BigradedPage":
         """A page over this page's lattice and cells, with `fields` in
@@ -451,7 +442,7 @@ def _check_spec(page: BigradedPage, spec: DifferentialSpec):
     target cell on `page`."""
     for name, row in spec.assignments.items():
         s, t = page.target(spec.r, name)
-        width = page.widths.get((s, t), 0)
+        width = len(page.cells.get((s, t), ()))
         if row >> width:
             raise SpectralSequenceError(
                 f"d_{spec.r}({name}) is a row wider than its target cell "
@@ -536,7 +527,7 @@ def homology_at(
     cycles = vecs
     if alive and any(out_rows := [d(s, t, v) for v in vecs]):
         cycles = []
-        for c in gf2.left_kernel(out_rows, page.widths[(s + r, t - r + 1)]):
+        for c in gf2.left_kernel(out_rows, len(page.cells[(s + r, t - r + 1)])):
             acc = 0
             for i, v in enumerate(vecs):
                 if (c >> i) & 1:
@@ -548,7 +539,7 @@ def homology_at(
     boundaries = [b for u in incoming if (b := d(s - r, t + r - 1, u))]
     if not boundaries and cycles is vecs:
         return vecs
-    reps, _ = gf2.quotient_basis(cycles, boundaries, page.widths[(s, t)])
+    reps, _ = gf2.quotient_basis(cycles, boundaries, len(page.cells[(s, t)]))
     return tuple(reps)
 
 
@@ -803,7 +794,7 @@ def candidate_widths(
     unknowns = [g for g in e2.lattice.generators if g.name not in known]
     widths = {}
     for r in range(2, e2.degree_cap + 1):
-        w = [e2.widths.get(e2.target(r, g.name), 0) for g in unknowns]
+        w = [len(e2.cells.get(e2.target(r, g.name), ())) for g in unknowns]
         if any(w):
             widths[r] = w
     return unknowns, widths
