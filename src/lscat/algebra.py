@@ -22,7 +22,7 @@ the few low degrees it reads, not its 2^n monomials.
 from __future__ import annotations
 
 from functools import cached_property
-from operator import add, mul as times
+from operator import add, gt, mul as times
 from typing import Iterable
 
 
@@ -230,27 +230,6 @@ class Algebra:
             row ^= low
         return out
 
-    def mul(self, a: int, da: int, b: int, db: int) -> int:
-        """Product of rows over `basis(da)` and `basis(db)`: a row over
-        `basis(da + db)`, zero above the cap."""
-        if not (a and b) or da + db > self.degree_cap:
-            return 0
-        index = None
-        out = 0
-        ys = self.terms(b, db)
-        for x in self.terms(a, da):
-            for y in ys:
-                p = self._mul_exps(x, y)
-                if p is not None:
-                    index = index or self.index(da + db)
-                    out ^= 1 << index[p]
-        return out
-
-    def row_str(self, row: int, degree: int) -> str:
-        """'x7 + x3^2*x5' (or '0'); `parse_row` reads it back."""
-        terms = self.terms(row, degree)
-        return " + ".join(map(self.monomial_str, terms)) if terms else "0"
-
     def parse_row(self, monomial_texts: Iterable[str], degree: int) -> int:
         """The sum of the monomials, a row over `basis(degree)`."""
         row = 0
@@ -264,19 +243,13 @@ class Algebra:
     # -- monomial arithmetic ----------------------------------------------
 
     def _mul_exps(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...] | None:
-        """Product of two monomials; None if it dies (height or cap)."""
-        out = []
-        degree = 0
-        for i, (ea, eb) in enumerate(zip(a, b)):
-            e = ea + eb
-            g = self.generators[i]
-            if g.height is not None and e >= g.height:
-                return None
-            degree += e * g.degree
-            out.append(e)
-        if degree > self.degree_cap:
+        """Product of two monomials; None if it dies (height or cap).  An
+        exponent past its bound dies by height or puts the degree past
+        the cap."""
+        out = tuple(map(add, a, b))
+        if any(map(gt, out, self._max_exp)):
             return None
-        return tuple(out)
+        return None if sum(map(times, out, self._degrees)) > self.degree_cap else out
 
     def monomial_degree(self, exps: tuple[int, ...]) -> int:
         return sum(map(times, exps, self._degrees))

@@ -35,13 +35,19 @@ def _load_space(name: str) -> SpacePresentation:
     return SpacePresentation.load(name)
 
 
-def _dumps(obj, newline: str = "\n") -> str:
+def _dumps(obj, newline: str = "\n", memo: dict | None = None) -> str:
     """A report as `json.dumps(obj, indent=2)` writes it, byte for byte,
     for plain str-keyed dicts, lists, tuples, str, int, float, bool and
     None; `newline` is the line break and indent in front of `obj`.
     `json.dumps` with an indent runs the pure-Python encoder; this renders
     strings with its C string encoder and ints inline.  A page writes its
-    own text (`BigradedPage.json_text`)."""
+    own text (`BigradedPage.json_text`).
+
+    A list item that is not a str or int is written once per call and
+    indent (`memo`, keyed by its id, which is unique while `obj` holds
+    it), since a report's stages share one record per class and bucket.
+    The text of a value is never empty."""
+    memo = {} if memo is None else memo
     kind = type(obj)
     if kind is str:
         return encode_basestring_ascii(obj)
@@ -53,7 +59,7 @@ def _dumps(obj, newline: str = "\n") -> str:
             encode_basestring_ascii(k) + ": " + (
                 encode_basestring_ascii(v) if type(v) is str
                 else int.__repr__(v) if type(v) is int
-                else _dumps(v, inner)
+                else _dumps(v, inner, memo)
             )
             for k, v in obj.items()
         ]) + newline + "}"
@@ -64,7 +70,8 @@ def _dumps(obj, newline: str = "\n") -> str:
         return "[" + inner + ("," + inner).join([
             encode_basestring_ascii(v) if type(v) is str
             else int.__repr__(v) if type(v) is int
-            else _dumps(v, inner)
+            else memo.get((id(v), inner))
+            or memo.setdefault((id(v), inner), _dumps(v, inner, memo))
             for v in obj
         ]) + newline + "]"
     if obj is None:

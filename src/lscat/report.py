@@ -165,22 +165,24 @@ def build_report(
         }
         mark("weights")
 
-        report["stages"] = [
-            {
-                "m": m,
-                "classes": [
-                    {
+        # One record per (class, bucket), shared by every stage that
+        # lists it; a class's id is unique, as the model keeps its facts.
+        records: dict[tuple[int, str], dict] = {}
+        report["stages"] = []
+        for m in truncations or []:
+            classes = []
+            for cls, bucket in model.stage_report(m):
+                record = records.get((id(cls), bucket))
+                if record is None:
+                    record = records[id(cls), bucket] = {
                         "s": cls.s,
                         "t": cls.t,
                         "degree": cls.degree,
                         "label": cls.label,
                         "bucket": bucket,
                     }
-                    for cls, bucket in model.stage_report(m)
-                ],
-            }
-            for m in (truncations or [])
-        ]
+                classes.append(record)
+            report["stages"].append({"m": m, "classes": classes})
         report["witnesses"] = model.witnesses
         mark("stages")
     report["invariants"] = invariants

@@ -569,14 +569,14 @@ class TruncationTower:
 
     `stage(m, j)` lists the nonempty states of the column-m truncation
     after j specs as (s, t, alive), scanning the column-sorted E2
-    bidegrees (sorted on the first listing) up to column m; `alive`
-    counts the specs among the first j with r <= m - s, or all j for m
-    at or past `last_column` (the module docstring says why that is
-    exact).  `page(m, j)` is built from that list, and a caller that keys
-    its own per-class work by (s, t, alive) does that work once per
-    state, not once per stage.  So a stage
-    at or past the last column folds no state of its own, and its page
-    holds the untruncated classes.  m = None means untruncated, and j
+    bidegrees (sorted on the first listing) up to column m; `alive`,
+    read once per column, counts the specs among the first j with
+    r <= m - s, or all j for m at or past `last_column` (the module
+    docstring says why that is exact).  `page(m, j)` is built from that
+    list, and a caller that keys its own per-class work by the listed
+    (s, t, alive) does that work once per state, not once per stage.  So
+    a stage at or past the last column folds no state of its own, and its
+    page holds the untruncated classes.  m = None means untruncated, and j
     defaults to every spec.  The tower keeps each page it builds, per
     (m, j): the inference's dimension check and the model's E-infinity
     read the same untruncated page, as do that check and `page_at` for a
@@ -749,8 +749,10 @@ class TruncationTower:
             self._columns = [s for s, _ in self._keys]
         end = len(self._keys) if m is None else bisect.bisect_right(self._columns, m)
         out = []
+        column = None
         for s, t in self._keys[:end]:
-            alive = self.alive(s, m, j)
+            if s != column:
+                column, alive = s, self.alive(s, m, j)
             if self.state(j, s, t, alive):
                 out.append((s, t, alive))
         return out

@@ -3,9 +3,11 @@
 The action is given on generators (only the nonzero values, for
 1 <= k < |g|, each a row over the basis of degree |g| + k) and extended
 to monomials by the Cartan formula.  Sq^0 g = g and Sq^{|g|} g = g^2 are
-implicit and never stored.  Sq^k on degree d is a matrix, read as its
+implicit and never stored.  The squares of a monomial are kept as their
+terms, the monomials of each Sq^k in canonical order, for every k at
+once, and the Cartan recursion multiplies terms (exponent tuples), so
+squaring builds no basis.  Sq^k on degree d is a matrix, read as its
 rows: row i is Sq^k of the i-th basis monomial, over `basis(d + k)`.
-The rows are kept per monomial, for every k at once.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from functools import cached_property
 
 from lscat import gf2
 from lscat.algebra import Algebra, AlgebraError
+
+Terms = tuple[tuple[int, ...], ...]
 
 
 class SteenrodAction:
@@ -25,66 +29,88 @@ class SteenrodAction:
     ):
         self.algebra = algebra
         self.table = {} if table is None else table
-        self._squares: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._squares: dict[tuple[int, ...], tuple[Terms, ...]] = {}
 
     @cached_property
-    def _gen_squares(self) -> list[list[tuple[int, int]]]:
-        """The nonzero (j, Sq^j g) of each generator g: g itself, the
-        stored values for 0 < j < |g|, and g^2."""
+    def _gen_squares(self) -> list[list[tuple[int, Terms]]]:
+        """The nonzero (j, Sq^j g) of each generator g, as terms, in
+        ascending j: g itself, the stored values for 0 < j < |g|, and g^2."""
         alg = self.algebra
         n = len(alg.generators)
         out = []
         for i, g in enumerate(alg.generators):
-            gen = 0  # g is above the cap
-            if g.degree <= alg.degree_cap:
-                gen = 1 << alg.index(g.degree)[tuple(int(m == i) for m in range(n))]
-            rows = [(0, gen), (g.degree, alg.mul(gen, g.degree, gen, g.degree))]
-            rows += [(j, self.table.get((g.name, j), 0)) for j in range(1, g.degree)]
-            out.append([(j, row) for j, row in rows if row])
+            gen = (0,) * i + (1,) + (0,) * (n - i - 1)
+            square = alg._mul_exps(gen, gen)
+            terms = [(0, (gen,) if g.degree <= alg.degree_cap else ())]
+            for j in range(1, g.degree):
+                row = self.table.get((g.name, j), 0)
+                terms.append((j, tuple(alg.terms(row, g.degree + j)) if row else ()))
+            terms.append((g.degree, (square,) if square else ()))
+            out.append([(j, t) for j, t in terms if t])
         return out
 
-    def squares(self, mono: tuple[int, ...]) -> tuple[int, ...]:
-        """Sq^k of a monomial of degree d for k = 0..d, each a row over
-        `basis(d + k)` (zero above the cap), kept per monomial.
+    def squares(self, mono: tuple[int, ...]) -> tuple[Terms, ...]:
+        """Sq^k of a monomial of degree d for k = 0..d, each as its terms
+        in canonical order (none above the cap), kept per monomial.
 
         Cartan recursion: a monomial is g * rest for its first generator
-        g, and Sq^k(g rest) = sum_j Sq^j g * Sq^(k-j) rest.
+        g, and Sq^k(g rest) = sum_j Sq^j g * Sq^(k-j) rest, where a
+        product of terms that recurs cancels mod 2.
         """
         out = self._squares.get(mono)
         if out is None:
             alg = self.algebra
             i = next((n for n, e in enumerate(mono) if e), None)
             if i is None:
-                out = (1,)  # the unit
+                out = ((mono,),)  # the unit
             else:
                 g = alg.generators[i].degree
                 rest = mono[:i] + (mono[i] - 1,) + mono[i + 1:]
-                rest_degree = alg.monomial_degree(rest)
-                rows = [0] * (g + rest_degree + 1)
-                for k, b in enumerate(self.squares(rest)):
-                    if not b:
+                below = self.squares(rest)
+                room = alg.degree_cap - alg.monomial_degree(mono)
+                sums: dict[int, set] = {}
+                for k, ys in enumerate(below[:room + 1]):
+                    if not ys:
                         continue
-                    for j, a in self._gen_squares[i]:
-                        rows[j + k] ^= alg.mul(a, g + j, b, rest_degree + k)
-                out = tuple(rows)
+                    for j, xs in self._gen_squares[i]:
+                        if j + k > room:
+                            break
+                        here = sums.setdefault(j + k, set())
+                        for x in xs:
+                            for y in ys:
+                                p = alg._mul_exps(x, y)
+                                if p is not None:
+                                    here ^= {p}
+                out = [()] * (g + len(below))
+                for k, s in sums.items():
+                    out[k] = tuple(sorted(s))
+                out = tuple(out)
             self._squares[mono] = out
         return out
+
+    def _row(self, terms: Terms, degree: int) -> int:
+        """The sum of `terms`, monomials of this degree, as a row."""
+        index = self.algebra.index(degree) if terms else None
+        return sum(1 << index[m] for m in terms)
 
     def sq(self, k: int, degree: int) -> tuple[int, ...]:
         """Sq^k on degree `degree`, as matrix rows: row i is Sq^k of
         `basis(degree)[i]`, over `basis(degree + k)`."""
         if k < 0:
             raise AlgebraError("Sq^k needs k >= 0")
+        basis = self.algebra.basis(degree)
         if k > degree:
-            return (0,) * len(self.algebra.basis(degree))
-        return tuple(self.squares(m)[k] for m in self.algebra.basis(degree))
+            return (0,) * len(basis)
+        return tuple(self._row(self.squares(m)[k], degree + k) for m in basis)
 
     def image_of_sq(self, k: int, target_degree: int) -> list[int]:
-        """RREF basis of Sq^k(H^{target_degree-k}), rows over the target basis."""
+        """RREF basis of Sq^k(H^{target_degree-k}), rows over the target
+        basis; empty, with no basis built, when the source degree has no
+        cohomology."""
         if not 0 <= target_degree <= self.algebra.degree_cap:
             raise AlgebraError("target degree out of range")
         source = target_degree - k
-        if source < 0:
+        if source < 0 or not self.algebra.poincare_series()[source]:
             return []
         ncols = len(self.algebra.basis(target_degree))
         return gf2.span_basis(list(self.sq(k, source)), ncols)[0]
@@ -99,6 +125,8 @@ class SteenrodAction:
                 problems.append(f"Sq^{k} {name}: k must be >= 1")
             elif k > d:
                 problems.append(f"Sq^{k} {name}: k > degree {d}")
-            elif k == d and value != dict(self._gen_squares[i]).get(d, 0):
+            elif k == d and value != self._row(
+                dict(self._gen_squares[i]).get(d, ()), 2 * d
+            ):
                 problems.append(f"Sq^{k} {name}: must equal {name}^2")
         return problems

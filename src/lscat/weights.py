@@ -319,8 +319,8 @@ class LoopSpaceModel:
         height = self._extension_height
         return [
             (cls, bucket(*cls.key, m, height))
-            for s, t, _ in self._tower.stage(m)
-            for cls in self._classes_of_state(s, t, m)
+            for state in self._tower.stage(m)
+            for cls in self._classes(state)
         ]
 
     @cached_property
@@ -352,10 +352,13 @@ class LoopSpaceModel:
         order: the classes the witness search squares."""
         height = self._extension_height
         out = []
+        column = None
         for s, t in self._vanishing_keys:
             if s > m:
                 break
-            for cls in self._classes_of_state(s, t, m):
+            if s != column:
+                column, alive = s, self._tower.alive(s, m)
+            for cls in self._classes((s, t, alive)):
                 if bucket(*cls.key, m, height) != BUCKET_RESIDUAL:
                     out.append(cls)
         return out
@@ -365,7 +368,8 @@ class LoopSpaceModel:
         truncation, read from the one state of its bidegree."""
         s, t = self.e2.bidegree(lattice)
         return s <= m and any(
-            cls.leading == lattice for cls in self._classes_of_state(s, t, m)
+            cls.leading == lattice
+            for cls in self._classes((s, t, self._tower.alive(s, m)))
         )
 
     def _residual_in(self, m: int, degree: int) -> bool:
@@ -376,20 +380,21 @@ class LoopSpaceModel:
             bucket(*cls.key, m, height) == BUCKET_RESIDUAL
             for s in range(min(m, degree) + 1)
             if (s, degree - s) in self.e2.basis
-            for cls in self._classes_of_state(s, degree - s, m)
+            for cls in self._classes((s, degree - s, self._tower.alive(s, m)))
         )
 
-    def _classes_of_state(self, s: int, t: int, m: int) -> list[ClassFacts]:
-        """The classes at (s, t) of the column-m truncation, one tower
-        state, classified once per state."""
-        key = (s, t, self._tower.alive(s, m))
-        if key not in self._state_classes:
+    def _classes(self, state: tuple[int, int, int]) -> list[ClassFacts]:
+        """The classes of one tower state (s, t, alive), as
+        `TruncationTower.stage` lists it, classified once per state."""
+        out = self._state_classes.get(state)
+        if out is None:
+            s, t, _ = state
             partial = self.space.match[2]
-            self._state_classes[key] = [
+            out = self._state_classes[state] = [
                 class_facts(self.e2, s, t, vec, self._survives, partial)
-                for vec in self._tower.state(len(self._tower.specs), *key)
+                for vec in self._tower.state(len(self._tower.specs), *state)
             ]
-        return self._state_classes[key]
+        return out
 
     # -- generator matching -------------------------------------------------
 
@@ -490,22 +495,17 @@ class LoopSpaceModel:
         monomial."""
         kept = self._tests.get(cls.leading)
         if kept is None:
-            ext = self.space.extended_algebra
             n = len(self.algebra.generators)  # the extra generator comes after
             z = self._extended_exps_of_lattice(cls.leading)
             sq = self.space.extended_action.squares(z)
             tests = [None] * (self._max_k + 1)
             for k in range(1, min(len(sq), len(tests))):
-                if not sq[k]:
-                    continue
-                degree = cls.degree + k
-                terms = ext.terms(sq[k], degree)
                 # Partial-product terms cannot be controlled in the
                 # associated graded; demand they vanish outright.
-                if any(any(e[n:]) for e in terms):
+                if not sq[k] or any(any(e[n:]) for e in sq[k]):
                     continue
-                u_terms = [e[:n] for e in terms]
-                tests[k] = degree, u_terms, [
+                u_terms = [e[:n] for e in sq[k]]
+                tests[k] = cls.degree + k, u_terms, [
                     self._lattice_exps_of_monomial(e) for e in u_terms
                 ]
             kept = self._tests[cls.leading] = z, tests
@@ -549,10 +549,7 @@ class LoopSpaceModel:
                     "m": m,
                     "k": k,
                     "class": self.space.extended_algebra.monomial_str(z),
-                    "target": self.algebra.row_str(
-                        sum(1 << self.algebra.index(degree)[e] for e in u_terms),
-                        degree,
-                    ),
+                    "target": " + ".join(map(self.algebra.monomial_str, u_terms)),
                     "target_degree": degree,
                     "vanishing_degree": cls.degree,
                     "facts": [

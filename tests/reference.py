@@ -25,6 +25,10 @@ oracles: every monomial of an algebra bucketed by degree
 largest exponent sum over that walk (`cup_length_walk`), and the set of
 a page's leading monomials (`surviving`), which a model now reads as one
 membership test per monomial.
+
+Row arithmetic that the package no longer does: the product of two rows
+(`mul`), which the Steenrod squares now take over terms, and a row's
+text (`row_str`), which a witness now joins from its terms.
 """
 
 from __future__ import annotations
@@ -88,6 +92,27 @@ def cup_length_walk(algebra: Algebra) -> int:
 def row_of(algebra: Algebra, exps: tuple[int, ...]) -> int:
     """The monomial as a row over the basis of its degree."""
     return 1 << algebra.index(algebra.monomial_degree(exps))[exps]
+
+
+def mul(algebra: Algebra, a: int, da: int, b: int, db: int) -> int:
+    """Product of rows over `basis(da)` and `basis(db)`: a row over
+    `basis(da + db)`, zero above the cap."""
+    if not (a and b) or da + db > algebra.degree_cap:
+        return 0
+    out = 0
+    ys = algebra.terms(b, db)
+    for x in algebra.terms(a, da):
+        for y in ys:
+            p = algebra._mul_exps(x, y)
+            if p is not None:
+                out ^= 1 << algebra.index(da + db)[p]
+    return out
+
+
+def row_str(algebra: Algebra, row: int, degree: int) -> str:
+    """'x7 + x3^2*x5' (or '0'); `Algebra.parse_row` reads it back."""
+    terms = algebra.terms(row, degree)
+    return " + ".join(map(algebra.monomial_str, terms)) if terms else "0"
 
 
 def surviving(page: BigradedPage) -> set:

@@ -13,7 +13,7 @@ from lscat.report import build_ledger
 from lscat.specseq import _value_monomials, leibniz
 from lscat.weights import BUCKET_PARTIAL, BUCKET_PRODUCT, BUCKET_RESIDUAL
 from cells import cp, min_cell_dim_excluding, smash, sphere, suspend
-from reference import parse_class, surviving, total_dimension, wgt
+from reference import mul, parse_class, surviving, total_dimension, wgt
 from test_steenrod import cartan_holds
 
 
@@ -45,7 +45,7 @@ def test_02_cup_length(spin9):
             (p, de + dg)
             for e, de in frontier
             for g, dg in gens
-            if (p := alg.mul(e, de, g, dg))
+            if (p := mul(alg, e, de, g, dg))
         ]
         if frontier:
             best += 1

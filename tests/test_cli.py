@@ -162,7 +162,7 @@ def test_mixed_square_skips_a_partial_product_term_that_is_not_lowest(tmp_path):
     space = SpacePresentation.from_dict(data)
     ext = space.extended_algebra
     sq9 = space.extended_action.squares(ext.parse_monomial("x11"))[9]
-    assert [ext.monomial_str(e) for e in ext.terms(sq9, 20)] == [
+    assert [ext.monomial_str(e) for e in sq9] == [
         "x5*x15", "x3^3*x11"
     ]
     model = LoopSpaceModel(space)
@@ -750,6 +750,75 @@ def test_json_renderer_matches_json_dumps(value):
     assert cli._dumps(value) == json.dumps(value, indent=2)
 
 
+shared_values = st.lists(
+    st.lists(json_values, max_size=3)
+    | st.dictionaries(st.text(max_size=4), json_values, max_size=3),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(deadline=None)
+@given(shared_values, st.data())
+def test_json_renderer_writes_a_shared_value_in_each_place(pool, data):
+    """One dict or list object may stand in several places of a value, in
+    one list or several and at several depths, as a report's stages share
+    their class records: the renderer still writes what `json.dumps`
+    writes."""
+    value = data.draw(st.recursive(
+        st.sampled_from(pool),
+        lambda inner: st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+        max_leaves=12,
+    ))
+    assert cli._dumps(value) == json.dumps(value, indent=2)
+    record = {"s": 1, "label": "x"}
+    nested = [record, [record, {"k": [record]}]]
+    assert cli._dumps([nested, nested, record]) == json.dumps(
+        [nested, nested, record], indent=2
+    )
+
+
+@pytest.mark.parametrize(
+    "cap, listed, records", [(36, 128, 54), (44, 152, 68), (52, 167, 76)]
+)
+def test_stages_share_one_record_per_class_and_bucket(
+    monkeypatch, cap, listed, records
+):
+    """A spin9 report with stages 7, 8 and 9 makes one class record per
+    (class, bucket), which every stage listing the class shares, and the
+    JSON renderer writes it where it stands.  Listing a stage reads how
+    many differentials are alive once per column of the stage."""
+    alive_calls = Counter()
+    listing = []
+    real_alive = specseq.TruncationTower.alive
+    real_stage_report = LoopSpaceModel.stage_report
+
+    def counting_alive(self, s, m, j=None):
+        if listing:
+            alive_calls[listing[-1], s] += 1
+        return real_alive(self, s, m, j)
+
+    def listed_stage_report(self, m):
+        listing.append(m)
+        try:
+            return real_stage_report(self, m)
+        finally:
+            listing.pop()
+
+    monkeypatch.setattr(specseq.TruncationTower, "alive", counting_alive)
+    monkeypatch.setattr(LoopSpaceModel, "stage_report", listed_stage_report)
+    model = LoopSpaceModel(builtin("spin9"), degree_cap=cap)
+    rep, code = report_mod.build_report(model, [7, 8, 9])
+    assert code == 0
+    entries = [cls for stage in rep["stages"] for cls in stage["classes"]]
+    assert (len(entries), len({id(cls) for cls in entries})) == (listed, records)
+    assert alive_calls and set(alive_calls.values()) == {1}
+    assert all(s <= m for m, s in alive_calls)
+    assert cli._dumps(rep) == json.dumps(rep, indent=2)
+
+
 def test_optimised_interpreter_gives_same_report(tmp_path):
     """`python -O` strips asserts; no certified number may depend on one,
     and no generator-match check may be one."""
@@ -1269,7 +1338,9 @@ def test_every_export_resolves_and_no_reference_fold_is_exported():
     stage-class buckets live in `weights`, not `specseq`.  A stage's class
     is one `ClassFacts` record, with no per-bucket copy.  A witness is its
     report record, `validate` returns its problems, nothing stores a field
-    no one reads, and the slotted records share `Record`'s one equality."""
+    no one reads, and the slotted records share `Record`'s one equality.
+    Rows are multiplied and written as text only in the tests: the
+    Steenrod squares multiply terms, and a witness joins its terms."""
     for name in lscat.__all__:
         assert getattr(lscat, name) is not None, name
     moved = (
@@ -1311,6 +1382,8 @@ def test_every_export_resolves_and_no_reference_fold_is_exported():
     assert not hasattr(spaces, "ValidationReport")
     assert "space" not in BoundsLedger.__slots__
     assert not hasattr(Algebra(AlgebraPresentation([], 1)), "presentation")
+    for name in ("mul", "row_str"):
+        assert not hasattr(Algebra, name)
     for record in (
         Generator, AlgebraPresentation, spaces.ExtraGenerator,
         spaces.Attestation, weights.ClassFacts,

@@ -71,10 +71,12 @@ def test_same_outputs_names_exactly_the_ops_an_edit_moves(tmp_path):
     assert {"dump-page", "validate"} <= set(kinds.values())
     assert count == f"{len(named)} of {len(ops)} ops differ"
     # The reports that must stay byte-identical: SU(3..16), spin9 at caps
-    # 36, 44, 52 and 68, and toy-trunc-poly, each in JSON and text.
+    # 36, 44, 52 and 68, spin9 with stages repeated and out of order, and
+    # toy-trunc-poly, each in JSON and text.
+    assert len(ops) == 147
     spaces = [f"su{n}" for n in range(3, 17)]
     spaces += [f"spin9 cap={cap}" for cap in (36, 44, 52, 68)]
-    spaces.append("toy-trunc-poly cap=36")
+    spaces += ["spin9 stages 9,7,7,8", "toy-trunc-poly cap=36"]
     for space in spaces:
         for fmt in ("json", "text"):
             assert f"extra: report {space} {fmt}" in kinds

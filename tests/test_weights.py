@@ -32,6 +32,7 @@ from reference import (
     classify_truncation,
     page_json,
     row_of,
+    row_str,
     surviving,
     truncate,
     wgt,
@@ -105,8 +106,7 @@ def reference_stage(model: LoopSpaceModel, m: int):
         for cls in computable:
             degree = cls.degree + k
             squares = model.space.extended_action.squares(z[cls.leading])
-            value = squares[k] if k < len(squares) else 0
-            terms = ext.terms(value, degree) if value else []
+            terms = squares[k] if k < len(squares) else ()
             plain = [e for e in terms if not any(e[i] for i in extra_idx)]
             if not plain or len(plain) < len(terms):
                 continue
@@ -129,7 +129,7 @@ def reference_stage(model: LoopSpaceModel, m: int):
                 "m": m,
                 "k": k,
                 "class": ext.monomial_str(z[cls.leading]),
-                "target": model.algebra.row_str(u, degree),
+                "target": row_str(model.algebra, u, degree),
                 "target_degree": degree,
                 "vanishing_degree": cls.degree,
                 "facts": [

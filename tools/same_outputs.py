@@ -10,6 +10,8 @@ built-ins:
     report spin9 in json and text with --truncate 0..cap, at caps 36, 44,
         52 and 68
     report toy-trunc-poly in json and text with --truncate 0..36
+    report spin9 in json and text with --truncate 9,7,7,8 (stages repeated
+        and out of order, which share their class records)
     report SU(n) in json and text, n = 3..16 (fixtures by `su_fixture`)
     dump-page on each built-in at r = 2..5, truncate none, 0, 4 and 8
     validate on each built-in
@@ -87,6 +89,9 @@ def invocations(fixture_dir: Path) -> list[tuple[str, list[str]]]:
             argv = ["report", space, "--degree-cap", str(cap),
                     "--truncate", stages, "--format", fmt]
             out.append((f"extra: report {name} {fmt}", argv))
+    for fmt in ("json", "text"):
+        argv = ["report", "spin9", "--truncate", "9,7,7,8", "--format", fmt]
+        out.append((f"extra: report spin9 stages 9,7,7,8 {fmt}", argv))
     for n in SU_REPORTS:
         for fmt in ("json", "text"):
             out.append((f"extra: report su{n} {fmt}",
