@@ -352,13 +352,10 @@ class LoopSpaceModel:
         order: the classes the witness search squares."""
         height = self._extension_height
         out = []
-        column = None
         for s, t in self._vanishing_keys:
             if s > m:
                 break
-            if s != column:
-                column, alive = s, self._tower.alive(s, m)
-            for cls in self._classes((s, t, alive)):
+            for cls in self._classes((s, t, self._tower.alive(s, m))):
                 if bucket(*cls.key, m, height) != BUCKET_RESIDUAL:
                     out.append(cls)
         return out
