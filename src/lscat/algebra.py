@@ -9,14 +9,14 @@ A monomial is its exponent tuple, aligned with the declared generator
 order, which also fixes the deterministic basis order: ascending
 exponent tuple.  `Algebra.monomial_str` is its one text form.
 
-A homogeneous class of degree d is a row: an int over `basis(d)`, bit i
-the coefficient of the i-th monomial (`Algebra.index(d)`), the row format
-of `gf2` and of the spectral-sequence pages.
+A homogeneous class is its terms: its monomials in canonical order, a
+tuple, read from text by `parse_terms`.  Rows over `basis(d)`, the
+`gf2` format, are made only where a rank is taken
+(`steenrod.SteenrodAction.sq`).
 
-Bases are built degree by degree up to the highest degree read, with one
-index over every monomial built, and the Poincare series and cup-length
-read the generators alone, so a report on a large exterior algebra builds
-the few low degrees it reads, not its 2^n monomials.
+`basis(d)` filters the walk up to d, and no report reads it.  The
+Poincare series and cup-length read the generators alone, so a report
+on a large exterior algebra walks none of its 2^n monomials.
 """
 
 from __future__ import annotations
@@ -97,57 +97,16 @@ class Algebra:
             for g in self.generators
         )
         self._degrees = tuple(g.degree for g in self.generators)
-        # The bases of degrees 0, 1, ..., built so far, and for each the
-        # count of its monomials with no exponent before generator i, per i
-        # (tuples, which the cyclic collector stops tracking).
-        self._bases: list[tuple[tuple[int, ...], ...]] = []
-        self._ends: list[tuple[int, ...]] = []
-        # One index for every degree built: a monomial's bit is its place
-        # in the basis of its own degree.
-        self._bits: dict[tuple[int, ...], int] = {}
-        # Per generator, last first: (i, degree, exponent bound, i zeros).
-        self._steps = [
-            (i, self._degrees[i], self._max_exp[i], (0,) * i)
-            for i in reversed(range(len(self._degrees)))
-        ]
 
     # -- basis ------------------------------------------------------------
 
     def basis(self, degree: int) -> tuple[tuple[int, ...], ...]:
-        """All monomials of exactly this total degree, in canonical order.
-
-        A read builds every degree up to it not built yet, each from the
-        lower ones: a monomial x whose first nonzero exponent is at
-        generator i is g_i y, where y has degree |x| - |g_i| and no
-        exponent before i: one of the first `_ends[|y|][i]` monomials of
-        its basis.  Ascending y give ascending x, and a larger i gives
-        smaller x.
-        """
-        bases = self._bases
-        if 0 <= degree < len(bases):
-            return bases[degree]
+        """All monomials of exactly this total degree, in canonical order."""
         if not 0 <= degree <= self.degree_cap:
             raise AlgebraError(
                 f"degree {degree} out of range [0, {self.degree_cap}]"
             )
-        ends, n, start = self._ends, len(self._degrees), len(bases)
-        if not bases:
-            bases.append(((0,) * n,))
-            ends.append((1,) * n)
-        for k in range(len(bases), degree + 1):
-            b, end = [], [0] * n
-            for i, d, top, zeros in self._steps:
-                if d <= k and (m := ends[k - d][i]):
-                    b += [
-                        zeros + (y[i] + 1,) + y[i + 1:]
-                        for y in bases[k - d][:m]
-                        if y[i] < top
-                    ]
-                end[i] = len(b)
-            bases.append(tuple(b))
-            ends.append(tuple(end))
-        self._bits |= {m: i for b in bases[start:] for i, m in enumerate(b)}
-        return bases[degree]
+        return tuple(m for m, d in self.walk(cap=degree) if d == degree)
 
     def walk(
         self, among: list[int] | None = None, cap: int | None = None
@@ -176,12 +135,6 @@ class Algebra:
                 full[i] = e
             out.append((tuple(full), degree))
         return out
-
-    def index(self, degree: int) -> dict[tuple[int, ...], int]:
-        """Each monomial of `basis(degree)` with its bit in a row over it:
-        one dict, which holds the monomials of every degree built so far."""
-        self.basis(degree)
-        return self._bits
 
     def poincare_series(self) -> list[int]:
         """dim per degree, 0..degree_cap, as a new list."""
@@ -218,27 +171,20 @@ class Algebra:
             count += e
         return count
 
-    # -- rows ---------------------------------------------------------------
+    # -- terms ------------------------------------------------------------
 
-    def terms(self, row: int, degree: int) -> list[tuple[int, ...]]:
-        """The monomials of a row over `basis(degree)`, in canonical order."""
-        basis = self.basis(degree)
-        out = []
-        while row:
-            low = row & -row
-            out.append(basis[low.bit_length() - 1])
-            row ^= low
-        return out
-
-    def parse_row(self, monomial_texts: Iterable[str], degree: int) -> int:
-        """The sum of the monomials, a row over `basis(degree)`."""
-        row = 0
+    def parse_terms(
+        self, monomial_texts: Iterable[str], degree: int
+    ) -> tuple[tuple[int, ...], ...]:
+        """The sum of the monomials, each of this degree, as its terms in
+        canonical order: a monomial given twice cancels."""
+        terms = set()
         for text in monomial_texts:
             mono = self.parse_monomial(text)
             if self.monomial_degree(mono) != degree:
                 raise AlgebraError(f"value not homogeneous of degree {degree}")
-            row ^= 1 << self.index(degree)[mono]
-        return row
+            terms ^= {mono}
+        return tuple(sorted(terms))
 
     # -- monomial arithmetic ----------------------------------------------
 

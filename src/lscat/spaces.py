@@ -99,10 +99,10 @@ def parse_squares(
     algebra: Algebra, rows: list[tuple[str, int, list[str]]], table: dict
 ) -> list[str]:
     """Add each row (gen, k, value) to `table` as Sq^k of the generator
-    `gen` of `algebra`, a row over the basis of degree |gen| + k.  A row
-    past the algebra's cap is 0, where every class is, and its value is
-    not read.  A row that does not parse, or repeats an earlier row's
-    generator and k, is left out and named in the returned problems."""
+    `gen` of `algebra`, as its terms (`Algebra.parse_terms`).  A row past
+    the algebra's cap stores no terms, as every class there is 0, and its
+    value is not read.  A row that does not parse, or repeats an earlier
+    row's generator and k, is left out and named in the returned problems."""
     degrees = {g.name: g.degree for g in algebra.generators}
     problems = []
     for gen, k, value in rows:
@@ -111,10 +111,10 @@ def parse_squares(
         elif (gen, k) in table:
             problems.append(f"Sq^{k} {gen} given twice")
         elif degrees[gen] + k > algebra.degree_cap:
-            table[(gen, k)] = 0
+            table[(gen, k)] = ()
         else:
             try:
-                table[(gen, k)] = algebra.parse_row(value, degrees[gen] + k)
+                table[(gen, k)] = algebra.parse_terms(value, degrees[gen] + k)
             except AlgebraError as exc:
                 problems.append(f"Sq^{k} {gen}: {exc}")
     return problems

@@ -1,13 +1,14 @@
 """Steenrod square action on a presented F2-algebra.
 
 The action is given on generators (only the nonzero values, for
-1 <= k < |g|, each a row over the basis of degree |g| + k) and extended
-to monomials by the Cartan formula.  Sq^0 g = g and Sq^{|g|} g = g^2 are
-implicit and never stored.  The squares of a monomial are kept as their
-terms, the monomials of each Sq^k in canonical order, for every k at
-once, and the Cartan recursion multiplies terms (exponent tuples), so
-squaring builds no basis.  Sq^k on degree d is a matrix, read as its
-rows: row i is Sq^k of the i-th basis monomial, over `basis(d + k)`.
+1 <= k < |g|, each as its terms, the monomials of degree |g| + k in
+canonical order) and extended to monomials by the Cartan formula.  Sq^0
+g = g and Sq^{|g|} g = g^2 are implicit and never stored.  The squares
+of a monomial are kept as their terms too, for every k at once, and the
+Cartan recursion multiplies terms (exponent tuples), so squaring builds
+no basis.  Rows are made only where a rank is taken: Sq^k on degree d
+is a matrix, read as its rows (`sq`), row i Sq^k of the i-th basis
+monomial over `basis(d + k)`, and `image_of_sq` reduces them.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ Terms = tuple[tuple[int, ...], ...]
 
 class SteenrodAction:
     """`table` maps (generator name, k) to Sq^k of that generator of
-    `algebra`, a row over the basis of degree |g| + k."""
+    `algebra`, as its terms in canonical order."""
 
     def __init__(
-        self, algebra: Algebra, table: dict[tuple[str, int], int] | None = None
+        self, algebra: Algebra, table: dict[tuple[str, int], Terms] | None = None
     ):
         self.algebra = algebra
         self.table = {} if table is None else table
@@ -34,20 +35,20 @@ class SteenrodAction:
     @cached_property
     def _gen_squares(self) -> list[list[tuple[int, Terms]]]:
         """The nonzero (j, Sq^j g) of each generator g, as terms, in
-        ascending j: g itself, the stored values for 0 < j < |g|, and g^2."""
+        ascending j: g itself, the table's values for 0 < j < |g|, and g^2."""
         alg = self.algebra
         n = len(alg.generators)
         out = []
         for i, g in enumerate(alg.generators):
             gen = (0,) * i + (1,) + (0,) * (n - i - 1)
             square = alg._mul_exps(gen, gen)
-            terms = [(0, (gen,) if g.degree <= alg.degree_cap else ())]
-            for j in range(1, g.degree):
-                row = self.table.get((g.name, j), 0)
-                terms.append((j, tuple(alg.terms(row, g.degree + j)) if row else ()))
-            terms.append((g.degree, (square,) if square else ()))
-            out.append([(j, t) for j, t in terms if t])
-        return out
+            out.append([(0, (gen,) if g.degree <= alg.degree_cap else ()),
+                        (g.degree, (square,) if square else ())])
+        for (name, j), terms in self.table.items():
+            i = alg._index[name]
+            if 0 < j < alg.generators[i].degree:
+                out[i].append((j, terms))
+        return [sorted((j, t) for j, t in per if t) for per in out]
 
     def squares(self, mono: tuple[int, ...]) -> tuple[Terms, ...]:
         """Sq^k of a monomial of degree d for k = 0..d, each as its terms
@@ -88,20 +89,16 @@ class SteenrodAction:
             self._squares[mono] = out
         return out
 
-    def _row(self, terms: Terms, degree: int) -> int:
-        """The sum of `terms`, monomials of this degree, as a row."""
-        index = self.algebra.index(degree) if terms else None
-        return sum(1 << index[m] for m in terms)
-
     def sq(self, k: int, degree: int) -> tuple[int, ...]:
         """Sq^k on degree `degree`, as matrix rows: row i is Sq^k of
         `basis(degree)[i]`, over `basis(degree + k)`."""
         if k < 0:
             raise AlgebraError("Sq^k needs k >= 0")
         basis = self.algebra.basis(degree)
-        if k > degree:
+        if k > degree or degree + k > self.algebra.degree_cap:
             return (0,) * len(basis)
-        return tuple(self._row(self.squares(m)[k], degree + k) for m in basis)
+        index = {m: i for i, m in enumerate(self.algebra.basis(degree + k))}
+        return tuple(sum(1 << index[t] for t in self.squares(m)[k]) for m in basis)
 
     def image_of_sq(self, k: int, target_degree: int) -> list[int]:
         """RREF basis of Sq^k(H^{target_degree-k}), rows over the target
@@ -109,11 +106,10 @@ class SteenrodAction:
         cohomology."""
         if not 0 <= target_degree <= self.algebra.degree_cap:
             raise AlgebraError("target degree out of range")
-        source = target_degree - k
-        if source < 0 or not self.algebra.poincare_series()[source]:
+        source, series = target_degree - k, self.algebra.poincare_series()
+        if source < 0 or not series[source]:
             return []
-        ncols = len(self.algebra.basis(target_degree))
-        return gf2.span_basis(list(self.sq(k, source)), ncols)[0]
+        return gf2.span_basis(list(self.sq(k, source)), series[target_degree])[0]
 
     def verify_instability(self) -> list[str]:
         """Axiom check on the stored table; empty list = pass."""
@@ -125,8 +121,6 @@ class SteenrodAction:
                 problems.append(f"Sq^{k} {name}: k must be >= 1")
             elif k > d:
                 problems.append(f"Sq^{k} {name}: k > degree {d}")
-            elif k == d and value != self._row(
-                dict(self._gen_squares[i]).get(d, ()), 2 * d
-            ):
+            elif k == d and value != dict(self._gen_squares[i]).get(d, ()):
                 problems.append(f"Sq^{k} {name}: must equal {name}^2")
         return problems

@@ -26,9 +26,11 @@ largest exponent sum over that walk (`cup_length_walk`), and the set of
 a page's leading monomials (`surviving`), which a model now reads as one
 membership test per monomial.
 
-Row arithmetic that the package no longer does: the product of two rows
-(`mul`), which the Steenrod squares now take over terms, and a row's
-text (`row_str`), which a witness now joins from its terms.
+Rows, which the package makes only inside `SteenrodAction.sq`: a row
+over `basis(d)` parsed from monomial texts (`parse_row`) and read back
+as its terms (`terms`), each monomial's bit (`index`), the product of
+two rows (`mul`), which the Steenrod squares now take over terms, and a
+row's text (`row_str`), which a witness now joins from its terms.
 """
 
 from __future__ import annotations
@@ -89,9 +91,33 @@ def cup_length_walk(algebra: Algebra) -> int:
     return max(sum(m) for m in monomials(algebra))
 
 
+@functools.cache
+def index(algebra: Algebra, degree: int) -> dict[tuple[int, ...], int]:
+    """Each monomial of `basis(degree)` with its bit in a row over it,
+    kept per algebra and degree, as `basis` walks on every read."""
+    return {m: i for i, m in enumerate(algebra.basis(degree))}
+
+
+def terms(algebra: Algebra, row: int, degree: int) -> list[tuple[int, ...]]:
+    """The monomials of a row over `basis(degree)`, in canonical order."""
+    basis = list(index(algebra, degree))
+    out = []
+    while row:
+        low = row & -row
+        out.append(basis[low.bit_length() - 1])
+        row ^= low
+    return out
+
+
+def parse_row(algebra: Algebra, monomial_texts, degree: int) -> int:
+    """The sum of the monomials, a row over `basis(degree)`."""
+    parsed = algebra.parse_terms(monomial_texts, degree)
+    return sum(1 << index(algebra, degree)[m] for m in parsed)
+
+
 def row_of(algebra: Algebra, exps: tuple[int, ...]) -> int:
     """The monomial as a row over the basis of its degree."""
-    return 1 << algebra.index(algebra.monomial_degree(exps))[exps]
+    return 1 << index(algebra, algebra.monomial_degree(exps))[exps]
 
 
 def mul(algebra: Algebra, a: int, da: int, b: int, db: int) -> int:
@@ -100,19 +126,19 @@ def mul(algebra: Algebra, a: int, da: int, b: int, db: int) -> int:
     if not (a and b) or da + db > algebra.degree_cap:
         return 0
     out = 0
-    ys = algebra.terms(b, db)
-    for x in algebra.terms(a, da):
+    ys = terms(algebra, b, db)
+    for x in terms(algebra, a, da):
         for y in ys:
             p = algebra._mul_exps(x, y)
             if p is not None:
-                out ^= 1 << algebra.index(da + db)[p]
+                out ^= 1 << index(algebra, da + db)[p]
     return out
 
 
 def row_str(algebra: Algebra, row: int, degree: int) -> str:
-    """'x7 + x3^2*x5' (or '0'); `Algebra.parse_row` reads it back."""
-    terms = algebra.terms(row, degree)
-    return " + ".join(map(algebra.monomial_str, terms)) if terms else "0"
+    """'x7 + x3^2*x5' (or '0'); `parse_row` reads it back."""
+    monos = terms(algebra, row, degree)
+    return " + ".join(map(algebra.monomial_str, monos)) if monos else "0"
 
 
 def surviving(page: BigradedPage) -> set:
@@ -149,7 +175,7 @@ def wgt(model: LoopSpaceModel, u: int, degree: int) -> int:
     if degree == 0:
         raise WeightError("weight of the unit is undefined")
     return min(
-        sum(model._surviving_lattice(e)) for e in model.algebra.terms(u, degree)
+        sum(model._surviving_lattice(e)) for e in terms(model.algebra, u, degree)
     )
 
 

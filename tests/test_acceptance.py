@@ -13,7 +13,9 @@ from lscat.report import build_ledger
 from lscat.specseq import _value_monomials, leibniz
 from lscat.weights import BUCKET_PARTIAL, BUCKET_PRODUCT, BUCKET_RESIDUAL
 from cells import cp, min_cell_dim_excluding, smash, sphere, suspend
-from reference import mul, parse_class, surviving, total_dimension, wgt
+from reference import (
+    mul, parse_class, parse_row, surviving, total_dimension, wgt,
+)
 from test_steenrod import cartan_holds
 
 
@@ -39,7 +41,7 @@ def test_02_cup_length(spin9):
     # independent oracle: grow products generator by generator
     alg = spin9.algebra
     frontier, best = [(1, 0)], 0  # (row, degree): the unit
-    gens = [(alg.parse_row([g.name], g.degree), g.degree) for g in alg.generators]
+    gens = [(parse_row(alg, [g.name], g.degree), g.degree) for g in alg.generators]
     while frontier:
         frontier = [
             (p, de + dg)
@@ -119,7 +121,7 @@ def test_07_weights(spin9):
     assert spin9.wgt_space() == 6
     for name in ("x3", "x5", "x7", "x15"):
         degree = int(name[1:])
-        assert wgt(spin9, spin9.algebra.parse_row([name], degree), degree) == 1
+        assert wgt(spin9, parse_row(spin9.algebra, [name], degree), degree) == 1
     ok("criterion 7: wgt(Spin(9)) = 6; wgt(x3) = wgt(x5) = wgt(x7) = wgt(x15) = 1")
 
 
@@ -156,8 +158,8 @@ def test_11_property_suites(spin9, capsys, tmp_path):
     # Cartan/instability spot checks
     assert spin9.space.action.verify_instability() == []
     alg = spin9.algebra
-    b = alg.parse_row(["x3*x7"], 10)
-    for a, da in ((alg.parse_row(["x3^2"], 6), 6), (alg.parse_row(["x5"], 5), 5)):
+    b = parse_row(alg, ["x3*x7"], 10)
+    for a, da in ((parse_row(alg, ["x3^2"], 6), 6), (parse_row(alg, ["x5"], 5), 5)):
         assert cartan_holds(spin9.space.action, a, da, b, 10)
     # ladder on every builtin with loop homology
     for name in ("spin9", "toy-trunc-poly", "unit"):

@@ -72,11 +72,11 @@ def test_json_report_validates_against_schema():
 def test_cohomology_and_cup_length_are_computed_once(monkeypatch, argv):
     """The presentation builds its cohomology algebra, E2 page and
     suspension match once, and `validate` and the report read them.  Each
-    Steenrod row is parsed at most once per algebra, over the cohomology
-    algebra and over the extended one; x11's row only over the extended
-    one.  A report computes the cohomology's cup-length once (the E2
-    lattice's answers the tower's last column) and scans for wgt and Mwgt
-    once each, though its invariants and its ledger both read them;
+    Steenrod row is parsed as terms at most once per algebra, over the
+    cohomology algebra and over the extended one; x11's row only over the
+    extended one.  A report computes the cohomology's cup-length once (the
+    E2 lattice's answers the tower's last column) and scans for wgt and
+    Mwgt once each, though its invariants and its ledger both read them;
     `validate` does none of that.  No algebra lists its monomials."""
     counts = Counter()
 
@@ -106,7 +106,7 @@ def test_cohomology_and_cup_length_are_computed_once(monkeypatch, argv):
     count(Algebra, "__init__", lambda _, pres: names(pres.generators))
     count(
         Algebra,
-        "parse_row",
+        "parse_terms",
         lambda alg, texts, degree: (names(alg.generators), degree, tuple(texts)),
     )
     count(Algebra, "cup_length", lambda alg, *cap: names(alg.generators))
@@ -120,7 +120,7 @@ def test_cohomology_and_cup_length_are_computed_once(monkeypatch, argv):
     report = argv[0] == "report"
     coh = ("x3", "x5", "x7", "x15")
     ext = (*coh, "x11")
-    rows = {key: n for (name, key), n in counts.items() if name == "parse_row"}
+    rows = {key: n for (name, key), n in counts.items() if name == "parse_terms"}
     assert counts["__init__", coh] == counts["__init__", ext] == 1
     assert counts["koszul_e2", None] == counts["suspension_match", None] == 1
     assert max(rows.values()) == 1
@@ -1339,8 +1339,9 @@ def test_every_export_resolves_and_no_reference_fold_is_exported():
     is one `ClassFacts` record, with no per-bucket copy.  A witness is its
     report record, `validate` returns its problems, nothing stores a field
     no one reads, and the slotted records share `Record`'s one equality.
-    Rows are multiplied and written as text only in the tests: the
-    Steenrod squares multiply terms, and a witness joins its terms."""
+    Rows are parsed, multiplied, indexed and written as text only in the
+    tests: the Steenrod table and squares are terms, and a witness joins
+    its terms; `Algebra` keeps no basis or index between reads."""
     for name in lscat.__all__:
         assert getattr(lscat, name) is not None, name
     moved = (
@@ -1382,8 +1383,10 @@ def test_every_export_resolves_and_no_reference_fold_is_exported():
     assert not hasattr(spaces, "ValidationReport")
     assert "space" not in BoundsLedger.__slots__
     assert not hasattr(Algebra(AlgebraPresentation([], 1)), "presentation")
-    for name in ("mul", "row_str"):
+    for name in ("mul", "row_str", "terms", "parse_row", "index"):
         assert not hasattr(Algebra, name)
+    for name in ("_bits", "_bases", "_ends", "_steps"):
+        assert not hasattr(Algebra(AlgebraPresentation([], 1)), name)
     for record in (
         Generator, AlgebraPresentation, spaces.ExtraGenerator,
         spaces.Attestation, weights.ClassFacts,

@@ -1,17 +1,23 @@
 """Steenrod action: Cartan, instability, and the spin9 table."""
 
+import functools
 import hashlib
+import io
 import random
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from lscat.algebra import AlgebraError
+from lscat.algebra import Algebra, AlgebraError
+from lscat.cli import main
+from lscat.gf2 import span_basis
 from lscat.report import build_report
 from lscat.spaces import BUILTINS, SpacePresentation, builtin, validate
 from lscat.steenrod import SteenrodAction
 from lscat.weights import LoopSpaceModel
-from reference import monomials, mul, row_of, row_str
+from reference import monomials, mul, parse_row, row_of, row_str, terms
 from test_algebra import graded
+from test_tools import same_outputs
 from test_weights import su_space
 
 
@@ -21,16 +27,27 @@ def spin9():
     return sp.algebra, sp.action
 
 
+def terms_of(alg, *texts):
+    """The sum of the monomials, in the degree of the first, as its terms."""
+    return alg.parse_terms(texts, alg.monomial_degree(alg.parse_monomial(texts[0])))
+
+
 def row(alg, *texts):
-    """The sum of the monomials, in the degree of the first."""
-    return alg.parse_row(texts, alg.monomial_degree(alg.parse_monomial(texts[0])))
+    """The sum of the monomials, in the degree of the first, as a row."""
+    return parse_row(alg, texts, alg.monomial_degree(alg.parse_monomial(texts[0])))
+
+
+@functools.cache
+def sq_rows(action, k, degree):
+    """`action.sq(k, degree)`, kept: the Cartan check reads each many times."""
+    return action.sq(k, degree)
 
 
 def apply_sq(action, k, vec, degree):
     """Sq^k of a row over `basis(degree)`."""
     out = 0
     if vec:
-        for i, r in enumerate(action.sq(k, degree)):
+        for i, r in enumerate(sq_rows(action, k, degree)):
             if (vec >> i) & 1:
                 out ^= r
     return out
@@ -117,11 +134,11 @@ def test_instability_passes(spin9):
 
 def test_instability_catches_bad_table(spin9):
     alg, _ = spin9
-    bad = SteenrodAction(alg, {("x3", 5): row(alg, "x3*x5")})
+    bad = SteenrodAction(alg, {("x3", 5): terms_of(alg, "x3*x5")})
     assert any("k > degree" in p for p in bad.verify_instability())
-    bad2 = SteenrodAction(alg, {("x3", 3): row(alg, "x3^2")})
+    bad2 = SteenrodAction(alg, {("x3", 3): terms_of(alg, "x3^2")})
     assert bad2.verify_instability() == []
-    bad3 = SteenrodAction(alg, {("x3", 3): 0})
+    bad3 = SteenrodAction(alg, {("x3", 3): ()})
     assert any("must equal" in p for p in bad3.verify_instability())
     # A value in the wrong degree is no row: the fixture fails to parse.
     data = BUILTINS["spin9"]()
@@ -141,24 +158,61 @@ def test_image_of_sq(spin9):
     assert action.image_of_sq(1, 6) == [row(alg, "x3^2")]
 
 
+def test_image_of_sq_reduces_over_the_whole_target_basis():
+    """On spin9's extended algebra and on SU(6), for every target degree
+    and k: the image of Sq^k is its rows in RREF with a pivot allowed in
+    every column of the target basis."""
+    for action in (builtin("spin9").extended_action, su_space(6).action):
+        alg = action.algebra
+        for d in range(alg.degree_cap + 1):
+            width = len(alg.basis(d))
+            for k in range(d + 1):
+                rows = list(action.sq(k, d - k))
+                assert action.image_of_sq(k, d) == span_basis(rows, width)[0]
+
+
+def count_basis_calls(monkeypatch) -> list:
+    """The degree of every `Algebra.basis` call made from here on."""
+    calls = []
+    real = Algebra.basis
+    monkeypatch.setattr(
+        Algebra, "basis", lambda alg, degree: calls.append(degree) or real(alg, degree)
+    )
+    return calls
+
+
 @pytest.mark.parametrize("cap", [36, 52])
-def test_spin9_report_builds_no_basis_past_degree_15(cap):
-    """The witness search squares terms, and `image_of_sq` reads the
-    Poincare series before any basis: a source degree with no cohomology,
-    as in every call the search makes, has an empty image.  So a spin9
-    report builds no basis of either algebra past degree 15, the degree of
-    the highest row its Steenrod tables give (Sq^4 x11 = x15)."""
+def test_spin9_report_builds_no_basis_past_degree_15(monkeypatch, cap):
+    """The Steenrod tables are parsed as terms, the witness search squares
+    terms, and `image_of_sq` reads the Poincare series before any basis:
+    a source degree with no cohomology, as in every call the search
+    makes, has an empty image.  So a spin9 report builds no basis of
+    either algebra, in any degree."""
+    calls = count_basis_calls(monkeypatch)
     model = LoopSpaceModel(builtin("spin9"), degree_cap=cap)
     rep, code = build_report(model, [7, 8, 9])
     assert code == 0 and rep["invariants"]["module_weight_lower"]["value"] == 8
-    for alg in (model.algebra, model.space.extended_algebra):
-        assert len(alg._bases) <= 16
+    assert calls == []
+
+
+def test_no_op_of_the_benchmark_or_the_parity_tool_builds_a_basis(
+    monkeypatch, tmp_path
+):
+    """Every op `tools/same_outputs.py` runs, among them every op of the
+    benchmark's three workloads (spin9 reports, SU(4..7) reports, pages
+    and `validate`, on spin9 and SU(n) too) and the malformed tables,
+    reads Steenrod values as terms and builds no basis."""
+    calls = count_basis_calls(monkeypatch)
+    for name, argv in same_outputs.invocations(tmp_path):
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            main(argv)
+        assert calls == [], name
 
 
 def test_rows_reject_inhomogeneous_values(spin9):
     alg, action = spin9
     with pytest.raises(AlgebraError):
-        alg.parse_row(["x3", "x5"], 3)
+        alg.parse_terms(["x3", "x5"], 3)
     with pytest.raises(AlgebraError):
         action.sq(-1, 3)
 
@@ -180,11 +234,11 @@ def test_squares_match_pinned_digest():
         count = 0
         for d in range(alg.degree_cap + 1):
             for i, mono in enumerate(alg.basis(d)):
-                terms = action.squares(mono)
+                squares = action.squares(mono)
                 for k in range(alg.degree_cap - d + 1):
                     # Sq^k as terms: its row's monomials, in basis order.
-                    assert list(terms[k] if k <= d else ()) == alg.terms(
-                        action.sq(k, d)[i], d + k
+                    assert list(squares[k] if k <= d else ()) == terms(
+                        alg, action.sq(k, d)[i], d + k
                     )
                     value = row_str(alg, action.sq(k, d)[i], d + k)
                     line = f"{name} Sq^{k} {alg.monomial_str(mono)} = {value}\n"

@@ -25,6 +25,20 @@ same_outputs = load_tool("same_outputs")
 su_scaling = load_tool("su_scaling")
 
 
+def provenance_reports(ops) -> list[str]:
+    """The names of the `report` ops among `same_outputs`' ops that print
+    the wgt provenance: all but those of the malformed tables that fail
+    validation."""
+    invalid = {
+        f"parse: report {name}" for name in same_outputs.malformed_tables()
+        if name not in ("cancelling monomials", "unparsable row past the cap",
+                        "partial-product term")
+    }
+    return [
+        name for name, argv in ops if argv[0] == "report" and name not in invalid
+    ]
+
+
 def test_code_lines_total_is_the_sum_of_its_module_rows():
     """`tools/code_lines.py` prints one row per module of `src/lscat` and a
     total row, the package's code-line count, which sums those rows."""
@@ -45,9 +59,10 @@ def test_code_lines_total_is_the_sum_of_its_module_rows():
 
 def test_same_outputs_names_exactly_the_ops_an_edit_moves(tmp_path):
     """`tools/same_outputs.py` against a copy of `src` whose wgt
-    provenance, printed by every report and by nothing else, is edited:
-    it exits 1 and names every `report` op, and every `dump-page` and
-    `validate` op compares equal."""
+    provenance, printed by every report that passes validation and by
+    nothing else, is edited: it exits 1 and names every such `report` op,
+    and every `dump-page` and `validate` op, and every report of a table
+    that fails validation, compares equal."""
     src = tmp_path / "src"
     shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
     report = src / "lscat" / "report.py"
@@ -67,13 +82,18 @@ def test_same_outputs_names_exactly_the_ops_an_edit_moves(tmp_path):
     (tmp_path / "fixtures").mkdir()
     ops = same_outputs.invocations(tmp_path / "fixtures")
     kinds = {name: argv[0] for name, argv in ops}
-    assert named == [name for name, kind in kinds.items() if kind == "report"]
+    assert named == provenance_reports(ops)
     assert {"dump-page", "validate"} <= set(kinds.values())
     assert count == f"{len(named)} of {len(ops)} ops differ"
     # The reports that must stay byte-identical: SU(3..16), spin9 at caps
     # 36, 44, 52 and 68, spin9 with stages repeated and out of order, and
-    # toy-trunc-poly, each in JSON and text.
-    assert len(ops) == 147
+    # toy-trunc-poly, each in JSON and text; and `validate` and a JSON
+    # report on each of seven malformed Steenrod tables.
+    assert len(ops) == 161
+    tables = same_outputs.malformed_tables()
+    assert len(tables) == 7
+    for name in tables:
+        assert {f"parse: validate {name}", f"parse: report {name}"} <= kinds.keys()
     spaces = [f"su{n}" for n in range(3, 17)]
     spaces += [f"spin9 cap={cap}" for cap in (36, 44, 52, 68)]
     spaces += ["spin9 stages 9,7,7,8", "toy-trunc-poly cap=36"]
@@ -103,7 +123,7 @@ def test_same_outputs_replace_shows_an_edit_to_one_string(tmp_path):
     assert proc.returncode == 0, proc.stderr
     (tmp_path / "fixtures").mkdir()
     ops = same_outputs.invocations(tmp_path / "fixtures")
-    reports = sum(argv[0] == "report" for _, argv in ops)
+    reports = len(provenance_reports(ops))
     assert proc.stdout.splitlines() == [
         f"{reports} of {len(ops)} ops differ by the replacement only",
         f"0 of {len(ops)} ops differ",
@@ -112,8 +132,8 @@ def test_same_outputs_replace_shows_an_edit_to_one_string(tmp_path):
 
 def test_su_scaling_prints_a_row_per_n():
     """`tools/su_scaling.py 3 4` prints a header and one row per n: the
-    report exits 0 with the bracket [n - 1, n - 1], builds at most the
-    2^(n - 1) cohomology monomials, and reads no E2 cell."""
+    report exits 0 with the bracket [n - 1, n - 1], builds no basis, and
+    reads no E2 cell."""
     proc = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "su_scaling.py"), "3", "4"],
         capture_output=True,
@@ -123,12 +143,11 @@ def test_su_scaling_prints_a_row_per_n():
     header, *rows = [line.split() for line in proc.stdout.splitlines()]
     assert tuple(header) == su_scaling.COLUMNS
     assert [int(r[0]) for r in rows] == [3, 4]
-    for n, code, bracket, wall, cohomology, lattice, cells in rows:
+    for n, code, bracket, wall, bases, cells in rows:
         n = int(n)
         assert (code, bracket) == ("0", f"[{n - 1},{n - 1}]")
         assert 0 < float(wall) < 10
-        assert 0 < int(cohomology) <= 2 ** (n - 1)
-        assert (lattice, cells) == ("0", "0")
+        assert (bases, cells) == ("0", "0")
 
 
 def test_planted_sweep_counts_every_member_at_cap_10():

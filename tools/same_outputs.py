@@ -15,6 +15,9 @@ built-ins:
     report SU(n) in json and text, n = 3..16 (fixtures by `su_fixture`)
     dump-page on each built-in at r = 2..5, truncate none, 0, 4 and 8
     validate on each built-in
+    validate, and report in json, on each table of `malformed_tables`:
+        spin9's presentation with one Steenrod table edit, written to the
+        fixtures directory, so that both trees parse the same values
 
 Each side runs in its own subprocess with its own `src` first on
 `sys.path`, and each op goes through `lscat.cli.main` in process, with
@@ -48,6 +51,63 @@ TOY_CAP = 36
 SU_REPORTS = tuple(range(3, 17))
 PAGES = (2, 3, 4, 5)
 TRUNCATIONS = (None, 0, 4, 8)
+
+
+def spin9_data() -> dict:
+    """spin9's presentation, as the built-in gives it, without its
+    attestations."""
+    def gens(*named):
+        return {"generators": [
+            {"name": name, "degree": degree, "height": height}
+            for name, degree, height in named
+        ]}
+
+    return {
+        "name": "spin9",
+        "degree_cap": 36,
+        "cohomology": gens(("x3", 3, 4), ("x5", 5, 2), ("x7", 7, 2), ("x15", 15, 2)),
+        "steenrod": [
+            {"gen": "x3", "k": 2, "value": ["x5"]},
+            {"gen": "x5", "k": 1, "value": ["x3^2"]},
+        ],
+        "loop_homology": gens(
+            ("u2", 2, 2), ("u4", 4, "unbounded"), ("u6", 6, "unbounded"),
+            ("u10", 10, "unbounded"), ("u14", 14, "unbounded"),
+        ),
+        "permanent_cycles": ["x1_2", "x1_4", "x1_6", "x1_14"],
+        "extra_generators": [
+            {"name": "x11", "t": 10, "extension_height": 3,
+             "steenrod": [{"k": 4, "value": ["x15"]}]},
+        ],
+    }
+
+
+def malformed_tables() -> dict[str, dict]:
+    """spin9's presentation with one Steenrod table edit each, by name."""
+    out = {}
+
+    def edit(name: str, *rows: dict, x11_rows=(), **fields) -> dict:
+        data = out[name] = spin9_data() | fields
+        data["steenrod"] += rows
+        data["extra_generators"][0]["steenrod"] += x11_rows
+        return data
+
+    # x3^2 given three times, in two spellings, is x3^2; x3*x7 twice is 0,
+    # which is x5^2, as Sq^5 x5 must be.
+    cancel = edit("cancelling monomials",
+                  {"gen": "x5", "k": 5, "value": ["x3*x7", "x3*x7"]})
+    cancel["steenrod"][1]["value"] = ["x3^2", "x3*x3", "x3^2"]
+    # Sq^10 x15 lies in degree 25, past the cap: its value is not read.
+    edit("unparsable row past the cap",
+         {"gen": "x15", "k": 10, "value": ["x15^^2"]}, degree_cap=24)
+    edit("inhomogeneous value", {"gen": "x7", "k": 4, "value": ["x3^2*x5", "x3*x7"]})
+    edit("unknown generator", {"gen": "x9", "k": 2, "value": ["x11"]},
+         {"gen": "x7", "k": 2, "value": ["y9"]})
+    edit("cohomology row naming x11", {"gen": "x7", "k": 4, "value": ["x11"]})
+    edit("top square not the square", {"gen": "x5", "k": 5, "value": ["x3*x7"]})
+    edit("partial-product term", x11_rows=[{"k": 3, "value": ["x3*x11"]}])
+    return out
+
 
 # Run in each side's subprocess: argv is SRC, the ops file and the
 # results file; each op's (exit code, stdout, stderr) goes to the latter.
@@ -103,6 +163,12 @@ def invocations(fixture_dir: Path) -> list[tuple[str, list[str]]]:
                 argv += [] if m is None else ["--truncate", str(m)]
                 out.append((f"extra: dump-page {space} r={r} truncate={m}", argv))
     out += [(f"extra: validate {space}", ["validate", space]) for space in BUILTINS]
+    for name, data in malformed_tables().items():
+        path = fixture_dir / f"{name.replace(' ', '-')}.json"
+        path.write_text(json.dumps(data, indent=2) + "\n")
+        out.append((f"parse: validate {name}", ["validate", str(path)]))
+        out.append((f"parse: report {name}",
+                    ["report", str(path), "--format", "json"]))
     return out
 
 

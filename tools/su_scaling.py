@@ -3,10 +3,10 @@
 For each n, writes `perfbench/fixtures.su_fixture(n)` to a temporary
 file, runs `lscat report FILE --format json` through `lscat.cli.main` in
 process three times, and prints one row: n, the exit code, the cat
-bracket, the best wall time of the three, the monomials each algebra
-built (the cohomology's per-degree bases, and the E2 lattice's), and the
-E2 cell monomials built, 0 when the report read no E2 cell.  The counts
-come from one more report of the same fixture, built with
+bracket, the best wall time of the three, the number of `Algebra.basis`
+calls (over the cohomology, the extended algebra and the E2 lattice),
+and the E2 cell monomials built, 0 when the report read no E2 cell.  The
+counts come from one more report of the same fixture, built with
 `report.build_report` so that its objects can be read.  Uses only the
 standard library:
 
@@ -28,18 +28,13 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 sys.path.insert(0, str(ROOT / "src"))
 
 from fixtures import su_fixture  # noqa: E402
+from lscat.algebra import Algebra  # noqa: E402
 from lscat.cli import main as lscat_main  # noqa: E402
 from lscat.report import build_report  # noqa: E402
 from lscat.spaces import SpacePresentation  # noqa: E402
 from lscat.weights import LoopSpaceModel  # noqa: E402
 
-COLUMNS = ("n", "exit", "bracket", "wall_s", "cohomology_monomials",
-           "lattice_monomials", "e2_cells")
-
-
-def built(algebra) -> int:
-    """The monomials of every basis `algebra` has built."""
-    return len(algebra._bits)
+COLUMNS = ("n", "exit", "bracket", "wall_s", "basis_calls", "e2_cells")
 
 
 def row(n: int, path: Path) -> list:
@@ -56,11 +51,16 @@ def row(n: int, path: Path) -> list:
         best = wall if best is None else min(best, wall)
     bracket = json.loads(out.getvalue())["bounds"]["bracket"]
     model = LoopSpaceModel(SpacePresentation.from_dict(fixture))
-    build_report(model)
+    calls, basis = [], Algebra.basis
+    Algebra.basis = lambda alg, degree: calls.append(degree) or basis(alg, degree)
+    try:
+        build_report(model)
+    finally:
+        Algebra.basis = basis
     walked = vars(model.e2.lattice_cells).get("walked")
     return [
         n, code, f"[{bracket['lo']},{bracket['hi']}]", f"{best:.4f}",
-        built(model.algebra), built(model.e2.lattice),
+        len(calls),
         0 if walked is None else sum(map(len, walked[0].values())),
     ]
 
