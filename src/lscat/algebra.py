@@ -174,13 +174,14 @@ class Algebra:
     # -- terms ------------------------------------------------------------
 
     def parse_terms(
-        self, monomial_texts: Iterable[str], degree: int
+        self, monomial_texts: Iterable[str], degree: int, capped: bool = True
     ) -> tuple[tuple[int, ...], ...]:
         """The sum of the monomials, each of this degree, as its terms in
-        canonical order: a monomial given twice cancels."""
+        canonical order: a monomial given twice cancels.  `capped` is as
+        in `parse_monomial`."""
         terms = set()
         for text in monomial_texts:
-            mono = self.parse_monomial(text)
+            mono = self.parse_monomial(text, capped)
             if self.monomial_degree(mono) != degree:
                 raise AlgebraError(f"value not homogeneous of degree {degree}")
             terms ^= {mono}
@@ -209,8 +210,9 @@ class Algebra:
         ]
         return "*".join(parts) if parts else "1"
 
-    def parse_monomial(self, text: str) -> tuple[int, ...]:
-        """Parse 'x3^2*x5' (or '1' for the unit)."""
+    def parse_monomial(self, text: str, capped: bool = True) -> tuple[int, ...]:
+        """Parse 'x3^2*x5' (or '1' for the unit); a monomial past the cap
+        is refused unless `capped` is false."""
         exps = [0] * len(self.generators)
         text = text.strip()
         if text != "1":
@@ -227,6 +229,6 @@ class Algebra:
                 raise AlgebraError(f"{text!r}: exponent of {g.name} too high")
         mono = tuple(exps)
         degree = self.monomial_degree(mono)
-        if degree > self.degree_cap:
+        if capped and degree > self.degree_cap:
             raise AlgebraError(f"{text!r}: degree {degree} above cap {self.degree_cap}")
         return mono

@@ -12,11 +12,7 @@ import time
 from lscat import bounds as bounds_mod
 from lscat.bounds import BoundsLedger, InconsistentLedger
 from lscat.spaces import FixtureError, SpacePresentation, validate
-from lscat.specseq import (
-    BigradedPage,
-    SpectralSequenceError,
-    TruncationTower,
-)
+from lscat.specseq import BigradedPage, SpectralSequenceError
 from lscat.weights import LoopSpaceModel
 
 SCHEMA_VERSION = 1
@@ -128,7 +124,6 @@ def build_report(
     has_ss = space.loop_homology is not None
     if has_ss:
         specs = model.differentials
-        e_inf = model.e_infinity
         report["spectral_sequence"] = {
             "permanent_cycles": list(space.permanent_cycles),
             "differentials": [
@@ -146,7 +141,7 @@ def build_report(
                 }
                 for spec in specs
             ],
-            "e_infinity_dims": e_inf.dims_by_total_degree(),
+            "e_infinity_dims": model._tower.e_infinity_dims,
         }
         mark("spectral_sequence")
 
@@ -224,18 +219,26 @@ def page_at(
     Up to the first page where a differential can act, the least r at
     which some generator not listed as permanent has a nonempty d_r target
     cell (`specseq.candidate_widths`), page r is E2, whatever the
-    abutment: it is served from E2 without running the inference.  That
-    is every page of a fixture with no such generator.  So for those pages
-    a fixture whose inference fails, is ambiguous or is over the search
-    budget still prints its page with exit 0, while a permanent cycle that
-    is not an E2 generator still raises.  Later pages are read from the
-    model's one checked fold, which runs the inference."""
+    abutment: it is served from E2 itself, its bidegrees past the column
+    cap left out, without running the inference or building a tower.
+    That is every page of a fixture with no such generator.  So for those
+    pages a fixture whose inference fails, is ambiguous or is over the
+    search budget still prints its page with exit 0, while a permanent
+    cycle that is not an E2 generator still raises.  Later pages are read
+    from the model's one checked fold, which runs the inference."""
     if r < 2:
         raise SpectralSequenceError("pages start at r = 2")
     e2 = model.e2
     _, widths = model._candidate_widths
     if r <= min(widths, default=r):
-        return TruncationTower(e2, []).page(truncate_at, 0).advanced(r)
+        if truncate_at is not None:
+            if truncate_at < 0:
+                raise SpectralSequenceError("column cap must be >= 0")
+            e2 = e2._derived(column_cap=truncate_at, basis={
+                key: classes for key, classes in e2.basis.items()
+                if key[0] <= truncate_at
+            })
+        return e2.advanced(r)
     tower = model._tower
     j = sum(spec.r < r for spec in tower.specs)
     return tower.page(truncate_at, j).advanced(r)

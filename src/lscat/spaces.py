@@ -100,9 +100,10 @@ def parse_squares(
 ) -> list[str]:
     """Add each row (gen, k, value) to `table` as Sq^k of the generator
     `gen` of `algebra`, as its terms (`Algebra.parse_terms`).  A row past
-    the algebra's cap stores no terms, as every class there is 0, and its
-    value is not read.  A row that does not parse, or repeats an earlier
-    row's generator and k, is left out and named in the returned problems."""
+    the algebra's cap is parsed all the same (its generators, exponents,
+    heights and degree) and stores no terms, as every class there is 0.
+    A row that does not parse, or repeats an earlier row's generator and
+    k, is left out and named in the returned problems."""
     degrees = {g.name: g.degree for g in algebra.generators}
     problems = []
     for gen, k, value in rows:
@@ -110,13 +111,15 @@ def parse_squares(
             problems.append(f"Sq^{k} given on unknown generator {gen!r}")
         elif (gen, k) in table:
             problems.append(f"Sq^{k} {gen} given twice")
-        elif degrees[gen] + k > algebra.degree_cap:
-            table[(gen, k)] = ()
         else:
+            degree = degrees[gen] + k
+            capped = degree <= algebra.degree_cap
             try:
-                table[(gen, k)] = algebra.parse_terms(value, degrees[gen] + k)
+                terms = algebra.parse_terms(value, degree, capped)
             except AlgebraError as exc:
                 problems.append(f"Sq^{k} {gen}: {exc}")
+            else:
+                table[(gen, k)] = terms if capped else ()
     return problems
 
 

@@ -37,15 +37,19 @@ witness is only reported when residual ("annihilated-summand") classes in
 the target degree cannot absorb the identity, exactly when the preimage
 degree has dimension zero and no residual class shares the target degree.
 
-The accepted differential is folded over E2 once per model: inference
-returns it with its checked fold, a `specseq.TruncationTower`, and the
-model keeps that tower.  E-infinity is the tower's untruncated page, or
-E2 itself when no differential acts; every stage truncation shares the
-tower's states.  Whether a lattice monomial leads an E-infinity class is
-one read per monomial (`_survives`), of its exponents alone when no
-differential acts.  So a report on a space whose generators are all
-permanent cycles (every SU(n)), with no differential to search for,
-reads no E2 cell.
+The accepted differential is folded once per model: inference returns
+it with its checked fold, a `specseq.TruncationTower`, and the model
+keeps that tower, which folds the factor A of E2 the differential
+touches and reads every state as A's classes times the monomials B of
+the other generators.  Every stage truncation shares the tower's states,
+and a report reads E-infinity off the same product, with no page: its
+dims, its top filtration (wgt) and whether a lattice monomial leads one
+of its classes (`TruncationTower.survives`, one read per monomial, of
+its exponents alone when no differential acts).  Only a presentation
+with an unmatched E2 generator has the tower build E-infinity's page,
+whose classes `_survivors_match` reads in page order.  So a report
+walks no E2 cell, and one on a space whose generators are all permanent
+cycles (every SU(n)), with no differential to search for, reads none.
 
 A stage's classes fall into three buckets (`bucket`): products of
 permanent suspension classes, partial products (one factor of the
@@ -70,7 +74,8 @@ class sits in a degree where the cohomology vanishes, and whether a
 degree vanishes is a property of the state, so a stage's candidates are
 the non-residual classes of its states in such degrees, in page order.
 Of those bidegrees the search walks only the ones where some E2 monomial
-could lead a non-residual class at some stage (`can_be_non_residual`):
+(a monomial of A times one of B, in those degrees alone) could lead a
+non-residual class at some stage (`can_be_non_residual`):
 a class's bucket depends only on its leading monomial, which is one of
 its bidegree's monomials, so every other bidegree holds only residual
 classes at every stage.  It also skips every degree d from which no
@@ -140,7 +145,6 @@ The Mwgt bound and the report's witness list both read that walk.
 from __future__ import annotations
 
 from functools import cached_property
-from operator import le
 
 from lscat.algebra import Algebra, AlgebraPresentation, Record
 from lscat.specseq import (
@@ -215,12 +219,13 @@ class ClassFacts(Record):
         self.key = key  # `bucket_key` of the leading monomial
 
 
-def class_facts(page, s, t, vec, survives, partial_idx) -> ClassFacts:
-    """The facts of the class `vec` at (s, t); `partial_idx` and
-    `survives` are as in `bucket_key`."""
-    lead = page.leading(s, t, vec)
+def class_facts(lattice, s, t, cls, survives, partial_idx) -> ClassFacts:
+    """The facts of the class `cls` at (s, t), its terms over the E2
+    `lattice`, led by its first; `partial_idx` and `survives` are as in
+    `bucket_key`."""
+    lead = cls[0]
     key = bucket_key(lead, partial_idx, survives)
-    return ClassFacts(s, t, lead, page.lattice.monomial_str(lead), key)
+    return ClassFacts(s, t, lead, lattice.monomial_str(lead), key)
 
 
 class LoopSpaceModel:
@@ -286,22 +291,9 @@ class LoopSpaceModel:
 
     @cached_property
     def e_infinity(self) -> BigradedPage:
-        # With no differential E-infinity is E2 itself: no page is built.
+        # With no differential E-infinity is E2 itself.  No report reads
+        # this page: it reads E-infinity's facts off the tower.
         return self._tower.page() if self._tower.specs else self.e2
-
-    @cached_property
-    def _survives(self):
-        """Whether a lattice monomial under the cap (every one asked about
-        is) leads an E-infinity class: with no differential, whether its
-        exponents are within the lattice's bounds, so that it is an E2
-        monomial; otherwise, a read of the set of E-infinity's leading
-        monomials."""
-        if self._tower.specs:
-            page = self.e_infinity
-            leads = {page.leading(s, t, vec) for s, t, vec in page.classes()}
-            return leads.__contains__
-        bound = self.e2.lattice._max_exp
-        return lambda lattice: all(map(le, lattice, bound))
 
     @cached_property
     def stable_stage(self) -> int:
@@ -331,21 +323,18 @@ class LoopSpaceModel:
         some stage: the only states a witness class can lie in."""
         height = self._extension_height
         idx = self.space.match[2]
+        survives = self._tower.survives
         series = self.algebra.poincare_series()
         e2_dims = self.e2.dims_by_total_degree()
         reach = {
             d for d, dim in enumerate(series)
             if not dim and e2_dims[d] and any(series[d + 1:d + self._max_k + 1])
         }
-        return [
-            (s, t)
-            for s, t in (sorted(self.e2.basis) if reach else ())
-            if s + t in reach
-            and any(
-                can_be_non_residual(*bucket_key(lead, idx, self._survives), height)
-                for lead in self.e2.cells[(s, t)]
-            )
-        ]
+        return sorted({
+            key
+            for key, lead in self._tower.monomials_in(reach)
+            if can_be_non_residual(*bucket_key(lead, idx, survives), height)
+        })
 
     def _candidates(self, m: int) -> list[ClassFacts]:
         """Stage m's non-residual classes in vanishing degrees, in page
@@ -376,7 +365,6 @@ class LoopSpaceModel:
         return any(
             bucket(*cls.key, m, height) == BUCKET_RESIDUAL
             for s in range(min(m, degree) + 1)
-            if (s, degree - s) in self.e2.basis
             for cls in self._classes((s, degree - s, self._tower.alive(s, m)))
         )
 
@@ -387,9 +375,10 @@ class LoopSpaceModel:
         if out is None:
             s, t, _ = state
             partial = self.space.match[2]
+            lattice, survives = self.e2.lattice, self._tower.survives
             out = self._state_classes[state] = [
-                class_facts(self.e2, s, t, vec, self._survives, partial)
-                for vec in self._tower.state(len(self._tower.specs), *state)
+                class_facts(lattice, s, t, cls, survives, partial)
+                for cls in self._tower.state(len(self._tower.specs), *state)
             ]
         return out
 
@@ -406,7 +395,7 @@ class LoopSpaceModel:
     def _surviving_lattice(self, exps: tuple[int, ...]) -> tuple[int, ...]:
         """`_lattice_exps_of_monomial`, which must lead an E-infinity class."""
         lattice = self._lattice_exps_of_monomial(exps)
-        if not self._survives(lattice):
+        if not self._tower.survives(lattice):
             raise WeightError(
                 f"{self.algebra.monomial_str(exps)} has no surviving "
                 f"E-infinity representative"
@@ -432,11 +421,7 @@ class LoopSpaceModel:
         for i, top in enumerate(self.algebra._max_exp):
             for e in range(1, top + 1):
                 self._surviving_lattice((0,) * i + (e,) + (0,) * (n - i - 1))
-        if self.e_infinity is self.e2:
-            # E2's top filtration under the cap: the lattice's cup-length.
-            return self.e2.lattice.cup_length(self.e2.degree_cap)
-        # A tower page holds nonempty bidegrees only.
-        return max((s for s, _ in self.e_infinity.basis if s >= 1), default=0)
+        return self._tower.top_filtration()
 
     def cup_length(self) -> int:
         return self._cup_length
@@ -467,9 +452,7 @@ class LoopSpaceModel:
         check)."""
         to_extended, _, partial = self.space.match
         if None in to_extended:
-            page = self.e_infinity
-            for s, t, vec in page.classes():
-                lead = page.leading(s, t, vec)
+            for _, _, (lead, *_) in self._tower.page().classes():
                 if partial is not None and lead[partial]:
                     continue
                 for g, i, e in zip(self.e2.lattice.generators, to_extended, lead):

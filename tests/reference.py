@@ -2,17 +2,22 @@
 `specseq.TruncationTower` computes, for the tests to compare against.
 
 It folds the differentials page by page over one column truncation at a
-time, evaluating d_r of every class by the Leibniz rule, where the tower
-shares bidegree states across truncations and reads d_r through image
-tables.  It checks d_r^2 = 0 by walking every monomial of every E2 cell
-of the page it folds (`check_d_squared`), where the tower checks the
-generators alone.  It shares the row-width check (`_check_spec`) and
-`homology_at` with the tower.
+time, over all of E2's cells (its own walk of the lattice, scratch
+degrees included, `cells`), evaluating d_r of every class by the Leibniz
+rule, where the tower folds only the touched factor, shares bidegree
+states across truncations and reads d_r through image tables.  Its
+classes are int rows over those cells (`IntPage`), its own format, and
+a folded page is converted to terms only when it is handed back for a
+comparison (`run_to_e_infinity`, `truncate`).  It checks d_r^2 = 0 by
+walking every monomial of every E2 cell of the page it folds
+(`check_d_squared`), where the tower checks the generators alone.  It
+shares the row-width check (`_check_spec`), `leibniz` and `homology_at`
+with the tower.
 
 It also keeps a per-stage walk for a class the witness search cannot
 map into the extended algebra (`unmatched_walk`), which the tests hold
 `LoopSpaceModel`'s one E-infinity check against, and readers that no
-production path calls: a class parsed from monomial texts
+production path calls: a d_r value parsed from monomial texts
 (`parse_class`), an algebra's total dimension (`total_dimension`), a
 page as the dict whose JSON `BigradedPage.json_text` writes
 (`page_json`), which the tests compare pages by, the weight of one
@@ -35,6 +40,7 @@ row's text (`row_str`), which a witness now joins from its terms.
 
 from __future__ import annotations
 
+import copy
 import functools
 
 from lscat.algebra import Algebra
@@ -143,7 +149,7 @@ def row_str(algebra: Algebra, row: int, degree: int) -> str:
 
 def surviving(page: BigradedPage) -> set:
     """The leading monomials of the page's classes."""
-    return {page.leading(s, t, vec) for s, t, vec in page.classes()}
+    return {cls[0] for _, _, cls in page.classes()}
 
 
 def total_dimension(algebra: Algebra) -> int:
@@ -185,7 +191,7 @@ def page_json(page: BigradedPage) -> dict:
         {
             "s": s,
             "t": t,
-            "classes": [page.class_str(s, t, v) for v in page.basis[(s, t)]],
+            "classes": [page.class_str(cls) for cls in page.basis[(s, t)]],
         }
         for (s, t) in sorted(page.basis)
     ]
@@ -198,7 +204,9 @@ def page_json(page: BigradedPage) -> dict:
 
 
 def parse_class(page: BigradedPage, monomial_texts, s: int, t: int) -> int:
-    """The sum of the monomials, a row over `page.cells[(s, t)]`."""
+    """The sum of the monomials, a row over E2's cell at (s, t), as a d_r
+    value is."""
+    cell = page.lattice_cells.cell(s, t)
     row = 0
     for text in monomial_texts:
         exps = page.lattice.parse_monomial(text)
@@ -206,8 +214,74 @@ def parse_class(page: BigradedPage, monomial_texts, s: int, t: int) -> int:
             raise SpectralSequenceError(
                 f"{text!r} has bidegree {page.bidegree(exps)}, not {(s, t)}"
             )
-        row ^= 1 << page._bit[exps]
+        row ^= 1 << cell.index(exps)
     return row
+
+
+@functools.cache
+def cells(lattice: Algebra) -> dict[tuple[int, int], tuple[tuple[int, ...], ...]]:
+    """Each bidegree's lattice monomials, ascending, up to the lattice cap
+    (scratch degrees included), from this module's own walk; bidegrees in
+    (s, t) order."""
+    out: dict[tuple[int, int], list] = {}
+    for exps in monomials(lattice):
+        s = sum(exps)
+        out.setdefault((s, lattice.monomial_degree(exps) - s), []).append(exps)
+    return {key: tuple(out[key]) for key in sorted(out)}
+
+
+@functools.cache
+def bits(lattice: Algebra) -> dict[tuple[int, ...], int]:
+    """Each lattice monomial's bit in its cell of `cells(lattice)`."""
+    return {m: i for cell in cells(lattice).values() for i, m in enumerate(cell)}
+
+
+class IntPage:
+    """A page in the reference fold's own format: each class an int row
+    over its bidegree's cell of `cells` (bit i is the i-th monomial), the
+    classes of `source`, a page of the package, converted."""
+
+    def __init__(self, source: BigradedPage, r: int, basis: dict, column_cap):
+        self.source = source
+        self.lattice = source.lattice
+        self.cells = cells(self.lattice)
+        self.bit = bits(self.lattice)
+        self.r = r
+        self.basis = basis
+        self.column_cap = column_cap
+
+    def derived(self, **fields) -> "IntPage":
+        page = copy.copy(self)
+        page.__dict__.update(fields)
+        return page
+
+    def monomials(self, s: int, t: int, vec: int) -> list[tuple[int, ...]]:
+        """The monomials of the row `vec` at (s, t), ascending."""
+        cell = self.cells.get((s, t), ())
+        out = []
+        while vec:
+            low = vec & -vec
+            out.append(cell[low.bit_length() - 1])
+            vec ^= low
+        return out
+
+    def as_terms(self) -> BigradedPage:
+        """The page as the package holds one: each class its terms."""
+        basis = {
+            key: tuple(tuple(self.monomials(*key, v)) for v in vecs)
+            for key, vecs in self.basis.items()
+        }
+        return self.source._derived(r=self.r, basis=basis, column_cap=self.column_cap)
+
+
+def int_page(page: BigradedPage) -> IntPage:
+    """The page's classes as rows over `cells`."""
+    bit = bits(page.lattice)
+    basis = {
+        key: tuple(sum(1 << bit[m] for m in cls) for cls in classes)
+        for key, classes in page.basis.items()
+    }
+    return IntPage(page, page.r, basis, page.column_cap)
 
 
 def restricted_to_columns(page: BigradedPage, m: int) -> BigradedPage:
@@ -218,19 +292,21 @@ def restricted_to_columns(page: BigradedPage, m: int) -> BigradedPage:
     return page._derived(basis=basis, column_cap=m)
 
 
-def d_of_vec(page: BigradedPage, spec: DifferentialSpec, s, t, vec) -> int:
+def d_of_vec(page: IntPage, spec: DifferentialSpec, s, t, vec, values=None) -> int:
     """d_r of the class `vec` at (s, t) by the Leibniz rule.  Every term
-    lands r columns to the right, so d_r is 0 past the column cap."""
+    lands r columns to the right, so d_r is 0 past the column cap.
+    `values` is `_value_monomials` of the spec, read when not given."""
     if page.column_cap is not None and s + spec.r > page.column_cap:
         return 0
     acc = 0
-    values = _value_monomials(page, spec)
+    if values is None:
+        values = _value_monomials(page.source, spec)
     for exps in page.monomials(s, t, vec):
-        acc ^= leibniz(page, spec, exps, values)
+        acc ^= leibniz(page.lattice, page.bit, exps, values)
     return acc
 
 
-def check_d_squared(page: BigradedPage, spec: DifferentialSpec, d):
+def check_d_squared(page: IntPage, spec: DifferentialSpec, d):
     """Raise unless d_r(d_r(x)) = 0 for every monomial x of every E2 cell
     of `page`, scratch degrees included, in (s, t) order; `d` is as in
     `homology_at`."""
@@ -244,38 +320,47 @@ def check_d_squared(page: BigradedPage, spec: DifferentialSpec, d):
                 )
 
 
-def apply_differential(page: BigradedPage, spec: DifferentialSpec) -> BigradedPage:
-    """Homology of the page under d_r, with monomial-pivot representatives."""
+def apply_differential(page, spec: DifferentialSpec) -> IntPage:
+    """Homology of the page (a package page or an `IntPage`) under d_r,
+    with monomial-pivot representatives, as an `IntPage`."""
+    if isinstance(page, BigradedPage):
+        page = int_page(page)
     if spec.r != page.r:
         raise SpectralSequenceError(
             f"differential is for page {spec.r}, current page is {page.r}"
         )
-    _check_spec(page, spec)
-    d = functools.partial(d_of_vec, page, spec)
+    _check_spec(page.source, spec)
+    values = _value_monomials(page.source, spec)
+
+    def d(s, t, vec):
+        return d_of_vec(page, spec, s, t, vec, values)
+
     check_d_squared(page, spec, d)
     r = spec.r
     new_basis: dict[tuple[int, int], tuple[int, ...]] = {}
     for (s, t) in sorted(page.basis):
         incoming = page.basis.get((s - r, t + r - 1), ())
         new_vecs = homology_at(
-            page, spec, s, t, page.basis[(s, t)], incoming, True, d
+            page.cells, spec, s, t, page.basis[(s, t)], incoming, True, d
         )
         if new_vecs:
             new_basis[(s, t)] = new_vecs
-    return page._derived(r=r + 1, basis=new_basis)
+    return page.derived(r=r + 1, basis=new_basis)
 
 
 def run_to_e_infinity(
     page: BigradedPage, specs: list[DifferentialSpec]
 ) -> BigradedPage:
-    """Fold the differentials over ascending page index, into a new page."""
+    """Fold the differentials over ascending page index, into a new page,
+    its classes converted to terms once the fold is done."""
+    page = int_page(page)
     for spec in sorted(specs, key=lambda d: d.r):
         if spec.is_trivial():
             continue
         if spec.r < page.r:
             raise SpectralSequenceError("differentials out of order")
-        page = apply_differential(page.advanced(spec.r), spec)
-    return page._derived()
+        page = apply_differential(page.derived(r=spec.r), spec)
+    return page.as_terms()
 
 
 def truncate(
@@ -296,9 +381,9 @@ def classify_truncation(
     m (`lscat.weights.bucket`), in page order."""
     p_idx = page.lattice._index.get(partial_gen) if partial_gen else None
     out = []
-    for s, t, vec in page.classes():
+    for s, t, cls in page.classes():
         facts = class_facts(
-            page, s, t, vec, surviving_untruncated.__contains__, p_idx
+            page.lattice, s, t, cls, surviving_untruncated.__contains__, p_idx
         )
         out.append((facts, bucket(*facts.key, m, extension_height)))
     return out

@@ -294,7 +294,8 @@ def test_per_degree_bases_match_the_lattice_walk():
     bucket in the same order; the Poincare series is the bucket lengths;
     the greedy cup-length is the walk's largest exponent sum, under the
     algebra's cap and under a random lower one; and E2's cell widths
-    over the algebra are the counts of the walk's bidegrees."""
+    over the algebra are the counts of the walk's bidegrees, its cells
+    read one degree at a time the same monomials."""
     rng = random.Random(29)
     presentations = [random_presentation(rng) for _ in range(300)]
     presentations.append(AlgebraPresentation((), 1))
@@ -313,5 +314,11 @@ def test_per_degree_bases_match_the_lattice_walk():
             for exps in bucket:
                 s = sum(exps)
                 cells[(s, alg.monomial_degree(exps) - s)] += 1
-        e2 = E2Cells(Algebra(pres), 0)
-        assert {k: len(c) for k, c in e2.cells.items()} == dict(cells)
+        e2 = E2Cells(Algebra(pres), pres.degree_cap)
+        assert {k: len(c) for k, c in e2.classes.items()} == dict(cells)
+        # A cell read per degree is the walk's, with no walk of E2.
+        fresh = E2Cells(Algebra(pres), pres.degree_cap)
+        for (s, t), width in cells.items():
+            want = [e2.classes[(s, t)][i][0] for i in range(width)]
+            assert want == list(fresh.cell(s, t))
+        assert "classes" not in vars(fresh)

@@ -28,7 +28,7 @@ from lscat.bounds import BoundsLedger
 from lscat.cli import main
 from lscat.spaces import BUILTINS, SpacePresentation, builtin, validate
 from lscat.weights import LoopSpaceModel, WeightError
-from reference import page_json, restricted_to_columns, run_to_e_infinity
+from reference import cells, page_json, restricted_to_columns, run_to_e_infinity
 from test_specseq import padded_spin9, two_page_synthetic
 from test_weights import su_data, su_space
 
@@ -107,7 +107,9 @@ def test_cohomology_and_cup_length_are_computed_once(monkeypatch, argv):
     count(
         Algebra,
         "parse_terms",
-        lambda alg, texts, degree: (names(alg.generators), degree, tuple(texts)),
+        lambda alg, texts, degree, *capped: (
+            names(alg.generators), degree, tuple(texts)
+        ),
     )
     count(Algebra, "cup_length", lambda alg, *cap: names(alg.generators))
     for module in (specseq, spaces):
@@ -991,7 +993,7 @@ def first_differential_page(model: LoopSpaceModel) -> int | None:
     e2 = model.e2
     for r in range(2, e2.lattice.degree_cap + 1):
         for g in e2.lattice.generators:
-            if g.name not in model.space.permanent_cycles and e2.cells.get(
+            if g.name not in model.space.permanent_cycles and cells(e2.lattice).get(
                 e2.target(r, g.name)
             ):
                 return r
@@ -1146,9 +1148,10 @@ def test_page_text_covers_sums_empty_pages_and_column_caps():
     through `class_str`), a page with no bidegree, a bidegree with no
     class, and a column cap that is an int or None."""
     e2 = LoopSpaceModel(builtin("spin9")).e2
-    key = next(k for k in sorted(e2.basis) if len(e2.cells[k]) >= 2)
+    key = next(k for k in sorted(e2.basis) if len(e2.basis[k]) >= 2)
+    (a,), (b,) = e2.basis[key][:2]
     pages = [
-        e2._derived(basis={key: (0b11, 0b10)}),
+        e2._derived(basis={key: ((a, b), (b,))}),
         e2._derived(basis={}),
         e2._derived(basis={}, column_cap=3),
         e2._derived(basis={(0, 0): ()}, column_cap=0),

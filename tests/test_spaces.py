@@ -255,3 +255,36 @@ def test_missing_loop_homology_is_a_fixture_error():
     assert not validate(sp)
     with pytest.raises(FixtureError, match="^toy-trunc-poly: no loop homology given$"):
         LoopSpaceModel(sp).e2
+
+
+@pytest.mark.parametrize(
+    "row, problem",
+    [
+        ({"gen": "x15", "k": 10, "value": ["x15^^2"]},
+         "Sq^10 x15: 'x15^^2': exponent '^2' is not a natural number"),
+        ({"gen": "x15", "k": 10, "value": ["x15^2"]},
+         "Sq^10 x15: 'x15^2': exponent of x15 too high"),
+        ({"gen": "x15", "k": 10, "value": ["x9*x15"]},
+         "Sq^10 x15: unknown generator 'x9' in 'x9*x15'"),
+        ({"gen": "x15", "k": 10, "value": ["x3*x5*x15"]},
+         "Sq^10 x15: value not homogeneous of degree 25"),
+        ({"gen": "x15", "k": 10, "value": ["x3*x7*x15"]}, None),
+    ],
+)
+def test_a_row_past_the_cap_is_parsed_and_stores_zero(row, problem):
+    """spin9 at cap 24 with a row Sq^10 x15, in degree 25, past the cap:
+    `validate` parses its value (generator names, exponents, heights and
+    degree) and names what a report at cap 36 names; a row that parses
+    stores 0 (no terms), as every class past the cap is 0."""
+    data = BUILTINS["spin9"]()
+    data["steenrod"].append(row)
+    capped = SpacePresentation.from_dict(dict(data, degree_cap=24))
+    above = SpacePresentation.from_dict(dict(data, degree_cap=36))
+    assert validate(capped) == ([problem] if problem else [])
+    if problem:
+        assert problem in validate(above)
+    else:
+        assert capped.action.table[("x15", 10)] == ()
+        assert above.action.table[("x15", 10)] == tuple(sorted(
+            above.algebra.parse_monomial(m) for m in row["value"]
+        ))

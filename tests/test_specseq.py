@@ -1,6 +1,7 @@
 """Bar spectral sequence: Koszul E2, differentials, truncation, inference."""
 
 import functools
+import itertools
 import json
 
 import pytest
@@ -27,10 +28,14 @@ from lscat.weights import (
     LoopSpaceModel,
 )
 from reference import (
+    IntPage,
     apply_differential,
+    bits,
+    cells,
     check_d_squared,
     classify_truncation,
     d_of_vec,
+    int_page,
     page_json,
     parse_class,
     restricted_to_columns,
@@ -172,10 +177,10 @@ def test_leibniz_filtration_class(spin9_model):
     spec = spin9_model.differentials[0]
     src = e2.lattice.parse_monomial("x1_2^3*x1_4*x1_6*x1_10")
     assert e2.bidegree(src) == (6, 26)
-    page = e2.advanced(3)
-    img = leibniz(page, spec, src, _value_monomials(page, spec))
+    bit = bits(e2.lattice)
+    img = leibniz(e2.lattice, bit, src, _value_monomials(e2, spec))
     tgt = e2.lattice.parse_monomial("x1_2^7*x1_4*x1_6")
-    assert e2.monomials(9, 24, img) == [tgt]
+    assert img == 1 << bit[tgt]
     assert e2.bidegree(tgt) == (9, 24)
 
 
@@ -223,7 +228,7 @@ def test_d_squared_guard():
     e2 = koszul_e2(pres)  # x1_2 poly, x1_4 ext (t=4)
     # d2(x1_4) lands in bidegree (3, 3); no such class exists, so the
     # spec checker rejects any nonzero row there.
-    assert e2.target(2, "x1_4") == (3, 3) and (3, 3) not in e2.cells
+    assert e2.target(2, "x1_4") == (3, 3) and (3, 3) not in cells(e2.lattice)
     bad = DifferentialSpec(2, {"x1_4": 1})
     with pytest.raises(SpectralSequenceError):
         apply_differential(e2, bad)
@@ -331,7 +336,7 @@ def test_tower_matches_truncate_on_two_differentials():
     e_inf = run_to_e_infinity(e2, specs)  # the checked untruncated fold
     assert e_inf.dims_by_total_degree() != e2.dims_by_total_degree()
     tower = TruncationTower(e2, specs)
-    last = max(s for s, _ in e2.cells)
+    last = max(s for s, _ in cells(e2.lattice))
     for m in range(e2.degree_cap + 1):
         page = truncate(e2, m, specs)
         assert page_json(tower.page(m)) == page_json(page)
@@ -349,7 +354,7 @@ def test_tower_matches_truncate_on_two_differentials():
     # Some bidegree meets all three states after two pages: neither,
     # only d_2, and both differentials acting out of its column.
     states: dict = {}
-    for j, s, t, alive in tower._states:
+    for j, s, t, alive in tower._folded:
         if j == 2:
             states.setdefault((s, t), set()).add(alive)
     assert {0, 1, 2} in states.values()
@@ -427,7 +432,7 @@ def test_split_tower_matches_the_leibniz_fold(space, cap):
         model = LoopSpaceModel(sp, degree_cap=cap)
         e2, specs = model.e2, model.differentials
     tower = assert_matches_the_leibniz_fold(e2, specs)
-    assert (tower._blocks is None) == (space == "two-page")
+    assert all(tower._mask) == (space == "two-page")
 
 
 def scratch_listing(tower, m, j):
@@ -476,11 +481,11 @@ def test_stages_past_the_last_column_read_the_untruncated_states(space):
     else:
         tower = TruncationTower(*two_page_synthetic())
     untruncated = tower.page()
-    folded = len(tower._states)
+    folded = len(tower._folded)
     last = tower.last_column
     for m in range(last, tower.e2.degree_cap + 5):
         assert tower.page(m).basis == untruncated.basis
-    assert len(tower._states) == folded
+    assert len(tower._folded) == folded
 
 
 def test_tower_pages_match_folds_after_each_spec():
@@ -524,38 +529,55 @@ def xor_of(vecs):
 
 @pytest.mark.parametrize("space", ["spin9-52", "two-page"])
 def test_tower_states_match_the_full_homology_path(space):
-    """Every state the tower computes, assembled from its blocks' folded
-    states or folded with its image tables and its shortcut for a
-    bidegree where d_r does nothing, is the full kernel-and-quotient
-    homology over E2 of the states it folds.  spin9 splits, so it folds
-    the sub-basis of the touched factor (`_folded`), and the shortcut is
-    taken there; the two-page synthetic folds E2 itself, and its
-    `_folded` is its `_states`."""
+    """Every state the tower computes is the full kernel-and-quotient
+    homology of the states it folds: each state of the touched factor A
+    that its fold keeps (`_folded`, rows over A's own cells, folded with
+    its image tables and its shortcut for a bidegree where d_r does
+    nothing), over A's cells; and each state it reads off A's classes
+    times B's monomials, at every E2 bidegree and alive count, over all
+    of E2's cells.  spin9 splits, so A is F2[x1_2] (x) Lambda(x1_10); the
+    two-page synthetic touches every generator, so A is E2 and B is
+    {1}."""
     if space == "spin9-52":
         model = LoopSpaceModel(builtin("spin9"), degree_cap=52)
         e2, specs = model.e2, model.differentials
     else:
         e2, specs = two_page_synthetic()
     tower = TruncationTower(e2, specs)
-    assert (tower._blocks is None) == (space == "two-page")
-    assert (tower._folded is tower._states) == (space == "two-page")
+    assert all(tower._mask) == (space == "two-page")
     for m in [None, *range(e2.degree_cap + 1)]:
         for j in range(len(specs) + 1):
             tower.page(m, j)
-    for state, states in ((tower.state, tower._states), (tower._fold, tower._folded)):
-        shortcut = 0
-        for (j, s, t, alive), got in list(states.items()):
-            spec = tower.specs[j - 1]
-            r = spec.r
-            here = state(j - 1, s, t, min(alive, j - 1))
-            if not here:
-                assert got == ()
-                continue
-            incoming = state(j - 1, s - r, t + r - 1, j - 1)
-            assert got == full_homology(e2, spec, s, t, here, incoming, alive == j)
-            shortcut += got is here
-    # The last count is the fold's: an assembled state is a new tuple.
+    factor = IntPage(e2, e2.r, {}, None).derived(cells=tower._cells, bit=tower._bit)
+    shortcut = 0
+    for (j, s, t, alive), got in list(tower._folded.items()):
+        spec = tower.specs[j - 1]
+        r = spec.r
+        here = tower._fold(j - 1, s, t, min(alive, j - 1))
+        if not here:
+            assert got == ()
+            continue
+        incoming = tower._fold(j - 1, s - r, t + r - 1, j - 1)
+        assert got == full_homology(factor, spec, s, t, here, incoming, alive == j)
+        shortcut += got is here
     assert 0 < shortcut < len(tower._folded)
+    # The states read off A and B, as rows over E2's cells.
+    full = IntPage(e2, e2.r, {}, None)
+    bit = bits(e2.lattice)
+
+    def rows(classes):
+        return tuple(sum(1 << bit[m] for m in cls) for cls in classes)
+
+    for j, spec in enumerate(specs, 1):
+        r = spec.r
+        for s, t in e2.basis:
+            for alive in range(j + 1):
+                here = rows(tower.state(j - 1, s, t, min(alive, j - 1)))
+                incoming = rows(tower.state(j - 1, s - r, t + r - 1, j - 1))
+                want = here and full_homology(
+                    full, spec, s, t, here, incoming, alive == j
+                )
+                assert rows(tower.state(j, s, t, alive)) == want, (j, s, t, alive)
 
 
 @pytest.mark.parametrize(
@@ -612,7 +634,7 @@ def test_parse_class_names_an_off_cell_bidegree(spin9_model):
         parse_class(e2, ["x1_6*x1_10", "x1_2"], 2, 16)
     assert parse_class(e2, ["x1_6*x1_10", "x1_2*x1_14"], 2, 16) == 0b11
     row = parse_class(e2, ["x1_6*x1_10", "x1_2*x1_14", "x1_6*x1_10"], 2, 16)
-    assert e2.class_str(2, 16, row) == "x1_2*x1_14"
+    assert e2.class_str(tuple(e2.monomials(2, 16, row))) == "x1_2*x1_14"
 
 
 def test_run_to_e_infinity_returns_a_new_page():
@@ -636,7 +658,7 @@ SPEC_LATTICES = {
 def all_specs(e2, r):
     """Every nonzero assignment of rows to every generator at page r."""
     names = [g.name for g in e2.lattice.generators]
-    widths = [len(e2.cells.get(e2.target(r, name), ())) for name in names]
+    widths = [len(cells(e2.lattice).get(e2.target(r, name), ())) for name in names]
     for code in range(1, 1 << sum(widths)):
         values = {}
         for name, width in zip(names, widths):
@@ -671,7 +693,7 @@ def test_generator_check_agrees_with_the_walk(lattice):
     )
     outcomes = []
     for r in range(2, 8):
-        page = e2.advanced(r)
+        page = int_page(e2).derived(r=r)
         for spec in all_specs(e2, r):
             walk = refusal(
                 lambda: check_d_squared(
@@ -757,5 +779,48 @@ def test_a_split_tower_is_one_tower_over_one_e2(monkeypatch, make, cap):
         monkeypatch.setattr(owner, name, counting(key, getattr(owner, name)))
     tower = TruncationTower(e2, specs)
     tower.page()
-    assert tower._blocks is not None
+    assert not all(tower._mask)
     assert calls == {"page": 0, "tower": 1, "table": len(specs), "d2": len(specs)}
+
+
+@pytest.mark.parametrize("cap", [12, 16])
+def test_factor_dimension_check_accepts_what_a_full_page_compare_does(cap):
+    """On every member of the planted-pair family (`tools/planted_sweep.py`)
+    at caps 12 and 16, and every assignment inference searches (the zero
+    one included), a tower refuses a spec exactly when the reference fold
+    over all of E2 does, and its E-infinity dims, A's untruncated dims
+    convolved with B's Poincare series, match the cohomology exactly when
+    the reference's full E-infinity page does."""
+    from test_tools import planted_sweep
+
+    searched = accepted = 0
+    for pairs in planted_sweep.members():
+        model = LoopSpaceModel(
+            SpacePresentation.from_dict(planted_sweep.member_data(pairs, cap))
+        )
+        e2 = model.e2
+        unknowns, widths = candidate_widths(e2, model.space.permanent_cycles)
+        if sum(1 << sum(w) for w in widths.values()) > specseq.SEARCH_BUDGET:
+            continue
+        want = model.algebra.poincare_series()[: cap + 1]
+        specs = [DifferentialSpec(2)] + [
+            DifferentialSpec(r, {g.name: v for g, v in zip(unknowns, combo)})
+            for r, w in widths.items()
+            for combo in itertools.product(*(range(1 << n) for n in w))
+            if any(combo)
+        ]
+        for spec in specs:
+            outcomes = []
+            for fold, dims in (
+                (TruncationTower, lambda tower: tower.e_infinity_dims),
+                (run_to_e_infinity, lambda page: page.dims_by_total_degree()),
+            ):
+                try:
+                    outcomes.append(dims(fold(e2, [spec])) == want)
+                except SpectralSequenceError as exc:
+                    outcomes.append(str(exc))
+            ours, full = outcomes
+            assert ours == full, (pairs, spec.r, spec.assignments)
+            searched += 1
+            accepted += ours is True
+    assert searched > 1000 and accepted > 100, (searched, accepted)

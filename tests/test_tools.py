@@ -31,8 +31,7 @@ def provenance_reports(ops) -> list[str]:
     validation."""
     invalid = {
         f"parse: report {name}" for name in same_outputs.malformed_tables()
-        if name not in ("cancelling monomials", "unparsable row past the cap",
-                        "partial-product term")
+        if name not in ("cancelling monomials", "partial-product term")
     }
     return [
         name for name, argv in ops if argv[0] == "report" and name not in invalid
@@ -87,9 +86,10 @@ def test_same_outputs_names_exactly_the_ops_an_edit_moves(tmp_path):
     assert count == f"{len(named)} of {len(ops)} ops differ"
     # The reports that must stay byte-identical: SU(3..16), spin9 at caps
     # 36, 44, 52 and 68, spin9 with stages repeated and out of order, and
-    # toy-trunc-poly, each in JSON and text; and `validate` and a JSON
-    # report on each of seven malformed Steenrod tables.
-    assert len(ops) == 161
+    # toy-trunc-poly, each in JSON and text; `validate` and a JSON report
+    # on each of seven malformed Steenrod tables; and the pages past
+    # spin9's and toy-trunc-poly's last differential at every truncation.
+    assert len(ops) == 378
     tables = same_outputs.malformed_tables()
     assert len(tables) == 7
     for name in tables:
@@ -100,6 +100,11 @@ def test_same_outputs_names_exactly_the_ops_an_edit_moves(tmp_path):
     for space in spaces:
         for fmt in ("json", "text"):
             assert f"extra: report {space} {fmt}" in kinds
+    for space, cap, pages in same_outputs.LATER_PAGES:
+        for r in pages:
+            for m in range(cap + 1):
+                name = f"extra: dump-page {space} cap={cap} r={r} truncate={m}"
+                assert kinds[name] == "dump-page"
 
 
 def test_same_outputs_replace_shows_an_edit_to_one_string(tmp_path):

@@ -29,6 +29,7 @@ from lscat.weights import (
     can_be_non_residual,
 )
 from reference import (
+    cells,
     classify_truncation,
     page_json,
     parse_row,
@@ -388,7 +389,7 @@ def test_state_lookups_match_the_reference_report(make):
     cap = model.space.degree_cap
     monomials = [
         lead
-        for (s, t), cell in model.e2.cells.items()
+        for (s, t), cell in cells(model.e2.lattice).items()
         if s + t <= cap
         for lead in cell
     ]
@@ -530,24 +531,29 @@ def test_spin9_walks_only_bidegrees_that_can_hold_a_witness():
 def test_spin9_report_evaluates_leibniz_once_per_monomial(
     monkeypatch, cap, monomials
 ):
-    """Each candidate tower evaluates d_r on each E2 monomial at most once,
-    for its d^2 check and its fold together."""
+    """Each candidate tower evaluates d_r on each monomial of its touched
+    factor A = F2[x1_2] (x) Lambda(x1_10) at most once, for its d^2 check
+    and its fold together: at most 24 (35) evaluations at cap 36 (52),
+    where E2 has 122 (208) monomials, scratch degrees included."""
     calls = Counter()
     real_leibniz = specseq.leibniz
 
-    def counting_leibniz(page, spec, exps, *values):
-        # A spec is keyed by its value: it holds a dict, so it is unhashable.
-        calls[(spec.r, tuple(sorted(spec.assignments.items()))), exps] += 1
-        return real_leibniz(page, spec, exps, *values)
+    def counting_leibniz(lattice, bit, exps, values):
+        # A spec is keyed by its values' monomials.
+        spec = tuple((i, tuple(monomials)) for i, monomials in values)
+        calls[spec, exps] += 1
+        return real_leibniz(lattice, bit, exps, values)
 
     monkeypatch.setattr(specseq, "leibniz", counting_leibniz)
     model = LoopSpaceModel(builtin("spin9"), degree_cap=cap)
     _, code = build_report(model, truncations=[0, 7, 8, 20, cap])
     assert code == 0
-    assert sum(len(cell) for cell in model.e2.cells.values()) == monomials
+    assert sum(map(len, cells(model.e2.lattice).values())) == monomials
+    factor = {36: 24, 52: 35}[cap]
+    assert sum(map(len, model._tower._cells.values())) == factor
     assert calls and max(calls.values()) == 1
     per_tower = Counter(spec for spec, _ in calls)
-    assert max(per_tower.values()) <= monomials
+    assert max(per_tower.values()) <= factor
 
 
 def count_search_work(monkeypatch, space, cap=None):
@@ -650,37 +656,42 @@ def test_spin9_report_folds_once(monkeypatch):
     [
         pytest.param(lambda: builtin("spin9"), ["x1_2", "x1_10"], id="spin9"),
         pytest.param(lambda: padded_spin9(8, 12), ["x1_2", "x1_10"], id="padded"),
-        pytest.param(lambda: su_space(4), None, id="su4"),
-        pytest.param(lambda: builtin("toy-trunc-poly"), None, id="toy-trunc-poly"),
+        pytest.param(lambda: su_space(4), [], id="su4"),
+        pytest.param(
+            lambda: builtin("toy-trunc-poly"), ["x1_2", "x1_10"], id="toy-trunc-poly"
+        ),
     ],
 )
 def test_a_tower_folds_the_generators_its_differentials_touch(make, factor):
     """spin9's d_3(x1_10) = x1_2^4 touches x1_2 and x1_10 alone, with or
-    without more permanent exterior factors, so its tower folds the E2
-    classes of F2[x1_2] (x) Lambda(x1_10): those whose other exponents are
-    all 0.  SU(4) has no differential, and toy-trunc-poly's touches both
-    its generators, so neither splits."""
+    without more permanent exterior factors, so its tower folds A =
+    F2[x1_2] (x) Lambda(x1_10) over A's own cells, the lattice monomials
+    whose other exponents are all 0, scratch degrees included, and reads
+    its states as A's classes times B, the monomials in the other
+    generators up to the report cap.  SU(4) has no differential, so A is
+    {1} and B the whole lattice; toy-trunc-poly's touches both its
+    generators, so A is the whole lattice and B is {1}."""
     tower = LoopSpaceModel(make())._tower
     e2 = tower.e2
-    if factor is None:
-        assert tower._blocks is None
-        assert tower._base is e2.basis
-        return
     names = [g.name for g in e2.lattice.generators]
-    touched = {
-        name
-        for (s, t), units in tower._base.items()
-        for u in units
-        for name, e in zip(names, e2.leading(s, t, u))
-        if e
+    assert {name for name, k in zip(names, tower._mask) if k} == set(factor)
+    want_a, want_b = {}, {}
+    for key, cell in cells(e2.lattice).items():
+        for exps in cell:
+            if not any(e for name, e in zip(names, exps) if name not in factor):
+                want_a.setdefault(key, []).append(exps)
+            if sum(key) <= e2.degree_cap and not any(
+                e for name, e in zip(names, exps) if name in factor
+            ):
+                want_b.setdefault(key, []).append(exps)
+    b_cells = {
+        (s, t): bs for s, column in tower._b_columns.items() for t, bs in column
     }
-    assert touched == set(factor)
-    want = {}
-    for s, t, u in e2.classes():
-        exps = e2.leading(s, t, u)
-        if not any(e for name, e in zip(names, exps) if name not in factor):
-            want.setdefault((s, t), []).append(u)
-    assert tower._base == {key: tuple(units) for key, units in want.items()}
+    assert tower._cells == {key: tuple(a) for key, a in want_a.items()}
+    assert b_cells == {key: tuple(b) for key, b in want_b.items()}
+    unit = (0,) * len(names)
+    assert (tower._cells == {(0, 0): (unit,)}) == (not factor)
+    assert (b_cells == {(0, 0): (unit,)}) == (len(factor) == len(names))
 
 
 @pytest.mark.parametrize("cap", [36, 52])
@@ -708,11 +719,13 @@ def test_spin9_folds_once_per_factor_state(monkeypatch, cap):
         model = LoopSpaceModel(sp, degree_cap=cap)
         _, code = build_report(model, truncations=[7, 8, 9])
         assert code == 0
-        base = model._tower._base
+        tower = model._tower
+        base = tower._base
         assert len(calls) <= 2 * len(base)
-        factors.append(
-            {key: [model.e2.class_str(*key, u) for u in us] for key, us in base.items()}
-        )
+        factors.append({
+            key: [model.e2.class_str(cls) for cls in tower._classes(0, *key, 0)]
+            for key in base
+        })
         calls.clear()
         TruncationTower(model.e2, model.differentials).page()
         assert len(calls) == len(set(calls)) == len(base)
@@ -720,17 +733,18 @@ def test_spin9_folds_once_per_factor_state(monkeypatch, cap):
 
 
 def test_spin9_pages_hold_only_reported_degrees():
-    """E2's cells reach DEFAULT_SCRATCH degrees past the cap, as d_r
-    targets, but its classes stop at the cap, and so does every state a
-    report folds."""
+    """A's cells reach DEFAULT_SCRATCH degrees past the cap, as d_r
+    targets, but every A state a report folds stops at the cap, and so do
+    E2's classes, which the report does not walk."""
     model = LoopSpaceModel(builtin("spin9"), degree_cap=52)
     _, code = build_report(model, truncations=[0, 7, 8, 17, 18, 20, 52])
     assert code == 0
-    e2 = model.e2
-    assert max(s + t for s, t in e2.basis) == 52
-    assert max(s + t for s, t in e2.cells) == 52 + DEFAULT_SCRATCH
-    assert model._tower._states
-    assert all(s + t <= 52 for _, s, t, _ in model._tower._states)
+    tower = model._tower
+    assert "classes" not in vars(model.e2.lattice_cells)
+    assert max(s + t for s, t in tower._cells) == 52 + DEFAULT_SCRATCH
+    assert tower._folded
+    assert all(s + t <= 52 for _, s, t, _ in tower._folded)
+    assert max(s + t for s, t in model.e2.basis) == 52
 
 
 def test_spin9_last_column_is_read_over_the_cells():
@@ -738,7 +752,7 @@ def test_spin9_last_column_is_read_over_the_cells():
     classes' (17), and the stable stage reads it."""
     model = LoopSpaceModel(builtin("spin9"), degree_cap=52)
     e2 = model.e2
-    assert model._tower.last_column == max(s for s, _ in e2.cells) == 18
+    assert model._tower.last_column == max(s for s, _ in cells(e2.lattice)) == 18
     assert max(s for s, _ in e2.basis) == 17
     assert model.stable_stage == 21
 
@@ -783,7 +797,7 @@ def test_su_report_reads_no_e2_cell(monkeypatch, n):
     walks, bases = [], []
     real = specseq._walk_cells
     monkeypatch.setattr(
-        specseq, "_walk_cells", lambda lattice: walks.append(1) or real(lattice)
+        specseq, "_walk_cells", lambda *args: walks.append(1) or real(*args)
     )
     real_basis = Algebra.basis
     monkeypatch.setattr(
@@ -801,24 +815,48 @@ def test_su_report_reads_no_e2_cell(monkeypatch, n):
 @pytest.mark.parametrize(
     "argv, walks",
     [
-        (["report", "spin9", "--truncate", "7,8,9", "--format", "json"], 1),
+        (["report", "spin9", "--truncate", "7,8,9", "--format", "json"], 0),
         (["dump-page", "spin9", "--page", "2", "--degree-cap", "52"], 1),
-        (["dump-page", "spin9", "--page", "4", "--truncate", "8"], 1),
-        (["report", "toy-trunc-poly", "--format", "json"], 1),
+        (["dump-page", "spin9", "--page", "4", "--truncate", "8"], 0),
+        (["report", "toy-trunc-poly", "--format", "json"], 0),
         (["report", "unit", "--format", "json"], 0),
     ],
 )
 def test_e2_is_walked_once(monkeypatch, argv, walks):
-    """A report that searches for differentials, and a page, walk E2's
-    cells once; a report with no unknown walks nothing."""
+    """E2's cells are walked once where E2 is the output, a page before
+    the first possible differential, and nowhere else: a report and a
+    later page read the touched factor's own cells and B's monomials."""
     calls = []
     real = specseq._walk_cells
     monkeypatch.setattr(
-        specseq, "_walk_cells", lambda lattice: calls.append(1) or real(lattice)
+        specseq, "_walk_cells", lambda *args: calls.append(1) or real(*args)
     )
     with redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
     assert len(calls) == walks
+
+
+@pytest.mark.parametrize("cap", [36, 44, 52])
+def test_spin9_reports_and_later_pages_walk_no_e2(monkeypatch, cap):
+    """A spin9 report with every stage listed, and `dump-page` at pages 4
+    and 5 untruncated and at every truncation, read the touched factor's
+    cells and B's monomials: none of them walks E2."""
+    calls = []
+    real = specseq._walk_cells
+    monkeypatch.setattr(
+        specseq, "_walk_cells", lambda *args: calls.append(1) or real(*args)
+    )
+    stages = ",".join(map(str, range(cap + 1)))
+    argvs = [["report", "spin9", "--degree-cap", str(cap), "--truncate", stages,
+              "--format", "json"]]
+    for r in (4, 5):
+        for m in (None, *range(cap + 1)):
+            argv = ["dump-page", "spin9", "--degree-cap", str(cap), "--page", str(r)]
+            argvs.append(argv + ([] if m is None else ["--truncate", str(m)]))
+    with redirect_stdout(io.StringIO()):
+        for argv in argvs:
+            assert cli.main(argv) == 0, argv
+    assert calls == []
 
 
 def test_su_search_squares_nothing(monkeypatch):
@@ -991,17 +1029,16 @@ def test_spin9_report_lists_only_truncate_stages(monkeypatch):
 
 
 def test_untruncated_stage_is_listed_once(monkeypatch):
-    """The inference's dimension check, E-infinity and `page_at` read one
-    kept page: a spin9 report, and a dump-page past its last differential,
-    list the untruncated stage of a tower at most once, and of the model's
-    tower exactly once."""
+    """The inference's dimension check and a report read E-infinity off
+    the touched factor and B, with no page: a spin9 report lists no
+    untruncated stage of any tower, and a dump-page past its last
+    differential lists the model's tower's once."""
     listed = counting_stage_calls(monkeypatch)
     model = LoopSpaceModel(builtin("spin9"))
     _, code = build_report(model, truncations=[7, 8, 9])
     assert code == 0
-    untruncated = Counter(tower for tower, m in listed if m is None)
-    assert untruncated[model._tower] == 1
-    assert set(untruncated.values()) == {1}
+    assert [m for _, m in listed if m is None] == []
+    assert model._tower._pages == {}
     assert model.e_infinity is model._tower.page()
 
     listed.clear()

@@ -14,6 +14,9 @@ built-ins:
         and out of order, which share their class records)
     report SU(n) in json and text, n = 3..16 (fixtures by `su_fixture`)
     dump-page on each built-in at r = 2..5, truncate none, 0, 4 and 8
+    dump-page spin9 at caps 36 and 52, r = 4 and 5, truncate 0..cap, and
+        toy-trunc-poly at r = 4, truncate 0..36 (every truncation of a
+        page past the last differential)
     validate on each built-in
     validate, and report in json, on each table of `malformed_tables`:
         spin9's presentation with one Steenrod table edit, written to the
@@ -51,6 +54,10 @@ TOY_CAP = 36
 SU_REPORTS = tuple(range(3, 17))
 PAGES = (2, 3, 4, 5)
 TRUNCATIONS = (None, 0, 4, 8)
+# (space, cap, pages) of the dump-page ops at every truncation 0..cap.
+LATER_PAGES = (
+    ("spin9", 36, (4, 5)), ("spin9", 52, (4, 5)), ("toy-trunc-poly", TOY_CAP, (4,)),
+)
 
 
 def spin9_data() -> dict:
@@ -97,7 +104,8 @@ def malformed_tables() -> dict[str, dict]:
     cancel = edit("cancelling monomials",
                   {"gen": "x5", "k": 5, "value": ["x3*x7", "x3*x7"]})
     cancel["steenrod"][1]["value"] = ["x3^2", "x3*x3", "x3^2"]
-    # Sq^10 x15 lies in degree 25, past the cap: its value is not read.
+    # Sq^10 x15 lies in degree 25, past the cap: it is 0 there, and its
+    # value is parsed all the same.
     edit("unparsable row past the cap",
          {"gen": "x15", "k": 10, "value": ["x15^^2"]}, degree_cap=24)
     edit("inhomogeneous value", {"gen": "x7", "k": 4, "value": ["x3^2*x5", "x3*x7"]})
@@ -162,6 +170,13 @@ def invocations(fixture_dir: Path) -> list[tuple[str, list[str]]]:
                 argv = ["dump-page", space, "--page", str(r)]
                 argv += [] if m is None else ["--truncate", str(m)]
                 out.append((f"extra: dump-page {space} r={r} truncate={m}", argv))
+    for space, cap, pages in LATER_PAGES:
+        for r in pages:
+            for m in range(cap + 1):
+                argv = ["dump-page", space, "--degree-cap", str(cap),
+                        "--page", str(r), "--truncate", str(m)]
+                out.append((f"extra: dump-page {space} cap={cap} r={r} "
+                            f"truncate={m}", argv))
     out += [(f"extra: validate {space}", ["validate", space]) for space in BUILTINS]
     for name, data in malformed_tables().items():
         path = fixture_dir / f"{name.replace(' ', '-')}.json"

@@ -57,11 +57,11 @@ def row(n: int, path: Path) -> list:
         build_report(model)
     finally:
         Algebra.basis = basis
-    walked = vars(model.e2.lattice_cells).get("walked")
+    walked = vars(model.e2.lattice_cells).get("classes")
     return [
         n, code, f"[{bracket['lo']},{bracket['hi']}]", f"{best:.4f}",
         len(calls),
-        0 if walked is None else sum(map(len, walked[0].values())),
+        0 if walked is None else sum(map(len, walked.values())),
     ]
 
 
