@@ -574,8 +574,18 @@ class TruncationTower:
     classes.  m = None means untruncated, and j defaults to every spec.
     The tower keeps each page it builds, per (m, j).
 
+    `column(j, s, alive)` is one column at one alive count, in one pass
+    over A's states in column s - s_b times B's column s_b: per t, the
+    leading monomials of `state(j, s, t, alive)`, in page order, read
+    off the lowest bit of A's rows with no class's terms built.  Its keys
+    are the t that `stage` lists in column s at that alive count, so a
+    reader of leading monomials alone (a report's stages) reads a stage
+    as its columns and never lists it.
+
     E-infinity's facts come from A's untruncated classes and B, with no
-    page: `e_infinity_dims`, `survives` and `top_filtration`.
+    page: `e_infinity_dims`, `survives` and `top_filtration`.  A tower
+    that inference returns holds the dims it compared as its
+    `e_infinity_dims`, so they are counted once.
     """
 
     def __init__(self, e2: BigradedPage, specs: list[DifferentialSpec]):
@@ -696,6 +706,31 @@ class TruncationTower:
         out.sort()
         return tuple(out)
 
+    def column(self, j: int, s: int, alive: int) -> dict[int, list[tuple[int, ...]]]:
+        """The leading monomials of each nonempty state (j, s, t, alive) of
+        column s, per t ascending with s + t under the report cap, in page
+        order: one pass over A's states in column s - s_b times B's column
+        s_b, reading each A class's lowest bit, with no class's terms
+        built."""
+        cap = self.e2.degree_cap
+        out: dict[int, list] = {}
+        for sb, column in self._b_columns.items():
+            if sb > s:
+                break
+            for ta in self._columns.get(s - sb, ()):
+                fold = self._fold(j, s - sb, ta, alive)
+                if not fold:
+                    continue
+                cell = self._cells[(s - sb, ta)]
+                leads = [cell[(v & -v).bit_length() - 1] for v in fold]
+                for tb, bs in column:
+                    if s + ta + tb > cap:
+                        break
+                    out.setdefault(ta + tb, []).extend(
+                        [tuple(map(add, a, b)) for a in leads for b in bs]
+                    )
+        return {t: sorted(out[t]) for t in sorted(out)}
+
     def monomials_in(self, degrees):
         """(bidegree, monomial) of every E2 monomial whose total degree is
         in `degrees`, each at most the report cap: A's monomials times
@@ -761,8 +796,9 @@ class TruncationTower:
 
     @cached_property
     def e_infinity_dims(self) -> list[int]:
-        """E-infinity's class count per total degree, 0..the report cap.
-        With no spec A is {1}, and they are B's: E2's own."""
+        """E-infinity's class count per total degree, 0..the report cap
+        (set by inference on the towers it returns).  With no spec A is
+        {1}, and they are B's: E2's own."""
         if not self.specs:
             return self.e2.dims_by_total_degree()
         return list(self._dims())
@@ -870,8 +906,9 @@ def infer_differentials(
     no E2-wide page, in ascending degree, so that a candidate is dropped
     at the first degree that differs, with no higher state folded).  Each
     kept assignment is returned as its checked fold, a `TruncationTower`
-    whose `specs` are its differentials; the zero assignment is the tower
-    with no spec.  A one-element result certifies the deduction.
+    whose `specs` are its differentials, holding the dims it matched as
+    its `e_infinity_dims`; the zero assignment is the tower with no spec.
+    A one-element result certifies the deduction.
 
     The search space is every assignment, the zero one included, at
     every r where some unknown has a nonzero candidate: the sum over those
@@ -908,4 +945,6 @@ def infer_differentials(
                 results.append(tower)
     if not results:
         raise InferenceError("no consistent assignment: fixture/target mismatch")
+    for tower in results:
+        tower.e_infinity_dims = list(want)  # the dims compared, kept
     return results

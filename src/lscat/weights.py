@@ -67,7 +67,13 @@ extended algebra (kept per leading monomial with its Sq^k tests, below).
 The model keeps one `ClassFacts` per class of a tower state.  Only the
 bucket depends on the stage, and a stage computes it from the key: the
 stage's report pairs its states' records with their buckets, in (s, t)
-order.
+order.  It reads them column by column: stage m's column s is the
+states (s, t, alive) at one alive count, so the model keeps, per column
+and alive count, that column's records in page order, built once from
+the leading monomials `TruncationTower.column` gives in one pass, with
+no class's terms built, and shared by every stage that reads the column
+at that count.  A state the walk has already classified keeps its
+records there, and a state the column classifies is kept for the walk.
 
 The search reads only the states where a witness can lie.  A witness
 class sits in a degree where the cohomology vanishes, and whether a
@@ -116,30 +122,38 @@ first stage holding such a class would: that stage is the least column
 of an offending E-infinity class, its earlier columns hold no offending
 class, and a state's classes are in leading-monomial order.
 
-The search saturates, and each of its two rules has one owner.  Let
-s_sat be the last E2 column, the tower's `last_column` (over E2's cells,
-scratch degrees included), and h the extension height (0 when no
-partial-product generator is declared: every non-residual class is then a
-product, which leads an E-infinity class, so the cohomology does not
-vanish in its degree and it is never a candidate).
-- The tower counts every differential alive at or past s_sat
-  (`specseq.TruncationTower.alive`), so every stage from s_sat on reads
-  the untruncated states and holds the untruncated classes.
-- The stable stage is s_sat + h (s_sat when h <= 0, which leaves every
-  partial window empty).  For m >= s_sat + h the partial window
-  [m - h, m - 1] starts at s_sat or later, and a partial class has at most
-  s_sat - 1 permanent factors, so it is residual at every such stage.  The
-  product and residual buckets do not depend on m.  So bucket(key, m)
-  equals bucket(key, s_sat + h) for every key, and every stage from
-  s_sat + h on has the same report and the same witnesses up to the
-  stage label.
-So no method clamps a stage to s_sat or to the stable stage: each reads
-stage m as it is.
+The walk has an end, read off the vanishing bidegrees.  Let h be the
+extension height (0 when no partial-product generator is declared).  A
+class's bucket depends on the stage m only through the partial window
+[m - h, m - 1]: a partial lead with f permanent factors is partial at
+stages f + 1 to f + h and residual at every other, a product lead is a
+product at every stage that holds it, and every other lead is residual.
+So `_vanishing_keys` keeps, per bidegree, the last stage at which one of
+its monomials can lead a non-residual class: f + h for a partial lead,
+the cap for a product lead.  Past that stage the bidegree holds only
+residual classes, and `_candidates(m)` skips it; past the largest such
+stage no stage has a candidate, so none has a witness.
 
-The model walks the stages once (`witnesses`): from m = 0 up to the cap,
-keeping each stage's witness, and stopping at the first stage from the
-stable stage on without one, since every later stage has none either.
-The Mwgt bound and the report's witness list both read that walk.
+No product lead lies in a vanishing degree of an inferred fold.  A
+product lead's factors survive untruncated (`survives`), so it leads an
+E-infinity class of its degree, and inference accepts only a fold whose
+E-infinity dims equal the cohomology's, which are zero there.  So the
+walk ends with the last partial window: at stage 8 on spin9 at every cap
+(its partial leads have at most five permanent factors, and h = 3), and
+with no partial-product generator (every non-residual class is then a
+product) before stage 0, so it searches no stage.  The cap for a product
+lead keeps the end sound for a fold not from inference.
+
+The tower counts every differential alive at or past the last E2 column
+(`specseq.TruncationTower.alive`), so every stage from there on reads
+the untruncated states; no method clamps a stage to that column, each
+reads stage m as it is.
+
+The model walks the stages once (`witnesses`): from m = 0 up to that
+end, at most the cap, keeping each stage's witness.  It first makes the
+reads a stage's search makes first (the fold, then `_survivors_match`),
+so that their errors surface even when no stage is searched.  The Mwgt
+bound and the report's witness list both read that walk.
 """
 
 from __future__ import annotations
@@ -219,11 +233,9 @@ class ClassFacts(Record):
         self.key = key  # `bucket_key` of the leading monomial
 
 
-def class_facts(lattice, s, t, cls, survives, partial_idx) -> ClassFacts:
-    """The facts of the class `cls` at (s, t), its terms over the E2
-    `lattice`, led by its first; `partial_idx` and `survives` are as in
-    `bucket_key`."""
-    lead = cls[0]
+def class_facts(lattice, s, t, lead, survives, partial_idx) -> ClassFacts:
+    """The facts of the class at (s, t) led by `lead`, a monomial of the
+    E2 `lattice`; `partial_idx` and `survives` are as in `bucket_key`."""
     key = bucket_key(lead, partial_idx, survives)
     return ClassFacts(s, t, lead, lattice.monomial_str(lead), key)
 
@@ -257,9 +269,11 @@ class LoopSpaceModel:
         self.space = space
         self.algebra: Algebra = space.algebra
         # What one report reads more than once: per tower state (s, t,
-        # alive), its classes; per leading monomial, its extended monomial
-        # and Sq^k tests.
+        # alive), its classes; per column and alive count, the classes of
+        # its states, the same records; per leading monomial, its extended
+        # monomial and Sq^k tests.
         self._state_classes: dict[tuple[int, int, int], list[ClassFacts]] = {}
+        self._column_classes: dict[tuple[int, int], list[ClassFacts]] = {}
         self._tests: dict[tuple[int, ...], tuple[tuple[int, ...], list]] = {}
 
     # -- spectral sequence --------------------------------------------------
@@ -296,32 +310,47 @@ class LoopSpaceModel:
         return self._tower.page() if self._tower.specs else self.e2
 
     @cached_property
-    def stable_stage(self) -> int:
-        """First stage whose report every later stage repeats."""
-        # A nonpositive extension height leaves no class partial at any stage.
-        return self._tower.last_column + max(self._extension_height, 0)
-
-    @cached_property
     def _extension_height(self) -> int:
         extras = self.space.extra_generators
         return extras[0].extension_height if extras else 0
 
     def stage_report(self, m: int) -> list[tuple[ClassFacts, str]]:
-        """Stage m's classes with their buckets at stage m, in page order."""
+        """Stage m's classes with their buckets at stage m, in page order:
+        the classes of each column s up to m, at the alive count of s."""
         height = self._extension_height
+        tower = self._tower
         return [
             (cls, bucket(*cls.key, m, height))
-            for state in self._tower.stage(m)
-            for cls in self._classes(state)
+            for s in range(min(m, tower.last_column) + 1)
+            for cls in self._column(s, tower.alive(s, m))
         ]
 
+    def _column(self, s: int, alive: int) -> list[ClassFacts]:
+        """The classes of column s's states at the alive count, in page
+        order (`TruncationTower.column`), classified once per column and
+        count; a state the walk has classified keeps its records."""
+        out = self._column_classes.get((s, alive))
+        if out is None:
+            out = self._column_classes[(s, alive)] = []
+            tower = self._tower
+            for t, leads in tower.column(len(tower.specs), s, alive).items():
+                state = (s, t, alive)
+                facts = self._state_classes.get(state)
+                if facts is None:
+                    facts = self._state_classes[state] = self._facts(s, t, leads)
+                out += facts
+        return out
+
     @cached_property
-    def _vanishing_keys(self) -> list[tuple[int, int]]:
+    def _vanishing_keys(self) -> dict[tuple[int, int], int]:
         """The E2 bidegrees, in (s, t) order, whose total degree d has no
         cohomology while some H^(d + k) under the cap does, 1 <= k <= max_k,
         and some of whose monomials could lead a non-residual class at
-        some stage: the only states a witness class can lie in."""
+        some stage: the only states a witness class can lie in.  Each
+        maps to the last such stage: factors + the extension height for a
+        partial lead (the end of its window), the cap for a product."""
         height = self._extension_height
+        cap = self.space.degree_cap
         idx = self.space.match[2]
         survives = self._tower.survives
         series = self.algebra.poincare_series()
@@ -330,20 +359,24 @@ class LoopSpaceModel:
             d for d, dim in enumerate(series)
             if not dim and e2_dims[d] and any(series[d + 1:d + self._max_k + 1])
         }
-        return sorted({
-            key
-            for key, lead in self._tower.monomials_in(reach)
-            if can_be_non_residual(*bucket_key(lead, idx, survives), height)
-        })
+        last: dict[tuple[int, int], int] = {}
+        for key, lead in self._tower.monomials_in(reach):
+            partial, factors, rest_alive = bucket_key(lead, idx, survives)
+            if can_be_non_residual(partial, factors, rest_alive, height):
+                stage = factors + height if partial else cap
+                last[key] = max(last.get(key, stage), stage)
+        return dict(sorted(last.items()))
 
     def _candidates(self, m: int) -> list[ClassFacts]:
         """Stage m's non-residual classes in vanishing degrees, in page
         order: the classes the witness search squares."""
         height = self._extension_height
         out = []
-        for s, t in self._vanishing_keys:
+        for (s, t), last in self._vanishing_keys.items():
             if s > m:
                 break
+            if last < m:
+                continue
             for cls in self._classes((s, t, self._tower.alive(s, m))):
                 if bucket(*cls.key, m, height) != BUCKET_RESIDUAL:
                     out.append(cls)
@@ -374,13 +407,16 @@ class LoopSpaceModel:
         out = self._state_classes.get(state)
         if out is None:
             s, t, _ = state
-            partial = self.space.match[2]
-            lattice, survives = self.e2.lattice, self._tower.survives
-            out = self._state_classes[state] = [
-                class_facts(lattice, s, t, cls, survives, partial)
-                for cls in self._tower.state(len(self._tower.specs), *state)
-            ]
+            classes = self._tower.state(len(self._tower.specs), *state)
+            leads = [cls[0] for cls in classes]
+            out = self._state_classes[state] = self._facts(s, t, leads)
         return out
+
+    def _facts(self, s: int, t: int, leads) -> list[ClassFacts]:
+        """The facts of the classes at (s, t) led by `leads`."""
+        partial = self.space.match[2]
+        lattice, survives = self.e2.lattice, self._tower.survives
+        return [class_facts(lattice, s, t, lead, survives, partial) for lead in leads]
 
     # -- generator matching -------------------------------------------------
 
@@ -546,17 +582,20 @@ class LoopSpaceModel:
     @cached_property
     def witnesses(self) -> list[dict]:
         """The witness of each stage up to the degree cap that has one, in
-        stage order, from one walk that stops at the first stage from the
-        stable stage on without one (every later stage has none either)."""
+        stage order, from one walk up to the last stage at which some
+        vanishing bidegree can hold a candidate (every later stage has
+        none)."""
         out = []
         if self.space.loop_homology is None:
             return out
-        for m in range(self.space.degree_cap + 1):
+        # What `find_obstruction` reads first, read even when no stage is.
+        self._tower
+        self._survivors_match
+        last = max(self._vanishing_keys.values(), default=-1)
+        for m in range(min(self.space.degree_cap, last) + 1):
             witness = self.find_obstruction(m)
             if witness is not None:
                 out.append(witness)
-            elif m >= self.stable_stage:
-                break
         return out
 
     def mwgt_lower_bound(self) -> int:

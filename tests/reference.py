@@ -16,7 +16,11 @@ with the tower.
 
 It also keeps a per-stage walk for a class the witness search cannot
 map into the extended algebra (`unmatched_walk`), which the tests hold
-`LoopSpaceModel`'s one E-infinity check against, and readers that no
+`LoopSpaceModel`'s one E-infinity check against, a stage's report listed
+state by state through the tower's stage listing (`per_state_report`),
+where the model reads one record per column, the witness walk over every
+stage up to the cap (`full_walk`), where the model stops at the last
+stage that can hold a candidate, and readers that no
 production path calls: a d_r value parsed from monomial texts
 (`parse_class`), an algebra's total dimension (`total_dimension`), a
 page as the dict whose JSON `BigradedPage.json_text` writes
@@ -383,9 +387,40 @@ def classify_truncation(
     out = []
     for s, t, cls in page.classes():
         facts = class_facts(
-            page.lattice, s, t, cls, surviving_untruncated.__contains__, p_idx
+            page.lattice, s, t, cls[0], surviving_untruncated.__contains__, p_idx
         )
         out.append((facts, bucket(*facts.key, m, extension_height)))
+    return out
+
+
+def per_state_report(model: LoopSpaceModel, m: int) -> list[tuple[ClassFacts, str]]:
+    """Stage m's classes with their buckets, listed through the tower's
+    stage listing and each listed state's classes, bidegree by bidegree,
+    where the model reads one record per column and alive count."""
+    tower = model._tower
+    j = len(tower.specs)
+    partial = model.space.match[2]
+    height = model._extension_height
+    out = []
+    for s, t, alive in tower.stage(m):
+        for cls in tower.state(j, s, t, alive):
+            facts = class_facts(
+                model.e2.lattice, s, t, cls[0], tower.survives, partial
+            )
+            out.append((facts, bucket(*facts.key, m, height)))
+    return out
+
+
+def full_walk(model: LoopSpaceModel) -> list[dict]:
+    """The witness of every stage 0..the cap that has one, searched stage
+    by stage with no bound on the walk."""
+    if model.space.loop_homology is None:
+        return []
+    out = []
+    for m in range(model.space.degree_cap + 1):
+        witness = model.find_obstruction(m)
+        if witness is not None:
+            out.append(witness)
     return out
 
 

@@ -470,6 +470,43 @@ def test_stage_listing_matches_a_scratch_listing(space):
                 assert tower.stage(m, j) == scratch_listing(tower, m, j)
 
 
+@pytest.mark.parametrize(
+    "space, cap",
+    [*(("spin9", cap) for cap in (36, 44, 52, 68)), ("toy-trunc-poly", None),
+     ("two-page", None)],
+)
+def test_column_lists_the_leads_of_its_states(space, cap):
+    """`column(j, s, alive)` holds, for each t with s + t under the cap
+    whose state is nonempty, the leading monomials of `state(j, s, t,
+    alive)` in page order, for every j, column and alive count; and each
+    stage listing is its columns' keys at the stage's alive counts."""
+    if space == "two-page":
+        e2, specs = two_page_synthetic()
+        tower = TruncationTower(e2, specs)
+    else:
+        tower = LoopSpaceModel(builtin(space), degree_cap=cap)._tower
+    cap = tower.e2.degree_cap
+    n = len(tower.specs)
+    for j in range(n + 1):
+        for s in range(tower.last_column + 1):
+            for alive in range(j + 1):
+                want = {}
+                for t in range(cap - s + 1):
+                    if classes := tower.state(j, s, t, alive):
+                        want[t] = [cls[0] for cls in classes]
+                got = tower.column(j, s, alive)
+                assert got == want and list(got) == sorted(want)
+        for m in [*range(-1, cap + 2), None]:
+            top = tower.last_column if m is None else min(m, tower.last_column)
+            listing = []
+            for s in range(top + 1):
+                alive = tower.alive(s, m, j)
+                listing += [(s, t, alive) for t in tower.column(j, s, alive)]
+            assert tower.stage(m, j) == listing
+    if space == "two-page":
+        assert n == 2
+
+
 @pytest.mark.parametrize("space", ["spin9", "two-page"])
 def test_stages_past_the_last_column_read_the_untruncated_states(space):
     """A d_r out of column s that lands past the last E2 column m >= s

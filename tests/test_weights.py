@@ -2,11 +2,13 @@
 
 import gc
 import io
+import re
 import weakref
 from collections import Counter
 from contextlib import redirect_stdout
 from itertools import product
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,7 @@ from lscat.spaces import (
     FixtureError,
     SpacePresentation,
     builtin,
+    validate,
 )
 from lscat.specseq import DEFAULT_SCRATCH, TruncationTower
 from lscat.steenrod import SteenrodAction
@@ -31,7 +34,9 @@ from lscat.weights import (
 from reference import (
     cells,
     classify_truncation,
+    full_walk,
     page_json,
+    per_state_report,
     parse_row,
     row_of,
     row_str,
@@ -236,9 +241,10 @@ def test_witness_is_the_report_record(spin9):
 def test_no_partial_generator_searches_no_stage_past_the_last_column(
     monkeypatch, make
 ):
-    """With no partial-product generator no class is ever partial, so the
-    stable stage is the last E2 column: a report searches stages 0 to it
-    and no further."""
+    """With no partial-product generator no class is ever partial, and a
+    product class leads an E-infinity class, so it lies in no vanishing
+    degree: no bidegree can hold a candidate, and a report searches no
+    stage."""
     calls = []
     real_find = LoopSpaceModel.find_obstruction
 
@@ -250,7 +256,8 @@ def test_no_partial_generator_searches_no_stage_past_the_last_column(
     model = LoopSpaceModel(make())
     _, code = build_report(model)
     assert code == 0
-    assert calls == list(range(model._tower.last_column + 1))
+    assert walk_end(model) == -1
+    assert calls == []
 
 
 def test_no_witness_at_stage_eight(spin9):
@@ -354,12 +361,12 @@ def test_degree_cap_override_builds_a_new_presentation(name, cap):
 )
 def test_pruned_search_matches_reference(make):
     """Filtering, square caching and reading stages past the last column
-    and the stable stage unclamped change no stage or witness."""
+    and the walk's end unclamped change no stage or witness."""
     model = make()
     cap = model.space.degree_cap
-    assert model.stable_stage < cap  # stages past it are compared too
+    assert walk_end(model) < cap  # stages past it are compared too
     witnessed = []
-    # Descending, so later stages are asked for before the stable one.
+    # Descending, so later stages are asked for before the walk's end.
     for m in range(cap, -1, -1):
         page, report, witness = reference_stage(model, m)
         assert model.find_obstruction(m) == witness
@@ -403,6 +410,12 @@ def test_state_lookups_match_the_reference_report(make):
         } == residual
 
 
+def walk_end(model: LoopSpaceModel) -> int:
+    """The last stage the witness walk searches, before the cap clamps it:
+    the last at which some vanishing bidegree can hold a candidate."""
+    return max(model._vanishing_keys.values(), default=-1)
+
+
 def two_page_model() -> LoopSpaceModel:
     """A model over the two-page synthetic's E2 and fold, with cohomology
     F2[x3]/(x3^3) (x) F2[x5]/(x5^4) and a partial-product generator on
@@ -428,6 +441,100 @@ def two_page_model() -> LoopSpaceModel:
     model = LoopSpaceModel(space)
     model.__dict__.update(e2=e2, _tower=TruncationTower(e2, specs))
     return model
+
+
+def unfolded_spin9_model() -> LoopSpaceModel:
+    """spin9 at cap 36 handed the fold with no differential, whose
+    E-infinity (E2) does not match the cohomology: product classes lie in
+    degrees where the cohomology vanishes, at every stage."""
+    model = LoopSpaceModel(builtin("spin9"), degree_cap=36)
+    model.__dict__["_tower"] = TruncationTower(model.e2, [])
+    return model
+
+
+FIXTURES = sorted((Path(__file__).parent / "fixtures").glob("*.json"))
+
+
+def bound_cases():
+    """spin9 at caps 36-68, toy-trunc-poly, SU(4..7), the two-page model
+    (handed its fold) and every fixture file that validates, each as a
+    maker of a fresh model."""
+    cases = [
+        *(
+            pytest.param(
+                lambda cap=cap: LoopSpaceModel(builtin("spin9"), degree_cap=cap),
+                id=f"spin9-{cap}",
+            )
+            for cap in (36, 44, 52, 68)
+        ),
+        pytest.param(
+            lambda: LoopSpaceModel(builtin("toy-trunc-poly")), id="toy-trunc-poly"
+        ),
+        *(
+            pytest.param(lambda n=n: LoopSpaceModel(su_space(n)), id=f"su{n}")
+            for n in (4, 5, 6, 7)
+        ),
+        pytest.param(two_page_model, id="two-page"),
+        pytest.param(unfolded_spin9_model, id="spin9-unfolded"),
+    ]
+    for path in FIXTURES:
+        if not validate(SpacePresentation.load(path)):
+            cases.append(pytest.param(
+                lambda path=path: LoopSpaceModel(SpacePresentation.load(path)),
+                id=path.stem,
+            ))
+    return cases
+
+
+@pytest.mark.parametrize("make", bound_cases())
+def test_the_witness_walk_ends_where_no_stage_can_hold_a_candidate(make):
+    """Past the walk's end no stage up to the cap has a candidate or a
+    witness, and the walk finds the witnesses a walk over every stage
+    up to the cap finds; a model whose inference fails raises the same
+    error either way."""
+    try:
+        full = full_walk(make())
+    except ValueError as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            make().witnesses
+        return
+    model = make()
+    assert model.witnesses == full
+    for m in range(walk_end(model) + 1, model.space.degree_cap + 1):
+        assert model._candidates(m) == []
+        assert model.find_obstruction(m) is None
+        assert not [
+            cls for cls in reference_candidates(model, m)
+            if set(model._square_tests(cls)[1]) != {None}
+        ]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        *(
+            pytest.param(
+                lambda cap=cap: LoopSpaceModel(builtin("spin9"), degree_cap=cap),
+                id=f"spin9-{cap}",
+            )
+            for cap in (36, 52)
+        ),
+        pytest.param(
+            lambda: LoopSpaceModel(builtin("toy-trunc-poly")), id="toy-trunc-poly"
+        ),
+        pytest.param(lambda: LoopSpaceModel(su_space(5)), id="su5"),
+        pytest.param(two_page_model, id="two-page"),
+    ],
+)
+def test_stage_report_matches_a_per_state_listing(make):
+    """Every stage's report, read from one record per column and alive
+    count, is the stage listed state by state through the tower's stage
+    listing, whichever stage is asked for first."""
+    for descending in (False, True):
+        model = make()
+        stages = range(-1, model.space.degree_cap + 1)
+        for m in reversed(stages) if descending else stages:
+            assert model.stage_report(m) == per_state_report(model, m)
 
 
 def reference_candidates(model: LoopSpaceModel, m: int):
@@ -469,6 +576,7 @@ def reference_candidates(model: LoopSpaceModel, m: int):
             for n in (4, 5, 6)
         ),
         pytest.param(two_page_model, id="two-page"),
+        pytest.param(unfolded_spin9_model, id="spin9-unfolded"),
     ],
 )
 def test_candidates_match_an_unfiltered_walk(make):
@@ -483,7 +591,7 @@ def test_candidates_match_an_unfiltered_walk(make):
         if not dim and any(series[d + 1:d + model._max_k + 1])
     }
     found, dropped = [], []
-    for m in range(-1, model.stable_stage + 4):
+    for m in range(-1, model.space.degree_cap + 1):
         want = reference_candidates(model, m)
         assert model._candidates(m) == [c for c in want if c.degree in reach]
         found += [c for c in want if c.degree in reach]
@@ -611,11 +719,12 @@ def test_spin9_search_work_is_bounded(monkeypatch):
         assert 0 < len(squared) <= 6, cap
 
 
-@pytest.mark.parametrize("cap, searches", [(36, 17), (44, 20), (52, 22)])
+@pytest.mark.parametrize("cap, searches", [(36, 9), (44, 9), (52, 9), (68, 9)])
 def test_spin9_report_searches_each_stage_once(monkeypatch, cap, searches):
-    """A report walks the stages once, up to the stable stage (the first
-    without a witness from there on), and its Mwgt bound and witness list
-    both read that walk."""
+    """A report walks the stages once, up to the last stage at which a
+    vanishing bidegree can hold a candidate (stage 8, the end of the
+    partial window of the five-factor leads), and its Mwgt bound and
+    witness list both read that walk."""
     calls = []
     real_find = LoopSpaceModel.find_obstruction
 
@@ -627,9 +736,29 @@ def test_spin9_report_searches_each_stage_once(monkeypatch, cap, searches):
     model = LoopSpaceModel(builtin("spin9"), degree_cap=cap)
     report, code = build_report(model, truncations=[0, 7, 8, 20, cap])
     assert code == 0
-    assert calls == list(range(model.stable_stage + 1))
+    assert calls == list(range(walk_end(model) + 1))
     assert len(calls) == searches
     assert [w["m"] for w in report["witnesses"]] == [3, 4, 5, 6, 7]
+
+
+@pytest.mark.parametrize("cap", [36, 52])
+def test_spin9_report_counts_e_infinity_once(monkeypatch, cap):
+    """Inference's dimension check is the one count of E-infinity's
+    classes: the report's dims are the ones it compared."""
+    calls = []
+    real_dims = TruncationTower._dims
+
+    def counting_dims(self):
+        calls.append(self)
+        return real_dims(self)
+
+    monkeypatch.setattr(TruncationTower, "_dims", counting_dims)
+    model = LoopSpaceModel(builtin("spin9"), degree_cap=cap)
+    report, code = build_report(model, truncations=[7, 8, 9])
+    assert code == 0
+    assert calls == [model._tower]
+    dims = report["spectral_sequence"]["e_infinity_dims"]
+    assert dims == list(real_dims(TruncationTower(model.e2, model.differentials)))
 
 
 def test_spin9_report_folds_once(monkeypatch):
@@ -749,12 +878,12 @@ def test_spin9_pages_hold_only_reported_degrees():
 
 def test_spin9_last_column_is_read_over_the_cells():
     """The last E2 column is the cells' (18 at cap 52), not the reported
-    classes' (17), and the stable stage reads it."""
+    classes' (17); the witness walk ends before either, at stage 8."""
     model = LoopSpaceModel(builtin("spin9"), degree_cap=52)
     e2 = model.e2
     assert model._tower.last_column == max(s for s, _ in cells(e2.lattice)) == 18
     assert max(s for s, _ in e2.basis) == 17
-    assert model.stable_stage == 21
+    assert walk_end(model) == 8
 
 
 @pytest.mark.parametrize("cap", [36, 44, 52])
@@ -1016,16 +1145,34 @@ def test_su_report_lists_no_stage(monkeypatch):
 
 
 def test_spin9_report_lists_only_truncate_stages(monkeypatch):
-    """The witness search reads tower states, never a stage listing: a
-    spin9 report lists each stage its truncations name once, and none
-    without them."""
+    """The witness search reads tower states, and the stages read column
+    records, never a stage listing: a spin9 report builds one record per
+    (column, alive count) its truncations name, and none without them."""
     listed = counting_stage_calls(monkeypatch)
+    columns = []
+    real_column = specseq.TruncationTower.column
+
+    def counting_column(self, j, s, alive):
+        columns.append((s, alive))
+        return real_column(self, j, s, alive)
+
+    monkeypatch.setattr(specseq.TruncationTower, "column", counting_column)
     for truncations in ([], [7, 8, 9]):
         listed.clear()
+        columns.clear()
         model = LoopSpaceModel(builtin("spin9"))
         _, code = build_report(model, truncations=truncations)
         assert code == 0
-        assert sorted(m for _, m in listed if m is not None) == truncations
+        assert listed == []
+        tower = model._tower
+        named = {
+            (s, tower.alive(s, m))
+            for m in truncations
+            for s in range(min(m, tower.last_column) + 1)
+        }
+        assert len(columns) == len(set(columns))
+        assert set(columns) == named
+    assert len(named) < sum(m + 1 for m in truncations)  # stages share
 
 
 def test_untruncated_stage_is_listed_once(monkeypatch):
