@@ -27,7 +27,10 @@ monomial, scratch degrees included), a d_r out of column s with
 s + r > m lands past that column, where E2 has no monomial, so it is
 zero and the state with it alive is the same state: there the tower
 counts every differential alive, and the stage reads the untruncated
-states.
+states.  The alive count is one per column, so the tower lists states a
+column at a time (`TruncationTower.column`): each (j, s, alive) column
+once, in one pass, kept for every page, stage and state read that needs
+it.
 
 The tower checks each spec once before it folds anything (`_check_spec`,
 `_check_d_squared`).  A spec determines a derivation D of the capped
@@ -196,6 +199,17 @@ def _walk_cells(lattice: Algebra, cap: int):
     return _cells(lattice.walk(cap=cap))
 
 
+def _monomials(cell, row: int) -> list[tuple[int, ...]]:
+    """The monomials of `row`, a row over `cell` (bit i is its i-th
+    monomial), ascending."""
+    out = []
+    while row:
+        low = row & -row
+        out.append(cell[low.bit_length() - 1])
+        row ^= low
+    return out
+
+
 class E2Cells:
     """E2's cells over the lattice `algebra`, shared by every page over
     one E2, each read on first use.  `classes` is E2's basis: each nonempty
@@ -296,13 +310,7 @@ class BigradedPage:
     def monomials(self, s: int, t: int, row: int) -> list[tuple[int, ...]]:
         """The monomials of `row`, a row over E2's cell at (s, t) (a d_r
         value), ascending."""
-        cell = self.lattice_cells.cell(s, t)
-        out = []
-        while row:
-            low = row & -row
-            out.append(cell[low.bit_length() - 1])
-            row ^= low
-        return out
+        return _monomials(self.lattice_cells.cell(s, t), row)
 
     def class_str(self, cls: tuple[tuple[int, ...], ...]) -> str:
         return " + ".join(map(self.lattice.monomial_str, cls)) if cls else "0"
@@ -548,10 +556,10 @@ class TruncationTower:
     (`_b_columns`, up to the report cap; the module docstring's Kunneth
     split).  `_base` holds A's classes on E2, unit rows per reported A
     bidegree (`_columns` their t per column), and `_folded` every A state
-    the fold computes, keyed (j, s, t, alive), as rows; `_terms` holds the
-    same states as terms.  The d^2 check and the A states read d_r of
-    each spec through one image table per spec (`_image_table`), so each
-    A monomial's image is computed once per spec.
+    the fold computes, keyed (j, s, t, alive), as rows.  The d^2 check and
+    the A states read d_r of each spec through one image table per spec
+    (`_image_table`), so each A monomial's image is computed once per
+    spec.
 
     `last_column` is the last E2 column, the largest exponent sum of a
     lattice monomial under the lattice cap, scratch degrees included: it is
@@ -561,26 +569,22 @@ class TruncationTower:
     for spin9 at cap 52), since a d_r into a scratch cell past the last
     reported column need not vanish.
 
-    `stage(m, j)` lists the nonempty states of the column-m truncation
-    after j specs as (s, t, alive), column by column up to m: `alive`,
-    read once per column, counts the specs among the first j with
+    `column(j, s, alive)` is the tower's one listing: per t ascending
+    with s + t under the report cap, the classes of the nonempty state
+    (j, s, t, alive), of which the first `alive` of the first j specs (a
+    prefix, as r ascends) act out of column s, as terms in page order.
+    It is built in one pass over A's states in column s - s_b times B's
+    column s_b, and kept per (j, s, alive) in `_listed`, so a caller that
+    reads several states of one column, or one column at several stages,
+    lists it once.  `page(m, j)` reads columns 0..min(m, `last_column`),
+    each at `alive(s, m, j)`: the specs among the first j with
     r <= m - s, or all j for m at or past `last_column` (the module
-    docstring says why that is exact), and a column's states are those
-    of B's bidegrees times A's nonempty states with that alive count.
-    `page(m, j)` is built from that list, and a caller that keys its own
-    per-class work by the listed (s, t, alive) does that work once per
-    state, not once per stage.  So a stage at or past the last column
-    folds no state of its own, and its page holds the untruncated
+    docstring says why that is exact).  So a stage at or past the last
+    column folds no state of its own, and its page holds the untruncated
     classes.  m = None means untruncated, and j defaults to every spec.
-    The tower keeps each page it builds, per (m, j).
-
-    `column(j, s, alive)` is one column at one alive count, in one pass
-    over A's states in column s - s_b times B's column s_b: per t, the
-    leading monomials of `state(j, s, t, alive)`, in page order, read
-    off the lowest bit of A's rows with no class's terms built.  Its keys
-    are the t that `stage` lists in column s at that alive count, so a
-    reader of leading monomials alone (a report's stages) reads a stage
-    as its columns and never lists it.
+    The tower keeps each page it builds, per (m, j).  `bidegrees` is
+    E2's nonempty bidegrees under the cap, A's times B's, for a reader
+    that would otherwise list a column only to find a state empty.
 
     E-infinity's facts come from A's untruncated classes and B, with no
     page: `e_infinity_dims`, `survives` and `top_filtration`.  A tower
@@ -627,7 +631,7 @@ class TruncationTower:
             e2.lattice_cells.factor(tuple(sorted(touched)))
         )
         self._folded: dict[tuple[int, int, int, int], tuple[int, ...]] = {}
-        self._terms: dict[tuple[int, int, int, int], tuple] = {}
+        self._listed: dict[tuple[int, int, int], dict[int, tuple]] = {}
         # Per spec, d_r through its image table over A.  The readers are
         # closures that hold no reference to the tower, so a dropped model
         # is freed by refcount.
@@ -670,66 +674,47 @@ class TruncationTower:
             self._folded[key] = here
         return here
 
-    def _classes(self, j: int, s: int, t: int, alive: int) -> tuple:
-        """A's state (j, s, t, alive) as terms."""
-        key = (j, s, t, alive)
-        out = self._terms.get(key)
+    def column(self, j: int, s: int, alive: int) -> dict[int, tuple]:
+        """The classes of each nonempty state (j, s, t, alive) of column
+        s, per t ascending with s + t under the report cap, as terms in
+        page order (A's classes times each b of B, ascending by leading
+        monomial); listed once per (j, s, alive)."""
+        key = (j, s, alive)
+        out = self._listed.get(key)
         if out is None:
-            cell = self._cells.get((s, t))
-            out = []
-            for vec in self._fold(j, s, t, alive):
-                terms = []
-                while vec:
-                    low = vec & -vec
-                    terms.append(cell[low.bit_length() - 1])
-                    vec ^= low
-                out.append(tuple(terms))
-            out = self._terms[key] = tuple(out)
+            cap = self.e2.degree_cap
+            classes: dict[int, list] = {}
+            for sb, column in self._b_columns.items():
+                if sb > s:
+                    break
+                for ta in self._columns.get(s - sb, ()):
+                    fold = self._fold(j, s - sb, ta, alive)
+                    if not fold:
+                        continue
+                    cell = self._cells[(s - sb, ta)]
+                    terms = [_monomials(cell, v) for v in fold]
+                    for tb, bs in column:
+                        if s + ta + tb > cap:
+                            break
+                        classes.setdefault(ta + tb, []).extend([
+                            tuple([tuple(map(add, m, b)) for m in cls])
+                            for cls in terms for b in bs
+                        ])
+            out = {t: tuple(sorted(classes[t])) for t in sorted(classes)}
+            self._listed[key] = out
         return out
 
-    def state(self, j: int, s: int, t: int, alive: int) -> tuple:
-        """The classes at (s, t) after folding the first j specs, of which
-        the first `alive` (a prefix, as r ascends) act out of column s:
-        A's classes times each b of B, ascending by leading monomial."""
-        out = []
-        for sb, column in self._b_columns.items():
-            if sb > s:
-                break
-            for tb, bs in column:
-                if (s - sb, t - tb) not in self._base:
-                    continue
-                classes = self._classes(j, s - sb, t - tb, alive)
-                for b in bs:
-                    out += [
-                        tuple([tuple(map(add, m, b)) for m in cls]) for cls in classes
-                    ]
-        out.sort()
-        return tuple(out)
-
-    def column(self, j: int, s: int, alive: int) -> dict[int, list[tuple[int, ...]]]:
-        """The leading monomials of each nonempty state (j, s, t, alive) of
-        column s, per t ascending with s + t under the report cap, in page
-        order: one pass over A's states in column s - s_b times B's column
-        s_b, reading each A class's lowest bit, with no class's terms
-        built."""
+    @cached_property
+    def bidegrees(self) -> set[tuple[int, int]]:
+        """E2's nonempty bidegrees under the report cap: A's times B's."""
         cap = self.e2.degree_cap
-        out: dict[int, list] = {}
-        for sb, column in self._b_columns.items():
-            if sb > s:
-                break
-            for ta in self._columns.get(s - sb, ()):
-                fold = self._fold(j, s - sb, ta, alive)
-                if not fold:
-                    continue
-                cell = self._cells[(s - sb, ta)]
-                leads = [cell[(v & -v).bit_length() - 1] for v in fold]
-                for tb, bs in column:
-                    if s + ta + tb > cap:
-                        break
-                    out.setdefault(ta + tb, []).extend(
-                        [tuple(map(add, a, b)) for a in leads for b in bs]
-                    )
-        return {t: sorted(out[t]) for t in sorted(out)}
+        return {
+            (sa + sb, ta + tb)
+            for sb, column in self._b_columns.items()
+            for tb, _ in column
+            for sa, ta in self._base
+            if sa + ta + sb + tb <= cap
+        }
 
     def monomials_in(self, degrees):
         """(bidegree, monomial) of every E2 monomial whose total degree is
@@ -754,28 +739,6 @@ class TruncationTower:
             return j
         return bisect.bisect_right(self._rs, m - s, 0, j)
 
-    def stage(
-        self, m: int | None = None, j: int | None = None
-    ) -> list[tuple[int, int, int]]:
-        """The nonempty states (s, t, alive) of the column-m truncation
-        after j specs, in (s, t) order: `page(m, j)` holds
-        `state(j, s, t, alive)` at each listed (s, t)."""
-        j = len(self.specs) if j is None else j
-        top = self.last_column if m is None else min(m, self.last_column)
-        cap = self.e2.degree_cap
-        out = []
-        for s in range(top + 1):
-            alive = self.alive(s, m, j)
-            ts = set()
-            for sb, column in self._b_columns.items():
-                if sb > s:
-                    break
-                for ta in self._columns.get(s - sb, ()):
-                    if self._fold(j, s - sb, ta, alive):
-                        ts.update([ta + tb for tb, _ in column if s + ta + tb <= cap])
-            out += [(s, t, alive) for t in sorted(ts)]
-        return out
-
     def page(self, m: int | None = None, j: int | None = None) -> BigradedPage:
         """The column-m truncation after the first j specs; built once
         per (m, j)."""
@@ -784,9 +747,11 @@ class TruncationTower:
         j = len(self.specs) if j is None else j
         page = self._pages.get((m, j))
         if page is None:
+            top = self.last_column if m is None else min(m, self.last_column)
             basis = {
-                (s, t): self.state(j, s, t, alive)
-                for s, t, alive in self.stage(m, j)
+                (s, t): classes
+                for s in range(top + 1)
+                for t, classes in self.column(j, s, self.alive(s, m, j)).items()
             }
             r = self.specs[j - 1].r + 1 if j else self.e2.r
             page = self._pages[(m, j)] = self.e2._derived(r=r, basis=basis, column_cap=m)
@@ -831,7 +796,9 @@ class TruncationTower:
         its bidegree."""
         j = len(self.specs)
         return {
-            cls[0]: key for key in self._base for cls in self._classes(j, *key, j)
+            self._cells[key][(v & -v).bit_length() - 1]: key
+            for key in self._base
+            for v in self._fold(j, *key, j)
         }
 
     def survives(self, exps: tuple[int, ...]) -> bool:

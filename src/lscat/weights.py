@@ -64,16 +64,14 @@ classes are those of its tower states (s, t, alive), and what the stages
 read of a class does not depend on the stage: its leading monomial,
 label and degree, its bucket key (`class_facts`), and its image in the
 extended algebra (kept per leading monomial with its Sq^k tests, below).
-The model keeps one `ClassFacts` per class of a tower state.  Only the
-bucket depends on the stage, and a stage computes it from the key: the
-stage's report pairs its states' records with their buckets, in (s, t)
-order.  It reads them column by column: stage m's column s is the
-states (s, t, alive) at one alive count, so the model keeps, per column
-and alive count, that column's records in page order, built once from
-the leading monomials `TruncationTower.column` gives in one pass, with
-no class's terms built, and shared by every stage that reads the column
-at that count.  A state the walk has already classified keeps its
-records there, and a state the column classifies is kept for the walk.
+The model keeps one `ClassFacts` per class of a tower state, made the
+first time the state is read, from its column's entry: stage m's column
+s is the states (s, t, alive) at one alive count, which
+`TruncationTower.column` lists once per tower, in one pass, for every
+stage and every state read of the walk.  Only the bucket depends on the
+stage, and a stage computes it from the key: the stage's report goes
+through its columns' t and pairs each state's records with their
+buckets, in (s, t) order.
 
 The search reads only the states where a witness can lie.  A witness
 class sits in a degree where the cohomology vanishes, and whether a
@@ -93,22 +91,24 @@ is at most the cap (a square is zero above it), so H^(d + k) is
 nonzero.  A class in a skipped degree has no test, so it is never a
 stage's witness.  A stage without a candidate has no witness.
 
-The search never lists a stage.  A candidate's Sq^k test (its target
-degree, whether the square has a partial-product term, and the terms of
-u) does not depend on the stage, so it is kept per leading monomial,
-next to the candidate's monomial in the extended algebra, which the
-witness label reads.  Of stage m the search reads two facts, each from
-the tower states it concerns: whether a lattice monomial of u leads a
-class of the state (s, t, alive) of its bidegree (classified once per
-state), and whether a residual class lies in the target degree, read
-from the classified states of that degree each time it is asked (no
-report asks for one stage and degree twice).
+The search never reads a whole stage.  A candidate's Sq^k test (its
+target degree, whether the square has a partial-product term, and the
+terms of u) does not depend on the stage, so it is kept per leading
+monomial, next to the candidate's monomial in the extended algebra,
+which the witness label reads.  Of stage m the search reads two facts,
+each from the tower states it concerns, read from their columns: whether
+a lattice monomial of u leads a class of the state (s, t, alive) of its
+bidegree (classified once per state), and whether a residual class lies
+in the target degree, read from the classified states of that degree
+each time it is asked (no report asks for one stage and degree twice).
+That read skips the bidegrees E2 lacks (`TruncationTower.bidegrees`),
+whose states are empty, so it lists no column only to find one.
 
-Not listing a stage could hide one error: a non-residual class that does
-not map into the extended algebra, which takes an E2 generator that
-matches nothing.  One check on E-infinity, made before any stage
-(`_survivors_match`), raises exactly when some stage up to the cap holds
-such a class.  A non-residual class's partial-free part (its leading
+Not reading a whole stage could hide one error: a non-residual class
+that does not map into the extended algebra, which takes an E2
+generator that matches nothing.  One check on E-infinity, made before
+any stage (`_survivors_match`), raises exactly when some stage up to the
+cap holds such a class.  A non-residual class's partial-free part (its leading
 monomial without its one partial factor, if it has one) leads an
 E-infinity class, and the partial generator is matched, so the class's
 unmatched generator lies in an E-infinity class under the cap whose
@@ -269,11 +269,9 @@ class LoopSpaceModel:
         self.space = space
         self.algebra: Algebra = space.algebra
         # What one report reads more than once: per tower state (s, t,
-        # alive), its classes; per column and alive count, the classes of
-        # its states, the same records; per leading monomial, its extended
-        # monomial and Sq^k tests.
+        # alive), its classes; per leading monomial, its extended monomial
+        # and Sq^k tests.
         self._state_classes: dict[tuple[int, int, int], list[ClassFacts]] = {}
-        self._column_classes: dict[tuple[int, int], list[ClassFacts]] = {}
         self._tests: dict[tuple[int, ...], tuple[tuple[int, ...], list]] = {}
 
     # -- spectral sequence --------------------------------------------------
@@ -316,29 +314,16 @@ class LoopSpaceModel:
 
     def stage_report(self, m: int) -> list[tuple[ClassFacts, str]]:
         """Stage m's classes with their buckets at stage m, in page order:
-        the classes of each column s up to m, at the alive count of s."""
+        the classes of each state of each column s up to m, at the alive
+        count of s."""
         height = self._extension_height
         tower = self._tower
-        return [
-            (cls, bucket(*cls.key, m, height))
-            for s in range(min(m, tower.last_column) + 1)
-            for cls in self._column(s, tower.alive(s, m))
-        ]
-
-    def _column(self, s: int, alive: int) -> list[ClassFacts]:
-        """The classes of column s's states at the alive count, in page
-        order (`TruncationTower.column`), classified once per column and
-        count; a state the walk has classified keeps its records."""
-        out = self._column_classes.get((s, alive))
-        if out is None:
-            out = self._column_classes[(s, alive)] = []
-            tower = self._tower
-            for t, leads in tower.column(len(tower.specs), s, alive).items():
-                state = (s, t, alive)
-                facts = self._state_classes.get(state)
-                if facts is None:
-                    facts = self._state_classes[state] = self._facts(s, t, leads)
-                out += facts
+        out = []
+        for s in range(min(m, tower.last_column) + 1):
+            alive = tower.alive(s, m)
+            for t in tower.column(len(tower.specs), s, alive):
+                classes = self._classes((s, t, alive))
+                out += [(cls, bucket(*cls.key, m, height)) for cls in classes]
         return out
 
     @cached_property
@@ -393,30 +378,29 @@ class LoopSpaceModel:
 
     def _residual_in(self, m: int, degree: int) -> bool:
         """Whether stage m has a residual class in `degree`, read from the
-        states of that total degree."""
+        states of that total degree, skipping the bidegrees E2 lacks."""
         height = self._extension_height
+        tower = self._tower
         return any(
             bucket(*cls.key, m, height) == BUCKET_RESIDUAL
             for s in range(min(m, degree) + 1)
-            for cls in self._classes((s, degree - s, self._tower.alive(s, m)))
+            if (s, degree - s) in tower.bidegrees
+            for cls in self._classes((s, degree - s, tower.alive(s, m)))
         )
 
     def _classes(self, state: tuple[int, int, int]) -> list[ClassFacts]:
-        """The classes of one tower state (s, t, alive), as
-        `TruncationTower.stage` lists it, classified once per state."""
+        """The classes of one tower state (s, t, alive), from its column
+        (`TruncationTower.column`), classified once per state."""
         out = self._state_classes.get(state)
         if out is None:
-            s, t, _ = state
-            classes = self._tower.state(len(self._tower.specs), *state)
-            leads = [cls[0] for cls in classes]
-            out = self._state_classes[state] = self._facts(s, t, leads)
+            s, t, alive = state
+            tower = self._tower
+            partial = self.space.match[2]
+            out = self._state_classes[state] = [
+                class_facts(self.e2.lattice, s, t, cls[0], tower.survives, partial)
+                for cls in tower.column(len(tower.specs), s, alive).get(t, ())
+            ]
         return out
-
-    def _facts(self, s: int, t: int, leads) -> list[ClassFacts]:
-        """The facts of the classes at (s, t) led by `leads`."""
-        partial = self.space.match[2]
-        lattice, survives = self.e2.lattice, self._tower.survives
-        return [class_facts(lattice, s, t, lead, survives, partial) for lead in leads]
 
     # -- generator matching -------------------------------------------------
 

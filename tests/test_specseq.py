@@ -340,10 +340,10 @@ def test_tower_matches_truncate_on_two_differentials():
     for m in range(e2.degree_cap + 1):
         page = truncate(e2, m, specs)
         assert page_json(tower.page(m)) == page_json(page)
-        # The stage listing: the page's bidegrees, each with the number
+        # The column listing: the page's bidegrees, each with the number
         # of differentials acting out of its column, or all of them at or
         # past the last E2 column.
-        assert tower.stage(m) == [
+        assert column_listing(tower, m, len(specs)) == [
             (s, t, sum(m >= last or s + spec.r <= m for spec in specs))
             for s, t in sorted(page.basis)
         ]
@@ -395,10 +395,42 @@ def padded_spin9_data(*degrees):
     return data
 
 
+def two_term_synthetic():
+    """E2 over u2, u4, u6 exterior and u9, u11 polynomial, cap 30, and
+    d_2(x1_9) = x1_2^2*x1_4, d_2(x1_11) = x1_2*x1_4^2: x1_4*x1_9 +
+    x1_2*x1_11 is a cycle, so E-infinity holds classes of two terms, and
+    x1_6 is untouched, so the tower splits."""
+    pres = AlgebraPresentation(
+        (
+            Generator("u2", 2, 2),
+            Generator("u4", 4, 2),
+            Generator("u6", 6, 2),
+            Generator("u9", 9, None),
+            Generator("u11", 11, None),
+        ),
+        30,
+    )
+    e2 = koszul_e2(pres)
+    spec = DifferentialSpec(2, {
+        "x1_9": parse_class(e2, ["x1_2^2*x1_4"], 3, 8),
+        "x1_11": parse_class(e2, ["x1_2*x1_4^2"], 3, 10),
+    })
+    return e2, [spec]
+
+
 def assert_matches_the_leibniz_fold(e2, specs):
     """A fresh tower's page at every truncation m = None, 0..cap equals
-    the Leibniz-direct fold of that truncation; return the tower."""
+    the Leibniz-direct fold of that truncation, and the E-infinity facts
+    it reads off A and B (which monomials lead a class, the top
+    filtration) are that fold's; return the tower."""
     tower = TruncationTower(e2, specs)
+    e_inf = run_to_e_infinity(e2, specs)
+    monomials = [
+        exps for key, cell in cells(e2.lattice).items()
+        if sum(key) <= e2.degree_cap for exps in cell
+    ]
+    assert {e for e in monomials if tower.survives(e)} == surviving(e_inf)
+    assert tower.top_filtration() == max(s for s, _ in e_inf.basis)
     for m in [None, *range(e2.degree_cap + 1)]:
         if m is None:
             want = run_to_e_infinity(e2, specs)
@@ -418,56 +450,91 @@ def assert_matches_the_leibniz_fold(e2, specs):
         ("padded", 36),
         ("padded", 52),
         ("two-page", None),
+        ("two-term", None),
     ],
 )
 def test_split_tower_matches_the_leibniz_fold(space, cap):
     """A tower that folds only the factor its specs touch gives every
     truncation as the from-scratch Leibniz fold over all of E2 does:
-    spin9, and spin9 with two more permanent exterior factors, split;
-    the two-page synthetic touches every generator and does not."""
+    spin9, spin9 with two more permanent exterior factors, and the
+    two-term synthetic, whose classes are not all monomials, split; the
+    two-page synthetic touches every generator and does not."""
     if space == "two-page":
         e2, specs = two_page_synthetic()
+    elif space == "two-term":
+        e2, specs = two_term_synthetic()
     else:
         sp = builtin("spin9") if space == "spin9" else padded_spin9(8, 12)
         model = LoopSpaceModel(sp, degree_cap=cap)
         e2, specs = model.e2, model.differentials
     tower = assert_matches_the_leibniz_fold(e2, specs)
     assert all(tower._mask) == (space == "two-page")
+    if space == "two-term":
+        assert any(len(cls) > 1 for _, _, cls in tower.page().classes())
 
 
-def scratch_listing(tower, m, j):
-    """`tower.stage(m, j)` listed column by column from scratch: at or
-    past the last E2 column, every differential counts as alive."""
-    rs = [spec.r for spec in tower.specs[:j]]
-    last = tower.last_column
-    out = []
-    for s, t in sorted(tower.e2.basis):
-        if m is not None and s > m:
-            continue
-        untruncated = m is None or m >= last
-        alive = len(rs) if untruncated else sum(s + r <= m for r in rs)
-        if tower.state(j, s, t, alive):
-            out.append((s, t, alive))
-    return out
+def column_listing(tower, m, j):
+    """The states (s, t, alive) of the column-m truncation after j specs,
+    read from the tower's columns 0..min(m, last column)."""
+    top = tower.last_column if m is None else min(m, tower.last_column)
+    return [
+        (s, t, alive)
+        for s in range(top + 1)
+        for alive in (tower.alive(s, m, j),)
+        for t in tower.column(j, s, alive)
+    ]
+
+
+def scratch_fold(e2, specs, m, j):
+    """The column-m truncation after the first j specs, folded from
+    scratch over all of E2 (`tests/reference.py`), or None for m < 0,
+    which has no column."""
+    if m is None:
+        return run_to_e_infinity(e2, specs[:j])
+    return truncate(e2, m, specs[:j]) if m >= 0 else None
+
+
+def scratch_listing(page, m, j, rs, last):
+    """The states (s, t, alive) of a from-scratch `page` of the column-m
+    truncation after j specs of pages `rs`: at or past the last E2
+    column, every differential counts as alive."""
+    if page is None:
+        return []
+    untruncated = m is None or m >= last
+    return [
+        (s, t, j if untruncated else sum(s + r <= m for r in rs[:j]))
+        for s, t in sorted(page.basis)
+    ]
 
 
 @pytest.mark.parametrize("space", ["spin9", "two-page"])
 def test_stage_listing_matches_a_scratch_listing(space):
-    """The tower's scan up to column m lists the same states as a scan
-    from scratch that reads every E2 bidegree, for every m, truncated or
-    not, and every number of specs folded, whichever m the tower is asked
-    for first (so whichever states it has folded before)."""
+    """The tower's columns up to m list the same states as a from-scratch
+    fold of the column-m truncation, and its page holds that fold's
+    classes, for every m, truncated or not, and every number of specs
+    folded, whichever m the tower is asked for first (so whichever
+    states it has folded before)."""
     if space == "spin9":
         model = LoopSpaceModel(builtin("spin9"))
         e2, specs = model.e2, model.differentials
     else:
         e2, specs = two_page_synthetic()
     ms = [*range(-1, e2.degree_cap + 4), None]
+    folds = {
+        (m, j): scratch_fold(e2, specs, m, j)
+        for m in ms for j in range(len(specs) + 1)
+    }
+    rs = [spec.r for spec in sorted(specs, key=lambda d: d.r)]
     for order in (ms, ms[::-1]):
         tower = TruncationTower(e2, specs)
         for m in order:
             for j in range(len(specs) + 1):
-                assert tower.stage(m, j) == scratch_listing(tower, m, j)
+                page = folds[(m, j)]
+                assert column_listing(tower, m, j) == scratch_listing(
+                    page, m, j, rs, tower.last_column
+                )
+                if page is not None:
+                    assert page_json(tower.page(m, j)) == page_json(page)
 
 
 @pytest.mark.parametrize(
@@ -477,32 +544,35 @@ def test_stage_listing_matches_a_scratch_listing(space):
 )
 def test_column_lists_the_leads_of_its_states(space, cap):
     """`column(j, s, alive)` holds, for each t with s + t under the cap
-    whose state is nonempty, the leading monomials of `state(j, s, t,
-    alive)` in page order, for every j, column and alive count; and each
-    stage listing is its columns' keys at the stage's alive counts."""
+    whose state is nonempty, that state's classes in page order, for
+    every j, column and alive count: those of column s of a from-scratch
+    fold of a truncation in which the first `alive` specs act out of
+    column s (at m = s + r - 1 for the next spec's r, untruncated when all
+    j do); and each page's basis is its columns' classes at the page's
+    alive counts."""
     if space == "two-page":
         e2, specs = two_page_synthetic()
         tower = TruncationTower(e2, specs)
     else:
         tower = LoopSpaceModel(builtin(space), degree_cap=cap)._tower
-    cap = tower.e2.degree_cap
-    n = len(tower.specs)
+    e2, specs = tower.e2, tower.specs
+    cap = e2.degree_cap
+    n = len(specs)
     for j in range(n + 1):
         for s in range(tower.last_column + 1):
             for alive in range(j + 1):
-                want = {}
-                for t in range(cap - s + 1):
-                    if classes := tower.state(j, s, t, alive):
-                        want[t] = [cls[0] for cls in classes]
+                m = None if alive == j else s + specs[alive].r - 1
+                page = scratch_fold(e2, specs, m, j)
+                want = {t: cls for (c, t), cls in page.basis.items() if c == s}
                 got = tower.column(j, s, alive)
                 assert got == want and list(got) == sorted(want)
-        for m in [*range(-1, cap + 2), None]:
+        for m in [*range(0, cap + 2), None]:
             top = tower.last_column if m is None else min(m, tower.last_column)
-            listing = []
+            basis = {}
             for s in range(top + 1):
-                alive = tower.alive(s, m, j)
-                listing += [(s, t, alive) for t in tower.column(j, s, alive)]
-            assert tower.stage(m, j) == listing
+                got = tower.column(j, s, tower.alive(s, m, j))
+                basis.update({(s, t): classes for t, classes in got.items()})
+            assert tower.page(m, j).basis == basis
     if space == "two-page":
         assert n == 2
 
@@ -609,12 +679,13 @@ def test_tower_states_match_the_full_homology_path(space):
         r = spec.r
         for s, t in e2.basis:
             for alive in range(j + 1):
-                here = rows(tower.state(j - 1, s, t, min(alive, j - 1)))
-                incoming = rows(tower.state(j - 1, s - r, t + r - 1, j - 1))
+                here = rows(tower.column(j - 1, s, min(alive, j - 1)).get(t, ()))
+                incoming = rows(tower.column(j - 1, s - r, j - 1).get(t + r - 1, ()))
                 want = here and full_homology(
                     full, spec, s, t, here, incoming, alive == j
                 )
-                assert rows(tower.state(j, s, t, alive)) == want, (j, s, t, alive)
+                got = rows(tower.column(j, s, alive).get(t, ()))
+                assert got == want, (j, s, t, alive)
 
 
 @pytest.mark.parametrize(
@@ -758,29 +829,29 @@ def test_tower_refuses_specs_out_of_page_order():
 def test_constructing_a_tower_folds_nothing(monkeypatch):
     """Building a tower, a candidate of inference or a model's, runs its
     checks alone: no state and no homology is computed until a page or a
-    state is read."""
-    calls = {"homology": 0, "state": 0}
+    column is read."""
+    calls = {"homology": 0, "column": 0}
     real_homology = specseq.homology_at
-    real_state = TruncationTower.state
+    real_column = TruncationTower.column
 
     def counting_homology(*args):
         calls["homology"] += 1
         return real_homology(*args)
 
-    def counting_state(self, *args):
-        calls["state"] += 1
-        return real_state(self, *args)
+    def counting_column(self, *args):
+        calls["column"] += 1
+        return real_column(self, *args)
 
     model = LoopSpaceModel(builtin("spin9"), degree_cap=52)
     folds = [(model.e2, model.differentials), two_page_synthetic()]
     monkeypatch.setattr(specseq, "homology_at", counting_homology)
-    monkeypatch.setattr(TruncationTower, "state", counting_state)
+    monkeypatch.setattr(TruncationTower, "column", counting_column)
     for e2, specs in folds:
         tower = TruncationTower(e2, specs)
-        assert calls == {"homology": 0, "state": 0}
+        assert calls == {"homology": 0, "column": 0}
         tower.page()
-        assert calls["homology"] > 0 and calls["state"] > 0
-        calls.update(homology=0, state=0)
+        assert calls["homology"] > 0 and calls["column"] > 0
+        calls.update(homology=0, column=0)
 
 
 @pytest.mark.parametrize(

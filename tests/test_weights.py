@@ -36,7 +36,6 @@ from reference import (
     classify_truncation,
     full_walk,
     page_json,
-    per_state_report,
     parse_row,
     row_of,
     row_str,
@@ -44,7 +43,7 @@ from reference import (
     truncate,
     wgt,
 )
-from test_specseq import padded_spin9, two_page_synthetic
+from test_specseq import column_listing, padded_spin9, two_page_synthetic
 
 
 def su_data(n: int) -> dict:
@@ -527,14 +526,15 @@ def test_the_witness_walk_ends_where_no_stage_can_hold_a_candidate(make):
     ],
 )
 def test_stage_report_matches_a_per_state_listing(make):
-    """Every stage's report, read from one record per column and alive
-    count, is the stage listed state by state through the tower's stage
-    listing, whichever stage is asked for first."""
+    """Every stage's report, read from the tower's columns, is the stage
+    truncated and classified from scratch, whichever stage is asked for
+    first; stage -1 has no column and no class."""
     for descending in (False, True):
         model = make()
         stages = range(-1, model.space.degree_cap + 1)
         for m in reversed(stages) if descending else stages:
-            assert model.stage_report(m) == per_state_report(model, m)
+            want = reference_stage(model, m)[1] if m >= 0 else []
+            assert model.stage_report(m) == want
 
 
 def reference_candidates(model: LoopSpaceModel, m: int):
@@ -852,7 +852,7 @@ def test_spin9_folds_once_per_factor_state(monkeypatch, cap):
         base = tower._base
         assert len(calls) <= 2 * len(base)
         factors.append({
-            key: [model.e2.class_str(cls) for cls in tower._classes(0, *key, 0)]
+            key: [model.e2.class_str((a,)) for a in tower._cells[key]]
             for key in base
         })
         calls.clear()
@@ -1052,10 +1052,12 @@ def test_spin9_classifies_each_state_once(monkeypatch):
     states = {
         state
         for m in range(model._tower.last_column + 1)
-        for state in tower.stage(m)
+        for state in column_listing(tower, m, j)
         if state[0] + state[1] <= model.space.degree_cap
     }
-    assert len(facts) <= sum(len(tower.state(j, *state)) for state in states)
+    assert len(facts) <= sum(
+        len(tower.column(j, s, alive)[t]) for s, t, alive in states
+    )
     assert len(mapped) == len(set(mapped))
 
 
@@ -1069,7 +1071,7 @@ def test_stages_share_their_states_class_records():
     reports, states = {}, {}
     for m in (7, 8):
         reports[m] = model.stage_report(m)
-        states[m] = model._tower.stage(m)
+        states[m] = column_listing(model._tower, m, len(model.differentials))
         held = [
             cls for state in states[m] for cls in model._state_classes[state]
         ]
@@ -1111,23 +1113,26 @@ def test_su_labels_each_class_once(monkeypatch):
     assert len(labels) == len(set(labels)) == 64
 
 
-def counting_stage_calls(monkeypatch) -> list:
-    """(tower, m) of each `TruncationTower.stage` call from here on."""
+def counting_listings(monkeypatch) -> list:
+    """(tower, j, s, alive) of each column that a `TruncationTower.column`
+    call lists from here on: each call for a column its tower does not
+    keep yet."""
     listed = []
-    real_stage = specseq.TruncationTower.stage
+    real_column = specseq.TruncationTower.column
 
-    def counting_stage(self, m=None, j=None):
-        listed.append((self, m))
-        return real_stage(self, m, j)
+    def counting_column(self, j, s, alive):
+        if (j, s, alive) not in self._listed:
+            listed.append((self, j, s, alive))
+        return real_column(self, j, s, alive)
 
-    monkeypatch.setattr(specseq.TruncationTower, "stage", counting_stage)
+    monkeypatch.setattr(specseq.TruncationTower, "column", counting_column)
     return listed
 
 
 def test_su_report_lists_no_stage(monkeypatch):
     """No SU(7) class lies in a degree where the cohomology vanishes, and
     every E2 generator matches: a report classifies no class and lists
-    no stage, not even the untruncated one, since E-infinity is E2."""
+    no column, not even the untruncated stage's, since E-infinity is E2."""
     facts = []
     real_facts = weights.class_facts
 
@@ -1136,7 +1141,7 @@ def test_su_report_lists_no_stage(monkeypatch):
         return real_facts(*args)
 
     monkeypatch.setattr(weights, "class_facts", counting_facts)
-    listed = counting_stage_calls(monkeypatch)
+    listed = counting_listings(monkeypatch)
     model = LoopSpaceModel(su_space(7))
     _, code = build_report(model)
     assert code == 0
@@ -1145,54 +1150,111 @@ def test_su_report_lists_no_stage(monkeypatch):
 
 
 def test_spin9_report_lists_only_truncate_stages(monkeypatch):
-    """The witness search reads tower states, and the stages read column
-    records, never a stage listing: a spin9 report builds one record per
-    (column, alive count) its truncations name, and none without them."""
-    listed = counting_stage_calls(monkeypatch)
-    columns = []
-    real_column = specseq.TruncationTower.column
-
-    def counting_column(self, j, s, alive):
-        columns.append((s, alive))
-        return real_column(self, j, s, alive)
-
-    monkeypatch.setattr(specseq.TruncationTower, "column", counting_column)
+    """The witness search and the stages read the tower's columns, each
+    listed once: a spin9 report lists the (column, alive count) pairs its
+    truncations name and those the witness walk reads, and the walk's
+    alone without truncations."""
+    listed = counting_listings(monkeypatch)
+    walk = None
     for truncations in ([], [7, 8, 9]):
         listed.clear()
-        columns.clear()
         model = LoopSpaceModel(builtin("spin9"))
         _, code = build_report(model, truncations=truncations)
         assert code == 0
-        assert listed == []
         tower = model._tower
+        assert all(t is tower for t, *_ in listed)
         named = {
             (s, tower.alive(s, m))
             for m in truncations
             for s in range(min(m, tower.last_column) + 1)
         }
+        columns = [(s, alive) for _, _, s, alive in listed]
         assert len(columns) == len(set(columns))
-        assert set(columns) == named
+        walk = set(columns) if walk is None else walk
+        assert set(columns) == named | walk
     assert len(named) < sum(m + 1 for m in truncations)  # stages share
 
 
 def test_untruncated_stage_is_listed_once(monkeypatch):
     """The inference's dimension check and a report read E-infinity off
-    the touched factor and B, with no page: a spin9 report lists no
-    untruncated stage of any tower, and a dump-page past its last
-    differential lists the model's tower's once."""
-    listed = counting_stage_calls(monkeypatch)
+    the touched factor and B, with no page: a spin9 report builds no
+    untruncated page of any tower, and a dump-page past its last
+    differential builds the model's tower's once."""
+    built = []
+    real_page = specseq.TruncationTower.page
+
+    def counting_page(self, m=None, j=None):
+        if (m, len(self.specs) if j is None else j) not in self._pages:
+            built.append((self, m))
+        return real_page(self, m, j)
+
+    monkeypatch.setattr(specseq.TruncationTower, "page", counting_page)
     model = LoopSpaceModel(builtin("spin9"))
     _, code = build_report(model, truncations=[7, 8, 9])
     assert code == 0
-    assert [m for _, m in listed if m is None] == []
+    assert [m for _, m in built if m is None] == []
     assert model._tower._pages == {}
     assert model.e_infinity is model._tower.page()
 
-    listed.clear()
+    built.clear()
     with redirect_stdout(io.StringIO()):
         assert cli.main(["dump-page", "spin9", "--page", "4"]) == 0
-    untruncated = Counter(tower for tower, m in listed if m is None)
+    untruncated = Counter(tower for tower, m in built if m is None)
     assert untruncated and set(untruncated.values()) == {1}
+
+
+@pytest.mark.parametrize("cap", [36, 44, 52, 68])
+def test_each_column_is_listed_once_per_tower(monkeypatch, cap):
+    """A tower lists each (j, s, alive) column at most once, and a report
+    lists only the columns it reads: a spin9 report lists 6 columns, all
+    the witness walk's, or 14 with --truncate 7,8,9, at every cap; the
+    walk's residual reads skip the bidegrees E2 lacks, so they list no
+    column for one; a dump-page lists each column of its page once; and
+    an SU(4..7) report lists none."""
+    listed = counting_listings(monkeypatch)
+    residual_reads, inside = [], []
+    real_residual = LoopSpaceModel._residual_in
+    real_classes = LoopSpaceModel._classes
+
+    def reading_residual(self, m, degree):
+        inside.append(degree)
+        try:
+            return real_residual(self, m, degree)
+        finally:
+            inside.pop()
+
+    def reading_classes(self, state):
+        if inside:
+            residual_reads.append((self, state))
+        return real_classes(self, state)
+
+    monkeypatch.setattr(LoopSpaceModel, "_residual_in", reading_residual)
+    monkeypatch.setattr(LoopSpaceModel, "_classes", reading_classes)
+    for truncations, want in (([], 6), ([7, 8, 9], 14)):
+        listed.clear()
+        residual_reads.clear()
+        model = LoopSpaceModel(builtin("spin9"), degree_cap=cap)
+        _, code = build_report(model, truncations=truncations)
+        assert code == 0
+        assert len(listed) == len(set(listed)) == want
+        assert residual_reads
+        assert all(
+            (s, t) in model.e2.basis for _, (s, t, _) in residual_reads
+        )
+
+    listed.clear()
+    with redirect_stdout(io.StringIO()):
+        args = ["dump-page", "spin9", "--page", "4", "--degree-cap", str(cap)]
+        assert cli.main(args) == 0
+    (tower,) = {t for t, *_ in listed}
+    columns = [(j, s, alive) for _, j, s, alive in listed]
+    assert columns == [(1, s, 1) for s in range(tower.last_column + 1)]
+
+    listed.clear()
+    for n in range(4, 8):
+        _, code = build_report(LoopSpaceModel(su_space(n)))
+        assert code == 0
+    assert listed == []
 
 
 def test_model_algebras_are_freed_by_refcount():
