@@ -219,9 +219,12 @@ def page_at(
     Up to the first page where a differential can act, the least r at
     which some generator not listed as permanent has a nonempty d_r target
     cell (`specseq.candidate_widths`), page r is E2, whatever the
-    abutment: it is served from E2 itself, its bidegrees past the column
-    cap left out, without running the inference or building a tower.
-    That is every page of a fixture with no such generator.  So for those
+    abutment: it is served from E2 itself, as E2 at the column cap with
+    no basis of its own, without running the inference or building a
+    tower.  Its text comes from one walk of the lattice pruned at both
+    caps (`BigradedPage.json_text`), with no class built, and its basis,
+    if read, holds E2's classes in columns up to the cap alone.  That is
+    every page of a fixture with no such generator.  So for those
     pages a fixture whose inference fails, is ambiguous or is over the
     search budget still prints its page with exit 0, while a permanent
     cycle that is not an E2 generator still raises.  Later pages are read
@@ -234,10 +237,7 @@ def page_at(
         if truncate_at is not None:
             if truncate_at < 0:
                 raise SpectralSequenceError("column cap must be >= 0")
-            e2 = e2._derived(column_cap=truncate_at, basis={
-                key: classes for key, classes in e2.basis.items()
-                if key[0] <= truncate_at
-            })
+            e2 = e2._derived(column_cap=truncate_at)
         return e2.advanced(r)
     tower = model._tower
     j = sum(spec.r < r for spec in tower.specs)

@@ -125,22 +125,28 @@ gf2 unchanged, and a representative's lowest set bit is its leading
 monomial.  A value of d_r on a generator is a row over E2's cell that
 d_r lands in (`BigradedPage.target`, `E2Cells.cell`).
 
-E2's cells are walked only where E2 is the output (`E2Cells`): the whole
-lattice is walked, up to the report cap, the first time E2's classes
-are read, which only a page before the first possible differential
-does (the stages of a tower with no spec walk it too, as B).  The cells
+E2's cells are walked only where E2 is the output (`E2Cells`), which
+only a page before the first possible differential is (the stages of a
+tower with no spec walk the lattice too, as B).  Such a page is walked
+once, up to the report cap and its column cap: since s only grows along
+the walk, the column cap prunes it as the degree cap does.  A page that
+is printed walks the lattice carrying each monomial's label, not its
+exponents (`E2Cells.labels`), and builds no class; E2's classes are
+walked only when a page's basis is read (`E2Cells.classes`).  The cells
 that d_r values and candidate widths read are walked once per total
 degree, up to that degree, and A's cells once per E2 and set of touched
 generators (`E2Cells.factor`), which inference's candidates share.
-E2's `dims_by_total_degree` is the lattice's Poincare series and the
-last E2 column the lattice's cup-length.  So a report reads no E2 cell
-but its unknowns' target cells, and a report on a space whose
+E2's untruncated `dims_by_total_degree` is the lattice's Poincare series
+and the last E2 column the lattice's cup-length.  So a report reads no
+E2 cell but its unknowns' target cells, and a report on a space whose
 generators are all permanent cycles (every SU(n)) reads none.
 
 A page prints as JSON text (`BigradedPage.json_text`, what `dump-page`
 writes): the text `json.dumps(..., indent=2)` gives for r, the degree
 and column caps and one record of s, t and class labels per bidegree,
-written straight from the basis, with no dict per bidegree in between.
+with no dict per bidegree in between.  An E2 page whose basis is unread
+writes the labels of E2's labelled walk; every other page labels its
+basis's classes through `class_str`.
 """
 
 from __future__ import annotations
@@ -194,9 +200,32 @@ def _cells(walk) -> dict[tuple[int, int], tuple[tuple[int, ...], ...]]:
     return {key: tuple(cells[key]) for key in sorted(cells)}
 
 
-def _walk_cells(lattice: Algebra, cap: int):
-    """E2's cells up to `cap`, from the one walk of the whole lattice."""
-    return _cells(lattice.walk(cap=cap))
+def _walk_cells(lattice: Algebra, cap: int, column_cap: int | None, parts, unit):
+    """Each nonempty bidegree of the lattice up to total degree `cap` and
+    column `column_cap` (None: every column), in (s, t) order, with each
+    of its monomials, ascending, as the sum of its generators' parts:
+    `unit` plus, generator by generator in lattice order, the part for
+    the generator's exponent e, `first[e]` while the sum is still empty
+    and `more[e]` after, where `parts` holds a (first, more) pair per
+    generator.
+
+    The walk goes generator by generator, as `Algebra.walk` does, so each
+    bidegree's monomials come in ascending order.  It is pruned by the
+    degree left and, since s only grows, by the columns left.  It is kept
+    apart from `Algebra.walk`, which the cells, A and B read: carrying
+    parts there costs the reports that walk A and B more than it saves."""
+    top = cap if column_cap is None else column_cap
+    partial = [(0, 0, unit)]
+    for d, max_e, (first, more) in zip(lattice._degrees, lattice._max_exp, parts):
+        partial = [
+            (degree + e * d, s + e, acc + (more if acc else first)[e])
+            for degree, s, acc in partial
+            for e in range(min(max_e, (cap - degree) // d, top - s) + 1)
+        ]
+    cells: dict[tuple[int, int], list] = {}
+    for degree, s, acc in partial:
+        cells.setdefault((s, degree - s), []).append(acc)
+    return {key: cells[key] for key in sorted(cells)}
 
 
 def _monomials(cell, row: int) -> list[tuple[int, ...]]:
@@ -212,9 +241,15 @@ def _monomials(cell, row: int) -> list[tuple[int, ...]]:
 
 class E2Cells:
     """E2's cells over the lattice `algebra`, shared by every page over
-    one E2, each read on first use.  `classes` is E2's basis: each nonempty
-    bidegree up to `degree_cap` with its classes, one per monomial of its
-    cell, ascending, all made from one walk of the lattice.  `cell(s, t)`
+    one E2, each read on first use.
+
+    `labels(column_cap)` is what an E2 page prints: each nonempty
+    bidegree up to `degree_cap` and the column cap with its class labels
+    (`Algebra.monomial_str`, JSON-escaped, unquoted), in page order, from
+    one walk of the lattice (`_walk_cells`) that carries each monomial's
+    label parts, with each generator's powers written once.
+    `classes(column_cap)` is the same walk carrying exponents: E2's basis,
+    one class per monomial, for a page whose basis is read.  `cell(s, t)`
     is one bidegree's monomials, ascending, from a walk up to its total
     degree, kept per degree: d_r's target cells are read that way, with
     no walk of E2."""
@@ -225,12 +260,25 @@ class E2Cells:
         self._degrees: dict[int, dict] = {}
         self._factors: dict[tuple[int, ...], tuple] = {}
 
-    @cached_property
-    def classes(self) -> dict[tuple[int, int], tuple[tuple[tuple[int, ...]], ...]]:
-        return {
-            key: tuple((m,) for m in cell)
-            for key, cell in _walk_cells(self.algebra, self.degree_cap).items()
-        }
+    def classes(self, column_cap: int | None) -> dict:
+        exps = [
+            (powers, powers)
+            for powers in ([(e,) for e in range(top + 1)] for top in self.algebra._max_exp)
+        ]
+        cells = _walk_cells(self.algebra, self.degree_cap, column_cap, exps, ())
+        return {key: tuple([(m,) for m in cell]) for key, cell in cells.items()}
+
+    def labels(self, column_cap: int | None) -> dict[tuple[int, int], list[str]]:
+        # Each generator's powers as a label's first factor, 'x' or 'x^e',
+        # and as a later one, '*x' or '*x^e' (empty for e = 0).
+        parts = []
+        for g, top in zip(self.algebra.generators, self.algebra._max_exp):
+            name = encode_basestring_ascii(g.name)[1:-1]
+            powers = ["", *(name if e == 1 else f"{name}^{e}" for e in range(1, top + 1))]
+            parts.append((powers, ["", *("*" + p for p in powers[1:])]))
+        cells = _walk_cells(self.algebra, self.degree_cap, column_cap, parts, "")
+        cells[(0, 0)] = ["1"]  # the unit, the one monomial of (0, 0)
+        return cells
 
     def cell(self, s: int, t: int) -> tuple[tuple[int, ...], ...]:
         d = s + t
@@ -271,6 +319,13 @@ class BigradedPage:
     (the first term).  At E2 every class is a single monomial; later pages
     keep monomial-pivot representatives.  Every page derived from one E2
     reads that E2's `E2Cells`.
+
+    A page derived with a basis of its own (a tower's) holds it; any other
+    page is E2 up to its column cap, and reads E2's classes in columns
+    s <= the cap only when its `basis` is read.  While it is unread, such
+    a page counts its classes off the lattice's Poincare series when it
+    has no column cap, and writes its labels from E2's labelled walk
+    (`E2Cells.labels`), with no class built.
     """
 
     def __init__(self, cells: E2Cells, r: int, degree_cap: int):
@@ -282,15 +337,19 @@ class BigradedPage:
 
     @cached_property
     def basis(self) -> dict[tuple[int, int], tuple[tuple[tuple[int, ...], ...], ...]]:
-        """Each nonempty bidegree's classes, in (s, t) order: E2's, read on
-        first use, unless the page was derived with its own."""
-        return self.lattice_cells.classes
+        """Each nonempty bidegree's classes, in (s, t) order: E2's in the
+        columns up to the column cap, read on first use, unless the page
+        was derived with its own."""
+        return self.lattice_cells.classes(self.column_cap)
 
     def _derived(self, **fields) -> "BigradedPage":
         """A page over this page's lattice and cells, with `fields` in
-        place of the rest."""
+        place of the rest.  Given a column cap and no basis, it is E2 at
+        that cap: an E2 basis read at another cap is not kept."""
         page = copy.copy(self)
-        page.__dict__.update(fields)
+        if "column_cap" in fields and "basis" not in fields:
+            vars(page).pop("basis", None)
+        vars(page).update(fields)
         return page
 
     # -- monomial helpers --------------------------------------------------
@@ -319,9 +378,10 @@ class BigradedPage:
 
     def dims_by_total_degree(self) -> list[int]:
         """Class count per total degree, 0..degree_cap.  E2 has one class
-        per lattice monomial: its counts, while its classes are unread, are
-        the lattice's Poincare series, read without a cell."""
-        if "basis" not in vars(self):
+        per lattice monomial: with no column cap, while its classes are
+        unread, its counts are the lattice's Poincare series, read without
+        a cell."""
+        if "basis" not in vars(self) and self.column_cap is None:
             return self.lattice.poincare_series()[: self.degree_cap + 1]
         dims = [0] * (self.degree_cap + 1)
         for (s, t), classes in self.basis.items():
@@ -345,14 +405,21 @@ class BigradedPage:
     def json_text(self) -> str:
         """The page as `json.dumps(..., indent=2)` writes the object
         {"r", "degree_cap", "column_cap", "bidegrees": [{"s", "t",
-        "classes": [label, ...]}, ...]}, bidegrees in (s, t) order."""
+        "classes": [label, ...]}, ...]}, bidegrees in (s, t) order.  An
+        E2 page whose basis is unread writes E2's labels at its column cap
+        (`E2Cells.labels`); every other page labels its classes through
+        `class_str`."""
+        if "basis" in vars(self):
+            cells = {
+                key: [encode_basestring_ascii(self.class_str(cls))[1:-1] for cls in classes]
+                for key, classes in sorted(self.basis.items())
+            }
+        else:
+            cells = self.lattice_cells.labels(self.column_cap)
         records = []
-        for s, t in sorted(self.basis):
-            names = ",\n        ".join([
-                encode_basestring_ascii(self.class_str(cls))
-                for cls in self.basis[(s, t)]
-            ])
-            classes = f"[\n        {names}\n      ]" if names else "[]"
+        for (s, t), labels in cells.items():
+            names = '",\n        "'.join(labels)
+            classes = f'[\n        "{names}"\n      ]' if labels else "[]"
             records.append(f'{{\n      "s": {s},\n      "t": {t},\n'
                            f'      "classes": {classes}\n    }}')
         body = ",\n    ".join(records)
@@ -582,9 +649,10 @@ class TruncationTower:
     docstring says why that is exact).  So a stage at or past the last
     column folds no state of its own, and its page holds the untruncated
     classes.  m = None means untruncated, and j defaults to every spec.
-    The tower keeps each page it builds, per (m, j).  `bidegrees` is
-    E2's nonempty bidegrees under the cap, A's times B's, for a reader
-    that would otherwise list a column only to find a state empty.
+    The tower keeps each page it builds, per (m, j).  `nonempty(s)` is
+    the t of E2's nonempty bidegrees in column s under the cap, A's times
+    B's, built per column on first read, for a reader that would
+    otherwise list a column only to find a state empty.
 
     E-infinity's facts come from A's untruncated classes and B, with no
     page: `e_infinity_dims`, `survives` and `top_filtration`.  A tower
@@ -632,6 +700,7 @@ class TruncationTower:
         )
         self._folded: dict[tuple[int, int, int, int], tuple[int, ...]] = {}
         self._listed: dict[tuple[int, int, int], dict[int, tuple]] = {}
+        self._nonempty: dict[int, set[int]] = {}
         # Per spec, d_r through its image table over A.  The readers are
         # closures that hold no reference to the tower, so a dropped model
         # is freed by refcount.
@@ -704,17 +773,19 @@ class TruncationTower:
             self._listed[key] = out
         return out
 
-    @cached_property
-    def bidegrees(self) -> set[tuple[int, int]]:
-        """E2's nonempty bidegrees under the report cap: A's times B's."""
-        cap = self.e2.degree_cap
-        return {
-            (sa + sb, ta + tb)
-            for sb, column in self._b_columns.items()
-            for tb, _ in column
-            for sa, ta in self._base
-            if sa + ta + sb + tb <= cap
-        }
+    def nonempty(self, s: int) -> set[int]:
+        """The t of E2's nonempty bidegrees (s, t) under the report cap,
+        A's times B's; built on the first read of column s."""
+        out = self._nonempty.get(s)
+        if out is None:
+            room = self.e2.degree_cap - s
+            out = self._nonempty[s] = {
+                ta + tb
+                for sb, column in self._b_columns.items() if sb <= s
+                for ta in self._columns.get(s - sb, ())
+                for tb, _ in column if ta + tb <= room
+            }
+        return out
 
     def monomials_in(self, degrees):
         """(bidegree, monomial) of every E2 monomial whose total degree is

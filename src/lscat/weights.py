@@ -101,8 +101,8 @@ a lattice monomial of u leads a class of the state (s, t, alive) of its
 bidegree (classified once per state), and whether a residual class lies
 in the target degree, read from the classified states of that degree
 each time it is asked (no report asks for one stage and degree twice).
-That read skips the bidegrees E2 lacks (`TruncationTower.bidegrees`),
-whose states are empty, so it lists no column only to find one.
+That read skips the bidegrees E2 lacks (`TruncationTower.nonempty`, per
+column), whose states are empty, so it lists no column only to find one.
 
 Not reading a whole stage could hide one error: a non-residual class
 that does not map into the extended algebra, which takes an E2
@@ -384,7 +384,7 @@ class LoopSpaceModel:
         return any(
             bucket(*cls.key, m, height) == BUCKET_RESIDUAL
             for s in range(min(m, degree) + 1)
-            if (s, degree - s) in tower.bidegrees
+            if degree - s in tower.nonempty(s)
             for cls in self._classes((s, degree - s, tower.alive(s, m)))
         )
 

@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from lscat import specseq
 from lscat.algebra import (
     Algebra,
     AlgebraError,
@@ -288,14 +289,21 @@ def random_presentation(rng: random.Random) -> AlgebraPresentation:
     return AlgebraPresentation(gens, rng.randint(1, 40 if top is None else top + 5))
 
 
-def test_per_degree_bases_match_the_lattice_walk():
+def test_per_degree_bases_match_the_lattice_walk(monkeypatch):
     """On 300 seeded random presentations, and on `unit`'s empty one: each
     degree's basis, read in a random order, is the whole-lattice walk's
     bucket in the same order; the Poincare series is the bucket lengths;
     the greedy cup-length is the walk's largest exponent sum, under the
-    algebra's cap and under a random lower one; and E2's cell widths
-    over the algebra are the counts of the walk's bidegrees, its cells
-    read one degree at a time the same monomials."""
+    algebra's cap and under a random lower one; E2's cell widths over the
+    algebra are the counts of the walk's bidegrees, its cells read one
+    degree at a time the same monomials, with no walk of E2; and E2's
+    classes and labels at that lower number as column cap are the walk's
+    monomials in those columns, and their `monomial_str` texts."""
+    walks = []
+    real_walk = specseq._walk_cells
+    monkeypatch.setattr(
+        specseq, "_walk_cells", lambda *args: walks.append(1) or real_walk(*args)
+    )
     rng = random.Random(29)
     presentations = [random_presentation(rng) for _ in range(300)]
     presentations.append(AlgebraPresentation((), 1))
@@ -315,10 +323,18 @@ def test_per_degree_bases_match_the_lattice_walk():
                 s = sum(exps)
                 cells[(s, alg.monomial_degree(exps) - s)] += 1
         e2 = E2Cells(Algebra(pres), pres.degree_cap)
-        assert {k: len(c) for k, c in e2.classes.items()} == dict(cells)
+        classes = e2.classes(None)
+        assert {k: len(c) for k, c in classes.items()} == dict(cells)
         # A cell read per degree is the walk's, with no walk of E2.
         fresh = E2Cells(Algebra(pres), pres.degree_cap)
+        walks.clear()
         for (s, t), width in cells.items():
-            want = [e2.classes[(s, t)][i][0] for i in range(width)]
+            want = [classes[(s, t)][i][0] for i in range(width)]
             assert want == list(fresh.cell(s, t))
-        assert "classes" not in vars(fresh)
+        assert walks == []
+        # Pruned at a column cap, the walk keeps those columns whole.
+        kept = {key: c for key, c in classes.items() if key[0] <= cap}
+        assert fresh.classes(cap) == kept
+        assert fresh.labels(cap) == {
+            key: [alg.monomial_str(m) for (m,) in c] for key, c in kept.items()
+        }

@@ -1167,6 +1167,101 @@ def test_page_text_covers_sums_empty_pages_and_column_caps():
     assert json.loads(pages[4].json_text())["column_cap"] == 5
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        *(
+            pytest.param(
+                lambda cap=cap: LoopSpaceModel(builtin("spin9"), degree_cap=cap),
+                id=f"spin9-{cap}",
+            )
+            for cap in (8, 12, 20, 36, 44, 52)
+        ),
+        pytest.param(lambda: LoopSpaceModel(builtin("toy-trunc-poly")), id="toy-trunc-poly"),
+        pytest.param(lambda: LoopSpaceModel(builtin("unit")), id="unit"),
+        *(
+            pytest.param(lambda n=n: LoopSpaceModel(su_space(n)), id=f"su{n}")
+            for n in range(3, 9)
+        ),
+    ],
+)
+def test_e2_pages_at_every_column_cap_match_a_filtered_walk(make):
+    """Every page `page_at` serves from E2, at each r up to the first page
+    where a differential can act (2..4 when none can) and at column caps
+    None and 0 .. the last column + 1, is E2's monomials in those columns
+    from this module's own walk: its text, written from the labelled walk
+    or, with its basis read first, from the basis, is `json.dumps` of
+    that page's object, and its total-degree dims are its basis counts,
+    also once E2's own basis has been read."""
+    model = make()
+    e2 = model.e2
+    _, widths = model._candidate_widths
+    every = {
+        key: tuple((m,) for m in cell)
+        for key, cell in cells(e2.lattice).items()
+        if sum(key) <= e2.degree_cap
+    }
+    for r in range(2, min(widths, default=4) + 1):
+        for m in (None, *range(e2.lattice.cup_length() + 2)):
+            want = {key: c for key, c in every.items() if m is None or key[0] <= m}
+            text = json.dumps(page_json(e2._derived(r=r, basis=want, column_cap=m)), indent=2)
+            assert report_mod.page_at(model, r, m).json_text() == text, (r, m)
+            read = report_mod.page_at(model, r, m)
+            assert read.basis == want, (r, m)
+            assert read.json_text() == json.dumps(page_json(read), indent=2) == text
+            dims = report_mod.page_at(model, r, m).dims_by_total_degree()
+            counts = [0] * (e2.degree_cap + 1)
+            for s, t in want:
+                counts[s + t] += len(want[(s, t)])
+            assert dims == counts, (r, m)
+    # E2's own basis, once read, is not what a truncated page holds.
+    assert e2.basis == every
+    for m in range(e2.lattice.cup_length() + 2):
+        want = {key: c for key, c in every.items() if key[0] <= m}
+        assert report_mod.page_at(model, 2, m).basis == want, m
+
+
+@pytest.mark.parametrize(
+    "argv, m",
+    [
+        (["dump-page", "spin9", "--page", "2", "--degree-cap", "52"], None),
+        (["dump-page", "spin9", "--page", "3", "--degree-cap", "52", "--truncate", "4"], 4),
+        (["dump-page", "spin9", "--page", "2", "--truncate", "0"], 0),
+        (["dump-page", "toy-trunc-poly", "--page", "3", "--truncate", "2"], 2),
+        (["dump-page", "toy-trunc-poly", "--page", "2"], None),
+    ],
+)
+def test_e2_dump_page_builds_no_class(monkeypatch, argv, m):
+    """`dump-page` of an E2 page reads no `E2Cells.classes` and labels no
+    class through `class_str`: its text comes from the labelled walk,
+    which, with `--truncate m`, makes no monomial past column m (traced by
+    walking the same part tables' exponents, each sum recorded)."""
+    classes, labels, made = [], [], []
+    monkeypatch.setattr(specseq.E2Cells, "classes", lambda *a: classes.append(a))
+    monkeypatch.setattr(specseq.BigradedPage, "class_str", lambda *a: labels.append(a))
+    real = specseq._walk_cells
+
+    class Sum(int):
+        """An exponent sum that records every sum the walk makes from it."""
+
+        def __add__(self, e):
+            made.append(int(self) + e)
+            return Sum(made[-1])
+
+    def traced(lattice, cap, column_cap, parts, unit):
+        sums = [(range(len(first)),) * 2 for first, _ in parts]
+        real(lattice, cap, column_cap, sums, Sum(0))
+        return real(lattice, cap, column_cap, parts, unit)
+
+    monkeypatch.setattr(specseq, "_walk_cells", traced)
+    code, out, _ = run_cli(*argv)
+    assert code == 0 and json.loads(out)["column_cap"] == m
+    assert classes == [] and labels == []
+    assert made
+    if m is not None:
+        assert max(made) <= m
+
+
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_unknown_permanent_cycle_exits_3_at_every_page(tmp_path, r):
     path = tmp_path / "two-page.json"

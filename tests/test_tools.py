@@ -87,9 +87,10 @@ def test_same_outputs_names_exactly_the_ops_an_edit_moves(tmp_path):
     # The reports that must stay byte-identical: SU(3..16), spin9 at caps
     # 36, 44, 52 and 68, spin9 with stages repeated and out of order, and
     # toy-trunc-poly, each in JSON and text; `validate` and a JSON report
-    # on each of seven malformed Steenrod tables; and the pages past
-    # spin9's and toy-trunc-poly's last differential at every truncation.
-    assert len(ops) == 378
+    # on each of seven malformed Steenrod tables; the pages past spin9's
+    # and toy-trunc-poly's last differential at every truncation; and the
+    # pages served from E2 at every truncation up to the last E2 column.
+    assert len(ops) == 480
     tables = same_outputs.malformed_tables()
     assert len(tables) == 7
     for name in tables:
@@ -105,6 +106,11 @@ def test_same_outputs_names_exactly_the_ops_an_edit_moves(tmp_path):
             for m in range(cap + 1):
                 name = f"extra: dump-page {space} cap={cap} r={r} truncate={m}"
                 assert kinds[name] == "dump-page"
+    e2_pages = [name for name in kinds if name.startswith("extra: dump-page E2 ")]
+    assert len(e2_pages) == sum(
+        len(pages) * (last + 1) for _, _, pages, last in same_outputs.E2_PAGES
+    ) == 102
+    assert {kinds[name] for name in e2_pages} == {"dump-page"}
 
 
 def test_same_outputs_replace_shows_an_edit_to_one_string(tmp_path):

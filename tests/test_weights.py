@@ -861,15 +861,20 @@ def test_spin9_folds_once_per_factor_state(monkeypatch, cap):
     assert factors[1:] == factors[:-1]
 
 
-def test_spin9_pages_hold_only_reported_degrees():
+def test_spin9_pages_hold_only_reported_degrees(monkeypatch):
     """A's cells reach DEFAULT_SCRATCH degrees past the cap, as d_r
     targets, but every A state a report folds stops at the cap, and so do
     E2's classes, which the report does not walk."""
+    walks = []
+    real = specseq._walk_cells
+    monkeypatch.setattr(
+        specseq, "_walk_cells", lambda *args: walks.append(1) or real(*args)
+    )
     model = LoopSpaceModel(builtin("spin9"), degree_cap=52)
     _, code = build_report(model, truncations=[0, 7, 8, 17, 18, 20, 52])
     assert code == 0
     tower = model._tower
-    assert "classes" not in vars(model.e2.lattice_cells)
+    assert walks == [] and "basis" not in vars(model.e2)
     assert max(s + t for s, t in tower._cells) == 52 + DEFAULT_SCRATCH
     assert tower._folded
     assert all(s + t <= 52 for _, s, t, _ in tower._folded)

@@ -17,6 +17,9 @@ built-ins:
     dump-page spin9 at caps 36 and 52, r = 4 and 5, truncate 0..cap, and
         toy-trunc-poly at r = 4, truncate 0..36 (every truncation of a
         page past the last differential)
+    dump-page spin9 at caps 36 and 52 and toy-trunc-poly at r = 2 and 3,
+        and SU(8) at r = 2, truncate 0..the last E2 column (every
+        truncation of a page served from E2)
     validate on each built-in
     validate, and report in json, on each table of `malformed_tables`:
         spin9's presentation with one Steenrod table edit, written to the
@@ -57,6 +60,13 @@ TRUNCATIONS = (None, 0, 4, 8)
 # (space, cap, pages) of the dump-page ops at every truncation 0..cap.
 LATER_PAGES = (
     ("spin9", 36, (4, 5)), ("spin9", 52, (4, 5)), ("toy-trunc-poly", TOY_CAP, (4,)),
+)
+# (space, cap, pages, last E2 column) of the E2 dump-page ops at every
+# truncation 0..that column (the lattice's cup-length); an int space is
+# SU(n)'s fixture, at its own cap.
+E2_PAGES = (
+    ("spin9", 36, (2, 3), 13), ("spin9", 52, (2, 3), 18),
+    ("toy-trunc-poly", TOY_CAP, (2, 3), 13), (8, None, (2,), 7),
 )
 
 
@@ -177,6 +187,14 @@ def invocations(fixture_dir: Path) -> list[tuple[str, list[str]]]:
                         "--page", str(r), "--truncate", str(m)]
                 out.append((f"extra: dump-page {space} cap={cap} r={r} "
                             f"truncate={m}", argv))
+    for space, cap, pages, last in E2_PAGES:
+        name = space if cap is None else f"{space} cap={cap}"
+        argv = ["dump-page", paths.get(space, space)]
+        argv += [] if cap is None else ["--degree-cap", str(cap)]
+        for r in pages:
+            for m in range(last + 1):
+                out.append((f"extra: dump-page E2 {name} r={r} truncate={m}",
+                            argv + ["--page", str(r), "--truncate", str(m)]))
     out += [(f"extra: validate {space}", ["validate", space]) for space in BUILTINS]
     for name, data in malformed_tables().items():
         path = fixture_dir / f"{name.replace(' ', '-')}.json"

@@ -5,10 +5,10 @@ file, runs `lscat report FILE --format json` through `lscat.cli.main` in
 process three times, and prints one row: n, the exit code, the cat
 bracket, the best wall time of the three, the number of `Algebra.basis`
 calls (over the cohomology, the extended algebra and the E2 lattice),
-and the E2 cell monomials built, 0 when the report read no E2 cell.  The
-counts come from one more report of the same fixture, built with
-`report.build_report` so that its objects can be read.  Uses only the
-standard library:
+and the monomials of E2's walks (`specseq._walk_cells`), 0 when the
+report walked no E2 cell.  The counts come from one more report of the
+same fixture, built with `report.build_report` so that its objects can
+be read.  Uses only the standard library:
 
     python3 tools/su_scaling.py N [N ...]
 """
@@ -28,6 +28,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 sys.path.insert(0, str(ROOT / "src"))
 
 from fixtures import su_fixture  # noqa: E402
+from lscat import specseq  # noqa: E402
 from lscat.algebra import Algebra  # noqa: E402
 from lscat.cli import main as lscat_main  # noqa: E402
 from lscat.report import build_report  # noqa: E402
@@ -52,16 +53,23 @@ def row(n: int, path: Path) -> list:
     bracket = json.loads(out.getvalue())["bounds"]["bracket"]
     model = LoopSpaceModel(SpacePresentation.from_dict(fixture))
     calls, basis = [], Algebra.basis
+    walked, walk = [], specseq._walk_cells
     Algebra.basis = lambda alg, degree: calls.append(degree) or basis(alg, degree)
+
+    def counting_walk(*args):
+        cells = walk(*args)
+        walked.extend(map(len, cells.values()))
+        return cells
+
+    specseq._walk_cells = counting_walk
     try:
         build_report(model)
     finally:
         Algebra.basis = basis
-    walked = vars(model.e2.lattice_cells).get("classes")
+        specseq._walk_cells = walk
     return [
         n, code, f"[{bracket['lo']},{bracket['hi']}]", f"{best:.4f}",
-        len(calls),
-        0 if walked is None else sum(map(len, walked.values())),
+        len(calls), sum(walked),
     ]
 
 
